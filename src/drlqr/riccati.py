@@ -1,11 +1,15 @@
 """Nominal stochastic LQR and the covariance-only robust variant.
 
-The nominal problem is solved by value iteration on the generalized Riccati
-recursion P_{k+1} = Q + F(P_k) - H(P_k)^T (R + G(P_k))^{-1} H(P_k) starting
-from P_0 = 0, and cross-checked by a trace-maximizing SDP.  The
-covariance-only robust controller is the same pipeline run with the
-covariance inflated to rho_sigma * Sigma_hat, which is worst-case exact
-when the mean is known.
+The nominal problem is the generalized Riccati equation
+P = Q + F(P) - H(P)^T (R + G(P))^{-1} H(P).  It is solved by a short
+value-iteration warm-up from P_0 = 0, finished by Newton (policy-iteration)
+steps: Kleinman's iteration, extended to multiplicative noise by Damm &
+Hinrichsen (2001).  Each Newton step evaluates the greedy gain of the current
+iterate exactly, through one linear solve with the second-moment operator,
+and the steps converge quadratically.  The trace-maximizing SDP is kept as a
+cross-check.  The covariance-only robust controller is the same pipeline run
+with the covariance inflated to rho_sigma * Sigma_hat, which is worst-case
+exact when the mean is known.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .matcore import NumericalFailure, SymMatrix, as_matrix, symmetrize
+from .matcore import NumericalFailure, SymMatrix, as_matrix, symmetrize, unvec, vec
 from .sdpcore import LmiBuilder, block_expr, kron_const, solve
+from .stability import ClosedLoop, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 from .ambiguity import MomentAmbiguity
 
@@ -74,19 +79,60 @@ def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights
     return -scipy.linalg.cho_solve((c, low), H)
 
 
+def _newton_step(P, sys: MultNoiseSystem, m: DisturbanceMoments,
+                 cost: CostWeights) -> np.ndarray | None:
+    """Value matrix of the greedy gain K = gain(P), or None when K is not certified.
+
+    Solves (I - T_K) vec V = vec(Q + K^T R K).  The operator L_K is positive
+    and Q + K^T R K > 0, so a solution V > 0 exists iff rho(L_K) < 1: a
+    finite V with a Cholesky factor certifies mean-square stability.
+    """
+    n = sys.n_x
+    K = _gain_from(P, sys, m, cost)
+    T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
+    rhs = as_matrix(cost.Q) + K.T @ as_matrix(cost.R) @ K
+    try:
+        V = symmetrize(unvec(np.linalg.solve(np.eye(n * n) - T, vec(rhs)), n))
+        if not np.all(np.isfinite(V)):  # cholesky returns NaN rather than raising
+            return None
+        np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        return None
+    return V
+
+
 def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Controller:
-    """Solve the stochastic LQR Riccati equation by value iteration from P_0 = 0.
+    """Solve the stochastic LQR Riccati equation: value-iteration warm-up, Newton finish.
 
-    The iteration is monotone (P_{k+1} >= P_k); a diverging trace signals
-    that no mean-square stabilizing gain exists.
+    The warm-up sweeps P_{k+1} = Q + F(P_k) - H^T (R + G)^{-1} H from P_0 = 0
+    are monotone (P_{k+1} >= P_k); a diverging trace signals that no
+    mean-square stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
+    and once the sweeps meet the stopping rule, the greedy gain of P_k is
+    evaluated exactly (see _newton_step).  The first evaluation that
+    certifies its gain as mean-square stabilizing starts the Newton steps
+    K_{j+1} = gain(P_j), P_{j+1} = value(K_{j+1}), which decrease
+    monotonically to the stabilizing solution; they stop when
+    |P_{j+1} - P_j| <= tol (1 + |P_{j+1}|), and K = gain(P) is returned.
+
+    Controller.iterations counts sweeps plus Newton steps (the certifying
+    evaluation included), and max_iter bounds that total.  Divergence raises
+    NotStabilizableError; a spent budget, sweeps that converge to an
+    uncertified gain, or a Newton step that loses its certificate or
+    monotonicity raise NumericalFailure.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = sys.n_x
     Q, R = as_matrix(cost.Q), as_matrix(cost.R)
     P = np.zeros((n, n))
+    probe = 0
     for k in range(max_iter):
+        if k == probe:
+            probe = max(1, 2 * k)
+            P_K = _newton_step(P, sys, m, cost)
+            if P_K is not None:
+                return _newton_finish(sys, m, cost, P_K, k + 1, tol, max_iter)
         F, G, H = fgh(sys, m, P)
         try:
             c, low = scipy.linalg.cho_factor(R + G)
@@ -102,11 +148,34 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
                 "value iteration diverged: system is not mean-square stabilizable under these moments"
             )
         if delta <= tol * (1.0 + np.linalg.norm(P)):
-            K = _gain_from(P, sys, m, cost)
-            return Controller(K=K, P=SymMatrix(P), cost_kind="exact", method="nominal_vi", iterations=k + 1)
-    raise NotStabilizableError(
+            P_K = _newton_step(P, sys, m, cost)
+            if P_K is None:
+                raise NumericalFailure("value iteration converged to a gain that is not "
+                                       "certified mean-square stabilizing")
+            return _newton_finish(sys, m, cost, P_K, k + 2, tol, max_iter)
+    raise NumericalFailure(
         f"value iteration did not converge within {max_iter} sweeps (trace {np.trace(P):.3e})"
     )
+
+
+def _newton_finish(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
+                   P: np.ndarray, steps: int, tol: float, max_iter: int) -> Controller:
+    """Newton steps from the certified value matrix P, reached after `steps` iterations."""
+    while steps < max_iter:
+        P_next = _newton_step(P, sys, m, cost)
+        steps += 1
+        if P_next is None:
+            raise NumericalFailure("Newton step lost the mean-square stability certificate")
+        if np.linalg.eigvalsh(P - P_next)[0] < -1e-8 * (1.0 + np.linalg.norm(P)):
+            raise NumericalFailure("Newton step lost monotonicity")
+        delta = np.linalg.norm(P_next - P)
+        P = P_next
+        if delta <= tol * (1.0 + np.linalg.norm(P)):
+            K = _gain_from(P, sys, m, cost)
+            return Controller(K=K, P=SymMatrix(P), cost_kind="exact", method="nominal_vi",
+                              iterations=steps)
+    raise NumericalFailure(f"Newton steps did not converge within {max_iter} iterations "
+                           f"(trace {np.trace(P):.3e})")
 
 
 def riccati_residual(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights, P) -> float:

@@ -45,18 +45,23 @@ class ClosedLoop:
 
 
 def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
-    """Matrix T acting on vec(P) for P -> Abar_cl^T (Sigma_ext x P) Abar_cl."""
+    """Matrix T acting on vec(P) for P -> Abar_cl^T (Sigma_ext x P) Abar_cl.
+
+    T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channel matrices
+    A_i, i.e. T[a n + b, c n + d] = sum_ij S_ij A_j[c, a] A_i[d, b], built as
+    one contraction over the channels.
+    """
     if m.n_w != cl.sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={cl.sys.n_w}")
-    mats = cl.noise_channel_matrices()
+    mats = np.stack(cl.noise_channel_matrices())
     S_ext = as_matrix(m.extended_moment())
     n = cl.sys.n_x
-    T = np.zeros((n * n, n * n))
-    for i, Ai in enumerate(mats):
-        for j, Aj in enumerate(mats):
-            if S_ext[i, j] != 0.0:
-                T += S_ext[i, j] * np.kron(Aj.T, Ai.T)
-    return T
+    weighted = np.einsum("ij,jca->ica", S_ext, mats)
+    return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
+
+
+def _spectral_radius(T: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(T)))) if T.size else 0.0
 
 
 def apply_second_moment(cl: ClosedLoop, m: DisturbanceMoments, P) -> np.ndarray:
@@ -72,8 +77,7 @@ def is_mss(cl: ClosedLoop, m: DisturbanceMoments, tol: float = DEFAULT_TOL) -> t
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    T = second_moment_operator(cl, m)
-    radius = float(np.max(np.abs(np.linalg.eigvals(T)))) if T.size else 0.0
+    radius = _spectral_radius(second_moment_operator(cl, m))
     return radius < 1.0 - tol, radius
 
 
@@ -99,11 +103,11 @@ def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x
 
 def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> SymMatrix:
     """Solve P = Q + K^T R K + L(P) for the closed-loop value matrix."""
-    stable, radius = is_mss(cl, m)
-    if not stable:
+    T = second_moment_operator(cl, m)
+    radius = _spectral_radius(T)
+    if not radius < 1.0 - DEFAULT_TOL:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f}); cost is infinite")
     n = cl.sys.n_x
-    T = second_moment_operator(cl, m)
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
     P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(symmetrize(rhs))), n)
     return SymMatrix(P)

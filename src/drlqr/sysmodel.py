@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import ShapeError, SymMatrix, as_matrix, is_psd, symmetrize
+from .matcore import DomainError, ShapeError, SymMatrix, as_matrix, is_psd, symmetrize
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"non-finite entries in {name}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,11 @@ class MultNoiseSystem:
         for i, b in enumerate(B):
             if b.shape != B0.shape:
                 raise ShapeError(f"B[{i}] has shape {b.shape}, expected {B0.shape}")
+        _require_finite("A0", A0)
+        _require_finite("B0", B0)
+        for i, (a, b) in enumerate(zip(A, B)):
+            _require_finite(f"A[{i}]", a)
+            _require_finite(f"B[{i}]", b)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B0", B0)
@@ -96,6 +106,8 @@ class MultNoiseSystem:
                 B0=np.array(d["B0"], dtype=float),
                 B=tuple(np.array(b, dtype=float) for b in d["B"]),
             )
+        except DomainError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ShapeError(f"malformed system description: {exc}") from exc
         if (sys.n_x, sys.n_u, sys.n_w) != (n_x, n_u, n_w):
@@ -125,6 +137,7 @@ class DisturbanceMoments:
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).ravel()
+        _require_finite("mu", mu)
         sigma = self.sigma if isinstance(self.sigma, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma))
         if sigma.dim != mu.size:
             raise ShapeError(f"mean has length {mu.size} but covariance is {sigma.dim}x{sigma.dim}")

@@ -137,6 +137,17 @@ class TestSynth:
         capsys.readouterr()
         assert rc == EXIT_INFEASIBLE
 
+    def test_non_finite_system_rejected(self, capsys, system_json, samples_csv):
+        d = json.loads(system_json.read_text())
+        d["A0"][0][1] = float("nan")
+        system_json.write_text(json.dumps(d))  # written as the JSON token NaN
+        assert "NaN" in system_json.read_text()
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "nominal"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert "non-finite" in err
+
 
 class TestMss:
     def _gain_file(self, sys6, cost6, moments6, tmp_path, K=None):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
-from drlqr.matcore import SymMatrix, as_matrix
+from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
+from drlqr.experiment import DEFAULT_LAMBDA_REG, _cell_stream, sample_gaussian
+from drlqr import riccati
+from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix
 from drlqr.riccati import (NotStabilizableError, dr_covariance, load_gain,
                            nominal_sdp, riccati_residual, save_controller,
                            value_iteration)
-from drlqr.stability import ClosedLoop, is_mss
+from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
-from conftest import scalar_p_star
+from conftest import TS, scalar_p_star
 
 
 class TestValueIteration:
@@ -51,6 +55,104 @@ class TestValueIteration:
     def test_tol_validation(self, scalar_sys, scalar_cost, scalar_moments):
         with pytest.raises(ValueError):
             value_iteration(scalar_sys, scalar_moments, scalar_cost, tol=-1.0)
+
+    def test_spent_budget_is_numerical_failure(self, sys6, moments6, cost6):
+        """Running out of iterations says nothing about stabilizability."""
+        with pytest.raises(NumericalFailure):
+            value_iteration(sys6, moments6, cost6, max_iter=3)
+
+
+def _chain8(damping: float = 0.15, noise: float = 0.3) -> MultNoiseSystem:
+    """Euler-discretized chain wall-m1-m2-m3-m4 of unit masses and springs,
+    actuators on the end masses; noise on the damping and on the actuator gain."""
+    nm = 4
+    lap = 2.0 * np.eye(nm) - np.eye(nm, k=1) - np.eye(nm, k=-1)
+    lap[-1, -1] = 1.0
+    n = 2 * nm
+    Ac = np.block([[np.zeros((nm, nm)), np.eye(nm)], [-lap, -damping * lap]])
+    Bc = np.zeros((n, 2))
+    Bc[nm, 0] = Bc[n - 1, 1] = 1.0
+    A1 = np.zeros((n, n))
+    A1[nm:, nm:] = -TS * noise * damping * lap
+    B0 = TS * Bc
+    return MultNoiseSystem(A0=np.eye(n) + TS * Ac, A=(A1, np.zeros((n, n))), B0=B0,
+                           B=(np.zeros((n, 2)), noise * B0))
+
+
+def _assert_exact_solution(sys, m, cost, ctrl, rtol=1e-12):
+    """The returned gain is MSS, P is its closed-loop value matrix and solves the Riccati equation."""
+    cl = ClosedLoop(sys=sys, K=ctrl.K)
+    assert is_mss(cl, m)[0]
+    P = as_matrix(ctrl.P)
+    P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost))
+    assert np.linalg.norm(P - P_cl) <= rtol * np.linalg.norm(P_cl)
+    assert riccati_residual(sys, m, cost, P) <= rtol * (1.0 + np.linalg.norm(P))
+
+
+class TestNewtonFinish:
+    def test_sys6_exact(self, sys6, moments6, cost6):
+        ctrl = value_iteration(sys6, moments6, cost6)
+        _assert_exact_solution(sys6, moments6, cost6, ctrl)
+        assert ctrl.iterations <= 30
+
+    def test_lightly_damped_chain_exact(self, moments6):
+        sys = _chain8()
+        assert 0.999 < is_mss(ClosedLoop(sys=sys, K=np.zeros((2, 8))), moments6)[1] < 1.0
+        cost = CostWeights(Q=np.eye(8), R=np.eye(2))
+        _assert_exact_solution(sys, moments6, cost, value_iteration(sys, moments6, cost))
+
+    def test_paper_system_m500_stabilizable(self, sys6, moments6, cost6):
+        """At M = 500 the covariance-only design sits near the edge of
+        stabilizability (optimal radius about 0.99996); value iteration alone
+        spent its sweep budget here and called the cell not stabilizable."""
+        samples = sample_gaussian(moments6, 500, _cell_stream(0, 500, 3))
+        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=DEFAULT_LAMBDA_REG)
+        ctrl = dr_covariance(sys6, amb.mu_hat, amb, cost6)
+        inflated = DisturbanceMoments(mu=amb.mu_hat,
+                                      sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+        assert is_mss(ClosedLoop(sys=sys6, K=ctrl.K), inflated)[0]
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda T: np.full_like(T, np.nan), "certificate"),
+        (lambda T: 0.5 * (np.eye(len(T)) + T), "monotonicity"),  # doubles the value matrix
+    ], ids=["non_finite", "not_monotone"])
+    def test_guards(self, monkeypatch, scalar_sys, scalar_cost, corrupt, message):
+        """The open loop is MSS at variance 0.25, so the probe before the first
+        sweep certifies K = 0; the operator is corrupted from the next step on."""
+        real, calls = riccati.second_moment_operator, []
+
+        def faulty(cl, m):
+            calls.append(cl)
+            T = real(cl, m)
+            return T if len(calls) == 1 else corrupt(T)
+
+        monkeypatch.setattr(riccati, "second_moment_operator", faulty)
+        m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(0.25 * np.eye(1)))
+        with pytest.raises(NumericalFailure, match=message):
+            value_iteration(scalar_sys, m, scalar_cost)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(n_x=st.integers(1, 4), n_u=st.integers(1, 4), n_w=st.integers(1, 2),
+           noise=st.floats(0.0, 0.4), seed=st.integers(0, 2**32 - 1))
+    def test_random_stabilizable_plants(self, n_x, n_u, n_w, noise, seed):
+        """Plants A0 = Acl - B0 K0 with a stable Acl are stabilized by K0 when
+        the noise is small; K0 is checked, and the solve must be exact."""
+        rng = np.random.default_rng(seed)
+        n_u = min(n_u, n_x)
+        Acl = rng.standard_normal((n_x, n_x))
+        Acl *= 0.9 / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
+        B0 = rng.standard_normal((n_x, n_u))
+        K0 = rng.standard_normal((n_u, n_x))
+        sys = MultNoiseSystem(
+            A0=Acl - B0 @ K0,
+            A=tuple(noise * rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
+            B0=B0, B=tuple(noise * rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
+        m = DisturbanceMoments(mu=0.1 * rng.standard_normal(n_w), sigma=SymMatrix(np.eye(n_w)))
+        assume(is_mss(ClosedLoop(sys=sys, K=K0), m)[0])
+        L = rng.standard_normal((n_x, n_x))
+        cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=np.eye(n_u))
+        _assert_exact_solution(sys, m, cost, value_iteration(sys, m, cost))
 
 
 class TestNominalSdp:

@@ -55,6 +55,26 @@ class TestSecondMomentOperator:
         direct = Acl.T @ np.kron(S, P) @ Acl
         assert np.allclose(apply_second_moment(cl, moments6, P), direct, atol=1e-10)
 
+    @pytest.mark.parametrize("n_x", [1, 2, 4, 8])
+    def test_against_kron_double_sum(self, n_x):
+        """T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channels."""
+        rng = np.random.default_rng(n_x)
+        n_u, n_w = 2, 3
+        sys = MultNoiseSystem(
+            A0=rng.standard_normal((n_x, n_x)),
+            A=tuple(rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
+            B0=rng.standard_normal((n_x, n_u)),
+            B=tuple(rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
+        cl = ClosedLoop(sys=sys, K=rng.standard_normal((n_u, n_x)))
+        L = rng.standard_normal((n_w, n_w))
+        m = DisturbanceMoments(mu=rng.standard_normal(n_w), sigma=SymMatrix(L @ L.T))
+        S = as_matrix(m.extended_moment())
+        mats = cl.noise_channel_matrices()
+        ref = sum(S[i, j] * np.kron(Aj.T, Ai.T)
+                  for i, Ai in enumerate(mats) for j, Aj in enumerate(mats))
+        T = second_moment_operator(cl, m)
+        assert np.linalg.norm(T - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 class TestIsMss:
     def test_scalar_interval_endpoints(self):

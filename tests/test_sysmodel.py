@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from drlqr.matcore import ShapeError, SymMatrix, as_matrix
+from drlqr.matcore import DomainError, ShapeError, SymMatrix, as_matrix
 from drlqr.sysmodel import (CostWeights, DisturbanceMoments, MultNoiseSystem,
                             fgh, load_system, save_system)
 
@@ -158,6 +158,35 @@ class TestFgh:
         vals = np.einsum("ni,ij,nj->n", v, P, v)
         se = vals.std(ddof=1) / np.sqrt(N)
         assert abs(vals.mean() - exact) <= 3.0 * se
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["A0", "A", "B0", "B"])
+    def test_system_rejects(self, sys6, field, bad):
+        kwargs = {"A0": sys6.A0, "A": sys6.A, "B0": sys6.B0, "B": sys6.B}
+        if field in ("A", "B"):
+            mats = [m.copy() for m in kwargs[field]]
+            mats[-1][0, 0] = bad
+            kwargs[field] = tuple(mats)
+        else:
+            kwargs[field] = kwargs[field].copy()
+            kwargs[field][-1, -1] = bad
+        with pytest.raises(DomainError):
+            MultNoiseSystem(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_moments_reject_mean(self, bad):
+        with pytest.raises(DomainError):
+            DisturbanceMoments(mu=np.array([0.0, bad]), sigma=SymMatrix(np.eye(2)))
+
+    def test_json_keeps_domain_error(self, sys6, tmp_path):
+        d = sys6.to_json_dict()
+        d["B0"][1][0] = float("nan")
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(DomainError):
+            load_system(p)
 
 
 class TestCostWeights:

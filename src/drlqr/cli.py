@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 infeasible synthesis,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys as _sys
@@ -166,11 +167,7 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config_from_json(args.config)
     if args.seed is not None:
-        cfg = experiment.ExperimentConfig(
-            system=cfg.system, true_moments=cfg.true_moments, cost=cfg.cost,
-            beta=cfg.beta, eps=cfg.eps, sigma2=cfg.sigma2,
-            sample_sizes=cfg.sample_sizes, realizations=cfg.realizations,
-            x0=cfg.x0, seed=args.seed, methods=cfg.methods)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     records = experiment.run_sample_complexity(cfg, out_csv=args.out, jobs=args.jobs)
     failing = sum(1 for r in records if not r.stabilizing)
     print(json.dumps({"records": len(records), "non_stabilizing": failing,

@@ -22,7 +22,7 @@ import numpy as np
 from .ambiguity import MomentAmbiguity
 from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt
 from .riccati import Controller
-from .sdpcore import LmiBuilder, LmiProblem, block_expr, kron_const, solve, zeros
+from .sdpcore import LmiBuilder, block_expr, kron_const, solve, zeros
 from .stability import ClosedLoop, dr_certify_mss
 from .sysmodel import CostWeights, MultNoiseSystem
 
@@ -108,61 +108,49 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     return b
 
 
-def assemble_thm6(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> LmiProblem:
-    """Pencil form of the full-uncertainty synthesis SDP (tr(W) maximized)."""
-    b = _thm6_builder(sys, amb, cost)
-    b.minimize(-b.var("W").trace())
-    return b.build()
+def _synthesize(b: LmiBuilder, sys: MultNoiseSystem, amb: MomentAmbiguity, method: str,
+                bound_var: str | None = None) -> SynthesisResult:
+    """Solve the synthesis SDP, read the controller off it and certify it.
 
-
-def _extract(b: LmiBuilder, sol, sys: MultNoiseSystem, method: str,
-             cost_bound: float | None = None) -> SynthesisResult:
-    W = b.extract("W", sol.y)
-    V = b.extract("V", sol.y)
-    S = b.extract("S", sol.y)
-    L = b.extract("L", sol.y)
-    W_inv = np.linalg.inv(W)
-    K = V @ W_inv
-    P_hat = SymMatrix(W_inv)
-    bound = float(np.trace(as_matrix(P_hat))) if cost_bound is None else cost_bound
-    ctrl = Controller(K=K, P=P_hat, cost_kind="upper_bound", method=method,
-                      iterations=sol.iterations, cost_bound=bound)
-    return SynthesisResult(controller=ctrl, W=W, V=V, S=S, L=L,
-                           cost_bound=bound, trace_W=float(np.trace(W)))
-
-
-def _check_status(sol) -> None:
+    The cost bound is tr(W^{-1}), or the scalar variable bound_var when the
+    program minimizes its own bound.  The gain must also pass the sampled
+    robust stability certificate dr_certify_mss.
+    """
+    sol = solve(b.build())
     if sol.status == "infeasible":
         raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system")
     if sol.status != "optimal":
         raise NumericalFailure(f"synthesis SDP returned status {sol.status}")
+    W, V, S, L = (b.extract(name, sol.y) for name in ("W", "V", "S", "L"))
+    W_inv = np.linalg.inv(W)
+    K = V @ W_inv
+    P_hat = SymMatrix(W_inv)
+    if bound_var is None:
+        bound = float(np.trace(as_matrix(P_hat)))
+    else:
+        bound = float(b.extract(bound_var, sol.y)[0, 0])
+    ctrl = Controller(K=K, P=P_hat, cost_kind="upper_bound", method=method,
+                      iterations=sol.iterations, cost_bound=bound)
+    if not dr_certify_mss(ClosedLoop(sys=sys, K=K), amb):
+        raise NumericalFailure("synthesized gain failed the sampled robust stability certificate")
+    return SynthesisResult(controller=ctrl, W=W, V=V, S=S, L=L,
+                           cost_bound=bound, trace_W=float(np.trace(W)))
 
 
-def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
-               certify: bool = True, mean_grid: int = 12) -> SynthesisResult:
+def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> SynthesisResult:
     """Full-uncertainty robust controller with cost bound tr(W^{-1}).
 
     The bound is the expected closed-loop cost for a random initial state
     with identity second moment, valid for every distribution in the
     ambiguity set.  The returned gain additionally passes the sampled
-    robust stability certificate unless certify=False.
+    robust stability certificate.
     """
     b = _thm6_builder(sys, amb, cost)
     b.minimize(-b.var("W").trace())
-    sol = solve(b.build())
-    _check_status(sol)
-    result = _extract(b, sol, sys, "dr_full")
-    if certify:
-        cl = ClosedLoop(sys=sys, K=result.controller.K)
-        if not dr_certify_mss(cl, amb, mean_grid=mean_grid):
-            raise NumericalFailure(
-                "synthesized gain failed the sampled robust stability certificate"
-            )
-    return result
+    return _synthesize(b, sys, amb, "dr_full")
 
 
-def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0,
-              certify: bool = True, mean_grid: int = 12) -> SynthesisResult:
+def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:
     """Receding-horizon variant: minimize gamma >= x0^T W^{-1} x0.
 
     The gamma constraint enters as the Schur-complement block
@@ -175,14 +163,4 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0,
     gamma = b.scalar_var("gamma")
     b.add_psd(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), b.var("W")]]))
     b.minimize(gamma)
-    sol = solve(b.build())
-    _check_status(sol)
-    gamma_val = float(b.extract("gamma", sol.y)[0, 0])
-    result = _extract(b, sol, sys, "dr_rhc", cost_bound=gamma_val)
-    if certify:
-        cl = ClosedLoop(sys=sys, K=result.controller.K)
-        if not dr_certify_mss(cl, amb, mean_grid=mean_grid):
-            raise NumericalFailure(
-                "synthesized gain failed the sampled robust stability certificate"
-            )
-    return result
+    return _synthesize(b, sys, amb, "dr_rhc", bound_var="gamma")

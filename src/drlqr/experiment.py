@@ -14,7 +14,7 @@ import concurrent.futures
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,26 +314,37 @@ def dump_problem(prob: LmiProblem, path) -> None:
 # --------------------------------------------------------------------------
 
 
+def _pad(coef: np.ndarray, k: int) -> np.ndarray:
+    """Coefficient tensor zero-padded to k slices (variables registered later)."""
+    if coef.shape[0] == k:
+        return coef
+    return np.concatenate([coef, np.zeros((k - coef.shape[0],) + coef.shape[1:])])
+
+
 class AffineExpr:
     """Matrix-valued expression affine in the builder's scalar variables.
 
-    Stored as a constant plus {scalar-variable index: coefficient matrix}.
-    Supports +, -, scalar *, matmul with constant matrices on either side,
-    transpose, trace and Kronecker products with a constant left factor.
+    Stored as one coefficient tensor coef of shape (1+k, p, q): coef[0] is
+    the constant and coef[1+i] the coefficient of scalar variable i.
+    Variables registered after the expression was made have zero
+    coefficients, so tensors are zero-padded to a common length before they
+    are combined.  Supports +, -, scalar *, matmul with constant matrices on
+    either side, transpose, trace and Kronecker products with a constant
+    left factor.
     """
 
     __array_ufunc__ = None  # keep ndarray @ AffineExpr routed to __rmatmul__
 
-    def __init__(self, shape: tuple[int, int], const: np.ndarray | None = None,
-                 terms: dict[int, np.ndarray] | None = None):
-        self.shape = shape
-        self.const = np.zeros(shape) if const is None else np.asarray(const, dtype=float).reshape(shape)
-        self.terms = {} if terms is None else terms
+    def __init__(self, coef: np.ndarray):
+        self.coef = coef
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.coef.shape[1:]
 
     @classmethod
     def constant(cls, m) -> "AffineExpr":
-        m = np.atleast_2d(np.asarray(m, dtype=float))
-        return cls(m.shape, const=m)
+        return cls(np.atleast_2d(np.asarray(m, dtype=float))[None])
 
     def _coerce(self, other) -> "AffineExpr":
         if isinstance(other, AffineExpr):
@@ -344,15 +355,13 @@ class AffineExpr:
         o = self._coerce(other)
         if o.shape != self.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {o.shape}")
-        terms = dict(self.terms)
-        for k, v in o.terms.items():
-            terms[k] = terms[k] + v if k in terms else v
-        return AffineExpr(self.shape, self.const + o.const, terms)
+        k = max(self.coef.shape[0], o.coef.shape[0])
+        return AffineExpr(_pad(self.coef, k) + _pad(o.coef, k))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AffineExpr(self.shape, -self.const, {k: -v for k, v in self.terms.items()})
+        return AffineExpr(-self.coef)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -361,46 +370,35 @@ class AffineExpr:
         return self._coerce(other) + (-self)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        return AffineExpr(self.shape, s * self.const, {k: s * v for k, v in self.terms.items()})
+        return AffineExpr(float(scalar) * self.coef)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, AffineExpr):
             raise TypeError("product of two variable expressions is not affine")
-        C = np.atleast_2d(np.asarray(other, dtype=float))
-        shape = (self.shape[0], C.shape[1])
-        return AffineExpr(shape, self.const @ C, {k: v @ C for k, v in self.terms.items()})
+        return AffineExpr(self.coef @ np.atleast_2d(np.asarray(other, dtype=float)))
 
     def __rmatmul__(self, other):
-        C = np.atleast_2d(np.asarray(other, dtype=float))
-        shape = (C.shape[0], self.shape[1])
-        return AffineExpr(shape, C @ self.const, {k: C @ v for k, v in self.terms.items()})
+        return AffineExpr(np.atleast_2d(np.asarray(other, dtype=float)) @ self.coef)
 
     @property
     def T(self) -> "AffineExpr":
-        return AffineExpr((self.shape[1], self.shape[0]), self.const.T,
-                          {k: v.T for k, v in self.terms.items()})
+        return AffineExpr(self.coef.transpose(0, 2, 1))
 
     def trace(self) -> "AffineExpr":
-        return AffineExpr((1, 1), np.array([[np.trace(self.const)]]),
-                          {k: np.array([[np.trace(v)]]) for k, v in self.terms.items()})
+        return AffineExpr(np.trace(self.coef, axis1=1, axis2=2)[:, None, None])
 
     def value(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
-        out = self.const.copy()
-        for k, v in self.terms.items():
-            out += y[k] * v
-        return out
+        k = self.coef.shape[0] - 1
+        return np.tensordot(np.concatenate(([1.0], y[:k])), self.coef, axes=1)
 
 
 def kron_const(C, expr: AffineExpr) -> AffineExpr:
     """Kronecker product kron(C, expr) with a constant left factor."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    shape = (C.shape[0] * expr.shape[0], C.shape[1] * expr.shape[1])
-    return AffineExpr(shape, np.kron(C, expr.const),
-                      {k: np.kron(C, v) for k, v in expr.terms.items()})
+    return AffineExpr(np.kron(C[None], expr.coef))
 
 
 def block_expr(rows: list[list]) -> AffineExpr:
@@ -414,33 +412,12 @@ def block_expr(rows: list[list]) -> AffineExpr:
         for j, e in enumerate(row):
             if e.shape != (row_heights[i], col_widths[j]):
                 raise ValueError(f"block ({i},{j}) has shape {e.shape}, expected ({row_heights[i]}, {col_widths[j]})")
-    shape = (sum(row_heights), sum(col_widths))
-    r_off = np.concatenate([[0], np.cumsum(row_heights)])
-    c_off = np.concatenate([[0], np.cumsum(col_widths)])
-    const = np.zeros(shape)
-    terms: dict[int, np.ndarray] = {}
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            rs, cs = slice(r_off[i], r_off[i + 1]), slice(c_off[j], c_off[j + 1])
-            const[rs, cs] = e.const
-            for k, v in e.terms.items():
-                if k not in terms:
-                    terms[k] = np.zeros(shape)
-                terms[k][rs, cs] = v
-    return AffineExpr(shape, const, terms)
+    k = max(e.coef.shape[0] for row in rows for e in row)
+    return AffineExpr(np.block([[_pad(e.coef, k) for e in row] for row in rows]))
 
 
 def zeros(shape: tuple[int, int]) -> AffineExpr:
-    return AffineExpr(shape)
-
-
-@dataclass
-class _VarInfo:
-    name: str
-    kind: str  # "sym" | "rect" | "scalar"
-    shape: tuple[int, int]
-    indices: list[int]
-    expr: AffineExpr | None = None
+    return AffineExpr(np.zeros((1,) + tuple(shape)))
 
 
 class LmiBuilder:
@@ -448,7 +425,7 @@ class LmiBuilder:
 
     def __init__(self):
         self._num_vars = 0
-        self._vars: dict[str, _VarInfo] = {}
+        self._vars: dict[str, AffineExpr] = {}
         self._psd_blocks: list[AffineExpr] = []
         self._objective: AffineExpr | None = None
 
@@ -456,51 +433,36 @@ class LmiBuilder:
     def num_vars(self) -> int:
         return self._num_vars
 
-    def _register(self, name: str, kind: str, shape: tuple[int, int], count: int) -> _VarInfo:
+    def _register(self, name: str, shape: tuple[int, int], count: int) -> tuple[AffineExpr, np.ndarray]:
+        """A zero expression for `count` new scalars, and their slices in its coef."""
         if name in self._vars:
             raise ValueError(f"variable {name!r} already registered")
-        info = _VarInfo(name, kind, shape, list(range(self._num_vars, self._num_vars + count)))
+        first = 1 + self._num_vars
         self._num_vars += count
-        self._vars[name] = info
-        return info
+        expr = AffineExpr(np.zeros((first + count,) + shape))
+        self._vars[name] = expr
+        return expr, np.arange(first, first + count)
 
     def sym_var(self, name: str, n: int) -> AffineExpr:
         """Symmetric n x n variable: n(n+1)/2 scalars with E_ii / (E_ij + E_ji) basis."""
-        info = self._register(name, "sym", (n, n), n * (n + 1) // 2)
-        terms = {}
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                E = np.zeros((n, n))
-                E[i, j] = 1.0
-                E[j, i] = 1.0
-                terms[info.indices[k]] = E
-                k += 1
-        info.expr = AffineExpr((n, n), terms=terms)
-        return info.expr
+        expr, k = self._register(name, (n, n), n * (n + 1) // 2)
+        i, j = np.triu_indices(n)
+        expr.coef[k, i, j] = expr.coef[k, j, i] = 1.0
+        return expr
 
     def rect_var(self, name: str, p: int, q: int) -> AffineExpr:
-        """General p x q variable: one scalar per entry."""
-        info = self._register(name, "rect", (p, q), p * q)
-        terms = {}
-        k = 0
-        for i in range(p):
-            for j in range(q):
-                E = np.zeros((p, q))
-                E[i, j] = 1.0
-                terms[info.indices[k]] = E
-                k += 1
-        info.expr = AffineExpr((p, q), terms=terms)
-        return info.expr
+        """General p x q variable: one scalar per entry, row-major."""
+        expr, k = self._register(name, (p, q), p * q)
+        i, j = np.divmod(np.arange(p * q), q)
+        expr.coef[k, i, j] = 1.0
+        return expr
 
     def scalar_var(self, name: str) -> AffineExpr:
-        info = self._register(name, "scalar", (1, 1), 1)
-        info.expr = AffineExpr((1, 1), terms={info.indices[0]: np.ones((1, 1))})
-        return info.expr
+        return self.rect_var(name, 1, 1)
 
     def var(self, name: str) -> AffineExpr:
         """The affine expression of a previously registered variable."""
-        return self._vars[name].expr
+        return self._vars[name]
 
     def add_psd(self, expr: AffineExpr) -> None:
         """Constrain the (symmetrized) expression to be PSD."""
@@ -517,33 +479,14 @@ class LmiBuilder:
     def build(self) -> LmiProblem:
         if not self._psd_blocks:
             raise ValueError("no PSD blocks added")
-        n = self._num_vars
-        c = np.zeros(n)
-        if self._objective is not None:
-            for k, v in self._objective.terms.items():
-                c[k] = v[0, 0]
+        k = 1 + self._num_vars
+        objective = zeros((1, 1)) if self._objective is None else self._objective
         blocks = []
         for expr in self._psd_blocks:
-            d = expr.shape[0]
-            Fi = np.zeros((n, d, d))
-            for k, v in expr.terms.items():
-                Fi[k] = v
-            blocks.append(LmiBlock(F0=expr.const, Fi=Fi))
-        return LmiProblem(c=c, blocks=tuple(blocks))
+            coef = _pad(expr.coef, k)
+            blocks.append(LmiBlock(F0=coef[0], Fi=coef[1:]))
+        return LmiProblem(c=_pad(objective.coef, k)[1:, 0, 0], blocks=tuple(blocks))
 
     def extract(self, name: str, y) -> np.ndarray:
         """Recover a matrix variable's value from a solution vector."""
-        info = self._vars[name]
-        y = np.asarray(y, dtype=float).ravel()
-        p, q = info.shape
-        out = np.zeros((p, q))
-        if info.kind == "sym":
-            k = 0
-            for i in range(p):
-                for j in range(i, q):
-                    out[i, j] = out[j, i] = y[info.indices[k]]
-                    k += 1
-        else:
-            for k, idx in enumerate(info.indices):
-                out[k // q, k % q] = y[idx]
-        return out
+        return self.var(name).value(y)

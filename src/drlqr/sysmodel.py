@@ -9,7 +9,7 @@ and the stacked matrices are derived quantities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -219,6 +219,34 @@ class TestExperiment:
         header = out_csv.read_text().splitlines()[0]
         assert header == "M,realization,method,stabilizing,J,J_rel,wall_ms"
 
+    def test_seed_override_matches_config_seed(self, capsys, sys6, tmp_path):
+        """--seed gives the same CSV, minus wall_ms, as a config carrying that seed."""
+        save_system(sys6, tmp_path / "sys.json")
+        cfg = {
+            "system": "sys.json",
+            "mu": [0.0, 0.0],
+            "sigma": [[1.0, 0.0], [0.0, 1.0]],
+            "Q": [[10.0, 0.0], [0.0, 1.0]],
+            "R": [[0.01]],
+            "beta": 0.05,
+            "sample_sizes": [1000],
+            "realizations": 2,
+            "x0": [2.0, 2.0],
+            "methods": ["covariance"],
+        }
+
+        def rows(name, config, extra):
+            cp = tmp_path / f"{name}.json"
+            cp.write_text(json.dumps(config))
+            out_csv = tmp_path / f"{name}.csv"
+            rc, _ = _run(capsys, ["experiment", "--config", str(cp), "--out", str(out_csv)] + extra)
+            assert rc == EXIT_OK
+            return [line.rsplit(",", 1)[0] for line in out_csv.read_text().splitlines()]
+
+        overridden = rows("override", cfg, ["--seed", "7"])
+        assert overridden == rows("carried", dict(cfg, seed=7), [])
+        assert overridden != rows("default", cfg, [])
+
     def test_missing_field(self, capsys, tmp_path):
         cp = tmp_path / "exp.json"
         cp.write_text(json.dumps({"beta": 0.05}))

@@ -47,7 +47,7 @@ class TestSynthFull:
             synth_full(scalar_sys, amb, scalar_cost)
 
     def test_passes_own_certificate_densely(self, sys6, cost6, amb6_small):
-        res = synth_full(sys6, amb6_small, cost6, certify=False)
+        res = synth_full(sys6, amb6_small, cost6)
         cl = ClosedLoop(sys=sys6, K=res.controller.K)
         assert dr_certify_mss(cl, amb6_small, mean_grid=24)
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem,
                            block_expr, dump_problem, kron_const, solve, zeros)
@@ -178,6 +180,65 @@ class TestExpressionAlgebra:
         y = np.array([1.0, -1.0, 3.0])
         K = kron_const(np.diag([2.0, 5.0]), W)
         assert np.allclose(K.value(y), np.kron(np.diag([2.0, 5.0]), W.value(y)))
+
+
+class TestTensorAlgebraProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 3), q=st.integers(1, 3), r=st.integers(1, 3),
+           s=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_operations_commute_with_value(self, p, q, r, s, seed):
+        """Every expression operation agrees with the same operation on value(y),
+        including on expressions made before later variables were registered."""
+        rng = np.random.default_rng(seed)
+        draw = lambda *shape: rng.standard_normal(shape)
+        close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        b = LmiBuilder()
+        X = b.rect_var("X", p, q)
+        C0, D0, Cq = draw(p, p), draw(p, q), draw(q, p)
+        early = C0 @ X + D0
+        square = X @ Cq  # p x p, constrained after the later variables exist
+        g = b.scalar_var("g")
+        P = b.sym_var("P", q)
+        late = kron_const(draw(p, q), g) + draw(p, q) @ P
+        assert early.coef.shape[0] < late.coef.shape[0]
+        b.add_psd(square)
+        b.minimize(g - 2.0 * P.trace())
+        y = draw(b.num_vars)
+        Xv, gv, Pv = X.value(y), g.value(y), P.value(y)
+        ev, lv = early.value(y), late.value(y)
+
+        # the variables themselves, read straight off y: X row-major, then g,
+        # then the upper triangle of P row by row
+        assert np.array_equal(Xv, y[:p * q].reshape(p, q))
+        assert gv[0, 0] == y[p * q]
+        assert np.array_equal(Pv[np.triu_indices(q)], y[p * q + 1:]) and np.array_equal(Pv, Pv.T)
+        assert np.array_equal(b.extract("P", y), Pv)
+        close(ev, C0 @ Xv + D0)
+        close((early + late).value(y), ev + lv)
+        close((late + early).value(y), ev + lv)
+        close((early - late).value(y), ev - lv)
+        close((late - early).value(y), lv - ev)
+        close((D0 - early).value(y), D0 - ev)
+        close((s * early).value(y), s * ev)
+        close((late * s).value(y), s * lv)
+        E, F = draw(r, p), draw(q, r)
+        close((E @ early).value(y), E @ ev)
+        close((early @ F).value(y), ev @ F)
+        close(early.T.value(y), ev.T)
+        close((late @ F).T.value(y), (lv @ F).T)
+        close(square.trace().value(y), [[np.trace(Xv @ Cq)]])
+        close(P.trace().value(y), [[np.trace(Pv)]])
+        K = draw(r, 2)
+        close(kron_const(K, early).value(y), np.kron(K, ev))
+        G, H = draw(p, r), draw(p, r)
+        blk = block_expr([[early, G], [P, late.T @ H]])
+        close(blk.value(y), np.block([[ev, G], [Pv, lv.T @ H]]))
+
+        prob = b.build()
+        assert prob.num_vars == b.num_vars
+        pencil = prob.blocks[0].F0 + np.tensordot(y, prob.blocks[0].Fi, axes=1)
+        close(pencil, 0.5 * (Xv @ Cq + (Xv @ Cq).T))
+        close(prob.c @ y, gv[0, 0] - 2.0 * np.trace(Pv))
 
 
 class TestDumpProblem:

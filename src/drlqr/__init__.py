@@ -18,8 +18,8 @@ from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix,
 from .riccati import (Controller, NotStabilizableError, dr_covariance,
                       load_gain, nominal_sdp, save_controller, value_iteration)
 from .stability import (ClosedLoop, InstabilityError, closed_loop_cost,
-                        closed_loop_value_matrix, dr_certify_mss, is_mss,
-                        lyapunov_P, second_moment_operator)
+                        closed_loop_value_matrix, is_mss, lyapunov_P,
+                        second_moment_operator)
 from .sysmodel import (CostWeights, DisturbanceMoments, MultNoiseSystem, fgh,
                        load_system, save_system)
 
@@ -33,7 +33,7 @@ __all__ = [
     "NumericalFailure", "RunRecord", "SampleSet", "SampleSizeError",
     "ShapeError", "SymMatrix", "SynthesisResult", "ambiguity_radii",
     "build_ambiguity", "closed_loop_cost", "closed_loop_value_matrix",
-    "dr_certify_mss", "dr_covariance", "empirical_moments", "fgh", "is_mss",
+    "dr_covariance", "empirical_moments", "fgh", "is_mss",
     "is_psd", "load_gain", "load_samples_csv", "load_system", "lyapunov_P",
     "min_sample_size", "nominal_sdp", "psd_sqrt", "replicate_example1",
     "run_sample_complexity", "sample_gaussian", "save_controller",

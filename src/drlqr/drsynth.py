@@ -6,7 +6,8 @@ to two LMIs: an arrow-shaped block coupling the mean radius to the noise
 channels through auxiliary variables S and L, and a large Schur-complement
 block encoding the robust Lyapunov/cost decrease.  The resulting gain is
 K = V W^{-1} and tr(W^{-1}) upper-bounds the expected closed-loop cost for
-an isotropic random initial state.
+an isotropic random initial state.  A strictly feasible solution certifies
+the gain mean-square stabilizing for every distribution in the set.
 
 A receding-horizon variant minimizes a scalar bound gamma on x0^T W^{-1} x0
 for a specific initial state instead.
@@ -23,7 +24,6 @@ from .ambiguity import MomentAmbiguity
 from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt
 from .riccati import Controller
 from .sdpcore import LmiBuilder, block_expr, kron_const, solve, zeros
-from .stability import ClosedLoop, dr_certify_mss
 from .sysmodel import CostWeights, MultNoiseSystem
 
 
@@ -108,19 +108,24 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     return b
 
 
-def _synthesize(b: LmiBuilder, sys: MultNoiseSystem, amb: MomentAmbiguity, method: str,
-                bound_var: str | None = None) -> SynthesisResult:
-    """Solve the synthesis SDP, read the controller off it and certify it.
+def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> SynthesisResult:
+    """Solve the synthesis SDP and read the certified controller off it.
 
     The cost bound is tr(W^{-1}), or the scalar variable bound_var when the
-    program minimizes its own bound.  The gain must also pass the sampled
-    robust stability certificate dr_certify_mss.
+    program minimizes its own bound.  The solution is its own certificate: at
+    a strictly feasible point P = W^{-1} satisfies P > E[A_cl(w)^T P A_cl(w)]
+    at every moment pair in the ambiguity set, which is robust mean-square
+    stability.  An "optimal" point whose smallest LMI block eigenvalue is not
+    positive certifies nothing and raises NumericalFailure.
     """
     sol = solve(b.build())
     if sol.status == "infeasible":
         raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system")
     if sol.status != "optimal":
         raise NumericalFailure(f"synthesis SDP returned status {sol.status}")
+    if not sol.min_block_eigenvalue > 0:
+        raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
+                               f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
     W, V, S, L = (b.extract(name, sol.y) for name in ("W", "V", "S", "L"))
     W_inv = np.linalg.inv(W)
     K = V @ W_inv
@@ -131,8 +136,6 @@ def _synthesize(b: LmiBuilder, sys: MultNoiseSystem, amb: MomentAmbiguity, metho
         bound = float(b.extract(bound_var, sol.y)[0, 0])
     ctrl = Controller(K=K, P=P_hat, cost_kind="upper_bound", method=method,
                       iterations=sol.iterations, cost_bound=bound)
-    if not dr_certify_mss(ClosedLoop(sys=sys, K=K), amb):
-        raise NumericalFailure("synthesized gain failed the sampled robust stability certificate")
     return SynthesisResult(controller=ctrl, W=W, V=V, S=S, L=L,
                            cost_bound=bound, trace_W=float(np.trace(W)))
 
@@ -142,12 +145,13 @@ def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) ->
 
     The bound is the expected closed-loop cost for a random initial state
     with identity second moment, valid for every distribution in the
-    ambiguity set.  The returned gain additionally passes the sampled
-    robust stability certificate.
+    ambiguity set.  The gain is certified robustly mean-square stabilizing
+    by the strict feasibility of the synthesis LMIs; a returned point that is
+    not strictly feasible raises NumericalFailure.
     """
     b = _thm6_builder(sys, amb, cost)
     b.minimize(-b.var("W").trace())
-    return _synthesize(b, sys, amb, "dr_full")
+    return _synthesize(b, "dr_full")
 
 
 def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:
@@ -163,4 +167,4 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0)
     gamma = b.scalar_var("gamma")
     b.add_psd(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), b.var("W")]]))
     b.minimize(gamma)
-    return _synthesize(b, sys, amb, "dr_rhc", bound_var="gamma")
+    return _synthesize(b, "dr_rhc", bound_var="gamma")

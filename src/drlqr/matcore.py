@@ -103,11 +103,6 @@ def is_psd(m, tol: float = 1e-9) -> bool:
     return w[0] >= -tol * max(1.0, float(w[-1]))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the standard block layout."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def vec(m) -> np.ndarray:
     """Column-stacking vectorization."""
     return as_matrix(m).flatten(order="F")

@@ -3,8 +3,9 @@
 Stability of x_{k+1} = (A(w_k) + B(w_k) K) x_k is decided through the
 spectral radius of the matrix representation of the second-moment operator
 P -> Abar_cl^T (Sigma_ext x P) Abar_cl, which is exact and solver-free at
-the problem sizes handled here.  The Lyapunov LMI route remains available
-through sdpcore as a cross-check.
+the problem sizes handled here.  These checks hold at one moment pair; the
+distributionally robust certificate of a synthesized gain is the strict
+feasibility of the synthesis LMIs (see drsynth).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, SymMatrix, as_matrix, psd_sqrt, symmetrize, vec, unvec
+from .matcore import ShapeError, SymMatrix, as_matrix, symmetrize, vec, unvec
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 DEFAULT_TOL = 1e-9
@@ -82,12 +83,17 @@ def is_mss(cl: ClosedLoop, m: DisturbanceMoments, tol: float = DEFAULT_TOL) -> t
 
 
 def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Lyapunov certificate P > 0 with P - L(P) = I, via (I - T) vec(P) = vec(I)."""
-    stable, radius = is_mss(cl, m, tol)
-    if not stable:
+    """Lyapunov certificate P > 0 with P - L(P) = I, via (I - T) vec(P) = vec(I).
+
+    Radii within tol of 1 raise InstabilityError, as is_mss reports them unstable.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    T = second_moment_operator(cl, m)
+    radius = _spectral_radius(T)
+    if not radius < 1.0 - tol:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f})")
     n = cl.sys.n_x
-    T = second_moment_operator(cl, m)
     P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(np.eye(n))), n)
     return SymMatrix(P)
 
@@ -111,47 +117,3 @@ def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWe
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
     P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(symmetrize(rhs))), n)
     return SymMatrix(P)
-
-
-def _mean_directions(n_w: int, count: int) -> np.ndarray:
-    """Deterministic unit directions used to discretize the mean ellipsoid."""
-    if n_w == 1:
-        signs = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(count)])
-        return signs.reshape(-1, 1)
-    if n_w == 2:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    d = rng.standard_normal((count, n_w))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
-def dr_certify_mss(cl: ClosedLoop, amb, mean_grid: int = 12) -> bool:
-    """Sampled sufficient check of distributionally robust mean-square stability.
-
-    Evaluates is_mss with covariance rho_sigma * Sigma_hat at every mean in a
-    deterministic grid of mean_grid^2 points covering the ellipsoid
-    (mu - mu_hat)^T Sigma_hat^{-1} (mu - mu_hat) <= rho_mu, including its
-    center and boundary.  A pass certifies stability only on the grid; the
-    exact robust certificate is the synthesis LMI itself.
-    """
-    if mean_grid < 1:
-        raise ValueError("mean_grid must be at least 1")
-    sigma_hat = as_matrix(amb.sigma_hat)
-    sigma_dr = SymMatrix(amb.rho_sigma * sigma_hat)
-    half = as_matrix(psd_sqrt(sigma_hat))
-    radius = float(np.sqrt(max(amb.rho_mu, 0.0)))
-    mu_hat = np.asarray(amb.mu_hat, dtype=float).ravel()
-
-    means = [mu_hat]
-    if radius > 0.0 and mean_grid > 1:
-        radii = np.linspace(0.0, 1.0, mean_grid)[1:]
-        dirs = _mean_directions(mu_hat.size, mean_grid)
-        for r in radii:
-            for d in dirs:
-                means.append(mu_hat + radius * r * (half @ d))
-    for mu in means:
-        stable, _ = is_mss(cl, DisturbanceMoments(mu=mu, sigma=sigma_dr))
-        if not stable:
-            return False
-    return True

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drlqr import drsynth
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, synth_full, synth_rhc
-from drlqr.matcore import SymMatrix, as_matrix, psd_sqrt
+from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
 from drlqr.riccati import dr_covariance, value_iteration
-from drlqr.stability import (ClosedLoop, closed_loop_value_matrix,
-                             dr_certify_mss)
+from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
+from oracles import dr_certify_mss
 
 CFG = AmbiguityConfig(beta=0.05)
 
@@ -119,3 +124,69 @@ class TestSynthRhc:
     def test_bad_x0_length(self, sys6, cost6, amb6_small):
         with pytest.raises(Exception):
             synth_rhc(sys6, amb6_small, cost6, np.zeros(3))
+
+
+def _synth(method, sys, amb, cost, x0):
+    return synth_full(sys, amb, cost) if method == "full" else synth_rhc(sys, amb, cost, x0)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("min_eig", [0.0, -1e-3])
+    @pytest.mark.parametrize("method", ["full", "rhc"])
+    def test_not_strictly_feasible_is_numerical_failure(self, monkeypatch, sys6, cost6,
+                                                        amb6_small, method, min_eig):
+        """An "optimal" point whose LMI blocks are not strictly positive
+        certifies no gain, however good the gain happens to be."""
+        real = drsynth.solve
+        monkeypatch.setattr(drsynth, "solve", lambda prob: dataclasses.replace(
+            real(prob), min_block_eigenvalue=min_eig))
+        with pytest.raises(NumericalFailure, match="strictly feasible"):
+            _synth(method, sys6, amb6_small, cost6, np.array([2.0, 2.0]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
+           noise=st.floats(0.0, 0.3), rho_mu=st.floats(0.0, 0.3),
+           rho_sigma=st.floats(1.0, 2.0), method=st.sampled_from(["full", "rhc"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_returned_gain_passes_oracles(self, n_x, n_u, n_w, noise, rho_mu, rho_sigma,
+                                          method, seed):
+        """Every returned gain passes the dense mean grid, and at random
+        in-set moments (a mean inside the ellipsoid, a covariance
+        rho_sigma Sigma_hat - D with PSD D keeping it PSD; the first on the
+        boundary at D = 0) it is MSS and its cost stays within the bound."""
+        rng = np.random.default_rng(seed)
+        n_u = min(n_u, n_x)
+        Acl = rng.standard_normal((n_x, n_x))
+        Acl *= 0.9 / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
+        B0 = rng.standard_normal((n_x, n_u))
+        sys = MultNoiseSystem(
+            A0=Acl - B0 @ rng.standard_normal((n_u, n_x)),
+            A=tuple(noise * rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
+            B0=B0, B=tuple(noise * rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
+        G = rng.standard_normal((n_w, n_w))
+        amb = _amb(0.1 * rng.standard_normal(n_w), G @ G.T + 0.2 * np.eye(n_w),
+                   rho_mu, rho_sigma)
+        L = rng.standard_normal((n_x, n_x))
+        cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=np.eye(n_u))
+        x0 = rng.standard_normal(n_x)
+        try:
+            res = _synth(method, sys, amb, cost, x0)
+        except (DrSynthesisError, NumericalFailure):
+            return  # no gain returned, so none to check
+        cl = ClosedLoop(sys=sys, K=res.controller.K)
+        assert dr_certify_mss(cl, amb, mean_grid=24)
+
+        half = as_matrix(psd_sqrt(as_matrix(amb.sigma_hat)))
+        envelope = amb.rho_sigma * as_matrix(amb.sigma_hat)
+        env_half = as_matrix(psd_sqrt(envelope))
+        for k in range(8):
+            d = rng.standard_normal(n_w)
+            u, shrink = (1.0, 0.0) if k == 0 else (rng.uniform(), rng.uniform(0.0, 1.0, n_w))
+            mu = amb.mu_hat + np.sqrt(rho_mu) * u * half @ (d / np.linalg.norm(d))
+            U, _ = np.linalg.qr(rng.standard_normal((n_w, n_w)))
+            D = env_half @ (U * shrink) @ U.T @ env_half
+            m = DisturbanceMoments(mu=mu, sigma=SymMatrix(envelope - D))
+            assert is_mss(cl, m)[0]
+            P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost))
+            J = np.trace(P_cl) if method == "full" else x0 @ P_cl @ x0
+            assert J <= (1.0 + 1e-6) * res.cost_bound

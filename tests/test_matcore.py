@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from drlqr.matcore import (DomainError, ShapeError, SymMatrix, as_matrix,
-                           is_psd, kron, psd_sqrt, sym_eig, symmetrize, unvec,
-                           vec)
+                           is_psd, psd_sqrt, sym_eig, symmetrize, unvec, vec)
 
 
 class TestSymMatrix:
@@ -87,36 +86,6 @@ class TestIsPsd:
 
     def test_psd_matrix(self):
         assert is_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-
-
-class TestKron:
-    def test_identity_blockdiag(self):
-        P = np.array([[1.0, 2.0], [2.0, 5.0]])
-        k = kron(np.eye(2), P)
-        assert np.allclose(k[:2, :2], P)
-        assert np.allclose(k[2:, 2:], P)
-        assert np.allclose(k[:2, 2:], 0)
-
-    def test_scalar_one(self):
-        P = np.array([[3.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(kron(np.array([[1.0]]), P), P)
-
-    def test_entrywise_definition(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        k = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                assert np.allclose(k[2 * i:2 * i + 2, 2 * j:2 * j + 2], a[i, j] * b)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            A, C = rng.standard_normal((2, 3)), rng.standard_normal((3, 2))
-            B, D = rng.standard_normal((2, 2)), rng.standard_normal((2, 3))
-            lhs = kron(A, B) @ kron(C, D)
-            rhs = kron(A @ C, B @ D)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
 
 class TestVecUnvec:

@@ -5,11 +5,11 @@ from drlqr.matcore import SymMatrix, as_matrix
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr.stability import (ClosedLoop, InstabilityError, apply_second_moment,
                              closed_loop_cost, closed_loop_value_matrix,
-                             dr_certify_mss, is_mss, lyapunov_P,
-                             second_moment_operator)
+                             is_mss, lyapunov_P, second_moment_operator)
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
+from oracles import dr_certify_mss
 
 
 def _scalar_loop(K):

@@ -102,7 +102,10 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     ])
     b.add_psd(main)
 
-    # keep L invertible in the barrier when rho_mu degenerates to 0
+    # L >= eps I also bounds W >= sqrt2 L >= sqrt2 eps I through the centre of
+    # the main block.  It keeps the solve off the degenerate points W -> 0,
+    # where K = V W^-1 and the bound tr(W^-1) certify nothing; without it a
+    # set too large for any gain can end at such a point instead of infeasible
     eps = 1e-9 * (1.0 + max(np.linalg.norm(as_matrix(cost.Q), 2), np.linalg.norm(as_matrix(cost.R), 2)))
     b.add_psd(block_expr([[L - eps * np.eye(n_x)]]))
     return b

@@ -195,7 +195,7 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     b = LmiBuilder()
     P = b.sym_var("P", sys.n_x)
     Abar0, Bbar0 = sys.stacked()
-    S_ext = as_matrix(m.extended_moment())
+    S_ext = as_matrix(m.extended_moment)
     mid = kron_const(S_ext, P)
     F = Abar0.T @ mid @ Abar0
     G = Bbar0.T @ mid @ Bbar0

@@ -5,12 +5,15 @@ Problems have the pencil (inequality) form
     minimize    c^T y
     subject to  F0^(b) + sum_i y_i Fi^(b)  >= 0   for every block b,
 
-which is the native shape of every LMI in this package.  The solver is a
-standard log-det barrier path-following method: Phase I finds a strictly
-feasible point by minimizing an auxiliary slack, Phase II follows the
-central path with damped Newton steps and a backtracking line search.  The
-duality gap at barrier parameter t is bounded by m / t with m the total
-matrix dimension.
+which is the native shape of every LMI in this package.  The solver stacks
+the blocks into one block-diagonal pencil and runs a single infeasible-start
+primal-dual loop on the homogeneous self-dual embedding (Ye, Todd & Mizuno
+1994) of this program and its dual, max -tr(F0 Z) s.t. tr(Fi Z) = c_i,
+Z >= 0, with the HKM direction and Mehrotra's predictor-corrector.  There
+is no phase I.  "optimal" is returned only at a strictly feasible point, and
+"infeasible" only when the dual iterate meets the theorem of alternatives
+for strict LMIs: F(y) > 0 has no solution iff some Z >= 0, Z != 0, has
+tr(Fi Z) = 0 and tr(F0 Z) <= 0.
 
 The LmiBuilder turns matrix variables and affine block expressions into the
 pencil form and maps solutions back to matrices.
@@ -18,17 +21,18 @@ pencil form and maps solutions back to matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .matcore import symmetrize
 
-DEFAULT_FEAS_TOL = 1e-8
-DEFAULT_GAP_TOL = 1e-7
-DEFAULT_MAX_NEWTON = 400
+FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
+GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
+MAX_ITERS = 100
+STEP_TO_BOUNDARY = 0.98
 
 
 @dataclass(frozen=True)
@@ -96,217 +100,147 @@ class SdpSolution:
     duality_gap: float = float("nan")
 
 
-class _LineSearchStall(RuntimeError):
-    pass
+def _max_step(T: np.ndarray, D: np.ndarray) -> float:
+    """Largest alpha with X + alpha D >= 0, where T = L^-1 for X = L L^T."""
+    lam = float(np.linalg.eigvalsh(T @ D @ T.T)[0])
+    return -1.0 / lam if lam < 0.0 else math.inf
 
 
-class _Unbounded(RuntimeError):
-    pass
-
-
-def _try_cholesky(mats) -> bool:
-    for F in mats:
-        try:
-            np.linalg.cholesky(F)
-        except np.linalg.LinAlgError:
-            return False
-    return True
-
-
-def _barrier_value(prob: LmiProblem, y) -> float:
-    val = 0.0
-    for F in prob.eval_blocks(y):
-        sign, logdet = np.linalg.slogdet(F)
-        if sign <= 0:
-            return float("inf")
-        val -= logdet
-    return val
-
-
-def _newton_center(prob: LmiProblem, y: np.ndarray, t: float, max_iters: int,
-                   ntol: float = 1e-6, stop_when=None,
-                   reg: float = 0.0) -> tuple[np.ndarray, int, bool]:
-    """Minimize t*c^T y + (reg/2)|y|^2 - sum_b log det F_b(y) from a strictly feasible y.
-
-    Returns (iterate, newton steps, converged).  The quadratic term is only
-    used by Phase I to keep the feasible point it finds at moderate norm.
-    """
+def solve(prob: LmiProblem) -> SdpSolution:
+    """Solve the pencil LMI program by the self-dual primal-dual method."""
+    k, m = prob.num_vars, prob.total_dim
     c = prob.c
-    n = prob.num_vars
-    y = y.copy()
-
-    def objective(yy):
-        return t * float(c @ yy) + 0.5 * reg * float(yy @ yy) + _barrier_value(prob, yy)
-
-    f_cur = objective(y)
-    no_progress = 0
-    for it in range(max_iters):
-        grad = t * c + reg * y
-        hess = reg * np.eye(n)
-        for b, F in zip(prob.blocks, prob.eval_blocks(y)):
-            try:
-                Lb = np.linalg.cholesky(F)
-            except np.linalg.LinAlgError as exc:
-                raise _LineSearchStall(f"iterate left the cone: {exc}") from exc
-            # whitened pencil directions M_k = L^-1 F_k L^-T give the barrier
-            # gradient tr(M_k) and the PSD Gram Hessian tr(M_k M_l) without
-            # ever forming F^-1, which matters close to the boundary
-            X = np.linalg.solve(Lb[None, :, :], b.Fi)
-            M = np.linalg.solve(Lb[None, :, :], X.transpose(0, 2, 1))
-            M = 0.5 * (M + M.transpose(0, 2, 1))
-            grad -= np.einsum("kii->k", M)
-            hess += np.einsum("kij,lij->kl", M, M)
-        # Jacobi equilibration keeps the Cholesky factorization honest when
-        # the barrier curvature spans many orders of magnitude; damping is
-        # only escalated on factorization failure
-        d = np.sqrt(np.maximum(np.diag(hess), 1e-300))
-        hess_s = hess / d[:, None] / d[None, :]
-        grad_s = grad / d
-        step = None
-        damp = 1e-14
-        for _ in range(16):
-            try:
-                L = np.linalg.cholesky(hess_s + damp * np.eye(n))
-                step = np.linalg.solve(L.T, np.linalg.solve(L, -grad_s)) / d
-                break
-            except np.linalg.LinAlgError:
-                damp *= 100.0
-        if step is None:
-            raise _LineSearchStall("Newton system not positive definite after damping")
-        decrement = float(-grad @ step)
-        if decrement / 2.0 <= ntol:
-            return y, it, True
-        # damped step for large Newton decrement (self-concordant safeguard):
-        # prevents full steps from collapsing the iterate onto the cone
-        # boundary, where finite precision stalls all further progress
-        lam = math.sqrt(max(decrement, 0.0))
-        alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-        accepted = False
-        for _ in range(80):
-            y_trial = y + alpha * step
-            if _try_cholesky(prob.eval_blocks(y_trial)):
-                f_trial = objective(y_trial)
-                if f_trial <= f_cur - 0.25 * alpha * decrement + 1e-12 * abs(f_cur):
-                    progress = f_cur - f_trial
-                    y, f_cur = y_trial, f_trial
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            # near-boundary iterates can leave the computed decrement pinned
-            # at rounding-noise level; a small decrement with no descent
-            # direction left in double precision counts as centered
-            if decrement / 2.0 <= 1e-3:
-                return y, it + 1, True
-            raise _LineSearchStall("backtracking line search stalled")
-        if progress <= 1e-11 * (1.0 + abs(f_cur)):
-            no_progress += 1
-            if no_progress >= 3:
-                return y, it + 1, decrement / 2.0 <= 1e-3
-        else:
-            no_progress = 0
-        if stop_when is not None and stop_when(y):
-            return y, it + 1, True
-        if float(c @ y) < -1e12:
-            raise _Unbounded
-    return y, max_iters, False
-
-
-def _phase_one(prob: LmiProblem, feas_tol: float, max_newton: int) -> tuple[np.ndarray | None, int]:
-    """Find a strictly feasible point, or return None if the problem is infeasible.
-
-    Minimizes s subject to F_b(y) + s I >= 0, starting from y = 0 with s
-    large enough; exits as soon as the slack goes negative.
-    """
-    n = prob.num_vars
-    aug_blocks = []
+    # one block-diagonal pencil F[a] over x = (y, tau).  The embedding asks for
+    # S = sum_a x_a F[a], tr(F_i Z) = tau c_i and kappa = -c^T y - tr(F0 Z)
+    # with S, Z >= 0 and tau, kappa >= 0: tau > 0 gives the optimum y / tau,
+    # tau = 0 a witness of infeasibility or unboundedness
+    F = np.zeros((k + 1, m, m))
+    at = 0
     for b in prob.blocks:
-        Fi_aug = np.concatenate([b.Fi, np.eye(b.dim)[None, :, :]], axis=0)
-        aug_blocks.append(LmiBlock(F0=b.F0, Fi=Fi_aug))
-    c_aug = np.zeros(n + 1)
-    c_aug[n] = 1.0
-    aug = LmiProblem(c=c_aug, blocks=tuple(aug_blocks))
+        F[:k, at:at + b.dim, at:at + b.dim] = b.Fi
+        F[k, at:at + b.dim, at:at + b.dim] = b.F0
+        at += b.dim
+    Fv = F.reshape(k + 1, m * m)
+    f_max = float(np.linalg.norm(Fv[:k], axis=1).max(initial=0.0))
+    f0, c_norm = float(np.linalg.norm(Fv[k])), float(np.linalg.norm(c))
+    eye = np.eye(m)
 
-    s0 = max(0.0, -prob.min_eigenvalue(np.zeros(n))) + 1.0
-    z = np.zeros(n + 1)
-    z[n] = s0
-    iters = 0
-    scale = 1.0 + max(float(np.linalg.norm(b.F0, 2)) for b in prob.blocks)
-    t = max(1.0, aug.total_dim / max(1.0, s0))
-    target = -feas_tol * scale - min(1.0, 0.05 * s0)
-    deep_slack = lambda zz: zz[n] < target
-    stalls = 0
-    while True:
-        z, it, converged = _newton_center(aug, z, t, max_newton, stop_when=deep_slack, reg=1e-6)
-        iters += it
-        if z[n] < -feas_tol * scale:
-            return z[:n], iters
-        gap = aug.total_dim / t
-        if converged and gap <= min(feas_tol, 1e-9) * scale:
-            # converged with nonnegative optimal slack: no strict interior
-            return (z[:n], iters) if z[n] < 0.0 else (None, iters)
-        stalls = 0 if converged else stalls + 1
-        if stalls >= 3 or t > 1e18:
-            raise _LineSearchStall("phase I failed to make progress")
-        t *= 10.0
+    x = np.zeros(k + 1)
+    x[k] = 1.0
+    S, Z, kappa = eye.copy(), eye.copy(), 1.0
+    centred, alpha = 0, 0.0  # centring steps in a row, and the last step length
 
+    def finish(status, iters, y=None, gap=float("nan")):
+        if y is None:
+            return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters)
+        return SdpSolution(y, status, float(c @ y), prob.min_eigenvalue(y), iters, gap)
 
-def solve(prob: LmiProblem, feas_tol: float = DEFAULT_FEAS_TOL,
-          duality_gap_tol: float = DEFAULT_GAP_TOL,
-          max_newton_iters: int = DEFAULT_MAX_NEWTON) -> SdpSolution:
-    """Solve the pencil LMI program by barrier path-following."""
-    n = prob.num_vars
-    m = prob.total_dim
+    for it in range(MAX_ITERS + 1):
+        y, tau = x[:k], x[k]
+        aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))
+        r_p = S - (x @ Fv).reshape(m, m)
+        r_d = np.append(aZ[:k] - tau * c, aZ[k] + c @ y + kappa)
+        mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
+        gap = (m + 1) * mu / tau**2
+        z_norm = float(np.linalg.norm(Z))
 
-    def finish(y, status, iters):
-        y = np.asarray(y, dtype=float)
-        return SdpSolution(
-            y=y,
-            status=status,
-            objective_value=float(prob.c @ y),
-            min_block_eigenvalue=prob.min_eigenvalue(y),
-            iterations=iters,
-            duality_gap=m / t if status == "optimal" else float("nan"),
-        )
-
-    t = 1.0
-    try:
-        y, iters = _phase_one(prob, feas_tol, max_newton_iters)
-    except (_LineSearchStall, np.linalg.LinAlgError) as exc:
-        return SdpSolution(np.zeros(n), "numerical_failure", float("nan"), float("nan"), 0)
-    if y is None:
-        return SdpSolution(np.zeros(n), "infeasible", float("nan"), float("nan"), iters)
-
-    if not np.any(prob.c):
-        return finish(y, "optimal", iters)
-
-    t = max(1.0, m / max(1.0, abs(float(prob.c @ y))))
-    stalls = 0
-    try:
-        while True:
-            y, it, converged = _newton_center(prob, y, t, max_newton_iters)
-            iters += it
-            if converged and m / t <= duality_gap_tol * max(1.0, abs(float(prob.c @ y))):
-                return finish(y, "optimal", iters)
-            stalls = 0 if converged else stalls + 1
-            if stalls >= 3 or t > 1e18:
-                return SdpSolution(y, "numerical_failure", float(prob.c @ y),
-                                   prob.min_eigenvalue(y), iters)
-            t *= 10.0
-    except _Unbounded:
-        return SdpSolution(y, "unbounded", float(prob.c @ y), prob.min_eigenvalue(y), iters)
-    except (_LineSearchStall, np.linalg.LinAlgError):
-        return SdpSolution(y, "numerical_failure", float(prob.c @ y), prob.min_eigenvalue(y), iters)
+        # every residual is measured against the size of the iterate it belongs to
+        converged = (np.linalg.norm(r_p) <= FEAS_TOL * (tau * f0 + np.linalg.norm(y) * f_max)
+                     and np.linalg.norm(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
+                     and gap <= GAP_TOL * max(1.0, abs(float(c @ y)) / tau))
+        # the iterates approach the optimum from outside the cone, so a converged
+        # point is centred at fixed tau: where a strictly feasible point exists
+        # the first full centring step clears the residual, and the second
+        # centres the flat directions of the optimal face; a blocked centring
+        # step hands back to Mehrotra, which goes on towards the witness on its
+        # own.  With c = 0 every strictly feasible point is optimal.
+        strict = (converged or c_norm == 0.0) and prob.min_eigenvalue(y / tau) > 0.0
+        if strict and (centred >= 2 or c_norm == 0.0):
+            return finish("optimal", it, y / tau, gap)
+        hold = converged and (centred == 0 or alpha == 1.0)
+        # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
+        # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
+        # Relative to |Z|, either both traces are within FEAS_TOL of zero, or
+        # tr(F0 Z) < 0 outweighs the tr(F_i Z) by 1 / FEAS_TOL, so that
+        # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
+        # iterate merely large, as near the optimum of a badly scaled program,
+        # meets neither test.
+        a_norm = np.linalg.norm(aZ[:k])
+        if ((a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0)
+                or (aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max)):
+            return finish("infeasible", it)
+        # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
+        if c @ y < 0.0 and np.linalg.norm(tau * F[k] + r_p) <= FEAS_TOL * np.linalg.norm(y) * f_max:
+            return finish("unbounded", it, y / tau)
+        if it == MAX_ITERS:
+            break
+        try:
+            dx, dS, dZ, dk, alpha = _step(F, c, S, Z, tau, kappa, r_p, r_d, hold)
+        except (np.linalg.LinAlgError, ValueError):
+            break
+        x, S = x + alpha * dx, S + alpha * dS
+        Z, kappa = Z + alpha * dZ, kappa + alpha * dk
+        centred = centred + 1 if hold else 0
+    return finish("numerical_failure", it, x[:k] / x[k])
 
 
-def dump_problem(prob: LmiProblem, path) -> None:
-    """Write the pencil matrices and objective to JSON for offline inspection."""
-    payload = {
-        "c": prob.c.tolist(),
-        "blocks": [{"F0": b.F0.tolist(), "Fi": b.Fi.tolist()} for b in prob.blocks],
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)
+def _step(F, c, S, Z, tau, kappa, r_p, r_d, hold):
+    """One damped step: Mehrotra's predictor-corrector, or while held a
+    centring step at fixed tau that clears the residuals."""
+    k, m = c.size, S.shape[0]
+    Fv, eye = F.reshape(k + 1, m * m), np.eye(m)
+    aZ = Fv @ Z.ravel()
+    mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
+    Ls, Lz = np.linalg.cholesky(S), np.linalg.cholesky(Z)
+    Ts = scipy.linalg.solve_triangular(Ls, eye, lower=True)
+    Tz = scipy.linalg.solve_triangular(Lz, eye, lower=True)
+    S_inv = Ts.T @ Ts
+    a_s_inv = Fv @ S_inv.ravel()
+    # HKM Schur complement H_ab = tr(F_a S^-1 F_b Z) as one Gram product
+    G = (Lz.T @ F @ Ts.T).reshape(k + 1, m * m)
+    H = G @ G.T
+    chol = scipy.linalg.cho_factor(H[:k, :k])
+    # tau is eliminated by hand: with u = H_yy^-1 (h, c) its pivot is a sum
+    # of nonnegative terms, so it never cancels to zero near the optimum
+    h = H[:k, k]
+    u_h, u_c = scipy.linalg.cho_solve(chol, h), scipy.linalg.cho_solve(chol, c)
+    pivot = max(H[k, k] - h @ u_h, 0.0) + c @ u_c + kappa / tau
+
+    def direction(eta, target, corr=0.0, corr_kappa=0.0):
+        """Newton step towards S Z = target I with the residuals scaled by
+        1 - eta; corr and corr_kappa are Mehrotra's second-order terms.
+
+        S^-1 (target I - S Z) is written out as target S^-1 - Z, because
+        forming S^-1 (S Z) loses the digits of the condition number of S.
+        """
+        rhs = eta * r_d + target * a_s_inv - aZ + Fv @ (S_inv @ (eta * r_p @ Z - corr)).ravel()
+        r_kappa = target - tau * kappa - corr_kappa
+        rhs[k] += r_kappa / tau
+        dx = np.zeros(k + 1)
+        dx[:k] = scipy.linalg.cho_solve(chol, rhs[:k])
+        if not hold:
+            dx[k] = (rhs[k] - (h - c) @ dx[:k]) / pivot
+            dx[:k] -= (u_h + u_c) * dx[k]
+        dS = (dx @ Fv).reshape(m, m) - eta * r_p
+        dZ = target * S_inv - Z - S_inv @ (dS @ Z + corr)
+        dZ = 0.5 * (dZ + dZ.T)
+        dk = (r_kappa - kappa * dx[k]) / tau
+        alpha = min(_max_step(Ts, dS), _max_step(Tz, dZ),
+                    -tau / dx[k] if dx[k] < 0 else math.inf,
+                    -kappa / dk if dk < 0 else math.inf)
+        return dx, dS, dZ, dk, alpha
+
+    if hold:
+        dx, dS, dZ, dk, alpha = direction(1.0, mu)
+    else:
+        # the affine step picks sigma and supplies the corrector
+        dx, dS, dZ, dk, alpha = direction(1.0, 0.0)
+        alpha = min(1.0, alpha)
+        mu_aff = (float(np.vdot(S + alpha * dS, Z + alpha * dZ))
+                  + (tau + alpha * dx[k]) * (kappa + alpha * dk)) / (m + 1)
+        sigma = min(1.0, mu_aff / mu) ** 3
+        dx, dS, dZ, dk, alpha = direction(1.0 - sigma, sigma * mu, dS @ dZ, dx[k] * dk)
+    return dx, dS, dZ, dk, min(1.0, STEP_TO_BOUNDARY * alpha)
 
 
 # --------------------------------------------------------------------------
@@ -465,10 +399,10 @@ class LmiBuilder:
         return self._vars[name]
 
     def add_psd(self, expr: AffineExpr) -> None:
-        """Constrain the (symmetrized) expression to be PSD."""
+        """Constrain the expression to be PSD (LmiBlock takes its symmetric part)."""
         if expr.shape[0] != expr.shape[1]:
             raise ValueError(f"PSD block must be square, got {expr.shape}")
-        self._psd_blocks.append(0.5 * (expr + expr.T))
+        self._psd_blocks.append(expr)
 
     def minimize(self, expr: AffineExpr) -> None:
         """Set a scalar affine expression as the minimization objective."""

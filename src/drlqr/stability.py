@@ -55,7 +55,7 @@ def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     if m.n_w != cl.sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={cl.sys.n_w}")
     mats = np.stack(cl.noise_channel_matrices())
-    S_ext = as_matrix(m.extended_moment())
+    S_ext = as_matrix(m.extended_moment)
     n = cl.sys.n_x
     weighted = np.einsum("ij,jca->ica", S_ext, mats)
     return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)

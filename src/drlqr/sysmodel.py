@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,8 +151,9 @@ class DisturbanceMoments:
     def n_w(self) -> int:
         return self.mu.size
 
+    @cached_property
     def extended_moment(self) -> SymMatrix:
-        """Extended second moment [[1, mu^T], [mu, Sigma + mu mu^T]]."""
+        """Extended second moment [[1, mu^T], [mu, Sigma + mu mu^T]], built once."""
         mu = self.mu.reshape(-1, 1)
         top = np.hstack([np.ones((1, 1)), mu.T])
         bottom = np.hstack([mu, as_matrix(self.sigma) + mu @ mu.T])
@@ -189,7 +191,7 @@ def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.
     if m.n_w != sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
     Abar0, Bbar0 = sys.stacked()
-    middle = np.kron(as_matrix(m.extended_moment()), symmetrize(P))
+    middle = np.kron(as_matrix(m.extended_moment), symmetrize(P))
     F = symmetrize(Abar0.T @ middle @ Abar0)
     G = symmetrize(Bbar0.T @ middle @ Bbar0)
     H = Bbar0.T @ middle @ Abar0

@@ -121,6 +121,13 @@ class TestSynthRhc:
         exact = float(x0 @ as_matrix(ref.P) @ x0)
         assert abs(rhc.cost_bound - exact) <= 1e-3 * exact
 
+    def test_oversized_set_infeasible(self, scalar_sys, scalar_cost):
+        """The set of TestSynthFull.test_oversized_set_infeasible admits no
+        gain for any objective, so the gamma program is infeasible too."""
+        amb = _amb(np.zeros(1), 0.5 * np.eye(1), 0.0, 2.2)
+        with pytest.raises(DrSynthesisError):
+            synth_rhc(scalar_sys, amb, scalar_cost, np.array([1.0]))
+
     def test_bad_x0_length(self, sys6, cost6, amb6_small):
         with pytest.raises(Exception):
             synth_rhc(sys6, amb6_small, cost6, np.zeros(3))

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem,
-                           block_expr, dump_problem, kron_const, solve, zeros)
+from drlqr.sdpcore import AffineExpr, LmiBuilder, block_expr, kron_const, solve, zeros
 
 
 def _solve_builder(b):
@@ -52,6 +49,24 @@ class TestSmallPrograms:
         _, sol = _solve_builder(b)
         assert sol.status == "infeasible"
 
+    def test_empty_interior_is_infeasible(self):
+        # y >= 0 and -y >= 0 hold only at y = 0: feasible, but not strictly
+        b = LmiBuilder()
+        y = b.scalar_var("y")
+        b.add_psd(y)
+        b.add_psd(-1.0 * y)
+        _, sol = _solve_builder(b)
+        assert sol.status == "infeasible"
+
+    def test_weakly_infeasible_is_infeasible(self):
+        # [[y, 1], [1, 0]] >= 0 has no solution, yet points come arbitrarily
+        # close; Z = [[0, 0], [0, 1]] is the witness
+        b = LmiBuilder()
+        y = b.scalar_var("y")
+        b.add_psd(block_expr([[y, np.ones((1, 1))], [np.ones((1, 1)), np.zeros((1, 1))]]))
+        _, sol = _solve_builder(b)
+        assert sol.status == "infeasible"
+
     def test_unbounded(self):
         b = LmiBuilder()
         y = b.scalar_var("y")
@@ -69,8 +84,7 @@ class TestSmallPrograms:
         b.minimize(-1.0 * P.trace())
         prob, sol = _solve_builder(b)
         assert sol.status == "optimal"
-        scale = 1.0 + float(np.abs(sol.y).max())
-        assert sol.min_block_eigenvalue >= -1e-8 * scale
+        assert sol.min_block_eigenvalue > 0.0
         # trace of P approaches trace of C at the optimum
         assert abs(-sol.objective_value - C.trace()) < 1e-3 * C.trace()
 
@@ -240,22 +254,3 @@ class TestTensorAlgebraProperty:
         close(pencil, 0.5 * (Xv @ Cq + (Xv @ Cq).T))
         close(prob.c @ y, gv[0, 0] - 2.0 * np.trace(Pv))
 
-
-class TestDumpProblem:
-    def test_json_round_trip(self, tmp_path):
-        b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(block_expr([[np.ones((1, 1)), y], [y, np.ones((1, 1))]]))
-        b.minimize(-1.0 * y)
-        prob = b.build()
-        p = tmp_path / "prob.json"
-        dump_problem(prob, p)
-        payload = json.loads(p.read_text())
-        c = np.array(payload["c"])
-        blocks = [LmiBlock(F0=np.array(blk["F0"]), Fi=np.array(blk["Fi"]))
-                  for blk in payload["blocks"]]
-        back = LmiProblem(c=c, blocks=tuple(blocks))
-        assert np.allclose(back.c, prob.c)
-        sol = solve(back)
-        assert sol.status == "optimal"
-        assert abs(sol.y[0] - 1.0) < 1e-4

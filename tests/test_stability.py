@@ -51,7 +51,7 @@ class TestSecondMomentOperator:
         P = (P + P.T) / 2
         Abar, Bbar = sys6.stacked()
         Acl = Abar + Bbar @ cl.K
-        S = as_matrix(moments6.extended_moment())
+        S = as_matrix(moments6.extended_moment)
         direct = Acl.T @ np.kron(S, P) @ Acl
         assert np.allclose(apply_second_moment(cl, moments6, P), direct, atol=1e-10)
 
@@ -68,7 +68,7 @@ class TestSecondMomentOperator:
         cl = ClosedLoop(sys=sys, K=rng.standard_normal((n_u, n_x)))
         L = rng.standard_normal((n_w, n_w))
         m = DisturbanceMoments(mu=rng.standard_normal(n_w), sigma=SymMatrix(L @ L.T))
-        S = as_matrix(m.extended_moment())
+        S = as_matrix(m.extended_moment)
         mats = cl.noise_channel_matrices()
         ref = sum(S[i, j] * np.kron(Aj.T, Ai.T)
                   for i, Ai in enumerate(mats) for j, Aj in enumerate(mats))
@@ -140,7 +140,7 @@ def _lyapunov_lmi_feasible(cl, m) -> bool:
     P = b.sym_var("P", n)
     Abar, Bbar = cl.sys.stacked()
     Acl = Abar + Bbar @ cl.K
-    LP = Acl.T @ kron_const(as_matrix(m.extended_moment()), P) @ Acl
+    LP = Acl.T @ kron_const(as_matrix(m.extended_moment), P) @ Acl
     b.add_psd(block_expr([[P - np.eye(n)]]))
     b.add_psd(block_expr([[P - LP - 1e-6 * np.eye(n)]]))
     sol = solve(b.build())

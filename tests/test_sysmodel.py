@@ -54,17 +54,17 @@ class TestStacked:
 class TestExtendedMoment:
     def test_centered_identity(self):
         m = DisturbanceMoments(mu=np.zeros(2), sigma=SymMatrix(np.eye(2)))
-        assert np.allclose(as_matrix(m.extended_moment()),
+        assert np.allclose(as_matrix(m.extended_moment),
                            np.diag([1.0, 1.0, 1.0]))
 
     def test_scalar_example(self, scalar_moments):
-        assert np.allclose(as_matrix(scalar_moments.extended_moment()),
+        assert np.allclose(as_matrix(scalar_moments.extended_moment),
                            np.diag([1.0, 0.5]))
 
     def test_nonzero_mean(self):
         m = DisturbanceMoments(mu=np.array([1.0, 2.0]),
                                sigma=SymMatrix(np.diag([2.0, 3.0])))
-        assert np.allclose(as_matrix(m.extended_moment()),
+        assert np.allclose(as_matrix(m.extended_moment),
                            [[1.0, 1.0, 2.0], [1.0, 3.0, 2.0], [2.0, 2.0, 7.0]])
 
     def test_psd(self):
@@ -72,12 +72,12 @@ class TestExtendedMoment:
         for _ in range(10):
             A = rng.standard_normal((3, 3))
             m = DisturbanceMoments(mu=rng.standard_normal(3), sigma=SymMatrix(A @ A.T))
-            assert np.linalg.eigvalsh(as_matrix(m.extended_moment()))[0] >= -1e-10
+            assert np.linalg.eigvalsh(as_matrix(m.extended_moment))[0] >= -1e-10
 
 
 def _fgh_double_sum(sys, m, P):
     """Oracle: F = sum_ij S_ij Ai^T P Aj over indices 0..n_w (A_0 at index 0)."""
-    S = as_matrix(m.extended_moment())
+    S = as_matrix(m.extended_moment)
     A_list = [sys.A0] + list(sys.A)
     B_list = [sys.B0] + list(sys.B)
     n = sys.n_w + 1

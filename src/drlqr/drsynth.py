@@ -123,9 +123,10 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> Syn
     """
     sol = solve(b.build())
     if sol.status == "infeasible":
-        raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system")
+        raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system "
+                               f"({sol.reason})")
     if sol.status != "optimal":
-        raise NumericalFailure(f"synthesis SDP returned status {sol.status}")
+        raise NumericalFailure(f"synthesis SDP returned status {sol.status}: {sol.reason}")
     if not sol.min_block_eigenvalue > 0:
         raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")

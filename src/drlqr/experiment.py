@@ -114,12 +114,11 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int) -> 
     records = []
     stream = _cell_stream(cfg.seed, M, realization)
     samples = sample_gaussian(cfg.true_moments, M, stream)
-    acfg = cfg.ambiguity_config()
+    amb = build_ambiguity(samples, cfg.ambiguity_config(), lambda_reg=DEFAULT_LAMBDA_REG)
     for method in cfg.methods:
         start = time.perf_counter()
         K = None
         try:
-            amb = build_ambiguity(samples, acfg, lambda_reg=DEFAULT_LAMBDA_REG)
             if method == "dr_covariance":
                 K = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost).K
             else:
@@ -169,7 +168,10 @@ def write_records_csv(records, path) -> None:
     """CSV with empty J/J_rel cells for non-stabilizing rows.
 
     All fields except wall_ms are deterministic given the seed; wall_ms is
-    informational only.
+    informational only.  It is the time one method took to synthesize its
+    gain from the cell's ambiguity set (the Riccati or SDP solve and its
+    certificate); the sampling, the ambiguity set built once per cell and
+    the scoring under the true moments are outside it.
     """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -13,7 +13,10 @@ Z >= 0, with the HKM direction and Mehrotra's predictor-corrector.  There
 is no phase I.  "optimal" is returned only at a strictly feasible point, and
 "infeasible" only when the dual iterate meets the theorem of alternatives
 for strict LMIs: F(y) > 0 has no solution iff some Z >= 0, Z != 0, has
-tr(Fi Z) = 0 and tr(F0 Z) <= 0.
+tr(Fi Z) = 0 and tr(F0 Z) <= 0.  Each iteration calls LAPACK (dtrtrs,
+dpotrf, dpotrs) directly, not through scipy's checking wrappers, and checks
+finiteness explicitly; SdpSolution.reason says why a solve stopped short of
+"optimal".
 
 The LmiBuilder turns matrix variables and affine block expressions into the
 pencil form and maps solutions back to matrices.
@@ -25,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .matcore import symmetrize
+from .matcore import DomainError, symmetrize
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
@@ -48,6 +51,8 @@ class LmiBlock:
         if Fi.ndim != 3 or Fi.shape[1:] != F0.shape:
             raise ValueError(f"pencil coefficients have shape {Fi.shape}, expected (*, {F0.shape[0]}, {F0.shape[1]})")
         Fi = 0.5 * (Fi + np.transpose(Fi, (0, 2, 1)))
+        if not (np.isfinite(F0).all() and np.isfinite(Fi).all()):
+            raise DomainError("pencil coefficients F0 and Fi must be finite")
         object.__setattr__(self, "F0", F0)
         object.__setattr__(self, "Fi", Fi)
 
@@ -65,6 +70,8 @@ class LmiProblem:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).ravel()
+        if not np.isfinite(c).all():
+            raise DomainError("objective c must be finite")
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValueError("problem has no constraint blocks")
@@ -98,12 +105,29 @@ class SdpSolution:
     min_block_eigenvalue: float
     iterations: int
     duality_gap: float = float("nan")
+    reason: str = ""  # why the solve stopped, empty when optimal
 
 
-def _max_step(T: np.ndarray, D: np.ndarray) -> float:
-    """Largest alpha with X + alpha D >= 0, where T = L^-1 for X = L L^T."""
-    lam = float(np.linalg.eigvalsh(T @ D @ T.T)[0])
-    return -1.0 / lam if lam < 0.0 else math.inf
+def _to_boundary(size: float, rate: float) -> float:
+    """Largest alpha with size + alpha rate >= 0."""
+    return -size / rate if rate < 0.0 else math.inf
+
+
+def _inv_lower(L: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """L^-1 for the C-ordered lower Cholesky factor L.
+
+    LAPACK reads L in C order as its transpose, so this solves the
+    transposed upper system, as scipy's solve_triangular does for it.
+    """
+    T, info = dtrtrs(L.T, eye, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs: singular factor at diagonal {info}")
+    return T
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError(f"{what} not finite")
 
 
 def solve(prob: LmiProblem) -> SdpSolution:
@@ -130,10 +154,12 @@ def solve(prob: LmiProblem) -> SdpSolution:
     S, Z, kappa = eye.copy(), eye.copy(), 1.0
     centred, alpha = 0, 0.0  # centring steps in a row, and the last step length
 
-    def finish(status, iters, y=None, gap=float("nan")):
+    def finish(status, iters, reason, y=None, gap=float("nan"), lam=None):
         if y is None:
-            return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters)
-        return SdpSolution(y, status, float(c @ y), prob.min_eigenvalue(y), iters, gap)
+            return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters, reason=reason)
+        if lam is None:
+            lam = prob.min_eigenvalue(y)
+        return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason)
 
     for it in range(MAX_ITERS + 1):
         y, tau = x[:k], x[k]
@@ -154,9 +180,10 @@ def solve(prob: LmiProblem) -> SdpSolution:
         # centres the flat directions of the optimal face; a blocked centring
         # step hands back to Mehrotra, which goes on towards the witness on its
         # own.  With c = 0 every strictly feasible point is optimal.
-        strict = (converged or c_norm == 0.0) and prob.min_eigenvalue(y / tau) > 0.0
-        if strict and (centred >= 2 or c_norm == 0.0):
-            return finish("optimal", it, y / tau, gap)
+        if (converged and centred >= 2) or c_norm == 0.0:
+            lam = prob.min_eigenvalue(y / tau)
+            if lam > 0.0:
+                return finish("optimal", it, "", y / tau, gap, lam)
         hold = converged and (centred == 0 or alpha == 1.0)
         # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
         # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
@@ -166,44 +193,54 @@ def solve(prob: LmiProblem) -> SdpSolution:
         # iterate merely large, as near the optimum of a badly scaled program,
         # meets neither test.
         a_norm = np.linalg.norm(aZ[:k])
-        if ((a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0)
-                or (aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max)):
-            return finish("infeasible", it)
+        if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0:
+            return finish("infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) are both "
+                          "within FEAS_TOL |Z| of zero, so no point is strictly feasible")
+        if aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max:
+            return finish("infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs every "
+                          "tr(F_i Z) by 1 / FEAS_TOL")
         # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
         if c @ y < 0.0 and np.linalg.norm(tau * F[k] + r_p) <= FEAS_TOL * np.linalg.norm(y) * f_max:
-            return finish("unbounded", it, y / tau)
+            return finish("unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
+                          "within FEAS_TOL with c^T y < 0", y / tau)
         if it == MAX_ITERS:
-            break
+            return finish("numerical_failure", it, f"iteration budget spent ({MAX_ITERS})",
+                          y / tau)
         try:
-            dx, dS, dZ, dk, alpha = _step(F, c, S, Z, tau, kappa, r_p, r_d, hold)
-        except (np.linalg.LinAlgError, ValueError):
-            break
+            dx, dS, dZ, dk, alpha = _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold)
+        except np.linalg.LinAlgError as exc:
+            return finish("numerical_failure", it, f"iteration {it}: {exc}", y / tau)
         x, S = x + alpha * dx, S + alpha * dS
         Z, kappa = Z + alpha * dZ, kappa + alpha * dk
         centred = centred + 1 if hold else 0
-    return finish("numerical_failure", it, x[:k] / x[k])
 
 
-def _step(F, c, S, Z, tau, kappa, r_p, r_d, hold):
+def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
     """One damped step: Mehrotra's predictor-corrector, or while held a
-    centring step at fixed tau that clears the residuals."""
+    centring step at fixed tau that clears the residuals.
+
+    LAPACK is called directly; a nonzero info and a non-finite residual,
+    Schur complement or right-hand side raise LinAlgError.
+    """
     k, m = c.size, S.shape[0]
-    Fv, eye = F.reshape(k + 1, m * m), np.eye(m)
-    aZ = Fv @ Z.ravel()
-    mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
+    _require_finite(r_p, "primal residual")
+    _require_finite(r_d, "dual residual")
     Ls, Lz = np.linalg.cholesky(S), np.linalg.cholesky(Z)
-    Ts = scipy.linalg.solve_triangular(Ls, eye, lower=True)
-    Tz = scipy.linalg.solve_triangular(Lz, eye, lower=True)
+    Ts, Tz = _inv_lower(Ls, eye), _inv_lower(Lz, eye)
     S_inv = Ts.T @ Ts
     a_s_inv = Fv @ S_inv.ravel()
     # HKM Schur complement H_ab = tr(F_a S^-1 F_b Z) as one Gram product
     G = (Lz.T @ F @ Ts.T).reshape(k + 1, m * m)
     H = G @ G.T
-    chol = scipy.linalg.cho_factor(H[:k, :k])
+    _require_finite(H[:k], "Schur complement")
+    chol, info = dpotrf(H[:k, :k], lower=0, clean=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf: Schur complement not positive definite at minor {info}")
     # tau is eliminated by hand: with u = H_yy^-1 (h, c) its pivot is a sum
     # of nonnegative terms, so it never cancels to zero near the optimum
     h = H[:k, k]
-    u_h, u_c = scipy.linalg.cho_solve(chol, h), scipy.linalg.cho_solve(chol, c)
+    u, _ = dpotrs(chol, np.column_stack((h, c)), lower=0)
+    u_h, u_c = u[:, 0], u[:, 1]
     pivot = max(H[k, k] - h @ u_h, 0.0) + c @ u_c + kappa / tau
 
     def direction(eta, target, corr=0.0, corr_kappa=0.0):
@@ -216,8 +253,9 @@ def _step(F, c, S, Z, tau, kappa, r_p, r_d, hold):
         rhs = eta * r_d + target * a_s_inv - aZ + Fv @ (S_inv @ (eta * r_p @ Z - corr)).ravel()
         r_kappa = target - tau * kappa - corr_kappa
         rhs[k] += r_kappa / tau
+        _require_finite(rhs[:k], "right-hand side")
         dx = np.zeros(k + 1)
-        dx[:k] = scipy.linalg.cho_solve(chol, rhs[:k])
+        dx[:k] = dpotrs(chol, rhs[:k], lower=0)[0]
         if not hold:
             dx[k] = (rhs[k] - (h - c) @ dx[:k]) / pivot
             dx[:k] -= (u_h + u_c) * dx[k]
@@ -225,9 +263,10 @@ def _step(F, c, S, Z, tau, kappa, r_p, r_d, hold):
         dZ = target * S_inv - Z - S_inv @ (dS @ Z + corr)
         dZ = 0.5 * (dZ + dZ.T)
         dk = (r_kappa - kappa * dx[k]) / tau
-        alpha = min(_max_step(Ts, dS), _max_step(Tz, dZ),
-                    -tau / dx[k] if dx[k] < 0 else math.inf,
-                    -kappa / dk if dk < 0 else math.inf)
+        # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
+        lam_s, lam_z = np.linalg.eigvalsh(np.stack((Ts @ dS @ Ts.T, Tz @ dZ @ Tz.T)))[:, 0]
+        alpha = min(_to_boundary(1.0, lam_s), _to_boundary(1.0, lam_z),
+                    _to_boundary(tau, dx[k]), _to_boundary(kappa, dk))
         return dx, dS, dZ, dk, alpha
 
     if hold:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drlqr import drsynth
+from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, synth_full, synth_rhc
 from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
@@ -48,8 +48,24 @@ class TestSynthFull:
 
     def test_oversized_set_infeasible(self, scalar_sys, scalar_cost):
         amb = _amb(np.zeros(1), 0.5 * np.eye(1), 0.0, 2.2)
-        with pytest.raises(DrSynthesisError):
+        with pytest.raises(DrSynthesisError, match="dual witness"):
             synth_full(scalar_sys, amb, scalar_cost)
+
+    def test_reported_margin_is_that_of_the_returned_point(self, monkeypatch, sys6, cost6, amb6):
+        """_synthesize certifies the gain by min_block_eigenvalue, so the
+        field must be the margin of the returned point itself."""
+        solved = []
+        real = drsynth.solve
+
+        def spy(prob):
+            solved.append((prob, real(prob)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(drsynth, "solve", spy)
+        synth_full(sys6, amb6, cost6)
+        (prob, sol), = solved
+        assert sol.status == "optimal"
+        assert sol.min_block_eigenvalue == prob.min_eigenvalue(sol.y)
 
     def test_passes_own_certificate_densely(self, sys6, cost6, amb6_small):
         res = synth_full(sys6, amb6_small, cost6)
@@ -149,6 +165,15 @@ class TestCertificate:
             real(prob), min_block_eigenvalue=min_eig))
         with pytest.raises(NumericalFailure, match="strictly feasible"):
             _synth(method, sys6, amb6_small, cost6, np.array([2.0, 2.0]))
+
+    def test_failure_reason_in_message(self, monkeypatch, sys6, cost6, amb6_small):
+        def broken(*args):
+            raise np.linalg.LinAlgError("Schur complement not finite")
+
+        monkeypatch.setattr(sdpcore, "_step", broken)
+        with pytest.raises(NumericalFailure, match="numerical_failure: iteration 0: Schur "
+                                                   "complement not finite"):
+            synth_full(sys6, amb6_small, cost6)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),

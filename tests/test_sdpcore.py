@@ -3,12 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drlqr.sdpcore import AffineExpr, LmiBuilder, block_expr, kron_const, solve, zeros
+from drlqr import sdpcore
+from drlqr.matcore import DomainError
+from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem, block_expr, kron_const,
+                           solve, zeros)
 
 
 def _solve_builder(b):
+    """Build and solve; an "optimal" return must carry the margin of its own
+    point, which the strict certificate in drsynth reads, and no reason."""
     prob = b.build()
-    return prob, solve(prob)
+    sol = solve(prob)
+    if sol.status == "optimal":
+        assert sol.min_block_eigenvalue == prob.min_eigenvalue(sol.y)
+        assert sol.reason == ""
+    return prob, sol
+
+
+def _scaled_pair(s):
+    """min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0: strictly feasible at
+    y = 0, optimum -s - 1/s at y = (-s, -1/s)."""
+    return LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
+        F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),))
+
+
+BADLY_SCALED = "false verdict on a badly scaled program (ROADMAP item 2)"
 
 
 class TestSmallPrograms:
@@ -48,6 +67,7 @@ class TestSmallPrograms:
         b.add_psd(-1.0 * y)
         _, sol = _solve_builder(b)
         assert sol.status == "infeasible"
+        assert sol.reason.startswith("dual witness: tr(F0 Z) < 0")
 
     def test_empty_interior_is_infeasible(self):
         # y >= 0 and -y >= 0 hold only at y = 0: feasible, but not strictly
@@ -57,6 +77,7 @@ class TestSmallPrograms:
         b.add_psd(-1.0 * y)
         _, sol = _solve_builder(b)
         assert sol.status == "infeasible"
+        assert sol.reason.startswith("dual witness: tr(F_i Z) and tr(F0 Z)")
 
     def test_weakly_infeasible_is_infeasible(self):
         # [[y, 1], [1, 0]] >= 0 has no solution, yet points come arbitrarily
@@ -74,6 +95,7 @@ class TestSmallPrograms:
         b.minimize(-1.0 * y)
         _, sol = _solve_builder(b)
         assert sol.status == "unbounded"
+        assert sol.reason.startswith("recession direction")
 
     def test_solution_nearly_psd(self):
         b = LmiBuilder()
@@ -87,6 +109,64 @@ class TestSmallPrograms:
         assert sol.min_block_eigenvalue > 0.0
         # trace of P approaches trace of C at the optimum
         assert abs(-sol.objective_value - C.trace()) < 1e-3 * C.trace()
+
+
+class TestFailureReason:
+    def _half_line(self):
+        return LmiProblem(c=[1.0], blocks=(LmiBlock(F0=[[-3.0]], Fi=[[[1.0]]]),))
+
+    def test_caught_exception_is_reported(self, monkeypatch):
+        def broken(*args):
+            raise np.linalg.LinAlgError("Schur complement not finite")
+
+        monkeypatch.setattr(sdpcore, "_step", broken)
+        sol = solve(self._half_line())
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == 0
+        assert sol.reason == "iteration 0: Schur complement not finite"
+
+    def test_spent_budget_is_reported(self, monkeypatch):
+        monkeypatch.setattr(sdpcore, "MAX_ITERS", 2)
+        sol = solve(self._half_line())
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == 2
+        assert sol.reason == "iteration budget spent (2)"
+
+
+class TestNonFinitePencil:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["F0", "Fi", "c"])
+    def test_rejected(self, where, bad):
+        F0, Fi, c = np.eye(2), np.stack([np.eye(2), np.ones((2, 2))]), np.ones(2)
+        {"F0": F0, "Fi": Fi, "c": c}[where].flat[1] = bad
+        with pytest.raises(DomainError):
+            LmiProblem(c=c, blocks=(LmiBlock(F0=F0, Fi=Fi),))
+
+
+class TestBadlyScaled:
+    """Verdicts known to be wrong; each xfail pins the current answer."""
+
+    @pytest.mark.parametrize("s", [
+        1e4,
+        # the recession test compares against |y| max|F_i|, which the large
+        # finite optimum passes
+        pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
+        pytest.param(1e150, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
+        # |F0| overflows to inf, so both witness thresholds become inf and
+        # "infeasible" is returned at iteration 0
+        pytest.param(1e160, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
+    ])
+    def test_large_finite_optimum(self, s):
+        sol = solve(_scaled_pair(s))
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value + s + 1.0 / s) <= 1e-6 * s
+
+    @pytest.mark.xfail(strict=True, reason=BADLY_SCALED)
+    def test_large_offset_half_line(self):
+        # min y s.t. 1e6 + y >= 0 spends the iteration budget
+        sol = solve(LmiProblem(c=[1.0], blocks=(LmiBlock(F0=[[1e6]], Fi=[[[1.0]]]),)))
+        assert sol.status == "optimal"
+        assert abs(sol.y[0] + 1e6) <= 1e-6 * 1e6
 
 
 class TestBisectionOracle:

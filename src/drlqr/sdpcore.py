@@ -181,9 +181,10 @@ def solve(prob: LmiProblem) -> SdpSolution:
         # step hands back to Mehrotra, which goes on towards the witness on its
         # own.  With c = 0 every strictly feasible point is optimal.
         if (converged and centred >= 2) or c_norm == 0.0:
-            lam = prob.min_eigenvalue(y / tau)
+            y_opt = y / tau
+            lam = prob.min_eigenvalue(y_opt)
             if lam > 0.0:
-                return finish("optimal", it, "", y / tau, gap, lam)
+                return finish("optimal", it, "", y_opt, gap, lam)
         hold = converged and (centred == 0 or alpha == 1.0)
         # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
         # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).

@@ -20,13 +20,6 @@ def _solve_builder(b):
     return prob, sol
 
 
-def _scaled_pair(s):
-    """min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0: strictly feasible at
-    y = 0, optimum -s - 1/s at y = (-s, -1/s)."""
-    return LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
-        F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),))
-
-
 BADLY_SCALED = "false verdict on a badly scaled program (ROADMAP item 2)"
 
 
@@ -144,7 +137,8 @@ class TestNonFinitePencil:
 
 
 class TestBadlyScaled:
-    """Verdicts known to be wrong; each xfail pins the current answer."""
+    """Verdicts known to be wrong, held as strict xfails: each turns into a
+    pass, and so fails the suite, once the solver gets it right."""
 
     @pytest.mark.parametrize("s", [
         1e4,
@@ -157,7 +151,10 @@ class TestBadlyScaled:
         pytest.param(1e160, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
     ])
     def test_large_finite_optimum(self, s):
-        sol = solve(_scaled_pair(s))
+        # min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0: strictly feasible at
+        # y = 0, optimum -s - 1/s at y = (-s, -1/s)
+        sol = solve(LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
+            F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),)))
         assert sol.status == "optimal"
         assert abs(sol.objective_value + s + 1.0 / s) <= 1e-6 * s
 

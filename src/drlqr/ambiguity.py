@@ -128,14 +128,22 @@ def _p(beta: float, n_w: int) -> float:
     return n_w + 2.0 * math.sqrt(n_w * log_ib) + 2.0 * log_ib
 
 
+def _require_positive(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def t_sigma(beta: float, eps: float, sigma2: float, n_w: int, M: int) -> float:
     """Covariance concentration bound for the whitened empirical second moment."""
+    _require_positive(n_w=n_w, M=M)
     q = _q(beta, eps, n_w)
     return sigma2 / (1.0 - 2.0 * eps) * (math.sqrt(32.0 * q / M) + 2.0 * q / M)
 
 
 def t_mu(beta: float, sigma2: float, n_w: int, M: int) -> float:
     """Mean concentration bound for the whitened empirical mean."""
+    _require_positive(n_w=n_w, M=M)
     return sigma2 / M * _p(beta, n_w)
 
 
@@ -145,6 +153,7 @@ def min_sample_size(config: AmbiguityConfig, n_w: int) -> int:
     Evaluates the explicit quadratic-in-sqrt(M) threshold (a strict
     inequality) and cross-checks positivity of 1 - t_mu - t_sigma.
     """
+    _require_positive(n_w=n_w)
     b2 = config.beta / 2.0
     s2, eps = config.sigma2, config.eps
     q = _q(b2, eps, n_w)

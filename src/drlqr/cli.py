@@ -20,7 +20,7 @@ import sys as _sys
 import numpy as np
 
 from . import drsynth, experiment, riccati
-from .ambiguity import (AmbiguityConfig, SampleSizeError, ambiguity_radii,
+from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSizeError, ambiguity_radii,
                         build_ambiguity, empirical_moments, load_samples_csv,
                         min_sample_size, t_mu, t_sigma)
 from .matcore import NumericalFailure, SymMatrix
@@ -150,7 +150,7 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
             cost=CostWeights(Q=np.asarray(raw["Q"], dtype=float),
                              R=np.asarray(raw["R"], dtype=float)),
             beta=raw["beta"],
-            eps=raw.get("eps", 1.0 / 30.0),
+            eps=raw.get("eps", DEFAULT_EPS),
             sigma2=raw.get("sigma2", 1.0),
             sample_sizes=tuple(raw["sample_sizes"]),
             realizations=raw.get("realizations", 30),
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dim", type=int, required=True, help="disturbance dimension n_w")
     b.add_argument("--m", type=int, required=True, help="number of samples M")
     b.add_argument("--beta", type=float, required=True)
-    b.add_argument("--eps", type=float, default=1.0 / 30.0)
+    b.add_argument("--eps", type=float, default=DEFAULT_EPS)
     b.add_argument("--sigma2", type=float, default=1.0)
     b.set_defaults(func=_cmd_bounds)
 
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--system", required=True, help="system JSON file")
     s.add_argument("--samples", required=True, help="sample CSV, one draw per row")
     s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--eps", type=float, default=1.0 / 30.0)
+    s.add_argument("--eps", type=float, default=DEFAULT_EPS)
     s.add_argument("--sigma2", type=float, default=1.0)
     s.add_argument("--method", choices=("nominal", "covariance", "full", "rhc"), required=True)
     s.add_argument("--x0", help="initial state for rhc, e.g. \"2,2\"")

@@ -34,15 +34,13 @@ class DrSynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Synthesized robust controller together with the SDP matrix variables."""
+    """Synthesized robust controller; its cost bound is controller.cost_bound."""
 
     controller: Controller
-    W: np.ndarray
-    V: np.ndarray
-    S: np.ndarray
-    L: np.ndarray
-    cost_bound: float
-    trace_W: float
+
+    @property
+    def cost_bound(self) -> float:
+        return self.controller.cost_bound
 
 
 def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> LmiBuilder:
@@ -50,8 +48,6 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
         raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
     n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
     sigma_hat = as_matrix(amb.sigma_hat)
-    if np.linalg.eigvalsh(sigma_hat)[0] <= 0:
-        raise DrSynthesisError("Sigma_hat is singular; rebuild the ambiguity set with regularization")
     sigma_half = as_matrix(psd_sqrt(sigma_hat))
     sigma_dr_inv = np.linalg.inv(amb.rho_sigma * sigma_hat)
     A_mu, B_mu = sys.eval_AB(amb.mu_hat)
@@ -130,7 +126,7 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> Syn
     if not sol.min_block_eigenvalue > 0:
         raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
-    W, V, S, L = (b.extract(name, sol.y) for name in ("W", "V", "S", "L"))
+    W, V = b.extract("W", sol.y), b.extract("V", sol.y)
     W_inv = np.linalg.inv(W)
     K = V @ W_inv
     P_hat = SymMatrix(W_inv)
@@ -140,8 +136,7 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> Syn
         bound = float(b.extract(bound_var, sol.y)[0, 0])
     ctrl = Controller(K=K, P=P_hat, cost_kind="upper_bound", method=method,
                       iterations=sol.iterations, cost_bound=bound)
-    return SynthesisResult(controller=ctrl, W=W, V=V, S=S, L=L,
-                           cost_bound=bound, trace_W=float(np.trace(W)))
+    return SynthesisResult(controller=ctrl)
 
 
 def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> SynthesisResult:

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.special
 
 from . import drsynth, riccati
-from .ambiguity import AmbiguityConfig, SampleSet, build_ambiguity, min_sample_size
+from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
+                        min_sample_size)
 from .matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
 from .stability import ClosedLoop, closed_loop_cost, is_mss
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -34,7 +35,7 @@ METHOD_ALIASES = {
 
 CSV_COLUMNS = ("M", "realization", "method", "stabilizing", "J", "J_rel", "wall_ms")
 
-DEFAULT_LAMBDA_REG = 1e-8
+LAMBDA_REG = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class ExperimentConfig:
     sample_sizes: tuple
     x0: np.ndarray
     realizations: int = 30
-    eps: float = 1.0 / 30.0
+    eps: float = DEFAULT_EPS
     sigma2: float = 1.0
     seed: int = 0
     methods: tuple = ("dr_covariance", "dr_full")
@@ -114,7 +115,7 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int) -> 
     records = []
     stream = _cell_stream(cfg.seed, M, realization)
     samples = sample_gaussian(cfg.true_moments, M, stream)
-    amb = build_ambiguity(samples, cfg.ambiguity_config(), lambda_reg=DEFAULT_LAMBDA_REG)
+    amb = build_ambiguity(samples, cfg.ambiguity_config(), lambda_reg=LAMBDA_REG)
     for method in cfg.methods:
         start = time.perf_counter()
         K = None
@@ -188,32 +189,6 @@ def write_records_csv(records, path) -> None:
             ])
 
 
-def read_records_csv(path) -> list:
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            records.append(RunRecord(
-                M=int(row["M"]),
-                realization=int(row["realization"]),
-                method=row["method"],
-                stabilizing=row["stabilizing"] == "true",
-                J=float(row["J"]) if row["J"] else float("inf"),
-                J_rel=float(row["J_rel"]) if row["J_rel"] else float("inf"),
-                wall_ms=float(row["wall_ms"]),
-            ))
-    return records
-
-
-def median_j_rel(records, M: int, method: str) -> float:
-    """Median relative suboptimality over the stabilizing realizations."""
-    vals = [r.J_rel for r in records
-            if r.M == M and r.method == method and r.stabilizing]
-    if not vals:
-        return float("inf")
-    return float(np.median(vals))
-
-
 # --------------------------------------------------------------------------
 # Scalar motivating example
 # --------------------------------------------------------------------------
@@ -223,6 +198,7 @@ EX1_Q = 1.0
 EX1_R = 1.0e4
 EX1_SIGMA2 = 0.5
 EX1_THRESHOLD = 0.4697
+EX1_CHUNK = 2000  # trials drawn per batch
 
 
 @dataclass(frozen=True)
@@ -233,31 +209,33 @@ class Example1Result:
     monte_carlo: float
 
 
-def empirical_gain_scalar(sigma2_hat, q: float = EX1_Q, r: float = EX1_R):
+def empirical_gain_scalar(sigma2_hat):
     """Optimal gain of the scalar system for an estimated noise variance.
 
     Vectorized over sigma2_hat.  Solves the quadratic Riccati root
-    (s2 - 1) p^2 + (q + (s2 - 0.4375) r) p + q r = 0 exactly; estimates
-    with s2 >= 1 make the system non-stabilizable and return NaN.
+    (s2 - 1) p^2 + (q + (s2 - 0.4375) r) p + q r = 0 exactly, with q = EX1_Q
+    and r = EX1_R; estimates with s2 >= 1 make the system non-stabilizable
+    and return NaN.
     """
     s2 = np.asarray(sigma2_hat, dtype=float)
     a = s2 - EX1_A * EX1_A  # = s2 - 0.5625
-    lin = q + (a + EX1_A * EX1_A - 0.4375) * r  # q + (s2 - 0.4375) r
+    lin = EX1_Q + (a + EX1_A * EX1_A - 0.4375) * EX1_R  # q + (s2 - 0.4375) r
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = (lin + np.sqrt(lin * lin + 4.0 * (1.0 - s2) * q * r)) / (2.0 * (1.0 - s2))
-        K = -EX1_A * p / (r + p)
+        p = (lin + np.sqrt(lin * lin + 4.0 * (1.0 - s2) * EX1_Q * EX1_R)) / (2.0 * (1.0 - s2))
+        K = -EX1_A * p / (EX1_R + p)
     return np.where(s2 < 1.0, K, np.nan)
 
 
-def scalar_mss(K, sigma2_true: float = EX1_SIGMA2):
+def scalar_mss(K):
     """Closed-loop mean-square stability of the scalar example, vectorized.
 
-    The loop is x+ = (0.75 + K + w) x, so the second moment contracts iff
-    (0.75 + K)^2 + sigma2 < 1, giving the interval -0.75 +- sqrt(0.5).
+    The loop is x+ = (0.75 + K + w) x with w of variance EX1_SIGMA2, so the
+    second moment contracts iff (0.75 + K)^2 + EX1_SIGMA2 < 1, giving the
+    interval -0.75 +- sqrt(0.5).
     """
     K = np.asarray(K, dtype=float)
     with np.errstate(invalid="ignore"):
-        rad = (EX1_A + K) ** 2 + sigma2_true
+        rad = (EX1_A + K) ** 2 + EX1_SIGMA2
     return np.where(np.isnan(K), False, rad < 1.0)
 
 
@@ -268,8 +246,7 @@ def example1_analytic(M: int) -> float:
     return float(scipy.special.gammainc(M / 2.0, x / 2.0))
 
 
-def replicate_example1(M: int = 500, trials: int = 100_000, seed: int = 0,
-                       chunk: int = 2000) -> Example1Result:
+def replicate_example1(M: int = 500, trials: int = 100_000, seed: int = 0) -> Example1Result:
     """Failure rate of the empirical approach: analytic and Monte Carlo.
 
     Each trial draws M scalar Gaussians with the true variance, computes the
@@ -286,7 +263,7 @@ def replicate_example1(M: int = 500, trials: int = 100_000, seed: int = 0,
     remaining = trials
     scale = math.sqrt(EX1_SIGMA2)
     while remaining > 0:
-        batch = min(chunk, remaining)
+        batch = min(EX1_CHUNK, remaining)
         w = scale * rng.standard_normal((batch, M))
         s2 = np.mean(w * w, axis=1)
         stable = scalar_mss(empirical_gain_scalar(s2))

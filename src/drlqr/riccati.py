@@ -6,10 +6,9 @@ value-iteration warm-up from P_0 = 0, finished by Newton (policy-iteration)
 steps: Kleinman's iteration, extended to multiplicative noise by Damm &
 Hinrichsen (2001).  Each Newton step evaluates the greedy gain of the current
 iterate exactly, through one linear solve with the second-moment operator,
-and the steps converge quadratically.  The trace-maximizing SDP is kept as a
-cross-check.  The covariance-only robust controller is the same pipeline run
-with the covariance inflated to rho_sigma * Sigma_hat, which is worst-case
-exact when the mean is known.
+and the steps converge quadratically.  The covariance-only robust controller
+is the same pipeline run with the covariance inflated to rho_sigma *
+Sigma_hat, which is worst-case exact when the mean is known.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import NumericalFailure, SymMatrix, as_matrix, symmetrize, unvec, vec
-from .sdpcore import LmiBuilder, block_expr, kron_const, solve
+from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix,
+                      symmetrize, unvec, vec)
 from .stability import ClosedLoop, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 from .ambiguity import MomentAmbiguity
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200_000
+TOL = 1e-10  # relative change in P at which the iteration stops
+MAX_ITER = 200_000  # budget of sweeps plus Newton steps
 DIVERGENCE_TRACE = 1e12
 
 
@@ -42,7 +41,7 @@ class Controller:
     K: np.ndarray
     P: SymMatrix
     cost_kind: str  # "exact" | "upper_bound"
-    method: str  # "nominal_vi" | "nominal_sdp" | "dr_covariance" | "dr_full" | "dr_rhc"
+    method: str  # "nominal_vi" | "dr_covariance" | "dr_full" | "dr_rhc"
     iterations: int = 0
     cost_bound: float | None = None
 
@@ -101,8 +100,7 @@ def _newton_step(P, sys: MultNoiseSystem, m: DisturbanceMoments,
     return V
 
 
-def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
-                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Controller:
+def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
     """Solve the stochastic LQR Riccati equation: value-iteration warm-up, Newton finish.
 
     The warm-up sweeps P_{k+1} = Q + F(P_k) - H^T (R + G)^{-1} H from P_0 = 0
@@ -113,26 +111,24 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     certifies its gain as mean-square stabilizing starts the Newton steps
     K_{j+1} = gain(P_j), P_{j+1} = value(K_{j+1}), which decrease
     monotonically to the stabilizing solution; they stop when
-    |P_{j+1} - P_j| <= tol (1 + |P_{j+1}|), and K = gain(P) is returned.
+    |P_{j+1} - P_j| <= TOL (1 + |P_{j+1}|), and K = gain(P) is returned.
 
     Controller.iterations counts sweeps plus Newton steps (the certifying
-    evaluation included), and max_iter bounds that total.  Divergence raises
+    evaluation included), and MAX_ITER bounds that total.  Divergence raises
     NotStabilizableError; a spent budget, sweeps that converge to an
     uncertified gain, or a Newton step that loses its certificate or
     monotonicity raise NumericalFailure.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = sys.n_x
     Q, R = as_matrix(cost.Q), as_matrix(cost.R)
     P = np.zeros((n, n))
     probe = 0
-    for k in range(max_iter):
+    for k in range(MAX_ITER):
         if k == probe:
             probe = max(1, 2 * k)
             P_K = _newton_step(P, sys, m, cost)
             if P_K is not None:
-                return _newton_finish(sys, m, cost, P_K, k + 1, tol, max_iter)
+                return _newton_finish(sys, m, cost, P_K, k + 1)
         F, G, H = fgh(sys, m, P)
         try:
             c, low = scipy.linalg.cho_factor(R + G)
@@ -147,21 +143,21 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
             raise NotStabilizableError(
                 "value iteration diverged: system is not mean-square stabilizable under these moments"
             )
-        if delta <= tol * (1.0 + np.linalg.norm(P)):
+        if delta <= TOL * (1.0 + np.linalg.norm(P)):
             P_K = _newton_step(P, sys, m, cost)
             if P_K is None:
                 raise NumericalFailure("value iteration converged to a gain that is not "
                                        "certified mean-square stabilizing")
-            return _newton_finish(sys, m, cost, P_K, k + 2, tol, max_iter)
+            return _newton_finish(sys, m, cost, P_K, k + 2)
     raise NumericalFailure(
-        f"value iteration did not converge within {max_iter} sweeps (trace {np.trace(P):.3e})"
+        f"value iteration did not converge within {MAX_ITER} sweeps (trace {np.trace(P):.3e})"
     )
 
 
 def _newton_finish(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
-                   P: np.ndarray, steps: int, tol: float, max_iter: int) -> Controller:
+                   P: np.ndarray, steps: int) -> Controller:
     """Newton steps from the certified value matrix P, reached after `steps` iterations."""
-    while steps < max_iter:
+    while steps < MAX_ITER:
         P_next = _newton_step(P, sys, m, cost)
         steps += 1
         if P_next is None:
@@ -170,55 +166,16 @@ def _newton_finish(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeight
             raise NumericalFailure("Newton step lost monotonicity")
         delta = np.linalg.norm(P_next - P)
         P = P_next
-        if delta <= tol * (1.0 + np.linalg.norm(P)):
+        if delta <= TOL * (1.0 + np.linalg.norm(P)):
             K = _gain_from(P, sys, m, cost)
             return Controller(K=K, P=SymMatrix(P), cost_kind="exact", method="nominal_vi",
                               iterations=steps)
-    raise NumericalFailure(f"Newton steps did not converge within {max_iter} iterations "
+    raise NumericalFailure(f"Newton steps did not converge within {MAX_ITER} iterations "
                            f"(trace {np.trace(P):.3e})")
 
 
-def riccati_residual(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights, P) -> float:
-    """Frobenius norm of P - (Q + F(P) - H^T (R+G)^{-1} H)."""
-    P = as_matrix(P)
-    F, G, H = fgh(sys, m, P)
-    rhs = as_matrix(cost.Q) + F - H.T @ np.linalg.solve(as_matrix(cost.R) + G, H)
-    return float(np.linalg.norm(P - rhs))
-
-
-def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
-    """Solve the Riccati equation through the trace SDP (cross-check route).
-
-    minimize -tr(P) subject to [[Q - P + F(P), H(P)^T], [H(P), R + G(P)]] >= 0
-    and P >= 0; by complementary slackness the optimum is the Riccati solution.
-    """
-    b = LmiBuilder()
-    P = b.sym_var("P", sys.n_x)
-    Abar0, Bbar0 = sys.stacked()
-    S_ext = as_matrix(m.extended_moment)
-    mid = kron_const(S_ext, P)
-    F = Abar0.T @ mid @ Abar0
-    G = Bbar0.T @ mid @ Bbar0
-    H = Bbar0.T @ mid @ Abar0
-    Q, R = as_matrix(cost.Q), as_matrix(cost.R)
-    b.add_psd(block_expr([[Q - P + F, H.T], [H, R + G]]))
-    b.add_psd(P)
-    b.minimize(-P.trace())
-    prob = b.build()
-    sol = solve(prob)
-    if sol.status == "infeasible":
-        raise NotStabilizableError("Riccati SDP infeasible: system is not mean-square stabilizable")
-    if sol.status != "optimal":
-        raise NumericalFailure(f"Riccati SDP solver returned status {sol.status}")
-    P_val = b.extract("P", sol.y)
-    K = _gain_from(P_val, sys, m, cost)
-    return Controller(K=K, P=SymMatrix(P_val), cost_kind="exact", method="nominal_sdp",
-                      iterations=sol.iterations)
-
-
 def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
-                  cost: CostWeights, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> Controller:
+                  cost: CostWeights) -> Controller:
     """Covariance-only robust controller: nominal pipeline at rho_sigma * Sigma_hat.
 
     The mean is treated as known (rho_mu is ignored).  Worst-case exact: the
@@ -228,7 +185,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     inflated = DisturbanceMoments(mu=np.asarray(mu_known, dtype=float),
                                   sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
     try:
-        ctrl = value_iteration(sys, inflated, cost, tol=tol, max_iter=max_iter)
+        ctrl = value_iteration(sys, inflated, cost)
     except NotStabilizableError as exc:
         raise NotStabilizableError(
             f"system not stabilizable under covariance inflated by rho_sigma = {amb.rho_sigma:.4f}"
@@ -243,7 +200,16 @@ def save_controller(ctrl: Controller, path) -> None:
 
 
 def load_gain(path) -> np.ndarray:
-    """Read a gain matrix from controller JSON (only the "K" field is used)."""
+    """Read a gain matrix from controller JSON (only the "K" field is used).
+
+    A file without a numeric "K" raises ShapeError, a non-finite K DomainError.
+    """
     with open(path) as f:
         d = json.load(f)
-    return np.atleast_2d(np.asarray(d["K"], dtype=float))
+    try:
+        K = np.atleast_2d(np.asarray(d["K"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShapeError(f"malformed controller file: {exc!r}") from exc
+    if not np.all(np.isfinite(K)):
+        raise DomainError("gain K has non-finite entries")
+    return K

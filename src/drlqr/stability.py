@@ -17,7 +17,7 @@ import numpy as np
 from .matcore import ShapeError, SymMatrix, as_matrix, symmetrize, vec, unvec
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
 
 
 class InstabilityError(RuntimeError):
@@ -65,37 +65,13 @@ def _spectral_radius(T: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(T)))) if T.size else 0.0
 
 
-def apply_second_moment(cl: ClosedLoop, m: DisturbanceMoments, P) -> np.ndarray:
-    """Apply the second-moment operator directly to a symmetric matrix P."""
-    T = second_moment_operator(cl, m)
-    return unvec(T @ vec(as_matrix(P)), cl.sys.n_x)
-
-
-def is_mss(cl: ClosedLoop, m: DisturbanceMoments, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
     """Mean-square stability test via the spectral radius of the operator matrix.
 
-    Radii within tol of 1 are reported unstable, erring on the safe side.
+    Radii within TOL of 1 are reported unstable, erring on the safe side.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     radius = _spectral_radius(second_moment_operator(cl, m))
-    return radius < 1.0 - tol, radius
-
-
-def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments, tol: float = DEFAULT_TOL) -> SymMatrix:
-    """Lyapunov certificate P > 0 with P - L(P) = I, via (I - T) vec(P) = vec(I).
-
-    Radii within tol of 1 raise InstabilityError, as is_mss reports them unstable.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    T = second_moment_operator(cl, m)
-    radius = _spectral_radius(T)
-    if not radius < 1.0 - tol:
-        raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f})")
-    n = cl.sys.n_x
-    P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(np.eye(n))), n)
-    return SymMatrix(P)
+    return radius < 1.0 - TOL, radius
 
 
 def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x0) -> float:
@@ -111,7 +87,7 @@ def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWe
     """Solve P = Q + K^T R K + L(P) for the closed-loop value matrix."""
     T = second_moment_operator(cl, m)
     radius = _spectral_radius(T)
-    if not radius < 1.0 - DEFAULT_TOL:
+    if not radius < 1.0 - TOL:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f}); cost is infinite")
     n = cl.sys.n_x
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K

@@ -1,17 +1,27 @@
-"""Reference checks the tests hold the library's certificates against.
+"""Reference routines the tests hold the library's results against.
 
 dr_certify_mss samples the mean ellipsoid of an ambiguity set and checks
 mean-square stability at each sampled mean with the inflated covariance.
 The library certifies a synthesized gain by the strict feasibility of its
 synthesis LMIs, which covers the whole set; this grid is an independent
 witness of that claim on finitely many moments.
+
+lyapunov_P, riccati_residual and nominal_sdp are independent routes to the
+Lyapunov and Riccati solutions; read_records_csv and median_j_rel read and
+summarize the experiment CSV.
 """
+
+import csv
 
 import numpy as np
 
-from drlqr.matcore import SymMatrix, as_matrix, psd_sqrt
-from drlqr.stability import ClosedLoop, is_mss
-from drlqr.sysmodel import DisturbanceMoments
+from drlqr.experiment import RunRecord
+from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt, unvec, vec
+from drlqr.riccati import Controller, NotStabilizableError, _gain_from
+from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
+from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius, is_mss,
+                             second_moment_operator)
+from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 
 
 def _mean_directions(n_w: int, count: int) -> np.ndarray:
@@ -56,3 +66,81 @@ def dr_certify_mss(cl: ClosedLoop, amb, mean_grid: int = 12) -> bool:
         if not stable:
             return False
     return True
+
+
+def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments) -> SymMatrix:
+    """Lyapunov certificate P > 0 with P - L(P) = I, via (I - T) vec(P) = vec(I).
+
+    Radii within TOL of 1 raise InstabilityError, as is_mss reports them unstable.
+    """
+    T = second_moment_operator(cl, m)
+    radius = _spectral_radius(T)
+    if not radius < 1.0 - TOL:
+        raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f})")
+    n = cl.sys.n_x
+    P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(np.eye(n))), n)
+    return SymMatrix(P)
+
+
+def riccati_residual(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights, P) -> float:
+    """Frobenius norm of P - (Q + F(P) - H^T (R+G)^{-1} H)."""
+    P = as_matrix(P)
+    F, G, H = fgh(sys, m, P)
+    rhs = as_matrix(cost.Q) + F - H.T @ np.linalg.solve(as_matrix(cost.R) + G, H)
+    return float(np.linalg.norm(P - rhs))
+
+
+def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
+    """Solve the Riccati equation through the trace SDP.
+
+    minimize -tr(P) subject to [[Q - P + F(P), H(P)^T], [H(P), R + G(P)]] >= 0
+    and P >= 0; by complementary slackness the optimum is the Riccati solution.
+    """
+    b = LmiBuilder()
+    P = b.sym_var("P", sys.n_x)
+    Abar0, Bbar0 = sys.stacked()
+    S_ext = as_matrix(m.extended_moment)
+    mid = kron_const(S_ext, P)
+    F = Abar0.T @ mid @ Abar0
+    G = Bbar0.T @ mid @ Bbar0
+    H = Bbar0.T @ mid @ Abar0
+    Q, R = as_matrix(cost.Q), as_matrix(cost.R)
+    b.add_psd(block_expr([[Q - P + F, H.T], [H, R + G]]))
+    b.add_psd(P)
+    b.minimize(-P.trace())
+    prob = b.build()
+    sol = solve(prob)
+    if sol.status == "infeasible":
+        raise NotStabilizableError("Riccati SDP infeasible: system is not mean-square stabilizable")
+    if sol.status != "optimal":
+        raise NumericalFailure(f"Riccati SDP solver returned status {sol.status}")
+    P_val = b.extract("P", sol.y)
+    K = _gain_from(P_val, sys, m, cost)
+    return Controller(K=K, P=SymMatrix(P_val), cost_kind="exact", method="nominal_sdp",
+                      iterations=sol.iterations)
+
+
+def read_records_csv(path) -> list:
+    records = []
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        for row in reader:
+            records.append(RunRecord(
+                M=int(row["M"]),
+                realization=int(row["realization"]),
+                method=row["method"],
+                stabilizing=row["stabilizing"] == "true",
+                J=float(row["J"]) if row["J"] else float("inf"),
+                J_rel=float(row["J_rel"]) if row["J_rel"] else float("inf"),
+                wall_ms=float(row["wall_ms"]),
+            ))
+    return records
+
+
+def median_j_rel(records, M: int, method: str) -> float:
+    """Median relative suboptimality over the stabilizing realizations."""
+    vals = [r.J_rel for r in records
+            if r.M == M and r.method == method and r.stabilizing]
+    if not vals:
+        return float("inf")
+    return float(np.median(vals))

@@ -15,16 +15,17 @@ from drlqr.ambiguity import (AmbiguityConfig, MomentAmbiguity, SampleSet,
                              empirical_moments, min_sample_size, t_mu, t_sigma)
 from drlqr.drsynth import DrSynthesisError, synth_full
 from drlqr.experiment import (ExperimentConfig, example1_analytic,
-                              median_j_rel, replicate_example1,
-                              run_sample_complexity, sample_gaussian)
+                              replicate_example1, run_sample_complexity,
+                              sample_gaussian)
 from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
-from drlqr.riccati import dr_covariance, nominal_sdp, value_iteration
+from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sdpcore import LmiBuilder, kron_const, solve
 from drlqr.stability import (ClosedLoop, InstabilityError,
                              closed_loop_value_matrix, is_mss)
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 from conftest import scalar_p_star
+from oracles import median_j_rel, nominal_sdp
 
 BETA = 0.05
 EPS = 1.0 / 30.0
@@ -66,7 +67,7 @@ def test_criterion_2_example1_failure_probability():
 def test_criterion_3_scalar_riccati_closed_form(scalar_sys, scalar_cost, scalar_moments):
     p_star = scalar_p_star(q=1.0, r=1.0e4, s2=0.5)
     k_star = -0.75 * p_star / (1.0e4 + p_star)
-    vi = value_iteration(scalar_sys, scalar_moments, scalar_cost, tol=1e-10)
+    vi = value_iteration(scalar_sys, scalar_moments, scalar_cost)
     sdp = nominal_sdp(scalar_sys, scalar_moments, scalar_cost)
     for ctrl in (vi, sdp):
         p = as_matrix(ctrl.P)[0, 0]
@@ -120,7 +121,7 @@ def test_criterion_6_zero_mean_radius_consistency(sys6, cost6):
                           rho_mu=0.0, rho_sigma=rho_sigma,
                           config=AmbiguityConfig(beta=BETA), M=1000)
     full = synth_full(sys6, amb, cost6)
-    cov = dr_covariance(sys6, np.zeros(2), amb, cost6, tol=1e-10)
+    cov = dr_covariance(sys6, np.zeros(2), amb, cost6)
     tr_full = float(np.trace(as_matrix(full.controller.P)))
     tr_cov = float(np.trace(as_matrix(cov.P)))
     assert abs(tr_full - tr_cov) <= 0.01 * tr_cov

@@ -86,6 +86,14 @@ class TestConcentrationBounds:
         assert np.isclose(t_sigma(0.025, EPS, 3.0, 2, 1000),
                           3.0 * t_sigma(0.025, EPS, 1.0, 2, 1000))
 
+    @pytest.mark.parametrize("n_w, M, name", [(2, 0, "M"), (2, -3, "M"),
+                                              (0, 1000, "n_w"), (-1, 1000, "n_w")])
+    def test_rejects_empty_counts(self, n_w, M, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            t_sigma(0.025, EPS, 1.0, n_w, M)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            t_mu(0.025, 1.0, n_w, M)
+
 
 class TestMinSampleSize:
     def test_anchor_value(self):
@@ -108,6 +116,11 @@ class TestMinSampleSize:
         sizes = [min_sample_size(cfg, n) for n in (1, 2, 4, 8)]
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1]
+
+    @pytest.mark.parametrize("n_w", [0, -1])
+    def test_rejects_empty_dimension(self, n_w):
+        with pytest.raises(ValueError, match="^n_w must be at least 1"):
+            min_sample_size(AmbiguityConfig(beta=BETA), n_w)
 
 
 class TestAmbiguityRadii:

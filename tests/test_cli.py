@@ -57,6 +57,13 @@ class TestBounds:
         capsys.readouterr()
         assert rc == EXIT_INVALID
 
+    @pytest.mark.parametrize("dim, m, message", [("2", "0", "M must be at least 1"),
+                                                 ("0", "1000", "n_w must be at least 1")])
+    def test_empty_counts(self, capsys, dim, m, message):
+        rc = main(["bounds", "--dim", dim, "--m", m, "--beta", "0.05"])
+        assert rc == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
 
 class TestSynth:
     def test_nominal(self, capsys, system_json, samples_csv):
@@ -185,6 +192,21 @@ class TestMss:
                                 "--mu", "0.1,0.0", "--cov", str(cp)])
         assert rc == EXIT_OK
         assert out["stable"] is True
+
+    @pytest.mark.parametrize("content, message", [
+        ("{}", "malformed controller file"),
+        ("[[1.0, 2.0]]", "malformed controller file"),
+        ('{"K": [[NaN, 1.0]]}', "non-finite"),
+        ('{"K": [[null, null]]}', "non-finite"),
+    ], ids=["no_K", "top_level_list", "nan", "null"])
+    def test_malformed_gain(self, capsys, sys6, tmp_path, content, message):
+        sp = tmp_path / "sys.json"
+        save_system(sys6, sp)
+        gp = tmp_path / "gain.json"
+        gp.write_text(content)
+        rc = main(["mss", "--system", str(sp), "--gain", str(gp)])
+        assert rc == EXIT_INVALID
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, capsys, tmp_path):
         rc = main(["mss", "--system", str(tmp_path / "nope.json"),

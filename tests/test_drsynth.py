@@ -31,17 +31,24 @@ def amb6_small():
 
 class TestSynthFull:
     def test_gain_consistent_with_variables(self, sys6, cost6, amb6_small):
+        """K = V W^-1 and P = W^-1 at the synthesis SDP's solution, which is
+        solved again here to read W and V."""
         res = synth_full(sys6, amb6_small, cost6)
-        assert np.linalg.norm(res.controller.K @ res.W - res.V) <= 1e-10 * (1 + np.linalg.norm(res.V))
-        assert np.allclose(as_matrix(res.controller.P) @ res.W, np.eye(2), atol=1e-8)
-        assert np.isclose(res.trace_W, np.trace(res.W))
+        b = drsynth._thm6_builder(sys6, amb6_small, cost6)
+        b.minimize(-b.var("W").trace())
+        y = sdpcore.solve(b.build()).y
+        W, V = b.extract("W", y), b.extract("V", y)
+        assert np.linalg.norm(res.controller.K @ W - V) <= 1e-10 * (1 + np.linalg.norm(V))
+        assert np.allclose(as_matrix(res.controller.P) @ W, np.eye(2), atol=1e-8)
+        assert res.cost_bound == res.controller.cost_bound
+        assert np.isclose(res.cost_bound, np.trace(np.linalg.inv(W)), rtol=1e-12)
         assert res.controller.method == "dr_full"
         assert res.controller.cost_kind == "upper_bound"
 
     def test_zero_mean_radius_matches_covariance_method(self, sys6, cost6):
         amb = _amb(np.zeros(2), np.eye(2), 0.0, 1.5)
         res = synth_full(sys6, amb, cost6)
-        cov = dr_covariance(sys6, np.zeros(2), amb, cost6, tol=1e-10)
+        cov = dr_covariance(sys6, np.zeros(2), amb, cost6)
         P_full, P_cov = as_matrix(res.controller.P), as_matrix(cov.P)
         assert np.linalg.norm(P_full - P_cov) <= 1e-2 * np.linalg.norm(P_cov)
         assert np.linalg.norm(res.controller.K - cov.K) <= 1e-2 * (1 + np.linalg.norm(cov.K))
@@ -133,7 +140,7 @@ class TestSynthRhc:
         m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1)))
         x0 = np.array([1.0, -1.0])
         rhc = synth_rhc(sys, amb, cost, x0)
-        ref = value_iteration(sys, m, cost, tol=1e-12)
+        ref = value_iteration(sys, m, cost)
         exact = float(x0 @ as_matrix(ref.P) @ x0)
         assert abs(rhc.cost_bound - exact) <= 1e-3 * exact
 

@@ -4,13 +4,13 @@ import pytest
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               empirical_gain_scalar, example1_analytic,
-                              median_j_rel, nominal_reference,
-                              read_records_csv, replicate_example1,
+                              nominal_reference, replicate_example1,
                               run_sample_complexity, sample_gaussian,
                               scalar_mss, write_records_csv)
 from drlqr.matcore import SymMatrix, as_matrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
+from oracles import median_j_rel, read_records_csv
 
 
 def _cfg(sys6, moments6, cost6, **overrides):
@@ -112,8 +112,8 @@ class TestSweep:
         amb = MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)),
                               rho_mu=0.0, rho_sigma=1.0,
                               config=AmbiguityConfig(beta=0.05), M=1000)
-        dr = dr_covariance(sys6, np.zeros(2), amb, cost6, tol=1e-10)
-        vi = value_iteration(sys6, moments6, cost6, tol=1e-10)
+        dr = dr_covariance(sys6, np.zeros(2), amb, cost6)
+        vi = value_iteration(sys6, moments6, cost6)
         assert np.allclose(dr.K, vi.K, atol=1e-8)
 
 

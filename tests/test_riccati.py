@@ -4,22 +4,22 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
-from drlqr.experiment import DEFAULT_LAMBDA_REG, _cell_stream, sample_gaussian
+from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
 from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix
 from drlqr.riccati import (NotStabilizableError, dr_covariance, load_gain,
-                           nominal_sdp, riccati_residual, save_controller,
-                           value_iteration)
+                           save_controller, value_iteration)
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 from conftest import TS, scalar_p_star
+from oracles import nominal_sdp, riccati_residual
 
 
 class TestValueIteration:
     def test_scalar_closed_form(self, scalar_sys, scalar_cost, scalar_moments):
         """p solves (s2 - 1) p^2 + (q + (s2 - 0.4375) r) p + q r = 0."""
-        ctrl = value_iteration(scalar_sys, scalar_moments, scalar_cost, tol=1e-10)
+        ctrl = value_iteration(scalar_sys, scalar_moments, scalar_cost)
         p_star = scalar_p_star()
         assert np.isclose(p_star, 1267.775661738586)
         p = as_matrix(ctrl.P)[0, 0]
@@ -43,7 +43,7 @@ class TestValueIteration:
             value_iteration(scalar_sys, m, scalar_cost)
 
     def test_residual_small(self, sys6, moments6, cost6):
-        ctrl = value_iteration(sys6, moments6, cost6, tol=1e-10)
+        ctrl = value_iteration(sys6, moments6, cost6)
         res = riccati_residual(sys6, moments6, cost6, ctrl.P)
         assert res <= 10.0 * 1e-10 * (1.0 + np.linalg.norm(as_matrix(ctrl.P)))
 
@@ -52,14 +52,11 @@ class TestValueIteration:
         stable, radius = is_mss(ClosedLoop(sys=sys6, K=ctrl.K), moments6)
         assert stable and radius < 1.0
 
-    def test_tol_validation(self, scalar_sys, scalar_cost, scalar_moments):
-        with pytest.raises(ValueError):
-            value_iteration(scalar_sys, scalar_moments, scalar_cost, tol=-1.0)
-
-    def test_spent_budget_is_numerical_failure(self, sys6, moments6, cost6):
+    def test_spent_budget_is_numerical_failure(self, monkeypatch, sys6, moments6, cost6):
         """Running out of iterations says nothing about stabilizability."""
+        monkeypatch.setattr(riccati, "MAX_ITER", 3)
         with pytest.raises(NumericalFailure):
-            value_iteration(sys6, moments6, cost6, max_iter=3)
+            value_iteration(sys6, moments6, cost6)
 
 
 def _chain8(damping: float = 0.15, noise: float = 0.3) -> MultNoiseSystem:
@@ -106,7 +103,7 @@ class TestNewtonFinish:
         stabilizability (optimal radius about 0.99996); value iteration alone
         spent its sweep budget here and called the cell not stabilizable."""
         samples = sample_gaussian(moments6, 500, _cell_stream(0, 500, 3))
-        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=DEFAULT_LAMBDA_REG)
+        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
         ctrl = dr_covariance(sys6, amb.mu_hat, amb, cost6)
         inflated = DisturbanceMoments(mu=amb.mu_hat,
                                       sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
@@ -162,7 +159,7 @@ class TestNominalSdp:
         assert abs(as_matrix(ctrl.P)[0, 0] - p_star) <= 1e-4 * p_star
 
     def test_matches_value_iteration(self, sys6, moments6, cost6):
-        vi = value_iteration(sys6, moments6, cost6, tol=1e-10)
+        vi = value_iteration(sys6, moments6, cost6)
         sdp = nominal_sdp(sys6, moments6, cost6)
         P_vi, P_sdp = as_matrix(vi.P), as_matrix(sdp.P)
         assert np.linalg.norm(P_sdp - P_vi) <= 1e-4 * np.linalg.norm(P_vi)
@@ -187,16 +184,16 @@ class TestDrCovariance:
 
     def test_unit_radius_reduces_to_nominal(self, scalar_sys, scalar_cost, scalar_moments):
         amb = self._amb(0.5 * np.eye(1), 1.0)
-        dr = dr_covariance(scalar_sys, np.zeros(1), amb, scalar_cost, tol=1e-10)
-        vi = value_iteration(scalar_sys, scalar_moments, scalar_cost, tol=1e-10)
+        dr = dr_covariance(scalar_sys, np.zeros(1), amb, scalar_cost)
+        vi = value_iteration(scalar_sys, scalar_moments, scalar_cost)
         assert np.allclose(as_matrix(dr.P), as_matrix(vi.P), rtol=1e-8)
         assert dr.method == "dr_covariance"
 
     def test_inflation_equals_nominal_at_inflated_variance(self, scalar_sys, scalar_cost):
         amb = self._amb(0.5 * np.eye(1), 1.5)
-        dr = dr_covariance(scalar_sys, np.zeros(1), amb, scalar_cost, tol=1e-10)
+        dr = dr_covariance(scalar_sys, np.zeros(1), amb, scalar_cost)
         m75 = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(0.75 * np.eye(1)))
-        vi = value_iteration(scalar_sys, m75, scalar_cost, tol=1e-10)
+        vi = value_iteration(scalar_sys, m75, scalar_cost)
         assert np.allclose(as_matrix(dr.P), as_matrix(vi.P), rtol=1e-8)
 
     def test_excess_inflation_not_stabilizable(self, scalar_sys, scalar_cost):

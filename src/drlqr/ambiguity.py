@@ -71,8 +71,8 @@ class AmbiguityConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not 0.0 < self.eps < 0.5:
             raise ValueError(f"eps must lie in (0, 1/2), got {self.eps}")
-        if self.sigma2 < 1.0:
-            raise ValueError(f"variance proxy sigma2 must be >= 1, got {self.sigma2}")
+        if not 1.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"variance proxy sigma2 must lie in [1, inf), got {self.sigma2}")
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,8 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> Syn
         bound = float(np.trace(as_matrix(P_hat)))
     else:
         bound = float(b.extract(bound_var, sol.y)[0, 0])
-    ctrl = Controller(K=K, P=P_hat, cost_kind="upper_bound", method=method,
-                      iterations=sol.iterations, cost_bound=bound)
+    ctrl = Controller(K=K, P=P_hat, method=method, iterations=sol.iterations,
+                      cost_bound=bound)
     return SynthesisResult(controller=ctrl)
 
 

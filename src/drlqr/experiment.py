@@ -23,7 +23,7 @@ from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
                         min_sample_size)
 from .matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
-from .stability import ClosedLoop, closed_loop_cost, is_mss
+from .stability import ClosedLoop, InstabilityError, closed_loop_cost
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 METHOD_ALIASES = {
@@ -36,6 +36,13 @@ METHOD_ALIASES = {
 CSV_COLUMNS = ("M", "realization", "method", "stabilizing", "J", "J_rel", "wall_ms")
 
 LAMBDA_REG = 1e-8
+
+
+def _whole(value, name: str) -> int:
+    """value as an int; a fractional or non-finite value raises ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -55,19 +62,22 @@ class ExperimentConfig:
     methods: tuple = ("dr_covariance", "dr_full")
 
     def __post_init__(self):
-        if self.realizations < 1:
+        realizations, seed = _whole(self.realizations, "realizations"), _whole(self.seed, "seed")
+        if realizations < 1:
             raise ValueError("realizations must be at least 1")
         methods = tuple(METHOD_ALIASES.get(m, None) for m in self.methods)
         if None in methods or not methods:
             raise ValueError(f"unknown method in {self.methods}; choose from covariance/full")
-        sizes = tuple(int(M) for M in self.sample_sizes)
+        sizes = tuple(_whole(M, "sample size") for M in self.sample_sizes)
         M_min = min_sample_size(self.ambiguity_config(), self.system.n_w)
         for M in sizes:
             if M < M_min:
                 raise ValueError(f"sample size {M} below minimum {M_min} for these parameters")
         x0 = np.asarray(self.x0, dtype=float).ravel()
-        if x0.size != self.system.n_x:
-            raise ValueError(f"x0 has length {x0.size}, expected {self.system.n_x}")
+        if x0.size != self.system.n_x or not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must hold {self.system.n_x} finite numbers, got {x0}")
+        object.__setattr__(self, "realizations", realizations)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "x0", x0)
@@ -127,15 +137,14 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int) -> 
         except (drsynth.DrSynthesisError, riccati.NotStabilizableError, NumericalFailure):
             K = None
         wall_ms = (time.perf_counter() - start) * 1000.0
-        stabilizing = False
-        J = float("inf")
-        J_rel = float("inf")
+        stabilizing, J, J_rel = False, float("inf"), float("inf")
         if K is not None:
-            cl = ClosedLoop(sys=cfg.system, K=K)
-            stabilizing, _ = is_mss(cl, cfg.true_moments)
-            if stabilizing:
-                J = closed_loop_cost(cl, cfg.true_moments, cfg.cost, cfg.x0)
-                J_rel = (J - J_nom) / J_nom
+            try:  # raises on the same radius < 1 - TOL rule as is_mss
+                J = closed_loop_cost(ClosedLoop(sys=cfg.system, K=K), cfg.true_moments,
+                                     cfg.cost, cfg.x0)
+                stabilizing, J_rel = True, (J - J_nom) / J_nom
+            except InstabilityError:
+                pass
         records.append(RunRecord(M=M, realization=realization, method=method,
                                  stabilizing=stabilizing, J=J, J_rel=J_rel,
                                  wall_ms=wall_ms))

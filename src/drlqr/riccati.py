@@ -1,12 +1,13 @@
 """Nominal stochastic LQR and the covariance-only robust variant.
 
 The nominal problem is the generalized Riccati equation
-P = Q + F(P) - H(P)^T (R + G(P))^{-1} H(P).  It is solved by a short
+P = Q + F(P) - H(P)^T (R + G(P))^{-1} H(P).  It is solved by one loop that
+computes the greedy gain of the current iterate once per pass: a short
 value-iteration warm-up from P_0 = 0, finished by Newton (policy-iteration)
 steps: Kleinman's iteration, extended to multiplicative noise by Damm &
-Hinrichsen (2001).  Each Newton step evaluates the greedy gain of the current
-iterate exactly, through one linear solve with the second-moment operator,
-and the steps converge quadratically.  The covariance-only robust controller
+Hinrichsen (2001).  Each Newton step evaluates the greedy gain exactly,
+through one linear solve with the second-moment operator, and the steps
+converge quadratically.  The covariance-only robust controller
 is the same pipeline run with the covariance inflated to rho_sigma *
 Sigma_hat, which is worst-case exact when the mean is known.
 """
@@ -40,7 +41,6 @@ class Controller:
 
     K: np.ndarray
     P: SymMatrix
-    cost_kind: str  # "exact" | "upper_bound"
     method: str  # "nominal_vi" | "dr_covariance" | "dr_full" | "dr_rhc"
     iterations: int = 0
     cost_bound: float | None = None
@@ -55,6 +55,11 @@ class Controller:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "P", P)
 
+    @property
+    def cost_kind(self) -> str:
+        """Reads "upper_bound" when the controller carries a cost bound, else "exact"."""
+        return "exact" if self.cost_bound is None else "upper_bound"
+
     def to_json_dict(self) -> dict:
         d = {
             "K": self.K.tolist(),
@@ -68,26 +73,25 @@ class Controller:
         return d
 
 
-def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> np.ndarray:
-    _, G, H = fgh(sys, m, P)
-    R = as_matrix(cost.R)
+def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
+    """Greedy gain K = -(R + G(P))^{-1} H(P) of P, returned as (K, F(P), H(P))."""
+    F, G, H = fgh(sys, m, P)
     try:
-        c, low = scipy.linalg.cho_factor(R + G)
+        c, low = scipy.linalg.cho_factor(as_matrix(cost.R) + G)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"R + G(P) not positive definite: {exc}") from exc
-    return -scipy.linalg.cho_solve((c, low), H)
+    return -scipy.linalg.cho_solve((c, low), H), F, H
 
 
-def _newton_step(P, sys: MultNoiseSystem, m: DisturbanceMoments,
-                 cost: CostWeights) -> np.ndarray | None:
-    """Value matrix of the greedy gain K = gain(P), or None when K is not certified.
+def _value_of(K, sys: MultNoiseSystem, m: DisturbanceMoments,
+              cost: CostWeights) -> np.ndarray | None:
+    """Value matrix of the gain K, or None when K is not certified.
 
     Solves (I - T_K) vec V = vec(Q + K^T R K).  The operator L_K is positive
     and Q + K^T R K > 0, so a solution V > 0 exists iff rho(L_K) < 1: a
     finite V with a Cholesky factor certifies mean-square stability.
     """
     n = sys.n_x
-    K = _gain_from(P, sys, m, cost)
     T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
     rhs = as_matrix(cost.Q) + K.T @ as_matrix(cost.R) @ K
     try:
@@ -103,15 +107,16 @@ def _newton_step(P, sys: MultNoiseSystem, m: DisturbanceMoments,
 def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
     """Solve the stochastic LQR Riccati equation: value-iteration warm-up, Newton finish.
 
-    The warm-up sweeps P_{k+1} = Q + F(P_k) - H^T (R + G)^{-1} H from P_0 = 0
+    Each pass computes the greedy gain K = -(R + G(P))^{-1} H(P) of the
+    current iterate once, then either evaluates the value of K exactly (see
+    _value_of) or sweeps P <- Q + F(P) + H(P)^T K.  The sweeps from P_0 = 0
     are monotone (P_{k+1} >= P_k); a diverging trace signals that no
     mean-square stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
-    and once the sweeps meet the stopping rule, the greedy gain of P_k is
-    evaluated exactly (see _newton_step).  The first evaluation that
-    certifies its gain as mean-square stabilizing starts the Newton steps
-    K_{j+1} = gain(P_j), P_{j+1} = value(K_{j+1}), which decrease
-    monotonically to the stabilizing solution; they stop when
-    |P_{j+1} - P_j| <= TOL (1 + |P_{j+1}|), and K = gain(P) is returned.
+    and once the sweeps meet the stopping rule, K is evaluated instead.  The
+    first evaluation that certifies K as mean-square stabilizing starts the
+    Newton steps P_{j+1} = value(gain(P_j)), which decrease monotonically to
+    the stabilizing solution; they stop when |P_{j+1} - P_j| <= TOL (1 + |P_{j+1}|),
+    and the gain of the final P is returned.
 
     Controller.iterations counts sweeps plus Newton steps (the certifying
     evaluation included), and MAX_ITER bounds that total.  Divergence raises
@@ -120,58 +125,38 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     monotonicity raise NumericalFailure.
     """
     n = sys.n_x
-    Q, R = as_matrix(cost.Q), as_matrix(cost.R)
+    Q = as_matrix(cost.Q)
     P = np.zeros((n, n))
-    probe = 0
-    for k in range(MAX_ITER):
-        if k == probe:
-            probe = max(1, 2 * k)
-            P_K = _newton_step(P, sys, m, cost)
-            if P_K is not None:
-                return _newton_finish(sys, m, cost, P_K, k + 1)
-        F, G, H = fgh(sys, m, P)
-        try:
-            c, low = scipy.linalg.cho_factor(R + G)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"R + G(P) lost positive definiteness: {exc}") from exc
-        P_next = symmetrize(Q + F - H.T @ scipy.linalg.cho_solve((c, low), H))
-        if np.linalg.eigvalsh(P_next - P)[0] < -1e-8 * (1.0 + np.linalg.norm(P)):
-            raise NumericalFailure("value iteration lost monotonicity")
-        delta = np.linalg.norm(P_next - P)
-        P = P_next
-        if np.trace(P) > DIVERGENCE_TRACE:
+    k, probe, newton, converged = 0, 0, False, False
+    while True:
+        K, F, H = _gain_from(P, sys, m, cost)
+        if newton and converged:
+            return Controller(K=K, P=SymMatrix(P), method="nominal_vi", iterations=k)
+        if k >= MAX_ITER:
+            raise NumericalFailure(f"value iteration did not converge within {MAX_ITER} "
+                                   f"iterations (trace {np.trace(P):.3e})")
+        P_next = None
+        if newton or converged or k == probe:
+            probe, P_next = max(1, 2 * k), _value_of(K, sys, m, cost)
+        if P_next is None and (newton or converged):
+            raise NumericalFailure("Newton step lost the mean-square stability certificate"
+                                   if newton else "sweeps converged to an uncertified gain")
+        if P_next is not None and not newton:  # the certifying evaluation starts Newton
+            P, k, newton, converged = P_next, k + 1, True, False
+            continue
+        if P_next is None:
+            P_next = symmetrize(Q + F + H.T @ K)
+        step = P - P_next if newton else P_next - P
+        if np.linalg.eigvalsh(step)[0] < -1e-8 * (1.0 + np.linalg.norm(P)):
+            raise NumericalFailure(("Newton step" if newton else "value iteration")
+                                   + " lost monotonicity")
+        delta = np.linalg.norm(step)
+        P, k = P_next, k + 1
+        if not newton and np.trace(P) > DIVERGENCE_TRACE:
             raise NotStabilizableError(
                 "value iteration diverged: system is not mean-square stabilizable under these moments"
             )
-        if delta <= TOL * (1.0 + np.linalg.norm(P)):
-            P_K = _newton_step(P, sys, m, cost)
-            if P_K is None:
-                raise NumericalFailure("value iteration converged to a gain that is not "
-                                       "certified mean-square stabilizing")
-            return _newton_finish(sys, m, cost, P_K, k + 2)
-    raise NumericalFailure(
-        f"value iteration did not converge within {MAX_ITER} sweeps (trace {np.trace(P):.3e})"
-    )
-
-
-def _newton_finish(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
-                   P: np.ndarray, steps: int) -> Controller:
-    """Newton steps from the certified value matrix P, reached after `steps` iterations."""
-    while steps < MAX_ITER:
-        P_next = _newton_step(P, sys, m, cost)
-        steps += 1
-        if P_next is None:
-            raise NumericalFailure("Newton step lost the mean-square stability certificate")
-        if np.linalg.eigvalsh(P - P_next)[0] < -1e-8 * (1.0 + np.linalg.norm(P)):
-            raise NumericalFailure("Newton step lost monotonicity")
-        delta = np.linalg.norm(P_next - P)
-        P = P_next
-        if delta <= TOL * (1.0 + np.linalg.norm(P)):
-            K = _gain_from(P, sys, m, cost)
-            return Controller(K=K, P=SymMatrix(P), cost_kind="exact", method="nominal_vi",
-                              iterations=steps)
-    raise NumericalFailure(f"Newton steps did not converge within {MAX_ITER} iterations "
-                           f"(trace {np.trace(P):.3e})")
+        converged = delta <= TOL * (1.0 + np.linalg.norm(P))
 
 
 def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
@@ -190,8 +175,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
         raise NotStabilizableError(
             f"system not stabilizable under covariance inflated by rho_sigma = {amb.rho_sigma:.4f}"
         ) from exc
-    return Controller(K=ctrl.K, P=ctrl.P, cost_kind="exact", method="dr_covariance",
-                      iterations=ctrl.iterations)
+    return Controller(K=ctrl.K, P=ctrl.P, method="dr_covariance", iterations=ctrl.iterations)
 
 
 def save_controller(ctrl: Controller, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, SymMatrix, as_matrix, symmetrize, vec, unvec
+from .matcore import DomainError, ShapeError, SymMatrix, as_matrix, symmetrize, vec, unvec
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -79,6 +79,8 @@ def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != cl.sys.n_x:
         raise ShapeError(f"x0 has length {x0.size}, expected {cl.sys.n_x}")
+    if not np.all(np.isfinite(x0)):
+        raise DomainError(f"x0 has non-finite entries: {x0}")
     P = closed_loop_value_matrix(cl, m, cost)
     return float(x0 @ as_matrix(P) @ x0)
 

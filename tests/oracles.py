@@ -115,9 +115,8 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     if sol.status != "optimal":
         raise NumericalFailure(f"Riccati SDP solver returned status {sol.status}")
     P_val = b.extract("P", sol.y)
-    K = _gain_from(P_val, sys, m, cost)
-    return Controller(K=K, P=SymMatrix(P_val), cost_kind="exact", method="nominal_sdp",
-                      iterations=sol.iterations)
+    K, _, _ = _gain_from(P_val, sys, m, cost)
+    return Controller(K=K, P=SymMatrix(P_val), method="nominal_sdp", iterations=sol.iterations)
 
 
 def read_records_csv(path) -> list:

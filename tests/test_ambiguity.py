@@ -157,6 +157,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0}, {"beta": 1.0}, {"beta": 0.05, "eps": 0.5},
         {"beta": 0.05, "eps": 0.0}, {"beta": 0.05, "sigma2": 0.5},
+        {"beta": 0.05, "sigma2": float("inf")}, {"beta": 0.05, "sigma2": float("nan")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):

@@ -57,6 +57,12 @@ class TestBounds:
         capsys.readouterr()
         assert rc == EXIT_INVALID
 
+    @pytest.mark.parametrize("sigma2", ["inf", "nan"])
+    def test_non_finite_sigma2(self, capsys, sigma2):
+        rc = main(["bounds", "--dim", "2", "--m", "1000", "--beta", "0.05", "--sigma2", sigma2])
+        assert rc == EXIT_INVALID
+        assert "sigma2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dim, m, message", [("2", "0", "M must be at least 1"),
                                                  ("0", "1000", "n_w must be at least 1")])
     def test_empty_counts(self, capsys, dim, m, message):
@@ -268,6 +274,21 @@ class TestExperiment:
         overridden = rows("override", cfg, ["--seed", "7"])
         assert overridden == rows("carried", dict(cfg, seed=7), [])
         assert overridden != rows("default", cfg, [])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("realizations", 1.5, "realizations"), ("seed", 1.5, "seed"),
+        ("sample_sizes", [1000.7], "sample size"), ("x0", [float("nan"), 2.0], "x0"),
+    ])
+    def test_invalid_config_exit_code(self, capsys, sys6, tmp_path, field, value, message):
+        save_system(sys6, tmp_path / "sys.json")
+        cfg = {"system": "sys.json", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+               "Q": [[10.0, 0.0], [0.0, 1.0]], "R": [[0.01]], "beta": 0.05,
+               "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0], field: value}
+        cp = tmp_path / "exp.json"
+        cp.write_text(json.dumps(cfg))
+        rc = main(["experiment", "--config", str(cp), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_INVALID
+        assert message in capsys.readouterr().err
 
     def test_missing_field(self, capsys, tmp_path):
         cp = tmp_path / "exp.json"

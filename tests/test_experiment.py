@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
+from drlqr import stability
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
-                              empirical_gain_scalar, example1_analytic,
+                              _run_cell, empirical_gain_scalar, example1_analytic,
                               nominal_reference, replicate_example1,
                               run_sample_complexity, sample_gaussian,
                               scalar_mss, write_records_csv)
@@ -60,12 +61,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _cfg(sys6, moments6, cost6, x0=np.zeros(3))
 
-    def test_rejects_zero_realizations(self, sys6, moments6, cost6):
+    @pytest.mark.parametrize("field, value", [
+        ("realizations", 0), ("realizations", 1.5), ("seed", 1.5), ("sample_sizes", (1000.7,)),
+    ], ids=["zero_realizations", "fractional_realizations", "fractional_seed",
+            "fractional_sample_size"])
+    def test_rejects_bad_counts(self, sys6, moments6, cost6, field, value):
         with pytest.raises(ValueError):
-            _cfg(sys6, moments6, cost6, realizations=0)
+            _cfg(sys6, moments6, cost6, **{field: value})
+
+    def test_whole_floats_become_ints(self, sys6, moments6, cost6):
+        cfg = _cfg(sys6, moments6, cost6, realizations=2.0, seed=3.0, sample_sizes=(1000.0,))
+        assert (cfg.realizations, cfg.seed, cfg.sample_sizes) == (2, 3, (1000,))
+        assert all(type(v) is int for v in (cfg.realizations, cfg.seed, *cfg.sample_sizes))
+
+    def test_rejects_non_finite_x0(self, sys6, moments6, cost6):
+        with pytest.raises(ValueError, match="x0"):
+            _cfg(sys6, moments6, cost6, x0=np.array([np.nan, 1.0]))
 
 
 class TestSweep:
+    def test_one_spectral_radius_per_record(self, monkeypatch, sys6, moments6, cost6):
+        """Each record with a gain is scored by one closed-loop evaluation."""
+        real, calls = stability._spectral_radius, []
+
+        def counting(T):
+            calls.append(T)
+            return real(T)
+
+        monkeypatch.setattr(stability, "_spectral_radius", counting)
+        records = _run_cell(_cfg(sys6, moments6, cost6), 1.0, 1000, 0)
+        assert [r.stabilizing for r in records] == [True, True]
+        assert len(calls) == len(records)
+
     def test_records_and_scores(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6)
         records = run_sample_complexity(cfg)

@@ -52,6 +52,18 @@ class TestValueIteration:
         stable, radius = is_mss(ClosedLoop(sys=sys6, K=ctrl.K), moments6)
         assert stable and radius < 1.0
 
+    def test_one_gain_per_pass(self, monkeypatch, sys6, moments6, cost6):
+        """fgh runs once per iteration, plus once for the returned gain."""
+        real, calls = riccati.fgh, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(riccati, "fgh", counting)
+        ctrl = value_iteration(sys6, moments6, cost6)
+        assert len(calls) == ctrl.iterations + 1
+
     def test_spent_budget_is_numerical_failure(self, monkeypatch, sys6, moments6, cost6):
         """Running out of iterations says nothing about stabilizability."""
         monkeypatch.setattr(riccati, "MAX_ITER", 3)
@@ -227,5 +239,10 @@ class TestControllerIo:
     def test_controller_validation(self):
         with pytest.raises(ValueError):
             from drlqr.riccati import Controller
-            Controller(K=np.zeros((1, 1)), P=SymMatrix(np.zeros((1, 1))),
-                       cost_kind="exact", method="nominal_vi")
+            Controller(K=np.zeros((1, 1)), P=SymMatrix(np.zeros((1, 1))), method="nominal_vi")
+
+    def test_cost_kind_follows_cost_bound(self):
+        from drlqr.riccati import Controller
+        K, P = np.zeros((1, 1)), SymMatrix(np.eye(1))
+        assert Controller(K=K, P=P, method="nominal_vi").cost_kind == "exact"
+        assert Controller(K=K, P=P, method="dr_full", cost_bound=1.0).cost_kind == "upper_bound"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drlqr.matcore import SymMatrix, as_matrix, unvec, vec
+from drlqr.matcore import DomainError, SymMatrix, as_matrix, unvec, vec
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr.stability import (ClosedLoop, InstabilityError, closed_loop_cost,
                              closed_loop_value_matrix, is_mss, second_moment_operator)
@@ -208,6 +208,11 @@ class TestClosedLoopCost:
         cost = CostWeights(Q=np.eye(1), R=np.eye(1))
         with pytest.raises(InstabilityError):
             closed_loop_cost(_scalar_loop(0.0), _scalar_moments(), cost, np.array([1.0]))
+
+    def test_non_finite_x0_is_domain_error(self):
+        cost = CostWeights(Q=np.eye(1), R=np.eye(1))
+        with pytest.raises(DomainError):
+            closed_loop_cost(_scalar_loop(-0.75), _scalar_moments(), cost, np.array([np.nan]))
 
     def test_matches_monte_carlo_rollout(self):
         """Sample-average rollout cost agrees with the Lyapunov route."""

@@ -1,14 +1,15 @@
 """Dense symmetric-matrix kernel shared by the control and SDP layers.
 
 All downstream modules funnel their linear algebra through these helpers so
-that symmetry handling, PSD tolerances and vectorization conventions live in
-exactly one place.  Storage is dense; problem sizes are small (blocks of at
-most a few tens of rows).
+that symmetry handling, PSD tolerances and the half-vectorization svec live
+in exactly one place.  Storage is dense; problem sizes are small (blocks of
+at most a few tens of rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,14 +104,28 @@ def is_psd(m, tol: float = 1e-9) -> bool:
     return w[0] >= -tol * max(1.0, float(w[-1]))
 
 
-def vec(m) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return as_matrix(m).flatten(order="F")
+@lru_cache(maxsize=None)
+def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, position), built once per n and read-only: the k-th svec entry is
+    M[a, b], a <= b, with upper[k] = a n + b and position[a, b] = position[b, a] = k."""
+    rows, cols = np.triu_indices(n)
+    position = np.empty((n, n), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    upper = rows * n + cols
+    for a in (upper, position):
+        a.setflags(write=False)
+    return upper, position
 
 
-def unvec(v, rows: int) -> np.ndarray:
-    """Inverse of vec for a matrix with the given number of rows."""
+def svec(m) -> np.ndarray:
+    """Half-vectorization: the upper triangle of a square matrix, row by row."""
+    m = as_matrix(m)
+    return m.take(sym_index(m.shape[0])[0])
+
+
+def smat(v, n: int) -> np.ndarray:
+    """Inverse of svec: the symmetric n x n matrix with upper triangle v."""
     v = np.asarray(v, dtype=float).ravel()
-    if rows <= 0 or v.size % rows != 0:
-        raise ShapeError(f"cannot reshape length-{v.size} vector into {rows} rows")
-    return v.reshape((rows, v.size // rows), order="F")
+    if v.size != n * (n + 1) // 2:
+        raise ShapeError(f"cannot fill a symmetric {n}x{n} matrix from a length-{v.size} vector")
+    return v[sym_index(n)[1]]

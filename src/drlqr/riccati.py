@@ -18,10 +18,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
-from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix,
-                      symmetrize, unvec, vec)
+from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix, smat,
+                      svec, symmetrize)
 from .stability import ClosedLoop, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 from .ambiguity import MomentAmbiguity
@@ -74,34 +74,35 @@ class Controller:
 
 
 def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
-    """Greedy gain K = -(R + G(P))^{-1} H(P) of P, returned as (K, F(P), H(P))."""
+    """Greedy gain K = -(R + G(P))^{-1} H(P) of P, returned as (K, F(P), H(P)).
+
+    Calls LAPACK with the arguments scipy's cho_factor and cho_solve pass it."""
     F, G, H = fgh(sys, m, P)
-    try:
-        c, low = scipy.linalg.cho_factor(as_matrix(cost.R) + G)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"R + G(P) not positive definite: {exc}") from exc
-    return -scipy.linalg.cho_solve((c, low), H), F, H
+    c, info = dpotrf(as_matrix(cost.R) + G, lower=0, clean=0)
+    if info != 0:
+        raise NumericalFailure(f"R + G(P) not positive definite: dpotrf info {info}")
+    K = -dpotrs(c, H, lower=0)[0]
+    if not np.isfinite(K).all():  # dpotrf passes NaN through with info 0
+        raise NumericalFailure("greedy gain is not finite")
+    return K, F, H
 
 
 def _value_of(K, sys: MultNoiseSystem, m: DisturbanceMoments,
               cost: CostWeights) -> np.ndarray | None:
     """Value matrix of the gain K, or None when K is not certified.
 
-    Solves (I - T_K) vec V = vec(Q + K^T R K).  The operator L_K is positive
-    and Q + K^T R K > 0, so a solution V > 0 exists iff rho(L_K) < 1: a
-    finite V with a Cholesky factor certifies mean-square stability.
+    Solves (I - T_K) svec V = svec(Q + K^T R K) on the n(n+1)/2 svec
+    coordinates of stability.second_moment_operator.  L_K is positive and
+    Q + K^T R K > 0, so a solution V > 0 exists iff rho(L_K) < 1: a finite V
+    with a Cholesky factor (LAPACK, info 0) certifies mean-square stability.
     """
-    n = sys.n_x
     T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
     rhs = as_matrix(cost.Q) + K.T @ as_matrix(cost.R) @ K
-    try:
-        V = symmetrize(unvec(np.linalg.solve(np.eye(n * n) - T, vec(rhs)), n))
-        if not np.all(np.isfinite(V)):  # cholesky returns NaN rather than raising
-            return None
-        np.linalg.cholesky(V)
-    except np.linalg.LinAlgError:
+    v, info = dgesv(np.eye(T.shape[0]) - T, svec(rhs))[2:]
+    if info != 0 or not np.isfinite(v).all():
         return None
-    return V
+    V = smat(v, sys.n_x)
+    return V if dpotrf(V, lower=0, clean=0)[1] == 0 else None
 
 
 def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:

@@ -145,8 +145,9 @@ def solve(prob: LmiProblem) -> SdpSolution:
         F[k, at:at + b.dim, at:at + b.dim] = b.F0
         at += b.dim
     Fv = F.reshape(k + 1, m * m)
-    f_max = float(np.linalg.norm(Fv[:k], axis=1).max(initial=0.0))
-    f0, c_norm = float(np.linalg.norm(Fv[k])), float(np.linalg.norm(c))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        f_max = float(np.linalg.norm(Fv[:k], axis=1).max(initial=0.0))
+        f0, c_norm = float(np.linalg.norm(Fv[k])), float(np.linalg.norm(c))
     eye = np.eye(m)
 
     x = np.zeros(k + 1)
@@ -161,6 +162,9 @@ def solve(prob: LmiProblem) -> SdpSolution:
             lam = prob.min_eigenvalue(y)
         return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason)
 
+    if not np.isfinite(f_max + f0 + c_norm):
+        return finish("numerical_failure", 0, "the norm of F0, of an F_i or of c overflows, "
+                      "so no residual or witness test can be measured")
     for it in range(MAX_ITERS + 1):
         y, tau = x[:k], x[k]
         aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))

@@ -1,11 +1,11 @@
 """Mean-square stability certification and exact closed-loop cost evaluation.
 
 Stability of x_{k+1} = (A(w_k) + B(w_k) K) x_k is decided through the
-spectral radius of the matrix representation of the second-moment operator
-P -> Abar_cl^T (Sigma_ext x P) Abar_cl, which is exact and solver-free at
-the problem sizes handled here.  These checks hold at one moment pair; the
-distributionally robust certificate of a synthesized gain is the strict
-feasibility of the synthesis LMIs (see drsynth).
+spectral radius of the second-moment operator P -> Abar_cl^T (Sigma_ext x P)
+Abar_cl as a matrix on the n(n+1)/2 coordinates svec(P) of symmetric P, which
+is exact and solver-free at the problem sizes handled here.  These checks hold
+at one moment pair; the distributionally robust certificate of a synthesized
+gain is the strict feasibility of the synthesis LMIs (see drsynth).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DomainError, ShapeError, SymMatrix, as_matrix, symmetrize, vec, unvec
+from .matcore import (DomainError, ShapeError, SymMatrix, as_matrix, smat, svec, sym_index,
+                      symmetrize)
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -37,28 +38,28 @@ class ClosedLoop:
             raise ShapeError(f"gain has shape {K.shape}, expected ({self.sys.n_u}, {self.sys.n_x})")
         object.__setattr__(self, "K", K)
 
-    def noise_channel_matrices(self) -> list[np.ndarray]:
-        """Closed-loop channel matrices [A0 + B0 K, A1 + B1 K, ...]."""
-        mats = [self.sys.A0 + self.sys.B0 @ self.K]
-        for Ai, Bi in zip(self.sys.A, self.sys.B):
-            mats.append(Ai + Bi @ self.K)
-        return mats
-
 
 def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
-    """Matrix T acting on vec(P) for P -> Abar_cl^T (Sigma_ext x P) Abar_cl.
+    """Matrix T_s = E T D with svec(L(P)) = T_s svec(P), L(P) = Abar_cl^T (Sigma_ext x P) Abar_cl.
 
-    T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channel matrices
-    A_i, i.e. T[a n + b, c n + d] = sum_ij S_ij A_j[c, a] A_i[d, b], built as
-    one contraction over the channels.
+    On vec(P), L is T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop
+    channels A_i: T[a n + b, c n + d] = sum_ij S_ij A_j[c, a] A_i[d, b], one
+    contraction.  E keeps the rows a <= b; D adds the columns (c, d) and (d, c)
+    of symmetric P, the diagonal once.  rho(T_s) = rho(T): L commutes with
+    transposition, so T_s holds the eigenvalues of T on symmetric P, and L is a
+    positive map, so rho(T) has a PSD eigenvector (Evans & Hoegh-Krohn 1978).
     """
     if m.n_w != cl.sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={cl.sys.n_w}")
-    mats = np.stack(cl.noise_channel_matrices())
-    S_ext = as_matrix(m.extended_moment)
     n = cl.sys.n_x
-    weighted = np.einsum("ij,jca->ica", S_ext, mats)
-    return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
+    Abar0, Bbar0 = cl.sys.stacked
+    mats = (Abar0 + Bbar0 @ cl.K).reshape(-1, n, n)  # A_i + B_i K
+    upper, position = sym_index(n)
+    weighted = np.einsum("ij,jca->ica", as_matrix(m.extended_moment), mats)
+    full = np.einsum("ica,idb->abcd", weighted, mats)
+    T = (full + full.transpose(0, 1, 3, 2)).reshape(n * n, n * n)[upper][:, upper]
+    T[:, position.diagonal()] *= 0.5  # columns c = d were added to themselves: exact
+    return T
 
 
 def _spectral_radius(T: np.ndarray) -> float:
@@ -66,7 +67,7 @@ def _spectral_radius(T: np.ndarray) -> float:
 
 
 def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
-    """Mean-square stability test via the spectral radius of the operator matrix.
+    """Mean-square stability test via the spectral radius of the operator matrix T_s.
 
     Radii within TOL of 1 are reported unstable, erring on the safe side.
     """
@@ -86,12 +87,11 @@ def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x
 
 
 def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> SymMatrix:
-    """Solve P = Q + K^T R K + L(P) for the closed-loop value matrix."""
+    """Solve P = Q + K^T R K + L(P), i.e. (I - T_s) svec(P) = svec(Q + K^T R K)."""
     T = second_moment_operator(cl, m)
     radius = _spectral_radius(T)
     if not radius < 1.0 - TOL:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f}); cost is infinite")
-    n = cl.sys.n_x
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
-    P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(symmetrize(rhs))), n)
-    return SymMatrix(P)
+    v = np.linalg.solve(np.eye(T.shape[0]) - T, svec(symmetrize(rhs)))
+    return SymMatrix(smat(v, cl.sys.n_x))

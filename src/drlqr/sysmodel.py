@@ -80,11 +80,13 @@ class MultNoiseSystem:
         Bw = self.B0 + sum(wi * Bi for wi, Bi in zip(w, self.B))
         return np.asarray(Aw), np.asarray(Bw)
 
+    @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertical stacks [A0; A1; ...; A_nw] and [B0; B1; ...; B_nw]."""
-        Abar0 = np.vstack((self.A0,) + self.A)
-        Bbar0 = np.vstack((self.B0,) + self.B)
-        return Abar0, Bbar0
+        """Vertical stacks [A0; A1; ...; A_nw] and [B0; B1; ...; B_nw], built once, read-only."""
+        stacks = (np.vstack((self.A0,) + self.A), np.vstack((self.B0,) + self.B))
+        for a in stacks:
+            a.setflags(write=False)
+        return stacks
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,8 +192,10 @@ def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.
         raise ShapeError(f"P has shape {P.shape}, expected ({sys.n_x}, {sys.n_x})")
     if m.n_w != sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
-    Abar0, Bbar0 = sys.stacked()
-    middle = np.kron(as_matrix(m.extended_moment), symmetrize(P))
+    Abar0, Bbar0 = sys.stacked
+    S, P = as_matrix(m.extended_moment), symmetrize(P)
+    # kron(S, P): the same products as np.kron, without its per-call overhead
+    middle = (S[:, None, :, None] * P[None, :, None, :]).reshape(Abar0.shape[0], Abar0.shape[0])
     F = symmetrize(Abar0.T @ middle @ Abar0)
     G = symmetrize(Bbar0.T @ middle @ Bbar0)
     H = Bbar0.T @ middle @ Abar0

@@ -6,9 +6,11 @@ The library certifies a synthesized gain by the strict feasibility of its
 synthesis LMIs, which covers the whole set; this grid is an independent
 witness of that claim on finitely many moments.
 
-lyapunov_P, riccati_residual and nominal_sdp are independent routes to the
-Lyapunov and Riccati solutions; read_records_csv and median_j_rel read and
-summarize the experiment CSV.
+vec_operator is the second-moment operator on the full vectorization vec(P)
+(vec and unvec are its column-stacking convention), an independent route to
+the library's operator on svec coordinates.  lyapunov_P, riccati_residual and
+nominal_sdp are independent routes to the Lyapunov and Riccati solutions;
+read_records_csv and median_j_rel read and summarize the experiment CSV.
 """
 
 import csv
@@ -16,11 +18,10 @@ import csv
 import numpy as np
 
 from drlqr.experiment import RunRecord
-from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt, unvec, vec
+from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
-from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius, is_mss,
-                             second_moment_operator)
+from drlqr.stability import TOL, ClosedLoop, InstabilityError, _spectral_radius, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 
 
@@ -68,12 +69,46 @@ def dr_certify_mss(cl: ClosedLoop, amb, mean_grid: int = 12) -> bool:
     return True
 
 
+def vec(m) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return as_matrix(m).flatten(order="F")
+
+
+def unvec(v, rows: int) -> np.ndarray:
+    """Inverse of vec for a matrix with the given number of rows."""
+    v = np.asarray(v, dtype=float).ravel()
+    if rows <= 0 or v.size % rows != 0:
+        raise ShapeError(f"cannot reshape length-{v.size} vector into {rows} rows")
+    return v.reshape((rows, v.size // rows), order="F")
+
+
+def channel_matrices(cl: ClosedLoop) -> np.ndarray:
+    """Closed-loop channel matrices A0 + B0 K, A1 + B1 K, ..., stacked along axis 0."""
+    return np.stack([cl.sys.A0 + cl.sys.B0 @ cl.K]
+                    + [Ai + Bi @ cl.K for Ai, Bi in zip(cl.sys.A, cl.sys.B)])
+
+
+def vec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
+    """Matrix T acting on vec(P) for P -> Abar_cl^T (Sigma_ext x P) Abar_cl.
+
+    T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channel matrices
+    A_i, i.e. T[a n + b, c n + d] = sum_ij S_ij A_j[c, a] A_i[d, b], built as
+    one contraction over the channels.
+    """
+    mats = channel_matrices(cl)
+    S_ext = as_matrix(m.extended_moment)
+    n = cl.sys.n_x
+    weighted = np.einsum("ij,jca->ica", S_ext, mats)
+    return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
+
+
 def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments) -> SymMatrix:
     """Lyapunov certificate P > 0 with P - L(P) = I, via (I - T) vec(P) = vec(I).
 
-    Radii within TOL of 1 raise InstabilityError, as is_mss reports them unstable.
+    T is vec_operator.  Radii within TOL of 1 raise InstabilityError, as
+    is_mss reports them unstable.
     """
-    T = second_moment_operator(cl, m)
+    T = vec_operator(cl, m)
     radius = _spectral_radius(T)
     if not radius < 1.0 - TOL:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f})")
@@ -98,7 +133,7 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     """
     b = LmiBuilder()
     P = b.sym_var("P", sys.n_x)
-    Abar0, Bbar0 = sys.stacked()
+    Abar0, Bbar0 = sys.stacked
     S_ext = as_matrix(m.extended_moment)
     mid = kron_const(S_ext, P)
     F = Abar0.T @ mid @ Abar0

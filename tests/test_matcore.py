@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from drlqr.matcore import (DomainError, ShapeError, SymMatrix, as_matrix,
-                           is_psd, psd_sqrt, sym_eig, symmetrize, unvec, vec)
+from drlqr.matcore import (DomainError, ShapeError, SymMatrix, as_matrix, is_psd, psd_sqrt,
+                           smat, svec, sym_eig, sym_index, symmetrize)
+from oracles import unvec, vec
 
 
 class TestSymMatrix:
@@ -88,7 +89,34 @@ class TestIsPsd:
         assert is_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
+class TestSvecSmat:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_round_trip(self, n):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        m = m + m.T
+        v = svec(m)
+        assert v.shape == (n * (n + 1) // 2,)
+        assert np.array_equal(smat(v, n), m)
+        assert np.array_equal(svec(smat(v, n)), v)
+
+    def test_upper_triangle_row_by_row(self):
+        m = np.array([[1.0, 2.0, 3.0], [9.0, 4.0, 5.0], [9.0, 9.0, 6.0]])
+        assert np.array_equal(svec(m), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert np.array_equal(smat([1.0, 2.0, 3.0], 2), [[1.0, 2.0], [2.0, 3.0]])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            smat(np.zeros(5), 2)
+
+    def test_index_cached_and_read_only(self):
+        upper, position = sym_index(4)
+        assert sym_index(4)[0] is upper
+        assert not upper.flags.writeable and not position.flags.writeable
+
+
 class TestVecUnvec:
+    """vec and unvec are the test oracles' column-stacking convention."""
+
     def test_round_trip_1x1(self):
         m = np.array([[7.0]])
         assert np.array_equal(unvec(vec(m), 1), m)

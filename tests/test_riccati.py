@@ -121,6 +121,19 @@ class TestNewtonFinish:
                                       sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
         assert is_mss(ClosedLoop(sys=sys6, K=ctrl.K), inflated)[0]
 
+    def test_non_finite_gain_is_numerical_failure(self, monkeypatch, scalar_sys, scalar_cost,
+                                                  scalar_moments):
+        """LAPACK's Cholesky factorization passes a NaN in R + G(P) through with info 0."""
+        real = riccati.fgh
+
+        def nan_G(sys, m, P):
+            F, G, H = real(sys, m, P)
+            return F, np.full_like(G, np.nan), H
+
+        monkeypatch.setattr(riccati, "fgh", nan_G)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            value_iteration(scalar_sys, scalar_moments, scalar_cost)
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda T: np.full_like(T, np.nan), "certificate"),
         (lambda T: 0.5 * (np.eye(len(T)) + T), "monotonicity"),  # doubles the value matrix

@@ -146,8 +146,8 @@ class TestBadlyScaled:
         # finite optimum passes
         pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
         pytest.param(1e150, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
-        # |F0| overflows to inf, so both witness thresholds become inf and
-        # "infeasible" is returned at iteration 0
+        # |F0| overflows to inf, which is reported as a numerical failure
+        # (test_overflowing_norms_are_not_infeasible)
         pytest.param(1e160, marks=pytest.mark.xfail(strict=True, reason=BADLY_SCALED)),
     ])
     def test_large_finite_optimum(self, s):
@@ -157,6 +157,15 @@ class TestBadlyScaled:
             F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),)))
         assert sol.status == "optimal"
         assert abs(sol.objective_value + s + 1.0 / s) <= 1e-6 * s
+
+    def test_overflowing_norms_are_not_infeasible(self):
+        # the strictly feasible program of test_large_finite_optimum at s = 1e160,
+        # where |F0| and max|F_i| overflow to inf
+        s = 1e160
+        sol = solve(LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
+            F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),)))
+        assert sol.status == "numerical_failure"
+        assert "overflows" in sol.reason
 
     @pytest.mark.xfail(strict=True, reason=BADLY_SCALED)
     def test_large_offset_half_line(self):

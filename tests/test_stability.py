@@ -1,14 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drlqr.matcore import DomainError, SymMatrix, as_matrix, unvec, vec
+from drlqr.matcore import DomainError, SymMatrix, as_matrix, smat, svec
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
-from drlqr.stability import (ClosedLoop, InstabilityError, closed_loop_cost,
-                             closed_loop_value_matrix, is_mss, second_moment_operator)
+from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
+                             closed_loop_cost, closed_loop_value_matrix, is_mss,
+                             second_moment_operator)
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
-from oracles import dr_certify_mss, lyapunov_P
+from oracles import channel_matrices, dr_certify_mss, lyapunov_P, unvec, vec, vec_operator
+
+
+def _elim_dup(n):
+    """Elimination E (svec from vec) and duplication D (vec from svec) as 0/1 matrices."""
+    s = n * (n + 1) // 2
+    E = np.column_stack([svec(unvec(e, n)) for e in np.eye(n * n)])
+    D = np.column_stack([vec(smat(e, n)) for e in np.eye(s)])
+    return E, D
+
+
+def _random_plant(rng, n_x, n_u, n_w, scale=1.0):
+    sys = MultNoiseSystem(
+        A0=scale * rng.standard_normal((n_x, n_x)),
+        A=tuple(scale * rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
+        B0=scale * rng.standard_normal((n_x, n_u)),
+        B=tuple(scale * rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
+    cl = ClosedLoop(sys=sys, K=scale * rng.standard_normal((n_u, n_x)))
+    L = rng.standard_normal((n_w, n_w))
+    m = DisturbanceMoments(mu=scale * rng.standard_normal(n_w), sigma=SymMatrix(scale * L @ L.T))
+    return cl, m
 
 
 def _scalar_loop(K):
@@ -41,39 +64,62 @@ class TestSecondMomentOperator:
                               B0=np.zeros((2, 1)), B=(np.zeros((2, 1)),))
         T = second_moment_operator(ClosedLoop(sys=sys, K=np.zeros((1, 2))),
                                    DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1))))
-        assert np.allclose(T, np.kron(A0.T, A0.T))
+        E, D = _elim_dup(2)
+        assert np.allclose(T, E @ np.kron(A0.T, A0.T) @ D)
 
     def test_apply_consistency(self, sys6, moments6):
         rng = np.random.default_rng(1)
         cl = ClosedLoop(sys=sys6, K=np.array([[-2.0, -1.5]]))
         P = rng.standard_normal((2, 2))
         P = (P + P.T) / 2
-        Abar, Bbar = sys6.stacked()
+        Abar, Bbar = sys6.stacked
         Acl = Abar + Bbar @ cl.K
         S = as_matrix(moments6.extended_moment)
         direct = Acl.T @ np.kron(S, P) @ Acl
-        applied = unvec(second_moment_operator(cl, moments6) @ vec(P), 2)
+        applied = smat(second_moment_operator(cl, moments6) @ svec(P), 2)
         assert np.allclose(applied, direct, atol=1e-10)
 
     @pytest.mark.parametrize("n_x", [1, 2, 4, 8])
     def test_against_kron_double_sum(self, n_x):
-        """T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channels."""
-        rng = np.random.default_rng(n_x)
-        n_u, n_w = 2, 3
-        sys = MultNoiseSystem(
-            A0=rng.standard_normal((n_x, n_x)),
-            A=tuple(rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
-            B0=rng.standard_normal((n_x, n_u)),
-            B=tuple(rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
-        cl = ClosedLoop(sys=sys, K=rng.standard_normal((n_u, n_x)))
-        L = rng.standard_normal((n_w, n_w))
-        m = DisturbanceMoments(mu=rng.standard_normal(n_w), sigma=SymMatrix(L @ L.T))
+        """T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channels on
+        vec coordinates, and E T D on svec coordinates."""
+        cl, m = _random_plant(np.random.default_rng(n_x), n_x, n_u=2, n_w=3)
         S = as_matrix(m.extended_moment)
-        mats = cl.noise_channel_matrices()
+        mats = channel_matrices(cl)
         ref = sum(S[i, j] * np.kron(Aj.T, Ai.T)
                   for i, Ai in enumerate(mats) for j, Aj in enumerate(mats))
+        T_vec = vec_operator(cl, m)
+        assert np.linalg.norm(T_vec - ref) <= 1e-14 * np.linalg.norm(ref)
+        E, D = _elim_dup(n_x)
+        T_ref = E @ T_vec @ D
         T = second_moment_operator(cl, m)
-        assert np.linalg.norm(T - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(T - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
+
+    def test_chain_operator_shape(self):
+        """An n_x = 8 loop's operator acts on the 36 svec coordinates, not the 64 of vec."""
+        cl, m = _random_plant(np.random.default_rng(3), 8, n_u=2, n_w=2)
+        assert second_moment_operator(cl, m).shape == (36, 36)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 5), n_u=st.integers(1, 3), n_w=st.integers(1, 3),
+           scale=st.floats(0.05, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_vec_operator(self, n_x, n_u, n_w, scale, seed):
+        """The radius on svec coordinates is the radius on vec coordinates, and
+        the value matrix solved on svec coordinates is the full-vec solution."""
+        cl, m = _random_plant(np.random.default_rng(seed), n_x, n_u, n_w, scale)
+        T_vec = vec_operator(cl, m)
+        radius = _spectral_radius(second_moment_operator(cl, m))
+        radius_vec = _spectral_radius(T_vec)
+        assert abs(radius - radius_vec) <= 1e-12 * max(1.0, radius_vec)
+        cost = CostWeights(Q=np.eye(n_x), R=np.eye(n_u))
+        if not radius < 1.0 - TOL:
+            with pytest.raises(InstabilityError):
+                closed_loop_value_matrix(cl, m, cost)
+            return
+        P = as_matrix(closed_loop_value_matrix(cl, m, cost))
+        rhs = np.eye(n_x) + cl.K.T @ cl.K
+        P_vec = unvec(np.linalg.solve(np.eye(n_x * n_x) - T_vec, vec(rhs)), n_x)
+        assert np.linalg.norm(P - P_vec) <= 1e-10 * np.linalg.norm(P_vec)
 
 
 class TestIsMss:
@@ -134,7 +180,7 @@ def _lyapunov_lmi_feasible(cl, m) -> bool:
     n = cl.sys.n_x
     b = LmiBuilder()
     P = b.sym_var("P", n)
-    Abar, Bbar = cl.sys.stacked()
+    Abar, Bbar = cl.sys.stacked
     Acl = Abar + Bbar @ cl.K
     LP = Acl.T @ kron_const(as_matrix(m.extended_moment), P) @ Acl
     b.add_psd(block_expr([[P - np.eye(n)]]))
@@ -178,7 +224,7 @@ class TestLyapunovP:
                 continue
             P = as_matrix(lyapunov_P(cl, m))
             n = cl.sys.n_x
-            residual = P - unvec(second_moment_operator(cl, m) @ vec(P), n) - np.eye(n)
+            residual = P - smat(second_moment_operator(cl, m) @ svec(P), n) - np.eye(n)
             assert np.linalg.norm(residual) <= 1e-8
             found += 1
 

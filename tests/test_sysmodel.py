@@ -34,19 +34,24 @@ class TestStacked:
     def test_zero_channels(self):
         sys = MultNoiseSystem(A0=np.eye(2), A=(np.zeros((2, 2)),),
                               B0=np.ones((2, 1)), B=(np.zeros((2, 1)),))
-        Abar, Bbar = sys.stacked()
+        Abar, Bbar = sys.stacked
         assert np.allclose(Abar, np.vstack([np.eye(2), np.zeros((2, 2))]))
         assert np.allclose(Bbar, np.vstack([np.ones((2, 1)), np.zeros((2, 1))]))
 
     def test_paper_system_shape(self, sys6):
-        Abar, Bbar = sys6.stacked()
+        Abar, Bbar = sys6.stacked
         assert Abar.shape == (6, 2)
         assert Bbar.shape == (6, 1)
         assert np.allclose(Abar[:2], sys6.A0)
         assert np.allclose(Abar[2:4], sys6.A[0])
 
+    def test_built_once_read_only(self, sys6):
+        Abar, Bbar = sys6.stacked
+        assert sys6.stacked[0] is Abar and sys6.stacked[1] is Bbar
+        assert not Abar.flags.writeable and not Bbar.flags.writeable
+
     def test_scalar(self, scalar_sys):
-        Abar, Bbar = scalar_sys.stacked()
+        Abar, Bbar = scalar_sys.stacked
         assert np.allclose(Abar, [[0.75], [1.0]])
         assert np.allclose(Bbar, [[1.0], [0.0]])
 

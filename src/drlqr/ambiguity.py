@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, SymMatrix, as_matrix, symmetrize
+from .matcore import ShapeError, SymMatrix, as_matrix, require_finite, symmetrize
 
 DEFAULT_EPS = 1.0 / 30.0
 
@@ -88,12 +88,12 @@ class MomentAmbiguity:
     sigma_hat: SymMatrix
     rho_mu: float
     rho_sigma: float
-    config: AmbiguityConfig
-    M: int
     regularized: bool = False
 
     def __post_init__(self):
         mu = np.asarray(self.mu_hat, dtype=float).ravel()
+        for name, value in (("mu_hat", mu), ("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
+            require_finite(name, value)
         sigma = self.sigma_hat if isinstance(self.sigma_hat, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma_hat))
         if sigma.dim != mu.size:
             raise ShapeError(f"mu_hat has length {mu.size} but Sigma_hat is {sigma.dim}x{sigma.dim}")
@@ -200,8 +200,6 @@ def build_ambiguity(s: SampleSet, config: AmbiguityConfig, lambda_reg: float = 0
         sigma_hat=SymMatrix(sigma),
         rho_mu=rho_mu,
         rho_sigma=rho_sigma,
-        config=config,
-        M=s.M,
         regularized=regularized,
     )
 

@@ -150,13 +150,10 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
             cost=CostWeights(Q=np.asarray(raw["Q"], dtype=float),
                              R=np.asarray(raw["R"], dtype=float)),
             beta=raw["beta"],
-            eps=raw.get("eps", DEFAULT_EPS),
-            sigma2=raw.get("sigma2", 1.0),
             sample_sizes=tuple(raw["sample_sizes"]),
-            realizations=raw.get("realizations", 30),
             x0=np.asarray(raw["x0"], dtype=float),
-            seed=raw.get("seed", 0),
-            methods=tuple(raw.get("methods", ("covariance", "full"))),
+            **{key: raw[key] for key in ("eps", "sigma2", "realizations", "seed", "methods")
+               if key in raw},
         )
     except KeyError as exc:
         raise CliError(f"experiment config missing field {exc}") from exc

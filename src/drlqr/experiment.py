@@ -10,9 +10,10 @@ depend on worker count or scheduling.
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures  # loads the pool, and multiprocessing, only when a sweep uses it
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -69,10 +70,11 @@ class ExperimentConfig:
         if None in methods or not methods:
             raise ValueError(f"unknown method in {self.methods}; choose from covariance/full")
         sizes = tuple(_whole(M, "sample size") for M in self.sample_sizes)
+        if not sizes:
+            raise ValueError("sample_sizes must name at least one sample size")
         M_min = min_sample_size(self.ambiguity_config(), self.system.n_w)
-        for M in sizes:
-            if M < M_min:
-                raise ValueError(f"sample size {M} below minimum {M_min} for these parameters")
+        if min(sizes) < M_min:
+            raise ValueError(f"sample size {min(sizes)} below minimum {M_min} for these parameters")
         x0 = np.asarray(self.x0, dtype=float).ravel()
         if x0.size != self.system.n_x or not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must hold {self.system.n_x} finite numbers, got {x0}")
@@ -155,13 +157,17 @@ def run_sample_complexity(cfg: ExperimentConfig, out_csv=None, jobs: int = 1) ->
     """Full sweep over (M, realization) cells; optionally writes the CSV.
 
     Records come back sorted by (M, realization, method order), so the
-    output is identical for any worker count.
+    output is identical for any worker count.  The pool starts all its
+    workers at once, so it gets at most one per cell and per CPU.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     _, J_nom = nominal_reference(cfg)
     cells = [(M, r) for M in cfg.sample_sizes for r in range(cfg.realizations)]
     records: list[RunRecord] = []
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(_run_cell, *zip(*[(cfg, J_nom, M, r) for M, r in cells])):
                 records.extend(batch)
     else:

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+PSD_TOL = 1e-9  # relative eigenvalue slack of is_psd
+
 
 class NumericalFailure(RuntimeError):
     """An iterative numerical routine failed to converge."""
@@ -24,6 +26,12 @@ class DomainError(ValueError):
 
 class ShapeError(ValueError):
     """Dimension mismatch between operands."""
+
+
+def require_finite(name: str, a) -> None:
+    """Raise DomainError naming the input when a has a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"non-finite entries in {name}")
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -96,12 +104,10 @@ def psd_sqrt(m) -> SymMatrix:
     return SymMatrix(root)
 
 
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """Scale-aware PSD test: lambda_min >= -tol * max(1, lambda_max)."""
+def is_psd(m) -> bool:
+    """Scale-aware PSD test: lambda_min >= -PSD_TOL * max(1, lambda_max)."""
     w, _ = sym_eig(m)
-    if w.size == 0:
-        return True
-    return w[0] >= -tol * max(1.0, float(w[-1]))
+    return w.size == 0 or bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
 
 
 @lru_cache(maxsize=None)

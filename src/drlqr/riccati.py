@@ -6,10 +6,10 @@ computes the greedy gain of the current iterate once per pass: a short
 value-iteration warm-up from P_0 = 0, finished by Newton (policy-iteration)
 steps: Kleinman's iteration, extended to multiplicative noise by Damm &
 Hinrichsen (2001).  Each Newton step evaluates the greedy gain exactly,
-through one linear solve with the second-moment operator, and the steps
-converge quadratically.  The covariance-only robust controller
-is the same pipeline run with the covariance inflated to rho_sigma *
-Sigma_hat, which is worst-case exact when the mean is known.
+through stability.lyapunov_value, and the steps converge quadratically.
+The covariance-only robust controller is the same pipeline run with the
+covariance inflated to rho_sigma * Sigma_hat, which is worst-case exact when
+the mean is known.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix, smat,
-                      svec, symmetrize)
-from .stability import ClosedLoop, second_moment_operator
+from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, require_finite, symmetrize
+from .stability import ClosedLoop, lyapunov_value, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 from .ambiguity import MomentAmbiguity
 
@@ -47,6 +46,7 @@ class Controller:
 
     def __post_init__(self):
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
+        require_finite("gain K", K)
         P = self.P if isinstance(self.P, SymMatrix) else SymMatrix(np.atleast_2d(self.P))
         if np.linalg.eigvalsh(as_matrix(P))[0] <= 0:
             raise ValueError("value matrix P must be strictly positive definite")
@@ -87,32 +87,15 @@ def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights
     return K, F, H
 
 
-def _value_of(K, sys: MultNoiseSystem, m: DisturbanceMoments,
-              cost: CostWeights) -> np.ndarray | None:
-    """Value matrix of the gain K, or None when K is not certified.
-
-    Solves (I - T_K) svec V = svec(Q + K^T R K) on the n(n+1)/2 svec
-    coordinates of stability.second_moment_operator.  L_K is positive and
-    Q + K^T R K > 0, so a solution V > 0 exists iff rho(L_K) < 1: a finite V
-    with a Cholesky factor (LAPACK, info 0) certifies mean-square stability.
-    """
-    T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
-    rhs = as_matrix(cost.Q) + K.T @ as_matrix(cost.R) @ K
-    v, info = dgesv(np.eye(T.shape[0]) - T, svec(rhs))[2:]
-    if info != 0 or not np.isfinite(v).all():
-        return None
-    V = smat(v, sys.n_x)
-    return V if dpotrf(V, lower=0, clean=0)[1] == 0 else None
-
-
 def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
     """Solve the stochastic LQR Riccati equation: value-iteration warm-up, Newton finish.
 
     Each pass computes the greedy gain K = -(R + G(P))^{-1} H(P) of the
-    current iterate once, then either evaluates the value of K exactly (see
-    _value_of) or sweeps P <- Q + F(P) + H(P)^T K.  The sweeps from P_0 = 0
-    are monotone (P_{k+1} >= P_k); a diverging trace signals that no
-    mean-square stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
+    current iterate once, then either evaluates the value of K exactly, by
+    the certified solve stability.lyapunov_value, or sweeps
+    P <- Q + F(P) + H(P)^T K.  The sweeps from P_0 = 0 are monotone
+    (P_{k+1} >= P_k); a diverging trace signals that no mean-square
+    stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
     and once the sweeps meet the stopping rule, K is evaluated instead.  The
     first evaluation that certifies K as mean-square stabilizing starts the
     Newton steps P_{j+1} = value(gain(P_j)), which decrease monotonically to
@@ -126,7 +109,7 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     monotonicity raise NumericalFailure.
     """
     n = sys.n_x
-    Q = as_matrix(cost.Q)
+    Q, R = as_matrix(cost.Q), as_matrix(cost.R)
     P = np.zeros((n, n))
     k, probe, newton, converged = 0, 0, False, False
     while True:
@@ -138,7 +121,8 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
                                    f"iterations (trace {np.trace(P):.3e})")
         P_next = None
         if newton or converged or k == probe:
-            probe, P_next = max(1, 2 * k), _value_of(K, sys, m, cost)
+            T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
+            probe, P_next = max(1, 2 * k), lyapunov_value(T, Q + K.T @ R @ K)
         if P_next is None and (newton or converged):
             raise NumericalFailure("Newton step lost the mean-square stability certificate"
                                    if newton else "sweeps converged to an uncertified gain")
@@ -195,6 +179,5 @@ def load_gain(path) -> np.ndarray:
         K = np.atleast_2d(np.asarray(d["K"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed controller file: {exc!r}") from exc
-    if not np.all(np.isfinite(K)):
-        raise DomainError("gain K has non-finite entries")
+    require_finite("gain K", K)
     return K

@@ -3,9 +3,11 @@
 Stability of x_{k+1} = (A(w_k) + B(w_k) K) x_k is decided through the
 spectral radius of the second-moment operator P -> Abar_cl^T (Sigma_ext x P)
 Abar_cl as a matrix on the n(n+1)/2 coordinates svec(P) of symmetric P, which
-is exact and solver-free at the problem sizes handled here.  These checks hold
-at one moment pair; the distributionally robust certificate of a synthesized
-gain is the strict feasibility of the synthesis LMIs (see drsynth).
+is exact and solver-free at the problem sizes handled here.  lyapunov_value
+is the one certified value solve, for the cost here and riccati's Newton
+steps.  These checks hold at one moment pair; the distributionally robust
+certificate of a synthesized gain is the strict feasibility of the synthesis
+LMIs (see drsynth).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dpotrf
 
-from .matcore import (DomainError, ShapeError, SymMatrix, as_matrix, smat, svec, sym_index,
-                      symmetrize)
+from .matcore import ShapeError, SymMatrix, as_matrix, require_finite, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -36,6 +38,7 @@ class ClosedLoop:
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
         if K.shape != (self.sys.n_u, self.sys.n_x):
             raise ShapeError(f"gain has shape {K.shape}, expected ({self.sys.n_u}, {self.sys.n_x})")
+        require_finite("gain K", K)
         object.__setattr__(self, "K", K)
 
 
@@ -80,18 +83,33 @@ def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != cl.sys.n_x:
         raise ShapeError(f"x0 has length {x0.size}, expected {cl.sys.n_x}")
-    if not np.all(np.isfinite(x0)):
-        raise DomainError(f"x0 has non-finite entries: {x0}")
+    require_finite("x0", x0)
     P = closed_loop_value_matrix(cl, m, cost)
     return float(x0 @ as_matrix(P) @ x0)
 
 
+def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
+    """V with (I - T) svec V = svec C, T from second_moment_operator, or None.
+
+    L is positive and C > 0, so a solution V > 0 exists iff rho(L) < 1: a
+    finite V with a Cholesky factor (LAPACK, info 0) certifies mean-square
+    stability, and None means the solve did not certify it.
+    """
+    v, info = dgesv(np.eye(T.shape[0]) - T, svec(C))[2:]
+    if info != 0 or not np.isfinite(v).all():
+        return None
+    V = smat(v, C.shape[0])
+    return V if dpotrf(V, lower=0, clean=0)[1] == 0 else None
+
+
 def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> SymMatrix:
-    """Solve P = Q + K^T R K + L(P), i.e. (I - T_s) svec(P) = svec(Q + K^T R K)."""
+    """P = Q + K^T R K + L(P) by lyapunov_value.  InstabilityError unless the
+    radius passes is_mss's rule and the solve certifies P."""
     T = second_moment_operator(cl, m)
     radius = _spectral_radius(T)
-    if not radius < 1.0 - TOL:
-        raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f}); cost is infinite")
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
-    v = np.linalg.solve(np.eye(T.shape[0]) - T, svec(symmetrize(rhs)))
-    return SymMatrix(smat(v, cl.sys.n_x))
+    P = lyapunov_value(T, rhs) if radius < 1.0 - TOL else None
+    if P is None:
+        raise InstabilityError(f"closed loop is not certified mean-square stable "
+                               f"(radius {radius:.6f}); its cost is not certified finite")
+    return SymMatrix(P)

@@ -14,12 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import DomainError, ShapeError, SymMatrix, as_matrix, is_psd, symmetrize
-
-
-def _require_finite(name: str, a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"non-finite entries in {name}")
+from .matcore import (DomainError, ShapeError, SymMatrix, as_matrix, is_psd, require_finite,
+                      symmetrize)
 
 
 @dataclass(frozen=True)
@@ -49,11 +45,11 @@ class MultNoiseSystem:
         for i, b in enumerate(B):
             if b.shape != B0.shape:
                 raise ShapeError(f"B[{i}] has shape {b.shape}, expected {B0.shape}")
-        _require_finite("A0", A0)
-        _require_finite("B0", B0)
+        require_finite("A0", A0)
+        require_finite("B0", B0)
         for i, (a, b) in enumerate(zip(A, B)):
-            _require_finite(f"A[{i}]", a)
-            _require_finite(f"B[{i}]", b)
+            require_finite(f"A[{i}]", a)
+            require_finite(f"B[{i}]", b)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B0", B0)
@@ -140,7 +136,7 @@ class DisturbanceMoments:
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).ravel()
-        _require_finite("mu", mu)
+        require_finite("mu", mu)
         sigma = self.sigma if isinstance(self.sigma, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma))
         if sigma.dim != mu.size:
             raise ShapeError(f"mean has length {mu.size} but covariance is {sigma.dim}x{sigma.dim}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
+from drlqr.ambiguity import MomentAmbiguity
 from drlqr.matcore import SymMatrix
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
@@ -37,8 +37,6 @@ def amb6():
         sigma_hat=SymMatrix(np.eye(2)),
         rho_mu=0.046539840986736844,
         rho_sigma=3.1424255622586936,
-        config=AmbiguityConfig(beta=0.05),
-        M=1000,
     )
 
 

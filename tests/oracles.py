@@ -8,9 +8,9 @@ witness of that claim on finitely many moments.
 
 vec_operator is the second-moment operator on the full vectorization vec(P)
 (vec and unvec are its column-stacking convention), an independent route to
-the library's operator on svec coordinates.  lyapunov_P, riccati_residual and
-nominal_sdp are independent routes to the Lyapunov and Riccati solutions;
-read_records_csv and median_j_rel read and summarize the experiment CSV.
+the library's operator on svec coordinates.  vec_value, lyapunov_P,
+riccati_residual and nominal_sdp are independent routes to the Lyapunov and
+Riccati solutions; read_records_csv and median_j_rel read and summarize the experiment CSV.
 """
 
 import csv
@@ -102,19 +102,22 @@ def vec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
 
 
-def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments) -> SymMatrix:
-    """Lyapunov certificate P > 0 with P - L(P) = I, via (I - T) vec(P) = vec(I).
+def vec_value(cl: ClosedLoop, m: DisturbanceMoments, C) -> np.ndarray:
+    """Solution V of V = C + L(V) on vec coordinates: (I - T) vec(V) = vec(C), T = vec_operator."""
+    n = cl.sys.n_x
+    return unvec(np.linalg.solve(np.eye(n * n) - vec_operator(cl, m), vec(C)), n)
 
-    T is vec_operator.  Radii within TOL of 1 raise InstabilityError, as
-    is_mss reports them unstable.
+
+def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments) -> SymMatrix:
+    """Lyapunov certificate P > 0 with P - L(P) = I, by vec_value.
+
+    Radii within TOL of 1 raise InstabilityError, as is_mss reports them
+    unstable.
     """
-    T = vec_operator(cl, m)
-    radius = _spectral_radius(T)
+    radius = _spectral_radius(vec_operator(cl, m))
     if not radius < 1.0 - TOL:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f})")
-    n = cl.sys.n_x
-    P = unvec(np.linalg.solve(np.eye(n * n) - T, vec(np.eye(n))), n)
-    return SymMatrix(P)
+    return SymMatrix(vec_value(cl, m, np.eye(cl.sys.n_x)))
 
 
 def riccati_residual(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights, P) -> float:

@@ -118,8 +118,7 @@ def test_criterion_5_coverage_property():
 def test_criterion_6_zero_mean_radius_consistency(sys6, cost6):
     rho_mu, rho_sigma = ambiguity_radii(AmbiguityConfig(beta=BETA), 2, 1000)
     amb = MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)),
-                          rho_mu=0.0, rho_sigma=rho_sigma,
-                          config=AmbiguityConfig(beta=BETA), M=1000)
+                          rho_mu=0.0, rho_sigma=rho_sigma)
     full = synth_full(sys6, amb, cost6)
     cov = dr_covariance(sys6, np.zeros(2), amb, cost6)
     tr_full = float(np.trace(as_matrix(full.controller.P)))
@@ -206,8 +205,7 @@ def _random_instance(rng):
         mu_hat=rng.standard_normal(n_w) * 0.2,
         sigma_hat=SymMatrix(sigma_hat),
         rho_mu=float(rng.uniform(0.01, 0.1)),
-        rho_sigma=float(rng.uniform(1.2, 2.5)),
-        config=AmbiguityConfig(beta=BETA), M=1000)
+        rho_sigma=float(rng.uniform(1.2, 2.5)))
     cost = CostWeights(Q=np.eye(2), R=np.eye(1))
     return sys, amb, cost
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import (AmbiguityConfig, InsufficientDataError,
+from drlqr.ambiguity import (AmbiguityConfig, InsufficientDataError, MomentAmbiguity,
                              SampleSet, SampleSizeError, ambiguity_radii,
                              build_ambiguity, empirical_moments,
                              load_samples_csv, min_sample_size,
                              save_samples_csv, t_mu, t_sigma)
-from drlqr.matcore import as_matrix
+from drlqr.matcore import DomainError, SymMatrix, as_matrix
 
 BETA = 0.05
 EPS = 1.0 / 30.0
@@ -164,12 +164,21 @@ class TestConfigValidation:
             AmbiguityConfig(**kwargs)
 
 
+class TestMomentAmbiguity:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["mu_hat", "rho_mu", "rho_sigma"])
+    def test_non_finite_field_is_domain_error(self, field, bad):
+        kwargs = dict(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)), rho_mu=0.05, rho_sigma=2.0)
+        kwargs[field] = np.array([0.0, bad]) if field == "mu_hat" else bad
+        with pytest.raises(DomainError, match=field):
+            MomentAmbiguity(**kwargs)
+
+
 class TestBuildAmbiguity:
     def test_plain_path(self):
         rng = np.random.default_rng(2)
         s = SampleSet(rng.standard_normal((1000, 2)))
         amb = build_ambiguity(s, AmbiguityConfig(beta=BETA))
-        assert amb.M == 1000
         assert not amb.regularized
         assert np.isclose(amb.rho_sigma, 3.1424256, atol=1e-6)
         mu, sigma = empirical_moments(s)

@@ -278,6 +278,7 @@ class TestExperiment:
     @pytest.mark.parametrize("field, value, message", [
         ("realizations", 1.5, "realizations"), ("seed", 1.5, "seed"),
         ("sample_sizes", [1000.7], "sample size"), ("x0", [float("nan"), 2.0], "x0"),
+        ("sample_sizes", [], "sample_sizes"),
     ])
     def test_invalid_config_exit_code(self, capsys, sys6, tmp_path, field, value, message):
         save_system(sys6, tmp_path / "sys.json")
@@ -289,6 +290,19 @@ class TestExperiment:
         rc = main(["experiment", "--config", str(cp), "--out", str(tmp_path / "o.csv")])
         assert rc == EXIT_INVALID
         assert message in capsys.readouterr().err
+
+    def test_jobs_below_one_exit_code(self, capsys, sys6, tmp_path):
+        save_system(sys6, tmp_path / "sys.json")
+        cfg = {"system": "sys.json", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+               "Q": [[10.0, 0.0], [0.0, 1.0]], "R": [[0.01]], "beta": 0.05,
+               "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0]}
+        cp = tmp_path / "exp.json"
+        cp.write_text(json.dumps(cfg))
+        rc = main(["experiment", "--config", str(cp), "--out", str(tmp_path / "o.csv"),
+                   "--jobs", "0"])
+        assert rc == EXIT_INVALID
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_field(self, capsys, tmp_path):
         cp = tmp_path / "exp.json"

@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drlqr import drsynth, sdpcore
-from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
+from drlqr.ambiguity import MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, synth_full, synth_rhc
-from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
+from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix, psd_sqrt
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 from oracles import dr_certify_mss
 
-CFG = AmbiguityConfig(beta=0.05)
-
 
 def _amb(mu_hat, sigma_hat, rho_mu, rho_sigma):
     return MomentAmbiguity(mu_hat=np.asarray(mu_hat, dtype=float),
                            sigma_hat=SymMatrix(np.atleast_2d(sigma_hat)),
-                           rho_mu=rho_mu, rho_sigma=rho_sigma, config=CFG, M=1000)
+                           rho_mu=rho_mu, rho_sigma=rho_sigma)
 
 
 @pytest.fixture
@@ -154,6 +152,11 @@ class TestSynthRhc:
     def test_bad_x0_length(self, sys6, cost6, amb6_small):
         with pytest.raises(Exception):
             synth_rhc(sys6, amb6_small, cost6, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_x0_is_domain_error(self, sys6, cost6, amb6_small, bad):
+        with pytest.raises(DomainError, match="x0"):
+            synth_rhc(sys6, amb6_small, cost6, np.array([1.0, bad]))
 
 
 def _synth(method, sys, amb, cost, x0):

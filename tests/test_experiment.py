@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
-from drlqr import stability
+from drlqr.ambiguity import MomentAmbiguity
+from drlqr import experiment, stability
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               _run_cell, empirical_gain_scalar, example1_analytic,
                               nominal_reference, replicate_example1,
@@ -74,6 +74,10 @@ class TestConfigValidation:
         assert (cfg.realizations, cfg.seed, cfg.sample_sizes) == (2, 3, (1000,))
         assert all(type(v) is int for v in (cfg.realizations, cfg.seed, *cfg.sample_sizes))
 
+    def test_rejects_empty_sample_sizes(self, sys6, moments6, cost6):
+        with pytest.raises(ValueError, match="sample_sizes"):
+            _cfg(sys6, moments6, cost6, sample_sizes=())
+
     def test_rejects_non_finite_x0(self, sys6, moments6, cost6):
         with pytest.raises(ValueError, match="x0"):
             _cfg(sys6, moments6, cost6, x0=np.array([np.nan, 1.0]))
@@ -114,6 +118,39 @@ class TestSweep:
 
         assert strip_wall(p1) == strip_wall(p2)
 
+    def test_pool_bounded_by_cells(self, monkeypatch, sys6, moments6, cost6):
+        """A huge jobs value on a 2-cell sweep asks for at most 2 workers; the
+        fake pool runs the cells in this process and starts none."""
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+        cfg = _cfg(sys6, moments6, cost6)
+        serial = run_sample_complexity(cfg, jobs=1)
+        pooled = run_sample_complexity(cfg, jobs=10_000)
+        assert requested == [2]
+        strip = [(r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel) for r in serial]
+        assert strip == [(r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel)
+                         for r in pooled]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, sys6, moments6, cost6, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sample_complexity(_cfg(sys6, moments6, cost6), jobs=jobs)
+
     def test_csv_round_trip(self, sys6, moments6, cost6, tmp_path):
         cfg = _cfg(sys6, moments6, cost6)
         records = run_sample_complexity(cfg)
@@ -137,8 +174,7 @@ class TestSweep:
     def test_degenerate_radii_match_nominal(self, sys6, moments6, cost6):
         """With rho = (0, 1) and the true moments, dr_covariance is nominal."""
         amb = MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)),
-                              rho_mu=0.0, rho_sigma=1.0,
-                              config=AmbiguityConfig(beta=0.05), M=1000)
+                              rho_mu=0.0, rho_sigma=1.0)
         dr = dr_covariance(sys6, np.zeros(2), amb, cost6)
         vi = value_iteration(sys6, moments6, cost6)
         assert np.allclose(dr.K, vi.K, atol=1e-8)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
-from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix
+from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix
 from drlqr.riccati import (NotStabilizableError, dr_covariance, load_gain,
                            save_controller, value_iteration)
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
@@ -204,8 +204,7 @@ class TestDrCovariance:
     def _amb(self, sigma_hat, rho_sigma):
         return MomentAmbiguity(mu_hat=np.zeros(sigma_hat.shape[0]),
                                sigma_hat=SymMatrix(sigma_hat),
-                               rho_mu=0.0, rho_sigma=rho_sigma,
-                               config=AmbiguityConfig(beta=0.05), M=1000)
+                               rho_mu=0.0, rho_sigma=rho_sigma)
 
     def test_unit_radius_reduces_to_nominal(self, scalar_sys, scalar_cost, scalar_moments):
         amb = self._amb(0.5 * np.eye(1), 1.0)
@@ -253,6 +252,12 @@ class TestControllerIo:
         with pytest.raises(ValueError):
             from drlqr.riccati import Controller
             Controller(K=np.zeros((1, 1)), P=SymMatrix(np.zeros((1, 1))), method="nominal_vi")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gain_is_domain_error(self, bad):
+        from drlqr.riccati import Controller
+        with pytest.raises(DomainError, match="gain K"):
+            Controller(K=np.array([[0.0, bad]]), P=SymMatrix(np.eye(2)), method="nominal_vi")
 
     def test_cost_kind_follows_cost_bound(self):
         from drlqr.riccati import Controller

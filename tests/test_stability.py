@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from drlqr.matcore import DomainError, SymMatrix, as_matrix, smat, svec
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
+from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
                              closed_loop_cost, closed_loop_value_matrix, is_mss,
-                             second_moment_operator)
-from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity
+                             lyapunov_value, second_moment_operator)
+from drlqr.ambiguity import MomentAmbiguity
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
-from oracles import channel_matrices, dr_certify_mss, lyapunov_P, unvec, vec, vec_operator
+from oracles import (channel_matrices, dr_certify_mss, lyapunov_P, unvec, vec, vec_operator,
+                     vec_value)
 
 
 def _elim_dup(n):
@@ -120,6 +122,38 @@ class TestSecondMomentOperator:
         rhs = np.eye(n_x) + cl.K.T @ cl.K
         P_vec = unvec(np.linalg.solve(np.eye(n_x * n_x) - T_vec, vec(rhs)), n_x)
         assert np.linalg.norm(P - P_vec) <= 1e-10 * np.linalg.norm(P_vec)
+
+
+class TestLyapunovValue:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 4), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
+           scale=st.floats(0.05, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_certified_iff_stable(self, n_x, n_u, n_w, scale, seed):
+        """Away from radius 1 the solve is certified exactly when the loop is
+        MSS, and then it is the solution on vec coordinates."""
+        rng = np.random.default_rng(seed)
+        cl, m = _random_plant(rng, n_x, n_u, n_w, scale)
+        G = rng.standard_normal((n_x, n_x))
+        Q = G @ G.T + 0.1 * np.eye(n_x)
+        C = Q + cl.K.T @ cl.K  # R = I
+        T = second_moment_operator(cl, m)
+        radius = _spectral_radius(T)
+        if abs(radius - 1.0) <= 1e-6:
+            return
+        V = lyapunov_value(T, C)
+        assert (V is not None) == (radius < 1.0)
+        if V is not None:
+            V_vec = vec_value(cl, m, C)
+            assert np.linalg.norm(V - V_vec) <= 1e-10 * np.linalg.norm(V_vec)
+
+    def test_uncertified_solve_raises(self, monkeypatch, sys6, moments6, cost6):
+        """A radius that passes with a solve that does not certify is an error,
+        never a value matrix."""
+        cl = ClosedLoop(sys=sys6, K=np.array([[-18.0, -8.0]]))
+        assert is_mss(cl, moments6)[0]
+        monkeypatch.setattr(stability, "lyapunov_value", lambda T, C: None)
+        with pytest.raises(InstabilityError, match="not certified"):
+            closed_loop_value_matrix(cl, moments6, cost6)
 
 
 class TestIsMss:
@@ -233,6 +267,13 @@ class TestLyapunovP:
             lyapunov_P(_scalar_loop(0.0), _scalar_moments())
 
 
+class TestClosedLoop:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gain_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="gain K"):
+            _scalar_loop(bad)
+
+
 class TestClosedLoopCost:
     def test_one_step_decay(self):
         sys = MultNoiseSystem(A0=np.zeros((2, 2)), A=(np.zeros((2, 2)),),
@@ -285,8 +326,7 @@ class TestClosedLoopCost:
 class TestDrCertify:
     def test_degenerate_reduces_to_is_mss(self, sys6, moments6):
         amb = MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)),
-                              rho_mu=0.0, rho_sigma=1.0,
-                              config=AmbiguityConfig(beta=0.05), M=1000)
+                              rho_mu=0.0, rho_sigma=1.0)
         K_good = np.array([[-18.0, -8.0]])
         K_bad = np.zeros((1, 2))
         assert dr_certify_mss(ClosedLoop(sys=sys6, K=K_good), amb) == \
@@ -297,8 +337,7 @@ class TestDrCertify:
     def test_inflated_variance_refutes_all_gains(self, scalar_sys):
         # rho_sigma * sigma_hat^2 >= 1 makes (0.75+K)^2 + rho*s2 < 1 unsatisfiable
         amb = MomentAmbiguity(mu_hat=np.zeros(1), sigma_hat=SymMatrix(0.5 * np.eye(1)),
-                              rho_mu=0.0, rho_sigma=2.2,
-                              config=AmbiguityConfig(beta=0.05), M=1000)
+                              rho_mu=0.0, rho_sigma=2.2)
         for K in np.linspace(-2.5, 1.0, 29):
             cl = ClosedLoop(sys=scalar_sys, K=np.array([[K]]))
             assert not dr_certify_mss(cl, amb)

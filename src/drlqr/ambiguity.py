@@ -92,7 +92,8 @@ class MomentAmbiguity:
 
     def __post_init__(self):
         mu = np.asarray(self.mu_hat, dtype=float).ravel()
-        for name, value in (("mu_hat", mu), ("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
+        for name, value in (("mu_hat", mu), ("sigma_hat", as_matrix(self.sigma_hat)),
+                            ("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
             require_finite(name, value)
         sigma = self.sigma_hat if isinstance(self.sigma_hat, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma_hat))
         if sigma.dim != mu.size:

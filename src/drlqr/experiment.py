@@ -141,7 +141,7 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int) -> 
         wall_ms = (time.perf_counter() - start) * 1000.0
         stabilizing, J, J_rel = False, float("inf"), float("inf")
         if K is not None:
-            try:  # raises on the same radius < 1 - TOL rule as is_mss
+            try:  # raises unless two solves certify radius < 1 - TOL, is_mss's rule
                 J = closed_loop_cost(ClosedLoop(sys=cfg.system, K=K), cfg.true_moments,
                                      cfg.cost, cfg.x0)
                 stabilizing, J_rel = True, (J - J_nom) / J_nom

@@ -1,12 +1,12 @@
 """Nominal stochastic LQR and the covariance-only robust variant.
 
 The nominal problem is the generalized Riccati equation
-P = Q + F(P) - H(P)^T (R + G(P))^{-1} H(P).  It is solved by one loop that
-computes the greedy gain of the current iterate once per pass: a short
-value-iteration warm-up from P_0 = 0, finished by Newton (policy-iteration)
-steps: Kleinman's iteration, extended to multiplicative noise by Damm &
-Hinrichsen (2001).  Each Newton step evaluates the greedy gain exactly,
-through stability.lyapunov_value, and the steps converge quadratically.
+P = Q + F(P) - H(P)^T (R + G(P))^{-1} H(P).  It is solved by Newton
+(policy-iteration) steps, Kleinman's iteration extended to multiplicative
+noise by Damm & Hinrichsen (2001), from the certainty-equivalent gain (the
+noise-free optimum at the mean) when its value is certified, else after a
+value-iteration warm-up from P_0 = 0.  Each Newton step evaluates the greedy
+gain exactly by stability.lyapunov_value; the steps converge quadratically.
 The covariance-only robust controller is the same pipeline run with the
 covariance inflated to rho_sigma * Sigma_hat, which is worst-case exact when
 the mean is known.
@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
 from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, require_finite, symmetrize
 from .stability import ClosedLoop, lyapunov_value, second_moment_operator
@@ -87,31 +87,57 @@ def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights
     return K, F, H
 
 
+def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
+    """Certainty-equivalent gain: the optimal gain of the noise-free Riccati
+    equation at A, B = sys.eval_AB(m.mu), by structure-preserving doubling
+    (Anderson 1978; Chu, Fan, Lin & Wang 2004), or None if the doubling fails.
+    Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages."""
+    A, B = sys.eval_AB(m.mu)
+    n, H = sys.n_x, as_matrix(cost.Q)
+    G = B @ np.linalg.solve(as_matrix(cost.R), B.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(18):
+            X, info = dgesv(np.eye(n) + G @ H, np.hstack((A, G)))[2:]
+            dH = A.T @ H @ X[:, :n]
+            H, G, A = H + dH, G + A @ X[:, n:] @ A.T, A @ X[:, :n]
+            if info != 0 or not all(np.isfinite(a).all() for a in (H, G, A)):
+                return None
+            if np.abs(dH).max() <= TOL * np.abs(H).max():  # the 2-norm could overflow
+                mean = DisturbanceMoments(mu=m.mu, sigma=0.0 * as_matrix(m.sigma))
+                return _gain_from(symmetrize(H), sys, mean, cost)[0]
+    return None
+
+
 def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
-    """Solve the stochastic LQR Riccati equation: value-iteration warm-up, Newton finish.
+    """Solve the stochastic LQR Riccati equation by Newton steps from a certified gain.
 
     Each pass computes the greedy gain K = -(R + G(P))^{-1} H(P) of the
     current iterate once, then either evaluates the value of K exactly, by
     the certified solve stability.lyapunov_value, or sweeps
-    P <- Q + F(P) + H(P)^T K.  The sweeps from P_0 = 0 are monotone
-    (P_{k+1} >= P_k); a diverging trace signals that no mean-square
-    stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
+    P <- Q + F(P) + H(P)^T K.  When lyapunov_value certifies the
+    certainty-equivalent gain (_ce_gain), its value is the first iterate and
+    the Newton steps start at once.  Otherwise the sweeps run from P_0 = 0;
+    they are monotone (P_{k+1} >= P_k), and a diverging trace signals that no
+    mean-square stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
     and once the sweeps meet the stopping rule, K is evaluated instead.  The
     first evaluation that certifies K as mean-square stabilizing starts the
     Newton steps P_{j+1} = value(gain(P_j)), which decrease monotonically to
     the stabilizing solution; they stop when |P_{j+1} - P_j| <= TOL (1 + |P_{j+1}|),
     and the gain of the final P is returned.
 
-    Controller.iterations counts sweeps plus Newton steps (the certifying
-    evaluation included), and MAX_ITER bounds that total.  Divergence raises
-    NotStabilizableError; a spent budget, sweeps that converge to an
-    uncertified gain, or a Newton step that loses its certificate or
-    monotonicity raise NumericalFailure.
+    Controller.iterations counts sweeps plus Newton steps, the certifying
+    evaluation (of a certified start too) included, and MAX_ITER bounds that
+    total.  Divergence raises NotStabilizableError; a spent budget, sweeps that
+    converge to an uncertified gain, or a Newton step that loses its
+    certificate or monotonicity raise NumericalFailure.
     """
     n = sys.n_x
     Q, R = as_matrix(cost.Q), as_matrix(cost.R)
-    P = np.zeros((n, n))
-    k, probe, newton, converged = 0, 0, False, False
+    K = _ce_gain(sys, m, cost)
+    P = None if K is None else lyapunov_value(
+        second_moment_operator(ClosedLoop(sys=sys, K=K), m), Q + K.T @ R @ K)
+    newton = P is not None  # a certified start needs no warm-up
+    P, k, probe, converged = P if newton else np.zeros((n, n)), int(newton), 0, False
     while True:
         K, F, H = _gain_from(P, sys, m, cost)
         if newton and converged:

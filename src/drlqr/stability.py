@@ -2,12 +2,11 @@
 
 Stability of x_{k+1} = (A(w_k) + B(w_k) K) x_k is decided through the
 spectral radius of the second-moment operator P -> Abar_cl^T (Sigma_ext x P)
-Abar_cl as a matrix on the n(n+1)/2 coordinates svec(P) of symmetric P, which
-is exact and solver-free at the problem sizes handled here.  lyapunov_value
-is the one certified value solve, for the cost here and riccati's Newton
-steps.  These checks hold at one moment pair; the distributionally robust
-certificate of a synthesized gain is the strict feasibility of the synthesis
-LMIs (see drsynth).
+Abar_cl as a matrix on the n(n+1)/2 coordinates svec(P) of symmetric P.
+lyapunov_value is the one certified value solve, for riccati's Newton steps
+and for the cost, which two such solves certify without the radius.  These
+checks hold at one moment pair; the distributionally robust certificate of a
+synthesized gain is the strict feasibility of the synthesis LMIs (see drsynth).
 """
 
 from __future__ import annotations
@@ -104,12 +103,12 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
 
 def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> SymMatrix:
     """P = Q + K^T R K + L(P) by lyapunov_value.  InstabilityError unless the
-    radius passes is_mss's rule and the solve certifies P."""
+    solve on T / (1 - TOL) certifies rho(T) < 1 - TOL, is_mss's rule, without an
+    eigensolver; the radius is computed only for the error message."""
     T = second_moment_operator(cl, m)
-    radius = _spectral_radius(T)
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
-    P = lyapunov_value(T, rhs) if radius < 1.0 - TOL else None
+    P = lyapunov_value(T, rhs) if lyapunov_value(T / (1.0 - TOL), rhs) is not None else None
     if P is None:
         raise InstabilityError(f"closed loop is not certified mean-square stable "
-                               f"(radius {radius:.6f}); its cost is not certified finite")
+                               f"(radius {_spectral_radius(T):.6f}); its cost is not certified finite")
     return SymMatrix(P)

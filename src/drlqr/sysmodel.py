@@ -137,6 +137,7 @@ class DisturbanceMoments:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).ravel()
         require_finite("mu", mu)
+        require_finite("sigma", as_matrix(self.sigma))
         sigma = self.sigma if isinstance(self.sigma, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma))
         if sigma.dim != mu.size:
             raise ShapeError(f"mean has length {mu.size} but covariance is {sigma.dim}x{sigma.dim}")
@@ -166,14 +167,14 @@ class CostWeights:
     R: SymMatrix
 
     def __post_init__(self):
-        Q = self.Q if isinstance(self.Q, SymMatrix) else SymMatrix(np.atleast_2d(self.Q))
-        R = self.R if isinstance(self.R, SymMatrix) else SymMatrix(np.atleast_2d(self.R))
-        for name, m in (("Q", Q), ("R", R)):
+        for name in ("Q", "R"):
+            m = getattr(self, name)
+            require_finite(name, as_matrix(m))
+            m = m if isinstance(m, SymMatrix) else SymMatrix(np.atleast_2d(m))
             w = np.linalg.eigvalsh(as_matrix(m))
             if w[0] <= 0:
                 raise ValueError(f"{name} must be strictly positive definite (lambda_min = {w[0]:.3e})")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
+            object.__setattr__(self, name, m)
 
 
 def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

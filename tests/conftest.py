@@ -1,3 +1,8 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,3 +70,13 @@ def scalar_p_star(q: float = 1.0, r: float = 1.0e4, s2: float = 0.5) -> float:
     """Positive root of (s2 - 1) p^2 + (q + (s2 - 0.4375) r) p + q r = 0."""
     lin = q + (s2 - 0.4375) * r
     return (lin + np.sqrt(lin * lin + 4.0 * (1.0 - s2) * q * r)) / (2.0 * (1.0 - s2))
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's workloads module, perfbench/workloads.py, imported as is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

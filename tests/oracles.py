@@ -10,12 +10,14 @@ vec_operator is the second-moment operator on the full vectorization vec(P)
 (vec and unvec are its column-stacking convention), an independent route to
 the library's operator on svec coordinates.  vec_value, lyapunov_P,
 riccati_residual and nominal_sdp are independent routes to the Lyapunov and
-Riccati solutions; read_records_csv and median_j_rel read and summarize the experiment CSV.
+Riccati solutions, and dare_gain to the noise-free optimal gain;
+read_records_csv and median_j_rel read and summarize the experiment CSV.
 """
 
 import csv
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from drlqr.experiment import RunRecord
 from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt
@@ -126,6 +128,13 @@ def riccati_residual(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeig
     F, G, H = fgh(sys, m, P)
     rhs = as_matrix(cost.Q) + F - H.T @ np.linalg.solve(as_matrix(cost.R) + G, H)
     return float(np.linalg.norm(P - rhs))
+
+
+def dare_gain(A, B, Q, R) -> np.ndarray:
+    """Optimal gain K = -(R + B^T P B)^{-1} B^T P A of the discrete algebraic
+    Riccati equation, P from scipy's solve_discrete_are."""
+    P = solve_discrete_are(A, B, Q, R)
+    return -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
 
 
 def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:

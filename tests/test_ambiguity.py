@@ -173,6 +173,12 @@ class TestMomentAmbiguity:
         with pytest.raises(DomainError, match=field):
             MomentAmbiguity(**kwargs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sigma_hat_is_named(self, bad):
+        with pytest.raises(DomainError, match="non-finite entries in sigma_hat$"):
+            MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=[[1.0, 0.0], [0.0, bad]],
+                            rho_mu=0.05, rho_sigma=2.0)
+
 
 class TestBuildAmbiguity:
     def test_plain_path(self):

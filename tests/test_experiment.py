@@ -84,18 +84,24 @@ class TestConfigValidation:
 
 
 class TestSweep:
-    def test_one_spectral_radius_per_record(self, monkeypatch, sys6, moments6, cost6):
-        """Each record with a gain is scored by one closed-loop evaluation."""
-        real, calls = stability._spectral_radius, []
+    def test_one_closed_loop_evaluation_per_record(self, monkeypatch, sys6, moments6, cost6):
+        """Each record with a gain is scored by one closed-loop evaluation, and a
+        stabilizing record's cost is certified without an eigensolver."""
+        calls = {"operator": 0, "radius": 0}
 
-        def counting(T):
-            calls.append(T)
-            return real(T)
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(stability, "_spectral_radius", counting)
+        monkeypatch.setattr(stability, "second_moment_operator",
+                            counting("operator", stability.second_moment_operator))
+        monkeypatch.setattr(stability, "_spectral_radius",
+                            counting("radius", stability._spectral_radius))
         records = _run_cell(_cfg(sys6, moments6, cost6), 1.0, 1000, 0)
         assert [r.stabilizing for r in records] == [True, True]
-        assert len(calls) == len(records)
+        assert calls == {"operator": len(records), "radius": 0}
 
     def test_records_and_scores(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -7,13 +9,13 @@ from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
 from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix
-from drlqr.riccati import (NotStabilizableError, dr_covariance, load_gain,
+from drlqr.riccati import (NotStabilizableError, _ce_gain, dr_covariance, load_gain,
                            save_controller, value_iteration)
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
-from conftest import TS, scalar_p_star
-from oracles import nominal_sdp, riccati_residual
+from conftest import TS, bench_workloads, scalar_p_star
+from oracles import dare_gain, nominal_sdp, riccati_residual
 
 
 class TestValueIteration:
@@ -139,8 +141,8 @@ class TestNewtonFinish:
         (lambda T: 0.5 * (np.eye(len(T)) + T), "monotonicity"),  # doubles the value matrix
     ], ids=["non_finite", "not_monotone"])
     def test_guards(self, monkeypatch, scalar_sys, scalar_cost, corrupt, message):
-        """The open loop is MSS at variance 0.25, so the probe before the first
-        sweep certifies K = 0; the operator is corrupted from the next step on."""
+        """The certainty-equivalent gain is MSS at variance 0.25, so its evaluation
+        certifies it; the operator is corrupted from the next step on."""
         real, calls = riccati.second_moment_operator, []
 
         def faulty(cl, m):
@@ -175,6 +177,90 @@ class TestNewtonFinish:
         L = rng.standard_normal((n_x, n_x))
         cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=np.eye(n_u))
         _assert_exact_solution(sys, m, cost, value_iteration(sys, m, cost))
+
+
+def _roadmap_chain(n: int) -> MultNoiseSystem:
+    """A0 = I + TS shift, noise on the last state and on the input: lightly
+    stabilizable, so sweeps from P = 0 take hundreds of iterations at n >= 10."""
+    A1 = np.zeros((n, n))
+    A1[-1, -1] = -TS
+    B0 = np.zeros((n, 1))
+    B0[-1, 0] = TS
+    return MultNoiseSystem(A0=np.eye(n) + TS * np.eye(n, k=1), A=(A1, np.zeros((n, n))),
+                           B0=B0, B=(np.zeros((n, 1)), B0))
+
+
+def _chain_workload_case(index: int = 0):
+    """The riccati-chain benchmark's dr_covariance solve of op index at seed 0."""
+    w = bench_workloads().RiccatiChain(0)
+    sys, samples = w.make_input(index).data
+    amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+    inflated = DisturbanceMoments(mu=amb.mu_hat,
+                                  sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+    return sys, inflated, w.cost
+
+
+class TestCertaintyEquivalentStart:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 4), n_u=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dare(self, n_x, n_u, seed):
+        """At zero covariance the doubling solve gives the DARE gain at A(mu), B(mu);
+        A(mu) = Acl - B(mu) K0 with a stable Acl, so the mean pair is stabilizable."""
+        rng = np.random.default_rng(seed)
+        n_u = min(n_u, n_x)
+        Acl = rng.standard_normal((n_x, n_x))
+        Acl *= 0.9 / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
+        A1, B1 = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_x, n_u))
+        B, mu = rng.standard_normal((n_x, n_u)), 0.3 * rng.standard_normal(1)
+        A = Acl - B @ rng.standard_normal((n_u, n_x))
+        sys = MultNoiseSystem(A0=A - mu[0] * A1, A=(A1,), B0=B - mu[0] * B1, B=(B1,))
+        L, N = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_u, n_u))
+        Q, R = L @ L.T + 0.1 * np.eye(n_x), N @ N.T + 0.1 * np.eye(n_u)
+        m = DisturbanceMoments(mu=mu, sigma=np.zeros((1, 1)))
+        K, K_ref = _ce_gain(sys, m, CostWeights(Q=Q, R=R)), dare_gain(*sys.eval_AB(mu), Q, R)
+        assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
+    @pytest.mark.parametrize("case", ["sys6", "chain8", "riccati_chain"])
+    def test_same_solution_as_sweeps_from_zero(self, monkeypatch, case, sys6, moments6, cost6):
+        sys, m, cost = {
+            "sys6": lambda: (sys6, moments6, cost6),
+            "chain8": lambda: (_chain8(), moments6, CostWeights(Q=np.eye(8), R=np.eye(2))),
+            "riccati_chain": _chain_workload_case,
+        }[case]()
+        ce = value_iteration(sys, m, cost)
+        monkeypatch.setattr(riccati, "_ce_gain", lambda *args: None)
+        swept = value_iteration(sys, m, cost)
+        assert ce.iterations < swept.iterations
+        assert np.linalg.norm(ce.K - swept.K) <= 1e-12 * np.linalg.norm(swept.K)
+        P, P_swept = as_matrix(ce.P), as_matrix(swept.P)
+        assert np.linalg.norm(P - P_swept) <= 1e-12 * np.linalg.norm(P_swept)
+
+    def test_riccati_chain_in_four_iterations(self):
+        """From P = 0 (_ce_gain patched to None) these 30 solves take 10 or 11."""
+        for index in range(30):
+            assert value_iteration(*_chain_workload_case(index)).iterations <= 4
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_roadmap_chain(self, n, amb6):
+        """From P = 0 the solve takes 25, 516, 517 and 519 iterations here.  The value
+        solve loses about a digit per two states (tr P = 4e7 at n = 14, radius
+        0.992), so P is held to the stopping rule's 1e-10, not 1e-12; sweeps
+        from P = 0 miss 1e-12 at n = 14 too (7.5e-12)."""
+        sys, cost = _roadmap_chain(n), CostWeights(Q=np.eye(n), R=0.01 * np.eye(1))
+        ctrl = dr_covariance(sys, amb6.mu_hat, amb6, cost)
+        inflated = DisturbanceMoments(mu=amb6.mu_hat,
+                                      sigma=SymMatrix(amb6.rho_sigma * as_matrix(amb6.sigma_hat)))
+        _assert_exact_solution(sys, inflated, cost, ctrl, rtol=1e-10)
+        assert ctrl.iterations <= 8
+
+    def test_not_stabilizable_mean_pair_is_none(self):
+        """A = 2, B = 0: the doubling overflows, which gives None and no warning."""
+        sys = MultNoiseSystem(A0=np.array([[2.0]]), A=(np.zeros((1, 1)),),
+                              B0=np.zeros((1, 1)), B=(np.zeros((1, 1)),))
+        m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ce_gain(sys, m, CostWeights(Q=np.eye(1), R=np.eye(1))) is None
 
 
 class TestNominalSdp:

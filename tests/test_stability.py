@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drlqr.matcore import DomainError, SymMatrix, as_matrix, smat, svec
+from drlqr.matcore import DomainError, SymMatrix, as_matrix, is_psd, smat, svec
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
@@ -145,6 +147,27 @@ class TestLyapunovValue:
         if V is not None:
             V_vec = vec_value(cl, m, C)
             assert np.linalg.norm(V - V_vec) <= 1e-10 * np.linalg.norm(V_vec)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 4), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
+           target=st.floats(0.9, 1.1), seed=st.integers(0, 2**32 - 1))
+    def test_cost_certificate_follows_is_mss(self, n_x, n_u, n_w, target, seed):
+        """Away from the threshold 1 - TOL, the cost is certified exactly when
+        is_mss calls the loop stable; otherwise the error gives the radius.  The
+        plant is scaled by c so that the radius, quadratic in c, is near 1."""
+        cl, m = _random_plant(np.random.default_rng(seed), n_x, n_u, n_w)
+        c = np.sqrt(target / is_mss(cl, m)[1])
+        sys = MultNoiseSystem(A0=c * cl.sys.A0, A=tuple(c * a for a in cl.sys.A),
+                              B0=c * cl.sys.B0, B=tuple(c * b for b in cl.sys.B))
+        cl = ClosedLoop(sys=sys, K=cl.K)
+        stable, radius = is_mss(cl, m)
+        assume(abs(radius - (1.0 - TOL)) > 1e-6)
+        cost = CostWeights(Q=np.eye(n_x), R=np.eye(n_u))
+        if stable:
+            assert is_psd(closed_loop_value_matrix(cl, m, cost))
+        else:
+            with pytest.raises(InstabilityError, match=re.escape(f"radius {radius:.6f}")):
+                closed_loop_value_matrix(cl, m, cost)
 
     def test_uncertified_solve_raises(self, monkeypatch, sys6, moments6, cost6):
         """A radius that passes with a solve that does not certify is an error,

@@ -185,6 +185,20 @@ class TestNonFinite:
         with pytest.raises(DomainError):
             DisturbanceMoments(mu=np.array([0.0, bad]), sigma=SymMatrix(np.eye(2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_moments_name_covariance(self, bad):
+        with pytest.raises(DomainError, match="non-finite entries in sigma$"):
+            DisturbanceMoments(mu=np.zeros(2), sigma=[[1.0, 0.0], [0.0, bad]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["Q", "R"])
+    def test_cost_weights_name_field(self, field, bad):
+        kwargs = {"Q": np.eye(2), "R": np.eye(1)}
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][-1, -1] = bad
+        with pytest.raises(DomainError, match=f"non-finite entries in {field}$"):
+            CostWeights(**kwargs)
+
     def test_json_keeps_domain_error(self, sys6, tmp_path):
         d = sys6.to_json_dict()
         d["B0"][1][0] = float("nan")

@@ -23,7 +23,7 @@ import numpy as np
 from .ambiguity import MomentAmbiguity
 from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt, require_finite
 from .riccati import Controller
-from .sdpcore import LmiBuilder, block_expr, kron_const, solve, zeros
+from .sdpcore import LmiBuilder, SdpSolution, block_expr, kron_const, solve, zeros
 from .sysmodel import CostWeights, MultNoiseSystem
 
 
@@ -34,9 +34,11 @@ class DrSynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Synthesized robust controller; its cost bound is controller.cost_bound."""
+    """Synthesized robust controller; its cost bound is controller.cost_bound.
+    solution is the synthesis SDP's, from which synth_full can warm-start."""
 
     controller: Controller
+    solution: SdpSolution
 
     @property
     def cost_bound(self) -> float:
@@ -107,7 +109,8 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     return b
 
 
-def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> SynthesisResult:
+def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None,
+                start: SynthesisResult | None = None) -> SynthesisResult:
     """Solve the synthesis SDP and read the certified controller off it.
 
     The cost bound is tr(W^{-1}), or the scalar variable bound_var when the
@@ -117,7 +120,7 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> Syn
     stability.  An "optimal" point whose smallest LMI block eigenvalue is not
     positive certifies nothing and raises NumericalFailure.
     """
-    sol = solve(b.build())
+    sol = solve(b.build(), start=None if start is None else start.solution)
     if sol.status == "infeasible":
         raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system "
                                f"({sol.reason})")
@@ -136,21 +139,24 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None) -> Syn
         bound = float(b.extract(bound_var, sol.y)[0, 0])
     ctrl = Controller(K=K, P=P_hat, method=method, iterations=sol.iterations,
                       cost_bound=bound)
-    return SynthesisResult(controller=ctrl)
+    return SynthesisResult(controller=ctrl, solution=sol)
 
 
-def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> SynthesisResult:
+def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
+               start: SynthesisResult | None = None) -> SynthesisResult:
     """Full-uncertainty robust controller with cost bound tr(W^{-1}).
 
     The bound is the expected closed-loop cost for a random initial state
     with identity second moment, valid for every distribution in the
     ambiguity set.  The gain is certified robustly mean-square stabilizing
     by the strict feasibility of the synthesis LMIs; a returned point that is
-    not strictly feasible raises NumericalFailure.
+    not strictly feasible raises NumericalFailure.  start, an earlier result
+    for the same system and cost, warm-starts the solve (sdpcore.solve); the
+    verdict and the certificate do not depend on it.
     """
     b = _thm6_builder(sys, amb, cost)
     b.minimize(-b.var("W").trace())
-    return _synthesize(b, "dr_full")
+    return _synthesize(b, "dr_full", start=start)
 
 
 def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:

@@ -69,6 +69,8 @@ class ExperimentConfig:
         methods = tuple(METHOD_ALIASES.get(m, None) for m in self.methods)
         if None in methods or not methods:
             raise ValueError(f"unknown method in {self.methods}; choose from covariance/full")
+        if len(set(methods)) < len(methods):
+            raise ValueError(f"a method is named twice in {self.methods}")
         sizes = tuple(_whole(M, "sample size") for M in self.sample_sizes)
         if not sizes:
             raise ValueError("sample_sizes must name at least one sample size")
@@ -123,22 +125,25 @@ def nominal_reference(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
     return ctrl.K, closed_loop_cost(cl, cfg.true_moments, cfg.cost, cfg.x0)
 
 
-def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int) -> list:
-    records = []
+def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int,
+              start: drsynth.SynthesisResult | None = None) -> tuple[list, drsynth.SynthesisResult | None]:
+    """The cell's records, and its dr_full synthesis (None without a gain)."""
+    records, full = [], None
     stream = _cell_stream(cfg.seed, M, realization)
     samples = sample_gaussian(cfg.true_moments, M, stream)
     amb = build_ambiguity(samples, cfg.ambiguity_config(), lambda_reg=LAMBDA_REG)
     for method in cfg.methods:
-        start = time.perf_counter()
+        t0 = time.perf_counter()
         K = None
         try:
             if method == "dr_covariance":
                 K = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost).K
             else:
-                K = drsynth.synth_full(cfg.system, amb, cfg.cost).controller.K
+                full = drsynth.synth_full(cfg.system, amb, cfg.cost, start=start)
+                K = full.controller.K
         except (drsynth.DrSynthesisError, riccati.NotStabilizableError, NumericalFailure):
             K = None
-        wall_ms = (time.perf_counter() - start) * 1000.0
+        wall_ms = (time.perf_counter() - t0) * 1000.0
         stabilizing, J, J_rel = False, float("inf"), float("inf")
         if K is not None:
             try:  # raises unless two solves certify radius < 1 - TOL, is_mss's rule
@@ -150,29 +155,32 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int) -> 
         records.append(RunRecord(M=M, realization=realization, method=method,
                                  stabilizing=stabilizing, J=J, J_rel=J_rel,
                                  wall_ms=wall_ms))
-    return records
+    return records, full
 
 
 def run_sample_complexity(cfg: ExperimentConfig, out_csv=None, jobs: int = 1) -> list:
     """Full sweep over (M, realization) cells; optionally writes the CSV.
 
     Records come back sorted by (M, realization, method order), so the
-    output is identical for any worker count.  The pool starts all its
-    workers at once, so it gets at most one per cell and per CPU.
+    output is identical for any worker count.  The first cell is solved
+    cold in this process; when its dr_full synthesis returns a gain, that
+    result warm-starts synth_full in every other cell, so each record
+    depends only on its own cell and the first.  The pool starts all its
+    workers at once, so it gets at most one per remaining cell and per CPU.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _, J_nom = nominal_reference(cfg)
-    cells = [(M, r) for M in cfg.sample_sizes for r in range(cfg.realizations)]
-    records: list[RunRecord] = []
+    (M0, r0), *cells = [(M, r) for M in cfg.sample_sizes for r in range(cfg.realizations)]
+    records, start = _run_cell(cfg, J_nom, M0, r0)
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_run_cell, *zip(*[(cfg, J_nom, M, r) for M, r in cells])):
+            for batch, _ in pool.map(_run_cell, *zip(*[(cfg, J_nom, M, r, start) for M, r in cells])):
                 records.extend(batch)
     else:
         for M, r in cells:
-            records.extend(_run_cell(cfg, J_nom, M, r))
+            records.extend(_run_cell(cfg, J_nom, M, r, start)[0])
     order = {m: i for i, m in enumerate(cfg.methods)}
     records.sort(key=lambda rec: (rec.M, rec.realization, order[rec.method]))
     if out_csv is not None:
@@ -187,7 +195,9 @@ def write_records_csv(records, path) -> None:
     informational only.  It is the time one method took to synthesize its
     gain from the cell's ambiguity set (the Riccati or SDP solve and its
     certificate); the sampling, the ambiguity set built once per cell and
-    the scoring under the true moments are outside it.
+    the scoring under the true moments are outside it.  The first cell's
+    dr_full solve is cold; on the later dr_full rows wall_ms times a solve
+    warm-started from it.
     """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -13,7 +13,10 @@ Z >= 0, with the HKM direction and Mehrotra's predictor-corrector.  There
 is no phase I.  "optimal" is returned only at a strictly feasible point, and
 "infeasible" only when the dual iterate meets the theorem of alternatives
 for strict LMIs: F(y) > 0 has no solution iff some Z >= 0, Z != 0, has
-tr(Fi Z) = 0 and tr(F0 Z) <= 0.  Each iteration calls LAPACK (dtrtrs,
+tr(Fi Z) = 0 and tr(F0 Z) <= 0.  The loop starts at y = 0, S = Z = I,
+tau = kappa = 1, or next to the final iterate of a solved program of the
+same shape (the warm start of Skajaa, Andersen & Ye 2013); neither test
+depends on where it started.  Each iteration calls LAPACK (dtrtrs,
 dpotrf, dpotrs) directly, not through scipy's checking wrappers, and checks
 finiteness explicitly; SdpSolution.reason says why a solve stopped short of
 "optimal".
@@ -25,7 +28,7 @@ pencil form and maps solutions back to matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -36,6 +39,7 @@ FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong 
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
 MAX_ITERS = 100
 STEP_TO_BOUNDARY = 0.98
+WARM_START = 0.99  # weight of a solved neighbour's final iterate in a warm start
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,8 @@ class SdpSolution:
     min_block_eigenvalue: float
     iterations: int
     duality_gap: float = float("nan")
-    reason: str = ""  # why the solve stopped, empty when optimal
+    reason: str = ""  # why the solve stopped, empty when optimal from the first start
+    iterate: tuple | None = None  # (block dims, x, S, Z, kappa) at an optimum: a warm start
 
 
 def _to_boundary(size: float, rate: float) -> float:
@@ -130,10 +135,19 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise np.linalg.LinAlgError(f"{what} not finite")
 
 
-def solve(prob: LmiProblem) -> SdpSolution:
-    """Solve the pencil LMI program by the self-dual primal-dual method."""
+def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
+    """Solve the pencil LMI program by the self-dual primal-dual method.
+
+    start, an "optimal" solution of a program with the same variable count
+    and block sizes, puts the first iterate WARM_START of the way from the
+    standard start to its final one.  A warm solve that ends in
+    numerical_failure or unbounded is rerun from the standard start.
+    """
     k, m = prob.num_vars, prob.total_dim
     c = prob.c
+    dims = tuple(b.dim for b in prob.blocks)
+    if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
+        raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
     # one block-diagonal pencil F[a] over x = (y, tau).  The embedding asks for
     # S = sum_a x_a F[a], tr(F_i Z) = tau c_i and kappa = -c^T y - tr(F0 Z)
     # with S, Z >= 0 and tau, kappa >= 0: tau > 0 gives the optimum y / tau,
@@ -150,74 +164,83 @@ def solve(prob: LmiProblem) -> SdpSolution:
         f0, c_norm = float(np.linalg.norm(Fv[k])), float(np.linalg.norm(c))
     eye = np.eye(m)
 
-    x = np.zeros(k + 1)
-    x[k] = 1.0
-    S, Z, kappa = eye.copy(), eye.copy(), 1.0
-    centred, alpha = 0, 0.0  # centring steps in a row, and the last step length
-
-    def finish(status, iters, reason, y=None, gap=float("nan"), lam=None):
+    def finish(status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
         if y is None:
             return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters, reason=reason)
         if lam is None:
             lam = prob.min_eigenvalue(y)
-        return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason)
+        return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason, iterate)
 
     if not np.isfinite(f_max + f0 + c_norm):
         return finish("numerical_failure", 0, "the norm of F0, of an F_i or of c overflows, "
                       "so no residual or witness test can be measured")
-    for it in range(MAX_ITERS + 1):
-        y, tau = x[:k], x[k]
-        aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))
-        r_p = S - (x @ Fv).reshape(m, m)
-        r_d = np.append(aZ[:k] - tau * c, aZ[k] + c @ y + kappa)
-        mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
-        gap = (m + 1) * mu / tau**2
-        z_norm = float(np.linalg.norm(Z))
 
-        # every residual is measured against the size of the iterate it belongs to
-        converged = (np.linalg.norm(r_p) <= FEAS_TOL * (tau * f0 + np.linalg.norm(y) * f_max)
-                     and np.linalg.norm(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
-                     and gap <= GAP_TOL * max(1.0, abs(float(c @ y)) / tau))
-        # the iterates approach the optimum from outside the cone, so a converged
-        # point is centred at fixed tau: where a strictly feasible point exists
-        # the first full centring step clears the residual, and the second
-        # centres the flat directions of the optimal face; a blocked centring
-        # step hands back to Mehrotra, which goes on towards the witness on its
-        # own.  With c = 0 every strictly feasible point is optimal.
-        if (converged and centred >= 2) or c_norm == 0.0:
-            y_opt = y / tau
-            lam = prob.min_eigenvalue(y_opt)
-            if lam > 0.0:
-                return finish("optimal", it, "", y_opt, gap, lam)
-        hold = converged and (centred == 0 or alpha == 1.0)
-        # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
-        # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
-        # Relative to |Z|, either both traces are within FEAS_TOL of zero, or
-        # tr(F0 Z) < 0 outweighs the tr(F_i Z) by 1 / FEAS_TOL, so that
-        # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
-        # iterate merely large, as near the optimum of a badly scaled program,
-        # meets neither test.
-        a_norm = np.linalg.norm(aZ[:k])
-        if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0:
-            return finish("infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) are both "
-                          "within FEAS_TOL |Z| of zero, so no point is strictly feasible")
-        if aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max:
-            return finish("infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs every "
-                          "tr(F_i Z) by 1 / FEAS_TOL")
-        # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
-        if c @ y < 0.0 and np.linalg.norm(tau * F[k] + r_p) <= FEAS_TOL * np.linalg.norm(y) * f_max:
-            return finish("unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
-                          "within FEAS_TOL with c^T y < 0", y / tau)
-        if it == MAX_ITERS:
-            return finish("numerical_failure", it, f"iteration budget spent ({MAX_ITERS})",
-                          y / tau)
-        try:
-            dx, dS, dZ, dk, alpha = _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold)
-        except np.linalg.LinAlgError as exc:
-            return finish("numerical_failure", it, f"iteration {it}: {exc}", y / tau)
-        x, S = x + alpha * dx, S + alpha * dS
-        Z, kappa = Z + alpha * dZ, kappa + alpha * dk
-        centred = centred + 1 if hold else 0
+    def run(x, S, Z, kappa):
+        centred, alpha = 0, 0.0  # centring steps in a row, and the last step length
+        for it in range(MAX_ITERS + 1):
+            y, tau = x[:k], x[k]
+            aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))
+            r_p = S - (x @ Fv).reshape(m, m)
+            r_d = np.append(aZ[:k] - tau * c, aZ[k] + c @ y + kappa)
+            mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
+            gap = (m + 1) * mu / tau**2
+            z_norm = float(np.linalg.norm(Z))
+
+            # every residual is measured against the size of the iterate it belongs to
+            converged = (np.linalg.norm(r_p) <= FEAS_TOL * (tau * f0 + np.linalg.norm(y) * f_max)
+                         and np.linalg.norm(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
+                         and gap <= GAP_TOL * max(1.0, abs(float(c @ y)) / tau))
+            # the iterates approach the optimum from outside the cone, so a converged
+            # point is centred at fixed tau: where a strictly feasible point exists
+            # the first full centring step clears the residual, and the second
+            # centres the flat directions of the optimal face; a blocked centring
+            # step hands back to Mehrotra, which goes on towards the witness on its
+            # own.  With c = 0 every strictly feasible point is optimal.
+            if (converged and centred >= 2) or c_norm == 0.0:
+                y_opt = y / tau
+                lam = prob.min_eigenvalue(y_opt)
+                if lam > 0.0:
+                    return finish("optimal", it, "", y_opt, gap, lam, (dims, x, S, Z, kappa))
+            hold = converged and (centred == 0 or alpha == 1.0)
+            # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
+            # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
+            # Relative to |Z|, either both traces are within FEAS_TOL of zero, or
+            # tr(F0 Z) < 0 outweighs the tr(F_i Z) by 1 / FEAS_TOL, so that
+            # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
+            # iterate merely large, as near the optimum of a badly scaled program,
+            # meets neither test.
+            a_norm = np.linalg.norm(aZ[:k])
+            if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0:
+                return finish("infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) are both "
+                              "within FEAS_TOL |Z| of zero, so no point is strictly feasible")
+            if aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max:
+                return finish("infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs every "
+                              "tr(F_i Z) by 1 / FEAS_TOL")
+            # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
+            if c @ y < 0.0 and np.linalg.norm(tau * F[k] + r_p) <= FEAS_TOL * np.linalg.norm(y) * f_max:
+                return finish("unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
+                              "within FEAS_TOL with c^T y < 0", y / tau)
+            if it == MAX_ITERS:
+                return finish("numerical_failure", it, f"iteration budget spent ({MAX_ITERS})",
+                              y / tau)
+            try:
+                dx, dS, dZ, dk, alpha = _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold)
+            except np.linalg.LinAlgError as exc:
+                return finish("numerical_failure", it, f"iteration {it}: {exc}", y / tau)
+            x, S = x + alpha * dx, S + alpha * dS
+            Z, kappa = Z + alpha * dZ, kappa + alpha * dk
+            centred = centred + 1 if hold else 0
+
+    cold = (np.append(np.zeros(k), 1.0), eye.copy(), eye.copy(), 1.0)
+    if start is None:
+        return run(*cold)
+    warm = run(*(WARM_START * a + (1.0 - WARM_START) * b for a, b in zip(start.iterate[1:], cold)))
+    if warm.status not in ("numerical_failure", "unbounded"):
+        return warm
+    sol = run(*cold)
+    return replace(sol, iterations=warm.iterations + sol.iterations, reason=(
+        f"restarted from the standard start: the warm start ended in {warm.status} "
+        f"({warm.reason}) after {warm.iterations} iterations" + (sol.reason and f"; {sol.reason}")))
 
 
 def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):

@@ -278,7 +278,7 @@ class TestExperiment:
     @pytest.mark.parametrize("field, value, message", [
         ("realizations", 1.5, "realizations"), ("seed", 1.5, "seed"),
         ("sample_sizes", [1000.7], "sample size"), ("x0", [float("nan"), 2.0], "x0"),
-        ("sample_sizes", [], "sample_sizes"),
+        ("sample_sizes", [], "sample_sizes"), ("methods", ["full", "dr_full"], "twice"),
     ])
     def test_invalid_config_exit_code(self, capsys, sys6, tmp_path, field, value, message):
         save_system(sys6, tmp_path / "sys.json")

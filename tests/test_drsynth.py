@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import MomentAmbiguity
-from drlqr.drsynth import DrSynthesisError, synth_full, synth_rhc
+from drlqr.drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
 from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix, psd_sqrt
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
@@ -62,8 +62,8 @@ class TestSynthFull:
         solved = []
         real = drsynth.solve
 
-        def spy(prob):
-            solved.append((prob, real(prob)))
+        def spy(prob, start=None):
+            solved.append((prob, real(prob, start=start)))
             return solved[-1][1]
 
         monkeypatch.setattr(drsynth, "solve", spy)
@@ -171,8 +171,8 @@ class TestCertificate:
         """An "optimal" point whose LMI blocks are not strictly positive
         certifies no gain, however good the gain happens to be."""
         real = drsynth.solve
-        monkeypatch.setattr(drsynth, "solve", lambda prob: dataclasses.replace(
-            real(prob), min_block_eigenvalue=min_eig))
+        monkeypatch.setattr(drsynth, "solve", lambda prob, start=None: dataclasses.replace(
+            real(prob, start=start), min_block_eigenvalue=min_eig))
         with pytest.raises(NumericalFailure, match="strictly feasible"):
             _synth(method, sys6, amb6_small, cost6, np.array([2.0, 2.0]))
 
@@ -197,38 +197,114 @@ class TestCertificate:
         rho_sigma Sigma_hat - D with PSD D keeping it PSD; the first on the
         boundary at D = 0) it is MSS and its cost stays within the bound."""
         rng = np.random.default_rng(seed)
-        n_u = min(n_u, n_x)
-        Acl = rng.standard_normal((n_x, n_x))
-        Acl *= 0.9 / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
-        B0 = rng.standard_normal((n_x, n_u))
-        sys = MultNoiseSystem(
-            A0=Acl - B0 @ rng.standard_normal((n_u, n_x)),
-            A=tuple(noise * rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
-            B0=B0, B=tuple(noise * rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
-        G = rng.standard_normal((n_w, n_w))
-        amb = _amb(0.1 * rng.standard_normal(n_w), G @ G.T + 0.2 * np.eye(n_w),
-                   rho_mu, rho_sigma)
-        L = rng.standard_normal((n_x, n_x))
-        cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=np.eye(n_u))
-        x0 = rng.standard_normal(n_x)
+        sys, amb, cost, x0 = _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma)
         try:
             res = _synth(method, sys, amb, cost, x0)
         except (DrSynthesisError, NumericalFailure):
             return  # no gain returned, so none to check
-        cl = ClosedLoop(sys=sys, K=res.controller.K)
-        assert dr_certify_mss(cl, amb, mean_grid=24)
+        _assert_certified(rng, res, method, sys, amb, cost, x0)
 
-        half = as_matrix(psd_sqrt(as_matrix(amb.sigma_hat)))
-        envelope = amb.rho_sigma * as_matrix(amb.sigma_hat)
-        env_half = as_matrix(psd_sqrt(envelope))
-        for k in range(8):
-            d = rng.standard_normal(n_w)
-            u, shrink = (1.0, 0.0) if k == 0 else (rng.uniform(), rng.uniform(0.0, 1.0, n_w))
-            mu = amb.mu_hat + np.sqrt(rho_mu) * u * half @ (d / np.linalg.norm(d))
-            U, _ = np.linalg.qr(rng.standard_normal((n_w, n_w)))
-            D = env_half @ (U * shrink) @ U.T @ env_half
-            m = DisturbanceMoments(mu=mu, sigma=SymMatrix(envelope - D))
-            assert is_mss(cl, m)[0]
-            P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost))
-            J = np.trace(P_cl) if method == "full" else x0 @ P_cl @ x0
-            assert J <= (1.0 + 1e-6) * res.cost_bound
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
+           noise=st.floats(0.0, 0.3), rho_mu=st.floats(0.0, 0.3),
+           rho_sigma=st.floats(1.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_warm_start_keeps_verdict_and_certificate(self, n_x, n_u, n_w, noise, rho_mu,
+                                                      rho_sigma, seed):
+        """synth_full warm-started from its solution on a second plant of the
+        same shapes gives the cold verdict, and its gain passes the oracles
+        of test_returned_gain_passes_oracles."""
+        rng = np.random.default_rng(seed)
+        sys, amb, cost, x0 = _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma)
+        other = _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma)
+        try:
+            start = synth_full(*other[:3])
+        except (DrSynthesisError, NumericalFailure):
+            return  # no solution to start from
+        outcomes = []
+        for kwargs in ({}, {"start": start}):
+            try:
+                outcomes.append(synth_full(sys, amb, cost, **kwargs))
+            except (DrSynthesisError, NumericalFailure) as exc:
+                outcomes.append(exc)
+        cold, warm = outcomes
+        assert type(warm) is type(cold), (cold, warm)
+        if isinstance(warm, SynthesisResult):
+            _assert_certified(rng, warm, "full", sys, amb, cost, x0)
+
+
+def _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma):
+    """A stabilizable plant with multiplicative noise, an ambiguity set, a cost
+    and an initial state, all drawn from rng."""
+    n_u = min(n_u, n_x)
+    Acl = rng.standard_normal((n_x, n_x))
+    Acl *= 0.9 / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
+    B0 = rng.standard_normal((n_x, n_u))
+    sys = MultNoiseSystem(
+        A0=Acl - B0 @ rng.standard_normal((n_u, n_x)),
+        A=tuple(noise * rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
+        B0=B0, B=tuple(noise * rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
+    G = rng.standard_normal((n_w, n_w))
+    amb = _amb(0.1 * rng.standard_normal(n_w), G @ G.T + 0.2 * np.eye(n_w),
+               rho_mu, rho_sigma)
+    L = rng.standard_normal((n_x, n_x))
+    cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=np.eye(n_u))
+    return sys, amb, cost, rng.standard_normal(n_x)
+
+
+def _assert_certified(rng, res, method, sys, amb, cost, x0):
+    """The gain passes the dense mean grid, and at 8 in-set moments drawn
+    from rng it is MSS with its cost within the bound."""
+    cl = ClosedLoop(sys=sys, K=res.controller.K)
+    assert dr_certify_mss(cl, amb, mean_grid=24)
+
+    n_w = sys.n_w
+    half = as_matrix(psd_sqrt(as_matrix(amb.sigma_hat)))
+    envelope = amb.rho_sigma * as_matrix(amb.sigma_hat)
+    env_half = as_matrix(psd_sqrt(envelope))
+    for k in range(8):
+        d = rng.standard_normal(n_w)
+        u, shrink = (1.0, 0.0) if k == 0 else (rng.uniform(), rng.uniform(0.0, 1.0, n_w))
+        mu = amb.mu_hat + np.sqrt(amb.rho_mu) * u * half @ (d / np.linalg.norm(d))
+        U, _ = np.linalg.qr(rng.standard_normal((n_w, n_w)))
+        D = env_half @ (U * shrink) @ U.T @ env_half
+        m = DisturbanceMoments(mu=mu, sigma=SymMatrix(envelope - D))
+        assert is_mss(cl, m)[0]
+        P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost))
+        J = np.trace(P_cl) if method == "full" else x0 @ P_cl @ x0
+        assert J <= (1.0 + 1e-6) * res.cost_bound
+
+
+class TestMonotoneInRadii:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
+           noise=st.floats(0.0, 0.3), radius=st.sampled_from(["rho_mu", "rho_sigma"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_objectives_along_a_warm_started_sweep(self, n_x, n_u, n_w, noise, radius, seed):
+        """The feasible sets shrink as either radius grows, so tr(W), which
+        synth_full maximizes, does not increase and gamma, which synth_rhc
+        minimizes, does not decrease, up to the GAP_TOL of the previous
+        solve.  synth_full is warm-started from the previous radius and
+        matches its cold solve to 1e-6, relative to max(1, |tr(W)|) as
+        GAP_TOL is."""
+        rng = np.random.default_rng(seed)
+        sys, amb, cost, x0 = _random_instance(rng, n_x, n_u, n_w, noise, 0.1, 1.5)
+        grid = {"rho_mu": (0.0, 0.05, 0.1, 0.2, 0.3), "rho_sigma": (1.0, 1.25, 1.5, 1.75, 2.0)}
+        slack = lambda v: sdpcore.GAP_TOL * max(1.0, abs(v))
+        start, tr_W, gamma = None, np.inf, -np.inf
+        for value in grid[radius]:
+            amb = dataclasses.replace(amb, **{radius: value})
+            try:
+                cold = synth_full(sys, amb, cost)
+            except (DrSynthesisError, NumericalFailure):
+                break  # every larger set has no certified gain either
+            start = synth_full(sys, amb, cost, start=start)
+            assert abs(start.solution.objective_value - cold.solution.objective_value) <= \
+                1e-6 * max(1.0, abs(cold.solution.objective_value))
+            assert -start.solution.objective_value <= tr_W + slack(tr_W)
+            tr_W = -start.solution.objective_value
+            try:
+                rhc = synth_rhc(sys, amb, cost, x0).cost_bound
+            except (DrSynthesisError, NumericalFailure):
+                continue
+            assert rhc >= gamma - slack(gamma)
+            gamma = rhc

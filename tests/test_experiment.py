@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drlqr.ambiguity import MomentAmbiguity
-from drlqr import experiment, stability
+from drlqr import drsynth, experiment, stability
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               _run_cell, empirical_gain_scalar, example1_analytic,
                               nominal_reference, replicate_example1,
@@ -11,6 +11,7 @@ from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
 from drlqr.matcore import SymMatrix, as_matrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
+from conftest import bench_workloads
 from oracles import median_j_rel, read_records_csv
 
 
@@ -52,6 +53,10 @@ class TestConfigValidation:
     def test_rejects_unknown_method(self, sys6, moments6, cost6):
         with pytest.raises(ValueError):
             _cfg(sys6, moments6, cost6, methods=("bogus",))
+
+    def test_rejects_method_named_twice(self, sys6, moments6, cost6):
+        with pytest.raises(ValueError, match="twice"):
+            _cfg(sys6, moments6, cost6, methods=("full", "dr_full"))
 
     def test_method_aliases(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6, methods=("covariance", "full"))
@@ -99,7 +104,7 @@ class TestSweep:
                             counting("operator", stability.second_moment_operator))
         monkeypatch.setattr(stability, "_spectral_radius",
                             counting("radius", stability._spectral_radius))
-        records = _run_cell(_cfg(sys6, moments6, cost6), 1.0, 1000, 0)
+        records, _ = _run_cell(_cfg(sys6, moments6, cost6), 1.0, 1000, 0)
         assert [r.stabilizing for r in records] == [True, True]
         assert calls == {"operator": len(records), "radius": 0}
 
@@ -113,7 +118,7 @@ class TestSweep:
         assert 0.0 <= med < 0.5
 
     def test_deterministic_across_workers(self, sys6, moments6, cost6, tmp_path):
-        cfg = _cfg(sys6, moments6, cost6)
+        cfg = _cfg(sys6, moments6, cost6, realizations=3)  # two cells for the pool
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_sample_complexity(cfg, out_csv=p1, jobs=1)
         run_sample_complexity(cfg, out_csv=p2, jobs=2)
@@ -125,8 +130,9 @@ class TestSweep:
         assert strip_wall(p1) == strip_wall(p2)
 
     def test_pool_bounded_by_cells(self, monkeypatch, sys6, moments6, cost6):
-        """A huge jobs value on a 2-cell sweep asks for at most 2 workers; the
-        fake pool runs the cells in this process and starts none."""
+        """A huge jobs value on a 3-cell sweep, whose first cell runs in this
+        process, asks for at most 2 workers; the fake pool runs the other
+        cells in this process too and starts none."""
         requested = []
 
         class FakePool:
@@ -144,7 +150,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
-        cfg = _cfg(sys6, moments6, cost6)
+        cfg = _cfg(sys6, moments6, cost6, realizations=3)
         serial = run_sample_complexity(cfg, jobs=1)
         pooled = run_sample_complexity(cfg, jobs=10_000)
         assert requested == [2]
@@ -184,6 +190,46 @@ class TestSweep:
         dr = dr_covariance(sys6, np.zeros(2), amb, cost6)
         vi = value_iteration(sys6, moments6, cost6)
         assert np.allclose(dr.K, vi.K, atol=1e-8)
+
+
+class TestWarmStart:
+    def test_warm_starts_save_a_quarter_of_the_iterations(self, monkeypatch):
+        """The benchmark's sweep-paper op 0 (seed 0) takes at most 0.75 of the
+        interior-point iterations it takes with every start ignored; the
+        counts are deterministic."""
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        inp = workload.make_input(0)
+        real, iterations = drsynth.solve, []
+
+        def counted(prob, start=None):
+            sol = real(prob, start=start)
+            iterations.append(sol.iterations)
+            return sol
+
+        totals = []
+        for fake in (counted, lambda prob, start=None: counted(prob)):
+            monkeypatch.setattr(drsynth, "solve", fake)
+            iterations.clear()
+            assert workload.check(inp, workload.run(inp)) == []
+            totals.append(sum(iterations))
+        warm, cold = totals
+        assert warm <= 0.75 * cold, totals
+
+    def test_first_cell_seeds_the_others(self, monkeypatch, sys6, moments6, cost6):
+        """The first cell's dr_full solve is cold; every later one starts from
+        its solution."""
+        real, starts = drsynth.synth_full, []
+
+        def spy(*args, start=None):
+            res = real(*args, start=start)
+            starts.append((start, res))
+            return res
+
+        monkeypatch.setattr(drsynth, "synth_full", spy)
+        run_sample_complexity(_cfg(sys6, moments6, cost6, realizations=3))
+        (first, seed), *rest = starts
+        assert first is None and len(rest) == 2
+        assert all(start is seed for start, _ in rest)
 
 
 class TestExample1:

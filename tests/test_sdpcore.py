@@ -126,6 +126,79 @@ class TestFailureReason:
         assert sol.reason == "iteration budget spent (2)"
 
 
+def _trace_program(C):
+    """max tr P s.t. P <= C and P >= 0.1 I; the optimum is P = C."""
+    b = LmiBuilder()
+    P = b.sym_var("P", C.shape[0])
+    b.add_psd(AffineExpr.constant(C) - P)
+    b.add_psd(P - 0.1 * np.eye(C.shape[0]))
+    b.minimize(-1.0 * P.trace())
+    return b.build()
+
+
+C3 = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+
+
+class TestWarmStart:
+    def test_optimum_of_a_neighbour(self):
+        """Started from a nearby program's solution, the solve reaches the cold
+        optimum in fewer iterations, and returns its own iterate."""
+        prob = _trace_program(C3)
+        start = solve(_trace_program(C3 + 0.1 * np.eye(3)))
+        cold, warm = solve(prob), solve(prob, start=start)
+        assert warm.status == cold.status == "optimal"
+        assert warm.min_block_eigenvalue == prob.min_eigenvalue(warm.y) > 0.0
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-6 * abs(cold.objective_value)
+        assert warm.iterations < cold.iterations
+        dims, x, S, Z, kappa = warm.iterate
+        assert dims == (3, 3) and x.shape == (7,) and S.shape == Z.shape == (6, 6)
+        assert np.array_equal(x[:6] / x[6], warm.y)
+
+    def test_other_variable_count_rejected(self):
+        start = solve(_trace_program(np.eye(2)))
+        with pytest.raises(ValueError, match="6 variables"):
+            solve(_trace_program(C3), start=start)
+
+    def test_other_block_sizes_rejected(self):
+        # one variable each: the half line y >= 3 and the 2 x 2 norm bound
+        start = solve(LmiProblem(c=[1.0], blocks=(LmiBlock(F0=[[-3.0]], Fi=[[[1.0]]]),)))
+        norm_bound = LmiProblem(c=[-1.0], blocks=(LmiBlock(
+            F0=np.eye(2), Fi=[[[0.0, 1.0], [1.0, 0.0]]]),))
+        assert start.status == "optimal"
+        with pytest.raises(ValueError, match=r"blocks \(2,\)"):
+            solve(norm_bound, start=start)
+
+    def test_start_that_is_not_optimal_rejected(self):
+        infeasible = LmiProblem(c=[0.0], blocks=(LmiBlock(F0=[[-1.0]], Fi=[[[1.0]]]),
+                                                 LmiBlock(F0=[[0.0]], Fi=[[[-1.0]]])))
+        start = solve(infeasible)
+        assert start.status == "infeasible" and start.iterate is None
+        with pytest.raises(ValueError, match="optimal"):
+            solve(infeasible, start=start)
+
+    def test_failed_warm_solve_reruns_cold(self, monkeypatch):
+        """A warm solve that ends in numerical_failure returns the cold
+        result, with the iterations of both attempts and the restart named."""
+        prob = _trace_program(C3)
+        start = solve(_trace_program(C3 + 0.1 * np.eye(3)))
+        cold = solve(prob)
+        real, calls = sdpcore._step, []
+
+        def fails_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(sdpcore, "_step", fails_third)
+        sol = solve(prob, start=start)
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.y, cold.y)
+        assert sol.iterations == 2 + cold.iterations
+        assert sol.reason == ("restarted from the standard start: the warm start ended in "
+                              "numerical_failure (iteration 2: injected) after 2 iterations")
+
+
 class TestNonFinitePencil:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["F0", "Fi", "c"])

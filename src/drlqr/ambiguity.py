@@ -187,8 +187,10 @@ def build_ambiguity(s: SampleSet, config: AmbiguityConfig, lambda_reg: float = 0
     When the smallest eigenvalue of Sigma_hat falls below lambda_reg, the
     covariance is shifted by lambda_reg * I and the record is flagged as
     regularized (the set grows, adding conservatism but never losing
-    coverage).
+    coverage).  A negative or non-finite lambda_reg raises ValueError.
     """
+    if not 0.0 <= lambda_reg < math.inf:
+        raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
     rho_mu, rho_sigma = ambiguity_radii(config, s.n_w, s.M)
     mu_hat, sigma_hat = empirical_moments(s)
     sigma = as_matrix(sigma_hat)

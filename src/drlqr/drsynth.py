@@ -24,7 +24,7 @@ from .ambiguity import MomentAmbiguity
 from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt, require_finite
 from .riccati import Controller
 from .sdpcore import LmiBuilder, SdpSolution, block_expr, kron_const, solve, zeros
-from .sysmodel import CostWeights, MultNoiseSystem
+from .sysmodel import CostWeights, MultNoiseSystem, check_cost
 
 
 class DrSynthesisError(RuntimeError):
@@ -48,6 +48,7 @@ class SynthesisResult:
 def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> LmiBuilder:
     if amb.n_w != sys.n_w:
         raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
+    check_cost(sys, cost)
     n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
     sigma_hat = as_matrix(amb.sigma_hat)
     sigma_half = as_matrix(psd_sqrt(sigma_hat))

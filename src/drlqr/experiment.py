@@ -25,7 +25,7 @@ from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity
                         min_sample_size)
 from .matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
 from .stability import ClosedLoop, InstabilityError, closed_loop_cost
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
 METHOD_ALIASES = {
     "covariance": "dr_covariance",
@@ -63,6 +63,7 @@ class ExperimentConfig:
     methods: tuple = ("dr_covariance", "dr_full")
 
     def __post_init__(self):
+        check_cost(self.system, self.cost)
         realizations, seed = _whole(self.realizations, "realizations"), _whole(self.seed, "seed")
         if realizations < 1:
             raise ValueError("realizations must be at least 1")
@@ -126,23 +127,27 @@ def nominal_reference(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
 
 
 def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int,
-              start: drsynth.SynthesisResult | None = None) -> tuple[list, drsynth.SynthesisResult | None]:
-    """The cell's records, and its dr_full synthesis (None without a gain)."""
-    records, full = [], None
+              starts: dict | None = None) -> tuple[list, dict]:
+    """The cell's records, and its solved results by method: the dr_covariance
+    Controller and the dr_full SynthesisResult, None without a gain.  Each
+    method's solve starts from starts[method] when that is given."""
+    records, solved, starts = [], {}, starts or {}
     stream = _cell_stream(cfg.seed, M, realization)
     samples = sample_gaussian(cfg.true_moments, M, stream)
     amb = build_ambiguity(samples, cfg.ambiguity_config(), lambda_reg=LAMBDA_REG)
     for method in cfg.methods:
         t0 = time.perf_counter()
-        K = None
+        K, res, start = None, None, starts.get(method)
         try:
             if method == "dr_covariance":
-                K = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost).K
+                res = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost, start=start)
+                K = res.K
             else:
-                full = drsynth.synth_full(cfg.system, amb, cfg.cost, start=start)
-                K = full.controller.K
+                res = drsynth.synth_full(cfg.system, amb, cfg.cost, start=start)
+                K = res.controller.K
         except (drsynth.DrSynthesisError, riccati.NotStabilizableError, NumericalFailure):
-            K = None
+            pass
+        solved[method] = res
         wall_ms = (time.perf_counter() - t0) * 1000.0
         stabilizing, J, J_rel = False, float("inf"), float("inf")
         if K is not None:
@@ -155,32 +160,39 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int,
         records.append(RunRecord(M=M, realization=realization, method=method,
                                  stabilizing=stabilizing, J=J, J_rel=J_rel,
                                  wall_ms=wall_ms))
-    return records, full
+    return records, solved
 
 
 def run_sample_complexity(cfg: ExperimentConfig, out_csv=None, jobs: int = 1) -> list:
     """Full sweep over (M, realization) cells; optionally writes the CSV.
 
     Records come back sorted by (M, realization, method order), so the
-    output is identical for any worker count.  The first cell is solved
-    cold in this process; when its dr_full synthesis returns a gain, that
-    result warm-starts synth_full in every other cell, so each record
-    depends only on its own cell and the first.  The pool starts all its
-    workers at once, so it gets at most one per remaining cell and per CPU.
+    output is identical for any worker count.  Realization 0 of each sample
+    size is its anchor cell, solved in this process in sample_sizes order:
+    the first cold, each later one starting both methods from the previous
+    anchor's results (a method without a result hands on its previous start).
+    Every other cell starts from its own sample size's anchor, so each record
+    depends only on its own cell and the anchor chain.  The pool starts all
+    its workers at once, so it gets at most one per remaining cell and per CPU.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _, J_nom = nominal_reference(cfg)
-    (M0, r0), *cells = [(M, r) for M in cfg.sample_sizes for r in range(cfg.realizations)]
-    records, start = _run_cell(cfg, J_nom, M0, r0)
+    records, anchors, starts = [], {}, {}
+    for M in cfg.sample_sizes:
+        batch, solved = _run_cell(cfg, J_nom, M, 0, starts)
+        records.extend(batch)
+        starts = anchors[M] = {m: solved[m] or starts.get(m) for m in cfg.methods}
+    cells = [(cfg, J_nom, M, r, anchors[M]) for M in cfg.sample_sizes
+             for r in range(1, cfg.realizations)]
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch, _ in pool.map(_run_cell, *zip(*[(cfg, J_nom, M, r, start) for M, r in cells])):
+            for batch, _ in pool.map(_run_cell, *zip(*cells)):
                 records.extend(batch)
     else:
-        for M, r in cells:
-            records.extend(_run_cell(cfg, J_nom, M, r, start)[0])
+        for cell in cells:
+            records.extend(_run_cell(*cell)[0])
     order = {m: i for i, m in enumerate(cfg.methods)}
     records.sort(key=lambda rec: (rec.M, rec.realization, order[rec.method]))
     if out_csv is not None:
@@ -195,9 +207,11 @@ def write_records_csv(records, path) -> None:
     informational only.  It is the time one method took to synthesize its
     gain from the cell's ambiguity set (the Riccati or SDP solve and its
     certificate); the sampling, the ambiguity set built once per cell and
-    the scoring under the true moments are outside it.  The first cell's
-    dr_full solve is cold; on the later dr_full rows wall_ms times a solve
-    warm-started from it.
+    the scoring under the true moments are outside it.  Only the first
+    anchor cell's solves are cold (see run_sample_complexity): on a later
+    anchor's rows wall_ms times solves started from the previous anchor's
+    results, and on every other row solves started from its sample size's
+    anchor.
     """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

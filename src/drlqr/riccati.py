@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
 from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, require_finite, symmetrize
 from .stability import ClosedLoop, lyapunov_value, second_moment_operator
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 from .ambiguity import MomentAmbiguity
 
 TOL = 1e-10  # relative change in P at which the iteration stops
@@ -108,18 +108,22 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     return None
 
 
-def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
+def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
+                    start: Controller | None = None) -> Controller:
     """Solve the stochastic LQR Riccati equation by Newton steps from a certified gain.
 
     Each pass computes the greedy gain K = -(R + G(P))^{-1} H(P) of the
     current iterate once, then either evaluates the value of K exactly, by
     the certified solve stability.lyapunov_value, or sweeps
-    P <- Q + F(P) + H(P)^T K.  When lyapunov_value certifies the
-    certainty-equivalent gain (_ce_gain), its value is the first iterate and
-    the Newton steps start at once.  Otherwise the sweeps run from P_0 = 0;
-    they are monotone (P_{k+1} >= P_k), and a diverging trace signals that no
-    mean-square stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4, 8, ...
-    and once the sweeps meet the stopping rule, K is evaluated instead.  The
+    P <- Q + F(P) + H(P)^T K.  The gain of start, an earlier Controller of the
+    same shape (else ShapeError), and then the certainty-equivalent gain
+    (_ce_gain) are tried in turn: the first whose value lyapunov_value
+    certifies under m is the first iterate, and the Newton steps, which
+    converge from any certified gain (Damm & Hinrichsen 2001), start at once.
+    Otherwise the sweeps run from P_0 = 0; they are monotone (P_{k+1} >= P_k),
+    and a diverging trace signals that no mean-square stabilizing gain exists.
+    Before sweeps k = 0, 1, 2, 4, 8, ... and once the sweeps meet the stopping
+    rule, K is evaluated instead.  The
     first evaluation that certifies K as mean-square stabilizing starts the
     Newton steps P_{j+1} = value(gain(P_j)), which decrease monotonically to
     the stabilizing solution; they stop when |P_{j+1} - P_j| <= TOL (1 + |P_{j+1}|),
@@ -131,11 +135,18 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     converge to an uncertified gain, or a Newton step that loses its
     certificate or monotonicity raise NumericalFailure.
     """
+    check_cost(sys, cost)
     n = sys.n_x
     Q, R = as_matrix(cost.Q), as_matrix(cost.R)
-    K = _ce_gain(sys, m, cost)
-    P = None if K is None else lyapunov_value(
-        second_moment_operator(ClosedLoop(sys=sys, K=K), m), Q + K.T @ R @ K)
+
+    def value(K):  # the certified value of K under m, or None
+        T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
+        return lyapunov_value(T, Q + K.T @ R @ K)
+
+    P = None if start is None else value(start.K)
+    if P is None:
+        K = _ce_gain(sys, m, cost)
+        P = None if K is None else value(K)
     newton = P is not None  # a certified start needs no warm-up
     P, k, probe, converged = P if newton else np.zeros((n, n)), int(newton), 0, False
     while True:
@@ -147,8 +158,7 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
                                    f"iterations (trace {np.trace(P):.3e})")
         P_next = None
         if newton or converged or k == probe:
-            T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
-            probe, P_next = max(1, 2 * k), lyapunov_value(T, Q + K.T @ R @ K)
+            probe, P_next = max(1, 2 * k), value(K)
         if P_next is None and (newton or converged):
             raise NumericalFailure("Newton step lost the mean-square stability certificate"
                                    if newton else "sweeps converged to an uncertified gain")
@@ -171,17 +181,19 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
 
 
 def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
-                  cost: CostWeights) -> Controller:
+                  cost: CostWeights, start: Controller | None = None) -> Controller:
     """Covariance-only robust controller: nominal pipeline at rho_sigma * Sigma_hat.
 
     The mean is treated as known (rho_mu is ignored).  Worst-case exact: the
     support-function maximum over {Sigma <= rho_sigma Sigma_hat} is attained
-    at the inflated covariance.
+    at the inflated covariance.  start, an earlier controller for the same
+    system, is value_iteration's start: its gain is tried before the
+    certainty-equivalent one.
     """
     inflated = DisturbanceMoments(mu=np.asarray(mu_known, dtype=float),
                                   sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
     try:
-        ctrl = value_iteration(sys, inflated, cost)
+        ctrl = value_iteration(sys, inflated, cost, start)
     except NotStabilizableError as exc:
         raise NotStabilizableError(
             f"system not stabilizable under covariance inflated by rho_sigma = {amb.rho_sigma:.4f}"

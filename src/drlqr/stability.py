@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
 from .matcore import ShapeError, SymMatrix, as_matrix, require_finite, smat, svec, sym_index
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
 
@@ -105,6 +105,7 @@ def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWe
     """P = Q + K^T R K + L(P) by lyapunov_value.  InstabilityError unless the
     solve on T / (1 - TOL) certifies rho(T) < 1 - TOL, is_mss's rule, without an
     eigensolver; the radius is computed only for the error message."""
+    check_cost(cl.sys, cost)
     T = second_moment_operator(cl, m)
     rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
     P = lyapunov_value(T, rhs) if lyapunov_value(T / (1.0 - TOL), rhs) is not None else None

@@ -177,6 +177,14 @@ class CostWeights:
             object.__setattr__(self, name, m)
 
 
+def check_cost(sys: MultNoiseSystem, cost: CostWeights) -> None:
+    """Raise ShapeError naming Q or R unless Q is n_x x n_x and R is n_u x n_u."""
+    for name, n in (("Q", sys.n_x), ("R", sys.n_u)):
+        dim = getattr(cost, name).dim
+        if dim != n:
+            raise ShapeError(f"{name} is {dim}x{dim}, expected {n}x{n} for this system")
+
+
 def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment operators (F(P), G(P), H(P)) of the stochastic Riccati recursion.
 

@@ -205,6 +205,14 @@ class TestBuildAmbiguity:
         with pytest.raises(ValueError):
             build_ambiguity(SampleSet(draws), AmbiguityConfig(beta=BETA))
 
+    @pytest.mark.parametrize("lambda_reg", [-1.0, -1e-12, np.nan, np.inf],
+                             ids=["negative", "tiny_negative", "nan", "inf"])
+    def test_rejects_negative_or_non_finite_reg(self, lambda_reg):
+        """These were taken as lambda_reg = 0, since the test lambda_reg > 0 is false."""
+        s = SampleSet(np.random.default_rng(2).standard_normal((1000, 2)))
+        with pytest.raises(ValueError, match="lambda_reg"):
+            build_ambiguity(s, AmbiguityConfig(beta=BETA), lambda_reg=lambda_reg)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):

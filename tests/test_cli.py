@@ -162,6 +162,23 @@ class TestSynth:
         assert "non-finite" in err
 
 
+    @pytest.mark.parametrize("reg", ["-1", "nan"])
+    def test_negative_or_nan_reg_exit_code(self, capsys, system_json, samples_csv, reg):
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "full", f"--reg={reg}"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert "lambda_reg" in err
+
+    @pytest.mark.parametrize("method", ["nominal", "covariance", "full", "rhc"])
+    def test_wrong_size_Q_exit_code(self, capsys, system_json, samples_csv, method):
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", method, "--x0", "2,2", "--Q", "[[1]]"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert "Q is 1x1, expected 2x2" in err
+
+
 class TestMss:
     def _gain_file(self, sys6, cost6, moments6, tmp_path, K=None):
         if K is None:

@@ -9,7 +9,7 @@ from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
 from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix, psd_sqrt
-from drlqr.riccati import dr_covariance, value_iteration
+from drlqr.riccati import NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 from oracles import dr_certify_mss
@@ -308,3 +308,42 @@ class TestMonotoneInRadii:
                 continue
             assert rhc >= gamma - slack(gamma)
             gamma = rhc
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised when it returned no gain."""
+    try:
+        return fn(*args)
+    except (DrSynthesisError, NotStabilizableError, NumericalFailure) as exc:
+        return exc
+
+
+class TestChannelPermutation:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), noise=st.floats(0.0, 0.3),
+           rho_mu=st.floats(0.0, 0.3), rho_sigma=st.floats(1.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_swapping_the_noise_channels(self, n_x, n_u, noise, rho_mu, rho_sigma, seed):
+        """Swapping (A_1, B_1) with (A_2, B_2), with the entries of mu_hat and
+        the rows and columns of Sigma_hat, describes the same set of
+        distributions: synth_full keeps its verdict and tr(W) to GAP_TOL, and
+        dr_covariance its value matrix to 1e-10."""
+        rng = np.random.default_rng(seed)
+        sys, amb, cost, _ = _random_instance(rng, n_x, n_u, 2, noise, rho_mu, rho_sigma)
+        swap = [1, 0]
+        swapped_sys = MultNoiseSystem(A0=sys.A0, A=sys.A[::-1], B0=sys.B0, B=sys.B[::-1])
+        sigma = as_matrix(amb.sigma_hat)
+        swapped_amb = dataclasses.replace(amb, mu_hat=amb.mu_hat[swap],
+                                          sigma_hat=SymMatrix(sigma[np.ix_(swap, swap)]))
+        full, swapped_full = (_outcome(synth_full, s, a, cost)
+                              for s, a in ((sys, amb), (swapped_sys, swapped_amb)))
+        assert type(full) is type(swapped_full), (full, swapped_full)
+        if isinstance(full, SynthesisResult):
+            tr_W, swapped_tr_W = (-r.solution.objective_value for r in (full, swapped_full))
+            assert abs(tr_W - swapped_tr_W) <= sdpcore.GAP_TOL * max(1.0, tr_W)
+        cov, swapped_cov = (_outcome(dr_covariance, s, a.mu_hat, a, cost)
+                            for s, a in ((sys, amb), (swapped_sys, swapped_amb)))
+        assert type(cov) is type(swapped_cov), (cov, swapped_cov)
+        if not isinstance(cov, Exception):
+            P, swapped_P = as_matrix(cov.P), as_matrix(swapped_cov.P)
+            assert np.linalg.norm(P - swapped_P) <= 1e-10 * np.linalg.norm(P)

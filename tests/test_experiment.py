@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import MomentAmbiguity
-from drlqr import drsynth, experiment, stability
+from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, ambiguity_radii
+from drlqr import drsynth, experiment, riccati, stability
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               _run_cell, empirical_gain_scalar, example1_analytic,
                               nominal_reference, replicate_example1,
@@ -118,16 +118,19 @@ class TestSweep:
         assert 0.0 <= med < 0.5
 
     def test_deterministic_across_workers(self, sys6, moments6, cost6, tmp_path):
-        cfg = _cfg(sys6, moments6, cost6, realizations=3)  # two cells for the pool
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_sample_complexity(cfg, out_csv=p1, jobs=1)
-        run_sample_complexity(cfg, out_csv=p2, jobs=2)
-
+        """Two cells for the pool per sample size; with two sample sizes the
+        pool gets cells of different anchors."""
         def strip_wall(path):
             lines = path.read_text().strip().splitlines()
             return [",".join(line.split(",")[:-1]) for line in lines]
 
-        assert strip_wall(p1) == strip_wall(p2)
+        for sizes in ((1000,), (1000, 2000)):
+            cfg = _cfg(sys6, moments6, cost6, realizations=3, sample_sizes=sizes)
+            p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+            run_sample_complexity(cfg, out_csv=p1, jobs=1)
+            run_sample_complexity(cfg, out_csv=p2, jobs=2)
+            assert strip_wall(p1) == strip_wall(p2)
+            assert len(strip_wall(p1)) == 1 + 2 * 3 * len(sizes)
 
     def test_pool_bounded_by_cells(self, monkeypatch, sys6, moments6, cost6):
         """A huge jobs value on a 3-cell sweep, whose first cell runs in this
@@ -215,6 +218,30 @@ class TestWarmStart:
         warm, cold = totals
         assert warm <= 0.75 * cold, totals
 
+    def test_anchors_start_the_riccati_and_sdp_solves(self, monkeypatch):
+        """The benchmark's sweep-paper op 0 (seed 0) computes the certainty-
+        equivalent gain twice, for the nominal reference and the first anchor,
+        and takes at most 120 interior-point iterations; with the first cell
+        alone warm-starting dr_full it computed it 13 times and took 136."""
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        inp = workload.make_input(0)
+        counts = {"ce": 0, "iterations": 0}
+        real_ce, real_solve = riccati._ce_gain, drsynth.solve
+
+        def ce(*args):
+            counts["ce"] += 1
+            return real_ce(*args)
+
+        def solve(prob, start=None):
+            sol = real_solve(prob, start=start)
+            counts["iterations"] += sol.iterations
+            return sol
+
+        monkeypatch.setattr(riccati, "_ce_gain", ce)
+        monkeypatch.setattr(drsynth, "solve", solve)
+        assert workload.check(inp, workload.run(inp)) == []
+        assert counts["ce"] <= 2 and counts["iterations"] <= 120, counts
+
     def test_first_cell_seeds_the_others(self, monkeypatch, sys6, moments6, cost6):
         """The first cell's dr_full solve is cold; every later one starts from
         its solution."""
@@ -230,6 +257,73 @@ class TestWarmStart:
         (first, seed), *rest = starts
         assert first is None and len(rest) == 2
         assert all(start is seed for start, _ in rest)
+
+
+def _spy_starts(monkeypatch):
+    """Record (method, rho_sigma, start, result) of every dr_covariance and
+    synth_full call; rho_sigma depends on the sample size alone."""
+    calls = []
+    real_cov, real_full = riccati.dr_covariance, drsynth.synth_full
+
+    def cov(sys, mu, amb, cost, start=None):
+        res = real_cov(sys, mu, amb, cost, start=start)
+        calls.append(("dr_covariance", amb.rho_sigma, start, res))
+        return res
+
+    def full(sys, amb, cost, start=None):
+        res = real_full(sys, amb, cost, start=start)
+        calls.append(("dr_full", amb.rho_sigma, start, res))
+        return res
+
+    monkeypatch.setattr(riccati, "dr_covariance", cov)
+    monkeypatch.setattr(drsynth, "synth_full", full)
+    return calls
+
+
+class TestAnchors:
+    SIZES = (1000, 2000, 4000)
+
+    def _rho_sigma(self, M):
+        return ambiguity_radii(AmbiguityConfig(beta=0.05), 2, M)[1]
+
+    def test_anchor_chain_and_cell_starts(self, monkeypatch, sys6, moments6, cost6):
+        """Anchors (realization 0) run first in sample_sizes order, the first
+        cold and each later one from the previous anchor; every other cell
+        starts from its own sample size's anchor."""
+        calls = _spy_starts(monkeypatch)
+        run_sample_complexity(_cfg(sys6, moments6, cost6, sample_sizes=self.SIZES))
+        for method in ("dr_covariance", "dr_full"):
+            mine = [c[1:] for c in calls if c[0] == method]
+            assert [rho for rho, _, _ in mine] == [self._rho_sigma(M) for M in self.SIZES * 2]
+            anchors, cells = mine[:3], mine[3:]
+            assert anchors[0][1] is None
+            assert all(anchors[i][1] is anchors[i - 1][2] for i in (1, 2))
+            assert all(cell[1] is anchor[2] for cell, anchor in zip(cells, anchors))
+
+    def test_failed_anchor_hands_on_its_start(self, monkeypatch, sys6, moments6, cost6):
+        """When the M = 2000 anchor's dr_full raises, the next anchor and the
+        M = 2000 cells start from the M = 1000 anchor's result."""
+        calls = _spy_starts(monkeypatch)
+        spied, seen = drsynth.synth_full, []
+
+        def failing(sys, amb, cost, start=None):
+            seen.append(amb)
+            if len(seen) == 2:  # the second dr_full solve is the M = 2000 anchor's
+                calls.append(("dr_full", amb.rho_sigma, start, None))
+                raise drsynth.DrSynthesisError("anchor fails")
+            return spied(sys, amb, cost, start=start)
+
+        monkeypatch.setattr(drsynth, "synth_full", failing)
+        records = run_sample_complexity(_cfg(sys6, moments6, cost6, sample_sizes=self.SIZES))
+        assert [r.stabilizing for r in records if r.method == "dr_full"] == \
+            [True, True, False, True, True, True]
+        full = [c[2:] for c in calls if c[0] == "dr_full"]
+        (_, first), (handed, failed), (after, _), *cells = full
+        assert failed is None and handed is first and after is first
+        expected = (first, first, full[2][1])
+        assert len(cells) == 3 and all(c[0] is e for c, e in zip(cells, expected))
+        cov = [c[2:] for c in calls if c[0] == "dr_covariance"]
+        assert cov[2][0] is cov[1][1]  # the other method's chain goes on
 
 
 class TestExample1:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
-from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix
+from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix
 from drlqr.riccati import (NotStabilizableError, _ce_gain, dr_covariance, load_gain,
                            save_controller, value_iteration)
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
@@ -261,6 +261,49 @@ class TestCertaintyEquivalentStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _ce_gain(sys, m, CostWeights(Q=np.eye(1), R=np.eye(1))) is None
+
+
+def _cell_inflated(M: int, realization: int, moments) -> DisturbanceMoments:
+    """The inflated moments dr_covariance solves at a criterion-7 sweep cell (seed 0)."""
+    samples = sample_gaussian(moments, M, _cell_stream(0, M, realization))
+    amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+    return DisturbanceMoments(mu=amb.mu_hat,
+                              sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+
+
+class TestStart:
+    def test_neighbours_gain_gives_the_cold_solution(self, monkeypatch, sys6, moments6, cost6):
+        """The solution at a neighbouring cell of the sweep is certified here, so
+        the Newton steps start from it, without the certainty-equivalent gain."""
+        m = _cell_inflated(1000, 1, moments6)
+        neighbour = value_iteration(sys6, _cell_inflated(1000, 0, moments6), cost6)
+        cold = value_iteration(sys6, m, cost6)
+        monkeypatch.setattr(riccati, "_ce_gain", None)  # calling it fails the test
+        warm = value_iteration(sys6, m, cost6, start=neighbour)
+        assert warm.iterations < cold.iterations
+        assert np.linalg.norm(warm.K - cold.K) <= 1e-12 * np.linalg.norm(cold.K)
+        P, P_cold = as_matrix(warm.P), as_matrix(cold.P)
+        assert np.linalg.norm(P - P_cold) <= 1e-12 * np.linalg.norm(P_cold)
+
+    def test_uncertified_start_gives_the_cold_solution(self, sys6, moments6, cost6):
+        """A gain that is not MSS under the moments is passed over for the
+        certainty-equivalent one, with the arithmetic of a call without start."""
+        bad = riccati.Controller(K=np.array([[50.0, 50.0]]), P=np.eye(2), method="nominal_vi")
+        assert not is_mss(ClosedLoop(sys=sys6, K=bad.K), moments6)[0]
+        cold = value_iteration(sys6, moments6, cost6)
+        warm = value_iteration(sys6, moments6, cost6, start=bad)
+        assert np.array_equal(warm.K, cold.K) and warm.iterations == cold.iterations
+        assert np.array_equal(as_matrix(warm.P), as_matrix(cold.P))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3)], ids=["n_u", "n_x"])
+    def test_start_of_another_shape(self, sys6, moments6, cost6, shape):
+        start = riccati.Controller(K=np.zeros(shape), P=np.eye(shape[1]), method="nominal_vi")
+        with pytest.raises(ShapeError, match="gain"):
+            value_iteration(sys6, moments6, cost6, start=start)
+        amb = MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)),
+                              rho_mu=0.0, rho_sigma=1.5)
+        with pytest.raises(ShapeError, match="gain"):
+            dr_covariance(sys6, np.zeros(2), amb, cost6, start=start)
 
 
 class TestNominalSdp:

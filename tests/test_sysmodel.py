@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from drlqr.matcore import DomainError, ShapeError, SymMatrix, as_matrix
-from drlqr.sysmodel import (CostWeights, DisturbanceMoments, MultNoiseSystem,
+from drlqr.drsynth import synth_full
+from drlqr.experiment import ExperimentConfig
+from drlqr.riccati import value_iteration
+from drlqr.stability import ClosedLoop, closed_loop_value_matrix
+from drlqr.sysmodel import (CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost,
                             fgh, load_system, save_system)
 
 TS = 0.02
@@ -217,6 +221,34 @@ class TestCostWeights:
 
     def test_valid(self, cost6):
         assert as_matrix(cost6.Q)[0, 0] == 10.0
+
+
+class TestCostShape:
+    """Cost weights of the wrong size are named where a system first meets its cost."""
+
+    @pytest.mark.parametrize("Q, R, message", [
+        (np.eye(1), 0.01 * np.eye(1), "Q is 1x1, expected 2x2"),
+        (np.eye(3), 0.01 * np.eye(1), "Q is 3x3, expected 2x2"),
+        (np.diag([10.0, 1.0]), np.eye(2), "R is 2x2, expected 1x1"),
+    ], ids=["Q_small", "Q_large", "R"])
+    @pytest.mark.parametrize("entry", ["value_iteration", "synth_full", "closed_loop_value_matrix",
+                                       "ExperimentConfig"])
+    def test_entry_points_name_the_weight(self, sys6, moments6, amb6, Q, R, message, entry):
+        cost = CostWeights(Q=Q, R=R)
+        call = {
+            "value_iteration": lambda: value_iteration(sys6, moments6, cost),
+            "synth_full": lambda: synth_full(sys6, amb6, cost),
+            "closed_loop_value_matrix": lambda: closed_loop_value_matrix(
+                ClosedLoop(sys=sys6, K=np.array([[-10.0, -5.0]])), moments6, cost),
+            "ExperimentConfig": lambda: ExperimentConfig(
+                system=sys6, true_moments=moments6, cost=cost, beta=0.05,
+                sample_sizes=(1000,), x0=np.zeros(2)),
+        }[entry]
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+    def test_matching_weights_pass(self, sys6, cost6):
+        check_cost(sys6, cost6)
 
 
 class TestJsonRoundTrip:

@@ -8,7 +8,7 @@ certification.
 from .ambiguity import (AmbiguityConfig, InsufficientDataError, MomentAmbiguity,
                         SampleSet, SampleSizeError, ambiguity_radii,
                         build_ambiguity, empirical_moments, load_samples_csv,
-                        min_sample_size, save_samples_csv, t_mu, t_sigma)
+                        min_sample_size, t_mu, t_sigma)
 from .drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
 from .experiment import (Example1Result, ExperimentConfig, RunRecord,
                          replicate_example1, run_sample_complexity,
@@ -16,11 +16,10 @@ from .experiment import (Example1Result, ExperimentConfig, RunRecord,
 from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix,
                       is_psd, psd_sqrt, symmetrize)
 from .riccati import (Controller, NotStabilizableError, dr_covariance,
-                      load_gain, save_controller, value_iteration)
+                      load_gain, value_iteration)
 from .stability import (ClosedLoop, InstabilityError, closed_loop_cost,
                         closed_loop_value_matrix, is_mss, second_moment_operator)
-from .sysmodel import (CostWeights, DisturbanceMoments, MultNoiseSystem, fgh,
-                       load_system, save_system)
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 
 __version__ = "0.1.0"
 
@@ -33,9 +32,8 @@ __all__ = [
     "ShapeError", "SymMatrix", "SynthesisResult", "ambiguity_radii",
     "build_ambiguity", "closed_loop_cost", "closed_loop_value_matrix",
     "dr_covariance", "empirical_moments", "fgh", "is_mss",
-    "is_psd", "load_gain", "load_samples_csv", "load_system",
-    "min_sample_size", "psd_sqrt", "replicate_example1",
-    "run_sample_complexity", "sample_gaussian", "save_controller",
-    "save_samples_csv", "save_system", "second_moment_operator", "symmetrize",
-    "synth_full", "synth_rhc", "t_mu", "t_sigma", "value_iteration",
+    "is_psd", "load_gain", "load_samples_csv", "min_sample_size", "psd_sqrt",
+    "replicate_example1", "run_sample_complexity", "sample_gaussian",
+    "second_moment_operator", "symmetrize", "synth_full", "synth_rhc", "t_mu",
+    "t_sigma", "value_iteration",
 ]

@@ -233,10 +233,3 @@ def load_samples_csv(path, n_w: int | None = None) -> SampleSet:
     if n_w is not None and data.shape[1] != n_w:
         raise ShapeError(f"samples have {data.shape[1]} columns, expected {n_w}")
     return SampleSet(samples=data)
-
-
-def save_samples_csv(s: SampleSet, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in s.samples:
-            writer.writerow([repr(float(v)) for v in row])

@@ -25,7 +25,7 @@ from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSizeError, ambiguity
                         min_sample_size, t_mu, t_sigma)
 from .matcore import NumericalFailure, SymMatrix
 from .stability import ClosedLoop, is_mss
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, load_system
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -118,7 +118,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_mss(args) -> int:
-    system = load_system(args.system)
+    system = MultNoiseSystem.from_json_dict(_load_json(args.system))
     K = riccati.load_gain(args.gain)
     mu = _parse_vector(args.mu) if args.mu else np.zeros(system.n_w)
     if args.cov:
@@ -136,11 +136,9 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
     base = os.path.dirname(os.path.abspath(path))
     try:
         sys_spec = raw["system"]
-        if isinstance(sys_spec, str):
-            sys_path = sys_spec if os.path.isabs(sys_spec) else os.path.join(base, sys_spec)
-            system = load_system(sys_path)
-        else:
-            system = MultNoiseSystem.from_json_dict(sys_spec)
+        if isinstance(sys_spec, str):  # a path, relative to the config file unless absolute
+            sys_spec = _load_json(os.path.join(base, sys_spec))
+        system = MultNoiseSystem.from_json_dict(sys_spec)
         return experiment.ExperimentConfig(
             system=system,
             true_moments=DisturbanceMoments(
@@ -165,7 +163,8 @@ def _cmd_experiment(args) -> int:
     cfg = _experiment_config_from_json(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    records = experiment.run_sample_complexity(cfg, out_csv=args.out, jobs=args.jobs)
+    records = experiment.run_sample_complexity(cfg, jobs=args.jobs)
+    experiment.write_records_csv(records, args.out)
     failing = sum(1 for r in records if not r.stabilizing)
     print(json.dumps({"records": len(records), "non_stabilizing": failing,
                       "out": args.out}, indent=2))

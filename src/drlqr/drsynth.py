@@ -67,7 +67,7 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     H = [sum((sigma_half[j, i] * channels[j] for j in range(n_w)), zeros((n_x, n_x)))
          for i in range(n_w)]
 
-    # arrow block: [[S, c H_i^T ...], [c H_i, diag(L)]] with c = sqrt(rho_mu / 2).
+    # arrow block [[S, c H^T], [c H, I (x) L]], H = [H_1; ...; H_nw], c = sqrt(rho_mu / 2).
     # It protects the whole mean ellipsoid (mu-mu_hat)^T Sigma_hat^{-1} (mu-mu_hat)
     # <= rho_mu.  With v = Sigma_hat^{-1/2}(mu-mu_hat), the mean moves the centre
     # block by D = sum_i v_i H_i.  The main block below is the cost LMI at mu_hat
@@ -77,14 +77,8 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     #   D^T L^{-1} D <= |v|^2 sum_i H_i^T L^{-1} H_i <= rho_mu sum_i H_i^T L^{-1} H_i
     #   the arrow block gives S >= c^2 sum_i H_i^T L^{-1} H_i
     #   so c^2 >= rho_mu / 2 suffices.
-    c = math.sqrt(amb.rho_mu / 2.0)
-    arrow = [[S] + [c * H[i].T for i in range(n_w)]]
-    for i in range(n_w):
-        row = [c * H[i]]
-        for j in range(n_w):
-            row.append(L if i == j else zeros((n_x, n_x)))
-        arrow.append(row)
-    b.add_psd(block_expr(arrow))
+    cH = math.sqrt(amb.rho_mu / 2.0) * block_expr([[h] for h in H])
+    b.add_psd(block_expr([[S, cH.T], [cH, kron_const(np.eye(n_w), L)]]))
 
     # main Schur block
     stack = block_expr([[ch] for ch in channels]) if n_w else zeros((0, n_x))

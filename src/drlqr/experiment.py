@@ -67,6 +67,8 @@ class ExperimentConfig:
         realizations, seed = _whole(self.realizations, "realizations"), _whole(self.seed, "seed")
         if realizations < 1:
             raise ValueError("realizations must be at least 1")
+        if isinstance(self.methods, str):
+            raise ValueError(f"methods must be a list of method names, got {self.methods!r}")
         methods = tuple(METHOD_ALIASES.get(m, None) for m in self.methods)
         if None in methods or not methods:
             raise ValueError(f"unknown method in {self.methods}; choose from covariance/full")
@@ -163,8 +165,8 @@ def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int,
     return records, solved
 
 
-def run_sample_complexity(cfg: ExperimentConfig, out_csv=None, jobs: int = 1) -> list:
-    """Full sweep over (M, realization) cells; optionally writes the CSV.
+def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """Full sweep over (M, realization) cells; write_records_csv writes its CSV.
 
     Records come back sorted by (M, realization, method order), so the
     output is identical for any worker count.  Realization 0 of each sample
@@ -174,6 +176,9 @@ def run_sample_complexity(cfg: ExperimentConfig, out_csv=None, jobs: int = 1) ->
     Every other cell starts from its own sample size's anchor, so each record
     depends only on its own cell and the anchor chain.  The pool starts all
     its workers at once, so it gets at most one per remaining cell and per CPU.
+    With jobs > 1, set OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1: the forked
+    workers inherit OpenBLAS's default thread count, which made jobs=2 several
+    times slower than jobs=1 on a 2-core host.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -195,8 +200,6 @@ def run_sample_complexity(cfg: ExperimentConfig, out_csv=None, jobs: int = 1) ->
             records.extend(_run_cell(*cell)[0])
     order = {m: i for i, m in enumerate(cfg.methods)}
     records.sort(key=lambda rec: (rec.M, rec.realization, order[rec.method]))
-    if out_csv is not None:
-        write_records_csv(records, out_csv)
     return records
 
 

@@ -201,11 +201,6 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     return Controller(K=ctrl.K, P=ctrl.P, method="dr_covariance", iterations=ctrl.iterations)
 
 
-def save_controller(ctrl: Controller, path) -> None:
-    with open(path, "w") as f:
-        json.dump(ctrl.to_json_dict(), f, indent=2)
-
-
 def load_gain(path) -> np.ndarray:
     """Read a gain matrix from controller JSON (only the "K" field is used).
 

@@ -8,7 +8,6 @@ and the stacked matrices are derived quantities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,16 +114,6 @@ class MultNoiseSystem:
                 f"matrices ({sys.n_x}, {sys.n_u}, {sys.n_w})"
             )
         return sys
-
-
-def load_system(path) -> MultNoiseSystem:
-    with open(path) as f:
-        return MultNoiseSystem.from_json_dict(json.load(f))
-
-
-def save_system(sys: MultNoiseSystem, path) -> None:
-    with open(path, "w") as f:
-        json.dump(sys.to_json_dict(), f, indent=2)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import functools
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import MomentAmbiguity
+from drlqr.ambiguity import MomentAmbiguity, SampleSet
 from drlqr.matcore import SymMatrix
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
@@ -70,6 +71,17 @@ def scalar_p_star(q: float = 1.0, r: float = 1.0e4, s2: float = 0.5) -> float:
     """Positive root of (s2 - 1) p^2 + (q + (s2 - 0.4375) r) p + q r = 0."""
     lin = q + (s2 - 0.4375) * r
     return (lin + np.sqrt(lin * lin + 4.0 * (1.0 - s2) * q * r)) / (2.0 * (1.0 - s2))
+
+
+def write_fixture(path, obj):
+    """Write obj to path as an input file and return path: a SampleSet as CSV,
+    where %.17g round-trips every double exactly, anything else through its
+    to_json_dict as JSON."""
+    if isinstance(obj, SampleSet):
+        np.savetxt(path, obj.samples, delimiter=",", fmt="%.17g")
+    else:
+        Path(path).write_text(json.dumps(obj.to_json_dict()))
+    return path
 
 
 @functools.cache

@@ -6,9 +6,10 @@ import pytest
 from drlqr.ambiguity import (AmbiguityConfig, InsufficientDataError, MomentAmbiguity,
                              SampleSet, SampleSizeError, ambiguity_radii,
                              build_ambiguity, empirical_moments,
-                             load_samples_csv, min_sample_size,
-                             save_samples_csv, t_mu, t_sigma)
+                             load_samples_csv, min_sample_size, t_mu, t_sigma)
 from drlqr.matcore import DomainError, SymMatrix, as_matrix
+
+from conftest import write_fixture
 
 BETA = 0.05
 EPS = 1.0 / 30.0
@@ -218,9 +219,7 @@ class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         s = SampleSet(rng.standard_normal((50, 3)))
-        p = tmp_path / "w.csv"
-        save_samples_csv(s, p)
-        back = load_samples_csv(p)
+        back = load_samples_csv(write_fixture(tmp_path / "w.csv", s))
         assert np.array_equal(back.samples, s.samples)
 
     def test_header_skipped(self, tmp_path):

@@ -7,14 +7,17 @@ from drlqr.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main)
 from drlqr.experiment import sample_gaussian
 from drlqr.matcore import SymMatrix
 from drlqr.riccati import value_iteration
-from drlqr.sysmodel import DisturbanceMoments, save_system
+from drlqr.ambiguity import SampleSet
+from drlqr.sysmodel import DisturbanceMoments
+
+from conftest import write_fixture
 
 
 @pytest.fixture
 def system_json(sys6, tmp_path):
     """System file with embedded cost weights, as the synth command expects."""
     p = tmp_path / "sys.json"
-    save_system(sys6, p)
+    write_fixture(p, sys6)
     d = json.loads(p.read_text())
     d["Q"] = [[10.0, 0.0], [0.0, 1.0]]
     d["R"] = [[0.01]]
@@ -118,7 +121,7 @@ class TestSynth:
 
     def test_q_flag_overrides(self, capsys, sys6, samples_csv, tmp_path):
         p = tmp_path / "bare.json"
-        save_system(sys6, p)
+        write_fixture(p, sys6)
         rc, out = _run(capsys, ["synth", "--system", str(p),
                                 "--samples", str(samples_csv),
                                 "--beta", "0.05", "--method", "nominal",
@@ -128,7 +131,7 @@ class TestSynth:
 
     def test_missing_cost_weights(self, capsys, sys6, samples_csv, tmp_path):
         p = tmp_path / "bare.json"
-        save_system(sys6, p)
+        write_fixture(p, sys6)
         rc = main(["synth", "--system", str(p), "--samples", str(samples_csv),
                    "--beta", "0.05", "--method", "nominal"])
         capsys.readouterr()
@@ -136,7 +139,7 @@ class TestSynth:
 
     def test_infeasible_exit_code(self, capsys, scalar_sys, tmp_path):
         p = tmp_path / "scalar.json"
-        save_system(scalar_sys, p)
+        write_fixture(p, scalar_sys)
         d = json.loads(p.read_text())
         d["Q"], d["R"] = [[1.0]], [[1.0e4]]
         p.write_text(json.dumps(d))
@@ -170,6 +173,26 @@ class TestSynth:
         assert rc == EXIT_INVALID
         assert "lambda_reg" in err
 
+    @pytest.mark.parametrize("reg", [
+        "1e-8",
+        # the robust terms C^T (Sigma_hat (x) X) C of the synthesis LMI are
+        # monotone in Sigma_hat, so a gain certified on the set regularized by
+        # 1e-8 is feasible on the smaller unregularized one too; the pencil
+        # carries inv(rho_sigma Sigma_hat), with entries near 1e10 here
+        pytest.param("0", marks=pytest.mark.xfail(strict=True, reason=(
+            "false infeasible (exit 3, weak dual witness) on a near-singular Sigma_hat"))),
+    ])
+    def test_near_singular_samples_certified(self, capsys, system_json, tmp_path, reg):
+        """Samples whose second channel is scaled by 1e-5: the set at --reg 0
+        lies inside the set at --reg 1e-8, so both must certify a gain."""
+        w = np.random.default_rng(0).standard_normal((1000, 2))
+        w[:, 1] *= 1e-5
+        sp = write_fixture(tmp_path / "w.csv", SampleSet(w))
+        rc, out = _run(capsys, ["synth", "--system", str(system_json), "--samples", str(sp),
+                                "--beta", "0.05", "--method", "full", "--reg", reg])
+        assert rc == EXIT_OK
+        assert np.allclose(out["K"], [[-28.25, -11.75]], atol=0.01)
+
     @pytest.mark.parametrize("method", ["nominal", "covariance", "full", "rhc"])
     def test_wrong_size_Q_exit_code(self, capsys, system_json, samples_csv, method):
         rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
@@ -189,7 +212,7 @@ class TestMss:
 
     def test_stable_gain(self, capsys, sys6, cost6, moments6, tmp_path):
         sp = tmp_path / "sys.json"
-        save_system(sys6, sp)
+        write_fixture(sp, sys6)
         gp = self._gain_file(sys6, cost6, moments6, tmp_path)
         rc, out = _run(capsys, ["mss", "--system", str(sp), "--gain", str(gp)])
         assert rc == EXIT_OK
@@ -198,7 +221,7 @@ class TestMss:
 
     def test_zero_gain_marginal(self, capsys, sys6, cost6, moments6, tmp_path):
         sp = tmp_path / "sys.json"
-        save_system(sys6, sp)
+        write_fixture(sp, sys6)
         gp = self._gain_file(sys6, cost6, moments6, tmp_path, K=np.zeros((1, 2)))
         rc, out = _run(capsys, ["mss", "--system", str(sp), "--gain", str(gp)])
         assert rc == EXIT_OK
@@ -207,7 +230,7 @@ class TestMss:
 
     def test_custom_moments(self, capsys, sys6, cost6, moments6, tmp_path):
         sp = tmp_path / "sys.json"
-        save_system(sys6, sp)
+        write_fixture(sp, sys6)
         gp = self._gain_file(sys6, cost6, moments6, tmp_path)
         cp = tmp_path / "cov.json"
         cp.write_text(json.dumps([[0.5, 0.0], [0.0, 0.5]]))
@@ -224,7 +247,7 @@ class TestMss:
     ], ids=["no_K", "top_level_list", "nan", "null"])
     def test_malformed_gain(self, capsys, sys6, tmp_path, content, message):
         sp = tmp_path / "sys.json"
-        save_system(sys6, sp)
+        write_fixture(sp, sys6)
         gp = tmp_path / "gain.json"
         gp.write_text(content)
         rc = main(["mss", "--system", str(sp), "--gain", str(gp)])
@@ -234,14 +257,23 @@ class TestMss:
     def test_missing_file(self, capsys, tmp_path):
         rc = main(["mss", "--system", str(tmp_path / "nope.json"),
                    "--gain", str(tmp_path / "nope2.json")])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == EXIT_INVALID
+        assert f"cannot read {tmp_path / 'nope.json'}" in err
+
+    def test_non_json_system(self, capsys, sys6, cost6, moments6, tmp_path):
+        sp = tmp_path / "sys.json"
+        sp.write_text("A0: [[1, 0.02], [0, 0.992]]\n")
+        gp = self._gain_file(sys6, cost6, moments6, tmp_path)
+        rc = main(["mss", "--system", str(sp), "--gain", str(gp)])
+        assert rc == EXIT_INVALID
+        assert f"cannot read {sp}" in capsys.readouterr().err
 
 
 class TestExperiment:
     def test_sweep(self, capsys, sys6, tmp_path):
         sp = tmp_path / "sys.json"
-        save_system(sys6, sp)
+        write_fixture(sp, sys6)
         cfg = {
             "system": "sys.json",
             "mu": [0.0, 0.0],
@@ -266,7 +298,7 @@ class TestExperiment:
 
     def test_seed_override_matches_config_seed(self, capsys, sys6, tmp_path):
         """--seed gives the same CSV, minus wall_ms, as a config carrying that seed."""
-        save_system(sys6, tmp_path / "sys.json")
+        write_fixture(tmp_path / "sys.json", sys6)
         cfg = {
             "system": "sys.json",
             "mu": [0.0, 0.0],
@@ -296,9 +328,10 @@ class TestExperiment:
         ("realizations", 1.5, "realizations"), ("seed", 1.5, "seed"),
         ("sample_sizes", [1000.7], "sample size"), ("x0", [float("nan"), 2.0], "x0"),
         ("sample_sizes", [], "sample_sizes"), ("methods", ["full", "dr_full"], "twice"),
+        ("methods", "full", "methods"), ("system", "missing.json", "cannot read"),
     ])
     def test_invalid_config_exit_code(self, capsys, sys6, tmp_path, field, value, message):
-        save_system(sys6, tmp_path / "sys.json")
+        write_fixture(tmp_path / "sys.json", sys6)
         cfg = {"system": "sys.json", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
                "Q": [[10.0, 0.0], [0.0, 1.0]], "R": [[0.01]], "beta": 0.05,
                "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0], field: value}
@@ -309,7 +342,7 @@ class TestExperiment:
         assert message in capsys.readouterr().err
 
     def test_jobs_below_one_exit_code(self, capsys, sys6, tmp_path):
-        save_system(sys6, tmp_path / "sys.json")
+        write_fixture(tmp_path / "sys.json", sys6)
         cfg = {"system": "sys.json", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
                "Q": [[10.0, 0.0], [0.0, 1.0]], "R": [[0.01]], "beta": 0.05,
                "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0]}

@@ -108,6 +108,24 @@ class TestSynthFull:
         assert bounds[0] <= bounds[1] * 1.001
         assert bounds[1] <= bounds[2] * 1.001
 
+    # the LMI's robust terms C^T (Sigma_hat (x) X) C are monotone in Sigma_hat,
+    # so a point feasible at lam = 1e-8 is feasible for every smaller lam; the
+    # pencil carries inv(rho_sigma Sigma_hat), which grows like 1/lam
+    NEAR_SINGULAR = "false verdict on a near-singular Sigma_hat: inv(rho_sigma Sigma_hat) in the pencil"
+
+    @pytest.mark.parametrize("lam", [
+        1e-2, 1e-6, 1e-8,
+        pytest.param(1e-10, marks=pytest.mark.xfail(strict=True, raises=DrSynthesisError,
+                                                     reason=NEAR_SINGULAR + ": weak dual witness")),
+        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, raises=NumericalFailure,
+                                                     reason=NEAR_SINGULAR + ": false unbounded")),
+    ])
+    def test_near_singular_covariance_certified(self, sys6, cost6, lam):
+        amb = _amb(np.zeros(2), np.diag([1.0, lam]), 0.05, 3.0)
+        res = synth_full(sys6, amb, cost6)
+        assert 0.0 < res.cost_bound < 250.0
+        assert dr_certify_mss(ClosedLoop(sys=sys6, K=res.controller.K), amb)
+
     def test_dimension_mismatch(self, sys6, cost6):
         amb = _amb(np.zeros(1), np.eye(1), 0.0, 1.5)
         with pytest.raises(Exception):

@@ -58,6 +58,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="twice"):
             _cfg(sys6, moments6, cost6, methods=("full", "dr_full"))
 
+    def test_rejects_a_string_of_methods(self, sys6, moments6, cost6):
+        """A string was read character by character, which named a valid method
+        as unknown."""
+        with pytest.raises(ValueError, match="methods must be a list of method names, got 'full'"):
+            _cfg(sys6, moments6, cost6, methods="full")
+
     def test_method_aliases(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6, methods=("covariance", "full"))
         assert cfg.methods == ("dr_covariance", "dr_full")
@@ -127,8 +133,8 @@ class TestSweep:
         for sizes in ((1000,), (1000, 2000)):
             cfg = _cfg(sys6, moments6, cost6, realizations=3, sample_sizes=sizes)
             p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-            run_sample_complexity(cfg, out_csv=p1, jobs=1)
-            run_sample_complexity(cfg, out_csv=p2, jobs=2)
+            write_records_csv(run_sample_complexity(cfg, jobs=1), p1)
+            write_records_csv(run_sample_complexity(cfg, jobs=2), p2)
             assert strip_wall(p1) == strip_wall(p2)
             assert len(strip_wall(p1)) == 1 + 2 * 3 * len(sizes)
 

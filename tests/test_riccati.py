@@ -9,12 +9,11 @@ from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
 from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix
-from drlqr.riccati import (NotStabilizableError, _ce_gain, dr_covariance, load_gain,
-                           save_controller, value_iteration)
+from drlqr.riccati import NotStabilizableError, _ce_gain, dr_covariance, load_gain, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
-from conftest import TS, bench_workloads, scalar_p_star
+from conftest import TS, bench_workloads, scalar_p_star, write_fixture
 from oracles import dare_gain, nominal_sdp, riccati_residual
 
 
@@ -365,9 +364,7 @@ class TestDrCovariance:
 class TestControllerIo:
     def test_save_load_gain(self, sys6, moments6, cost6, tmp_path):
         ctrl = value_iteration(sys6, moments6, cost6)
-        p = tmp_path / "ctrl.json"
-        save_controller(ctrl, p)
-        K = load_gain(p)
+        K = load_gain(write_fixture(tmp_path / "ctrl.json", ctrl))
         assert np.allclose(K, ctrl.K)
 
     def test_json_fields(self, scalar_sys, scalar_cost, scalar_moments):

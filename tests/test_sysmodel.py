@@ -8,8 +8,9 @@ from drlqr.drsynth import synth_full
 from drlqr.experiment import ExperimentConfig
 from drlqr.riccati import value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix
-from drlqr.sysmodel import (CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost,
-                            fgh, load_system, save_system)
+from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
+
+from conftest import write_fixture
 
 TS = 0.02
 
@@ -209,7 +210,7 @@ class TestNonFinite:
         p = tmp_path / "nan.json"
         p.write_text(json.dumps(d))
         with pytest.raises(DomainError):
-            load_system(p)
+            MultNoiseSystem.from_json_dict(json.loads(p.read_text()))
 
 
 class TestCostWeights:
@@ -253,9 +254,8 @@ class TestCostShape:
 
 class TestJsonRoundTrip:
     def test_save_load(self, sys6, tmp_path):
-        p = tmp_path / "sys.json"
-        save_system(sys6, p)
-        back = load_system(p)
+        p = write_fixture(tmp_path / "sys.json", sys6)
+        back = MultNoiseSystem.from_json_dict(json.loads(p.read_text()))
         assert np.allclose(back.A0, sys6.A0)
         assert np.allclose(back.B[1], sys6.B[1])
 
@@ -265,7 +265,7 @@ class TestJsonRoundTrip:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(d))
         with pytest.raises(ShapeError):
-            load_system(p)
+            MultNoiseSystem.from_json_dict(json.loads(p.read_text()))
 
     def test_channel_count_mismatch(self):
         with pytest.raises(ShapeError):

@@ -13,13 +13,11 @@ from .drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
 from .experiment import (Example1Result, ExperimentConfig, RunRecord,
                          replicate_example1, run_sample_complexity,
                          sample_gaussian)
-from .matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix,
-                      is_psd, psd_sqrt, symmetrize)
-from .riccati import (Controller, NotStabilizableError, dr_covariance,
-                      load_gain, value_iteration)
+from .matcore import DomainError, NumericalFailure, ShapeError, SymMatrix
+from .riccati import Controller, NotStabilizableError, dr_covariance, value_iteration
 from .stability import (ClosedLoop, InstabilityError, closed_loop_cost,
-                        closed_loop_value_matrix, is_mss, second_moment_operator)
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
+                        closed_loop_value_matrix, is_mss)
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 __version__ = "0.1.0"
 
@@ -31,9 +29,8 @@ __all__ = [
     "NumericalFailure", "RunRecord", "SampleSet", "SampleSizeError",
     "ShapeError", "SymMatrix", "SynthesisResult", "ambiguity_radii",
     "build_ambiguity", "closed_loop_cost", "closed_loop_value_matrix",
-    "dr_covariance", "empirical_moments", "fgh", "is_mss",
-    "is_psd", "load_gain", "load_samples_csv", "min_sample_size", "psd_sqrt",
-    "replicate_example1", "run_sample_complexity", "sample_gaussian",
-    "second_moment_operator", "symmetrize", "synth_full", "synth_rhc", "t_mu",
-    "t_sigma", "value_iteration",
+    "dr_covariance", "empirical_moments", "is_mss", "load_samples_csv",
+    "min_sample_size", "replicate_example1", "run_sample_complexity",
+    "sample_gaussian", "synth_full", "synth_rhc", "t_mu", "t_sigma",
+    "value_iteration",
 ]

@@ -44,8 +44,7 @@ class SampleSet:
         s = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if s.shape[0] < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {s.shape[0]}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples contain non-finite entries")
+        require_finite("samples", s)
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -98,6 +97,8 @@ class MomentAmbiguity:
         sigma = self.sigma_hat if isinstance(self.sigma_hat, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma_hat))
         if sigma.dim != mu.size:
             raise ShapeError(f"mu_hat has length {mu.size} but Sigma_hat is {sigma.dim}x{sigma.dim}")
+        if mu.size == 0:
+            raise ValueError("mu_hat is empty: the set needs at least one disturbance channel")
         if self.rho_mu < 0:
             raise ValueError("rho_mu must be nonnegative")
         if self.rho_sigma < 1:
@@ -112,12 +113,11 @@ class MomentAmbiguity:
         return self.mu_hat.size
 
 
-def empirical_moments(s: SampleSet) -> tuple[np.ndarray, SymMatrix]:
+def empirical_moments(s: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Empirical mean and covariance, the latter normalized by M (not M - 1)."""
     mu_hat = s.samples.mean(axis=0)
     centered = s.samples - mu_hat
-    sigma_hat = symmetrize(centered.T @ centered / s.M)
-    return mu_hat, SymMatrix(sigma_hat)
+    return mu_hat, symmetrize(centered.T @ centered / s.M)
 
 
 def _q(beta: float, eps: float, n_w: int) -> float:
@@ -192,19 +192,13 @@ def build_ambiguity(s: SampleSet, config: AmbiguityConfig, lambda_reg: float = 0
     if not 0.0 <= lambda_reg < math.inf:
         raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
     rho_mu, rho_sigma = ambiguity_radii(config, s.n_w, s.M)
-    mu_hat, sigma_hat = empirical_moments(s)
-    sigma = as_matrix(sigma_hat)
+    mu_hat, sigma = empirical_moments(s)
     regularized = False
     if lambda_reg > 0.0 and np.linalg.eigvalsh(sigma)[0] < lambda_reg:
         sigma = sigma + lambda_reg * np.eye(s.n_w)
         regularized = True
-    return MomentAmbiguity(
-        mu_hat=mu_hat,
-        sigma_hat=SymMatrix(sigma),
-        rho_mu=rho_mu,
-        rho_sigma=rho_sigma,
-        regularized=regularized,
-    )
+    return MomentAmbiguity(mu_hat=mu_hat, sigma_hat=sigma, rho_mu=rho_mu,
+                           rho_sigma=rho_sigma, regularized=regularized)
 
 
 def load_samples_csv(path, n_w: int | None = None) -> SampleSet:

@@ -23,7 +23,7 @@ from . import drsynth, experiment, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSizeError, ambiguity_radii,
                         build_ambiguity, empirical_moments, load_samples_csv,
                         min_sample_size, t_mu, t_sigma)
-from .matcore import NumericalFailure, SymMatrix
+from .matcore import NumericalFailure
 from .stability import ClosedLoop, is_mss
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
@@ -119,14 +119,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_mss(args) -> int:
     system = MultNoiseSystem.from_json_dict(_load_json(args.system))
-    K = riccati.load_gain(args.gain)
+    gain = _load_json(args.gain)
+    try:  # ClosedLoop checks the gain's shape and finiteness
+        K = np.asarray(gain["K"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed controller file: {exc!r}") from exc
     mu = _parse_vector(args.mu) if args.mu else np.zeros(system.n_w)
-    if args.cov:
-        sigma = SymMatrix(np.asarray(_load_json(args.cov), dtype=float))
-    else:
-        sigma = SymMatrix(np.eye(system.n_w))
-    m = DisturbanceMoments(mu=mu, sigma=sigma)
-    stable, radius = is_mss(ClosedLoop(sys=system, K=K), m)
+    sigma = np.asarray(_load_json(args.cov), dtype=float) if args.cov else np.eye(system.n_w)
+    stable, radius = is_mss(ClosedLoop(sys=system, K=K), DisturbanceMoments(mu=mu, sigma=sigma))
     print(json.dumps({"stable": bool(stable), "spectral_radius": radius}, indent=2))
     return EXIT_OK
 
@@ -143,7 +143,7 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
             system=system,
             true_moments=DisturbanceMoments(
                 mu=np.asarray(raw["mu"], dtype=float),
-                sigma=SymMatrix(np.asarray(raw["sigma"], dtype=float)),
+                sigma=np.asarray(raw["sigma"], dtype=float),
             ),
             cost=CostWeights(Q=np.asarray(raw["Q"], dtype=float),
                              R=np.asarray(raw["R"], dtype=float)),

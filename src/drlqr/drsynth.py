@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt, require_finite
+from .matcore import NumericalFailure, ShapeError, as_matrix, psd_sqrt, require_finite
 from .riccati import Controller
 from .sdpcore import LmiBuilder, SdpSolution, block_expr, kron_const, solve, zeros
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost
@@ -51,11 +51,10 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     check_cost(sys, cost)
     n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
     sigma_hat = as_matrix(amb.sigma_hat)
-    sigma_half = as_matrix(psd_sqrt(sigma_hat))
+    sigma_half = psd_sqrt(sigma_hat)
     sigma_dr_inv = np.linalg.inv(amb.rho_sigma * sigma_hat)
     A_mu, B_mu = sys.eval_AB(amb.mu_hat)
-    Q_half = as_matrix(psd_sqrt(cost.Q))
-    R_half = as_matrix(psd_sqrt(cost.R))
+    Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
 
     b = LmiBuilder()
     W = b.sym_var("W", n_x)
@@ -81,7 +80,7 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     b.add_psd(block_expr([[S, cH.T], [cH, kron_const(np.eye(n_w), L)]]))
 
     # main Schur block
-    stack = block_expr([[ch] for ch in channels]) if n_w else zeros((0, n_x))
+    stack = block_expr([[ch] for ch in channels])
     center = A_mu @ W + B_mu @ V
     root2 = math.sqrt(2.0)
     zx = zeros((n_w * n_x, n_x))
@@ -126,13 +125,11 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None,
                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
     W, V = b.extract("W", sol.y), b.extract("V", sol.y)
     W_inv = np.linalg.inv(W)
-    K = V @ W_inv
-    P_hat = SymMatrix(W_inv)
     if bound_var is None:
-        bound = float(np.trace(as_matrix(P_hat)))
+        bound = float(np.trace(W_inv))
     else:
         bound = float(b.extract(bound_var, sol.y)[0, 0])
-    ctrl = Controller(K=K, P=P_hat, method=method, iterations=sol.iterations,
+    ctrl = Controller(K=V @ W_inv, P=W_inv, method=method, iterations=sol.iterations,
                       cost_bound=bound)
     return SynthesisResult(controller=ctrl, solution=sol)
 

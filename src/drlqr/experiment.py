@@ -23,7 +23,7 @@ import scipy.special
 from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
                         min_sample_size)
-from .matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
+from .matcore import NumericalFailure, psd_sqrt
 from .stability import ClosedLoop, InstabilityError, closed_loop_cost
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
@@ -113,7 +113,7 @@ def sample_gaussian(m: DisturbanceMoments, M: int, seed) -> SampleSet:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((M, m.n_w))
-    half = as_matrix(psd_sqrt(m.sigma))
+    half = psd_sqrt(m.sigma)
     return SampleSet(samples=np.asarray(m.mu, dtype=float) + z @ half)
 
 

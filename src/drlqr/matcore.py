@@ -89,19 +89,18 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def psd_sqrt(m) -> SymMatrix:
+def psd_sqrt(m) -> np.ndarray:
     """Symmetric PSD square root.
 
     Eigenvalues within -1e-10 * max(1, lambda_max) of zero are clipped to
     zero; anything more negative is rejected as indefinite.
     """
-    a = symmetrize(as_matrix(m))
-    w, v = sym_eig(a)
+    w, v = sym_eig(m)
     lam_max = max(1.0, float(w[-1]) if w.size else 1.0)
     if w.size and w[0] < -1e-10 * lam_max:
         raise DomainError(f"matrix is indefinite (lambda_min = {w[0]:.3e})")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return SymMatrix(root)
+    return symmetrize(root)  # (v sqrt(w)) v^T is not bitwise symmetric
 
 
 def is_psd(m) -> bool:

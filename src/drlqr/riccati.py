@@ -14,13 +14,12 @@ the mean is known.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
-from .matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, require_finite, symmetrize
+from .matcore import NumericalFailure, SymMatrix, as_matrix, require_finite, symmetrize
 from .stability import ClosedLoop, lyapunov_value, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 from .ambiguity import MomentAmbiguity
@@ -55,17 +54,12 @@ class Controller:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "P", P)
 
-    @property
-    def cost_kind(self) -> str:
-        """Reads "upper_bound" when the controller carries a cost bound, else "exact"."""
-        return "exact" if self.cost_bound is None else "upper_bound"
-
     def to_json_dict(self) -> dict:
         d = {
             "K": self.K.tolist(),
             "P": as_matrix(self.P).tolist(),
             "method": self.method,
-            "cost_kind": self.cost_kind,
+            "cost_kind": "exact" if self.cost_bound is None else "upper_bound",
             "trace_P": float(np.trace(as_matrix(self.P))),
         }
         if self.cost_bound is not None:
@@ -152,7 +146,7 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     while True:
         K, F, H = _gain_from(P, sys, m, cost)
         if newton and converged:
-            return Controller(K=K, P=SymMatrix(P), method="nominal_vi", iterations=k)
+            return Controller(K=K, P=P, method="nominal_vi", iterations=k)
         if k >= MAX_ITER:
             raise NumericalFailure(f"value iteration did not converge within {MAX_ITER} "
                                    f"iterations (trace {np.trace(P):.3e})")
@@ -191,7 +185,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     certainty-equivalent one.
     """
     inflated = DisturbanceMoments(mu=np.asarray(mu_known, dtype=float),
-                                  sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+                                  sigma=amb.rho_sigma * as_matrix(amb.sigma_hat))
     try:
         ctrl = value_iteration(sys, inflated, cost, start)
     except NotStabilizableError as exc:
@@ -199,18 +193,3 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
             f"system not stabilizable under covariance inflated by rho_sigma = {amb.rho_sigma:.4f}"
         ) from exc
     return Controller(K=ctrl.K, P=ctrl.P, method="dr_covariance", iterations=ctrl.iterations)
-
-
-def load_gain(path) -> np.ndarray:
-    """Read a gain matrix from controller JSON (only the "K" field is used).
-
-    A file without a numeric "K" raises ShapeError, a non-finite K DomainError.
-    """
-    with open(path) as f:
-        d = json.load(f)
-    try:
-        K = np.atleast_2d(np.asarray(d["K"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ShapeError(f"malformed controller file: {exc!r}") from exc
-    require_finite("gain K", K)
-    return K

@@ -93,12 +93,10 @@ class LmiProblem:
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    def eval_blocks(self, y) -> list[np.ndarray]:
-        y = np.asarray(y, dtype=float).ravel()
-        return [b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])) for b in self.blocks]
-
     def min_eigenvalue(self, y) -> float:
-        return min(float(np.linalg.eigvalsh(F)[0]) for F in self.eval_blocks(y))
+        y = np.asarray(y, dtype=float).ravel()
+        return min(float(np.linalg.eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0])
+                   for b in self.blocks)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from .matcore import ShapeError, SymMatrix, as_matrix, require_finite, smat, svec, sym_index
+from .matcore import ShapeError, as_matrix, require_finite, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -83,8 +83,7 @@ def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x
     if x0.size != cl.sys.n_x:
         raise ShapeError(f"x0 has length {x0.size}, expected {cl.sys.n_x}")
     require_finite("x0", x0)
-    P = closed_loop_value_matrix(cl, m, cost)
-    return float(x0 @ as_matrix(P) @ x0)
+    return float(x0 @ closed_loop_value_matrix(cl, m, cost) @ x0)
 
 
 def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
@@ -101,7 +100,7 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     return V if dpotrf(V, lower=0, clean=0)[1] == 0 else None
 
 
-def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> SymMatrix:
+def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> np.ndarray:
     """P = Q + K^T R K + L(P) by lyapunov_value.  InstabilityError unless the
     solve on T / (1 - TOL) certifies rho(T) < 1 - TOL, is_mss's rule, without an
     eigensolver; the radius is computed only for the error message."""
@@ -112,4 +111,4 @@ def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWe
     if P is None:
         raise InstabilityError(f"closed loop is not certified mean-square stable "
                                f"(radius {_spectral_radius(T):.6f}); its cost is not certified finite")
-    return SymMatrix(P)
+    return P

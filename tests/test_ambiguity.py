@@ -54,6 +54,10 @@ class TestEmpiricalMoments:
         with pytest.raises(InsufficientDataError):
             SampleSet(np.array([[1.0, 2.0]]))
 
+    def test_non_finite_sample_is_domain_error(self):
+        with pytest.raises(DomainError, match="non-finite entries in samples$"):
+            SampleSet(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+
 
 class TestConcentrationBounds:
     def test_t_sigma_anchor(self):
@@ -179,6 +183,12 @@ class TestMomentAmbiguity:
         with pytest.raises(DomainError, match="non-finite entries in sigma_hat$"):
             MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=[[1.0, 0.0], [0.0, bad]],
                             rho_mu=0.05, rho_sigma=2.0)
+
+    def test_no_channels_is_named(self):
+        """An empty set raised a bare IndexError from eigvalsh(Sigma_hat)[0]."""
+        with pytest.raises(ValueError, match="mu_hat is empty"):
+            MomentAmbiguity(mu_hat=np.zeros(0), sigma_hat=SymMatrix(np.zeros((0, 0))),
+                            rho_mu=0.1, rho_sigma=1.5)
 
 
 class TestBuildAmbiguity:

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from drlqr.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main)
+from drlqr import drsynth
+from drlqr.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main)
 from drlqr.experiment import sample_gaussian
 from drlqr.matcore import SymMatrix
 from drlqr.riccati import value_iteration
+from drlqr.sdpcore import SdpSolution
 from drlqr.ambiguity import SampleSet
 from drlqr.sysmodel import DisturbanceMoments
 
@@ -153,6 +155,30 @@ class TestSynth:
         capsys.readouterr()
         assert rc == EXIT_INFEASIBLE
 
+    def test_non_finite_sample_exit_code(self, capsys, system_json, samples_csv):
+        rows = samples_csv.read_text().splitlines()
+        rows[3] = "nan," + rows[3].split(",")[1]
+        samples_csv.write_text("\n".join(rows) + "\n")
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "nominal"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert "non-finite entries in samples" in err
+
+    def test_numerical_failure_exit_code(self, capsys, monkeypatch, system_json, samples_csv):
+        def failing(prob, start=None):
+            return SdpSolution(y=np.zeros(prob.num_vars), status="numerical_failure",
+                               objective_value=float("nan"), min_block_eigenvalue=float("nan"),
+                               iterations=3, reason="injected breakdown")
+
+        monkeypatch.setattr(drsynth, "solve", failing)
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "full", "--reg", "1e-8"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERICAL
+        assert err.startswith("numerical failure:")
+        assert "injected breakdown" in err
+
     def test_non_finite_system_rejected(self, capsys, system_json, samples_csv):
         d = json.loads(system_json.read_text())
         d["A0"][0][1] = float("nan")
@@ -260,6 +286,18 @@ class TestMss:
         err = capsys.readouterr().err
         assert rc == EXIT_INVALID
         assert f"cannot read {tmp_path / 'nope.json'}" in err
+
+    @pytest.mark.parametrize("content", [None, "K: [[1.0, 2.0]]\n"], ids=["missing", "not_json"])
+    def test_unreadable_gain_file(self, capsys, sys6, tmp_path, content):
+        """The gain file goes through the reader of every other input file."""
+        sp = tmp_path / "sys.json"
+        write_fixture(sp, sys6)
+        gp = tmp_path / "gain.json"
+        if content is not None:
+            gp.write_text(content)
+        rc = main(["mss", "--system", str(sp), "--gain", str(gp)])
+        assert rc == EXIT_INVALID
+        assert f"cannot read {gp}" in capsys.readouterr().err
 
     def test_non_json_system(self, capsys, sys6, cost6, moments6, tmp_path):
         sp = tmp_path / "sys.json"

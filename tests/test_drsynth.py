@@ -41,7 +41,7 @@ class TestSynthFull:
         assert res.cost_bound == res.controller.cost_bound
         assert np.isclose(res.cost_bound, np.trace(np.linalg.inv(W)), rtol=1e-12)
         assert res.controller.method == "dr_full"
-        assert res.controller.cost_kind == "upper_bound"
+        assert res.controller.to_json_dict()["cost_kind"] == "upper_bound"
 
     def test_zero_mean_radius_matches_covariance_method(self, sys6, cost6):
         amb = _amb(np.zeros(2), np.eye(2), 0.0, 1.5)

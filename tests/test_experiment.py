@@ -114,6 +114,23 @@ class TestSweep:
         assert [r.stabilizing for r in records] == [True, True]
         assert calls == {"operator": len(records), "radius": 0}
 
+    def test_non_stabilizing_row(self, monkeypatch, sys6, moments6, cost6, tmp_path):
+        """A gain whose cost is not certified finite gives stabilizing False and
+        J = J_rel = inf, written as empty CSV cells.  The zero gain leaves sys6's
+        open-loop eigenvalue 1, so closed_loop_cost raises InstabilityError."""
+        def zero_gain(sys, mu_known, amb, cost, start=None):
+            return riccati.Controller(K=np.zeros((1, 2)), P=np.eye(2), method="dr_covariance")
+
+        monkeypatch.setattr(riccati, "dr_covariance", zero_gain)
+        records = run_sample_complexity(_cfg(sys6, moments6, cost6, methods=("covariance",)))
+        inf = float("inf")
+        assert [(r.stabilizing, r.J, r.J_rel) for r in records] == [(False, inf, inf)] * 2
+        path = tmp_path / "out.csv"
+        write_records_csv(records, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[:6] for row in rows] == [["1000", str(r), "dr_covariance", "false", "", ""]
+                                             for r in (0, 1)]
+
     def test_records_and_scores(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6)
         records = run_sample_complexity(cfg)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
+from drlqr.cli import EXIT_OK, main
 from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix
-from drlqr.riccati import NotStabilizableError, _ce_gain, dr_covariance, load_gain, value_iteration
+from drlqr.riccati import NotStabilizableError, _ce_gain, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
@@ -362,10 +364,15 @@ class TestDrCovariance:
 
 
 class TestControllerIo:
-    def test_save_load_gain(self, sys6, moments6, cost6, tmp_path):
+    def test_save_load_gain(self, sys6, moments6, cost6, tmp_path, capsys):
+        """drlqr mss reads the controller file that to_json_dict writes, K exactly:
+        its defaults are moments6, and the radius is is_mss's for ctrl.K."""
         ctrl = value_iteration(sys6, moments6, cost6)
-        K = load_gain(write_fixture(tmp_path / "ctrl.json", ctrl))
-        assert np.allclose(K, ctrl.K)
+        gain = write_fixture(tmp_path / "ctrl.json", ctrl)
+        system = write_fixture(tmp_path / "sys.json", sys6)
+        assert main(["mss", "--system", str(system), "--gain", str(gain)]) == EXIT_OK
+        radius = is_mss(ClosedLoop(sys=sys6, K=ctrl.K), moments6)[1]
+        assert json.loads(capsys.readouterr().out) == {"stable": True, "spectral_radius": radius}
 
     def test_json_fields(self, scalar_sys, scalar_cost, scalar_moments):
         ctrl = value_iteration(scalar_sys, scalar_moments, scalar_cost)
@@ -388,5 +395,6 @@ class TestControllerIo:
     def test_cost_kind_follows_cost_bound(self):
         from drlqr.riccati import Controller
         K, P = np.zeros((1, 1)), SymMatrix(np.eye(1))
-        assert Controller(K=K, P=P, method="nominal_vi").cost_kind == "exact"
-        assert Controller(K=K, P=P, method="dr_full", cost_bound=1.0).cost_kind == "upper_bound"
+        assert Controller(K=K, P=P, method="nominal_vi").to_json_dict()["cost_kind"] == "exact"
+        bounded = Controller(K=K, P=P, method="dr_full", cost_bound=1.0)
+        assert bounded.to_json_dict()["cost_kind"] == "upper_bound"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, SymMatrix, as_matrix, require_finite, symmetrize
+from .matcore import ShapeError, require_finite, sym_field, symmetrize
 
 DEFAULT_EPS = 1.0 / 30.0
 
@@ -41,7 +41,9 @@ class SampleSet:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        s = np.asarray(self.samples, dtype=float)
+        if s.ndim != 2:
+            raise ShapeError(f"samples must be 2-D, one draw per row, got shape {s.shape}")
         if s.shape[0] < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {s.shape[0]}")
         require_finite("samples", s)
@@ -84,27 +86,24 @@ class MomentAmbiguity:
     """
 
     mu_hat: np.ndarray
-    sigma_hat: SymMatrix
+    sigma_hat: np.ndarray  # read-only, symmetric
     rho_mu: float
     rho_sigma: float
     regularized: bool = False
 
     def __post_init__(self):
         mu = np.asarray(self.mu_hat, dtype=float).ravel()
-        for name, value in (("mu_hat", mu), ("sigma_hat", as_matrix(self.sigma_hat)),
-                            ("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
+        for name, value in (("mu_hat", mu), ("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
             require_finite(name, value)
-        sigma = self.sigma_hat if isinstance(self.sigma_hat, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma_hat))
-        if sigma.dim != mu.size:
-            raise ShapeError(f"mu_hat has length {mu.size} but Sigma_hat is {sigma.dim}x{sigma.dim}")
         if mu.size == 0:
             raise ValueError("mu_hat is empty: the set needs at least one disturbance channel")
+        sigma = sym_field("sigma_hat", self.sigma_hat, definite="apply regularization")
+        if sigma.shape[0] != mu.size:
+            raise ShapeError(f"mu_hat has length {mu.size} but Sigma_hat is {sigma.shape[0]}x{sigma.shape[0]}")
         if self.rho_mu < 0:
             raise ValueError("rho_mu must be nonnegative")
         if self.rho_sigma < 1:
             raise ValueError("rho_sigma must be at least 1")
-        if np.linalg.eigvalsh(as_matrix(sigma))[0] <= 0:
-            raise ValueError("Sigma_hat must be strictly positive definite (apply regularization)")
         object.__setattr__(self, "mu_hat", mu)
         object.__setattr__(self, "sigma_hat", sigma)
 
@@ -201,22 +200,31 @@ def build_ambiguity(s: SampleSet, config: AmbiguityConfig, lambda_reg: float = 0
                            rho_sigma=rho_sigma, regularized=regularized)
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def load_samples_csv(path, n_w: int | None = None) -> SampleSet:
-    """Read samples from CSV, one draw per row; an optional header is skipped.
+    """Read samples from CSV, one draw per row; blank rows are skipped, and so is
+    the first non-blank row when none of its cells is a number (a header).
 
     Ragged rows or non-numeric data rows raise ValueError.
     """
     rows: list[list[float]] = []
+    first = True
     with open(path, newline="") as f:
         reader = csv.reader(f)
         for lineno, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
-            try:
-                row = [float(cell) for cell in raw]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
+            row = [_number(cell) for cell in raw]
+            header, first = first and all(v is None for v in row), False
+            if header:
+                continue
+            if None in row:
                 raise ValueError(f"non-numeric value on line {lineno}")
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"ragged row on line {lineno}: expected {len(rows[0])} columns, got {len(row)}")

@@ -89,9 +89,9 @@ def _cmd_synth(args) -> int:
     r_spec = args.R if args.R is not None else raw.get("R")
     if q_spec is None or r_spec is None:
         raise CliError("cost weights missing: pass --Q/--R or put Q/R in the system JSON")
-    Q = _parse_matrix_arg(q_spec) if isinstance(q_spec, str) else np.asarray(q_spec, dtype=float)
-    R = _parse_matrix_arg(r_spec) if isinstance(r_spec, str) else np.asarray(r_spec, dtype=float)
-    cost = CostWeights(Q=np.atleast_2d(Q), R=np.atleast_2d(R))
+    Q = _parse_matrix_arg(q_spec) if isinstance(q_spec, str) else q_spec
+    R = _parse_matrix_arg(r_spec) if isinstance(r_spec, str) else r_spec
+    cost = CostWeights(Q=Q, R=R)
     cfg = AmbiguityConfig(beta=args.beta, eps=args.eps, sigma2=args.sigma2)
 
     extra = {}
@@ -125,7 +125,7 @@ def _cmd_mss(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed controller file: {exc!r}") from exc
     mu = _parse_vector(args.mu) if args.mu else np.zeros(system.n_w)
-    sigma = np.asarray(_load_json(args.cov), dtype=float) if args.cov else np.eye(system.n_w)
+    sigma = _load_json(args.cov) if args.cov else np.eye(system.n_w)
     stable, radius = is_mss(ClosedLoop(sys=system, K=K), DisturbanceMoments(mu=mu, sigma=sigma))
     print(json.dumps({"stable": bool(stable), "spectral_radius": radius}, indent=2))
     return EXIT_OK
@@ -141,12 +141,8 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
         system = MultNoiseSystem.from_json_dict(sys_spec)
         return experiment.ExperimentConfig(
             system=system,
-            true_moments=DisturbanceMoments(
-                mu=np.asarray(raw["mu"], dtype=float),
-                sigma=np.asarray(raw["sigma"], dtype=float),
-            ),
-            cost=CostWeights(Q=np.asarray(raw["Q"], dtype=float),
-                             R=np.asarray(raw["R"], dtype=float)),
+            true_moments=DisturbanceMoments(mu=raw["mu"], sigma=raw["sigma"]),
+            cost=CostWeights(Q=raw["Q"], R=raw["R"]),
             beta=raw["beta"],
             sample_sizes=tuple(raw["sample_sizes"]),
             x0=np.asarray(raw["x0"], dtype=float),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, as_matrix, psd_sqrt, require_finite
+from .matcore import NumericalFailure, ShapeError, psd_sqrt, require_finite
 from .riccati import Controller
 from .sdpcore import LmiBuilder, SdpSolution, block_expr, kron_const, solve, zeros
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost
@@ -50,9 +50,8 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
         raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
     check_cost(sys, cost)
     n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
-    sigma_hat = as_matrix(amb.sigma_hat)
-    sigma_half = psd_sqrt(sigma_hat)
-    sigma_dr_inv = np.linalg.inv(amb.rho_sigma * sigma_hat)
+    sigma_half = psd_sqrt(amb.sigma_hat)
+    sigma_dr_inv = np.linalg.inv(amb.rho_sigma * amb.sigma_hat)
     A_mu, B_mu = sys.eval_AB(amb.mu_hat)
     Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
 
@@ -98,7 +97,7 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     # the main block.  It keeps the solve off the degenerate points W -> 0,
     # where K = V W^-1 and the bound tr(W^-1) certify nothing; without it a
     # set too large for any gain can end at such a point instead of infeasible
-    eps = 1e-9 * (1.0 + max(np.linalg.norm(as_matrix(cost.Q), 2), np.linalg.norm(as_matrix(cost.R), 2)))
+    eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
     b.add_psd(block_expr([[L - eps * np.eye(n_x)]]))
     return b
 

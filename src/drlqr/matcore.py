@@ -2,8 +2,9 @@
 
 All downstream modules funnel their linear algebra through these helpers so
 that symmetry handling, PSD tolerances and the half-vectorization svec live
-in exactly one place.  Storage is dense; problem sizes are small (blocks of
-at most a few tens of rows).
+in exactly one place; the value classes store each symmetric matrix as the
+read-only array sym_field returns.  Storage is dense; problem sizes are small
+(blocks of at most a few tens of rows).
 """
 
 from __future__ import annotations
@@ -42,23 +43,32 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def sym_field(name: str, m, definite: bool | str = False) -> np.ndarray:
+    """The symmetric part of m (array-like or SymMatrix) as a read-only 2-D array,
+    for the field called name.  A non-finite entry raises DomainError naming it.
+    With definite, anything not strictly positive definite raises ValueError
+    naming it and lambda_min; a string there is the remedy the error adds."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    require_finite(name, m)
+    m = symmetrize(m)
+    if definite:
+        w = np.linalg.eigvalsh(m)
+        if not (w.size and w[0] > 0):
+            found = f"lambda_min = {w[0]:.3e}" if w.size else "it is empty"
+            remedy = f"; {definite}" if isinstance(definite, str) else ""
+            raise ValueError(f"{name} must be strictly positive definite ({found}{remedy})")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class SymMatrix:
-    """Immutable symmetric real matrix.
-
-    Symmetry is enforced by construction: the stored entries are
-    (M + M^T) / 2 of whatever was passed in, so asymmetry can never
-    propagate into LMI assembly.
-    """
+    """Immutable symmetric real matrix: entries is sym_field of what was passed in."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = symmetrize(self.entries)
-        if not np.all(np.isfinite(m)):
-            raise DomainError("non-finite entries in symmetric matrix")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", sym_field("symmetric matrix", self.entries))
 
     @property
     def dim(self) -> int:
@@ -68,20 +78,13 @@ class SymMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce a SymMatrix or array-like to a float ndarray."""
-    if isinstance(m, SymMatrix):
-        return np.asarray(m.entries)
-    return np.asarray(m, dtype=float)
-
-
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, orthogonal eigenvector matrix) with
     V @ diag(w) @ V.T reconstructing the input.
     """
-    a = symmetrize(as_matrix(m))
+    a = symmetrize(m)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -124,7 +127,7 @@ def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def svec(m) -> np.ndarray:
     """Half-vectorization: the upper triangle of a square matrix, row by row."""
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=float)
     return m.take(sym_index(m.shape[0])[0])
 
 

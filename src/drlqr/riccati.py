@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
-from .matcore import NumericalFailure, SymMatrix, as_matrix, require_finite, symmetrize
+from .matcore import NumericalFailure, require_finite, sym_field, symmetrize
 from .stability import ClosedLoop, lyapunov_value, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 from .ambiguity import MomentAmbiguity
@@ -38,7 +38,7 @@ class Controller:
     """Static state-feedback gain with its value matrix and provenance."""
 
     K: np.ndarray
-    P: SymMatrix
+    P: np.ndarray  # read-only, symmetric
     method: str  # "nominal_vi" | "dr_covariance" | "dr_full" | "dr_rhc"
     iterations: int = 0
     cost_bound: float | None = None
@@ -46,21 +46,19 @@ class Controller:
     def __post_init__(self):
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
         require_finite("gain K", K)
-        P = self.P if isinstance(self.P, SymMatrix) else SymMatrix(np.atleast_2d(self.P))
-        if np.linalg.eigvalsh(as_matrix(P))[0] <= 0:
-            raise ValueError("value matrix P must be strictly positive definite")
-        if K.shape[1] != P.dim:
-            raise ValueError(f"gain shape {K.shape} inconsistent with P dimension {P.dim}")
+        P = sym_field("P", self.P, definite=True)
+        if K.shape[1] != P.shape[0]:
+            raise ValueError(f"gain shape {K.shape} inconsistent with P dimension {P.shape[0]}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "P", P)
 
     def to_json_dict(self) -> dict:
         d = {
             "K": self.K.tolist(),
-            "P": as_matrix(self.P).tolist(),
+            "P": self.P.tolist(),
             "method": self.method,
             "cost_kind": "exact" if self.cost_bound is None else "upper_bound",
-            "trace_P": float(np.trace(as_matrix(self.P))),
+            "trace_P": float(np.trace(self.P)),
         }
         if self.cost_bound is not None:
             d["cost_bound"] = float(self.cost_bound)
@@ -72,7 +70,7 @@ def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights
 
     Calls LAPACK with the arguments scipy's cho_factor and cho_solve pass it."""
     F, G, H = fgh(sys, m, P)
-    c, info = dpotrf(as_matrix(cost.R) + G, lower=0, clean=0)
+    c, info = dpotrf(cost.R + G, lower=0, clean=0)
     if info != 0:
         raise NumericalFailure(f"R + G(P) not positive definite: dpotrf info {info}")
     K = -dpotrs(c, H, lower=0)[0]
@@ -87,8 +85,8 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     (Anderson 1978; Chu, Fan, Lin & Wang 2004), or None if the doubling fails.
     Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages."""
     A, B = sys.eval_AB(m.mu)
-    n, H = sys.n_x, as_matrix(cost.Q)
-    G = B @ np.linalg.solve(as_matrix(cost.R), B.T)
+    n, H = sys.n_x, cost.Q
+    G = B @ np.linalg.solve(cost.R, B.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(18):
             X, info = dgesv(np.eye(n) + G @ H, np.hstack((A, G)))[2:]
@@ -97,7 +95,7 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
             if info != 0 or not all(np.isfinite(a).all() for a in (H, G, A)):
                 return None
             if np.abs(dH).max() <= TOL * np.abs(H).max():  # the 2-norm could overflow
-                mean = DisturbanceMoments(mu=m.mu, sigma=0.0 * as_matrix(m.sigma))
+                mean = DisturbanceMoments(mu=m.mu, sigma=0.0 * m.sigma)
                 return _gain_from(symmetrize(H), sys, mean, cost)[0]
     return None
 
@@ -131,11 +129,10 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     """
     check_cost(sys, cost)
     n = sys.n_x
-    Q, R = as_matrix(cost.Q), as_matrix(cost.R)
 
     def value(K):  # the certified value of K under m, or None
         T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
-        return lyapunov_value(T, Q + K.T @ R @ K)
+        return lyapunov_value(T, cost.Q + K.T @ cost.R @ K)
 
     P = None if start is None else value(start.K)
     if P is None:
@@ -160,7 +157,7 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
             P, k, newton, converged = P_next, k + 1, True, False
             continue
         if P_next is None:
-            P_next = symmetrize(Q + F + H.T @ K)
+            P_next = symmetrize(cost.Q + F + H.T @ K)
         step = P - P_next if newton else P_next - P
         if np.linalg.eigvalsh(step)[0] < -1e-8 * (1.0 + np.linalg.norm(P)):
             raise NumericalFailure(("Newton step" if newton else "value iteration")
@@ -185,7 +182,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     certainty-equivalent one.
     """
     inflated = DisturbanceMoments(mu=np.asarray(mu_known, dtype=float),
-                                  sigma=amb.rho_sigma * as_matrix(amb.sigma_hat))
+                                  sigma=amb.rho_sigma * amb.sigma_hat)
     try:
         ctrl = value_iteration(sys, inflated, cost, start)
     except NotStabilizableError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from .matcore import ShapeError, as_matrix, require_finite, smat, svec, sym_index
+from .matcore import ShapeError, require_finite, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -57,7 +57,7 @@ def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     Abar0, Bbar0 = cl.sys.stacked
     mats = (Abar0 + Bbar0 @ cl.K).reshape(-1, n, n)  # A_i + B_i K
     upper, position = sym_index(n)
-    weighted = np.einsum("ij,jca->ica", as_matrix(m.extended_moment), mats)
+    weighted = np.einsum("ij,jca->ica", m.extended_moment, mats)
     full = np.einsum("ica,idb->abcd", weighted, mats)
     T = (full + full.transpose(0, 1, 3, 2)).reshape(n * n, n * n)[upper][:, upper]
     T[:, position.diagonal()] *= 0.5  # columns c = d were added to themselves: exact
@@ -106,7 +106,7 @@ def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWe
     eigensolver; the radius is computed only for the error message."""
     check_cost(cl.sys, cost)
     T = second_moment_operator(cl, m)
-    rhs = as_matrix(cost.Q) + cl.K.T @ as_matrix(cost.R) @ cl.K
+    rhs = cost.Q + cl.K.T @ cost.R @ cl.K
     P = lyapunov_value(T, rhs) if lyapunov_value(T / (1.0 - TOL), rhs) is not None else None
     if P is None:
         raise InstabilityError(f"closed loop is not certified mean-square stable "

@@ -13,8 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import (DomainError, ShapeError, SymMatrix, as_matrix, is_psd, require_finite,
-                      symmetrize)
+from .matcore import DomainError, ShapeError, is_psd, require_finite, sym_field, symmetrize
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,14 @@ class DisturbanceMoments:
     """Mean and covariance of the disturbance vector."""
 
     mu: np.ndarray
-    sigma: SymMatrix
+    sigma: np.ndarray  # read-only, symmetric
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).ravel()
         require_finite("mu", mu)
-        require_finite("sigma", as_matrix(self.sigma))
-        sigma = self.sigma if isinstance(self.sigma, SymMatrix) else SymMatrix(np.atleast_2d(self.sigma))
-        if sigma.dim != mu.size:
-            raise ShapeError(f"mean has length {mu.size} but covariance is {sigma.dim}x{sigma.dim}")
+        sigma = sym_field("sigma", self.sigma)
+        if sigma.shape[0] != mu.size:
+            raise ShapeError(f"mean has length {mu.size} but covariance is {sigma.shape[0]}x{sigma.shape[0]}")
         if not is_psd(sigma):
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "mu", mu)
@@ -140,36 +138,28 @@ class DisturbanceMoments:
         return self.mu.size
 
     @cached_property
-    def extended_moment(self) -> SymMatrix:
-        """Extended second moment [[1, mu^T], [mu, Sigma + mu mu^T]], built once."""
+    def extended_moment(self) -> np.ndarray:
+        """Extended second moment [[1, mu^T], [mu, Sigma + mu mu^T]], built once, read-only."""
         mu = self.mu.reshape(-1, 1)
-        top = np.hstack([np.ones((1, 1)), mu.T])
-        bottom = np.hstack([mu, as_matrix(self.sigma) + mu @ mu.T])
-        return SymMatrix(np.vstack([top, bottom]))
+        return sym_field("extended_moment", np.block([[np.ones((1, 1)), mu.T], [mu, self.sigma + mu @ mu.T]]))
 
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Quadratic stage-cost weights, both strictly positive definite."""
+    """Quadratic stage-cost weights, both strictly positive definite, read-only."""
 
-    Q: SymMatrix
-    R: SymMatrix
+    Q: np.ndarray
+    R: np.ndarray
 
     def __post_init__(self):
         for name in ("Q", "R"):
-            m = getattr(self, name)
-            require_finite(name, as_matrix(m))
-            m = m if isinstance(m, SymMatrix) else SymMatrix(np.atleast_2d(m))
-            w = np.linalg.eigvalsh(as_matrix(m))
-            if w[0] <= 0:
-                raise ValueError(f"{name} must be strictly positive definite (lambda_min = {w[0]:.3e})")
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, sym_field(name, getattr(self, name), definite=True))
 
 
 def check_cost(sys: MultNoiseSystem, cost: CostWeights) -> None:
     """Raise ShapeError naming Q or R unless Q is n_x x n_x and R is n_u x n_u."""
     for name, n in (("Q", sys.n_x), ("R", sys.n_u)):
-        dim = getattr(cost, name).dim
+        dim = getattr(cost, name).shape[0]
         if dim != n:
             raise ShapeError(f"{name} is {dim}x{dim}, expected {n}x{n} for this system")
 
@@ -181,13 +171,13 @@ def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.
     and H (mixed).  Computed through the Kronecker form; the double-sum
     expansion is kept as a test oracle only.
     """
-    P = as_matrix(P)
+    P = np.asarray(P, dtype=float)
     if P.shape != (sys.n_x, sys.n_x):
         raise ShapeError(f"P has shape {P.shape}, expected ({sys.n_x}, {sys.n_x})")
     if m.n_w != sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
     Abar0, Bbar0 = sys.stacked
-    S, P = as_matrix(m.extended_moment), symmetrize(P)
+    S, P = m.extended_moment, symmetrize(P)
     # kron(S, P): the same products as np.kron, without its per-call overhead
     middle = (S[:, None, :, None] * P[None, :, None, :]).reshape(Abar0.shape[0], Abar0.shape[0])
     F = symmetrize(Abar0.T @ middle @ Abar0)

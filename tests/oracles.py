@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from drlqr.experiment import RunRecord
-from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, as_matrix, psd_sqrt
+from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, psd_sqrt
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr.stability import TOL, ClosedLoop, InstabilityError, _spectral_radius, is_mss
@@ -51,9 +51,9 @@ def dr_certify_mss(cl: ClosedLoop, amb, mean_grid: int = 12) -> bool:
     """
     if mean_grid < 1:
         raise ValueError("mean_grid must be at least 1")
-    sigma_hat = as_matrix(amb.sigma_hat)
+    sigma_hat = np.asarray(amb.sigma_hat)
     sigma_dr = SymMatrix(amb.rho_sigma * sigma_hat)
-    half = as_matrix(psd_sqrt(sigma_hat))
+    half = np.asarray(psd_sqrt(sigma_hat))
     radius = float(np.sqrt(max(amb.rho_mu, 0.0)))
     mu_hat = np.asarray(amb.mu_hat, dtype=float).ravel()
 
@@ -73,7 +73,7 @@ def dr_certify_mss(cl: ClosedLoop, amb, mean_grid: int = 12) -> bool:
 
 def vec(m) -> np.ndarray:
     """Column-stacking vectorization."""
-    return as_matrix(m).flatten(order="F")
+    return np.asarray(m).flatten(order="F")
 
 
 def unvec(v, rows: int) -> np.ndarray:
@@ -98,7 +98,7 @@ def vec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     one contraction over the channels.
     """
     mats = channel_matrices(cl)
-    S_ext = as_matrix(m.extended_moment)
+    S_ext = np.asarray(m.extended_moment)
     n = cl.sys.n_x
     weighted = np.einsum("ij,jca->ica", S_ext, mats)
     return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
@@ -124,9 +124,9 @@ def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments) -> SymMatrix:
 
 def riccati_residual(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights, P) -> float:
     """Frobenius norm of P - (Q + F(P) - H^T (R+G)^{-1} H)."""
-    P = as_matrix(P)
+    P = np.asarray(P)
     F, G, H = fgh(sys, m, P)
-    rhs = as_matrix(cost.Q) + F - H.T @ np.linalg.solve(as_matrix(cost.R) + G, H)
+    rhs = np.asarray(cost.Q) + F - H.T @ np.linalg.solve(np.asarray(cost.R) + G, H)
     return float(np.linalg.norm(P - rhs))
 
 
@@ -146,12 +146,12 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     b = LmiBuilder()
     P = b.sym_var("P", sys.n_x)
     Abar0, Bbar0 = sys.stacked
-    S_ext = as_matrix(m.extended_moment)
+    S_ext = np.asarray(m.extended_moment)
     mid = kron_const(S_ext, P)
     F = Abar0.T @ mid @ Abar0
     G = Bbar0.T @ mid @ Bbar0
     H = Bbar0.T @ mid @ Abar0
-    Q, R = as_matrix(cost.Q), as_matrix(cost.R)
+    Q, R = np.asarray(cost.Q), np.asarray(cost.R)
     b.add_psd(block_expr([[Q - P + F, H.T], [H, R + G]]))
     b.add_psd(P)
     b.minimize(-P.trace())

@@ -17,7 +17,7 @@ from drlqr.drsynth import DrSynthesisError, synth_full
 from drlqr.experiment import (ExperimentConfig, example1_analytic,
                               replicate_example1, run_sample_complexity,
                               sample_gaussian)
-from drlqr.matcore import NumericalFailure, SymMatrix, as_matrix, psd_sqrt
+from drlqr.matcore import NumericalFailure, SymMatrix, psd_sqrt
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sdpcore import LmiBuilder, kron_const, solve
 from drlqr.stability import (ClosedLoop, InstabilityError,
@@ -70,7 +70,7 @@ def test_criterion_3_scalar_riccati_closed_form(scalar_sys, scalar_cost, scalar_
     vi = value_iteration(scalar_sys, scalar_moments, scalar_cost)
     sdp = nominal_sdp(scalar_sys, scalar_moments, scalar_cost)
     for ctrl in (vi, sdp):
-        p = as_matrix(ctrl.P)[0, 0]
+        p = np.asarray(ctrl.P)[0, 0]
         assert abs(p - p_star) <= 1e-5 * p_star
         assert abs(ctrl.K[0, 0] - k_star) <= 1e-5
     assert abs(k_star - (-0.08438)) < 1e-4
@@ -106,7 +106,7 @@ def test_criterion_5_coverage_property():
     for _ in range(trials):
         amb = build_ambiguity(SampleSet(rng.standard_normal((1000, 2))), cfg,
                               lambda_reg=1e-10)
-        sig = as_matrix(amb.sigma_hat)
+        sig = np.asarray(amb.sigma_hat)
         mean_ok = amb.mu_hat @ np.linalg.solve(sig, amb.mu_hat) <= amb.rho_mu
         cov_ok = np.linalg.eigvalsh(amb.rho_sigma * sig - np.eye(2))[0] >= 0.0
         hits += int(mean_ok and cov_ok)
@@ -121,8 +121,8 @@ def test_criterion_6_zero_mean_radius_consistency(sys6, cost6):
                           rho_mu=0.0, rho_sigma=rho_sigma)
     full = synth_full(sys6, amb, cost6)
     cov = dr_covariance(sys6, np.zeros(2), amb, cost6)
-    tr_full = float(np.trace(as_matrix(full.controller.P)))
-    tr_cov = float(np.trace(as_matrix(cov.P)))
+    tr_full = float(np.trace(np.asarray(full.controller.P)))
+    tr_cov = float(np.trace(np.asarray(cov.P)))
     assert abs(tr_full - tr_cov) <= 0.01 * tr_cov
 
 
@@ -229,17 +229,17 @@ def test_criterion_9_cost_bound_validity():
             continue
         instances += 1
         cl = ClosedLoop(sys=sys, K=res.controller.K)
-        half = as_matrix(psd_sqrt(as_matrix(amb.sigma_hat)))
+        half = np.asarray(psd_sqrt(np.asarray(amb.sigma_hat)))
         for j in range(20):
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
             u = 1.0 if j < 5 else float(rng.uniform(0.0, 1.0))
             mu = amb.mu_hat + math.sqrt(amb.rho_mu) * u * half @ d
             scale = float(rng.uniform(0.2, 1.0))
-            sigma = scale * amb.rho_sigma * as_matrix(amb.sigma_hat)
+            sigma = scale * amb.rho_sigma * np.asarray(amb.sigma_hat)
             m = DisturbanceMoments(mu=mu, sigma=SymMatrix(sigma))
             try:
-                tr = float(np.trace(as_matrix(closed_loop_value_matrix(cl, m, cost))))
+                tr = float(np.trace(np.asarray(closed_loop_value_matrix(cl, m, cost))))
             except InstabilityError:
                 tr = float("inf")
             worst = max(worst, (tr - res.cost_bound) / res.cost_bound)

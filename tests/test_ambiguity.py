@@ -7,7 +7,7 @@ from drlqr.ambiguity import (AmbiguityConfig, InsufficientDataError, MomentAmbig
                              SampleSet, SampleSizeError, ambiguity_radii,
                              build_ambiguity, empirical_moments,
                              load_samples_csv, min_sample_size, t_mu, t_sigma)
-from drlqr.matcore import DomainError, SymMatrix, as_matrix
+from drlqr.matcore import DomainError, ShapeError, SymMatrix
 
 from conftest import write_fixture
 
@@ -20,19 +20,19 @@ class TestEmpiricalMoments:
         s = SampleSet(np.tile([1.0, -2.0], (5, 1)))
         mu, sigma = empirical_moments(s)
         assert np.allclose(mu, [1.0, -2.0])
-        assert np.allclose(as_matrix(sigma), 0.0)
+        assert np.allclose(np.asarray(sigma), 0.0)
 
     def test_two_point_support(self):
         s = SampleSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         mu, sigma = empirical_moments(s)
         assert np.allclose(mu, 0.0)
-        assert np.allclose(as_matrix(sigma), np.diag([1.0, 0.0]))
+        assert np.allclose(np.asarray(sigma), np.diag([1.0, 0.0]))
 
     def test_normalization_by_M(self):
         # With M in the denominator the two-sample variance is d^2/4, not d^2/2.
         s = SampleSet(np.array([[0.0], [2.0]]))
         _, sigma = empirical_moments(s)
-        assert np.isclose(as_matrix(sigma)[0, 0], 1.0)
+        assert np.isclose(np.asarray(sigma)[0, 0], 1.0)
 
     def test_law_of_large_numbers(self):
         rng = np.random.default_rng(0)
@@ -41,14 +41,19 @@ class TestEmpiricalMoments:
         draws = mu_true + rng.standard_normal((10 ** 6, 2)) @ half.T
         mu, sigma = empirical_moments(SampleSet(draws))
         assert np.linalg.norm(mu - mu_true) < 5e-3
-        assert np.linalg.norm(as_matrix(sigma) - half @ half.T) < 2e-2
+        assert np.linalg.norm(np.asarray(sigma) - half @ half.T) < 2e-2
 
     def test_matches_two_pass_formula(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((37, 3)) * 10.0 + 100.0
         mu, sigma = empirical_moments(SampleSet(x))
         direct = sum(np.outer(r - mu, r - mu) for r in x) / 37.0
-        assert np.linalg.norm(as_matrix(sigma) - direct) <= 1e-12 * np.linalg.norm(direct)
+        assert np.linalg.norm(np.asarray(sigma) - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    def test_one_dimensional_samples_rejected(self):
+        """1-D draws are not read as one row: that reported 'got 1' for 1,000 samples."""
+        with pytest.raises(ShapeError, match=r"samples .*\(1000,\)"):
+            SampleSet(np.arange(1000.0))
 
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -200,7 +205,7 @@ class TestBuildAmbiguity:
         assert np.isclose(amb.rho_sigma, 3.1424256, atol=1e-6)
         mu, sigma = empirical_moments(s)
         assert np.allclose(amb.mu_hat, mu)
-        assert np.allclose(as_matrix(amb.sigma_hat), as_matrix(sigma))
+        assert np.allclose(np.asarray(amb.sigma_hat), np.asarray(sigma))
 
     def test_regularization_kicks_in(self):
         rng = np.random.default_rng(3)
@@ -209,7 +214,7 @@ class TestBuildAmbiguity:
         s = SampleSet(draws)
         amb = build_ambiguity(s, AmbiguityConfig(beta=BETA), lambda_reg=1e-8)
         assert amb.regularized
-        assert np.linalg.eigvalsh(as_matrix(amb.sigma_hat))[0] >= 1e-8 * 0.99
+        assert np.linalg.eigvalsh(np.asarray(amb.sigma_hat))[0] >= 1e-8 * 0.99
 
     def test_singular_without_reg_rejected(self):
         draws = np.column_stack([np.arange(1000.0), np.zeros(1000)])
@@ -238,6 +243,19 @@ class TestCsvRoundTrip:
         s = load_samples_csv(p)
         assert s.M == 2
         assert np.allclose(s.samples, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_partly_numeric_first_row_is_data(self, tmp_path):
+        """A first row with a number in it is a data row, not a header to drop."""
+        p = tmp_path / "w.csv"
+        p.write_text("1.0,abc\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="non-numeric value on line 1"):
+            load_samples_csv(p)
+
+    def test_header_after_blank_line_skipped(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("\nw1,w2\n1.0,2.0\n3.0,4.0\n")
+        s = load_samples_csv(p)
+        assert np.array_equal(s.samples, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_ragged_rejected(self, tmp_path):
         p = tmp_path / "w.csv"
@@ -268,7 +286,7 @@ class TestCoverageSmoke:
         for _ in range(trials):
             draws = rng.standard_normal((600, 2))
             amb = build_ambiguity(SampleSet(draws), cfg, lambda_reg=1e-8)
-            sig = as_matrix(amb.sigma_hat)
+            sig = np.asarray(amb.sigma_hat)
             inv = np.linalg.inv(sig)
             # true moments: mu = 0, Sigma = I
             mean_ok = amb.mu_hat @ inv @ amb.mu_hat <= amb.rho_mu

@@ -219,6 +219,19 @@ class TestSynth:
         assert rc == EXIT_OK
         assert np.allclose(out["K"], [[-28.25, -11.75]], atol=0.01)
 
+    def test_singular_samples_name_regularization(self, capsys, system_json, tmp_path):
+        """A constant channel gives a singular Sigma_hat: at --reg 0 the error
+        names Sigma_hat and regularization, the remedy the --reg flag applies."""
+        w = np.random.default_rng(0).standard_normal((1000, 2))
+        w[:, 1] = 1.0
+        sp = write_fixture(tmp_path / "w.csv", SampleSet(w))
+        rc = main(["synth", "--system", str(system_json), "--samples", str(sp),
+                   "--beta", "0.05", "--method", "full", "--reg", "0"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert "sigma_hat must be strictly positive definite" in err.lower()
+        assert "regularization" in err
+
     @pytest.mark.parametrize("method", ["nominal", "covariance", "full", "rhc"])
     def test_wrong_size_Q_exit_code(self, capsys, system_json, samples_csv, method):
         rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),

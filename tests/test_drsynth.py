@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
-from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, as_matrix, psd_sqrt
+from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, psd_sqrt
 from drlqr.riccati import NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -37,7 +37,7 @@ class TestSynthFull:
         y = sdpcore.solve(b.build()).y
         W, V = b.extract("W", y), b.extract("V", y)
         assert np.linalg.norm(res.controller.K @ W - V) <= 1e-10 * (1 + np.linalg.norm(V))
-        assert np.allclose(as_matrix(res.controller.P) @ W, np.eye(2), atol=1e-8)
+        assert np.allclose(np.asarray(res.controller.P) @ W, np.eye(2), atol=1e-8)
         assert res.cost_bound == res.controller.cost_bound
         assert np.isclose(res.cost_bound, np.trace(np.linalg.inv(W)), rtol=1e-12)
         assert res.controller.method == "dr_full"
@@ -47,7 +47,7 @@ class TestSynthFull:
         amb = _amb(np.zeros(2), np.eye(2), 0.0, 1.5)
         res = synth_full(sys6, amb, cost6)
         cov = dr_covariance(sys6, np.zeros(2), amb, cost6)
-        P_full, P_cov = as_matrix(res.controller.P), as_matrix(cov.P)
+        P_full, P_cov = np.asarray(res.controller.P), np.asarray(cov.P)
         assert np.linalg.norm(P_full - P_cov) <= 1e-2 * np.linalg.norm(P_cov)
         assert np.linalg.norm(res.controller.K - cov.K) <= 1e-2 * (1 + np.linalg.norm(cov.K))
 
@@ -87,7 +87,7 @@ class TestSynthFull:
         """
         res = synth_full(sys6, amb6_small, cost6)
         cl = ClosedLoop(sys=sys6, K=res.controller.K)
-        half = as_matrix(psd_sqrt(as_matrix(amb6_small.sigma_hat)))
+        half = np.asarray(psd_sqrt(np.asarray(amb6_small.sigma_hat)))
         rng = np.random.default_rng(0)
         for k in range(25):
             d = rng.standard_normal(2)
@@ -95,9 +95,9 @@ class TestSynthFull:
             d *= u / np.linalg.norm(d)
             mu = amb6_small.mu_hat + np.sqrt(amb6_small.rho_mu) * half @ d
             scale = 1.0 if k < 8 else rng.uniform(0.3, 1.0)
-            sigma = scale * amb6_small.rho_sigma * as_matrix(amb6_small.sigma_hat)
+            sigma = scale * amb6_small.rho_sigma * np.asarray(amb6_small.sigma_hat)
             m = DisturbanceMoments(mu=mu, sigma=SymMatrix(sigma))
-            P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost6))
+            P_cl = np.asarray(closed_loop_value_matrix(cl, m, cost6))
             assert np.trace(P_cl) <= (1.0 + 1e-6) * res.cost_bound
 
     def test_bound_monotone_in_radii(self, sys6, cost6):
@@ -141,7 +141,7 @@ class TestSynthRhc:
         x0 = np.array([2.0, 2.0])
         rhc = synth_rhc(sys6, amb6_small, cost6, x0)
         full = synth_full(sys6, amb6_small, cost6)
-        full_bound = float(x0 @ as_matrix(full.controller.P) @ x0)
+        full_bound = float(x0 @ np.asarray(full.controller.P) @ x0)
         assert rhc.cost_bound <= full_bound * (1.0 + 1e-3)
         assert rhc.controller.method == "dr_rhc"
 
@@ -157,7 +157,7 @@ class TestSynthRhc:
         x0 = np.array([1.0, -1.0])
         rhc = synth_rhc(sys, amb, cost, x0)
         ref = value_iteration(sys, m, cost)
-        exact = float(x0 @ as_matrix(ref.P) @ x0)
+        exact = float(x0 @ np.asarray(ref.P) @ x0)
         assert abs(rhc.cost_bound - exact) <= 1e-3 * exact
 
     def test_oversized_set_infeasible(self, scalar_sys, scalar_cost):
@@ -276,9 +276,9 @@ def _assert_certified(rng, res, method, sys, amb, cost, x0):
     assert dr_certify_mss(cl, amb, mean_grid=24)
 
     n_w = sys.n_w
-    half = as_matrix(psd_sqrt(as_matrix(amb.sigma_hat)))
-    envelope = amb.rho_sigma * as_matrix(amb.sigma_hat)
-    env_half = as_matrix(psd_sqrt(envelope))
+    half = np.asarray(psd_sqrt(np.asarray(amb.sigma_hat)))
+    envelope = amb.rho_sigma * np.asarray(amb.sigma_hat)
+    env_half = np.asarray(psd_sqrt(envelope))
     for k in range(8):
         d = rng.standard_normal(n_w)
         u, shrink = (1.0, 0.0) if k == 0 else (rng.uniform(), rng.uniform(0.0, 1.0, n_w))
@@ -287,7 +287,7 @@ def _assert_certified(rng, res, method, sys, amb, cost, x0):
         D = env_half @ (U * shrink) @ U.T @ env_half
         m = DisturbanceMoments(mu=mu, sigma=SymMatrix(envelope - D))
         assert is_mss(cl, m)[0]
-        P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost))
+        P_cl = np.asarray(closed_loop_value_matrix(cl, m, cost))
         J = np.trace(P_cl) if method == "full" else x0 @ P_cl @ x0
         assert J <= (1.0 + 1e-6) * res.cost_bound
 
@@ -350,7 +350,7 @@ class TestChannelPermutation:
         sys, amb, cost, _ = _random_instance(rng, n_x, n_u, 2, noise, rho_mu, rho_sigma)
         swap = [1, 0]
         swapped_sys = MultNoiseSystem(A0=sys.A0, A=sys.A[::-1], B0=sys.B0, B=sys.B[::-1])
-        sigma = as_matrix(amb.sigma_hat)
+        sigma = np.asarray(amb.sigma_hat)
         swapped_amb = dataclasses.replace(amb, mu_hat=amb.mu_hat[swap],
                                           sigma_hat=SymMatrix(sigma[np.ix_(swap, swap)]))
         full, swapped_full = (_outcome(synth_full, s, a, cost)
@@ -363,5 +363,5 @@ class TestChannelPermutation:
                             for s, a in ((sys, amb), (swapped_sys, swapped_amb)))
         assert type(cov) is type(swapped_cov), (cov, swapped_cov)
         if not isinstance(cov, Exception):
-            P, swapped_P = as_matrix(cov.P), as_matrix(swapped_cov.P)
+            P, swapped_P = np.asarray(cov.P), np.asarray(swapped_cov.P)
             assert np.linalg.norm(P - swapped_P) <= 1e-10 * np.linalg.norm(P)

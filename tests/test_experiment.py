@@ -8,7 +8,7 @@ from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               nominal_reference, replicate_example1,
                               run_sample_complexity, sample_gaussian,
                               scalar_mss, write_records_csv)
-from drlqr.matcore import SymMatrix, as_matrix
+from drlqr.matcore import SymMatrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
 from conftest import bench_workloads
@@ -207,7 +207,7 @@ class TestSweep:
         ctrl = value_iteration(sys6, moments6, cost6)
         assert np.allclose(K, ctrl.K)
         x0 = cfg.x0
-        assert np.isclose(J, x0 @ as_matrix(ctrl.P) @ x0, rtol=1e-8)
+        assert np.isclose(J, x0 @ np.asarray(ctrl.P) @ x0, rtol=1e-8)
 
     def test_degenerate_radii_match_nominal(self, sys6, moments6, cost6):
         """With rho = (0, 1) and the true moments, dr_covariance is nominal."""

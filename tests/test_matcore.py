@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drlqr.matcore import (DomainError, ShapeError, SymMatrix, as_matrix, is_psd, psd_sqrt,
+from drlqr.matcore import (DomainError, ShapeError, SymMatrix, is_psd, psd_sqrt,
                            smat, svec, sym_eig, sym_index, symmetrize)
 from oracles import unvec, vec
 
@@ -9,12 +9,12 @@ from oracles import unvec, vec
 class TestSymMatrix:
     def test_symmetrizes_on_construction(self):
         m = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        assert np.allclose(as_matrix(m), [[1.0, 1.0], [1.0, 3.0]])
+        assert np.allclose(np.asarray(m), [[1.0, 1.0], [1.0, 3.0]])
 
     def test_entries_are_write_protected(self):
         m = SymMatrix(np.eye(2))
         with pytest.raises((ValueError, RuntimeError)):
-            as_matrix(m)[0, 0] = 5.0
+            np.asarray(m)[0, 0] = 5.0
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
@@ -43,27 +43,27 @@ class TestSymEig:
             m = SymMatrix(rng.standard_normal((4, 4)))
             vals, vecs = sym_eig(m)
             rebuilt = vecs @ np.diag(vals) @ vecs.T
-            assert np.linalg.norm(rebuilt - as_matrix(m)) <= 1e-10 * (1 + np.linalg.norm(as_matrix(m)))
+            assert np.linalg.norm(rebuilt - np.asarray(m)) <= 1e-10 * (1 + np.linalg.norm(np.asarray(m)))
 
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = SymMatrix(rng.standard_normal((5, 5)))
             vals, _ = sym_eig(m)
-            tr = np.trace(as_matrix(m))
+            tr = np.trace(np.asarray(m))
             assert abs(sum(vals) - tr) <= 1e-10 * (1 + abs(tr))
 
 
 class TestPsdSqrt:
     def test_identity(self):
-        assert np.allclose(as_matrix(psd_sqrt(np.eye(2))), np.eye(2))
+        assert np.allclose(np.asarray(psd_sqrt(np.eye(2))), np.eye(2))
 
     def test_diagonal(self):
-        assert np.allclose(as_matrix(psd_sqrt(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]))
+        assert np.allclose(np.asarray(psd_sqrt(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]))
 
     def test_squares_back(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        r = as_matrix(psd_sqrt(m))
+        r = np.asarray(psd_sqrt(m))
         assert np.linalg.norm(r @ r - m) <= 1e-9 * (1 + np.linalg.norm(m))
 
     def test_indefinite_rejected(self):
@@ -71,12 +71,12 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -0.5]))
 
     def test_tiny_negative_clipped(self):
-        r = as_matrix(psd_sqrt(np.diag([1.0, -1e-14])))
+        r = np.asarray(psd_sqrt(np.diag([1.0, -1e-14])))
         assert r[1, 1] == 0.0
 
     def test_monotone_on_diagonals(self):
-        a = as_matrix(psd_sqrt(np.diag([1.0, 4.0])))
-        b = as_matrix(psd_sqrt(np.diag([2.0, 5.0])))
+        a = np.asarray(psd_sqrt(np.diag([1.0, 4.0])))
+        b = np.asarray(psd_sqrt(np.diag([2.0, 5.0])))
         assert np.all(np.diag(b) >= np.diag(a))
 
 

@@ -10,7 +10,7 @@ from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr import riccati
 from drlqr.cli import EXIT_OK, main
-from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix, as_matrix
+from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix
 from drlqr.riccati import NotStabilizableError, _ce_gain, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -25,7 +25,7 @@ class TestValueIteration:
         ctrl = value_iteration(scalar_sys, scalar_moments, scalar_cost)
         p_star = scalar_p_star()
         assert np.isclose(p_star, 1267.775661738586)
-        p = as_matrix(ctrl.P)[0, 0]
+        p = np.asarray(ctrl.P)[0, 0]
         assert abs(p - p_star) <= 1e-6 * p_star
         k_star = -0.75 * p_star / (1.0e4 + p_star)
         assert abs(ctrl.K[0, 0] - k_star) <= 1e-6
@@ -37,7 +37,7 @@ class TestValueIteration:
         m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1)))
         cost = CostWeights(Q=np.diag([2.0, 3.0]), R=np.eye(1))
         ctrl = value_iteration(sys, m, cost)
-        assert np.allclose(as_matrix(ctrl.P), np.diag([2.0, 3.0]), atol=1e-8)
+        assert np.allclose(np.asarray(ctrl.P), np.diag([2.0, 3.0]), atol=1e-8)
         assert np.allclose(ctrl.K, 0.0, atol=1e-8)
 
     def test_excess_noise_not_stabilizable(self, scalar_sys, scalar_cost):
@@ -48,7 +48,7 @@ class TestValueIteration:
     def test_residual_small(self, sys6, moments6, cost6):
         ctrl = value_iteration(sys6, moments6, cost6)
         res = riccati_residual(sys6, moments6, cost6, ctrl.P)
-        assert res <= 10.0 * 1e-10 * (1.0 + np.linalg.norm(as_matrix(ctrl.P)))
+        assert res <= 10.0 * 1e-10 * (1.0 + np.linalg.norm(np.asarray(ctrl.P)))
 
     def test_returned_loop_is_mss(self, sys6, moments6, cost6):
         ctrl = value_iteration(sys6, moments6, cost6)
@@ -95,8 +95,8 @@ def _assert_exact_solution(sys, m, cost, ctrl, rtol=1e-12):
     """The returned gain is MSS, P is its closed-loop value matrix and solves the Riccati equation."""
     cl = ClosedLoop(sys=sys, K=ctrl.K)
     assert is_mss(cl, m)[0]
-    P = as_matrix(ctrl.P)
-    P_cl = as_matrix(closed_loop_value_matrix(cl, m, cost))
+    P = np.asarray(ctrl.P)
+    P_cl = np.asarray(closed_loop_value_matrix(cl, m, cost))
     assert np.linalg.norm(P - P_cl) <= rtol * np.linalg.norm(P_cl)
     assert riccati_residual(sys, m, cost, P) <= rtol * (1.0 + np.linalg.norm(P))
 
@@ -121,7 +121,7 @@ class TestNewtonFinish:
         amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
         ctrl = dr_covariance(sys6, amb.mu_hat, amb, cost6)
         inflated = DisturbanceMoments(mu=amb.mu_hat,
-                                      sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+                                      sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
         assert is_mss(ClosedLoop(sys=sys6, K=ctrl.K), inflated)[0]
 
     def test_non_finite_gain_is_numerical_failure(self, monkeypatch, scalar_sys, scalar_cost,
@@ -197,7 +197,7 @@ def _chain_workload_case(index: int = 0):
     sys, samples = w.make_input(index).data
     amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
     inflated = DisturbanceMoments(mu=amb.mu_hat,
-                                  sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+                                  sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
     return sys, inflated, w.cost
 
 
@@ -233,7 +233,7 @@ class TestCertaintyEquivalentStart:
         swept = value_iteration(sys, m, cost)
         assert ce.iterations < swept.iterations
         assert np.linalg.norm(ce.K - swept.K) <= 1e-12 * np.linalg.norm(swept.K)
-        P, P_swept = as_matrix(ce.P), as_matrix(swept.P)
+        P, P_swept = np.asarray(ce.P), np.asarray(swept.P)
         assert np.linalg.norm(P - P_swept) <= 1e-12 * np.linalg.norm(P_swept)
 
     def test_riccati_chain_in_four_iterations(self):
@@ -250,7 +250,7 @@ class TestCertaintyEquivalentStart:
         sys, cost = _roadmap_chain(n), CostWeights(Q=np.eye(n), R=0.01 * np.eye(1))
         ctrl = dr_covariance(sys, amb6.mu_hat, amb6, cost)
         inflated = DisturbanceMoments(mu=amb6.mu_hat,
-                                      sigma=SymMatrix(amb6.rho_sigma * as_matrix(amb6.sigma_hat)))
+                                      sigma=SymMatrix(amb6.rho_sigma * np.asarray(amb6.sigma_hat)))
         _assert_exact_solution(sys, inflated, cost, ctrl, rtol=1e-10)
         assert ctrl.iterations <= 8
 
@@ -269,7 +269,7 @@ def _cell_inflated(M: int, realization: int, moments) -> DisturbanceMoments:
     samples = sample_gaussian(moments, M, _cell_stream(0, M, realization))
     amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
     return DisturbanceMoments(mu=amb.mu_hat,
-                              sigma=SymMatrix(amb.rho_sigma * as_matrix(amb.sigma_hat)))
+                              sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
 
 
 class TestStart:
@@ -283,7 +283,7 @@ class TestStart:
         warm = value_iteration(sys6, m, cost6, start=neighbour)
         assert warm.iterations < cold.iterations
         assert np.linalg.norm(warm.K - cold.K) <= 1e-12 * np.linalg.norm(cold.K)
-        P, P_cold = as_matrix(warm.P), as_matrix(cold.P)
+        P, P_cold = np.asarray(warm.P), np.asarray(cold.P)
         assert np.linalg.norm(P - P_cold) <= 1e-12 * np.linalg.norm(P_cold)
 
     def test_uncertified_start_gives_the_cold_solution(self, sys6, moments6, cost6):
@@ -294,7 +294,7 @@ class TestStart:
         cold = value_iteration(sys6, moments6, cost6)
         warm = value_iteration(sys6, moments6, cost6, start=bad)
         assert np.array_equal(warm.K, cold.K) and warm.iterations == cold.iterations
-        assert np.array_equal(as_matrix(warm.P), as_matrix(cold.P))
+        assert np.array_equal(np.asarray(warm.P), np.asarray(cold.P))
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 3)], ids=["n_u", "n_x"])
     def test_start_of_another_shape(self, sys6, moments6, cost6, shape):
@@ -311,12 +311,12 @@ class TestNominalSdp:
     def test_scalar_matches_closed_form(self, scalar_sys, scalar_cost, scalar_moments):
         ctrl = nominal_sdp(scalar_sys, scalar_moments, scalar_cost)
         p_star = scalar_p_star()
-        assert abs(as_matrix(ctrl.P)[0, 0] - p_star) <= 1e-4 * p_star
+        assert abs(np.asarray(ctrl.P)[0, 0] - p_star) <= 1e-4 * p_star
 
     def test_matches_value_iteration(self, sys6, moments6, cost6):
         vi = value_iteration(sys6, moments6, cost6)
         sdp = nominal_sdp(sys6, moments6, cost6)
-        P_vi, P_sdp = as_matrix(vi.P), as_matrix(sdp.P)
+        P_vi, P_sdp = np.asarray(vi.P), np.asarray(sdp.P)
         assert np.linalg.norm(P_sdp - P_vi) <= 1e-4 * np.linalg.norm(P_vi)
         assert np.linalg.norm(sdp.K - vi.K) <= 1e-3 * (1.0 + np.linalg.norm(vi.K))
 
@@ -327,7 +327,7 @@ class TestNominalSdp:
         m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1)))
         cost = CostWeights(Q=np.eye(2), R=np.eye(1))
         ctrl = nominal_sdp(sys, m, cost)
-        assert np.allclose(as_matrix(ctrl.P), np.eye(2), atol=1e-4)
+        assert np.allclose(np.asarray(ctrl.P), np.eye(2), atol=1e-4)
 
 
 class TestDrCovariance:
@@ -340,7 +340,7 @@ class TestDrCovariance:
         amb = self._amb(0.5 * np.eye(1), 1.0)
         dr = dr_covariance(scalar_sys, np.zeros(1), amb, scalar_cost)
         vi = value_iteration(scalar_sys, scalar_moments, scalar_cost)
-        assert np.allclose(as_matrix(dr.P), as_matrix(vi.P), rtol=1e-8)
+        assert np.allclose(np.asarray(dr.P), np.asarray(vi.P), rtol=1e-8)
         assert dr.method == "dr_covariance"
 
     def test_inflation_equals_nominal_at_inflated_variance(self, scalar_sys, scalar_cost):
@@ -348,7 +348,7 @@ class TestDrCovariance:
         dr = dr_covariance(scalar_sys, np.zeros(1), amb, scalar_cost)
         m75 = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(0.75 * np.eye(1)))
         vi = value_iteration(scalar_sys, m75, scalar_cost)
-        assert np.allclose(as_matrix(dr.P), as_matrix(vi.P), rtol=1e-8)
+        assert np.allclose(np.asarray(dr.P), np.asarray(vi.P), rtol=1e-8)
 
     def test_excess_inflation_not_stabilizable(self, scalar_sys, scalar_cost):
         amb = self._amb(0.5 * np.eye(1), 2.2)
@@ -359,8 +359,8 @@ class TestDrCovariance:
         amb = self._amb(np.eye(2), 1.8)
         dr = dr_covariance(sys6, np.zeros(2), amb, cost6)
         vi = value_iteration(sys6, moments6, cost6)
-        gap = as_matrix(dr.P) - as_matrix(vi.P)
-        assert np.linalg.eigvalsh(gap)[0] >= -1e-6 * np.linalg.norm(as_matrix(vi.P))
+        gap = np.asarray(dr.P) - np.asarray(vi.P)
+        assert np.linalg.eigvalsh(gap)[0] >= -1e-6 * np.linalg.norm(np.asarray(vi.P))
 
 
 class TestControllerIo:
@@ -379,12 +379,18 @@ class TestControllerIo:
         d = ctrl.to_json_dict()
         assert d["method"] == "nominal_vi"
         assert d["cost_kind"] == "exact"
-        assert np.isclose(d["trace_P"], as_matrix(ctrl.P).trace())
+        assert np.isclose(d["trace_P"], np.asarray(ctrl.P).trace())
 
     def test_controller_validation(self):
         with pytest.raises(ValueError):
             from drlqr.riccati import Controller
             Controller(K=np.zeros((1, 1)), P=SymMatrix(np.zeros((1, 1))), method="nominal_vi")
+
+    def test_empty_value_matrix_is_named(self):
+        """An empty P raised a bare IndexError from eigvalsh(P)[0]."""
+        from drlqr.riccati import Controller
+        with pytest.raises(ValueError, match="^P must be strictly positive definite"):
+            Controller(K=np.zeros((1, 0)), P=np.zeros((0, 0)), method="nominal_vi")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_gain_is_domain_error(self, bad):

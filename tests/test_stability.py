@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drlqr.matcore import DomainError, SymMatrix, as_matrix, is_psd, smat, svec
+from drlqr.matcore import DomainError, SymMatrix, is_psd, smat, svec
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
@@ -78,7 +78,7 @@ class TestSecondMomentOperator:
         P = (P + P.T) / 2
         Abar, Bbar = sys6.stacked
         Acl = Abar + Bbar @ cl.K
-        S = as_matrix(moments6.extended_moment)
+        S = np.asarray(moments6.extended_moment)
         direct = Acl.T @ np.kron(S, P) @ Acl
         applied = smat(second_moment_operator(cl, moments6) @ svec(P), 2)
         assert np.allclose(applied, direct, atol=1e-10)
@@ -88,7 +88,7 @@ class TestSecondMomentOperator:
         """T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop channels on
         vec coordinates, and E T D on svec coordinates."""
         cl, m = _random_plant(np.random.default_rng(n_x), n_x, n_u=2, n_w=3)
-        S = as_matrix(m.extended_moment)
+        S = np.asarray(m.extended_moment)
         mats = channel_matrices(cl)
         ref = sum(S[i, j] * np.kron(Aj.T, Ai.T)
                   for i, Ai in enumerate(mats) for j, Aj in enumerate(mats))
@@ -120,7 +120,7 @@ class TestSecondMomentOperator:
             with pytest.raises(InstabilityError):
                 closed_loop_value_matrix(cl, m, cost)
             return
-        P = as_matrix(closed_loop_value_matrix(cl, m, cost))
+        P = np.asarray(closed_loop_value_matrix(cl, m, cost))
         rhs = np.eye(n_x) + cl.K.T @ cl.K
         P_vec = unvec(np.linalg.solve(np.eye(n_x * n_x) - T_vec, vec(rhs)), n_x)
         assert np.linalg.norm(P - P_vec) <= 1e-10 * np.linalg.norm(P_vec)
@@ -239,7 +239,7 @@ def _lyapunov_lmi_feasible(cl, m) -> bool:
     P = b.sym_var("P", n)
     Abar, Bbar = cl.sys.stacked
     Acl = Abar + Bbar @ cl.K
-    LP = Acl.T @ kron_const(as_matrix(m.extended_moment), P) @ Acl
+    LP = Acl.T @ kron_const(np.asarray(m.extended_moment), P) @ Acl
     b.add_psd(block_expr([[P - np.eye(n)]]))
     b.add_psd(block_expr([[P - LP - 1e-6 * np.eye(n)]]))
     sol = solve(b.build())
@@ -265,11 +265,11 @@ class TestLyapunovP:
                               B0=np.zeros((2, 1)), B=(np.zeros((2, 1)),))
         P = lyapunov_P(ClosedLoop(sys=sys, K=np.zeros((1, 2))),
                        DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1))))
-        assert np.allclose(as_matrix(P), np.eye(2))
+        assert np.allclose(np.asarray(P), np.eye(2))
 
     def test_scalar_geometric_series(self):
         P = lyapunov_P(_scalar_loop(-0.5), _scalar_moments())
-        assert np.isclose(as_matrix(P)[0, 0], 1.0 / 0.4375)
+        assert np.isclose(np.asarray(P)[0, 0], 1.0 / 0.4375)
 
     def test_residual(self):
         rng = np.random.default_rng(11)
@@ -279,7 +279,7 @@ class TestLyapunovP:
             stable, _ = is_mss(cl, m)
             if not stable:
                 continue
-            P = as_matrix(lyapunov_P(cl, m))
+            P = np.asarray(lyapunov_P(cl, m))
             n = cl.sys.n_x
             residual = P - smat(second_moment_operator(cl, m) @ svec(P), n) - np.eye(n)
             assert np.linalg.norm(residual) <= 1e-8
@@ -312,7 +312,7 @@ class TestClosedLoopCost:
         cl = ClosedLoop(sys=scalar_sys, K=ctrl.K)
         x0 = np.array([1.7])
         J = closed_loop_cost(cl, scalar_moments, scalar_cost, x0)
-        assert np.isclose(J, as_matrix(ctrl.P)[0, 0] * x0[0] ** 2, rtol=1e-8)
+        assert np.isclose(J, np.asarray(ctrl.P)[0, 0] * x0[0] ** 2, rtol=1e-8)
 
     def test_unstable_is_error(self):
         cost = CostWeights(Q=np.eye(1), R=np.eye(1))

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from drlqr.matcore import DomainError, ShapeError, SymMatrix, as_matrix
+from drlqr.ambiguity import MomentAmbiguity
+from drlqr.matcore import DomainError, ShapeError, SymMatrix
 from drlqr.drsynth import synth_full
 from drlqr.experiment import ExperimentConfig
-from drlqr.riccati import value_iteration
+from drlqr.riccati import Controller, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 
@@ -64,17 +65,17 @@ class TestStacked:
 class TestExtendedMoment:
     def test_centered_identity(self):
         m = DisturbanceMoments(mu=np.zeros(2), sigma=SymMatrix(np.eye(2)))
-        assert np.allclose(as_matrix(m.extended_moment),
+        assert np.allclose(np.asarray(m.extended_moment),
                            np.diag([1.0, 1.0, 1.0]))
 
     def test_scalar_example(self, scalar_moments):
-        assert np.allclose(as_matrix(scalar_moments.extended_moment),
+        assert np.allclose(np.asarray(scalar_moments.extended_moment),
                            np.diag([1.0, 0.5]))
 
     def test_nonzero_mean(self):
         m = DisturbanceMoments(mu=np.array([1.0, 2.0]),
                                sigma=SymMatrix(np.diag([2.0, 3.0])))
-        assert np.allclose(as_matrix(m.extended_moment),
+        assert np.allclose(np.asarray(m.extended_moment),
                            [[1.0, 1.0, 2.0], [1.0, 3.0, 2.0], [2.0, 2.0, 7.0]])
 
     def test_psd(self):
@@ -82,12 +83,12 @@ class TestExtendedMoment:
         for _ in range(10):
             A = rng.standard_normal((3, 3))
             m = DisturbanceMoments(mu=rng.standard_normal(3), sigma=SymMatrix(A @ A.T))
-            assert np.linalg.eigvalsh(as_matrix(m.extended_moment))[0] >= -1e-10
+            assert np.linalg.eigvalsh(np.asarray(m.extended_moment))[0] >= -1e-10
 
 
 def _fgh_double_sum(sys, m, P):
     """Oracle: F = sum_ij S_ij Ai^T P Aj over indices 0..n_w (A_0 at index 0)."""
-    S = as_matrix(m.extended_moment)
+    S = np.asarray(m.extended_moment)
     A_list = [sys.A0] + list(sys.A)
     B_list = [sys.B0] + list(sys.B)
     n = sys.n_w + 1
@@ -159,7 +160,7 @@ class TestFgh:
         exact = x @ F @ x + 2.0 * x @ H.T @ u + u @ G @ u
 
         N = 10 ** 6
-        half = np.linalg.cholesky(as_matrix(m.sigma))
+        half = np.linalg.cholesky(np.asarray(m.sigma))
         w = m.mu + rng.standard_normal((N, 2)) @ half.T
         # v = A(w)x + B(w)u, vectorized over draws
         v = (x @ sys.A0.T + u @ sys.B0.T)[None, :] + np.zeros((N, 2))
@@ -221,7 +222,38 @@ class TestCostWeights:
             CostWeights(Q=np.eye(2), R=np.array([[-1.0]]))
 
     def test_valid(self, cost6):
-        assert as_matrix(cost6.Q)[0, 0] == 10.0
+        assert np.asarray(cost6.Q)[0, 0] == 10.0
+
+    @pytest.mark.parametrize("field", ["Q", "R"])
+    def test_empty_weight_is_named(self, field):
+        """An empty weight raised a bare IndexError from eigvalsh(...)[0]."""
+        kwargs = {"Q": np.eye(2), "R": np.eye(1), field: np.zeros((0, 0))}
+        with pytest.raises(ValueError, match=f"^{field} must be strictly positive definite"):
+            CostWeights(**kwargs)
+
+
+ASYMMETRIC = [[2.0, 0.5], [0.3, 1.0]]
+SYMMETRIC_FIELDS = {
+    "DisturbanceMoments.sigma": lambda m: DisturbanceMoments(mu=np.zeros(2), sigma=m).sigma,
+    "DisturbanceMoments.extended_moment":
+        lambda m: DisturbanceMoments(mu=np.zeros(2), sigma=m).extended_moment[1:, 1:],
+    "CostWeights.Q": lambda m: CostWeights(Q=m, R=np.eye(1)).Q,
+    "CostWeights.R": lambda m: CostWeights(Q=np.eye(1), R=m).R,
+    "MomentAmbiguity.sigma_hat": lambda m: MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=m,
+                                                           rho_mu=0.1, rho_sigma=1.5).sigma_hat,
+    "Controller.P": lambda m: Controller(K=np.zeros((1, 2)), P=m, method="nominal_vi").P,
+}
+
+
+@pytest.mark.parametrize("field", sorted(SYMMETRIC_FIELDS))
+def test_symmetric_field_is_read_only_array(field):
+    """Each symmetric field holds the same read-only symmetrized ndarray, whether
+    it was given as a list, an ndarray or a SymMatrix."""
+    a = np.array(ASYMMETRIC)
+    for given in (ASYMMETRIC, a, SymMatrix(a)):
+        stored = SYMMETRIC_FIELDS[field](given)
+        assert type(stored) is np.ndarray and not stored.flags.writeable
+        assert np.array_equal(stored, 0.5 * (a + a.T))
 
 
 class TestCostShape:

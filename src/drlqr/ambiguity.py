@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, require_finite, sym_field, symmetrize
+from .matcore import ShapeError, array_field, require_finite, sym_field, symmetrize
 
 DEFAULT_EPS = 1.0 / 30.0
 
@@ -41,13 +41,11 @@ class SampleSet:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
+        s = array_field("samples", self.samples, ndmin=0)
         if s.ndim != 2:
             raise ShapeError(f"samples must be 2-D, one draw per row, got shape {s.shape}")
         if s.shape[0] < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {s.shape[0]}")
-        require_finite("samples", s)
-        s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
     @property
@@ -92,8 +90,8 @@ class MomentAmbiguity:
     regularized: bool = False
 
     def __post_init__(self):
-        mu = np.asarray(self.mu_hat, dtype=float).ravel()
-        for name, value in (("mu_hat", mu), ("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
+        mu = array_field("mu_hat", self.mu_hat, ndmin=1).ravel()
+        for name, value in (("rho_mu", self.rho_mu), ("rho_sigma", self.rho_sigma)):
             require_finite(name, value)
         if mu.size == 0:
             raise ValueError("mu_hat is empty: the set needs at least one disturbance channel")

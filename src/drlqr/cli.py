@@ -20,9 +20,8 @@ import sys as _sys
 import numpy as np
 
 from . import drsynth, experiment, riccati
-from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSizeError, ambiguity_radii,
-                        build_ambiguity, empirical_moments, load_samples_csv,
-                        min_sample_size, t_mu, t_sigma)
+from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, ambiguity_radii, build_ambiguity,
+                        empirical_moments, load_samples_csv, min_sample_size, t_mu, t_sigma)
 from .matcore import NumericalFailure
 from .stability import ClosedLoop, is_mss
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -71,13 +70,13 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _parse_matrix_arg(text: str) -> np.ndarray:
+def _parse_matrix_arg(text: str):
     """Accept a JSON literal like "[[10,0],[0,1]]" or a path to a JSON file."""
     if os.path.exists(text):
-        return np.asarray(_load_json(text), dtype=float)
+        return _load_json(text)
     try:
-        return np.asarray(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, ValueError) as exc:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse matrix {text!r}: {exc}") from exc
 
 
@@ -120,9 +119,9 @@ def _cmd_synth(args) -> int:
 def _cmd_mss(args) -> int:
     system = MultNoiseSystem.from_json_dict(_load_json(args.system))
     gain = _load_json(args.gain)
-    try:  # ClosedLoop checks the gain's shape and finiteness
-        K = np.asarray(gain["K"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    try:  # ClosedLoop checks the gain's entries, shape and finiteness
+        K = gain["K"]
+    except (KeyError, TypeError) as exc:
         raise CliError(f"malformed controller file: {exc!r}") from exc
     mu = _parse_vector(args.mu) if args.mu else np.zeros(system.n_w)
     sigma = _load_json(args.cov) if args.cov else np.eye(system.n_w)
@@ -145,7 +144,7 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
             cost=CostWeights(Q=raw["Q"], R=raw["R"]),
             beta=raw["beta"],
             sample_sizes=tuple(raw["sample_sizes"]),
-            x0=np.asarray(raw["x0"], dtype=float),
+            x0=raw["x0"],
             **{key: raw[key] for key in ("eps", "sigma2", "realizations", "seed", "methods")
                if key in raw},
         )
@@ -157,6 +156,8 @@ def _experiment_config_from_json(path) -> experiment.ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config_from_json(args.config)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise CliError(f"cannot write {args.out}: its directory does not exist")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     records = experiment.run_sample_complexity(cfg, jobs=args.jobs)
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, SampleSizeError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID
     except (drsynth.DrSynthesisError, riccati.NotStabilizableError) as exc:

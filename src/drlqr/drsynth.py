@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, psd_sqrt, require_finite
+from .matcore import NumericalFailure, ShapeError, array_field, psd_sqrt
 from .riccati import Controller
 from .sdpcore import LmiBuilder, SdpSolution, block_expr, kron_const, solve, zeros
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost
@@ -156,10 +156,9 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0)
     The gamma constraint enters as the Schur-complement block
     [[gamma, x0^T], [x0, W]] >= 0 alongside the synthesis LMIs.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = array_field("x0", x0, ndmin=1).ravel()
     if x0.size != sys.n_x:
         raise ShapeError(f"x0 has length {x0.size}, expected {sys.n_x}")
-    require_finite("x0", x0)
     b = _thm6_builder(sys, amb, cost)
     gamma = b.scalar_var("gamma")
     b.add_psd(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), b.var("W")]]))

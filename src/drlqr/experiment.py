@@ -23,7 +23,7 @@ import scipy.special
 from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
                         min_sample_size)
-from .matcore import NumericalFailure, psd_sqrt
+from .matcore import NumericalFailure, ShapeError, array_field, psd_sqrt
 from .stability import ClosedLoop, InstabilityError, closed_loop_cost
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
@@ -64,6 +64,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_cost(self.system, self.cost)
+        if self.true_moments.n_w != self.system.n_w:
+            raise ShapeError(f"true_moments have {self.true_moments.n_w} disturbance channels, "
+                             f"the system has {self.system.n_w}")
         realizations, seed = _whole(self.realizations, "realizations"), _whole(self.seed, "seed")
         if realizations < 1:
             raise ValueError("realizations must be at least 1")
@@ -80,9 +83,9 @@ class ExperimentConfig:
         M_min = min_sample_size(self.ambiguity_config(), self.system.n_w)
         if min(sizes) < M_min:
             raise ValueError(f"sample size {min(sizes)} below minimum {M_min} for these parameters")
-        x0 = np.asarray(self.x0, dtype=float).ravel()
-        if x0.size != self.system.n_x or not np.all(np.isfinite(x0)):
-            raise ValueError(f"x0 must hold {self.system.n_x} finite numbers, got {x0}")
+        x0 = array_field("x0", self.x0, ndmin=1).ravel()
+        if x0.size != self.system.n_x:
+            raise ShapeError(f"x0 has length {x0.size}, expected {self.system.n_x}")
         object.__setattr__(self, "realizations", realizations)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sample_sizes", sizes)
@@ -114,7 +117,7 @@ def sample_gaussian(m: DisturbanceMoments, M: int, seed) -> SampleSet:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((M, m.n_w))
     half = psd_sqrt(m.sigma)
-    return SampleSet(samples=np.asarray(m.mu, dtype=float) + z @ half)
+    return SampleSet(samples=m.mu + z @ half)
 
 
 def _cell_stream(seed: int, M: int, realization: int) -> np.random.SeedSequence:

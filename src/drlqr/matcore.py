@@ -2,9 +2,11 @@
 
 All downstream modules funnel their linear algebra through these helpers so
 that symmetry handling, PSD tolerances and the half-vectorization svec live
-in exactly one place; the value classes store each symmetric matrix as the
-read-only array sym_field returns.  Storage is dense; problem sizes are small
-(blocks of at most a few tens of rows).
+in exactly one place.  Every array a value class stores, or a function keeps
+from its caller, comes in through array_field: a new float copy that the
+holder owns, checked finite and made read-only, with errors that name the
+field; sym_field stores the symmetric part the same way.  Storage is
+dense; problem sizes are small (blocks of at most a few tens of rows).
 """
 
 from __future__ import annotations
@@ -36,28 +38,45 @@ def require_finite(name: str, a) -> None:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (M + M^T) / 2."""
+    """Return the symmetric part (M + M^T) / 2 of a matrix, or of each matrix in a stack."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _floats(name: str, a, copy: bool | None, ndmin: int = 2) -> np.ndarray:
+    try:
+        return np.array(a, dtype=float, ndmin=ndmin, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{name} is not an array of numbers: {exc}") from exc
+
+
+def _sealed(name: str, a: np.ndarray) -> np.ndarray:
+    require_finite(name, a)
+    a.setflags(write=False)
+    return a
+
+
+def array_field(name: str, a, ndmin: int = 2) -> np.ndarray:
+    """A new read-only float array of a, with at least ndmin dimensions, for the
+    field called name.  Entries that are not numbers raise ShapeError naming it,
+    a non-finite entry DomainError naming it."""
+    return _sealed(name, _floats(name, a, copy=True, ndmin=ndmin))
 
 
 def sym_field(name: str, m, definite: bool | str = False) -> np.ndarray:
-    """The symmetric part of m (array-like or SymMatrix) as a read-only 2-D array,
-    for the field called name.  A non-finite entry raises DomainError naming it.
+    """The symmetric part of m (a matrix or a stack of them, array-like or
+    SymMatrix) as a new array, checked and read-only as array_field does.
     With definite, anything not strictly positive definite raises ValueError
-    naming it and lambda_min; a string there is the remedy the error adds."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    require_finite(name, m)
-    m = symmetrize(m)
+    naming the field and lambda_min; a string there is the remedy the error adds."""
+    m = _sealed(name, symmetrize(_floats(name, m, copy=None)))  # symmetrize made the copy
     if definite:
         w = np.linalg.eigvalsh(m)
         if not (w.size and w[0] > 0):
             found = f"lambda_min = {w[0]:.3e}" if w.size else "it is empty"
             remedy = f"; {definite}" if isinstance(definite, str) else ""
             raise ValueError(f"{name} must be strictly positive definite ({found}{remedy})")
-    m.setflags(write=False)
     return m
 
 
@@ -75,7 +94,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
-from .matcore import NumericalFailure, require_finite, sym_field, symmetrize
+from .matcore import NumericalFailure, array_field, sym_field, symmetrize
 from .stability import ClosedLoop, lyapunov_value, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 from .ambiguity import MomentAmbiguity
@@ -44,8 +44,7 @@ class Controller:
     cost_bound: float | None = None
 
     def __post_init__(self):
-        K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        require_finite("gain K", K)
+        K = array_field("gain K", self.K)
         P = sym_field("P", self.P, definite=True)
         if K.shape[1] != P.shape[0]:
             raise ValueError(f"gain shape {K.shape} inconsistent with P dimension {P.shape[0]}")
@@ -181,8 +180,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     system, is value_iteration's start: its gain is tried before the
     certainty-equivalent one.
     """
-    inflated = DisturbanceMoments(mu=np.asarray(mu_known, dtype=float),
-                                  sigma=amb.rho_sigma * amb.sigma_hat)
+    inflated = DisturbanceMoments(mu=mu_known, sigma=amb.rho_sigma * amb.sigma_hat)
     try:
         ctrl = value_iteration(sys, inflated, cost, start)
     except NotStabilizableError as exc:

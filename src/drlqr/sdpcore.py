@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .matcore import DomainError, symmetrize
+from .matcore import array_field, sym_field
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
@@ -50,13 +50,9 @@ class LmiBlock:
     Fi: np.ndarray  # shape (num_vars, dim, dim)
 
     def __post_init__(self):
-        F0 = symmetrize(np.atleast_2d(np.asarray(self.F0, dtype=float)))
-        Fi = np.asarray(self.Fi, dtype=float)
+        F0, Fi = sym_field("F0", self.F0), sym_field("Fi", self.Fi)
         if Fi.ndim != 3 or Fi.shape[1:] != F0.shape:
             raise ValueError(f"pencil coefficients have shape {Fi.shape}, expected (*, {F0.shape[0]}, {F0.shape[1]})")
-        Fi = 0.5 * (Fi + np.transpose(Fi, (0, 2, 1)))
-        if not (np.isfinite(F0).all() and np.isfinite(Fi).all()):
-            raise DomainError("pencil coefficients F0 and Fi must be finite")
         object.__setattr__(self, "F0", F0)
         object.__setattr__(self, "Fi", Fi)
 
@@ -73,9 +69,7 @@ class LmiProblem:
     blocks: tuple[LmiBlock, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).ravel()
-        if not np.isfinite(c).all():
-            raise DomainError("objective c must be finite")
+        c = array_field("c", self.c, ndmin=1).ravel()
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValueError("problem has no constraint blocks")

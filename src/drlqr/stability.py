@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from .matcore import ShapeError, require_finite, smat, svec, sym_index
+from .matcore import ShapeError, array_field, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -34,10 +34,9 @@ class ClosedLoop:
     K: np.ndarray
 
     def __post_init__(self):
-        K = np.atleast_2d(np.asarray(self.K, dtype=float))
+        K = array_field("gain K", self.K)
         if K.shape != (self.sys.n_u, self.sys.n_x):
             raise ShapeError(f"gain has shape {K.shape}, expected ({self.sys.n_u}, {self.sys.n_x})")
-        require_finite("gain K", K)
         object.__setattr__(self, "K", K)
 
 
@@ -79,10 +78,9 @@ def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
 
 def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x0) -> float:
     """Exact infinite-horizon cost x0^T P_cl x0, P_cl = Q + K^T R K + L(P_cl)."""
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = array_field("x0", x0, ndmin=1).ravel()
     if x0.size != cl.sys.n_x:
         raise ShapeError(f"x0 has length {x0.size}, expected {cl.sys.n_x}")
-    require_finite("x0", x0)
     return float(x0 @ closed_loop_value_matrix(cl, m, cost) @ x0)
 
 

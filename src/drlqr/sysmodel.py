@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import DomainError, ShapeError, is_psd, require_finite, sym_field, symmetrize
+from .matcore import DomainError, ShapeError, array_field, is_psd, sym_field, symmetrize
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,14 @@ class MultNoiseSystem:
     B: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        A0 = np.atleast_2d(np.asarray(self.A0, dtype=float))
-        B0 = np.atleast_2d(np.asarray(self.B0, dtype=float))
+        A0, B0 = array_field("A0", self.A0), array_field("B0", self.B0)
         n_x = A0.shape[0]
         if A0.shape != (n_x, n_x):
             raise ShapeError(f"A0 must be square, got {A0.shape}")
         if B0.shape[0] != n_x:
             raise ShapeError(f"B0 has {B0.shape[0]} rows, expected {n_x}")
-        A = tuple(np.atleast_2d(np.asarray(a, dtype=float)) for a in self.A)
-        B = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.B)
+        A = tuple(array_field(f"A[{i}]", a) for i, a in enumerate(self.A))
+        B = tuple(array_field(f"B[{i}]", b) for i, b in enumerate(self.B))
         if len(A) != len(B):
             raise ShapeError(f"{len(A)} state-noise matrices but {len(B)} input-noise matrices")
         for i, a in enumerate(A):
@@ -43,11 +42,6 @@ class MultNoiseSystem:
         for i, b in enumerate(B):
             if b.shape != B0.shape:
                 raise ShapeError(f"B[{i}] has shape {b.shape}, expected {B0.shape}")
-        require_finite("A0", A0)
-        require_finite("B0", B0)
-        for i, (a, b) in enumerate(zip(A, B)):
-            require_finite(f"A[{i}]", a)
-            require_finite(f"B[{i}]", b)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B0", B0)
@@ -97,12 +91,7 @@ class MultNoiseSystem:
     def from_json_dict(cls, d: dict) -> "MultNoiseSystem":
         try:
             n_x, n_u, n_w = int(d["n_x"]), int(d["n_u"]), int(d["n_w"])
-            sys = cls(
-                A0=np.array(d["A0"], dtype=float),
-                A=tuple(np.array(a, dtype=float) for a in d["A"]),
-                B0=np.array(d["B0"], dtype=float),
-                B=tuple(np.array(b, dtype=float) for b in d["B"]),
-            )
+            sys = cls(A0=d["A0"], A=d["A"], B0=d["B0"], B=d["B"])
         except DomainError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -123,8 +112,7 @@ class DisturbanceMoments:
     sigma: np.ndarray  # read-only, symmetric
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).ravel()
-        require_finite("mu", mu)
+        mu = array_field("mu", self.mu, ndmin=1).ravel()
         sigma = sym_field("sigma", self.sigma)
         if sigma.shape[0] != mu.size:
             raise ShapeError(f"mean has length {mu.size} but covariance is {sigma.shape[0]}x{sigma.shape[0]}")

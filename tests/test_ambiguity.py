@@ -55,6 +55,14 @@ class TestEmpiricalMoments:
         with pytest.raises(ShapeError, match=r"samples .*\(1000,\)"):
             SampleSet(np.arange(1000.0))
 
+    def test_callers_array_stays_writable(self):
+        """SampleSet kept the caller's array and made it read-only, so the
+        caller's next assignment to it raised."""
+        w = np.ones((3, 2))
+        SampleSet(samples=w)
+        w[0, 0] = 2.0
+        assert w.flags.writeable
+
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientDataError):
             SampleSet(np.array([[1.0, 2.0]]))

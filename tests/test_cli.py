@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from drlqr import drsynth
+from drlqr import drsynth, experiment
 from drlqr.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main)
 from drlqr.experiment import sample_gaussian
 from drlqr.matcore import SymMatrix
@@ -130,6 +130,19 @@ class TestSynth:
                                 "--Q", "[[10,0],[0,1]]", "--R", "[[0.01]]"])
         assert rc == EXIT_OK
         assert out["method"] == "nominal_vi"
+
+    @pytest.mark.parametrize("where", ["system_file", "flag"])
+    def test_q_object_exit_code(self, capsys, system_json, samples_csv, where):
+        """A JSON object where Q belongs escaped from main as a TypeError."""
+        extra = ["--Q", '{"a":1}']
+        if where == "system_file":
+            d = json.loads(system_json.read_text())
+            d["Q"], extra = {"a": 1}, []
+            system_json.write_text(json.dumps(d))
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "nominal"] + extra)
+        assert rc == EXIT_INVALID
+        assert "Q is not an array of numbers" in capsys.readouterr().err
 
     def test_missing_cost_weights(self, capsys, sys6, samples_csv, tmp_path):
         p = tmp_path / "bare.json"
@@ -283,7 +296,8 @@ class TestMss:
         ("[[1.0, 2.0]]", "malformed controller file"),
         ('{"K": [[NaN, 1.0]]}', "non-finite"),
         ('{"K": [[null, null]]}', "non-finite"),
-    ], ids=["no_K", "top_level_list", "nan", "null"])
+        ('{"K": {"a": 1}}', "gain K is not an array of numbers"),
+    ], ids=["no_K", "top_level_list", "nan", "null", "K_object"])
     def test_malformed_gain(self, capsys, sys6, tmp_path, content, message):
         sp = tmp_path / "sys.json"
         write_fixture(sp, sys6)
@@ -292,6 +306,16 @@ class TestMss:
         rc = main(["mss", "--system", str(sp), "--gain", str(gp)])
         assert rc == EXIT_INVALID
         assert message in capsys.readouterr().err
+
+    def test_covariance_object_exit_code(self, capsys, sys6, cost6, moments6, tmp_path):
+        sp = tmp_path / "sys.json"
+        write_fixture(sp, sys6)
+        gp = self._gain_file(sys6, cost6, moments6, tmp_path)
+        cp = tmp_path / "cov.json"
+        cp.write_text(json.dumps({"x": 1}))
+        rc = main(["mss", "--system", str(sp), "--gain", str(gp), "--cov", str(cp)])
+        assert rc == EXIT_INVALID
+        assert "sigma is not an array of numbers" in capsys.readouterr().err
 
     def test_missing_file(self, capsys, tmp_path):
         rc = main(["mss", "--system", str(tmp_path / "nope.json"),
@@ -404,6 +428,35 @@ class TestExperiment:
         assert rc == EXIT_INVALID
         assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_moments_of_another_channel_count_exit_code(self, capsys, sys6, tmp_path):
+        write_fixture(tmp_path / "sys.json", sys6)
+        cfg = {"system": "sys.json", "mu": [0.0, 0.0, 0.0], "sigma": np.eye(3).tolist(),
+               "Q": [[10.0, 0.0], [0.0, 1.0]], "R": [[0.01]], "beta": 0.05,
+               "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0]}
+        cp = tmp_path / "exp.json"
+        cp.write_text(json.dumps(cfg))
+        rc = main(["experiment", "--config", str(cp), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_INVALID
+        assert "true_moments have 3 disturbance channels, the system has 2" in capsys.readouterr().err
+
+    def test_missing_out_directory_fails_before_the_sweep(self, capsys, monkeypatch, sys6, tmp_path):
+        """The whole sweep ran before the CSV could not be opened."""
+        def sweep(cfg, jobs=1):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(experiment, "run_sample_complexity", sweep)
+        write_fixture(tmp_path / "sys.json", sys6)
+        cfg = {"system": "sys.json", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+               "Q": [[10.0, 0.0], [0.0, 1.0]], "R": [[0.01]], "beta": 0.05,
+               "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0]}
+        cp = tmp_path / "exp.json"
+        cp.write_text(json.dumps(cfg))
+        out = tmp_path / "missing" / "o.csv"
+        rc = main(["experiment", "--config", str(cp), "--out", str(out)])
+        assert rc == EXIT_INVALID
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_missing_field(self, capsys, tmp_path):
         cp = tmp_path / "exp.json"

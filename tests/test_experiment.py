@@ -8,7 +8,7 @@ from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               nominal_reference, replicate_example1,
                               run_sample_complexity, sample_gaussian,
                               scalar_mss, write_records_csv)
-from drlqr.matcore import SymMatrix
+from drlqr.matcore import ShapeError, SymMatrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
 from conftest import bench_workloads
@@ -88,6 +88,13 @@ class TestConfigValidation:
     def test_rejects_empty_sample_sizes(self, sys6, moments6, cost6):
         with pytest.raises(ValueError, match="sample_sizes"):
             _cfg(sys6, moments6, cost6, sample_sizes=())
+
+    def test_rejects_moments_with_another_channel_count(self, sys6, cost6):
+        """Three-channel moments on the two-channel system were accepted, and the
+        sweep failed later with a message that named neither field."""
+        m3 = DisturbanceMoments(mu=np.zeros(3), sigma=np.eye(3))
+        with pytest.raises(ShapeError, match="true_moments have 3 disturbance channels, the system has 2"):
+            _cfg(sys6, m3, cost6)
 
     def test_rejects_non_finite_x0(self, sys6, moments6, cost6):
         with pytest.raises(ValueError, match="x0"):

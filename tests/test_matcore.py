@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drlqr.matcore import (DomainError, ShapeError, SymMatrix, is_psd, psd_sqrt,
+from drlqr.matcore import (DomainError, ShapeError, SymMatrix, array_field, is_psd, psd_sqrt,
                            smat, svec, sym_eig, sym_index, symmetrize)
 from oracles import unvec, vec
 
@@ -22,6 +22,22 @@ class TestSymMatrix:
 
     def test_dim(self):
         assert SymMatrix(np.eye(3)).dim == 3
+
+
+class TestArrayField:
+    def test_read_only_array_is_copied_and_still_checked(self):
+        a = array_field("x", [[1.0, 2.0]])
+        b = array_field("y", a)
+        assert b is not a and not np.shares_memory(a, b) and not b.flags.writeable
+        bad = np.array([[np.inf]])
+        bad.setflags(write=False)
+        with pytest.raises(DomainError, match="^non-finite entries in y$"):
+            array_field("y", bad)
+
+    @pytest.mark.parametrize("given", ["abc", [[1.0], [1.0, 2.0]]], ids=["string", "ragged"])
+    def test_entries_that_are_not_numbers_name_the_field(self, given):
+        with pytest.raises(ShapeError, match="^x is not an array of numbers"):
+            array_field("x", given)
 
 
 class TestSymEig:

@@ -1,13 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import MomentAmbiguity
+from drlqr.ambiguity import MomentAmbiguity, SampleSet
 from drlqr.matcore import DomainError, ShapeError, SymMatrix
 from drlqr.drsynth import synth_full
 from drlqr.experiment import ExperimentConfig
 from drlqr.riccati import Controller, value_iteration
+from drlqr.sdpcore import LmiBlock, LmiProblem
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 
@@ -191,9 +193,10 @@ class TestNonFinite:
         with pytest.raises(DomainError):
             DisturbanceMoments(mu=np.array([0.0, bad]), sigma=SymMatrix(np.eye(2)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.7e308], ids=["nan", "inf", "overflow"])
     def test_moments_name_covariance(self, bad):
-        with pytest.raises(DomainError, match="non-finite entries in sigma$"):
+        """A finite sigma whose symmetric part overflows was stored as inf."""
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite entries in sigma$"):
             DisturbanceMoments(mu=np.zeros(2), sigma=[[1.0, 0.0], [0.0, bad]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -254,6 +257,121 @@ def test_symmetric_field_is_read_only_array(field):
         stored = SYMMETRIC_FIELDS[field](given)
         assert type(stored) is np.ndarray and not stored.flags.writeable
         assert np.array_equal(stored, 0.5 * (a + a.T))
+
+
+def _system(g):
+    A0, A1 = g([[1.0, 0.1], [0.0, 0.9]]), g([[0.0, 0.0], [0.0, 0.1]])
+    B0, B1 = g([[0.0], [0.1]]), g([[0.0], [0.2]])
+    sys = MultNoiseSystem(A0=A0, A=(A1,), B0=B0, B=(B1,))
+    return [(sys.A0, A0), (sys.A[0], A1), (sys.B0, B0), (sys.B[0], B1)]
+
+
+def _moments(g):
+    mu, sigma = g([0.1]), g([[2.0]], sym=True)
+    m = DisturbanceMoments(mu=mu, sigma=sigma)
+    return [(m.mu, mu), (m.sigma, sigma)]
+
+
+def _cost(g):
+    Q, R = g(ASYMMETRIC, sym=True), g([[0.5]], sym=True)
+    cost = CostWeights(Q=Q, R=R)
+    return [(cost.Q, Q), (cost.R, R)]
+
+
+def _ambiguity(g):
+    mu, sigma = g([0.1, 0.2]), g(ASYMMETRIC, sym=True)
+    amb = MomentAmbiguity(mu_hat=mu, sigma_hat=sigma, rho_mu=0.1, rho_sigma=1.5)
+    return [(amb.mu_hat, mu), (amb.sigma_hat, sigma)]
+
+
+def _samples(g):
+    w = g([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    return [(SampleSet(samples=w).samples, w)]
+
+
+def _controller(g):
+    K, P = g([[-1.0, -0.5]]), g(ASYMMETRIC, sym=True)
+    ctrl = Controller(K=K, P=P, method="nominal_vi")
+    return [(ctrl.K, K), (ctrl.P, P)]
+
+
+def _closed_loop(g):
+    K = g([[-1.0]])
+    return [(ClosedLoop(sys=MultNoiseSystem(A0=[[0.5]], A=(), B0=[[1.0]], B=()), K=K).K, K)]
+
+
+def _experiment(g):
+    sys, x0 = MultNoiseSystem(A0=[[0.5]], A=([[0.1]],), B0=[[1.0]], B=([[0.0]],)), g([2.0])
+    cfg = ExperimentConfig(system=sys, true_moments=DisturbanceMoments(mu=[0.0], sigma=[[1.0]]),
+                           cost=CostWeights(Q=[[1.0]], R=[[1.0]]), beta=0.05,
+                           sample_sizes=(1000,), x0=x0)
+    return [(cfg.x0, x0)]
+
+
+def _lmi(g):
+    c, F0, Fi = g([1.0]), g(ASYMMETRIC, sym=True), g([ASYMMETRIC])
+    prob = LmiProblem(c=c, blocks=(LmiBlock(F0=F0, Fi=Fi),))
+    return [(prob.c, c), (prob.blocks[0].F0, F0), (prob.blocks[0].Fi, Fi)]
+
+
+def _sym_matrix(g):
+    m = g(ASYMMETRIC)
+    return [(SymMatrix(m).entries, m)]
+
+
+VALUE_CLASSES = {"MultNoiseSystem": _system, "DisturbanceMoments": _moments, "CostWeights": _cost,
+                 "MomentAmbiguity": _ambiguity, "SampleSet": _samples, "Controller": _controller,
+                 "ClosedLoop": _closed_loop, "ExperimentConfig": _experiment,
+                 "LmiProblem": _lmi, "SymMatrix": _sym_matrix}
+
+
+def _read_only(value):
+    a = np.array(value)
+    a.setflags(write=False)
+    return a
+
+
+FORMS = {"list": lambda value: value, "ndarray": np.array, "read_only": _read_only}
+SYMMETRIC = ["CostWeights", "Controller", "DisturbanceMoments", "LmiProblem", "MomentAmbiguity"]
+
+
+@pytest.mark.parametrize("cls, form", [(cls, form) for cls in sorted(VALUE_CLASSES) for form in FORMS]
+                         + [(cls, "SymMatrix") for cls in SYMMETRIC])
+def test_value_class_owns_read_only_copies(cls, form):
+    """Every ndarray field is a read-only copy that shares no memory with what it
+    was built from: a kept float ndarray went stale when its owner changed it."""
+    def given(value, sym=False):
+        return SymMatrix(value) if sym and form == "SymMatrix" else FORMS.get(form, np.array)(value)
+
+    for stored, value in VALUE_CLASSES[cls](given):
+        assert type(stored) is np.ndarray and not stored.flags.writeable
+        assert not np.shares_memory(stored, value)
+
+
+def test_caches_ignore_later_changes_to_the_inputs():
+    """A0 and mu were kept by reference: after stacked and extended_moment were
+    cached, changing the caller's arrays moved eval_AB and mu but not the caches."""
+    A0, mu = np.array([[1.0, 0.1], [0.0, 0.9]]), np.array([0.5])
+    sys = MultNoiseSystem(A0=A0, A=(np.eye(2),), B0=np.ones((2, 1)), B=(np.zeros((2, 1)),))
+    m = DisturbanceMoments(mu=mu, sigma=np.eye(1))
+    Abar, S = sys.stacked[0].copy(), m.extended_moment.copy()
+    A0[0, 0], mu[0] = 5.0, 3.0
+    assert np.array_equal(sys.eval_AB(np.zeros(1))[0], sys.stacked[0][:2]) and sys.A0[0, 0] == 1.0
+    assert np.array_equal(sys.stacked[0], Abar) and np.array_equal(m.extended_moment, S)
+    assert m.mu[0] == 0.5
+
+
+@pytest.mark.parametrize("field, build", [
+    ("A0", lambda bad: MultNoiseSystem(A0=bad, A=(), B0=[[1.0]], B=())),
+    ("B[0]", lambda bad: MultNoiseSystem(A0=[[1.0]], A=([[0.0]],), B0=[[1.0]], B=(bad,))),
+    ("mu", lambda bad: DisturbanceMoments(mu=bad, sigma=[[1.0]])),
+    ("Q", lambda bad: CostWeights(Q=bad, R=[[1.0]])),
+    ("gain K", lambda bad: Controller(K=bad, P=[[1.0]], method="nominal_vi")),
+], ids=["A0", "B0_channel", "mu", "Q", "K"])
+def test_entries_that_are_not_numbers_are_named(field, build):
+    """A JSON object where a matrix belongs escaped as a bare TypeError."""
+    with pytest.raises(ShapeError, match=rf"^{re.escape(field)} is not an array of numbers"):
+        build({"a": 1})
 
 
 class TestCostShape:

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, array_field, psd_sqrt
+from .matcore import NumericalFailure, ShapeError, psd_sqrt
 from .riccati import Controller
-from .sdpcore import LmiBuilder, SdpSolution, block_expr, kron_const, solve, zeros
-from .sysmodel import CostWeights, MultNoiseSystem, check_cost
+from .sdpcore import (AffineExpr, LmiBuilder, LmiProblem, SdpSolution, block_expr, kron_const,
+                      solve, zeros)
+from .sysmodel import CostWeights, MultNoiseSystem, check_cost, state_vector
 
 
 class DrSynthesisError(RuntimeError):
@@ -45,7 +46,9 @@ class SynthesisResult:
         return self.controller.cost_bound
 
 
-def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> LmiBuilder:
+def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
+                  ) -> tuple[LmiBuilder, AffineExpr, AffineExpr, list[AffineExpr]]:
+    """The builder, W, V and the three synthesis blocks: arrow, main and floor."""
     if amb.n_w != sys.n_w:
         raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
     check_cost(sys, cost)
@@ -56,10 +59,10 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
 
     b = LmiBuilder()
-    W = b.sym_var("W", n_x)
-    V = b.rect_var("V", n_u, n_x)
-    S = b.sym_var("S", n_x)
-    L = b.sym_var("L", n_x)
+    W = b.sym_var(n_x)
+    V = b.rect_var(n_u, n_x)
+    S = b.sym_var(n_x)
+    L = b.sym_var(n_x)
 
     channels = [sys.A[i] @ W + sys.B[i] @ V for i in range(n_w)]
     H = [sum((sigma_half[j, i] * channels[j] for j in range(n_w)), zeros((n_x, n_x)))
@@ -76,7 +79,7 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
     #   the arrow block gives S >= c^2 sum_i H_i^T L^{-1} H_i
     #   so c^2 >= rho_mu / 2 suffices.
     cH = math.sqrt(amb.rho_mu / 2.0) * block_expr([[h] for h in H])
-    b.add_psd(block_expr([[S, cH.T], [cH, kron_const(np.eye(n_w), L)]]))
+    arrow = block_expr([[S, cH.T], [cH, kron_const(np.eye(n_w), L)]])
 
     # main Schur block
     stack = block_expr([[ch] for ch in channels])
@@ -91,29 +94,29 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights)
         [Q_half @ W, zx.T, zeros((n_x, n_x)), np.eye(n_x), zeros((n_x, n_u))],
         [R_half @ V, zxu.T, zeros((n_u, n_x)), zeros((n_u, n_x)), np.eye(n_u)],
     ])
-    b.add_psd(main)
 
     # L >= eps I also bounds W >= sqrt2 L >= sqrt2 eps I through the centre of
     # the main block.  It keeps the solve off the degenerate points W -> 0,
     # where K = V W^-1 and the bound tr(W^-1) certify nothing; without it a
     # set too large for any gain can end at such a point instead of infeasible
     eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
-    b.add_psd(block_expr([[L - eps * np.eye(n_x)]]))
-    return b
+    floor = block_expr([[L - eps * np.eye(n_x)]])
+    return b, W, V, [arrow, main, floor]
 
 
-def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None,
-                start: SynthesisResult | None = None) -> SynthesisResult:
+def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,
+                bound: AffineExpr | None = None, start: SynthesisResult | None = None
+                ) -> SynthesisResult:
     """Solve the synthesis SDP and read the certified controller off it.
 
-    The cost bound is tr(W^{-1}), or the scalar variable bound_var when the
+    The cost bound is tr(W^{-1}), or the scalar expression bound when the
     program minimizes its own bound.  The solution is its own certificate: at
     a strictly feasible point P = W^{-1} satisfies P > E[A_cl(w)^T P A_cl(w)]
     at every moment pair in the ambiguity set, which is robust mean-square
     stability.  An "optimal" point whose smallest LMI block eigenvalue is not
     positive certifies nothing and raises NumericalFailure.
     """
-    sol = solve(b.build(), start=None if start is None else start.solution)
+    sol = solve(prob, start=None if start is None else start.solution)
     if sol.status == "infeasible":
         raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system "
                                f"({sol.reason})")
@@ -122,14 +125,10 @@ def _synthesize(b: LmiBuilder, method: str, bound_var: str | None = None,
     if not sol.min_block_eigenvalue > 0:
         raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
-    W, V = b.extract("W", sol.y), b.extract("V", sol.y)
-    W_inv = np.linalg.inv(W)
-    if bound_var is None:
-        bound = float(np.trace(W_inv))
-    else:
-        bound = float(b.extract(bound_var, sol.y)[0, 0])
-    ctrl = Controller(K=V @ W_inv, P=W_inv, method=method, iterations=sol.iterations,
-                      cost_bound=bound)
+    W_inv = np.linalg.inv(W.value(sol.y))
+    cost_bound = np.trace(W_inv) if bound is None else bound.value(sol.y)[0, 0]
+    ctrl = Controller(K=V.value(sol.y) @ W_inv, P=W_inv, method=method,
+                      iterations=sol.iterations, cost_bound=float(cost_bound))
     return SynthesisResult(controller=ctrl, solution=sol)
 
 
@@ -145,9 +144,8 @@ def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
     for the same system and cost, warm-starts the solve (sdpcore.solve); the
     verdict and the certificate do not depend on it.
     """
-    b = _thm6_builder(sys, amb, cost)
-    b.minimize(-b.var("W").trace())
-    return _synthesize(b, "dr_full", start=start)
+    b, W, V, blocks = _thm6_builder(sys, amb, cost)
+    return _synthesize(b.build(-W.trace(), blocks), W, V, "dr_full", start=start)
 
 
 def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:
@@ -156,11 +154,8 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0)
     The gamma constraint enters as the Schur-complement block
     [[gamma, x0^T], [x0, W]] >= 0 alongside the synthesis LMIs.
     """
-    x0 = array_field("x0", x0, ndmin=1).ravel()
-    if x0.size != sys.n_x:
-        raise ShapeError(f"x0 has length {x0.size}, expected {sys.n_x}")
-    b = _thm6_builder(sys, amb, cost)
-    gamma = b.scalar_var("gamma")
-    b.add_psd(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), b.var("W")]]))
-    b.minimize(gamma)
-    return _synthesize(b, "dr_rhc", bound_var="gamma")
+    x0 = state_vector(sys, x0)
+    b, W, V, blocks = _thm6_builder(sys, amb, cost)
+    gamma = b.rect_var(1, 1)
+    blocks.append(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), W]]))
+    return _synthesize(b.build(gamma, blocks), W, V, "dr_rhc", bound=gamma)

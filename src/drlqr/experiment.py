@@ -23,9 +23,9 @@ import scipy.special
 from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
                         min_sample_size)
-from .matcore import NumericalFailure, ShapeError, array_field, psd_sqrt
+from .matcore import NumericalFailure, ShapeError, psd_sqrt
 from .stability import ClosedLoop, InstabilityError, closed_loop_cost
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 METHOD_ALIASES = {
     "covariance": "dr_covariance",
@@ -83,9 +83,7 @@ class ExperimentConfig:
         M_min = min_sample_size(self.ambiguity_config(), self.system.n_w)
         if min(sizes) < M_min:
             raise ValueError(f"sample size {min(sizes)} below minimum {M_min} for these parameters")
-        x0 = array_field("x0", self.x0, ndmin=1).ravel()
-        if x0.size != self.system.n_x:
-            raise ShapeError(f"x0 has length {x0.size}, expected {self.system.n_x}")
+        x0 = state_vector(self.system, self.x0)
         object.__setattr__(self, "realizations", realizations)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sample_sizes", sizes)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-PSD_TOL = 1e-9  # relative eigenvalue slack of is_psd
+PSD_TOL = 1e-9  # relative eigenvalue slack of is_psd and psd_sqrt
 
 
 class NumericalFailure(RuntimeError):
@@ -114,12 +114,13 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(m) -> np.ndarray:
     """Symmetric PSD square root.
 
-    Eigenvalues within -1e-10 * max(1, lambda_max) of zero are clipped to
-    zero; anything more negative is rejected as indefinite.
+    Eigenvalues within -PSD_TOL * max(1, lambda_max) of zero, the slack
+    is_psd accepts, are clipped to zero; anything more negative is rejected
+    as indefinite.
     """
     w, v = sym_eig(m)
     lam_max = max(1.0, float(w[-1]) if w.size else 1.0)
-    if w.size and w[0] < -1e-10 * lam_max:
+    if w.size and w[0] < -PSD_TOL * lam_max:
         raise DomainError(f"matrix is indefinite (lambda_min = {w[0]:.3e})")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     return symmetrize(root)  # (v sqrt(w)) v^T is not bitwise symmetric

@@ -21,8 +21,9 @@ dpotrf, dpotrs) directly, not through scipy's checking wrappers, and checks
 finiteness explicitly; SdpSolution.reason says why a solve stopped short of
 "optimal".
 
-The LmiBuilder turns matrix variables and affine block expressions into the
-pencil form and maps solutions back to matrices.
+The LmiBuilder numbers the scalars of matrix variables and turns an objective
+and a list of affine blocks into the pencil form; AffineExpr.value maps a
+solution back to a matrix.
 """
 
 from __future__ import annotations
@@ -414,72 +415,37 @@ def zeros(shape: tuple[int, int]) -> AffineExpr:
 
 
 class LmiBuilder:
-    """Registers matrix variables and emits the pencil form of block LMIs."""
+    """Counts scalar variables and emits the pencil form of block LMIs."""
 
     def __init__(self):
-        self._num_vars = 0
-        self._vars: dict[str, AffineExpr] = {}
-        self._psd_blocks: list[AffineExpr] = []
-        self._objective: AffineExpr | None = None
+        self.num_vars = 0
 
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
-    def _register(self, name: str, shape: tuple[int, int], count: int) -> tuple[AffineExpr, np.ndarray]:
+    def _new(self, shape: tuple[int, int], count: int) -> tuple[AffineExpr, np.ndarray]:
         """A zero expression for `count` new scalars, and their slices in its coef."""
-        if name in self._vars:
-            raise ValueError(f"variable {name!r} already registered")
-        first = 1 + self._num_vars
-        self._num_vars += count
-        expr = AffineExpr(np.zeros((first + count,) + shape))
-        self._vars[name] = expr
-        return expr, np.arange(first, first + count)
+        first = 1 + self.num_vars
+        self.num_vars += count
+        return AffineExpr(np.zeros((first + count,) + shape)), np.arange(first, first + count)
 
-    def sym_var(self, name: str, n: int) -> AffineExpr:
+    def sym_var(self, n: int) -> AffineExpr:
         """Symmetric n x n variable: n(n+1)/2 scalars with E_ii / (E_ij + E_ji) basis."""
-        expr, k = self._register(name, (n, n), n * (n + 1) // 2)
+        expr, k = self._new((n, n), n * (n + 1) // 2)
         i, j = np.triu_indices(n)
         expr.coef[k, i, j] = expr.coef[k, j, i] = 1.0
         return expr
 
-    def rect_var(self, name: str, p: int, q: int) -> AffineExpr:
+    def rect_var(self, p: int, q: int) -> AffineExpr:
         """General p x q variable: one scalar per entry, row-major."""
-        expr, k = self._register(name, (p, q), p * q)
+        expr, k = self._new((p, q), p * q)
         i, j = np.divmod(np.arange(p * q), q)
         expr.coef[k, i, j] = 1.0
         return expr
 
-    def scalar_var(self, name: str) -> AffineExpr:
-        return self.rect_var(name, 1, 1)
-
-    def var(self, name: str) -> AffineExpr:
-        """The affine expression of a previously registered variable."""
-        return self._vars[name]
-
-    def add_psd(self, expr: AffineExpr) -> None:
-        """Constrain the expression to be PSD (LmiBlock takes its symmetric part)."""
-        if expr.shape[0] != expr.shape[1]:
-            raise ValueError(f"PSD block must be square, got {expr.shape}")
-        self._psd_blocks.append(expr)
-
-    def minimize(self, expr: AffineExpr) -> None:
-        """Set a scalar affine expression as the minimization objective."""
-        if expr.shape != (1, 1):
+    def build(self, objective: AffineExpr, blocks: list[AffineExpr]) -> LmiProblem:
+        """Minimize the scalar objective with every block PSD (LmiBlock takes
+        each block's symmetric part)."""
+        if objective.shape != (1, 1):
             raise ValueError("objective must be scalar")
-        self._objective = expr
-
-    def build(self) -> LmiProblem:
-        if not self._psd_blocks:
-            raise ValueError("no PSD blocks added")
-        k = 1 + self._num_vars
-        objective = zeros((1, 1)) if self._objective is None else self._objective
-        blocks = []
-        for expr in self._psd_blocks:
-            coef = _pad(expr.coef, k)
-            blocks.append(LmiBlock(F0=coef[0], Fi=coef[1:]))
-        return LmiProblem(c=_pad(objective.coef, k)[1:, 0, 0], blocks=tuple(blocks))
-
-    def extract(self, name: str, y) -> np.ndarray:
-        """Recover a matrix variable's value from a solution vector."""
-        return self.var(name).value(y)
+        k = 1 + self.num_vars
+        coefs = [_pad(expr.coef, k) for expr in blocks]
+        return LmiProblem(c=_pad(objective.coef, k)[1:, 0, 0],
+                          blocks=tuple(LmiBlock(F0=coef[0], Fi=coef[1:]) for coef in coefs))

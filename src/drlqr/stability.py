@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
 from .matcore import ShapeError, array_field, smat, svec, sym_index
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
 
@@ -78,9 +78,7 @@ def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
 
 def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x0) -> float:
     """Exact infinite-horizon cost x0^T P_cl x0, P_cl = Q + K^T R K + L(P_cl)."""
-    x0 = array_field("x0", x0, ndmin=1).ravel()
-    if x0.size != cl.sys.n_x:
-        raise ShapeError(f"x0 has length {x0.size}, expected {cl.sys.n_x}")
+    x0 = state_vector(cl.sys, x0)
     return float(x0 @ closed_loop_value_matrix(cl, m, cost) @ x0)
 
 

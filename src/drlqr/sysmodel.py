@@ -152,6 +152,14 @@ def check_cost(sys: MultNoiseSystem, cost: CostWeights) -> None:
             raise ShapeError(f"{name} is {dim}x{dim}, expected {n}x{n} for this system")
 
 
+def state_vector(sys: MultNoiseSystem, x0) -> np.ndarray:
+    """x0 as array_field stores it, raising ShapeError unless it has n_x entries."""
+    x0 = array_field("x0", x0, ndmin=1).ravel()
+    if x0.size != sys.n_x:
+        raise ShapeError(f"x0 has length {x0.size}, expected {sys.n_x}")
+    return x0
+
+
 def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment operators (F(P), G(P), H(P)) of the stochastic Riccati recursion.
 

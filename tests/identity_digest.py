@@ -1,0 +1,88 @@
+"""Digests of outputs that a refactor must leave byte-identical.
+
+Run from the repository root on two checkouts and compare the lines:
+
+    PYTHONPATH=src python tests/identity_digest.py
+
+Each line is the sha256 of the raw bytes of
+
+- pencils: the c, F0 and Fi arrays (with their shapes) that sdpcore.solve
+  receives from synth_full and synth_rhc on 300 random plants, drawn by
+  test_drsynth._random_instance from default_rng(seed), seeds 0-299, with
+  n_x 1-3, n_u 1-3 and n_w 1-2;
+- synthesis: those calls' K, cost bound and iterations, or the name of the
+  exception they raised;
+- riccati-chain: ops 0-29 of the benchmark workload at seed 0, with inputs
+  from perfbench/workloads.py: the dr_covariance K, P and iterations and the
+  two closed-loop scores, or the name of the exception.
+
+Pytest does not collect this file.
+"""
+
+import hashlib
+
+import numpy as np
+
+from conftest import bench_workloads
+from drlqr import drsynth
+from test_drsynth import _random_instance
+
+PLANTS = 300
+CHAIN_OPS = 30
+
+
+def _update(h, *arrays):
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+
+def synthesis_digests() -> tuple[str, str]:
+    pencils, results = hashlib.sha256(), hashlib.sha256()
+    real = drsynth.solve
+
+    def spy(prob, start=None):
+        _update(pencils, prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))
+        return real(prob, start=start)
+
+    drsynth.solve = spy
+    try:
+        for seed in range(PLANTS):
+            rng = np.random.default_rng(seed)
+            shape = (1 + seed % 3, 1 + seed // 3 % 3, 1 + seed // 9 % 2)
+            radii = (0.3 * rng.random(), 0.3 * rng.random(), 1.0 + rng.random())
+            sys, amb, cost, x0 = _random_instance(rng, *shape, *radii)
+            for call in (lambda: drsynth.synth_full(sys, amb, cost),
+                         lambda: drsynth.synth_rhc(sys, amb, cost, x0)):
+                try:
+                    ctrl = call().controller
+                except Exception as exc:  # the outcome being digested
+                    results.update(type(exc).__name__.encode())
+                else:
+                    _update(results, ctrl.K, ctrl.cost_bound, ctrl.iterations)
+    finally:
+        drsynth.solve = real
+    return pencils.hexdigest(), results.hexdigest()
+
+
+def riccati_chain_digest() -> str:
+    h = hashlib.sha256()
+    workload = bench_workloads().WORKLOADS["riccati-chain"](0)
+    for index in range(CHAIN_OPS):
+        out = workload.run(workload.make_input(index))
+        if isinstance(out, Exception):
+            h.update(type(out).__name__.encode())
+            continue
+        _, robust, scores = out
+        _update(h, robust.K, np.asarray(robust.P), robust.iterations)
+        for stable, J in scores:
+            h.update(repr((stable, J)).encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    pencils, results = synthesis_digests()
+    print(f"pencils        {pencils}")
+    print(f"synthesis      {results}")
+    print(f"riccati-chain  {riccati_chain_digest()}")

@@ -144,7 +144,7 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     and P >= 0; by complementary slackness the optimum is the Riccati solution.
     """
     b = LmiBuilder()
-    P = b.sym_var("P", sys.n_x)
+    P = b.sym_var(sys.n_x)
     Abar0, Bbar0 = sys.stacked
     S_ext = np.asarray(m.extended_moment)
     mid = kron_const(S_ext, P)
@@ -152,16 +152,12 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     G = Bbar0.T @ mid @ Bbar0
     H = Bbar0.T @ mid @ Abar0
     Q, R = np.asarray(cost.Q), np.asarray(cost.R)
-    b.add_psd(block_expr([[Q - P + F, H.T], [H, R + G]]))
-    b.add_psd(P)
-    b.minimize(-P.trace())
-    prob = b.build()
-    sol = solve(prob)
+    sol = solve(b.build(-P.trace(), [block_expr([[Q - P + F, H.T], [H, R + G]]), P]))
     if sol.status == "infeasible":
         raise NotStabilizableError("Riccati SDP infeasible: system is not mean-square stabilizable")
     if sol.status != "optimal":
         raise NumericalFailure(f"Riccati SDP solver returned status {sol.status}")
-    P_val = b.extract("P", sol.y)
+    P_val = P.value(sol.y)
     K, _, _ = _gain_from(P_val, sys, m, cost)
     return Controller(K=K, P=SymMatrix(P_val), method="nominal_sdp", iterations=sol.iterations)
 

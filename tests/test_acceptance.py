@@ -173,10 +173,8 @@ def test_criterion_8_sdp_solver_against_bisection():
         A = rng.standard_normal((n, n))
         S = (A + A.T) / 2
         b = LmiBuilder()
-        t = b.scalar_var("t")
-        b.add_psd(kron_const(np.eye(n), t) - S)
-        b.minimize(t)
-        prob = b.build()
+        t = b.rect_var(1, 1)
+        prob = b.build(t, [kron_const(np.eye(n), t) - S])
         sol = solve(prob)
         assert sol.status == "optimal"
 

@@ -32,10 +32,9 @@ class TestSynthFull:
         """K = V W^-1 and P = W^-1 at the synthesis SDP's solution, which is
         solved again here to read W and V."""
         res = synth_full(sys6, amb6_small, cost6)
-        b = drsynth._thm6_builder(sys6, amb6_small, cost6)
-        b.minimize(-b.var("W").trace())
-        y = sdpcore.solve(b.build()).y
-        W, V = b.extract("W", y), b.extract("V", y)
+        b, W, V, blocks = drsynth._thm6_builder(sys6, amb6_small, cost6)
+        y = sdpcore.solve(b.build(-W.trace(), blocks)).y
+        W, V = W.value(y), V.value(y)
         assert np.linalg.norm(res.controller.K @ W - V) <= 1e-10 * (1 + np.linalg.norm(V))
         assert np.allclose(np.asarray(res.controller.P) @ W, np.eye(2), atol=1e-8)
         assert res.cost_bound == res.controller.cost_bound

@@ -34,6 +34,13 @@ class TestSampleGaussian:
         s = sample_gaussian(m, 10, 0)
         assert np.allclose(s.samples, [1.0, -2.0])
 
+    def test_covariance_that_is_psd_accepts(self):
+        """A covariance inside is_psd's slack is sampled, its tiny negative
+        eigenvalue clipped to zero."""
+        m = DisturbanceMoments(mu=np.zeros(2), sigma=SymMatrix(np.diag([1.0, -5e-10])))
+        s = sample_gaussian(m, 10, 0)
+        assert np.all(s.samples[:, 1] == 0.0)
+
     def test_law_of_large_numbers(self):
         m = DisturbanceMoments(mu=np.array([0.5]), sigma=SymMatrix(2.0 * np.eye(1)))
         s = sample_gaussian(m, 200_000, 1)

@@ -86,6 +86,13 @@ class TestPsdSqrt:
         with pytest.raises(DomainError):
             psd_sqrt(np.diag([1.0, -0.5]))
 
+    def test_slack_is_that_of_is_psd(self):
+        assert not is_psd(np.diag([1.0, -2e-9]))
+        with pytest.raises(DomainError):
+            psd_sqrt(np.diag([1.0, -2e-9]))
+        assert is_psd(np.diag([1.0, -5e-10]))
+        assert np.asarray(psd_sqrt(np.diag([1.0, -5e-10])))[1, 1] == 0.0
+
     def test_tiny_negative_clipped(self):
         r = np.asarray(psd_sqrt(np.diag([1.0, -1e-14])))
         assert r[1, 1] == 0.0

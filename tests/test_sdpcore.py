@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drlqr import sdpcore
-from drlqr.matcore import DomainError
+from drlqr.matcore import DomainError, ShapeError
 from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem, block_expr, kron_const,
                            solve, zeros)
 
 
-def _solve_builder(b):
-    """Build and solve; an "optimal" return must carry the margin of its own
-    point, which the strict certificate in drsynth reads, and no reason."""
-    prob = b.build()
+def _solve(prob):
+    """Solve; an "optimal" return must carry the margin of its own point,
+    which the strict certificate in drsynth reads, and no reason."""
     sol = solve(prob)
     if sol.status == "optimal":
         assert sol.min_block_eigenvalue == prob.min_eigenvalue(sol.y)
@@ -27,48 +26,39 @@ class TestSmallPrograms:
     def test_norm_bound(self):
         # min -y  s.t.  [[1, y], [y, 1]] >= 0  has optimum y = 1
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(block_expr([[np.ones((1, 1)), y], [y, np.ones((1, 1))]]))
-        b.minimize(-1.0 * y)
-        _, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        block = block_expr([[np.ones((1, 1)), y], [y, np.ones((1, 1))]])
+        _, sol = _solve(b.build(-1.0 * y, [block]))
         assert sol.status == "optimal"
         assert abs(sol.y[0] - 1.0) < 1e-4
 
     def test_half_line(self):
         # min y  s.t.  y - 3 >= 0
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(y - 3.0 * np.ones((1, 1)))
-        b.minimize(y)
-        _, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        _, sol = _solve(b.build(y, [y - 3.0 * np.ones((1, 1))]))
         assert sol.status == "optimal"
         assert abs(sol.y[0] - 3.0) < 1e-4
 
     def test_feasibility_only(self):
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(y - np.ones((1, 1)))
-        b.add_psd(2.0 * np.ones((1, 1)) - y)
-        prob, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        prob, sol = _solve(b.build(zeros((1, 1)), [y - np.ones((1, 1)), 2.0 * np.ones((1, 1)) - y]))
         assert sol.status == "optimal"
         assert prob.min_eigenvalue(sol.y) > 0.0
 
     def test_infeasible(self):
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(y - np.ones((1, 1)))
-        b.add_psd(-1.0 * y)
-        _, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        _, sol = _solve(b.build(zeros((1, 1)), [y - np.ones((1, 1)), -1.0 * y]))
         assert sol.status == "infeasible"
         assert sol.reason.startswith("dual witness: tr(F0 Z) < 0")
 
     def test_empty_interior_is_infeasible(self):
         # y >= 0 and -y >= 0 hold only at y = 0: feasible, but not strictly
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(y)
-        b.add_psd(-1.0 * y)
-        _, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        _, sol = _solve(b.build(zeros((1, 1)), [y, -1.0 * y]))
         assert sol.status == "infeasible"
         assert sol.reason.startswith("dual witness: tr(F_i Z) and tr(F0 Z)")
 
@@ -76,28 +66,24 @@ class TestSmallPrograms:
         # [[y, 1], [1, 0]] >= 0 has no solution, yet points come arbitrarily
         # close; Z = [[0, 0], [0, 1]] is the witness
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(block_expr([[y, np.ones((1, 1))], [np.ones((1, 1)), np.zeros((1, 1))]]))
-        _, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        block = block_expr([[y, np.ones((1, 1))], [np.ones((1, 1)), np.zeros((1, 1))]])
+        _, sol = _solve(b.build(zeros((1, 1)), [block]))
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
         b = LmiBuilder()
-        y = b.scalar_var("y")
-        b.add_psd(y + np.ones((1, 1)))
-        b.minimize(-1.0 * y)
-        _, sol = _solve_builder(b)
+        y = b.rect_var(1, 1)
+        _, sol = _solve(b.build(-1.0 * y, [y + np.ones((1, 1))]))
         assert sol.status == "unbounded"
         assert sol.reason.startswith("recession direction")
 
     def test_solution_nearly_psd(self):
         b = LmiBuilder()
-        P = b.sym_var("P", 3)
+        P = b.sym_var(3)
         C = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        b.add_psd(AffineExpr.constant(C) - P)
-        b.add_psd(P - 0.1 * np.eye(3))
-        b.minimize(-1.0 * P.trace())
-        prob, sol = _solve_builder(b)
+        blocks = [AffineExpr.constant(C) - P, P - 0.1 * np.eye(3)]
+        prob, sol = _solve(b.build(-1.0 * P.trace(), blocks))
         assert sol.status == "optimal"
         assert sol.min_block_eigenvalue > 0.0
         # trace of P approaches trace of C at the optimum
@@ -129,11 +115,8 @@ class TestFailureReason:
 def _trace_program(C):
     """max tr P s.t. P <= C and P >= 0.1 I; the optimum is P = C."""
     b = LmiBuilder()
-    P = b.sym_var("P", C.shape[0])
-    b.add_psd(AffineExpr.constant(C) - P)
-    b.add_psd(P - 0.1 * np.eye(C.shape[0]))
-    b.minimize(-1.0 * P.trace())
-    return b.build()
+    P = b.sym_var(C.shape[0])
+    return b.build(-1.0 * P.trace(), [AffineExpr.constant(C) - P, P - 0.1 * np.eye(C.shape[0])])
 
 
 C3 = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
@@ -260,10 +243,8 @@ class TestBisectionOracle:
             A = rng.standard_normal((n, n))
             S = (A + A.T) / 2
             b = LmiBuilder()
-            t = b.scalar_var("t")
-            b.add_psd(kron_const(np.eye(n), t) - S)
-            b.minimize(t)
-            prob, sol = _solve_builder(b)
+            t = b.rect_var(1, 1)
+            prob, sol = _solve(b.build(t, [kron_const(np.eye(n), t) - S]))
             assert sol.status == "optimal"
             lam_max = np.linalg.eigvalsh(S)[-1]
 
@@ -281,37 +262,29 @@ class TestBisectionOracle:
 class TestBuilderBasis:
     def test_sym_var_basis(self):
         b = LmiBuilder()
-        P = b.sym_var("P", 2)
+        P = b.sym_var(2)
         assert b.num_vars == 3
         y = np.array([1.0, 2.0, 3.0])
         assert np.allclose(P.value(y), [[1.0, 2.0], [2.0, 3.0]])
-        assert np.allclose(b.extract("P", y), [[1.0, 2.0], [2.0, 3.0]])
 
     def test_rect_var_basis(self):
         b = LmiBuilder()
-        V = b.rect_var("V", 1, 2)
+        V = b.rect_var(1, 2)
         assert b.num_vars == 2
         y = np.array([5.0, -1.0])
         assert np.allclose(V.value(y), [[5.0, -1.0]])
-        assert np.allclose(b.extract("V", y), [[5.0, -1.0]])
-
-    def test_duplicate_name_rejected(self):
-        b = LmiBuilder()
-        b.sym_var("P", 2)
-        with pytest.raises(ValueError):
-            b.rect_var("P", 1, 1)
 
     def test_non_square_psd_rejected(self):
         b = LmiBuilder()
-        V = b.rect_var("V", 1, 2)
-        with pytest.raises(ValueError):
-            b.add_psd(V)
+        V = b.rect_var(1, 2)
+        with pytest.raises(ShapeError):
+            b.build(zeros((1, 1)), [V])
 
     def test_objective_must_be_scalar(self):
         b = LmiBuilder()
-        P = b.sym_var("P", 2)
-        with pytest.raises(ValueError):
-            b.minimize(P)
+        P = b.sym_var(2)
+        with pytest.raises(ValueError, match="objective must be scalar"):
+            b.build(P, [P])
 
 
 class TestExpressionAlgebra:
@@ -319,17 +292,16 @@ class TestExpressionAlgebra:
         """build() pencil evaluated at random y equals the expression value."""
         rng = np.random.default_rng(1)
         b = LmiBuilder()
-        W = b.sym_var("W", 2)
-        V = b.rect_var("V", 1, 2)
-        g = b.scalar_var("g")
+        W = b.sym_var(2)
+        V = b.rect_var(1, 2)
+        g = b.rect_var(1, 1)
         C = rng.standard_normal((2, 2))
         expr = block_expr([
             [W - np.eye(2), V.T, C @ W],
             [V, g, zeros((1, 2))],
             [(C @ W).T, zeros((2, 1)), kron_const(np.eye(2), g) + W],
         ])
-        b.add_psd(expr)
-        prob = b.build()
+        prob = b.build(zeros((1, 1)), [expr])
         sym = 0.5 * (expr + expr.T)
         for _ in range(5):
             y = rng.standard_normal(prob.num_vars)
@@ -338,7 +310,7 @@ class TestExpressionAlgebra:
 
     def test_matmul_and_trace(self):
         b = LmiBuilder()
-        W = b.sym_var("W", 2)
+        W = b.sym_var(2)
         C = np.array([[1.0, 2.0], [0.0, 1.0]])
         y = np.array([1.0, 0.5, 2.0])
         Wv = W.value(y)
@@ -349,7 +321,7 @@ class TestExpressionAlgebra:
 
     def test_kron_const(self):
         b = LmiBuilder()
-        W = b.sym_var("W", 2)
+        W = b.sym_var(2)
         y = np.array([1.0, -1.0, 3.0])
         K = kron_const(np.diag([2.0, 5.0]), W)
         assert np.allclose(K.value(y), np.kron(np.diag([2.0, 5.0]), W.value(y)))
@@ -366,16 +338,14 @@ class TestTensorAlgebraProperty:
         draw = lambda *shape: rng.standard_normal(shape)
         close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
         b = LmiBuilder()
-        X = b.rect_var("X", p, q)
+        X = b.rect_var(p, q)
         C0, D0, Cq = draw(p, p), draw(p, q), draw(q, p)
         early = C0 @ X + D0
         square = X @ Cq  # p x p, constrained after the later variables exist
-        g = b.scalar_var("g")
-        P = b.sym_var("P", q)
+        g = b.rect_var(1, 1)
+        P = b.sym_var(q)
         late = kron_const(draw(p, q), g) + draw(p, q) @ P
         assert early.coef.shape[0] < late.coef.shape[0]
-        b.add_psd(square)
-        b.minimize(g - 2.0 * P.trace())
         y = draw(b.num_vars)
         Xv, gv, Pv = X.value(y), g.value(y), P.value(y)
         ev, lv = early.value(y), late.value(y)
@@ -385,7 +355,6 @@ class TestTensorAlgebraProperty:
         assert np.array_equal(Xv, y[:p * q].reshape(p, q))
         assert gv[0, 0] == y[p * q]
         assert np.array_equal(Pv[np.triu_indices(q)], y[p * q + 1:]) and np.array_equal(Pv, Pv.T)
-        assert np.array_equal(b.extract("P", y), Pv)
         close(ev, C0 @ Xv + D0)
         close((early + late).value(y), ev + lv)
         close((late + early).value(y), ev + lv)
@@ -407,7 +376,7 @@ class TestTensorAlgebraProperty:
         blk = block_expr([[early, G], [P, late.T @ H]])
         close(blk.value(y), np.block([[ev, G], [Pv, lv.T @ H]]))
 
-        prob = b.build()
+        prob = b.build(g - 2.0 * P.trace(), [square])
         assert prob.num_vars == b.num_vars
         pencil = prob.blocks[0].F0 + np.tensordot(y, prob.blocks[0].Fi, axes=1)
         close(pencil, 0.5 * (Xv @ Cq + (Xv @ Cq).T))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drlqr.matcore import DomainError, SymMatrix, is_psd, smat, svec
-from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
+from drlqr.sdpcore import LmiBuilder, kron_const, solve, zeros
 from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
                              closed_loop_cost, closed_loop_value_matrix, is_mss,
@@ -236,13 +236,11 @@ def _lyapunov_lmi_feasible(cl, m) -> bool:
     """Eq. 3 route: exists P >= I with P - L(P) >= delta*I, via sdpcore."""
     n = cl.sys.n_x
     b = LmiBuilder()
-    P = b.sym_var("P", n)
+    P = b.sym_var(n)
     Abar, Bbar = cl.sys.stacked
     Acl = Abar + Bbar @ cl.K
     LP = Acl.T @ kron_const(np.asarray(m.extended_moment), P) @ Acl
-    b.add_psd(block_expr([[P - np.eye(n)]]))
-    b.add_psd(block_expr([[P - LP - 1e-6 * np.eye(n)]]))
-    sol = solve(b.build())
+    sol = solve(b.build(zeros((1, 1)), [P - np.eye(n), P - LP - 1e-6 * np.eye(n)]))
     return sol.status == "optimal"
 
 

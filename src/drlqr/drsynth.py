@@ -46,32 +46,65 @@ class SynthesisResult:
         return self.controller.cost_bound
 
 
+_memo: tuple = ((), None)  # (key, _template) of the last system and cost
+
+
+def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
+    """(num_vars, W, V, channels, arrow, main, floor) for _thm6_builder, all read-only."""
+    global _memo
+    key = tuple((a.shape, a.tobytes()) for a in sys.stacked + (cost.Q, cost.R))
+    if (memo := _memo)[0] == key:
+        return memo[1]
+    n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
+    Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
+    b = LmiBuilder()
+    W, V, S, L = b.sym_var(n_x), b.rect_var(n_u, n_x), b.sym_var(n_x), b.sym_var(n_x)
+    channels = [sys.A[i] @ W + sys.B[i] @ V for i in range(n_w)]
+    stack = block_expr([[ch] for ch in channels])
+    zx, zxu, zc = zeros((n_w * n_x, n_x)), zeros((n_w * n_x, n_u)), zeros((n_x, n_x))
+    arrow = block_expr([[S, zx.T], [zx, kron_const(np.eye(n_w), L)]])
+    main = block_expr([
+        [W - math.sqrt(2.0) * S, stack.T, zc, W @ Q_half, V.T @ R_half],
+        [stack, zeros((n_w * n_x, n_w * n_x)), zx, zx, zxu],
+        [zc, zx.T, W - math.sqrt(2.0) * L, zc, zeros((n_x, n_u))],
+        [Q_half @ W, zx.T, zc, np.eye(n_x), zeros((n_x, n_u))],
+        [R_half @ V, zxu.T, zeros((n_u, n_x)), zeros((n_u, n_x)), np.eye(n_u)],
+    ])
+    # L >= eps I also bounds W >= sqrt2 L >= sqrt2 eps I through the centre of
+    # the main block.  It keeps the solve off the degenerate points W -> 0,
+    # where K = V W^-1 and the bound tr(W^-1) certify nothing; without it a
+    # set too large for any gain can end at such a point instead of infeasible
+    eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
+    floor = block_expr([[L - eps * np.eye(n_x)]])
+    for e in [W, V, arrow, main, floor] + channels:
+        e.coef.setflags(write=False)
+    memo = _memo = (key, (b.num_vars, W, V, channels, arrow.coef, main.coef, floor))
+    return memo[1]
+
+
 def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
                   ) -> tuple[LmiBuilder, AffineExpr, AffineExpr, list[AffineExpr]]:
-    """The builder, W, V and the three synthesis blocks: arrow, main and floor."""
+    """A fresh builder, W, V and the three synthesis blocks: arrow, main and floor.
+
+    _template assembles what depends only on the system and the cost once, with
+    the data slots zero: c H, the centre, their transposes and kron(inv(rho_sigma
+    Sigma_hat), W), which each call writes into copies.  It keeps only the last
+    (system, cost), keyed by the bytes of sys.stacked, Q and R: one pencil, 0.02 MB on
+    the paper's system, 2.5 MB at n_x = 8 and 34 MB at n_x = 16 (n_u = n_w = 2)."""
     if amb.n_w != sys.n_w:
         raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
     check_cost(sys, cost)
-    n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
+    num_vars, W, V, channels, arrow, main, floor = _template(sys, cost)
+    n_x, n_w = sys.n_x, sys.n_w
     sigma_half = psd_sqrt(amb.sigma_hat)
-    sigma_dr_inv = np.linalg.inv(amb.rho_sigma * amb.sigma_hat)
+    kron_w = kron_const(np.linalg.inv(amb.rho_sigma * amb.sigma_hat), W)
     A_mu, B_mu = sys.eval_AB(amb.mu_hat)
-    Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
-
-    b = LmiBuilder()
-    W = b.sym_var(n_x)
-    V = b.rect_var(n_u, n_x)
-    S = b.sym_var(n_x)
-    L = b.sym_var(n_x)
-
-    channels = [sys.A[i] @ W + sys.B[i] @ V for i in range(n_w)]
     H = [sum((sigma_half[j, i] * channels[j] for j in range(n_w)), zeros((n_x, n_x)))
          for i in range(n_w)]
-
     # arrow block [[S, c H^T], [c H, I (x) L]], H = [H_1; ...; H_nw], c = sqrt(rho_mu / 2).
     # It protects the whole mean ellipsoid (mu-mu_hat)^T Sigma_hat^{-1} (mu-mu_hat)
     # <= rho_mu.  With v = Sigma_hat^{-1/2}(mu-mu_hat), the mean moves the centre
-    # block by D = sum_i v_i H_i.  The main block below is the cost LMI at mu_hat
+    # block by D = sum_i v_i H_i.  The main block is the cost LMI at mu_hat
     # minus diag(sqrt2 S, sqrt2 L) on the W blocks around the centre, so the cost
     # LMI at mu holds whenever [[sqrt2 S, D^T], [D, sqrt2 L]] >= 0, i.e.
     # 2 S >= D^T L^{-1} D:
@@ -79,29 +112,16 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
     #   the arrow block gives S >= c^2 sum_i H_i^T L^{-1} H_i
     #   so c^2 >= rho_mu / 2 suffices.
     cH = math.sqrt(amb.rho_mu / 2.0) * block_expr([[h] for h in H])
-    arrow = block_expr([[S, cH.T], [cH, kron_const(np.eye(n_w), L)]])
-
-    # main Schur block
-    stack = block_expr([[ch] for ch in channels])
     center = A_mu @ W + B_mu @ V
-    root2 = math.sqrt(2.0)
-    zx = zeros((n_w * n_x, n_x))
-    zxu = zeros((n_w * n_x, n_u))
-    main = block_expr([
-        [W - root2 * S, stack.T, center.T, W @ Q_half, V.T @ R_half],
-        [stack, kron_const(sigma_dr_inv, W), zx, zx, zxu],
-        [center, zx.T, W - root2 * L, zeros((n_x, n_x)), zeros((n_x, n_u))],
-        [Q_half @ W, zx.T, zeros((n_x, n_x)), np.eye(n_x), zeros((n_x, n_u))],
-        [R_half @ V, zxu.T, zeros((n_u, n_x)), zeros((n_u, n_x)), np.eye(n_u)],
-    ])
-
-    # L >= eps I also bounds W >= sqrt2 L >= sqrt2 eps I through the centre of
-    # the main block.  It keeps the solve off the degenerate points W -> 0,
-    # where K = V W^-1 and the bound tr(W^-1) certify nothing; without it a
-    # set too large for any gain can end at such a point instead of infeasible
-    eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
-    floor = block_expr([[L - eps * np.eye(n_x)]])
-    return b, W, V, [arrow, main, floor]
+    # rows and columns of W, of the channels' stack and of the main block's centre
+    w, ch, ce = slice(n_x), slice(n_x, (1 + n_w) * n_x), slice((1 + n_w) * n_x, (2 + n_w) * n_x)
+    arrow, main = arrow.copy(), main.copy()
+    for coef, rows, cols, e in ((arrow, ch, w, cH), (arrow, w, ch, cH.T), (main, ce, w, center),
+                                (main, w, ce, center.T), (main, ch, ch, kron_w)):
+        coef[:e.coef.shape[0], rows, cols] = e.coef
+    b = LmiBuilder()
+    b.num_vars = num_vars
+    return b, W, V, [AffineExpr(arrow), AffineExpr(main), floor]
 
 
 def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,

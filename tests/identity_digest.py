@@ -14,11 +14,16 @@ Each line is the sha256 of the raw bytes of
   exception they raised;
 - riccati-chain: ops 0-29 of the benchmark workload at seed 0, with inputs
   from perfbench/workloads.py: the dr_covariance K, P and iterations and the
-  two closed-loop scores, or the name of the exception.
+  two closed-loop scores, or the name of the exception;
+- sweep-paper: ops 0-2 of the benchmark workload at seed 0, with inputs from
+  perfbench/workloads.py: the c, F0 and Fi arrays solve receives from the
+  sweep's synth_full calls, which reuse one assembled pencil across cells,
+  and each record's M, realization, method, stabilizing and J.
 
 Pytest does not collect this file.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -29,6 +34,7 @@ from test_drsynth import _random_instance
 
 PLANTS = 300
 CHAIN_OPS = 30
+SWEEP_OPS = 3
 
 
 def _update(h, *arrays):
@@ -38,16 +44,25 @@ def _update(h, *arrays):
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def synthesis_digests() -> tuple[str, str]:
-    pencils, results = hashlib.sha256(), hashlib.sha256()
+@contextlib.contextmanager
+def _pencils_into(h):
+    """Feed h the c, F0 and Fi of every program drsynth.solve receives."""
     real = drsynth.solve
 
     def spy(prob, start=None):
-        _update(pencils, prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))
+        _update(h, prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))
         return real(prob, start=start)
 
     drsynth.solve = spy
     try:
+        yield
+    finally:
+        drsynth.solve = real
+
+
+def synthesis_digests() -> tuple[str, str]:
+    pencils, results = hashlib.sha256(), hashlib.sha256()
+    with _pencils_into(pencils):
         for seed in range(PLANTS):
             rng = np.random.default_rng(seed)
             shape = (1 + seed % 3, 1 + seed // 3 % 3, 1 + seed // 9 % 2)
@@ -61,8 +76,6 @@ def synthesis_digests() -> tuple[str, str]:
                     results.update(type(exc).__name__.encode())
                 else:
                     _update(results, ctrl.K, ctrl.cost_bound, ctrl.iterations)
-    finally:
-        drsynth.solve = real
     return pencils.hexdigest(), results.hexdigest()
 
 
@@ -81,8 +94,24 @@ def riccati_chain_digest() -> str:
     return h.hexdigest()
 
 
+def sweep_paper_digest() -> str:
+    h = hashlib.sha256()
+    workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+    with _pencils_into(h):
+        for index in range(SWEEP_OPS):
+            out = workload.run(workload.make_input(index))
+            if isinstance(out, Exception):
+                h.update(type(out).__name__.encode())
+                continue
+            for rec in out:
+                h.update(repr((rec.M, rec.realization, rec.method, rec.stabilizing,
+                               rec.J)).encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     pencils, results = synthesis_digests()
     print(f"pencils        {pencils}")
     print(f"synthesis      {results}")
     print(f"riccati-chain  {riccati_chain_digest()}")
+    print(f"sweep-paper    {sweep_paper_digest()}")

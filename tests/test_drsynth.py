@@ -291,6 +291,114 @@ def _assert_certified(rng, res, method, sys, amb, cost, x0):
         assert J <= (1.0 + 1e-6) * res.cost_bound
 
 
+def _memo_runs(calls):
+    """The pencils drsynth.solve receives in each call, and the call's K,
+    bound and iterations or its exception: made in order with the
+    assembly memo kept from call to call, and made again with the memo
+    cleared before each call."""
+    real, memo = drsynth.solve, drsynth._memo
+
+    def run(call):
+        pencils = []
+
+        def spy(prob, start=None):
+            pencils.append([(a.shape, a.tobytes()) for a in
+                            (prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))])
+            return real(prob, start=start)
+
+        drsynth.solve = spy
+        try:
+            ctrl = call().controller
+        except (DrSynthesisError, NumericalFailure) as exc:
+            return pencils, (type(exc).__name__, str(exc))
+        return pencils, (ctrl.K.tobytes(), ctrl.cost_bound, ctrl.iterations)
+
+    try:
+        kept = [run(call) for call in calls]
+        cleared = []
+        for call in calls:
+            drsynth._memo = ((), None)
+            cleared.append(run(call))
+    finally:
+        drsynth.solve, drsynth._memo = real, memo
+    return kept, cleared
+
+
+class TestAssemblyMemo:
+    """synth_full and synth_rhc assemble the parts of the pencil that depend
+    only on the system and the cost once, and keep them for the last
+    (system, cost); a call that reuses them sends solve the same bytes and
+    returns the same result as one made with the memo cleared."""
+
+    def test_zero_mean_radius_after_a_positive_one(self, sys6, cost6):
+        """A stale c H from the first call would show in the second."""
+        calls = [lambda rho_mu=rho_mu: synth_full(sys6, _amb(np.zeros(2), np.eye(2), rho_mu, 1.5),
+                                                  cost6)
+                 for rho_mu in (0.1, 0.0)]
+        kept, cleared = _memo_runs(calls)
+        assert kept == cleared
+        assert kept[0][0] != kept[1][0]
+
+    def test_rhc_full_rhc_on_one_plant(self, sys6, cost6, amb6_small):
+        """synth_rhc's gamma is a variable of its own builder only: a gamma
+        left in the shared count would change the variable count after it."""
+        x0 = np.array([2.0, 2.0])
+        rhc = lambda: synth_rhc(sys6, amb6_small, cost6, x0)
+        kept, cleared = _memo_runs([rhc, lambda: synth_full(sys6, amb6_small, cost6), rhc])
+        assert kept == cleared
+        assert kept[0] == kept[2]
+
+    def test_equal_content_shares_the_entry(self, sys6, cost6, amb6_small):
+        twin = MultNoiseSystem(A0=sys6.A0, A=sys6.A, B0=sys6.B0, B=sys6.B)
+        twin_cost = CostWeights(Q=cost6.Q, R=cost6.R)
+        assert twin.A0 is not sys6.A0 and twin_cost.R is not cost6.R
+        first = drsynth._template(sys6, cost6)
+        assert drsynth._template(twin, twin_cost) is first
+        kept, cleared = _memo_runs([lambda: synth_full(sys6, amb6_small, cost6),
+                                    lambda: synth_full(twin, amb6_small, twin_cost)])
+        assert kept == cleared
+        assert kept[0] == kept[1]
+
+    @pytest.mark.parametrize("changed", ["B1", "R"])
+    def test_one_entry_apart_gets_its_own_entry(self, sys6, cost6, amb6_small, changed):
+        """B[1] moves by one unit in the last place; R moves from 0.01 to 0.02."""
+        other_sys, other_cost = sys6, cost6
+        if changed == "B1":
+            B1 = np.array(sys6.B[1])
+            B1[1, 0] = np.nextafter(B1[1, 0], 1.0)
+            other_sys = MultNoiseSystem(A0=sys6.A0, A=sys6.A, B0=sys6.B0, B=(sys6.B[0], B1))
+        else:
+            other_cost = CostWeights(Q=cost6.Q, R=np.array([[0.02]]))
+        first = drsynth._template(sys6, cost6)
+        assert drsynth._template(other_sys, other_cost) is not first
+        kept, cleared = _memo_runs([lambda: synth_full(sys6, amb6_small, cost6),
+                                    lambda: synth_full(other_sys, amb6_small, other_cost),
+                                    lambda: synth_full(sys6, amb6_small, cost6)])
+        assert kept == cleared
+        assert kept[0][0] != kept[1][0]
+
+    def test_template_arrays_are_read_only(self, sys6, cost6):
+        num_vars, W, V, channels, arrow, main, floor = drsynth._template(sys6, cost6)
+        for a in [W.coef, V.coef, arrow, main, floor.coef] + [ch.coef for ch in channels]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 1.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
+           noise=st.floats(0.0, 0.3), rho_mu=st.floats(0.0, 0.3),
+           rho_sigma=st.floats(1.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_plants(self, n_x, n_u, n_w, noise, rho_mu, rho_sigma, seed):
+        """synth_rhc, synth_full on two ambiguity sets (the second with
+        rho_mu = 0) and synth_rhc again on one random plant."""
+        rng = np.random.default_rng(seed)
+        sys, amb, cost, x0 = _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma)
+        other = _random_instance(rng, n_x, n_u, n_w, noise, 0.0, rho_sigma)[1]
+        rhc = lambda: synth_rhc(sys, amb, cost, x0)
+        kept, cleared = _memo_runs([rhc, lambda: synth_full(sys, amb, cost),
+                                    lambda: synth_full(sys, other, cost), rhc])
+        assert kept == cleared
+
+
 class TestMonotoneInRadii:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),

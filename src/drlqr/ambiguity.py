@@ -145,6 +145,12 @@ def t_mu(beta: float, sigma2: float, n_w: int, M: int) -> float:
     return sigma2 / M * _p(beta, n_w)
 
 
+def _concentration(config: AmbiguityConfig, n_w: int, M: int) -> tuple[float, float]:
+    """(t_mu, t_sigma) at M samples, config's confidence budget beta split evenly."""
+    b2 = config.beta / 2.0
+    return t_mu(b2, config.sigma2, n_w, M), t_sigma(b2, config.eps, config.sigma2, n_w, M)
+
+
 def min_sample_size(config: AmbiguityConfig, n_w: int) -> int:
     """Smallest M for which the ambiguity radii are finite.
 
@@ -161,9 +167,11 @@ def min_sample_size(config: AmbiguityConfig, n_w: int) -> int:
     )
     threshold = (num / (2.0 * (1.0 - 2.0 * eps))) ** 2
     M = math.floor(threshold) + 1
-    while 1.0 - t_mu(b2, s2, n_w, M) - t_sigma(b2, eps, s2, n_w, M) <= 0.0:
+    while True:
+        tm, ts = _concentration(config, n_w, M)
+        if 1.0 - tm - ts > 0.0:
+            return M
         M += 1
-    return M
 
 
 def ambiguity_radii(config: AmbiguityConfig, n_w: int, M: int) -> tuple[float, float]:
@@ -171,9 +179,7 @@ def ambiguity_radii(config: AmbiguityConfig, n_w: int, M: int) -> tuple[float, f
     M_min = min_sample_size(config, n_w)
     if M < M_min:
         raise SampleSizeError(M, M_min)
-    b2 = config.beta / 2.0
-    tm = t_mu(b2, config.sigma2, n_w, M)
-    ts = t_sigma(b2, config.eps, config.sigma2, n_w, M)
+    tm, ts = _concentration(config, n_w, M)
     denom = 1.0 - tm - ts
     return tm / denom, 1.0 / denom
 

@@ -20,8 +20,8 @@ import sys as _sys
 import numpy as np
 
 from . import drsynth, experiment, riccati
-from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, ambiguity_radii, build_ambiguity,
-                        empirical_moments, load_samples_csv, min_sample_size, t_mu, t_sigma)
+from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, _concentration, ambiguity_radii,
+                        build_ambiguity, empirical_moments, load_samples_csv, min_sample_size)
 from .matcore import NumericalFailure
 from .stability import ClosedLoop, is_mss
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -53,11 +53,11 @@ def _load_json(path):
 
 def _cmd_bounds(args) -> int:
     cfg = AmbiguityConfig(beta=args.beta, eps=args.eps, sigma2=args.sigma2)
-    b2 = cfg.beta / 2.0
     M_min = min_sample_size(cfg, args.dim)
+    tm, ts = _concentration(cfg, args.dim, args.m)
     out = {
-        "t_sigma": t_sigma(b2, cfg.eps, cfg.sigma2, args.dim, args.m),
-        "t_mu": t_mu(b2, cfg.sigma2, args.dim, args.m),
+        "t_sigma": ts,
+        "t_mu": tm,
         "rho_mu": None,
         "rho_sigma": None,
         "M_min": M_min,
@@ -158,6 +158,8 @@ def _cmd_experiment(args) -> int:
     cfg = _experiment_config_from_json(args.config)
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise CliError(f"cannot write {args.out}: its directory does not exist")
+    if os.path.isdir(args.out):
+        raise CliError(f"cannot write {args.out}: it is a directory")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     records = experiment.run_sample_complexity(cfg, jobs=args.jobs)

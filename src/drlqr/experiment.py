@@ -46,6 +46,14 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """value as a whole, nonnegative seed; anything else raises ValueError naming seed."""
+    seed = _whole(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one sample-complexity sweep."""
@@ -67,7 +75,7 @@ class ExperimentConfig:
         if self.true_moments.n_w != self.system.n_w:
             raise ShapeError(f"true_moments have {self.true_moments.n_w} disturbance channels, "
                              f"the system has {self.system.n_w}")
-        realizations, seed = _whole(self.realizations, "realizations"), _whole(self.seed, "seed")
+        realizations, seed = _whole(self.realizations, "realizations"), _seed(self.seed)
         if realizations < 1:
             raise ValueError("realizations must be at least 1")
         if isinstance(self.methods, str):
@@ -241,7 +249,7 @@ EX1_Q = 1.0
 EX1_R = 1.0e4
 EX1_SIGMA2 = 0.5
 EX1_THRESHOLD = 0.4697
-EX1_CHUNK = 2000  # trials drawn per batch
+EX1_DRAWS = 1_000_000  # draws per batch: 2,000 trials at M = 500, at least one trial
 
 
 @dataclass(frozen=True)
@@ -296,7 +304,10 @@ def replicate_example1(M: int = 500, trials: int = 100_000, seed: int = 0) -> Ex
     empirical variance (second moment about zero, matching the estimator in
     the example), synthesizes the empirical-optimal gain from the exact
     Riccati root, and tests mean-square stability under the true variance.
+    Batches of at most EX1_DRAWS draws (one trial at least) bound the memory;
+    the result does not depend on the batch size.
     """
+    M, trials, seed = _whole(M, "M"), _whole(trials, "trials"), _seed(seed)
     if M < 2:
         raise ValueError("M must be at least 2")
     if trials < 1:
@@ -306,7 +317,7 @@ def replicate_example1(M: int = 500, trials: int = 100_000, seed: int = 0) -> Ex
     remaining = trials
     scale = math.sqrt(EX1_SIGMA2)
     while remaining > 0:
-        batch = min(EX1_CHUNK, remaining)
+        batch = min(remaining, max(1, EX1_DRAWS // M))
         w = scale * rng.standard_normal((batch, M))
         s2 = np.mean(w * w, axis=1)
         stable = scalar_mss(empirical_gain_scalar(s2))

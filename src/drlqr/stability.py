@@ -1,11 +1,11 @@
 """Mean-square stability certification and exact closed-loop cost evaluation.
 
-Stability of x_{k+1} = (A(w_k) + B(w_k) K) x_k is decided through the
-spectral radius of the second-moment operator P -> Abar_cl^T (Sigma_ext x P)
-Abar_cl as a matrix on the n(n+1)/2 coordinates svec(P) of symmetric P.
-lyapunov_value is the one certified value solve, for riccati's Newton steps
-and for the cost, which two such solves certify without the radius.  These
-checks hold at one moment pair; the distributionally robust certificate of a
+x_{k+1} = (A(w_k) + B(w_k) K) x_k is mean-square stable when the second-moment
+operator L(P) = Abar_cl^T (Sigma_ext x P) Abar_cl, a matrix T on the n(n+1)/2
+coordinates svec(P) of symmetric P, has spectral radius below 1 - TOL.  One
+rule decides it for is_mss and the cost: lyapunov_value, the one certified value
+solve, on T / (1 - TOL) and I; the radius is information only.  These checks
+hold at one moment pair; the distributionally robust certificate of a
 synthesized gain is the strict feasibility of the synthesis LMIs (see drsynth).
 """
 
@@ -67,13 +67,19 @@ def _spectral_radius(T: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(T)))) if T.size else 0.0
 
 
-def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
-    """Mean-square stability test via the spectral radius of the operator matrix T_s.
+def _certified_mss(T: np.ndarray, n: int) -> bool:
+    """The MSS rule rho(T) < 1 - TOL, decided by lyapunov_value(T / (1 - TOL), I)."""
+    return lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
 
-    Radii within TOL of 1 are reported unstable, erring on the safe side.
+
+def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
+    """(stable, radius): stable when one Lyapunov solve certifies rho(T_s) < 1 - TOL.
+
+    Radii within TOL of 1 count as unstable, erring on the safe side.  The
+    spectral radius of T_s is information only: the solve decides the verdict.
     """
-    radius = _spectral_radius(second_moment_operator(cl, m))
-    return radius < 1.0 - TOL, radius
+    T = second_moment_operator(cl, m)
+    return _certified_mss(T, cl.sys.n_x), _spectral_radius(T)
 
 
 def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x0) -> float:
@@ -97,13 +103,12 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
 
 
 def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights) -> np.ndarray:
-    """P = Q + K^T R K + L(P) by lyapunov_value.  InstabilityError unless the
-    solve on T / (1 - TOL) certifies rho(T) < 1 - TOL, is_mss's rule, without an
-    eigensolver; the radius is computed only for the error message."""
+    """P = Q + K^T R K + L(P) by lyapunov_value on T.  InstabilityError unless
+    is_mss's verdict, _certified_mss, passes and the value solve certifies; the
+    radius is computed only for the error message."""
     check_cost(cl.sys, cost)
     T = second_moment_operator(cl, m)
-    rhs = cost.Q + cl.K.T @ cost.R @ cl.K
-    P = lyapunov_value(T, rhs) if lyapunov_value(T / (1.0 - TOL), rhs) is not None else None
+    P = lyapunov_value(T, cost.Q + cl.K.T @ cost.R @ cl.K) if _certified_mss(T, cl.sys.n_x) else None
     if P is None:
         raise InstabilityError(f"closed loop is not certified mean-square stable "
                                f"(radius {_spectral_radius(T):.6f}); its cost is not certified finite")

@@ -18,7 +18,11 @@ Each line is the sha256 of the raw bytes of
 - sweep-paper: ops 0-2 of the benchmark workload at seed 0, with inputs from
   perfbench/workloads.py: the c, F0 and Fi arrays solve receives from the
   sweep's synth_full calls, which reuse one assembled pencil across cells,
-  and each record's M, realization, method, stabilizing and J.
+  and each record's M, realization, method, stabilizing and J;
+- mss: is_mss's (verdict, radius) and whether closed_loop_value_matrix
+  certifies the same loop, for the synth_full gains of the 300 plants at
+  their set's centre moments (mean mu_hat, covariance rho_sigma Sigma_hat)
+  and for every loop that riccati-chain ops 0-29 pass to is_mss.
 
 Pytest does not collect this file.
 """
@@ -28,8 +32,10 @@ import hashlib
 
 import numpy as np
 
+import drlqr
 from conftest import bench_workloads
-from drlqr import drsynth
+from drlqr import drsynth, stability
+from drlqr.sysmodel import DisturbanceMoments
 from test_drsynth import _random_instance
 
 PLANTS = 300
@@ -60,7 +66,18 @@ def _pencils_into(h):
         drsynth.solve = real
 
 
-def synthesis_digests() -> tuple[str, str]:
+def _mss_update(h, cl, m, cost):
+    """Feed h is_mss's verdict and radius and the cost path's verdict on cl."""
+    try:
+        stability.closed_loop_value_matrix(cl, m, cost)
+        certified = True
+    except stability.InstabilityError:
+        certified = False
+    h.update(repr((*stability.is_mss(cl, m), certified)).encode())
+
+
+def synthesis_digests(mss) -> tuple[str, str]:
+    """The pencils and synthesis digests; mss is fed each synth_full gain's verdicts."""
     pencils, results = hashlib.sha256(), hashlib.sha256()
     with _pencils_into(pencils):
         for seed in range(PLANTS):
@@ -68,22 +85,36 @@ def synthesis_digests() -> tuple[str, str]:
             shape = (1 + seed % 3, 1 + seed // 3 % 3, 1 + seed // 9 % 2)
             radii = (0.3 * rng.random(), 0.3 * rng.random(), 1.0 + rng.random())
             sys, amb, cost, x0 = _random_instance(rng, *shape, *radii)
-            for call in (lambda: drsynth.synth_full(sys, amb, cost),
-                         lambda: drsynth.synth_rhc(sys, amb, cost, x0)):
+            centre = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
+            for full, call in ((True, lambda: drsynth.synth_full(sys, amb, cost)),
+                               (False, lambda: drsynth.synth_rhc(sys, amb, cost, x0))):
                 try:
                     ctrl = call().controller
                 except Exception as exc:  # the outcome being digested
                     results.update(type(exc).__name__.encode())
                 else:
                     _update(results, ctrl.K, ctrl.cost_bound, ctrl.iterations)
+                    if full:
+                        _mss_update(mss, stability.ClosedLoop(sys=sys, K=ctrl.K), centre, cost)
     return pencils.hexdigest(), results.hexdigest()
 
 
-def riccati_chain_digest() -> str:
+def riccati_chain_digest(mss) -> str:
+    """The riccati-chain digest; mss is fed the verdicts of each loop the ops score."""
     h = hashlib.sha256()
     workload = bench_workloads().WORKLOADS["riccati-chain"](0)
-    for index in range(CHAIN_OPS):
-        out = workload.run(workload.make_input(index))
+    real = drlqr.is_mss
+
+    def spy(cl, m):
+        _mss_update(mss, cl, m, workload.cost)
+        return real(cl, m)
+
+    drlqr.is_mss = spy
+    try:
+        outs = [workload.run(workload.make_input(index)) for index in range(CHAIN_OPS)]
+    finally:
+        drlqr.is_mss = real
+    for out in outs:
         if isinstance(out, Exception):
             h.update(type(out).__name__.encode())
             continue
@@ -110,8 +141,10 @@ def sweep_paper_digest() -> str:
 
 
 if __name__ == "__main__":
-    pencils, results = synthesis_digests()
+    mss = hashlib.sha256()
+    pencils, results = synthesis_digests(mss)
     print(f"pencils        {pencils}")
     print(f"synthesis      {results}")
-    print(f"riccati-chain  {riccati_chain_digest()}")
+    print(f"riccati-chain  {riccati_chain_digest(mss)}")
     print(f"sweep-paper    {sweep_paper_digest()}")
+    print(f"mss            {mss.hexdigest()}")

@@ -440,8 +440,8 @@ class TestExperiment:
         assert rc == EXIT_INVALID
         assert "true_moments have 3 disturbance channels, the system has 2" in capsys.readouterr().err
 
-    def test_missing_out_directory_fails_before_the_sweep(self, capsys, monkeypatch, sys6, tmp_path):
-        """The whole sweep ran before the CSV could not be opened."""
+    def _sweep_must_not_run(self, monkeypatch, sys6, tmp_path):
+        """A valid config file in tmp_path, with the sweep replaced by a failure."""
         def sweep(cfg, jobs=1):
             raise AssertionError("the sweep ran")
 
@@ -452,11 +452,31 @@ class TestExperiment:
                "sample_sizes": [1000], "realizations": 2, "x0": [2.0, 2.0]}
         cp = tmp_path / "exp.json"
         cp.write_text(json.dumps(cfg))
+        return cp
+
+    def test_missing_out_directory_fails_before_the_sweep(self, capsys, monkeypatch, sys6, tmp_path):
+        """The whole sweep ran before the CSV could not be opened."""
+        cp = self._sweep_must_not_run(monkeypatch, sys6, tmp_path)
         out = tmp_path / "missing" / "o.csv"
         rc = main(["experiment", "--config", str(cp), "--out", str(out)])
         assert rc == EXIT_INVALID
         assert f"cannot write {out}" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    def test_out_directory_fails_before_the_sweep(self, capsys, monkeypatch, sys6, tmp_path):
+        """A directory given as --out failed only at write time, after the sweep."""
+        cp = self._sweep_must_not_run(monkeypatch, sys6, tmp_path)
+        rc = main(["experiment", "--config", str(cp), "--out", str(tmp_path)])
+        assert rc == EXIT_INVALID
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+    def test_negative_seed_fails_before_the_sweep(self, capsys, monkeypatch, sys6, tmp_path):
+        """--seed -1 failed in numpy, without naming the seed, after the nominal solve."""
+        cp = self._sweep_must_not_run(monkeypatch, sys6, tmp_path)
+        rc = main(["experiment", "--config", str(cp), "--out", str(tmp_path / "o.csv"),
+                   "--seed", "-1"])
+        assert rc == EXIT_INVALID
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
     def test_missing_field(self, capsys, tmp_path):
         cp = tmp_path / "exp.json"
@@ -473,3 +493,8 @@ class TestExample1:
         assert out["M"] == 500
         assert np.isclose(out["analytic"], 0.16927, atol=5e-5)
         assert abs(out["monte_carlo"] - out["analytic"]) < 0.05
+
+    def test_negative_seed_exit_code(self, capsys):
+        rc = main(["example1", "--m", "500", "--trials", "10", "--seed", "-1"])
+        assert rc == EXIT_INVALID
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err

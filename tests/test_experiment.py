@@ -81,8 +81,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("realizations", 0), ("realizations", 1.5), ("seed", 1.5), ("sample_sizes", (1000.7,)),
+        ("seed", -1),
     ], ids=["zero_realizations", "fractional_realizations", "fractional_seed",
-            "fractional_sample_size"])
+            "fractional_sample_size", "negative_seed"])
     def test_rejects_bad_counts(self, sys6, moments6, cost6, field, value):
         with pytest.raises(ValueError):
             _cfg(sys6, moments6, cost6, **{field: value})
@@ -403,6 +404,20 @@ class TestExample1:
             replicate_example1(M=1)
         with pytest.raises(ValueError):
             replicate_example1(trials=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("M", 10.5, "M must be a whole number"), ("trials", 2.5, "trials must be a whole number"),
+        ("seed", 0.5, "seed must be a whole number"), ("seed", -1, "seed must be nonnegative"),
+    ])
+    def test_counts_and_seed_named(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replicate_example1(**{"M": 20, "trials": 10, field: value})
+
+    def test_result_does_not_depend_on_the_batch_size(self, monkeypatch):
+        """One trial per batch draws the same stream, so the same result."""
+        default = replicate_example1(M=50, trials=300, seed=4)
+        monkeypatch.setattr(experiment, "EX1_DRAWS", 1)
+        assert replicate_example1(M=50, trials=300, seed=4) == default
 
 
 def test_threshold_constants():

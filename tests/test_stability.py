@@ -152,9 +152,10 @@ class TestLyapunovValue:
     @given(n_x=st.integers(1, 4), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
            target=st.floats(0.9, 1.1), seed=st.integers(0, 2**32 - 1))
     def test_cost_certificate_follows_is_mss(self, n_x, n_u, n_w, target, seed):
-        """Away from the threshold 1 - TOL, the cost is certified exactly when
-        is_mss calls the loop stable; otherwise the error gives the radius.  The
-        plant is scaled by c so that the radius, quadratic in c, is near 1."""
+        """Away from the threshold 1 - TOL, is_mss calls the loop stable exactly
+        when its radius is below 1 - TOL, and the cost is certified exactly then;
+        otherwise the error gives the radius.  The plant is scaled by c so that
+        the radius, quadratic in c, is near 1."""
         cl, m = _random_plant(np.random.default_rng(seed), n_x, n_u, n_w)
         c = np.sqrt(target / is_mss(cl, m)[1])
         sys = MultNoiseSystem(A0=c * cl.sys.A0, A=tuple(c * a for a in cl.sys.A),
@@ -162,6 +163,7 @@ class TestLyapunovValue:
         cl = ClosedLoop(sys=sys, K=cl.K)
         stable, radius = is_mss(cl, m)
         assume(abs(radius - (1.0 - TOL)) > 1e-6)
+        assert stable == (radius < 1.0 - TOL)
         cost = CostWeights(Q=np.eye(n_x), R=np.eye(n_u))
         if stable:
             assert is_psd(closed_loop_value_matrix(cl, m, cost))
@@ -217,6 +219,14 @@ class TestIsMss:
         stable, radius = is_mss(ClosedLoop(sys=sys, K=np.zeros((1, 2))),
                                 DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1))))
         assert stable and radius == 0.0
+
+    @pytest.mark.parametrize("K, stable, wrong", [(-0.75, True, 2.0), (0.0, False, 0.5)],
+                             ids=["stable", "unstable"])
+    def test_verdict_ignores_the_radius(self, monkeypatch, K, stable, wrong):
+        """The Lyapunov solve decides the verdict: a wrong radius is reported
+        as given and changes nothing else."""
+        monkeypatch.setattr(stability, "_spectral_radius", lambda T: wrong)
+        assert is_mss(_scalar_loop(K), _scalar_moments()) == (stable, wrong)
 
 
 def _random_loop(rng):

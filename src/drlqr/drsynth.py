@@ -50,7 +50,9 @@ _memo: tuple = ((), None)  # (key, _template) of the last system and cost
 
 
 def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
-    """(num_vars, W, V, channels, arrow, main, floor) for _thm6_builder, all read-only."""
+    """(num_vars, W, V, chan, arrow, main, floor) for _thm6_builder, all read-only; chan[i]
+    holds the channel A_i W + B_i V, i = 0..n_w.  Only the last (system, cost) is kept, keyed
+    by the bytes of sys.stacked, Q and R: 0.02 MB on the paper's system, 34 MB at n_x = 16."""
     global _memo
     key = tuple((a.shape, a.tobytes()) for a in sys.stacked + (cost.Q, cost.R))
     if (memo := _memo)[0] == key:
@@ -59,26 +61,24 @@ def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
     Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
     b = LmiBuilder()
     W, V, S, L = b.sym_var(n_x), b.rect_var(n_u, n_x), b.sym_var(n_x), b.sym_var(n_x)
-    channels = [sys.A[i] @ W + sys.B[i] @ V for i in range(n_w)]
-    stack = block_expr([[ch] for ch in channels])
+    chan = np.stack([(A @ W + B @ V).coef for A, B in zip((sys.A0,) + sys.A, (sys.B0,) + sys.B)])
     zx, zxu, zc = zeros((n_w * n_x, n_x)), zeros((n_w * n_x, n_u)), zeros((n_x, n_x))
     arrow = block_expr([[S, zx.T], [zx, kron_const(np.eye(n_w), L)]])
     main = block_expr([
-        [W - math.sqrt(2.0) * S, stack.T, zc, W @ Q_half, V.T @ R_half],
-        [stack, zeros((n_w * n_x, n_w * n_x)), zx, zx, zxu],
+        [W - math.sqrt(2.0) * S, zx.T, zc, W @ Q_half, V.T @ R_half],
+        [zx, kron_const(np.eye(n_w), W), zx, zx, zxu],
         [zc, zx.T, W - math.sqrt(2.0) * L, zc, zeros((n_x, n_u))],
         [Q_half @ W, zx.T, zc, np.eye(n_x), zeros((n_x, n_u))],
         [R_half @ V, zxu.T, zeros((n_u, n_x)), zeros((n_u, n_x)), np.eye(n_u)],
     ])
-    # L >= eps I also bounds W >= sqrt2 L >= sqrt2 eps I through the centre of
-    # the main block.  It keeps the solve off the degenerate points W -> 0,
-    # where K = V W^-1 and the bound tr(W^-1) certify nothing; without it a
-    # set too large for any gain can end at such a point instead of infeasible
+    # L >= eps I also bounds W >= sqrt2 L >= sqrt2 eps I through the main block's centre.
+    # It keeps the solve off the degenerate points W -> 0, where K = V W^-1 and tr(W^-1)
+    # certify nothing; without it a set too large for any gain can end there, not infeasible
     eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
     floor = block_expr([[L - eps * np.eye(n_x)]])
-    for e in [W, V, arrow, main, floor] + channels:
-        e.coef.setflags(write=False)
-    memo = _memo = (key, (b.num_vars, W, V, channels, arrow.coef, main.coef, floor))
+    for a in (W.coef, V.coef, chan, arrow.coef, main.coef, floor.coef):
+        a.setflags(write=False)
+    memo = _memo = (key, (b.num_vars, W, V, chan, arrow.coef, main.coef, floor))
     return memo[1]
 
 
@@ -86,39 +86,29 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
                   ) -> tuple[LmiBuilder, AffineExpr, AffineExpr, list[AffineExpr]]:
     """A fresh builder, W, V and the three synthesis blocks: arrow, main and floor.
 
-    _template assembles what depends only on the system and the cost once, with
-    the data slots zero: c H, the centre, their transposes and kron(inv(rho_sigma
-    Sigma_hat), W), which each call writes into copies.  It keeps only the last
-    (system, cost), keyed by the bytes of sys.stacked, Q and R: one pencil, 0.02 MB on
-    the paper's system, 2.5 MB at n_x = 8 and 34 MB at n_x = 16 (n_u = n_w = 2)."""
+    The data enter through Theta = [[1, mu_hat^T], [0, Sigma_hat^{1/2}]] (Theta^T Theta is
+    the extended moment): G = Theta . chan stacks the centre A(mu_hat) W + B(mu_hat) V and
+    the whitened channels H = [H_1; ...; H_nw], written into copies of _template's blocks.
+    The main block is congruent, by (rho_sigma Sigma_hat)^{1/2} (x) I, to the one on the raw
+    channels against (rho_sigma Sigma_hat)^-1 (x) W, so Sigma_hat is never inverted."""
     if amb.n_w != sys.n_w:
         raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
     check_cost(sys, cost)
-    num_vars, W, V, channels, arrow, main, floor = _template(sys, cost)
+    num_vars, W, V, chan, arrow, main, floor = _template(sys, cost)
     n_x, n_w = sys.n_x, sys.n_w
-    sigma_half = psd_sqrt(amb.sigma_hat)
-    kron_w = kron_const(np.linalg.inv(amb.rho_sigma * amb.sigma_hat), W)
-    A_mu, B_mu = sys.eval_AB(amb.mu_hat)
-    H = [sum((sigma_half[j, i] * channels[j] for j in range(n_w)), zeros((n_x, n_x)))
-         for i in range(n_w)]
-    # arrow block [[S, c H^T], [c H, I (x) L]], H = [H_1; ...; H_nw], c = sqrt(rho_mu / 2).
-    # It protects the whole mean ellipsoid (mu-mu_hat)^T Sigma_hat^{-1} (mu-mu_hat)
-    # <= rho_mu.  With v = Sigma_hat^{-1/2}(mu-mu_hat), the mean moves the centre
-    # block by D = sum_i v_i H_i.  The main block is the cost LMI at mu_hat
-    # minus diag(sqrt2 S, sqrt2 L) on the W blocks around the centre, so the cost
-    # LMI at mu holds whenever [[sqrt2 S, D^T], [D, sqrt2 L]] >= 0, i.e.
-    # 2 S >= D^T L^{-1} D:
-    #   D^T L^{-1} D <= |v|^2 sum_i H_i^T L^{-1} H_i <= rho_mu sum_i H_i^T L^{-1} H_i
-    #   the arrow block gives S >= c^2 sum_i H_i^T L^{-1} H_i
-    #   so c^2 >= rho_mu / 2 suffices.
-    cH = math.sqrt(amb.rho_mu / 2.0) * block_expr([[h] for h in H])
-    center = A_mu @ W + B_mu @ V
-    # rows and columns of W, of the channels' stack and of the main block's centre
+    theta = np.block([[1.0, amb.mu_hat], [np.zeros((n_w, 1)), psd_sqrt(amb.sigma_hat)]])
+    G = np.tensordot(theta, chan, 1)
+    H = G[1:].transpose(1, 0, 2, 3).reshape(-1, n_w * n_x, n_x)  # [H_1; ...; H_nw]
+    # arrow block [[S, c H^T], [c H, I (x) L]], c = sqrt(rho_mu / 2): a mean in the ellipsoid
+    # (mu-mu_hat)^T Sigma_hat^-1 (mu-mu_hat) <= rho_mu moves the centre by D = sum_i v_i H_i,
+    # |v|^2 <= rho_mu; the main block (the cost LMI at mu_hat minus diag(sqrt2 S, sqrt2 L) around
+    # the centre) absorbs D if D^T L^-1 D <= 2 S, and D^T L^-1 D <= rho_mu sum_i H_i^T L^-1 H_i <= 2 S.
+    # Rows and columns of W, of the channels' stack and of the main block's centre:
     w, ch, ce = slice(n_x), slice(n_x, (1 + n_w) * n_x), slice((1 + n_w) * n_x, (2 + n_w) * n_x)
     arrow, main = arrow.copy(), main.copy()
-    for coef, rows, cols, e in ((arrow, ch, w, cH), (arrow, w, ch, cH.T), (main, ce, w, center),
-                                (main, w, ce, center.T), (main, ch, ch, kron_w)):
-        coef[:e.coef.shape[0], rows, cols] = e.coef
+    for coef, rows, e in ((arrow, ch, math.sqrt(amb.rho_mu / 2.0) * H),
+                          (main, ch, math.sqrt(amb.rho_sigma) * H), (main, ce, G[0])):
+        coef[:len(e), rows, w], coef[:len(e), w, rows] = e, e.transpose(0, 2, 1)
     b = LmiBuilder()
     b.num_vars = num_vars
     return b, W, V, [AffineExpr(arrow), AffineExpr(main), floor]

@@ -88,6 +88,8 @@ class ExperimentConfig:
         sizes = tuple(_whole(M, "sample size") for M in self.sample_sizes)
         if not sizes:
             raise ValueError("sample_sizes must name at least one sample size")
+        for M in (M for i, M in enumerate(sizes) if M in sizes[:i]):
+            raise ValueError(f"sample size {M} is named twice in {sizes}")
         M_min = min_sample_size(self.ambiguity_config(), self.system.n_w)
         if min(sizes) < M_min:
             raise ValueError(f"sample size {min(sizes)} below minimum {M_min} for these parameters")

@@ -24,9 +24,15 @@ Each line is the sha256 of the raw bytes of
   their set's centre moments (mean mu_hat, covariance rho_sigma Sigma_hat)
   and for every loop that riccati-chain ops 0-29 pass to is_mss.
 
+With --outcomes it prints, in place of the digests, one line per synthesis
+call, "<seed> <method>" and then the exception's name or "ok <bound>
+<iterations>", and one line per sweep-paper record of ops 0-2.  A change
+meant to move the pencil compares these lines on two checkouts with diff.
+
 Pytest does not collect this file.
 """
 
+import argparse
 import contextlib
 import hashlib
 
@@ -76,26 +82,35 @@ def _mss_update(h, cl, m, cost):
     h.update(repr((*stability.is_mss(cl, m), certified)).encode())
 
 
+def synthesis_calls():
+    """(seed, method, sys, amb, cost, outcome) for each synth_full and synth_rhc
+    call on the plants: the outcome is the Controller or the exception raised."""
+    for seed in range(PLANTS):
+        rng = np.random.default_rng(seed)
+        shape = (1 + seed % 3, 1 + seed // 3 % 3, 1 + seed // 9 % 2)
+        radii = (0.3 * rng.random(), 0.3 * rng.random(), 1.0 + rng.random())
+        sys, amb, cost, x0 = _random_instance(rng, *shape, *radii)
+        for method, call in (("dr_full", lambda: drsynth.synth_full(sys, amb, cost)),
+                             ("dr_rhc", lambda: drsynth.synth_rhc(sys, amb, cost, x0))):
+            try:
+                outcome = call().controller
+            except Exception as exc:  # the outcome being recorded
+                outcome = exc
+            yield seed, method, sys, amb, cost, outcome
+
+
 def synthesis_digests(mss) -> tuple[str, str]:
     """The pencils and synthesis digests; mss is fed each synth_full gain's verdicts."""
     pencils, results = hashlib.sha256(), hashlib.sha256()
     with _pencils_into(pencils):
-        for seed in range(PLANTS):
-            rng = np.random.default_rng(seed)
-            shape = (1 + seed % 3, 1 + seed // 3 % 3, 1 + seed // 9 % 2)
-            radii = (0.3 * rng.random(), 0.3 * rng.random(), 1.0 + rng.random())
-            sys, amb, cost, x0 = _random_instance(rng, *shape, *radii)
-            centre = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
-            for full, call in ((True, lambda: drsynth.synth_full(sys, amb, cost)),
-                               (False, lambda: drsynth.synth_rhc(sys, amb, cost, x0))):
-                try:
-                    ctrl = call().controller
-                except Exception as exc:  # the outcome being digested
-                    results.update(type(exc).__name__.encode())
-                else:
-                    _update(results, ctrl.K, ctrl.cost_bound, ctrl.iterations)
-                    if full:
-                        _mss_update(mss, stability.ClosedLoop(sys=sys, K=ctrl.K), centre, cost)
+        for _, method, sys, amb, cost, ctrl in synthesis_calls():
+            if isinstance(ctrl, Exception):
+                results.update(type(ctrl).__name__.encode())
+                continue
+            _update(results, ctrl.K, ctrl.cost_bound, ctrl.iterations)
+            if method == "dr_full":
+                centre = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
+                _mss_update(mss, stability.ClosedLoop(sys=sys, K=ctrl.K), centre, cost)
     return pencils.hexdigest(), results.hexdigest()
 
 
@@ -125,12 +140,17 @@ def riccati_chain_digest(mss) -> str:
     return h.hexdigest()
 
 
+def sweep_paper_ops():
+    """The outputs of the sweep-paper ops: a list of records or an exception."""
+    workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+    for index in range(SWEEP_OPS):
+        yield workload.run(workload.make_input(index))
+
+
 def sweep_paper_digest() -> str:
     h = hashlib.sha256()
-    workload = bench_workloads().WORKLOADS["sweep-paper"](0)
     with _pencils_into(h):
-        for index in range(SWEEP_OPS):
-            out = workload.run(workload.make_input(index))
+        for out in sweep_paper_ops():
             if isinstance(out, Exception):
                 h.update(type(out).__name__.encode())
                 continue
@@ -140,11 +160,32 @@ def sweep_paper_digest() -> str:
     return h.hexdigest()
 
 
+def print_outcomes() -> None:
+    for seed, method, _, _, _, ctrl in synthesis_calls():
+        if isinstance(ctrl, Exception):
+            print(seed, method, type(ctrl).__name__)
+        else:
+            print(seed, method, "ok", f"{ctrl.cost_bound:.9g}", ctrl.iterations)
+    for index, out in enumerate(sweep_paper_ops()):
+        if isinstance(out, Exception):
+            print("sweep-paper", index, type(out).__name__)
+            continue
+        for rec in out:
+            print("sweep-paper", index, rec.M, rec.realization, rec.method, rec.stabilizing,
+                  f"{rec.J:.9g}")
+
+
 if __name__ == "__main__":
-    mss = hashlib.sha256()
-    pencils, results = synthesis_digests(mss)
-    print(f"pencils        {pencils}")
-    print(f"synthesis      {results}")
-    print(f"riccati-chain  {riccati_chain_digest(mss)}")
-    print(f"sweep-paper    {sweep_paper_digest()}")
-    print(f"mss            {mss.hexdigest()}")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--outcomes", action="store_true",
+                        help="print each call's verdict, bound and iterations instead of digests")
+    if parser.parse_args().outcomes:
+        print_outcomes()
+    else:
+        mss = hashlib.sha256()
+        pencils, results = synthesis_digests(mss)
+        print(f"pencils        {pencils}")
+        print(f"synthesis      {results}")
+        print(f"riccati-chain  {riccati_chain_digest(mss)}")
+        print(f"sweep-paper    {sweep_paper_digest()}")
+        print(f"mss            {mss.hexdigest()}")

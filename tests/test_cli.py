@@ -212,15 +212,11 @@ class TestSynth:
         assert rc == EXIT_INVALID
         assert "lambda_reg" in err
 
-    @pytest.mark.parametrize("reg", [
-        "1e-8",
-        # the robust terms C^T (Sigma_hat (x) X) C of the synthesis LMI are
-        # monotone in Sigma_hat, so a gain certified on the set regularized by
-        # 1e-8 is feasible on the smaller unregularized one too; the pencil
-        # carries inv(rho_sigma Sigma_hat), with entries near 1e10 here
-        pytest.param("0", marks=pytest.mark.xfail(strict=True, reason=(
-            "false infeasible (exit 3, weak dual witness) on a near-singular Sigma_hat"))),
-    ])
+    # the robust terms C^T (Sigma_hat (x) X) C of the synthesis LMI are monotone
+    # in Sigma_hat, so a gain certified on the set regularized by 1e-8 is
+    # feasible on the smaller unregularized one too; the pencil carries the
+    # whitened channels sqrt(rho_sigma) Sigma_hat^{1/2} (x) I, with no inverse
+    @pytest.mark.parametrize("reg", ["1e-8", "0"])
     def test_near_singular_samples_certified(self, capsys, system_json, tmp_path, reg):
         """Samples whose second channel is scaled by 1e-5: the set at --reg 0
         lies inside the set at --reg 1e-8, so both must certify a gain."""
@@ -404,6 +400,7 @@ class TestExperiment:
         ("sample_sizes", [1000.7], "sample size"), ("x0", [float("nan"), 2.0], "x0"),
         ("sample_sizes", [], "sample_sizes"), ("methods", ["full", "dr_full"], "twice"),
         ("methods", "full", "methods"), ("system", "missing.json", "cannot read"),
+        ("sample_sizes", [1000, 1000], "named twice"),
     ])
     def test_invalid_config_exit_code(self, capsys, sys6, tmp_path, field, value, message):
         write_fixture(tmp_path / "sys.json", sys6)

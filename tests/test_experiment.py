@@ -65,6 +65,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="twice"):
             _cfg(sys6, moments6, cost6, methods=("full", "dr_full"))
 
+    def test_rejects_sample_size_named_twice(self, sys6, moments6, cost6):
+        """Each record was emitted once per naming: 8 records instead of 4."""
+        with pytest.raises(ValueError, match=r"sample size 1000 is named twice in \(1000, 1000\)"):
+            _cfg(sys6, moments6, cost6, sample_sizes=(1000, 1000))
+
     def test_rejects_a_string_of_methods(self, sys6, moments6, cost6):
         """A string was read character by character, which named a valid method
         as unknown."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, array_field, require_finite, sym_field, symmetrize
+from .matcore import ShapeError, _whole, array_field, require_finite, sym_field, symmetrize
 
 DEFAULT_EPS = 1.0 / 30.0
 
@@ -127,8 +127,9 @@ def _p(beta: float, n_w: int) -> float:
 
 
 def _require_positive(**counts: int) -> None:
+    """Raise ValueError naming the count unless each is a whole number at least 1."""
     for name, value in counts.items():
-        if value < 1:
+        if _whole(value, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
@@ -176,6 +177,7 @@ def min_sample_size(config: AmbiguityConfig, n_w: int) -> int:
 
 def ambiguity_radii(config: AmbiguityConfig, n_w: int, M: int) -> tuple[float, float]:
     """Inflation radii (rho_mu, rho_sigma); raises SampleSizeError below threshold."""
+    _require_positive(M=M)
     M_min = min_sample_size(config, n_w)
     if M < M_min:
         raise SampleSizeError(M, M_min)

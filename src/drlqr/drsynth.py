@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, psd_sqrt
+from .matcore import NumericalFailure, ShapeError, _memo_last, psd_sqrt
 from .riccati import Controller
 from .sdpcore import (AffineExpr, LmiBuilder, LmiProblem, SdpSolution, block_expr, kron_const,
                       solve, zeros)
@@ -46,17 +46,11 @@ class SynthesisResult:
         return self.controller.cost_bound
 
 
-_memo: tuple = ((), None)  # (key, _template) of the last system and cost
-
-
+@_memo_last(lambda sys, cost: sys.stacked + (cost.Q, cost.R))
 def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
     """(num_vars, W, V, chan, arrow, main, floor) for _thm6_builder, all read-only; chan[i]
-    holds the channel A_i W + B_i V, i = 0..n_w.  Only the last (system, cost) is kept, keyed
-    by the bytes of sys.stacked, Q and R: 0.02 MB on the paper's system, 34 MB at n_x = 16."""
-    global _memo
-    key = tuple((a.shape, a.tobytes()) for a in sys.stacked + (cost.Q, cost.R))
-    if (memo := _memo)[0] == key:
-        return memo[1]
+    holds the channel A_i W + B_i V, i = 0..n_w.  Only the last (system, cost) is kept, by
+    matcore._memo_last on sys.stacked, Q and R: 0.02 MB on the paper's system, 34 MB at n_x = 16."""
     n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
     Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
     b = LmiBuilder()
@@ -78,8 +72,7 @@ def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
     floor = block_expr([[L - eps * np.eye(n_x)]])
     for a in (W.coef, V.coef, chan, arrow.coef, main.coef, floor.coef):
         a.setflags(write=False)
-    memo = _memo = (key, (b.num_vars, W, V, chan, arrow.coef, main.coef, floor))
-    return memo[1]
+    return b.num_vars, W, V, chan, arrow.coef, main.coef, floor
 
 
 def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights

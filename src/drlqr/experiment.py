@@ -23,7 +23,7 @@ import scipy.special
 from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
                         min_sample_size)
-from .matcore import NumericalFailure, ShapeError, psd_sqrt
+from .matcore import NumericalFailure, ShapeError, _whole, psd_sqrt
 from .stability import ClosedLoop, InstabilityError, closed_loop_cost
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
@@ -37,13 +37,6 @@ METHOD_ALIASES = {
 CSV_COLUMNS = ("M", "realization", "method", "stabilizing", "J", "J_rel", "wall_ms")
 
 LAMBDA_REG = 1e-8
-
-
-def _whole(value, name: str) -> int:
-    """value as an int; a fractional or non-finite value raises ValueError."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value}")
-    return int(value)
 
 
 def _seed(value) -> int:
@@ -118,11 +111,12 @@ class RunRecord:
 
 
 def sample_gaussian(m: DisturbanceMoments, M: int, seed) -> SampleSet:
-    """Draw M Gaussian vectors with the given moments; seed may be an int or
-    a SeedSequence.  Deterministic for a fixed seed."""
+    """Draw M Gaussian vectors with the given moments; seed may be a whole,
+    nonnegative number or a SeedSequence.  Deterministic for a fixed seed."""
+    M = _whole(M, "M")
     if M < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
+        raise ValueError(f"M must be at least 2, got {M}")
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence) else _seed(seed))
     z = rng.standard_normal((M, m.n_w))
     half = psd_sqrt(m.sigma)
     return SampleSet(samples=m.mu + z @ half)

@@ -7,12 +7,13 @@ from its caller, comes in through array_field: a new float copy that the
 holder owns, checked finite and made read-only, with errors that name the
 field; sym_field stores the symmetric part the same way.  Storage is
 dense; problem sizes are small (blocks of at most a few tens of rows).
+_memo_last is the package's one memo: it keeps a function's last value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -35,6 +36,44 @@ def require_finite(name: str, a) -> None:
     """Raise DomainError naming the input when a has a NaN or infinite entry."""
     if not np.isfinite(a).all():
         raise DomainError(f"non-finite entries in {name}")
+
+
+def _whole(value, name: str) -> int:
+    """value as an int; a fractional or non-finite value raises ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
+_MEMOS: list = []  # every _memo_last function
+
+
+def _memo_last(key):
+    """Decorator keeping the last value of fn, keyed by the shapes and bytes of the
+    arrays key(*args) returns: a call whose arrays equal the last call's, byte for
+    byte, returns the same object without calling fn.  fn's value must depend on
+    its arguments only through those arrays, and nobody may write to it: fn seals
+    the arrays it returns.  An exception keeps nothing; _clear_memos forgets all."""
+    def decorate(fn):
+        @wraps(fn)
+        def memo(*args):
+            k = tuple((a.shape, a.tobytes()) for a in key(*args))
+            kept, value = memo.last  # one read: another thread may replace it meanwhile
+            if kept != k:
+                value = fn(*args)
+                memo.last = (k, value)
+            return value
+
+        memo.last = (None, None)
+        _MEMOS.append(memo)
+        return memo
+    return decorate
+
+
+def _clear_memos() -> None:
+    """Forget the value every _memo_last function keeps."""
+    for memo in _MEMOS:
+        memo.last = (None, None)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
-from .matcore import NumericalFailure, array_field, sym_field, symmetrize
+from .matcore import NumericalFailure, _memo_last, array_field, sym_field, symmetrize
 from .stability import ClosedLoop, lyapunov_value, second_moment_operator
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
 from .ambiguity import MomentAmbiguity
@@ -78,11 +78,15 @@ def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights
     return K, F, H
 
 
+@_memo_last(lambda sys, m, cost: sys.stacked + (m.mu, cost.Q, cost.R))
 def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     """Certainty-equivalent gain: the optimal gain of the noise-free Riccati
     equation at A, B = sys.eval_AB(m.mu), by structure-preserving doubling
     (Anderson 1978; Chu, Fan, Lin & Wang 2004), or None if the doubling fails.
-    Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages."""
+    Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages.  The
+    gain does not depend on m.sigma, so the last one is kept, read-only, for
+    the last system, mean and cost (matcore._memo_last): dr_covariance and
+    value_iteration at one mean solve once."""
     A, B = sys.eval_AB(m.mu)
     n, H = sys.n_x, cost.Q
     G = B @ np.linalg.solve(cost.R, B.T)
@@ -94,8 +98,10 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
             if info != 0 or not all(np.isfinite(a).all() for a in (H, G, A)):
                 return None
             if np.abs(dH).max() <= TOL * np.abs(H).max():  # the 2-norm could overflow
-                mean = DisturbanceMoments(mu=m.mu, sigma=0.0 * m.sigma)
-                return _gain_from(symmetrize(H), sys, mean, cost)[0]
+                mean = DisturbanceMoments(mu=m.mu, sigma=np.zeros_like(m.sigma))
+                K = _gain_from(symmetrize(H), sys, mean, cost)[0]
+                K.setflags(write=False)
+                return K
     return None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from .matcore import ShapeError, array_field, smat, svec, sym_index
+from .matcore import ShapeError, _memo_last, array_field, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -72,14 +72,25 @@ def _certified_mss(T: np.ndarray, n: int) -> bool:
     return lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
 
 
+@_memo_last(lambda cl, m: cl.sys.stacked + (cl.K, m.extended_moment))
+def _operator_verdict(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[np.ndarray, bool]:
+    """(T, _certified_mss(T)) with T = second_moment_operator(cl, m), read-only.  The last
+    pair is kept for the last loop and moments (matcore._memo_last), so is_mss and
+    closed_loop_value_matrix on one loop build T and decide its verdict once."""
+    T = second_moment_operator(cl, m)
+    T.setflags(write=False)
+    return T, _certified_mss(T, cl.sys.n_x)
+
+
 def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
     """(stable, radius): stable when one Lyapunov solve certifies rho(T_s) < 1 - TOL.
 
     Radii within TOL of 1 count as unstable, erring on the safe side.  The
-    spectral radius of T_s is information only: the solve decides the verdict.
+    spectral radius of T_s is information only, computed on every call: the
+    solve decides the verdict.
     """
-    T = second_moment_operator(cl, m)
-    return _certified_mss(T, cl.sys.n_x), _spectral_radius(T)
+    T, stable = _operator_verdict(cl, m)
+    return stable, _spectral_radius(T)
 
 
 def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x0) -> float:
@@ -107,8 +118,8 @@ def closed_loop_value_matrix(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWe
     is_mss's verdict, _certified_mss, passes and the value solve certifies; the
     radius is computed only for the error message."""
     check_cost(cl.sys, cost)
-    T = second_moment_operator(cl, m)
-    P = lyapunov_value(T, cost.Q + cl.K.T @ cost.R @ cl.K) if _certified_mss(T, cl.sys.n_x) else None
+    T, stable = _operator_verdict(cl, m)
+    P = lyapunov_value(T, cost.Q + cl.K.T @ cost.R @ cl.K) if stable else None
     if P is None:
         raise InstabilityError(f"closed loop is not certified mean-square stable "
                                f"(radius {_spectral_radius(T):.6f}); its cost is not certified finite")

@@ -8,10 +8,35 @@ import numpy as np
 import pytest
 
 from drlqr.ambiguity import MomentAmbiguity, SampleSet
-from drlqr.matcore import SymMatrix
+from drlqr.matcore import SymMatrix, _clear_memos
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 TS = 0.02
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_values():
+    """Every test starts with each memo empty: a value kept by an earlier test
+    would be a hit, and a count of the calls made under it would come out short."""
+    _clear_memos()
+
+
+def memo_runs(calls):
+    """The results of calls made in order with every memo kept from call to call
+    (matcore._memo_last), and made again with every memo cleared before each call."""
+    kept = [call() for call in calls]
+    cleared = []
+    for call in calls:
+        _clear_memos()
+        cleared.append(call())
+    return kept, cleared
+
+
+def one_ulp_up(a, index):
+    """A copy of a whose entry at index is one unit in the last place larger."""
+    a = np.array(a)
+    a[index] = np.nextafter(a[index], np.inf)
+    return a
 
 
 @pytest.fixture

@@ -29,18 +29,24 @@ call, "<seed> <method>" and then the exception's name or "ok <bound>
 <iterations>", and one line per sweep-paper record of ops 0-2.  A change
 meant to move the pencil compares these lines on two checkouts with diff.
 
+With --cold every function that matcore._memo_last memoizes runs without its
+memo, as if every memo were cleared before each call, so no value is kept
+from one call to the next: a diff of the lines with and without --cold
+compares the memo path with the cold path in one checkout.
+
 Pytest does not collect this file.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib
 
 import numpy as np
 
 import drlqr
 from conftest import bench_workloads
-from drlqr import drsynth, stability
+from drlqr import drsynth, matcore, stability
 from drlqr.sysmodel import DisturbanceMoments
 from test_drsynth import _random_instance
 
@@ -70,6 +76,19 @@ def _pencils_into(h):
         yield
     finally:
         drsynth.solve = real
+
+
+@contextlib.contextmanager
+def _cold():
+    """Call every memoized function without its memo, so each value is computed afresh."""
+    memos = [(importlib.import_module(memo.__module__), memo) for memo in matcore._MEMOS]
+    for module, memo in memos:
+        setattr(module, memo.__name__, memo.__wrapped__)
+    try:
+        yield
+    finally:
+        for module, memo in memos:
+            setattr(module, memo.__name__, memo)
 
 
 def _mss_update(h, cl, m, cost):
@@ -179,13 +198,17 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--outcomes", action="store_true",
                         help="print each call's verdict, bound and iterations instead of digests")
-    if parser.parse_args().outcomes:
-        print_outcomes()
-    else:
-        mss = hashlib.sha256()
-        pencils, results = synthesis_digests(mss)
-        print(f"pencils        {pencils}")
-        print(f"synthesis      {results}")
-        print(f"riccati-chain  {riccati_chain_digest(mss)}")
-        print(f"sweep-paper    {sweep_paper_digest()}")
-        print(f"mss            {mss.hexdigest()}")
+    parser.add_argument("--cold", action="store_true",
+                        help="run every memoized function without its memo")
+    args = parser.parse_args()
+    with _cold() if args.cold else contextlib.nullcontext():
+        if args.outcomes:
+            print_outcomes()
+        else:
+            mss = hashlib.sha256()
+            pencils, results = synthesis_digests(mss)
+            print(f"pencils        {pencils}")
+            print(f"synthesis      {results}")
+            print(f"riccati-chain  {riccati_chain_digest(mss)}")
+            print(f"sweep-paper    {sweep_paper_digest()}")
+            print(f"mss            {mss.hexdigest()}")

@@ -141,6 +141,37 @@ class TestMinSampleSize:
             min_sample_size(AmbiguityConfig(beta=BETA), n_w)
 
 
+class TestWholeCounts:
+    """n_w and M are whole numbers at least 1 wherever the radii take them."""
+
+    @pytest.mark.parametrize("n_w, M, name", [
+        (2, math.nan, "M"), (2, math.inf, "M"), (2, 1000.5, "M"),
+        (2.5, 1000, "n_w"), (math.nan, 1000, "n_w"),
+    ], ids=["M-nan", "M-inf", "M-fraction", "n_w-fraction", "n_w-nan"])
+    def test_rejects_counts_that_are_not_whole(self, n_w, M, name):
+        message = f"^{name} must be a whole number"
+        with pytest.raises(ValueError, match=message):
+            ambiguity_radii(AmbiguityConfig(beta=BETA), n_w, M)
+        with pytest.raises(ValueError, match=message):
+            t_mu(0.025, 1.0, n_w, M)
+        with pytest.raises(ValueError, match=message):
+            t_sigma(0.025, EPS, 1.0, n_w, M)
+
+    @pytest.mark.parametrize("n_w", [2.5, math.nan, math.inf])
+    def test_min_sample_size_rejects_dimension_that_is_not_whole(self, n_w):
+        with pytest.raises(ValueError, match="^n_w must be a whole number"):
+            min_sample_size(AmbiguityConfig(beta=BETA), n_w)
+
+    def test_radii_reject_empty_sample(self):
+        with pytest.raises(ValueError, match="^M must be at least 1"):
+            ambiguity_radii(AmbiguityConfig(beta=BETA), 2, 0)
+
+    def test_whole_floats_give_the_same_radii(self):
+        cfg = AmbiguityConfig(beta=BETA)
+        assert ambiguity_radii(cfg, 2.0, 1000.0) == ambiguity_radii(cfg, 2, 1000)
+        assert min_sample_size(cfg, 2.0) == min_sample_size(cfg, 2)
+
+
 class TestAmbiguityRadii:
     def test_anchor_values(self):
         cfg = AmbiguityConfig(beta=BETA, eps=EPS, sigma2=1.0)

@@ -12,6 +12,7 @@ from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, psd_sqrt
 from drlqr.riccati import NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
+from conftest import memo_runs
 from oracles import dr_certify_mss
 
 
@@ -334,10 +335,9 @@ def _assert_certified(rng, res, method, sys, amb, cost, x0):
 
 def _memo_runs(calls):
     """The pencils drsynth.solve receives in each call, and the call's K,
-    bound and iterations or its exception: made in order with the
-    assembly memo kept from call to call, and made again with the memo
-    cleared before each call."""
-    real, memo = drsynth.solve, drsynth._memo
+    bound and iterations or its exception, by conftest.memo_runs: with the
+    memos kept from call to call, and cleared before each call."""
+    real = drsynth.solve
 
     def run(call):
         pencils = []
@@ -355,14 +355,9 @@ def _memo_runs(calls):
         return pencils, (ctrl.K.tobytes(), ctrl.cost_bound, ctrl.iterations)
 
     try:
-        kept = [run(call) for call in calls]
-        cleared = []
-        for call in calls:
-            drsynth._memo = ((), None)
-            cleared.append(run(call))
+        return memo_runs([lambda call=call: run(call) for call in calls])
     finally:
-        drsynth.solve, drsynth._memo = real, memo
-    return kept, cleared
+        drsynth.solve = real
 
 
 class TestAssemblyMemo:

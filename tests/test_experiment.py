@@ -51,6 +51,24 @@ class TestSampleGaussian:
         with pytest.raises(ValueError):
             sample_gaussian(moments6, 1, 0)
 
+    def test_whole_float_count(self, moments6):
+        assert np.array_equal(sample_gaussian(moments6, 10.0, 0).samples,
+                              sample_gaussian(moments6, 10, 0).samples)
+
+    @pytest.mark.parametrize("M, seed, message", [
+        (2.5, 0, "M must be a whole number"), (float("nan"), 0, "M must be a whole number"),
+        (10, -1, "seed must be nonnegative"), (10, 0.5, "seed must be a whole number"),
+    ], ids=["M-fraction", "M-nan", "seed-negative", "seed-fraction"])
+    def test_count_and_seed_named(self, moments6, M, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sample_gaussian(moments6, M, seed)
+
+    def test_seed_sequence(self, moments6):
+        seq = np.random.SeedSequence(3, spawn_key=(1000, 0))
+        expected = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1000, 0)))
+        z = expected.standard_normal((10, 2))
+        assert np.array_equal(sample_gaussian(moments6, 10, seq).samples, z)
+
 
 class TestConfigValidation:
     def test_rejects_small_sample_size(self, sys6, moments6, cost6):

@@ -1,9 +1,60 @@
 import numpy as np
 import pytest
 
-from drlqr.matcore import (DomainError, ShapeError, SymMatrix, array_field, is_psd, psd_sqrt,
-                           smat, svec, sym_eig, sym_index, symmetrize)
+from drlqr.matcore import (DomainError, ShapeError, SymMatrix, _clear_memos, _memo_last,
+                           array_field, is_psd, psd_sqrt, smat, svec, sym_eig, sym_index,
+                           symmetrize)
 from oracles import unvec, vec
+
+_computed = []  # the arguments of each call _total computed
+
+
+@_memo_last(lambda a, b: (a, b))
+def _total(a, b):
+    _computed.append((a, b))
+    if not np.isfinite(a).all():
+        raise DomainError("non-finite entries in a")
+    return float(a.sum() + b.sum())
+
+
+class TestMemoLast:
+    @pytest.fixture(autouse=True)
+    def _no_calls(self):
+        _computed.clear()
+
+    def test_equal_bytes_hit(self):
+        one = np.ones(2)
+        assert _total(np.zeros((2, 3)), one) == _total(np.zeros((2, 3)), one.copy()) == 2.0
+        assert len(_computed) == 1
+
+    @pytest.mark.parametrize("other", [np.zeros((3, 2)), np.full((2, 3), -0.0)],
+                             ids=["shape", "negative-zero"])
+    def test_another_shape_or_byte_misses(self, other):
+        """The key is the shapes and bytes: the same bytes in another shape, or
+        -0.0 for 0.0, is another key."""
+        _total(np.zeros((2, 3)), np.ones(2))
+        _total(other, np.ones(2))
+        assert len(_computed) == 2
+
+    def test_only_the_last_value_is_kept(self):
+        for a in (np.zeros(1), np.ones(1), np.zeros(1)):
+            _total(a, np.ones(1))
+        assert len(_computed) == 3
+
+    def test_an_exception_keeps_nothing(self):
+        """The failing call runs twice, and the value kept before it is still hit."""
+        _total(np.zeros(1), np.ones(1))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                _total(np.array([np.nan]), np.ones(1))
+        _total(np.zeros(1), np.ones(1))
+        assert len(_computed) == 3
+
+    def test_clear_memos_forgets(self):
+        _total(np.zeros(1), np.ones(1))
+        _clear_memos()
+        _total(np.zeros(1), np.ones(1))
+        assert len(_computed) == 2
 
 
 class TestSymMatrix:

@@ -15,7 +15,8 @@ from drlqr.riccati import NotStabilizableError, _ce_gain, dr_covariance, value_i
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
-from conftest import TS, bench_workloads, scalar_p_star, write_fixture
+from conftest import (TS, bench_workloads, memo_runs, one_ulp_up, scalar_p_star,
+                      write_fixture)
 from oracles import dare_gain, nominal_sdp, riccati_residual
 
 
@@ -305,6 +306,102 @@ class TestStart:
                               rho_mu=0.0, rho_sigma=1.5)
         with pytest.raises(ShapeError, match="gain"):
             dr_covariance(sys6, np.zeros(2), amb, cost6, start=start)
+
+
+def _solve_bytes(call):
+    """K, P and iterations of the Controller call() returns, or its exception."""
+    try:
+        ctrl = call()
+    except (NotStabilizableError, NumericalFailure) as exc:
+        return type(exc).__name__, str(exc)
+    return ctrl.K.tobytes(), ctrl.P.tobytes(), ctrl.iterations
+
+
+class TestCertaintyEquivalentMemo:
+    """The certainty-equivalent gain is kept for the last system, mean and cost
+    (matcore._memo_last); each solve returns the same K, P and iterations with
+    the memo kept from call to call and cleared before each call."""
+
+    def test_robust_then_nominal_share_one_doubling_solve(self, monkeypatch):
+        """The riccati-chain op: dr_covariance at rho_sigma Sigma_hat, then
+        value_iteration at Sigma_hat, on three ops."""
+        w = bench_workloads().RiccatiChain(0)
+        calls = []
+        for index in range(3):
+            sys, samples = w.make_input(index).data
+            amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+            empirical = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.sigma_hat)
+            calls += [lambda sys=sys, amb=amb: dr_covariance(sys, amb.mu_hat, amb, w.cost),
+                      lambda sys=sys, m=empirical: value_iteration(sys, m, w.cost)]
+        kept, cleared = memo_runs([lambda call=call: _solve_bytes(call) for call in calls])
+        assert kept == cleared
+        real, steps = riccati.dgesv, []  # only the doubling solve calls riccati.dgesv
+
+        def counting(*args):
+            steps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(riccati, "dgesv", counting)
+        calls[0]()
+        assert steps
+        done = len(steps)
+        calls[1]()
+        assert len(steps) == done
+
+    @pytest.mark.parametrize("changed", ["mu", "B1", "R"])
+    def test_one_ulp_apart_misses(self, sys6, moments6, cost6, changed):
+        m = _cell_inflated(1000, 0, moments6)
+        sys, other, cost = sys6, m, cost6
+        if changed == "mu":
+            other = DisturbanceMoments(mu=one_ulp_up(m.mu, 0), sigma=m.sigma)
+        elif changed == "B1":
+            sys = MultNoiseSystem(A0=sys6.A0, A=sys6.A, B0=sys6.B0,
+                                  B=(sys6.B[0], one_ulp_up(sys6.B[1], (1, 0))))
+        else:
+            cost = CostWeights(Q=cost6.Q, R=one_ulp_up(cost6.R, (0, 0)))
+        first = _ce_gain(sys6, m, cost6)
+        assert _ce_gain(sys, other, cost) is not first
+        kept, cleared = memo_runs([lambda: _solve_bytes(lambda: value_iteration(sys6, m, cost6)),
+                                   lambda: _solve_bytes(lambda: value_iteration(sys, other, cost)),
+                                   lambda: _solve_bytes(lambda: value_iteration(sys6, m, cost6))])
+        assert kept == cleared
+
+    def test_covariance_alone_hits(self, sys6, moments6, cost6):
+        """The gain is noise-free: moments that differ only in sigma share it."""
+        m = _cell_inflated(1000, 0, moments6)
+        other = DisturbanceMoments(mu=m.mu, sigma=0.5 * m.sigma)
+        first = _ce_gain(sys6, m, cost6)
+        assert _ce_gain(sys6, other, cost6) is first
+        kept, cleared = memo_runs([lambda: _solve_bytes(lambda: value_iteration(sys6, m, cost6)),
+                                   lambda: _solve_bytes(lambda: value_iteration(sys6, other, cost6))])
+        assert kept == cleared
+
+    def test_kept_gain_is_read_only(self, sys6, moments6, cost6):
+        K = _ce_gain(sys6, moments6, cost6)
+        with pytest.raises(ValueError, match="read-only"):
+            K[0, 0] = 1.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 4), n_u=st.integers(1, 3), noise=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_plants(self, n_x, n_u, noise, seed):
+        """value_iteration at a mean and covariance, at the same mean and twice the
+        covariance, at another mean, and at the first moments again."""
+        rng = np.random.default_rng(seed)
+        Acl = rng.standard_normal((n_x, n_x))
+        Acl *= 0.9 / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
+        B = rng.standard_normal((n_x, n_u))
+        sys = MultNoiseSystem(A0=Acl - B @ rng.standard_normal((n_u, n_x)),
+                              A=(noise * rng.standard_normal((n_x, n_x)),),
+                              B0=B, B=(noise * rng.standard_normal((n_x, n_u)),))
+        L, N = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_u, n_u))
+        cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=N @ N.T + 0.1 * np.eye(n_u))
+        m = DisturbanceMoments(mu=0.1 * rng.standard_normal(1), sigma=np.eye(1))
+        moments = [m, DisturbanceMoments(mu=m.mu, sigma=2.0 * m.sigma),
+                   DisturbanceMoments(mu=-m.mu, sigma=m.sigma), m]
+        kept, cleared = memo_runs([lambda m=m: _solve_bytes(lambda: value_iteration(sys, m, cost))
+                                   for m in moments])
+        assert kept == cleared
 
 
 class TestNominalSdp:

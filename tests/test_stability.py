@@ -14,6 +14,7 @@ from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius
 from drlqr.ambiguity import MomentAmbiguity
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
+from conftest import memo_runs, one_ulp_up
 from oracles import (channel_matrices, dr_certify_mss, lyapunov_P, unvec, vec, vec_operator,
                      vec_value)
 
@@ -352,6 +353,96 @@ class TestClosedLoopCost:
             x = (0.75 + K + w) * x
         se = total.std(ddof=1) / np.sqrt(trajectories)
         assert abs(total.mean() - J) <= 3.0 * se + 1e-6 * J
+
+
+def _loop_bytes(cl, m, cost):
+    """is_mss's verdict and radius, then closed_loop_value_matrix's P or its error."""
+    stable, radius = is_mss(cl, m)
+    try:
+        P = closed_loop_value_matrix(cl, m, cost).tobytes()
+    except InstabilityError as exc:
+        P = str(exc)
+    return stable, radius, P
+
+
+class TestOperatorMemo:
+    """is_mss and closed_loop_value_matrix share the operator T and its verdict,
+    kept for the last loop and moments (matcore._memo_last); each returns the
+    same with the memo kept from call to call and cleared before each call."""
+
+    def _loops(self, sys6, moments6, cost6):
+        K = value_iteration(sys6, moments6, cost6).K
+        return [ClosedLoop(sys=sys6, K=K), ClosedLoop(sys=sys6, K=np.zeros((1, 2))),
+                ClosedLoop(sys=sys6, K=K)]
+
+    def test_verdict_radius_and_value(self, sys6, moments6, cost6):
+        """A stable loop, the unstable zero gain, and the stable loop again."""
+        loops = self._loops(sys6, moments6, cost6)
+        kept, cleared = memo_runs([lambda cl=cl: _loop_bytes(cl, moments6, cost6)
+                                   for cl in loops])
+        assert kept == cleared
+        assert [k[0] for k in kept] == [True, False, True]
+
+    def test_one_operator_per_loop_and_a_radius_per_call(self, monkeypatch, sys6, moments6,
+                                                         cost6):
+        calls = {"operator": 0, "radius": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(stability, "second_moment_operator",
+                            counting("operator", stability.second_moment_operator))
+        monkeypatch.setattr(stability, "_spectral_radius",
+                            counting("radius", stability._spectral_radius))
+        loop, _, twin = self._loops(sys6, moments6, cost6)
+        is_mss(loop, moments6)
+        closed_loop_value_matrix(twin, moments6, cost6)
+        is_mss(twin, moments6)
+        assert calls == {"operator": 1, "radius": 2}
+
+    @pytest.mark.parametrize("changed", ["mu", "K", "B1"])
+    def test_one_ulp_apart_misses(self, sys6, moments6, cost6, changed):
+        cl = self._loops(sys6, moments6, cost6)[0]
+        m = DisturbanceMoments(mu=np.array([0.1, -0.2]), sigma=moments6.sigma)
+        other_cl, other_m = cl, m
+        if changed == "mu":
+            other_m = DisturbanceMoments(mu=one_ulp_up(m.mu, 0), sigma=m.sigma)
+        elif changed == "K":
+            other_cl = ClosedLoop(sys=sys6, K=one_ulp_up(cl.K, (0, 1)))
+        else:
+            sys = MultNoiseSystem(A0=sys6.A0, A=sys6.A, B0=sys6.B0,
+                                  B=(sys6.B[0], one_ulp_up(sys6.B[1], (1, 0))))
+            other_cl = ClosedLoop(sys=sys, K=cl.K)
+        first = stability._operator_verdict(cl, m)
+        assert stability._operator_verdict(other_cl, other_m) is not first
+        kept, cleared = memo_runs([lambda: _loop_bytes(cl, m, cost6),
+                                   lambda: _loop_bytes(other_cl, other_m, cost6),
+                                   lambda: _loop_bytes(cl, m, cost6)])
+        assert kept == cleared
+
+    def test_kept_operator_is_read_only(self, sys6, moments6, cost6):
+        T, _ = stability._operator_verdict(self._loops(sys6, moments6, cost6)[0], moments6)
+        with pytest.raises(ValueError, match="read-only"):
+            T[0, 0] = 1.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_loops(self, seed):
+        """A random loop, the loop with the gain halved, the first loop again, and
+        the first gain at twice the covariance."""
+        rng = np.random.default_rng(seed)
+        cl, m = _random_loop(rng)
+        cost = CostWeights(Q=np.eye(2), R=np.eye(1))
+        half = ClosedLoop(sys=cl.sys, K=0.5 * cl.K)
+        wide = DisturbanceMoments(mu=m.mu, sigma=2.0 * m.sigma)
+        kept, cleared = memo_runs([lambda: _loop_bytes(cl, m, cost),
+                                   lambda: _loop_bytes(half, m, cost),
+                                   lambda: _loop_bytes(cl, m, cost),
+                                   lambda: _loop_bytes(cl, wide, cost)])
+        assert kept == cleared
 
 
 class TestDrCertify:

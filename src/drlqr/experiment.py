@@ -10,7 +10,6 @@ depend on worker count or scheduling.
 
 from __future__ import annotations
 
-import concurrent.futures  # loads the pool, and multiprocessing, only when a sweep uses it
 import csv
 import math
 import os
@@ -18,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
@@ -197,6 +195,8 @@ def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
              for r in range(1, cfg.realizations)]
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # only a sweep with a pool loads it, and multiprocessing
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for batch, _ in pool.map(_run_cell, *zip(*cells)):
                 records.extend(batch)
@@ -289,6 +289,8 @@ def scalar_mss(K):
 def example1_analytic(M: int) -> float:
     """Chi-square probability that the empirical variance estimate falls
     below the instability threshold, via the regularized incomplete gamma."""
+    import scipy.special  # loaded here only: import drlqr does not need it
+
     x = EX1_THRESHOLD * M / EX1_SIGMA2
     return float(scipy.special.gammainc(M / 2.0, x / 2.0))
 

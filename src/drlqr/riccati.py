@@ -14,14 +14,15 @@ the mean is known.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
 from .matcore import NumericalFailure, _memo_last, array_field, sym_field, symmetrize
-from .stability import ClosedLoop, lyapunov_value, second_moment_operator
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
+from .stability import ClosedLoop, _svec_operator, lyapunov_value
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 from .ambiguity import MomentAmbiguity
 
 TOL = 1e-10  # relative change in P at which the iteration stops
@@ -64,18 +65,19 @@ class Controller:
         return d
 
 
-def _gain_from(P, sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
-    """Greedy gain K = -(R + G(P))^{-1} H(P) of P, returned as (K, F(P), H(P)).
+def _gain_from(G, H, R):
+    """Greedy gain K = -(R + G(P))^{-1} H(P) of P, from G(P) and H(P) alone.
 
-    Calls LAPACK with the arguments scipy's cho_factor and cho_solve pass it."""
-    F, G, H = fgh(sys, m, P)
-    c, info = dpotrf(cost.R + G, lower=0, clean=0)
+    The caller forms G and H (sysmodel.gh, or fgh on a warm-up pass, which
+    also needs F).  Calls LAPACK with the arguments scipy's cho_factor and
+    cho_solve pass it."""
+    c, info = dpotrf(R + G, lower=0, clean=0)
     if info != 0:
         raise NumericalFailure(f"R + G(P) not positive definite: dpotrf info {info}")
     K = -dpotrs(c, H, lower=0)[0]
     if not np.isfinite(K).all():  # dpotrf passes NaN through with info 0
         raise NumericalFailure("greedy gain is not finite")
-    return K, F, H
+    return K
 
 
 @_memo_last(lambda sys, m, cost: sys.stacked + (m.mu, cost.Q, cost.R))
@@ -88,18 +90,19 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     the last system, mean and cost (matcore._memo_last): dr_covariance and
     value_iteration at one mean solve once."""
     A, B = sys.eval_AB(m.mu)
-    n, H = sys.n_x, cost.Q
+    n, H, I = sys.n_x, cost.Q, np.eye(sys.n_x)
     G = B @ np.linalg.solve(cost.R, B.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(18):
-            X, info = dgesv(np.eye(n) + G @ H, np.hstack((A, G)))[2:]
+            X, info = dgesv(I + G @ H, np.hstack((A, G)))[2:]
             dH = A.T @ H @ X[:, :n]
             H, G, A = H + dH, G + A @ X[:, n:] @ A.T, A @ X[:, :n]
-            if info != 0 or not all(np.isfinite(a).all() for a in (H, G, A)):
+            if info != 0 or not (np.isfinite(H).all() and np.isfinite(G).all()
+                                 and np.isfinite(A).all()):
                 return None
             if np.abs(dH).max() <= TOL * np.abs(H).max():  # the 2-norm could overflow
                 mean = DisturbanceMoments(mu=m.mu, sigma=np.zeros_like(m.sigma))
-                K = _gain_from(symmetrize(H), sys, mean, cost)[0]
+                K = _gain_from(*gh(sys, mean, symmetrize(H)), cost.R)
                 K.setflags(write=False)
                 return K
     return None
@@ -109,9 +112,13 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
                     start: Controller | None = None) -> Controller:
     """Solve the stochastic LQR Riccati equation by Newton steps from a certified gain.
 
-    Each pass computes the greedy gain K = -(R + G(P))^{-1} H(P) of the
-    current iterate once, then either evaluates the value of K exactly, by
-    the certified solve stability.lyapunov_value, or sweeps
+    Each pass forms the moment operators of the current iterate P from one
+    Kronecker middle: G(P) and H(P) alone on a Newton pass (sysmodel.gh), and
+    F(P) as well on a warm-up pass (sysmodel.fgh), the only kind that can
+    sweep.  It computes the greedy gain K = -(R + G(P))^{-1} H(P) once, then
+    either evaluates the value of K exactly, by the certified solve
+    stability.lyapunov_value on the operator of (sys, K), which K, the
+    package's own gain, reaches without a new ClosedLoop, or sweeps
     P <- Q + F(P) + H(P)^T K.  The gain of start, an earlier Controller of the
     same shape (else ShapeError), and then the certainty-equivalent gain
     (_ce_gain) are tried in turn: the first whose value lyapunov_value
@@ -136,17 +143,20 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     n = sys.n_x
 
     def value(K):  # the certified value of K under m, or None
-        T = second_moment_operator(ClosedLoop(sys=sys, K=K), m)
-        return lyapunov_value(T, cost.Q + K.T @ cost.R @ K)
+        return lyapunov_value(_svec_operator(sys, K, m), cost.Q + K.T @ cost.R @ K)
 
-    P = None if start is None else value(start.K)
+    P = None if start is None else value(ClosedLoop(sys=sys, K=start.K).K)  # checks its shape
     if P is None:
         K = _ce_gain(sys, m, cost)
         P = None if K is None else value(K)
     newton = P is not None  # a certified start needs no warm-up
     P, k, probe, converged = P if newton else np.zeros((n, n)), int(newton), 0, False
     while True:
-        K, F, H = _gain_from(P, sys, m, cost)
+        if newton:
+            G, H = gh(sys, m, P)
+        else:  # a warm-up pass may sweep, which reads F(P) too
+            F, G, H = fgh(sys, m, P)
+        K = _gain_from(G, H, cost.R)
         if newton and converged:
             return Controller(K=K, P=P, method="nominal_vi", iterations=k)
         if k >= MAX_ITER:
@@ -193,4 +203,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
         raise NotStabilizableError(
             f"system not stabilizable under covariance inflated by rho_sigma = {amb.rho_sigma:.4f}"
         ) from exc
-    return Controller(K=ctrl.K, P=ctrl.P, method="dr_covariance", iterations=ctrl.iterations)
+    # ctrl's K and P were checked when it was built: relabel a copy, do not check them again
+    ctrl = copy.copy(ctrl)
+    object.__setattr__(ctrl, "method", "dr_covariance")
+    return ctrl

@@ -14,12 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf
+from scipy.linalg.lapack import dgeev, dgesv, dpotrf
 
 from .matcore import ShapeError, _memo_last, array_field, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
+# dgeev's SMLNUM = sqrt(safe minimum) / precision and BIGNUM = 1 / SMLNUM: it
+# rescales a matrix whose largest entry lies outside [SMLNUM, BIGNUM]
+_DGEEV_SMALL = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+_DGEEV_BIG = 1.0 / _DGEEV_SMALL
 
 
 class InstabilityError(RuntimeError):
@@ -50,11 +54,17 @@ def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     transposition, so T_s holds the eigenvalues of T on symmetric P, and L is a
     positive map, so rho(T) has a PSD eigenvector (Evans & Hoegh-Krohn 1978).
     """
-    if m.n_w != cl.sys.n_w:
-        raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={cl.sys.n_w}")
-    n = cl.sys.n_x
-    Abar0, Bbar0 = cl.sys.stacked
-    mats = (Abar0 + Bbar0 @ cl.K).reshape(-1, n, n)  # A_i + B_i K
+    return _svec_operator(cl.sys, cl.K, m)
+
+
+def _svec_operator(sys: MultNoiseSystem, K: np.ndarray, m: DisturbanceMoments) -> np.ndarray:
+    """second_moment_operator of the loop (sys, K), for a gain K of the right shape
+    that the package made itself, so no ClosedLoop checks and copies it again."""
+    if m.n_w != sys.n_w:
+        raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
+    n = sys.n_x
+    Abar0, Bbar0 = sys.stacked
+    mats = (Abar0 + Bbar0 @ K).reshape(-1, n, n)  # A_i + B_i K
     upper, position = sym_index(n)
     weighted = np.einsum("ij,jca->ica", m.extended_moment, mats)
     full = np.einsum("ica,idb->abcd", weighted, mats)
@@ -64,7 +74,22 @@ def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
 
 
 def _spectral_radius(T: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(T)))) if T.size else 0.0
+    """Largest eigenvalue modulus of T by LAPACK dgeev, without eigenvectors and
+    without np.linalg.eigvals' wrapper: numpy's eigvals calls the same routine,
+    and the bits are its.  dgeev rescales a T whose largest entry lies outside
+    [_DGEEV_SMALL, _DGEEV_BIG], and scipy's bundled LAPACK does not scale the
+    eigenvalues back (a 2e200 comes back as 1.5e138), so such a T, and a
+    non-finite one, goes to np.linalg.eigvals, which raises LinAlgError for the
+    latter."""
+    if not T.size:
+        return 0.0
+    top = np.abs(T).max()
+    if not (top == 0.0 or _DGEEV_SMALL <= top <= _DGEEV_BIG):  # NaN fails every comparison
+        return float(np.max(np.abs(np.linalg.eigvals(T))))
+    wr, wi, _, _, info = dgeev(T, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return float(np.abs(wr + 1j * wi).max())  # numpy's complex abs: np.hypot differs in the last bit
 
 
 def _certified_mss(T: np.ndarray, n: int) -> bool:
@@ -85,9 +110,12 @@ def _operator_verdict(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[np.ndarray
 def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
     """(stable, radius): stable when one Lyapunov solve certifies rho(T_s) < 1 - TOL.
 
-    Radii within TOL of 1 count as unstable, erring on the safe side.  The
-    spectral radius of T_s is information only, computed on every call: the
-    solve decides the verdict.
+    Radii within TOL of 1 count as unstable, erring on the safe side.  A call
+    builds T_s and makes the verdict solve, both kept for the last loop and
+    moments (_operator_verdict), and then computes the spectral radius of T_s
+    by one LAPACK dgeev call without eigenvectors (_spectral_radius).  The
+    radius is information only, computed on every call: the solve decides the
+    verdict.
     """
     T, stable = _operator_verdict(cl, m)
     return stable, _spectral_radius(T)
@@ -106,7 +134,9 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     finite V with a Cholesky factor (LAPACK, info 0) certifies mean-square
     stability, and None means the solve did not certify it.
     """
-    v, info = dgesv(np.eye(T.shape[0]) - T, svec(C))[2:]
+    A = 0.0 - T  # I - T, bit for bit: -T would give -0.0 where I - T has +0.0
+    A.flat[::A.shape[0] + 1] += 1.0
+    v, info = dgesv(A, svec(C))[2:]
     if info != 0 or not np.isfinite(v).all():
         return None
     V = smat(v, C.shape[0])

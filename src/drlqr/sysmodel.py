@@ -160,23 +160,38 @@ def state_vector(sys: MultNoiseSystem, x0) -> np.ndarray:
     return x0
 
 
-def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moment operators (F(P), G(P), H(P)) of the stochastic Riccati recursion.
-
-    F(P) = Abar0^T (Sigma_ext x P) Abar0 and analogously for G (input stack)
-    and H (mixed).  Computed through the Kronecker form; the double-sum
-    expansion is kept as a test oracle only.
-    """
+def _kron_middle(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> np.ndarray:
+    """kron(Sigma_ext, P), the middle factor of F, G and H, after the checks of P and m."""
     P = np.asarray(P, dtype=float)
     if P.shape != (sys.n_x, sys.n_x):
         raise ShapeError(f"P has shape {P.shape}, expected ({sys.n_x}, {sys.n_x})")
     if m.n_w != sys.n_w:
         raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
-    Abar0, Bbar0 = sys.stacked
     S, P = m.extended_moment, symmetrize(P)
-    # kron(S, P): the same products as np.kron, without its per-call overhead
-    middle = (S[:, None, :, None] * P[None, :, None, :]).reshape(Abar0.shape[0], Abar0.shape[0])
-    F = symmetrize(Abar0.T @ middle @ Abar0)
-    G = symmetrize(Bbar0.T @ middle @ Bbar0)
-    H = Bbar0.T @ middle @ Abar0
-    return F, G, H
+    n = S.shape[0] * sys.n_x
+    # the same products as np.kron, without its per-call overhead
+    return (S[:, None, :, None] * P[None, :, None, :]).reshape(n, n)
+
+
+def _gh_of(sys: MultNoiseSystem, middle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, H) from the Kronecker middle, for gh and fgh alike."""
+    Abar0, Bbar0 = sys.stacked
+    return symmetrize(Bbar0.T @ middle @ Bbar0), Bbar0.T @ middle @ Abar0
+
+
+def gh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray]:
+    """(G(P), H(P)) of fgh, the same bits, without F(P): all a greedy gain reads."""
+    return _gh_of(sys, _kron_middle(sys, m, P))
+
+
+def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moment operators (F(P), G(P), H(P)) of the stochastic Riccati recursion.
+
+    F(P) = Abar0^T (Sigma_ext x P) Abar0 and analogously for G (input stack)
+    and H (mixed).  Computed through the Kronecker form, whose middle factor
+    is built once for all three; the double-sum expansion is kept as a test
+    oracle only.
+    """
+    middle = _kron_middle(sys, m, P)
+    Abar0 = sys.stacked[0]
+    return (symmetrize(Abar0.T @ middle @ Abar0), *_gh_of(sys, middle))

@@ -8,7 +8,8 @@ witness of that claim on finitely many moments.
 
 vec_operator is the second-moment operator on the full vectorization vec(P)
 (vec and unvec are its column-stacking convention), an independent route to
-the library's operator on svec coordinates.  vec_value, lyapunov_P,
+the library's operator on svec coordinates, and spectral_radius, numpy's
+eigvals, an independent route to its radius.  vec_value, lyapunov_P,
 riccati_residual and nominal_sdp are independent routes to the Lyapunov and
 Riccati solutions, and dare_gain to the noise-free optimal gain;
 read_records_csv and median_j_rel read and summarize the experiment CSV.
@@ -23,7 +24,7 @@ from drlqr.experiment import RunRecord
 from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, psd_sqrt
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
-from drlqr.stability import TOL, ClosedLoop, InstabilityError, _spectral_radius, is_mss
+from drlqr.stability import TOL, ClosedLoop, InstabilityError, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
 
 
@@ -104,6 +105,12 @@ def vec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
 
 
+def spectral_radius(T) -> float:
+    """Largest eigenvalue modulus of T by np.linalg.eigvals, independent of the
+    library's direct LAPACK call, which must give the same bits."""
+    return float(np.max(np.abs(np.linalg.eigvals(T)))) if np.size(T) else 0.0
+
+
 def vec_value(cl: ClosedLoop, m: DisturbanceMoments, C) -> np.ndarray:
     """Solution V of V = C + L(V) on vec coordinates: (I - T) vec(V) = vec(C), T = vec_operator."""
     n = cl.sys.n_x
@@ -116,7 +123,7 @@ def lyapunov_P(cl: ClosedLoop, m: DisturbanceMoments) -> SymMatrix:
     Radii within TOL of 1 raise InstabilityError, as is_mss reports them
     unstable.
     """
-    radius = _spectral_radius(vec_operator(cl, m))
+    radius = spectral_radius(vec_operator(cl, m))
     if not radius < 1.0 - TOL:
         raise InstabilityError(f"closed loop is not mean-square stable (radius {radius:.6f})")
     return SymMatrix(vec_value(cl, m, np.eye(cl.sys.n_x)))
@@ -158,7 +165,7 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     if sol.status != "optimal":
         raise NumericalFailure(f"Riccati SDP solver returned status {sol.status}")
     P_val = P.value(sol.y)
-    K, _, _ = _gain_from(P_val, sys, m, cost)
+    K = _gain_from(*fgh(sys, m, P_val)[1:], cost.R)
     return Controller(K=K, P=SymMatrix(P_val), method="nominal_sdp", iterations=sol.iterations)
 
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -212,7 +214,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
         cfg = _cfg(sys6, moments6, cost6, realizations=3)
         serial = run_sample_complexity(cfg, jobs=1)

@@ -1,6 +1,8 @@
 """The public surface: the names the package exports and the README example."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,3 +37,19 @@ def test_readme_quick_start_runs(capsys):
     assert result.cost_bound == result.controller.cost_bound
     assert np.all(np.isfinite(result.controller.K))
     assert "(True," in capsys.readouterr().out
+
+
+def test_import_loads_no_special_functions_or_pool():
+    """import drlqr loads neither scipy.special, which example1_analytic imports
+    when called, nor concurrent.futures or multiprocessing, which a sweep imports
+    when it starts a pool.  scipy.linalg loads concurrent.futures itself, through
+    numpy.testing, so the check is on the modules that drlqr's import adds to
+    those of the numpy and scipy modules it uses."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, scipy.linalg.lapack; "
+            "before = set(sys.modules); import drlqr; "
+            "print(*sorted(set(sys.modules) - before)); print(*sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    added, loaded = out[0].split(), out[1].split()
+    assert "drlqr.experiment" in added and "scipy.special" not in loaded
+    assert [m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing")] == []

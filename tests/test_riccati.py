@@ -57,14 +57,9 @@ class TestValueIteration:
         assert stable and radius < 1.0
 
     def test_one_gain_per_pass(self, monkeypatch, sys6, moments6, cost6):
-        """fgh runs once per iteration, plus once for the returned gain."""
-        real, calls = riccati.fgh, []
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(riccati, "fgh", counting)
+        """The moment operators (gh or fgh) are formed once per iteration, plus
+        once for the returned gain."""
+        calls = _spy_moment_operators(monkeypatch)
         ctrl = value_iteration(sys6, moments6, cost6)
         assert len(calls) == ctrl.iterations + 1
 
@@ -73,6 +68,19 @@ class TestValueIteration:
         monkeypatch.setattr(riccati, "MAX_ITER", 3)
         with pytest.raises(NumericalFailure):
             value_iteration(sys6, moments6, cost6)
+
+
+def _spy_moment_operators(monkeypatch) -> list:
+    """Record, in order, "fgh" or "gh" for each call riccati makes to form the
+    moment operators of an iterate (the certainty-equivalent gain's included)."""
+    calls = []
+    for name in ("fgh", "gh"):
+        def counting(*args, _name=name, _real=getattr(riccati, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(riccati, name, counting)
+    return calls
 
 
 def _chain8(damping: float = 0.15, noise: float = 0.3) -> MultNoiseSystem:
@@ -127,7 +135,21 @@ class TestNewtonFinish:
 
     def test_non_finite_gain_is_numerical_failure(self, monkeypatch, scalar_sys, scalar_cost,
                                                   scalar_moments):
-        """LAPACK's Cholesky factorization passes a NaN in R + G(P) through with info 0."""
+        """LAPACK's Cholesky factorization passes a NaN in R + G(P) through with info 0:
+        here in G from gh, for the certainty-equivalent gain and the Newton passes."""
+        real = riccati.gh
+
+        def nan_G(sys, m, P):
+            G, H = real(sys, m, P)
+            return np.full_like(G, np.nan), H
+
+        monkeypatch.setattr(riccati, "gh", nan_G)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            value_iteration(scalar_sys, scalar_moments, scalar_cost)
+
+    def test_non_finite_gain_on_a_warm_up_pass(self, monkeypatch, scalar_sys, scalar_cost,
+                                               scalar_moments):
+        """The same NaN in G from fgh, on the first warm-up pass from P = 0."""
         real = riccati.fgh
 
         def nan_G(sys, m, P):
@@ -135,6 +157,7 @@ class TestNewtonFinish:
             return F, np.full_like(G, np.nan), H
 
         monkeypatch.setattr(riccati, "fgh", nan_G)
+        monkeypatch.setattr(riccati, "_ce_gain", lambda *args: None)
         with pytest.raises(NumericalFailure, match="not finite"):
             value_iteration(scalar_sys, scalar_moments, scalar_cost)
 
@@ -145,14 +168,14 @@ class TestNewtonFinish:
     def test_guards(self, monkeypatch, scalar_sys, scalar_cost, corrupt, message):
         """The certainty-equivalent gain is MSS at variance 0.25, so its evaluation
         certifies it; the operator is corrupted from the next step on."""
-        real, calls = riccati.second_moment_operator, []
+        real, calls = riccati._svec_operator, []
 
-        def faulty(cl, m):
-            calls.append(cl)
-            T = real(cl, m)
+        def faulty(sys, K, m):
+            calls.append(K)
+            T = real(sys, K, m)
             return T if len(calls) == 1 else corrupt(T)
 
-        monkeypatch.setattr(riccati, "second_moment_operator", faulty)
+        monkeypatch.setattr(riccati, "_svec_operator", faulty)
         m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(0.25 * np.eye(1)))
         with pytest.raises(NumericalFailure, match=message):
             value_iteration(scalar_sys, m, scalar_cost)
@@ -202,6 +225,18 @@ def _chain_workload_case(index: int = 0):
     return sys, inflated, w.cost
 
 
+CE_CASES = ["sys6", "chain8", "riccati_chain"]
+
+
+def _ce_case(case, sys6, moments6, cost6):
+    """(sys, m, cost) of a solve whose certainty-equivalent gain is certified."""
+    return {
+        "sys6": lambda: (sys6, moments6, cost6),
+        "chain8": lambda: (_chain8(), moments6, CostWeights(Q=np.eye(8), R=np.eye(2))),
+        "riccati_chain": _chain_workload_case,
+    }[case]()
+
+
 class TestCertaintyEquivalentStart:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_x=st.integers(1, 4), n_u=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -222,13 +257,9 @@ class TestCertaintyEquivalentStart:
         K, K_ref = _ce_gain(sys, m, CostWeights(Q=Q, R=R)), dare_gain(*sys.eval_AB(mu), Q, R)
         assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
 
-    @pytest.mark.parametrize("case", ["sys6", "chain8", "riccati_chain"])
+    @pytest.mark.parametrize("case", CE_CASES)
     def test_same_solution_as_sweeps_from_zero(self, monkeypatch, case, sys6, moments6, cost6):
-        sys, m, cost = {
-            "sys6": lambda: (sys6, moments6, cost6),
-            "chain8": lambda: (_chain8(), moments6, CostWeights(Q=np.eye(8), R=np.eye(2))),
-            "riccati_chain": _chain_workload_case,
-        }[case]()
+        sys, m, cost = _ce_case(case, sys6, moments6, cost6)
         ce = value_iteration(sys, m, cost)
         monkeypatch.setattr(riccati, "_ce_gain", lambda *args: None)
         swept = value_iteration(sys, m, cost)
@@ -236,6 +267,23 @@ class TestCertaintyEquivalentStart:
         assert np.linalg.norm(ce.K - swept.K) <= 1e-12 * np.linalg.norm(swept.K)
         P, P_swept = np.asarray(ce.P), np.asarray(swept.P)
         assert np.linalg.norm(P - P_swept) <= 1e-12 * np.linalg.norm(P_swept)
+
+    @pytest.mark.parametrize("case", CE_CASES)
+    def test_newton_passes_form_no_F(self, monkeypatch, case, sys6, moments6, cost6):
+        """F(P) is formed (fgh) on warm-up passes only: never from the certified
+        certainty-equivalent start, and on the forced sweeps from P = 0 before the
+        first Newton pass; every Newton pass forms G(P) and H(P) alone (gh)."""
+        sys, m, cost = _ce_case(case, sys6, moments6, cost6)
+        calls = _spy_moment_operators(monkeypatch)
+        ce = value_iteration(sys, m, cost)
+        assert calls == ["gh"] * (ce.iterations + 1)  # the certainty-equivalent gain's too
+        calls.clear()
+        monkeypatch.setattr(riccati, "_ce_gain", lambda *args: None)
+        swept = value_iteration(sys, m, cost)
+        warm_up = calls.count("fgh")
+        assert len(calls) == swept.iterations + 1
+        assert 0 < warm_up < len(calls)
+        assert calls == ["fgh"] * warm_up + ["gh"] * (len(calls) - warm_up)
 
     def test_riccati_chain_in_four_iterations(self):
         """From P = 0 (_ce_gain patched to None) these 30 solves take 10 or 11."""
@@ -306,6 +354,39 @@ class TestStart:
                               rho_mu=0.0, rho_sigma=1.5)
         with pytest.raises(ShapeError, match="gain"):
             dr_covariance(sys6, np.zeros(2), amb, cost6, start=start)
+
+    def test_only_the_start_gain_is_checked_as_a_loop(self, monkeypatch, sys6, moments6, cost6):
+        """The passes build each operator from (sys, K), K the package's own gain;
+        only the caller's start gain goes through ClosedLoop's checks, once."""
+        real, loops = riccati.ClosedLoop, []
+
+        def counting(**kwargs):
+            loops.append(kwargs["K"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(riccati, "ClosedLoop", counting)
+        cold = value_iteration(sys6, moments6, cost6)
+        assert loops == [] and cold.iterations > 1
+        value_iteration(sys6, moments6, cost6, start=cold)
+        assert len(loops) == 1 and loops[0] is cold.K
+
+    def test_dr_covariance_checks_its_controller_once(self, monkeypatch, sys6, cost6, amb6):
+        """dr_covariance relabels value_iteration's Controller, whose K and P were
+        checked when it was built, instead of building and checking a second one."""
+        real, built = riccati.Controller.__post_init__, []
+
+        def counting(ctrl):
+            built.append(ctrl.method)
+            real(ctrl)
+
+        monkeypatch.setattr(riccati.Controller, "__post_init__", counting)
+        ctrl = dr_covariance(sys6, amb6.mu_hat, amb6, cost6)
+        assert built == ["nominal_vi"] and ctrl.method == "dr_covariance"
+        inflated = DisturbanceMoments(mu=amb6.mu_hat, sigma=amb6.rho_sigma * amb6.sigma_hat)
+        vi = value_iteration(sys6, inflated, cost6)
+        assert vi.method == "nominal_vi" and vi.iterations == ctrl.iterations
+        assert vi.K.tobytes() == ctrl.K.tobytes() and vi.P.tobytes() == ctrl.P.tobytes()
+        assert not (ctrl.K.flags.writeable or ctrl.P.flags.writeable)
 
 
 def _solve_bytes(call):

@@ -11,12 +11,14 @@ from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
                              closed_loop_cost, closed_loop_value_matrix, is_mss,
                              lyapunov_value, second_moment_operator)
-from drlqr.ambiguity import MomentAmbiguity
+from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
+from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
-from conftest import memo_runs, one_ulp_up
-from oracles import (channel_matrices, dr_certify_mss, lyapunov_P, unvec, vec, vec_operator,
-                     vec_value)
+from conftest import bench_workloads, memo_runs, one_ulp_up
+from oracles import (channel_matrices, dr_certify_mss, lyapunov_P, spectral_radius, unvec, vec,
+                     vec_operator, vec_value)
+from test_riccati import _chain8
 
 
 def _elim_dup(n):
@@ -114,7 +116,7 @@ class TestSecondMomentOperator:
         cl, m = _random_plant(np.random.default_rng(seed), n_x, n_u, n_w, scale)
         T_vec = vec_operator(cl, m)
         radius = _spectral_radius(second_moment_operator(cl, m))
-        radius_vec = _spectral_radius(T_vec)
+        radius_vec = spectral_radius(T_vec)
         assert abs(radius - radius_vec) <= 1e-12 * max(1.0, radius_vec)
         cost = CostWeights(Q=np.eye(n_x), R=np.eye(n_u))
         if not radius < 1.0 - TOL:
@@ -180,6 +182,65 @@ class TestLyapunovValue:
         monkeypatch.setattr(stability, "lyapunov_value", lambda T, C: None)
         with pytest.raises(InstabilityError, match="not certified"):
             closed_loop_value_matrix(cl, moments6, cost6)
+
+
+def _radius_cases(case, sys6, moments6, cost6):
+    """(loop, moments) pairs of one system: the zero gain, the Riccati gain and
+    gains around it, for is_mss's radius against the oracle's."""
+    if case == "sys6":
+        sys, m, cost = sys6, moments6, cost6
+    elif case == "paper":  # the criterion-7 sweep's M = 500 cell, near the edge of MSS
+        sys = bench_workloads().paper_system()
+        samples = sample_gaussian(moments6, 500, _cell_stream(0, 500, 3))
+        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+        m = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
+        cost = cost6
+    else:
+        sys, m, cost = _chain8(), moments6, CostWeights(Q=np.eye(8), R=np.eye(2))
+    K = value_iteration(sys, m, cost).K
+    rng = np.random.default_rng(0)
+    gains = [np.zeros_like(K), K] + [K * (1.0 + 0.5 * rng.standard_normal(K.shape))
+                                     for _ in range(4)]
+    return [(ClosedLoop(sys=sys, K=G), m) for G in gains]
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("case", ["sys6", "paper", "chain8"])
+    def test_is_mss_radius_is_the_oracles_bit_for_bit(self, case, sys6, moments6, cost6):
+        """The direct dgeev call gives the bits of np.linalg.eigvals on the same T."""
+        for cl, m in _radius_cases(case, sys6, moments6, cost6):
+            assert is_mss(cl, m)[1] == spectral_radius(second_moment_operator(cl, m))
+
+    def test_general_matrices_bit_for_bit(self):
+        """Complex eigenvalues too: their modulus is numpy's complex abs, which
+        differs from np.hypot in the last bit on about one in five of these."""
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 6, 10, 21, 36):
+            for _ in range(20):
+                T = rng.standard_normal((n, n)) * rng.random()
+                assert _spectral_radius(T) == spectral_radius(T)
+
+    @pytest.mark.parametrize("top", [
+        1e150, 1e-150, stability._DGEEV_BIG, np.nextafter(stability._DGEEV_BIG, np.inf),
+        stability._DGEEV_SMALL, np.nextafter(stability._DGEEV_SMALL, 0.0),
+    ], ids=["huge", "tiny", "big", "above_big", "small", "below_small"])
+    def test_scales_dgeev_would_rescale(self, top):
+        """scipy's bundled dgeev rescales a matrix whose largest entry lies outside
+        [SMLNUM, BIGNUM] and returns the rescaled eigenvalues (1.5e138 for 2e200);
+        the radius is numpy's there too, bit for bit, on both sides of each bound."""
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 5):
+            T = rng.standard_normal((n, n))
+            T[np.unravel_index(np.abs(T).argmax(), T.shape)] = top
+            assert _spectral_radius(T) == spectral_radius(T)
+
+    def test_empty_and_non_finite(self):
+        assert _spectral_radius(np.zeros((0, 0))) == 0.0
+        for bad in (np.nan, np.inf):
+            T = np.eye(3)
+            T[1, 2] = bad
+            with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                _spectral_radius(T)
 
 
 class TestIsMss:

@@ -11,7 +11,7 @@ from drlqr.experiment import ExperimentConfig
 from drlqr.riccati import Controller, value_iteration
 from drlqr.sdpcore import LmiBlock, LmiProblem
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix
-from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh
+from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 
 from conftest import write_fixture
 
@@ -143,6 +143,29 @@ class TestFgh:
             assert np.linalg.norm(F - Fo) <= 1e-10 * scale
             assert np.linalg.norm(G - Go) <= 1e-10 * scale
             assert np.linalg.norm(H - Ho) <= 1e-10 * scale
+
+    def test_gh_is_fgh_without_F(self):
+        """gh gives fgh's G and H bit for bit, and makes the same checks."""
+        rng = np.random.default_rng(4)
+        for _ in range(15):
+            n_x, n_u, n_w = rng.integers(1, 5), rng.integers(1, 3), rng.integers(1, 4)
+            sys = MultNoiseSystem(
+                A0=rng.standard_normal((n_x, n_x)),
+                A=tuple(rng.standard_normal((n_x, n_x)) for _ in range(n_w)),
+                B0=rng.standard_normal((n_x, n_u)),
+                B=tuple(rng.standard_normal((n_x, n_u)) for _ in range(n_w)))
+            A = rng.standard_normal((n_w, n_w))
+            m = DisturbanceMoments(mu=rng.standard_normal(n_w), sigma=SymMatrix(A @ A.T))
+            P = rng.standard_normal((n_x, n_x))  # not symmetric: both take its symmetric part
+            _, G, H = fgh(sys, m, P)
+            G2, H2 = gh(sys, m, P)
+            assert G.tobytes() == G2.tobytes() and H.tobytes() == H2.tobytes()
+        other = DisturbanceMoments(mu=np.zeros(n_w + 1), sigma=SymMatrix(np.eye(n_w + 1)))
+        for bad_m, bad_P, match in ((m, np.eye(n_x + 1), "P has shape"),
+                                    (other, np.eye(n_x), "moments have n_w")):
+            for fn in (fgh, gh):
+                with pytest.raises(ShapeError, match=match):
+                    fn(sys, bad_m, bad_P)
 
     def test_monte_carlo_identity(self):
         """E[(A(w)x + B(w)u)' P (A(w)x + B(w)u)] = x'Fx + 2x'H'u + u'Gu."""

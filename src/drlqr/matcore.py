@@ -8,16 +8,53 @@ holder owns, checked finite and made read-only, with errors that name the
 field; sym_field stores the symmetric part the same way.  Storage is
 dense; problem sizes are small (blocks of at most a few tens of rows).
 _memo_last is the package's one memo: it keeps a function's last value.
+
+The LAPACK routines the package calls directly (dgeev, dgesv, dpotrf, dpotrs,
+dtrtrs) are bound here, once, from scipy's own extension module
+scipy.linalg._flapack, loaded from scipy's install directory by the stdlib
+loader without running the scipy.linalg package's __init__: that __init__
+goes through scipy's array-API layer, which loads numpy.f2py, numpy.testing
+and numpy.ma, and costs about half of import drlqr's time and 24 MB.
+scipy.linalg.lapack re-exports _flapack's functions, so these are the very
+objects it exports, with its bits and its per-call cost; numpy.linalg is not a
+substitute, because numpy bundles another OpenBLAS build whose last bits
+differ.  If the extension is not found or does not load, they come from
+scipy.linalg.lapack instead.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from importlib import machinery, util
 
 import numpy as np
+import scipy  # cheap, and on some platforms it sets up the paths to scipy's bundled libraries
 
 PSD_TOL = 1e-9  # relative eigenvalue slack of is_psd and psd_sqrt
+
+
+def _load_lapack():
+    """scipy.linalg._flapack, loaded without importing the scipy.linalg package,
+    or scipy.linalg.lapack when the extension is not found or does not load."""
+    finder = machinery.FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+                                  (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is not None:
+        try:
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            pass
+    from scipy.linalg import lapack
+    return lapack
+
+
+_lapack = _load_lapack()
+dgeev, dgesv, dpotrf, dpotrs, dtrtrs = (_lapack.dgeev, _lapack.dgesv, _lapack.dpotrf,
+                                        _lapack.dpotrs, _lapack.dtrtrs)
 
 
 class NumericalFailure(RuntimeError):

@@ -18,9 +18,9 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
-from .matcore import NumericalFailure, _memo_last, array_field, sym_field, symmetrize
+from .matcore import (NumericalFailure, _memo_last, array_field, dgesv, dpotrf, dpotrs, sym_field,
+                      symmetrize)
 from .stability import ClosedLoop, _svec_operator, lyapunov_value
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 from .ambiguity import MomentAmbiguity

@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .matcore import array_field, sym_field
+from .matcore import array_field, dpotrf, dpotrs, dtrtrs, sym_field
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)

@@ -11,12 +11,12 @@ synthesized gain is the strict feasibility of the synthesis LMIs (see drsynth).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeev, dgesv, dpotrf
 
-from .matcore import ShapeError, _memo_last, array_field, smat, svec, sym_index
+from .matcore import ShapeError, _memo_last, array_field, dgeev, dgesv, dpotrf, smat, svec, sym_index
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -78,13 +78,15 @@ def _spectral_radius(T: np.ndarray) -> float:
     without np.linalg.eigvals' wrapper: numpy's eigvals calls the same routine,
     and the bits are its.  dgeev rescales a T whose largest entry lies outside
     [_DGEEV_SMALL, _DGEEV_BIG], and scipy's bundled LAPACK does not scale the
-    eigenvalues back (a 2e200 comes back as 1.5e138), so such a T, and a
-    non-finite one, goes to np.linalg.eigvals, which raises LinAlgError for the
-    latter."""
+    eigenvalues back (a 2e200 comes back as 1.5e138), so such a T goes to
+    np.linalg.eigvals.  A T with a NaN or infinite entry has radius inf: gains
+    and moments are checked finite on entry, so only an overflow makes one."""
     if not T.size:
         return 0.0
     top = np.abs(T).max()
-    if not (top == 0.0 or _DGEEV_SMALL <= top <= _DGEEV_BIG):  # NaN fails every comparison
+    if not np.isfinite(top):  # max propagates NaN
+        return math.inf
+    if not (top == 0.0 or _DGEEV_SMALL <= top <= _DGEEV_BIG):
         return float(np.max(np.abs(np.linalg.eigvals(T))))
     wr, wi, _, _, info = dgeev(T, compute_vl=0, compute_vr=0)
     if info != 0:
@@ -93,8 +95,9 @@ def _spectral_radius(T: np.ndarray) -> float:
 
 
 def _certified_mss(T: np.ndarray, n: int) -> bool:
-    """The MSS rule rho(T) < 1 - TOL, decided by lyapunov_value(T / (1 - TOL), I)."""
-    return lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
+    """The MSS rule rho(T) < 1 - TOL, decided by lyapunov_value(T / (1 - TOL), I).
+    A T that overflowed to a NaN or infinite entry is not certified."""
+    return bool(np.isfinite(T).all()) and lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
 
 
 @_memo_last(lambda cl, m: cl.sys.stacked + (cl.K, m.extended_moment))

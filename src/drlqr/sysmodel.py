@@ -129,7 +129,12 @@ class DisturbanceMoments:
     def extended_moment(self) -> np.ndarray:
         """Extended second moment [[1, mu^T], [mu, Sigma + mu mu^T]], built once, read-only."""
         mu = self.mu.reshape(-1, 1)
-        return sym_field("extended_moment", np.block([[np.ones((1, 1)), mu.T], [mu, self.sigma + mu @ mu.T]]))
+        S = np.empty((1 + mu.size, 1 + mu.size))
+        S[0, 0] = 1.0
+        S[0, 1:] = self.mu
+        S[1:, :1] = mu
+        S[1:, 1:] = self.sigma + mu @ mu.T
+        return sym_field("extended_moment", S)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from drlqr.matcore import SymMatrix
 from drlqr.riccati import value_iteration
 from drlqr.sdpcore import SdpSolution
 from drlqr.ambiguity import SampleSet
-from drlqr.sysmodel import DisturbanceMoments
+from drlqr.sysmodel import DisturbanceMoments, MultNoiseSystem
 
 from conftest import write_fixture
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -104,6 +109,21 @@ class TestSynth:
         assert out["method"] == "dr_full"
         assert out["cost_kind"] == "upper_bound"
         assert out["cost_bound"] > 0.0
+
+    def test_full_without_scipy_linalg(self, capsys, system_json, samples_csv):
+        """The CLI's synth --method full on the paper system, run by a new
+        interpreter, never imports the scipy.linalg package, and prints what it
+        prints in process."""
+        argv = ["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                "--beta", "0.05", "--method", "full", "--reg", "1e-8"]
+        code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); from drlqr.cli import main; "
+                "rc = main(sys.argv[1:]); print('scipy.linalg' in sys.modules, file=sys.stderr); "
+                "sys.exit(rc)")
+        run = subprocess.run([sys.executable, "-c", code, str(SRC), *argv], capture_output=True,
+                             text=True)
+        assert (run.returncode, run.stderr) == (EXIT_OK, "False\n")
+        assert main(argv) == EXIT_OK
+        assert run.stdout == capsys.readouterr().out
 
     def test_rhc_requires_x0(self, capsys, system_json, samples_csv):
         rc = main(["synth", "--system", str(system_json),
@@ -275,6 +295,17 @@ class TestMss:
         assert rc == EXIT_OK
         assert out["stable"] is False
         assert np.isclose(out["spectral_radius"], 1.0, atol=1e-6)
+
+    def test_overflowing_gain_is_unstable(self, capsys, tmp_path):
+        """A finite gain whose second-moment operator overflows is a verdict, not
+        invalid input: unstable, radius inf (JSON's Infinity), exit 0."""
+        sp = write_fixture(tmp_path / "sys.json", MultNoiseSystem(
+            A0=[[1.0]], A=([[1.0]],), B0=[[1.0]], B=([[0.0]],)))
+        gp = tmp_path / "gain.json"
+        gp.write_text(json.dumps({"K": [[1e160]]}))
+        rc, out = _run(capsys, ["mss", "--system", str(sp), "--gain", str(gp)])
+        assert rc == EXIT_OK
+        assert out == {"stable": False, "spectral_radius": float("inf")}
 
     def test_custom_moments(self, capsys, sys6, cost6, moments6, tmp_path):
         sp = tmp_path / "sys.json"

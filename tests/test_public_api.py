@@ -1,11 +1,15 @@
-"""The public surface: the names the package exports and the README example."""
+"""The public surface: the names the package exports, the README example, and
+what import drlqr loads."""
 
+import functools
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import drlqr
 
@@ -39,17 +43,87 @@ def test_readme_quick_start_runs(capsys):
     assert "(True," in capsys.readouterr().out
 
 
+def _fresh(code: str) -> list[str]:
+    """The lines code prints, run by a new interpreter with src/ first on its path."""
+    code = f"import sys\nsys.path.insert(0, sys.argv.pop(1))\n{textwrap.dedent(code)}"
+    return subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
+def _loaded(modules, names):
+    """The modules among modules that are one of names or inside one of them."""
+    return [m for m in modules if any(m == n or m.startswith(n + ".") for n in names)]
+
+
+@functools.cache
+def _import_loads() -> list[str]:
+    """The modules a new interpreter holds after import drlqr."""
+    return _fresh("import drlqr; print(*sys.modules)")[0].split()
+
+
 def test_import_loads_no_special_functions_or_pool():
     """import drlqr loads neither scipy.special, which example1_analytic imports
     when called, nor concurrent.futures or multiprocessing, which a sweep imports
-    when it starts a pool.  scipy.linalg loads concurrent.futures itself, through
-    numpy.testing, so the check is on the modules that drlqr's import adds to
-    those of the numpy and scipy modules it uses."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, scipy.linalg.lapack; "
-            "before = set(sys.modules); import drlqr; "
-            "print(*sorted(set(sys.modules) - before)); print(*sorted(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True,
-                         text=True, check=True).stdout.splitlines()
-    added, loaded = out[0].split(), out[1].split()
-    assert "drlqr.experiment" in added and "scipy.special" not in loaded
-    assert [m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+    when it starts a pool."""
+    loaded = _import_loads()
+    assert "drlqr.experiment" in loaded
+    assert _loaded(loaded, ("scipy.special", "concurrent", "multiprocessing")) == []
+
+
+def test_import_skips_the_scipy_linalg_package():
+    """The LAPACK routines come from scipy.linalg._flapack alone: the scipy.linalg
+    package, whose __init__ loads numpy.f2py, numpy.testing and numpy.ma, is not
+    imported."""
+    loaded = _import_loads()
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded
+    assert _loaded(loaded, ("numpy.f2py", "numpy.testing", "numpy.ma")) == []
+
+
+# the LAPACK routines each module binds and calls
+LAPACK_BOUND = {"matcore": ("dgeev", "dgesv", "dpotrf", "dpotrs", "dtrtrs"),
+                "riccati": ("dgesv", "dpotrf", "dpotrs"),
+                "stability": ("dgeev", "dgesv", "dpotrf"),
+                "sdpcore": ("dpotrf", "dpotrs", "dtrtrs")}
+
+# prints whether scipy.linalg was loaded when drlqr had been imported, then every
+# routine a module binds that is not the object scipy.linalg.lapack exports
+_NOT_SCIPYS = f"""
+loaded = set(sys.modules)
+import importlib, scipy.linalg.lapack as lapack
+print("scipy.linalg" in loaded, *[f"{{m}}.{{r}}" for m, names in {LAPACK_BOUND!r}.items() for r in names
+                                  if getattr(importlib.import_module("drlqr." + m), r)
+                                  is not getattr(lapack, r)])
+"""
+
+
+@pytest.mark.parametrize("first", ["drlqr", "scipy.linalg.lapack"])
+def test_bound_routines_are_scipys(first):
+    """Every routine bound is the very object scipy.linalg.lapack exports, whichever
+    of drlqr and scipy.linalg is imported first."""
+    assert _fresh(f"import {first}\nimport drlqr\n" + _NOT_SCIPYS) == [f"{first != 'drlqr'}"]
+
+
+_NOT_FOUND = """
+import importlib.machinery
+importlib.machinery.EXTENSION_SUFFIXES = []
+"""
+
+_LOAD_ERROR = """
+import importlib.machinery
+create = importlib.machinery.ExtensionFileLoader.create_module
+
+def failing(self, spec):
+    if spec.name == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
+        raise OSError("cannot load")
+    return create(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = failing
+"""
+
+
+@pytest.mark.parametrize("failure", [_NOT_FOUND, _LOAD_ERROR], ids=["not_found", "load_error"])
+def test_fallback_binds_the_same_routines(failure):
+    """When the extension is not found, or does not load, the routines come from
+    scipy.linalg.lapack: the same objects."""
+    assert _fresh(failure + "import drlqr\n" + _NOT_SCIPYS) == ["True"]

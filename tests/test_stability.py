@@ -235,12 +235,13 @@ class TestSpectralRadius:
             assert _spectral_radius(T) == spectral_radius(T)
 
     def test_empty_and_non_finite(self):
+        """Only an overflow makes T non-finite (gains and moments are checked
+        finite), and its radius is inf."""
         assert _spectral_radius(np.zeros((0, 0))) == 0.0
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             T = np.eye(3)
             T[1, 2] = bad
-            with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-                _spectral_radius(T)
+            assert _spectral_radius(T) == np.inf
 
 
 class TestIsMss:
@@ -358,6 +359,39 @@ class TestLyapunovP:
     def test_unstable_raises(self):
         with pytest.raises(InstabilityError):
             lyapunov_P(_scalar_loop(0.0), _scalar_moments())
+
+
+def _overflowing_loop():
+    """x+ = (1 + w) x + u under u = 1e160 x: every gain and moment is finite, and
+    the second-moment operator overflows to inf."""
+    sys = MultNoiseSystem(A0=[[1.0]], A=([[1.0]],), B0=[[1.0]], B=([[0.0]],))
+    return ClosedLoop(sys=sys, K=[[1e160]]), DisturbanceMoments(mu=[0.0], sigma=[[1.0]])
+
+
+class TestOverflow:
+    """An operator that overflows is a verdict, unstable with radius inf, not a LinAlgError."""
+
+    def test_is_mss_is_unstable_with_infinite_radius(self):
+        assert not np.isfinite(second_moment_operator(*_overflowing_loop())).all()
+        assert is_mss(*_overflowing_loop()) == (False, np.inf)
+
+    def test_cost_is_instability_error(self):
+        cl, m = _overflowing_loop()
+        cost = CostWeights(Q=np.eye(1), R=np.eye(1))
+        with pytest.raises(InstabilityError, match="radius inf"):
+            closed_loop_value_matrix(cl, m, cost)
+        with pytest.raises(InstabilityError, match="radius inf"):
+            closed_loop_cost(cl, m, cost, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_operator_is_not_certified(self, bad):
+        """A non-finite T gets no certificate.  The bare solve certifies this one
+        with an infinite diagonal entry: it sets the svec entry the inf sits on
+        to zero and leaves the others finite."""
+        T = np.full((3, 3), 0.1)
+        T[1, 1] = bad
+        assert (lyapunov_value(T, np.eye(2)) is not None) == np.isinf(bad)
+        assert not stability._certified_mss(T, 2)
 
 
 class TestClosedLoop:

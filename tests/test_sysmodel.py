@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drlqr.ambiguity import MomentAmbiguity, SampleSet
-from drlqr.matcore import DomainError, ShapeError, SymMatrix
+from drlqr.matcore import DomainError, ShapeError, SymMatrix, sym_field
 from drlqr.drsynth import synth_full
 from drlqr.experiment import ExperimentConfig
 from drlqr.riccati import Controller, value_iteration
@@ -86,6 +86,17 @@ class TestExtendedMoment:
             A = rng.standard_normal((3, 3))
             m = DisturbanceMoments(mu=rng.standard_normal(3), sigma=SymMatrix(A @ A.T))
             assert np.linalg.eigvalsh(np.asarray(m.extended_moment))[0] >= -1e-10
+
+    @pytest.mark.parametrize("n_w", [1, 2, 3])
+    def test_bytes_of_the_block_form(self, n_w):
+        """Filled entry by entry, the moment has the bytes of the np.block form."""
+        rng = np.random.default_rng(n_w)
+        for _ in range(10):
+            A = rng.standard_normal((n_w, n_w))
+            m = DisturbanceMoments(mu=rng.standard_normal(n_w), sigma=A @ A.T)
+            mu = m.mu.reshape(-1, 1)
+            block = np.block([[np.ones((1, 1)), mu.T], [mu, m.sigma + mu @ mu.T]])
+            assert m.extended_moment.tobytes() == sym_field("block", block).tobytes()
 
 
 def _fgh_double_sum(sys, m, P):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, _memo_last, psd_sqrt
+from .matcore import SINGULAR, NumericalFailure, ShapeError, _memo_last, np_inv, psd_sqrt
 from .riccati import Controller
 from .sdpcore import (AffineExpr, LmiBuilder, LmiProblem, SdpSolution, block_expr, kron_const,
                       solve, zeros)
@@ -89,7 +89,11 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
     check_cost(sys, cost)
     num_vars, W, V, chan, arrow, main, floor = _template(sys, cost)
     n_x, n_w = sys.n_x, sys.n_w
-    theta = np.block([[1.0, amb.mu_hat], [np.zeros((n_w, 1)), psd_sqrt(amb.sigma_hat)]])
+    theta = np.empty((1 + n_w, 1 + n_w))
+    theta[0, 0] = 1.0
+    theta[0, 1:] = amb.mu_hat
+    theta[1:, 0] = 0.0
+    theta[1:, 1:] = psd_sqrt(amb.sigma_hat)
     G = np.tensordot(theta, chan, 1)
     H = G[1:].transpose(1, 0, 2, 3).reshape(-1, n_w * n_x, n_x)  # [H_1; ...; H_nw]
     # arrow block [[S, c H^T], [c H, I (x) L]], c = sqrt(rho_mu / 2): a mean in the ellipsoid
@@ -128,7 +132,8 @@ def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,
     if not sol.min_block_eigenvalue > 0:
         raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
-    W_inv = np.linalg.inv(W.value(sol.y))
+    with np.errstate(**SINGULAR):
+        W_inv = np_inv(W.value(sol.y))
     cost_bound = np.trace(W_inv) if bound is None else bound.value(sol.y)[0, 0]
     ctrl = Controller(K=V.value(sol.y) @ W_inv, P=W_inv, method=method,
                       iterations=sol.iterations, cost_bound=float(cost_bound))

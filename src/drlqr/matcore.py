@@ -20,10 +20,21 @@ objects it exports, with its bits and its per-call cost; numpy.linalg is not a
 substitute, because numpy bundles another OpenBLAS build whose last bits
 differ.  If the extension is not found or does not load, they come from
 scipy.linalg.lapack instead.
+
+Where the package wants numpy's bits, it calls the gufuncs numpy.linalg itself
+calls, bound here once from numpy.linalg._umath_linalg as np_cholesky,
+np_eigvalsh, np_eigh, np_solve and np_inv: on small matrices numpy's public
+functions spend most of a call on argument checks and error-state set-up, and
+the interior-point loop makes several calls per iteration.  A call site enters
+np.errstate(**NOT_PD), (**NO_CONVERGENCE) or (**SINGULAR), the error state
+numpy.linalg enters, so a failure raises np.linalg.LinAlgError with numpy's
+message, not NaNs and a RuntimeWarning.  A gufunc numpy lacks is bound to the
+public function, which enters that state itself.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -55,6 +66,33 @@ def _load_lapack():
 _lapack = _load_lapack()
 dgeev, dgesv, dpotrf, dpotrs, dtrtrs = (_lapack.dgeev, _lapack.dgesv, _lapack.dpotrf,
                                         _lapack.dpotrs, _lapack.dtrtrs)
+
+
+def _load_linalg():
+    """numpy.linalg's gufuncs cholesky_lo, eigvalsh_lo, eigh_lo, solve (whose
+    right-hand side is a matrix) and inv, each replaced by its public function
+    when numpy.linalg._umath_linalg lacks it."""
+    la = np.linalg
+    gufuncs = getattr(la, "_umath_linalg", None)
+    return tuple(getattr(gufuncs, name, public) for name, public in (
+        ("cholesky_lo", la.cholesky), ("eigvalsh_lo", la.eigvalsh), ("eigh_lo", la.eigh),
+        ("solve", la.solve), ("inv", la.inv)))
+
+
+np_cholesky, np_eigvalsh, np_eigh, np_solve, np_inv = _load_linalg()
+
+
+def _raiser(message: str):
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return handler
+
+
+# the error state numpy.linalg enters around each gufunc, with its messages
+NOT_PD, NO_CONVERGENCE, SINGULAR = (
+    dict(call=_raiser(message), invalid="call", over="ignore", divide="ignore", under="ignore")
+    for message in ("Matrix is not positive definite", "Eigenvalues did not converge",
+                    "Singular matrix"))
 
 
 class NumericalFailure(RuntimeError):
@@ -113,6 +151,13 @@ def _clear_memos() -> None:
         memo.last = (None, None)
 
 
+def frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) bit for bit, by its own formula: the square root of
+    x . x for x = a.ravel(order="K"), without its argument handling."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return the symmetric part (M + M^T) / 2 of a matrix, or of each matrix in a stack."""
     m = np.asarray(m, dtype=float)
@@ -148,7 +193,8 @@ def sym_field(name: str, m, definite: bool | str = False) -> np.ndarray:
     naming the field and lambda_min; a string there is the remedy the error adds."""
     m = _sealed(name, symmetrize(_floats(name, m, copy=None)))  # symmetrize made the copy
     if definite:
-        w = np.linalg.eigvalsh(m)
+        with np.errstate(**NO_CONVERGENCE):
+            w = np_eigvalsh(m)
         if not (w.size and w[0] > 0):
             found = f"lambda_min = {w[0]:.3e}" if w.size else "it is empty"
             remedy = f"; {definite}" if isinstance(definite, str) else ""
@@ -181,7 +227,8 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = symmetrize(m)
     try:
-        w, v = np.linalg.eigh(a)
+        with np.errstate(**NO_CONVERGENCE):
+            w, v = np_eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
     return w, v
@@ -219,6 +266,20 @@ def sym_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in (upper, position):
         a.setflags(write=False)
     return upper, position
+
+
+@lru_cache(maxsize=None)
+def sym_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cd, dc), built once per n and read-only: for an n x n x n x n array X
+    and the k-th and l-th svec entries M[a, b] and M[c, d], X.take(cd)[k, l]
+    = X[c, a, d, b] and X.take(dc)[k, l] = X[d, a, c, b]."""
+    rows, cols = np.divmod(sym_index(n)[0], n)
+    ab = (rows * n * n + cols)[:, None]  # a n^2 + b, down the rows k
+    cd = rows * n**3 + cols * n + ab
+    dc = cols * n**3 + rows * n + ab
+    for a in (cd, dc):
+        a.setflags(write=False)
+    return cd, dc
 
 
 def svec(m) -> np.ndarray:

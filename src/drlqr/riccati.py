@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (NumericalFailure, _memo_last, array_field, dgesv, dpotrf, dpotrs, sym_field,
-                      symmetrize)
+from .matcore import (NO_CONVERGENCE, SINGULAR, NumericalFailure, _memo_last, array_field, dgesv,
+                      dpotrf, dpotrs, frobenius, np_eigvalsh, np_solve, sym_field, symmetrize)
 from .stability import ClosedLoop, _svec_operator, lyapunov_value
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 from .ambiguity import MomentAmbiguity
@@ -91,7 +91,8 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     value_iteration at one mean solve once."""
     A, B = sys.eval_AB(m.mu)
     n, H, I = sys.n_x, cost.Q, np.eye(sys.n_x)
-    G = B @ np.linalg.solve(cost.R, B.T)
+    with np.errstate(**SINGULAR):
+        G = B @ np_solve(cost.R, B.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(18):
             X, info = dgesv(I + G @ H, np.hstack((A, G)))[2:]
@@ -174,16 +175,18 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
         if P_next is None:
             P_next = symmetrize(cost.Q + F + H.T @ K)
         step = P - P_next if newton else P_next - P
-        if np.linalg.eigvalsh(step)[0] < -1e-8 * (1.0 + np.linalg.norm(P)):
+        with np.errstate(**NO_CONVERGENCE):
+            lam_min = np_eigvalsh(step)[0]
+        if lam_min < -1e-8 * (1.0 + frobenius(P)):
             raise NumericalFailure(("Newton step" if newton else "value iteration")
                                    + " lost monotonicity")
-        delta = np.linalg.norm(step)
+        delta = frobenius(step)
         P, k = P_next, k + 1
         if not newton and np.trace(P) > DIVERGENCE_TRACE:
             raise NotStabilizableError(
                 "value iteration diverged: system is not mean-square stabilizable under these moments"
             )
-        converged = delta <= TOL * (1.0 + np.linalg.norm(P))
+        converged = delta <= TOL * (1.0 + frobenius(P))
 
 
 def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,

@@ -17,7 +17,8 @@ tr(Fi Z) = 0 and tr(F0 Z) <= 0.  The loop starts at y = 0, S = Z = I,
 tau = kappa = 1, or next to the final iterate of a solved program of the
 same shape (the warm start of Skajaa, Andersen & Ye 2013); neither test
 depends on where it started.  Each iteration calls LAPACK (dtrtrs,
-dpotrf, dpotrs) directly, not through scipy's checking wrappers, and checks
+dpotrf, dpotrs) and numpy's Cholesky and eigvalsh gufuncs (matcore)
+directly, not through scipy's or numpy's checking wrappers, and checks
 finiteness explicitly; SdpSolution.reason says why a solve stopped short of
 "optimal".
 
@@ -33,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import array_field, dpotrf, dpotrs, dtrtrs, sym_field
+from .matcore import (NO_CONVERGENCE, NOT_PD, array_field, dpotrf, dpotrs, dtrtrs, frobenius,
+                      np_cholesky, np_eigvalsh, sym_field)
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
@@ -89,8 +91,9 @@ class LmiProblem:
 
     def min_eigenvalue(self, y) -> float:
         y = np.asarray(y, dtype=float).ravel()
-        return min(float(np.linalg.eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0])
-                   for b in self.blocks)
+        with np.errstate(**NO_CONVERGENCE):
+            return min(float(np_eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0])
+                       for b in self.blocks)
 
 
 @dataclass
@@ -152,8 +155,9 @@ def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
         at += b.dim
     Fv = F.reshape(k + 1, m * m)
     with np.errstate(over="ignore"):  # an overflow is reported below
-        f_max = float(np.linalg.norm(Fv[:k], axis=1).max(initial=0.0))
-        f0, c_norm = float(np.linalg.norm(Fv[k])), float(np.linalg.norm(c))
+        # np.linalg.norm(Fv[:k], axis=1) by numpy's own formula
+        f_max = float(np.sqrt(np.add.reduce(Fv[:k] * Fv[:k], axis=1)).max(initial=0.0))
+        f0, c_norm = frobenius(Fv[k]), frobenius(c)
     eye = np.eye(m)
 
     def finish(status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
@@ -173,15 +177,18 @@ def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
             y, tau = x[:k], x[k]
             aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))
             r_p = S - (x @ Fv).reshape(m, m)
-            r_d = np.append(aZ[:k] - tau * c, aZ[k] + c @ y + kappa)
+            cy = c @ y
+            r_d = aZ.copy()
+            r_d[:k] -= tau * c
+            r_d[k] = aZ[k] + cy + kappa
             mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
             gap = (m + 1) * mu / tau**2
-            z_norm = float(np.linalg.norm(Z))
+            z_norm, y_norm, a_norm = frobenius(Z), frobenius(y), frobenius(aZ[:k])
 
             # every residual is measured against the size of the iterate it belongs to
-            converged = (np.linalg.norm(r_p) <= FEAS_TOL * (tau * f0 + np.linalg.norm(y) * f_max)
-                         and np.linalg.norm(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
-                         and gap <= GAP_TOL * max(1.0, abs(float(c @ y)) / tau))
+            converged = (frobenius(r_p) <= FEAS_TOL * (tau * f0 + y_norm * f_max)
+                         and frobenius(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
+                         and gap <= GAP_TOL * max(1.0, abs(float(cy)) / tau))
             # the iterates approach the optimum from outside the cone, so a converged
             # point is centred at fixed tau: where a strictly feasible point exists
             # the first full centring step clears the residual, and the second
@@ -201,7 +208,6 @@ def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
             # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
             # iterate merely large, as near the optimum of a badly scaled program,
             # meets neither test.
-            a_norm = np.linalg.norm(aZ[:k])
             if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0:
                 return finish("infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) are both "
                               "within FEAS_TOL |Z| of zero, so no point is strictly feasible")
@@ -209,7 +215,7 @@ def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
                 return finish("infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs every "
                               "tr(F_i Z) by 1 / FEAS_TOL")
             # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
-            if c @ y < 0.0 and np.linalg.norm(tau * F[k] + r_p) <= FEAS_TOL * np.linalg.norm(y) * f_max:
+            if cy < 0.0 and frobenius(tau * F[k] + r_p) <= FEAS_TOL * y_norm * f_max:
                 return finish("unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
                               "within FEAS_TOL with c^T y < 0", y / tau)
             if it == MAX_ITERS:
@@ -245,7 +251,8 @@ def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
     k, m = c.size, S.shape[0]
     _require_finite(r_p, "primal residual")
     _require_finite(r_d, "dual residual")
-    Ls, Lz = np.linalg.cholesky(S), np.linalg.cholesky(Z)
+    with np.errstate(**NOT_PD):
+        Ls, Lz = np_cholesky(S), np_cholesky(Z)
     Ts, Tz = _inv_lower(Ls, eye), _inv_lower(Lz, eye)
     S_inv = Ts.T @ Ts
     a_s_inv = Fv @ S_inv.ravel()
@@ -259,7 +266,9 @@ def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
     # tau is eliminated by hand: with u = H_yy^-1 (h, c) its pivot is a sum
     # of nonnegative terms, so it never cancels to zero near the optimum
     h = H[:k, k]
-    u, _ = dpotrs(chol, np.column_stack((h, c)), lower=0)
+    hc = np.empty((k, 2))
+    hc[:, 0], hc[:, 1] = h, c
+    u, _ = dpotrs(chol, hc, lower=0)
     u_h, u_c = u[:, 0], u[:, 1]
     pivot = max(H[k, k] - h @ u_h, 0.0) + c @ u_c + kappa / tau
 
@@ -284,7 +293,10 @@ def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
         dZ = 0.5 * (dZ + dZ.T)
         dk = (r_kappa - kappa * dx[k]) / tau
         # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
-        lam_s, lam_z = np.linalg.eigvalsh(np.stack((Ts @ dS @ Ts.T, Tz @ dZ @ Tz.T)))[:, 0]
+        D = np.empty((2, m, m))
+        D[0], D[1] = Ts @ dS @ Ts.T, Tz @ dZ @ Tz.T
+        with np.errstate(**NO_CONVERGENCE):
+            lam_s, lam_z = np_eigvalsh(D)[:, 0]
         alpha = min(_to_boundary(1.0, lam_s), _to_boundary(1.0, lam_z),
                     _to_boundary(tau, dx[k]), _to_boundary(kappa, dk))
         return dx, dS, dZ, dk, alpha

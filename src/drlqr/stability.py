@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, _memo_last, array_field, dgeev, dgesv, dpotrf, smat, svec, sym_index
+from .matcore import (ShapeError, _memo_last, array_field, dgeev, dgesv, dpotrf, smat, svec,
+                      sym_index, sym_pairs)
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -50,9 +51,10 @@ def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     On vec(P), L is T = sum_ij S_ij kron(A_j^T, A_i^T) over the closed-loop
     channels A_i: T[a n + b, c n + d] = sum_ij S_ij A_j[c, a] A_i[d, b], one
     contraction.  E keeps the rows a <= b; D adds the columns (c, d) and (d, c)
-    of symmetric P, the diagonal once.  rho(T_s) = rho(T): L commutes with
-    transposition, so T_s holds the eigenvalues of T on symmetric P, and L is a
-    positive map, so rho(T) has a PSD eigenvector (Evans & Hoegh-Krohn 1978).
+    of symmetric P, the diagonal once; only the entries of T these read are
+    gathered.  rho(T_s) = rho(T): L commutes with transposition, so T_s holds
+    the eigenvalues of T on symmetric P, and L is a positive map, so rho(T) has
+    a PSD eigenvector (Evans & Hoegh-Krohn 1978).
     """
     return _svec_operator(cl.sys, cl.K, m)
 
@@ -65,11 +67,11 @@ def _svec_operator(sys: MultNoiseSystem, K: np.ndarray, m: DisturbanceMoments) -
     n = sys.n_x
     Abar0, Bbar0 = sys.stacked
     mats = (Abar0 + Bbar0 @ K).reshape(-1, n, n)  # A_i + B_i K
-    upper, position = sym_index(n)
+    cd, dc = sym_pairs(n)
     weighted = np.einsum("ij,jca->ica", m.extended_moment, mats)
-    full = np.einsum("ica,idb->abcd", weighted, mats)
-    T = (full + full.transpose(0, 1, 3, 2)).reshape(n * n, n * n)[upper][:, upper]
-    T[:, position.diagonal()] *= 0.5  # columns c = d were added to themselves: exact
+    full = np.einsum("ica,idb->cadb", weighted, mats)  # full[c, a, d, b] = T[a n + b, c n + d]
+    T = full.take(cd) + full.take(dc)
+    T[:, sym_index(n)[1].diagonal()] *= 0.5  # columns c = d were added to themselves: exact
     return T
 
 
@@ -95,9 +97,8 @@ def _spectral_radius(T: np.ndarray) -> float:
 
 
 def _certified_mss(T: np.ndarray, n: int) -> bool:
-    """The MSS rule rho(T) < 1 - TOL, decided by lyapunov_value(T / (1 - TOL), I).
-    A T that overflowed to a NaN or infinite entry is not certified."""
-    return bool(np.isfinite(T).all()) and lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
+    """The MSS rule rho(T) < 1 - TOL, decided by lyapunov_value(T / (1 - TOL), I)."""
+    return lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
 
 
 @_memo_last(lambda cl, m: cl.sys.stacked + (cl.K, m.extended_moment))
@@ -135,8 +136,12 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
 
     L is positive and C > 0, so a solution V > 0 exists iff rho(L) < 1: a
     finite V with a Cholesky factor (LAPACK, info 0) certifies mean-square
-    stability, and None means the solve did not certify it.
+    stability, and None means the solve did not certify it.  A T with a NaN or
+    infinite entry, as an overflowed operator has, is never certified: the bare
+    solve can return a finite V > 0 for one.
     """
+    if not np.isfinite(T).all():
+        return None
     A = 0.0 - T  # I - T, bit for bit: -T would give -0.0 where I - T has +0.0
     A.flat[::A.shape[0] + 1] += 1.0
     v, info = dgesv(A, svec(C))[2:]

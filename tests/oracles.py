@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from drlqr.experiment import RunRecord
-from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, psd_sqrt
+from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, psd_sqrt, sym_index
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr.stability import TOL, ClosedLoop, InstabilityError, is_mss
@@ -103,6 +103,22 @@ def vec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     n = cl.sys.n_x
     weighted = np.einsum("ij,jca->ica", S_ext, mats)
     return np.einsum("ica,idb->abcd", weighted, mats).reshape(n * n, n * n)
+
+
+def sliced_svec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
+    """second_moment_operator by slicing: the vec operator plus its copy with the
+    last two axes swapped, the svec rows and then columns picked out of the sum,
+    and the columns c = d halved.  The library gathers only the entries it keeps,
+    from the same operands in the same order, so the bytes must agree."""
+    n = cl.sys.n_x
+    Abar0, Bbar0 = cl.sys.stacked
+    mats = (Abar0 + Bbar0 @ cl.K).reshape(-1, n, n)
+    upper, position = sym_index(n)
+    weighted = np.einsum("ij,jca->ica", m.extended_moment, mats)
+    full = np.einsum("ica,idb->abcd", weighted, mats)
+    T = (full + full.transpose(0, 1, 3, 2)).reshape(n * n, n * n)[upper][:, upper]
+    T[:, position.diagonal()] *= 0.5
+    return T
 
 
 def spectral_radius(T) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from drlqr.matcore import (DomainError, ShapeError, SymMatrix, _clear_memos, _memo_last,
-                           array_field, is_psd, psd_sqrt, smat, svec, sym_eig, sym_index,
-                           symmetrize)
+from drlqr import matcore
+from drlqr.matcore import (NO_CONVERGENCE, NOT_PD, SINGULAR, DomainError, ShapeError, SymMatrix,
+                           _clear_memos, _memo_last, array_field, frobenius, is_psd, psd_sqrt,
+                           smat, svec, sym_eig, sym_index, sym_pairs, symmetrize)
+from conftest import bench_workloads
 from oracles import unvec, vec
 
 _computed = []  # the arguments of each call _total computed
@@ -187,6 +189,21 @@ class TestSvecSmat:
         assert sym_index(4)[0] is upper
         assert not upper.flags.writeable and not position.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pairs_gather_both_orders(self, n):
+        """X.take(cd)[k, l] = X[c, a, d, b] and X.take(dc)[k, l] = X[d, a, c, b]
+        for the k-th svec entry (a, b) and the l-th (c, d)."""
+        X = np.random.default_rng(n).standard_normal((n, n, n, n))
+        entries = list(zip(*np.triu_indices(n)))
+        cd, dc = sym_pairs(n)
+        assert np.array_equal(X.take(cd), [[X[c, a, d, b] for c, d in entries] for a, b in entries])
+        assert np.array_equal(X.take(dc), [[X[d, a, c, b] for c, d in entries] for a, b in entries])
+
+    def test_pairs_cached_and_read_only(self):
+        cd, dc = sym_pairs(4)
+        assert sym_pairs(4)[0] is cd
+        assert not cd.flags.writeable and not dc.flags.writeable
+
 
 class TestVecUnvec:
     """vec and unvec are the test oracles' column-stacking convention."""
@@ -210,3 +227,99 @@ class TestVecUnvec:
 def test_symmetrize():
     m = np.array([[0.0, 2.0], [0.0, 0.0]])
     assert np.allclose(symmetrize(m), [[0.0, 1.0], [1.0, 0.0]])
+
+
+# matcore's name for each numpy.linalg gufunc it binds, and the public function
+# that stands in for it when numpy lacks the gufunc
+BOUND = {"np_cholesky": ("cholesky_lo", np.linalg.cholesky),
+         "np_eigvalsh": ("eigvalsh_lo", np.linalg.eigvalsh),
+         "np_eigh": ("eigh_lo", np.linalg.eigh),
+         "np_solve": ("solve", np.linalg.solve),
+         "np_inv": ("inv", np.linalg.inv)}
+
+
+def _stacks(n):
+    """Fixed-seed inputs of size n: one matrix and a stack of three, each SPD."""
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (3, n, n)):
+        G = rng.standard_normal(shape)
+        yield G @ np.swapaxes(G, -1, -2) + n * np.eye(n), rng.standard_normal(shape)
+
+
+class TestLinalgBinding:
+    def test_bound_callables_are_numpys_gufuncs(self):
+        gufuncs = np.linalg._umath_linalg
+        assert all(getattr(matcore, name) is getattr(gufuncs, gufunc)
+                   for name, (gufunc, _) in BOUND.items())
+
+    @pytest.mark.parametrize("missing", ["module", "eigh_lo"])
+    def test_missing_gufunc_falls_back_to_the_public_function(self, monkeypatch, missing):
+        """Without numpy.linalg._umath_linalg every binding is the public function;
+        without one gufunc, that one alone."""
+        if missing == "module":
+            monkeypatch.delattr(np.linalg, "_umath_linalg")
+        else:
+            monkeypatch.delattr(np.linalg._umath_linalg, missing)
+        bound = dict(zip(BOUND, matcore._load_linalg()))
+        for name, (gufunc, public) in BOUND.items():
+            fallback = missing in ("module", gufunc)
+            assert bound[name] is (public if fallback else getattr(np.linalg._umath_linalg, gufunc))
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 36])
+    def test_byte_equal_to_numpy_linalg(self, n):
+        for spd, general in _stacks(n):
+            pairs = [(matcore.np_cholesky(spd), np.linalg.cholesky(spd)),
+                     (matcore.np_eigvalsh(general), np.linalg.eigvalsh(general)),
+                     *zip(matcore.np_eigh(general), np.linalg.eigh(general)),
+                     (matcore.np_solve(general, spd), np.linalg.solve(general, spd)),
+                     (matcore.np_inv(general), np.linalg.inv(general))]
+            for ours, numpys in pairs:
+                assert ours.shape == numpys.shape and ours.tobytes() == numpys.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, errors, message", [
+        (lambda: matcore.np_cholesky(-np.eye(3)), NOT_PD, "Matrix is not positive definite"),
+        (lambda: matcore.np_eigvalsh(np.full((3, 3), np.nan)), NO_CONVERGENCE,
+         "Eigenvalues did not converge"),
+        (lambda: matcore.np_eigh(np.full((3, 3), np.nan)), NO_CONVERGENCE,
+         "Eigenvalues did not converge"),
+        (lambda: matcore.np_solve(np.zeros((2, 2)), np.eye(2)), SINGULAR, "Singular matrix"),
+        (lambda: matcore.np_inv(np.zeros((2, 2))), SINGULAR, "Singular matrix"),
+    ], ids=["cholesky", "eigvalsh", "eigh", "solve", "inv"])
+    def test_failure_raises_linalg_error(self, call, errors, message):
+        """Under the error state a call site enters, a failure raises numpy's
+        LinAlgError with numpy's message; bare, it gives a RuntimeWarning."""
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"), np.errstate(**errors):
+            call()
+        with pytest.raises(RuntimeWarning):
+            call()
+
+    @pytest.mark.parametrize("shape, order", [((7,), "C"), ((5, 6), "C"), ((5, 6), "F"),
+                                              ((9, 8), "strided")])
+    def test_frobenius_is_numpys_norm_bit_for_bit(self, shape, order):
+        a = np.random.default_rng(len(shape)).standard_normal(shape) * 1e3
+        a = a[::2, 1::3] if order == "strided" else np.asarray(a, order=order)
+        assert frobenius(a) == np.linalg.norm(a)
+
+    @pytest.mark.parametrize("name, ops", [("sweep-paper", (0, 1)), ("riccati-chain", (0,))])
+    def test_ops_call_no_numpy_linalg_function(self, monkeypatch, name, ops):
+        """A warm sweep-paper op (op 1 after op 0) and a riccati-chain op call numpy's
+        linear algebra through matcore's bindings alone."""
+        workload = bench_workloads().WORKLOADS[name](0)
+        inputs = [workload.make_input(index) for index in ops]
+        for inp in inputs[:-1]:
+            workload.run(inp)
+        called = []
+
+        def spy(fn):
+            def spied(*args, **kwargs):
+                called.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return spied
+
+        for attr in np.linalg.__all__:
+            fn = getattr(np.linalg, attr)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, attr, spy(fn))
+        out = workload.run(inputs[-1])
+        assert not isinstance(out, Exception) and called == []

@@ -180,6 +180,25 @@ class TestNewtonFinish:
         with pytest.raises(NumericalFailure, match=message):
             value_iteration(scalar_sys, m, scalar_cost)
 
+    def test_infinite_operator_entry_loses_the_certificate(self, monkeypatch, sys6, moments6,
+                                                           cost6):
+        """A Newton pass whose operator has an infinite entry, as an overflow gives,
+        is not certified: lyapunov_value refuses it, where the bare solve would
+        return a finite V > 0 for this one and the passes would converge to it."""
+        real, calls = riccati._svec_operator, []
+
+        def overflowing(sys, K, m):
+            calls.append(K)
+            if len(calls) == 1:
+                return real(sys, K, m)
+            T = np.full((3, 3), 0.1)
+            T[1, 1] = np.inf
+            return T
+
+        monkeypatch.setattr(riccati, "_svec_operator", overflowing)
+        with pytest.raises(NumericalFailure, match="certificate"):
+            value_iteration(sys6, moments6, cost6)
+
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(n_x=st.integers(1, 4), n_u=st.integers(1, 4), n_w=st.integers(1, 2),

@@ -16,8 +16,8 @@ from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 from conftest import bench_workloads, memo_runs, one_ulp_up
-from oracles import (channel_matrices, dr_certify_mss, lyapunov_P, spectral_radius, unvec, vec,
-                     vec_operator, vec_value)
+from oracles import (channel_matrices, dr_certify_mss, lyapunov_P, sliced_svec_operator,
+                     spectral_radius, unvec, vec, vec_operator, vec_value)
 from test_riccati import _chain8
 
 
@@ -101,6 +101,20 @@ class TestSecondMomentOperator:
         T_ref = E @ T_vec @ D
         T = second_moment_operator(cl, m)
         assert np.linalg.norm(T - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
+
+    @pytest.mark.parametrize("case", ["sys6", "paper", "chain8"])
+    def test_gathered_operator_is_the_sliced_one_byte_for_byte(self, case, sys6, moments6, cost6):
+        for cl, m in _radius_cases(case, sys6, moments6, cost6):
+            T, ref = second_moment_operator(cl, m), sliced_svec_operator(cl, m)
+            assert T.shape == ref.shape and T.tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 8), n_u=st.integers(1, 3), n_w=st.integers(1, 3),
+           scale=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_gathered_operator_on_random_loops(self, n_x, n_u, n_w, scale, seed):
+        cl, m = _random_plant(np.random.default_rng(seed), n_x, n_u, n_w, scale)
+        T, ref = second_moment_operator(cl, m), sliced_svec_operator(cl, m)
+        assert T.shape == ref.shape and T.tobytes() == ref.tobytes()
 
     def test_chain_operator_shape(self):
         """An n_x = 8 loop's operator acts on the 36 svec coordinates, not the 64 of vec."""
@@ -385,12 +399,13 @@ class TestOverflow:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_operator_is_not_certified(self, bad):
-        """A non-finite T gets no certificate.  The bare solve certifies this one
-        with an infinite diagonal entry: it sets the svec entry the inf sits on
-        to zero and leaves the others finite."""
+        """A non-finite T gets no certificate from lyapunov_value itself, which
+        Newton passes call directly.  The bare solve would certify this one with
+        an infinite diagonal entry as V = 1.25 I: it sets the svec entry the inf
+        sits on to zero and leaves the others finite."""
         T = np.full((3, 3), 0.1)
         T[1, 1] = bad
-        assert (lyapunov_value(T, np.eye(2)) is not None) == np.isinf(bad)
+        assert lyapunov_value(T, np.eye(2)) is None
         assert not stability._certified_mss(T, 2)
 
 

@@ -94,7 +94,7 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
     theta[0, 1:] = amb.mu_hat
     theta[1:, 0] = 0.0
     theta[1:, 1:] = psd_sqrt(amb.sigma_hat)
-    G = np.tensordot(theta, chan, 1)
+    G = (theta @ chan.reshape(1 + n_w, -1)).reshape(chan.shape)
     H = G[1:].transpose(1, 0, 2, 3).reshape(-1, n_w * n_x, n_x)  # [H_1; ...; H_nw]
     # arrow block [[S, c H^T], [c H, I (x) L]], c = sqrt(rho_mu / 2): a mean in the ellipsoid
     # (mu-mu_hat)^T Sigma_hat^-1 (mu-mu_hat) <= rho_mu moves the centre by D = sum_i v_i H_i,

@@ -7,10 +7,11 @@ from its caller, comes in through array_field: a new float copy that the
 holder owns, checked finite and made read-only, with errors that name the
 field; sym_field stores the symmetric part the same way.  Storage is
 dense; problem sizes are small (blocks of at most a few tens of rows).
-_memo_last is the package's one memo: it keeps a function's last value.
+_memo_last is the package's one memo: it keeps a function's last value, and
+all_finite is its one finiteness test.
 
-The LAPACK routines the package calls directly (dgeev, dgesv, dpotrf, dpotrs,
-dtrtrs) are bound here, once, from scipy's own extension module
+The LAPACK routines the package calls directly (dgesv, dpotrf, dpotrs, dtrtrs)
+are bound here, once, from scipy's own extension module
 scipy.linalg._flapack, loaded from scipy's install directory by the stdlib
 loader without running the scipy.linalg package's __init__: that __init__
 goes through scipy's array-API layer, which loads numpy.f2py, numpy.testing
@@ -23,13 +24,17 @@ scipy.linalg.lapack instead.
 
 Where the package wants numpy's bits, it calls the gufuncs numpy.linalg itself
 calls, bound here once from numpy.linalg._umath_linalg as np_cholesky,
-np_eigvalsh, np_eigh, np_solve and np_inv: on small matrices numpy's public
-functions spend most of a call on argument checks and error-state set-up, and
-the interior-point loop makes several calls per iteration.  A call site enters
-np.errstate(**NOT_PD), (**NO_CONVERGENCE) or (**SINGULAR), the error state
-numpy.linalg enters, so a failure raises np.linalg.LinAlgError with numpy's
-message, not NaNs and a RuntimeWarning.  A gufunc numpy lacks is bound to the
-public function, which enters that state itself.
+np_eigvalsh, np_eigh, np_solve, np_inv and np_eigvals: on small matrices
+numpy's public functions spend most of a call on argument checks and
+error-state set-up, and the interior-point loop makes several calls per
+iteration, each MSS score one.  A call site enters np.errstate(**NOT_PD),
+(**NO_CONVERGENCE) or (**SINGULAR), the error state numpy.linalg enters, so a
+failure raises np.linalg.LinAlgError with numpy's message, not NaNs and a
+RuntimeWarning.  A gufunc numpy lacks is bound to the public function, which
+enters that state itself.  For the same reason c_einsum is the function
+np.einsum calls when it is not asked to optimize, or np.einsum itself where
+numpy lacks it, and all_finite reduces np.isfinite with logical_and, where
+ndarray.all goes through a Python wrapper.
 """
 
 from __future__ import annotations
@@ -64,22 +69,31 @@ def _load_lapack():
 
 
 _lapack = _load_lapack()
-dgeev, dgesv, dpotrf, dpotrs, dtrtrs = (_lapack.dgeev, _lapack.dgesv, _lapack.dpotrf,
-                                        _lapack.dpotrs, _lapack.dtrtrs)
+dgesv, dpotrf, dpotrs, dtrtrs = _lapack.dgesv, _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
 
 
 def _load_linalg():
     """numpy.linalg's gufuncs cholesky_lo, eigvalsh_lo, eigh_lo, solve (whose
-    right-hand side is a matrix) and inv, each replaced by its public function
-    when numpy.linalg._umath_linalg lacks it."""
+    right-hand side is a matrix), inv and eigvals, each replaced by its public
+    function when numpy.linalg._umath_linalg lacks it."""
     la = np.linalg
     gufuncs = getattr(la, "_umath_linalg", None)
     return tuple(getattr(gufuncs, name, public) for name, public in (
         ("cholesky_lo", la.cholesky), ("eigvalsh_lo", la.eigvalsh), ("eigh_lo", la.eigh),
-        ("solve", la.solve), ("inv", la.inv)))
+        ("solve", la.solve), ("inv", la.inv), ("eigvals", la.eigvals)))
 
 
-np_cholesky, np_eigvalsh, np_eigh, np_solve, np_inv = _load_linalg()
+np_cholesky, np_eigvalsh, np_eigh, np_solve, np_inv, np_eigvals = _load_linalg()
+
+
+def _load_einsum():
+    """numpy's c_einsum, which np.einsum calls when it is not asked to optimize,
+    or np.einsum when numpy._core.multiarray lacks it."""
+    multiarray = getattr(getattr(np, "_core", None), "multiarray", None)
+    return getattr(multiarray, "c_einsum", np.einsum)
+
+
+c_einsum = _load_einsum()
 
 
 def _raiser(message: str):
@@ -107,9 +121,15 @@ class ShapeError(ValueError):
     """Dimension mismatch between operands."""
 
 
+def all_finite(a) -> bool:
+    """np.isfinite(a).all() as a bool, empty and 0-d a included, without the
+    Python wrapper ndarray.all calls: the package's one finiteness test."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
 def require_finite(name: str, a) -> None:
     """Raise DomainError naming the input when a has a NaN or infinite entry."""
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise DomainError(f"non-finite entries in {name}")
 
 
@@ -163,7 +183,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _floats(name: str, a, copy: bool | None, ndmin: int = 2) -> np.ndarray:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (NO_CONVERGENCE, SINGULAR, NumericalFailure, _memo_last, array_field, dgesv,
-                      dpotrf, dpotrs, frobenius, np_eigvalsh, np_solve, sym_field, symmetrize)
+from .matcore import (NO_CONVERGENCE, SINGULAR, NumericalFailure, _memo_last, all_finite,
+                      array_field, dgesv, dpotrf, dpotrs, frobenius, np_eigvalsh, np_solve,
+                      sym_field, symmetrize)
 from .stability import ClosedLoop, _svec_operator, lyapunov_value
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 from .ambiguity import MomentAmbiguity
@@ -75,7 +76,7 @@ def _gain_from(G, H, R):
     if info != 0:
         raise NumericalFailure(f"R + G(P) not positive definite: dpotrf info {info}")
     K = -dpotrs(c, H, lower=0)[0]
-    if not np.isfinite(K).all():  # dpotrf passes NaN through with info 0
+    if not all_finite(K):  # dpotrf passes NaN through with info 0
         raise NumericalFailure("greedy gain is not finite")
     return K
 
@@ -88,20 +89,28 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages.  The
     gain does not depend on m.sigma, so the last one is kept, read-only, for
     the last system, mean and cost (matcore._memo_last): dr_covariance and
-    value_iteration at one mean solve once."""
-    A, B = sys.eval_AB(m.mu)
-    n, H, I = sys.n_x, cost.Q, np.eye(sys.n_x)
+    value_iteration at one mean solve once.  The iterates H, G and A live in
+    one state array, updated in place, and dgesv's right-hand side [A | G] in
+    one buffer, so a step checks the state's finiteness once."""
+    A0, B = sys.eval_AB(m.mu)
+    n, I = sys.n_x, np.eye(sys.n_x)
+    state, rhs = np.empty((3, n, n)), np.empty((n, 2 * n))
+    H, G, A = state
+    H[...], A[...] = cost.Q, A0
     with np.errstate(**SINGULAR):
-        G = B @ np_solve(cost.R, B.T)
+        G[...] = B @ np_solve(cost.R, B.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(18):
-            X, info = dgesv(I + G @ H, np.hstack((A, G)))[2:]
+            rhs[:, :n], rhs[:, n:] = A, G
+            X, info = dgesv(I + G @ H, rhs)[2:]
             dH = A.T @ H @ X[:, :n]
-            H, G, A = H + dH, G + A @ X[:, n:] @ A.T, A @ X[:, :n]
-            if info != 0 or not (np.isfinite(H).all() and np.isfinite(G).all()
-                                 and np.isfinite(A).all()):
+            G += A @ X[:, n:] @ A.T  # G and H from the old A, then A
+            H += dH
+            A[...] = A @ X[:, :n]
+            if info != 0 or not all_finite(state):
                 return None
-            if np.abs(dH).max() <= TOL * np.abs(H).max():  # the 2-norm could overflow
+            if (np.maximum.reduce(np.abs(dH), axis=None)  # the 2-norm could overflow
+                    <= TOL * np.maximum.reduce(np.abs(H), axis=None)):
                 mean = DisturbanceMoments(mu=m.mu, sigma=np.zeros_like(m.sigma))
                 K = _gain_from(*gh(sys, mean, symmetrize(H)), cost.R)
                 K.setflags(write=False)

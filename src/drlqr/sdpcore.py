@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import (NO_CONVERGENCE, NOT_PD, array_field, dpotrf, dpotrs, dtrtrs, frobenius,
-                      np_cholesky, np_eigvalsh, sym_field)
+from .matcore import (NO_CONVERGENCE, NOT_PD, all_finite, array_field, dpotrf, dpotrs, dtrtrs,
+                      frobenius, np_cholesky, np_eigvalsh, sym_field)
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
@@ -91,9 +91,10 @@ class LmiProblem:
 
     def min_eigenvalue(self, y) -> float:
         y = np.asarray(y, dtype=float).ravel()
-        with np.errstate(**NO_CONVERGENCE):
-            return min(float(np_eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0])
-                       for b in self.blocks)
+        with np.errstate(**NO_CONVERGENCE):  # y . Fi as np.tensordot forms it, without its wrapper
+            return min(float(np_eigvalsh(
+                b.F0 + (y @ b.Fi.reshape(len(b.Fi), b.F0.size)).reshape(b.F0.shape))[0])
+                for b in self.blocks)
 
 
 @dataclass
@@ -126,7 +127,7 @@ def _inv_lower(L: np.ndarray, eye: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise np.linalg.LinAlgError(f"{what} not finite")
 
 
@@ -397,7 +398,8 @@ class AffineExpr:
     def value(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
         k = self.coef.shape[0] - 1
-        return np.tensordot(np.concatenate(([1.0], y[:k])), self.coef, axes=1)
+        z = np.concatenate(([1.0], y[:k]))
+        return (z @ self.coef.reshape(k + 1, -1)).reshape(self.coef.shape[1:])
 
 
 def kron_const(C, expr: AffineExpr) -> AffineExpr:

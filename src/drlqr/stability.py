@@ -16,15 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (ShapeError, _memo_last, array_field, dgeev, dgesv, dpotrf, smat, svec,
-                      sym_index, sym_pairs)
+from .matcore import (NO_CONVERGENCE, ShapeError, _memo_last, all_finite, array_field, c_einsum,
+                      dgesv, dpotrf, np_eigvals, smat, svec, sym_index, sym_pairs)
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
-# dgeev's SMLNUM = sqrt(safe minimum) / precision and BIGNUM = 1 / SMLNUM: it
-# rescales a matrix whose largest entry lies outside [SMLNUM, BIGNUM]
-_DGEEV_SMALL = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
-_DGEEV_BIG = 1.0 / _DGEEV_SMALL
 
 
 class InstabilityError(RuntimeError):
@@ -68,32 +64,25 @@ def _svec_operator(sys: MultNoiseSystem, K: np.ndarray, m: DisturbanceMoments) -
     Abar0, Bbar0 = sys.stacked
     mats = (Abar0 + Bbar0 @ K).reshape(-1, n, n)  # A_i + B_i K
     cd, dc = sym_pairs(n)
-    weighted = np.einsum("ij,jca->ica", m.extended_moment, mats)
-    full = np.einsum("ica,idb->cadb", weighted, mats)  # full[c, a, d, b] = T[a n + b, c n + d]
+    weighted = c_einsum("ij,jca->ica", m.extended_moment, mats)
+    full = c_einsum("ica,idb->cadb", weighted, mats)  # full[c, a, d, b] = T[a n + b, c n + d]
     T = full.take(cd) + full.take(dc)
     T[:, sym_index(n)[1].diagonal()] *= 0.5  # columns c = d were added to themselves: exact
     return T
 
 
 def _spectral_radius(T: np.ndarray) -> float:
-    """Largest eigenvalue modulus of T by LAPACK dgeev, without eigenvectors and
-    without np.linalg.eigvals' wrapper: numpy's eigvals calls the same routine,
-    and the bits are its.  dgeev rescales a T whose largest entry lies outside
-    [_DGEEV_SMALL, _DGEEV_BIG], and scipy's bundled LAPACK does not scale the
-    eigenvalues back (a 2e200 comes back as 1.5e138), so such a T goes to
-    np.linalg.eigvals.  A T with a NaN or infinite entry has radius inf: gains
-    and moments are checked finite on entry, so only an overflow makes one."""
+    """Largest eigenvalue modulus of T by the gufunc np.linalg.eigvals calls
+    (matcore.np_eigvals), so the bits are numpy's, at any scale of T.  A T
+    with a NaN or infinite entry has radius inf: gains and moments are checked
+    finite on entry, so only an overflow makes one."""
     if not T.size:
         return 0.0
-    top = np.abs(T).max()
-    if not np.isfinite(top):  # max propagates NaN
+    if not all_finite(T):
         return math.inf
-    if not (top == 0.0 or _DGEEV_SMALL <= top <= _DGEEV_BIG):
-        return float(np.max(np.abs(np.linalg.eigvals(T))))
-    wr, wi, _, _, info = dgeev(T, compute_vl=0, compute_vr=0)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return float(np.abs(wr + 1j * wi).max())  # numpy's complex abs: np.hypot differs in the last bit
+    with np.errstate(**NO_CONVERGENCE):
+        w = np_eigvals(T)
+    return float(np.abs(w).max())
 
 
 def _certified_mss(T: np.ndarray, n: int) -> bool:
@@ -117,7 +106,7 @@ def is_mss(cl: ClosedLoop, m: DisturbanceMoments) -> tuple[bool, float]:
     Radii within TOL of 1 count as unstable, erring on the safe side.  A call
     builds T_s and makes the verdict solve, both kept for the last loop and
     moments (_operator_verdict), and then computes the spectral radius of T_s
-    by one LAPACK dgeev call without eigenvectors (_spectral_radius).  The
+    by one call of numpy's eigvals gufunc (_spectral_radius).  The
     radius is information only, computed on every call: the solve decides the
     verdict.
     """
@@ -140,12 +129,12 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     infinite entry, as an overflowed operator has, is never certified: the bare
     solve can return a finite V > 0 for one.
     """
-    if not np.isfinite(T).all():
+    if not all_finite(T):
         return None
     A = 0.0 - T  # I - T, bit for bit: -T would give -0.0 where I - T has +0.0
-    A.flat[::A.shape[0] + 1] += 1.0
+    A.reshape(-1)[::A.shape[0] + 1] += 1.0
     v, info = dgesv(A, svec(C))[2:]
-    if info != 0 or not np.isfinite(v).all():
+    if info != 0 or not all_finite(v):
         return None
     V = smat(v, C.shape[0])
     return V if dpotrf(V, lower=0, clean=0)[1] == 0 else None

@@ -22,7 +22,10 @@ Each line is the sha256 of the raw bytes of
 - mss: is_mss's (verdict, radius) and whether closed_loop_value_matrix
   certifies the same loop, for the synth_full gains of the 300 plants at
   their set's centre moments (mean mu_hat, covariance rho_sigma Sigma_hat)
-  and for every loop that riccati-chain ops 0-29 pass to is_mss.
+  and for every loop that riccati-chain ops 0-29 pass to is_mss;
+- ce-gain: the certainty-equivalent gain riccati._ce_gain computes, every
+  memo cleared first, or None, at the 300 plants' centre moments and at the
+  moments of each riccati-chain op 0-29's dr_covariance solve.
 
 With --outcomes it prints, in place of the digests, one line per synthesis
 call, "<seed> <method>" and then the exception's name or "ok <bound>
@@ -46,9 +49,10 @@ import numpy as np
 
 import drlqr
 from conftest import bench_workloads
-from drlqr import drsynth, matcore, stability
+from drlqr import drsynth, matcore, riccati, stability
 from drlqr.sysmodel import DisturbanceMoments
 from test_drsynth import _random_instance
+from test_riccati import _chain_workload_case
 
 PLANTS = 300
 CHAIN_OPS = 30
@@ -101,14 +105,23 @@ def _mss_update(h, cl, m, cost):
     h.update(repr((*stability.is_mss(cl, m), certified)).encode())
 
 
-def synthesis_calls():
-    """(seed, method, sys, amb, cost, outcome) for each synth_full and synth_rhc
-    call on the plants: the outcome is the Controller or the exception raised."""
+def plants():
+    """(seed, sys, amb, cost, x0) for each of the random plants."""
     for seed in range(PLANTS):
         rng = np.random.default_rng(seed)
         shape = (1 + seed % 3, 1 + seed // 3 % 3, 1 + seed // 9 % 2)
         radii = (0.3 * rng.random(), 0.3 * rng.random(), 1.0 + rng.random())
-        sys, amb, cost, x0 = _random_instance(rng, *shape, *radii)
+        yield (seed, *_random_instance(rng, *shape, *radii))
+
+
+def _centre(amb) -> DisturbanceMoments:
+    return DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
+
+
+def synthesis_calls():
+    """(seed, method, sys, amb, cost, outcome) for each synth_full and synth_rhc
+    call on the plants: the outcome is the Controller or the exception raised."""
+    for seed, sys, amb, cost, x0 in plants():
         for method, call in (("dr_full", lambda: drsynth.synth_full(sys, amb, cost)),
                              ("dr_rhc", lambda: drsynth.synth_rhc(sys, amb, cost, x0))):
             try:
@@ -128,8 +141,7 @@ def synthesis_digests(mss) -> tuple[str, str]:
                 continue
             _update(results, ctrl.K, ctrl.cost_bound, ctrl.iterations)
             if method == "dr_full":
-                centre = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
-                _mss_update(mss, stability.ClosedLoop(sys=sys, K=ctrl.K), centre, cost)
+                _mss_update(mss, stability.ClosedLoop(sys=sys, K=ctrl.K), _centre(amb), cost)
     return pencils.hexdigest(), results.hexdigest()
 
 
@@ -156,6 +168,20 @@ def riccati_chain_digest(mss) -> str:
         _update(h, robust.K, np.asarray(robust.P), robust.iterations)
         for stable, J in scores:
             h.update(repr((stable, J)).encode())
+    return h.hexdigest()
+
+
+def ce_gain_digest() -> str:
+    h = hashlib.sha256()
+    cases = [(sys, _centre(amb), cost) for _, sys, amb, cost, _ in plants()]
+    cases += [_chain_workload_case(index) for index in range(CHAIN_OPS)]
+    for sys, m, cost in cases:
+        matcore._clear_memos()
+        K = riccati._ce_gain(sys, m, cost)
+        if K is None:
+            h.update(b"None")
+        else:
+            _update(h, K)
     return h.hexdigest()
 
 
@@ -212,3 +238,4 @@ if __name__ == "__main__":
             print(f"riccati-chain  {riccati_chain_digest(mss)}")
             print(f"sweep-paper    {sweep_paper_digest()}")
             print(f"mss            {mss.hexdigest()}")
+            print(f"ce-gain        {ce_gain_digest()}")

@@ -11,21 +11,24 @@ vec_operator is the second-moment operator on the full vectorization vec(P)
 the library's operator on svec coordinates, and spectral_radius, numpy's
 eigvals, an independent route to its radius.  vec_value, lyapunov_P,
 riccati_residual and nominal_sdp are independent routes to the Lyapunov and
-Riccati solutions, and dare_gain to the noise-free optimal gain;
-read_records_csv and median_j_rel read and summarize the experiment CSV.
+Riccati solutions, dare_gain to the noise-free optimal gain and
+ce_gain_reference the doubling loop the library's in-place one must match
+bit for bit; read_records_csv and median_j_rel read and summarize the experiment CSV.
 """
 
 import csv
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
+from scipy.linalg.lapack import dgesv
 
 from drlqr.experiment import RunRecord
 from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, psd_sqrt, sym_index
+from drlqr.riccati import TOL as RICCATI_TOL
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
 from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
 from drlqr.stability import TOL, ClosedLoop, InstabilityError, is_mss
-from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh
+from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh, gh
 
 
 def _mean_directions(n_w: int, count: int) -> np.ndarray:
@@ -122,8 +125,8 @@ def sliced_svec_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
 
 
 def spectral_radius(T) -> float:
-    """Largest eigenvalue modulus of T by np.linalg.eigvals, independent of the
-    library's direct LAPACK call, which must give the same bits."""
+    """Largest eigenvalue modulus of T by np.linalg.eigvals, whose gufunc the
+    library calls without this wrapper, and must give the same bits."""
     return float(np.max(np.abs(np.linalg.eigvals(T)))) if np.size(T) else 0.0
 
 
@@ -158,6 +161,28 @@ def dare_gain(A, B, Q, R) -> np.ndarray:
     Riccati equation, P from scipy's solve_discrete_are."""
     P = solve_discrete_are(A, B, Q, R)
     return -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+
+
+def ce_gain_reference(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
+    """riccati._ce_gain's structure-preserving doubling with new arrays each step:
+    dgesv's right-hand side [A | G] by np.hstack, new H, G and A, each tested
+    finite on its own, and the stopping rule's maxima by ndarray.max.  Returns
+    the gain, or None where the doubling fails."""
+    A, B = sys.eval_AB(m.mu)
+    n, H, I = sys.n_x, cost.Q, np.eye(sys.n_x)
+    G = B @ np.linalg.solve(cost.R, B.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(18):
+            X, info = dgesv(I + G @ H, np.hstack((A, G)))[2:]
+            dH = A.T @ H @ X[:, :n]
+            H, G, A = H + dH, G + A @ X[:, n:] @ A.T, A @ X[:, :n]
+            if info != 0 or not (np.isfinite(H).all() and np.isfinite(G).all()
+                                 and np.isfinite(A).all()):
+                return None
+            if np.abs(dH).max() <= RICCATI_TOL * np.abs(H).max():
+                mean = DisturbanceMoments(mu=m.mu, sigma=np.zeros_like(m.sigma))
+                return _gain_from(*gh(sys, mean, (H + H.T) / 2.0), cost.R)
+    return None
 
 
 def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:

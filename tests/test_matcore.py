@@ -1,10 +1,16 @@
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drlqr import matcore
 from drlqr.matcore import (NO_CONVERGENCE, NOT_PD, SINGULAR, DomainError, ShapeError, SymMatrix,
-                           _clear_memos, _memo_last, array_field, frobenius, is_psd, psd_sqrt,
-                           smat, svec, sym_eig, sym_index, sym_pairs, symmetrize)
+                           _clear_memos, _memo_last, all_finite, array_field, frobenius, is_psd,
+                           psd_sqrt, smat, svec, sym_eig, sym_index, sym_pairs, symmetrize)
 from conftest import bench_workloads
 from oracles import unvec, vec
 
@@ -57,6 +63,40 @@ class TestMemoLast:
         _clear_memos()
         _total(np.zeros(1), np.ones(1))
         assert len(_computed) == 2
+
+
+@st.composite
+def _arrays(draw):
+    """Float, int and bool arrays of 0-4 dimensions, empty ones included, maybe with
+    NaN or +-inf at a drawn position, as they are or as a strided, transposed or
+    read-only view."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]))
+    a = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)))
+    if a.size and a.dtype.kind == "f" and draw(st.booleans()):
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    view = draw(st.sampled_from(["as is", "strided", "transposed", "read-only"]))
+    if view == "strided" and a.ndim:
+        a = a[..., ::2]
+    elif view == "transposed":
+        a = a.T
+    elif view == "read-only":
+        a.setflags(write=False)
+    return a
+
+
+class TestAllFinite:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=_arrays())
+    def test_is_numpys_all_of_isfinite(self, a):
+        ours = all_finite(a)
+        assert type(ours) is bool and ours == bool(np.isfinite(a).all())
+
+    @pytest.mark.parametrize("a, expected", [(np.float64(np.nan), False), (np.float64(1.0), True),
+                                             (np.zeros((0, 3)), True), ([1.0, np.inf], False)],
+                             ids=["0-d-nan", "0-d", "empty", "list"])
+    def test_edge_cases(self, a, expected):
+        assert all_finite(a) is expected
 
 
 class TestSymMatrix:
@@ -235,7 +275,8 @@ BOUND = {"np_cholesky": ("cholesky_lo", np.linalg.cholesky),
          "np_eigvalsh": ("eigvalsh_lo", np.linalg.eigvalsh),
          "np_eigh": ("eigh_lo", np.linalg.eigh),
          "np_solve": ("solve", np.linalg.solve),
-         "np_inv": ("inv", np.linalg.inv)}
+         "np_inv": ("inv", np.linalg.inv),
+         "np_eigvals": ("eigvals", np.linalg.eigvals)}
 
 
 def _stacks(n):
@@ -252,7 +293,7 @@ class TestLinalgBinding:
         assert all(getattr(matcore, name) is getattr(gufuncs, gufunc)
                    for name, (gufunc, _) in BOUND.items())
 
-    @pytest.mark.parametrize("missing", ["module", "eigh_lo"])
+    @pytest.mark.parametrize("missing", ["module", "eigh_lo", "eigvals"])
     def test_missing_gufunc_falls_back_to_the_public_function(self, monkeypatch, missing):
         """Without numpy.linalg._umath_linalg every binding is the public function;
         without one gufunc, that one alone."""
@@ -273,6 +314,12 @@ class TestLinalgBinding:
                      *zip(matcore.np_eigh(general), np.linalg.eigh(general)),
                      (matcore.np_solve(general, spd), np.linalg.solve(general, spd)),
                      (matcore.np_inv(general), np.linalg.inv(general))]
+            w = np.linalg.eigvals(general)  # real when every imaginary part is 0
+            ours = matcore.np_eigvals(general)
+            if w.dtype.kind == "f":
+                assert not ours.imag.any()
+                ours = ours.real
+            pairs.append((ours, w))
             for ours, numpys in pairs:
                 assert ours.shape == numpys.shape and ours.tobytes() == numpys.tobytes()
 
@@ -285,7 +332,9 @@ class TestLinalgBinding:
          "Eigenvalues did not converge"),
         (lambda: matcore.np_solve(np.zeros((2, 2)), np.eye(2)), SINGULAR, "Singular matrix"),
         (lambda: matcore.np_inv(np.zeros((2, 2))), SINGULAR, "Singular matrix"),
-    ], ids=["cholesky", "eigvalsh", "eigh", "solve", "inv"])
+        (lambda: matcore.np_eigvals(np.full((3, 3), np.nan)), NO_CONVERGENCE,
+         "Eigenvalues did not converge"),
+    ], ids=["cholesky", "eigvalsh", "eigh", "solve", "inv", "eigvals"])
     def test_failure_raises_linalg_error(self, call, errors, message):
         """Under the error state a call site enters, a failure raises numpy's
         LinAlgError with numpy's message; bare, it gives a RuntimeWarning."""
@@ -293,6 +342,26 @@ class TestLinalgBinding:
             call()
         with pytest.raises(RuntimeWarning):
             call()
+
+    def test_c_einsum_is_numpys(self):
+        assert matcore.c_einsum is np._core.multiarray.c_einsum
+
+    @pytest.mark.parametrize("missing", ["core", "c_einsum"])
+    def test_missing_c_einsum_falls_back_to_einsum(self, monkeypatch, missing):
+        if missing == "core":
+            monkeypatch.delattr(np, "_core")
+        else:
+            monkeypatch.delattr(np._core.multiarray, "c_einsum")
+        assert matcore._load_einsum() is np.einsum
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_c_einsum_byte_equal_to_einsum(self, n):
+        """The two contractions of the second-moment operator."""
+        rng = np.random.default_rng(n)
+        S, mats = rng.standard_normal((3, 3)), rng.standard_normal((3, n, n))
+        for subscripts, operands in (("ij,jca->ica", (S, mats)), ("ica,idb->cadb", (mats, mats))):
+            ours, numpys = matcore.c_einsum(subscripts, *operands), np.einsum(subscripts, *operands)
+            assert ours.shape == numpys.shape and ours.tobytes() == numpys.tobytes()
 
     @pytest.mark.parametrize("shape, order", [((7,), "C"), ((5, 6), "C"), ((5, 6), "F"),
                                               ((9, 8), "strided")])
@@ -323,3 +392,25 @@ class TestLinalgBinding:
                 monkeypatch.setattr(np.linalg, attr, spy(fn))
         out = workload.run(inputs[-1])
         assert not isinstance(out, Exception) and called == []
+
+
+def _code_key(fn):
+    """The (file, line, name) under which cProfile records a Python function."""
+    code = getattr(fn, "_implementation", fn).__code__
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+def test_warm_riccati_chain_op_skips_numpys_python_layers():
+    """A riccati-chain op after another calls no ndarray.all wrapper (numpy's
+    _methods._all), no np.hstack and no np.einsum: all_finite, the doubling's
+    buffers and c_einsum stand in for them."""
+    workload = bench_workloads().WORKLOADS["riccati-chain"](0)
+    first, second = workload.make_input(0), workload.make_input(1)
+    workload.run(first)
+    profile = cProfile.Profile()
+    out = profile.runcall(workload.run, second)
+    assert not isinstance(out, Exception)
+    called = set(pstats.Stats(profile).stats)
+    assert called  # the profile saw the op's calls
+    assert [fn for fn in (np._core._methods._all, np.hstack, np.einsum)
+            if _code_key(fn) in called] == []

@@ -17,7 +17,7 @@ from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 from conftest import (TS, bench_workloads, memo_runs, one_ulp_up, scalar_p_star,
                       write_fixture)
-from oracles import dare_gain, nominal_sdp, riccati_residual
+from oracles import ce_gain_reference, dare_gain, nominal_sdp, riccati_residual
 
 
 class TestValueIteration:
@@ -330,6 +330,66 @@ class TestCertaintyEquivalentStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _ce_gain(sys, m, CostWeights(Q=np.eye(1), R=np.eye(1))) is None
+
+
+def _gain_bytes(K):
+    return None if K is None else (K.shape, K.tobytes())
+
+
+class TestCertaintyEquivalentInPlace:
+    """_ce_gain's in-place doubling gives the bits of oracles.ce_gain_reference,
+    which makes new arrays each step."""
+
+    @staticmethod
+    def _assert_same(sys, m, cost):
+        ours = _ce_gain.__wrapped__(sys, m, cost)
+        assert _gain_bytes(ours) == _gain_bytes(ce_gain_reference(sys, m, cost))
+        return ours
+
+    def test_sys6_and_the_paper_sweeps_means(self, sys6, moments6, cost6):
+        assert self._assert_same(sys6, moments6, cost6) is not None
+        for M in (1000, 2000, 4000):
+            for realization in range(5):
+                m = _cell_inflated(M, realization, moments6)
+                assert self._assert_same(sys6, m, cost6) is not None
+
+    def test_riccati_chain_ops(self):
+        for index in range(30):
+            assert self._assert_same(*_chain_workload_case(index)) is not None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 8), n_u=st.integers(1, 3), unstable=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_plants(self, n_x, n_u, unstable, seed):
+        """Plants A(mu) = Acl - B(mu) K0 around a stable or unstable Acl."""
+        rng = np.random.default_rng(seed)
+        Acl = rng.standard_normal((n_x, n_x))
+        Acl *= (1.5 if unstable else 0.9) / max(1.0, np.max(np.abs(np.linalg.eigvals(Acl))))
+        B = rng.standard_normal((n_x, n_u))
+        sys = MultNoiseSystem(A0=Acl - B @ rng.standard_normal((n_u, n_x)),
+                              A=(0.2 * rng.standard_normal((n_x, n_x)),),
+                              B0=B, B=(0.2 * rng.standard_normal((n_x, n_u)),))
+        L, N = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_u, n_u))
+        cost = CostWeights(Q=L @ L.T + 0.1 * np.eye(n_x), R=N @ N.T + 0.1 * np.eye(n_u))
+        m = DisturbanceMoments(mu=0.3 * rng.standard_normal(1), sigma=np.eye(1))
+        self._assert_same(sys, m, cost)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["overflow", "unconverged", "singular"])
+    def test_failed_doubling_is_none(self, case):
+        """A = 2, B = 0 overflows; A = 1, B = 0 doubles H, finite, through all 18
+        steps; with G = 1e20 [[1, 1], [1, 1]] and H = I the first I + G H rounds
+        to an exactly singular matrix (dgesv info 2)."""
+        if case != "singular":
+            sys = MultNoiseSystem(A0=np.array([[2.0 if case == "overflow" else 1.0]]),
+                                  A=(np.zeros((1, 1)),), B0=np.zeros((1, 1)),
+                                  B=(np.zeros((1, 1)),))
+        else:
+            sys = MultNoiseSystem(A0=np.eye(2), A=(np.zeros((2, 2)),),
+                                  B0=np.full((2, 1), 1e10), B=(np.zeros((2, 1)),))
+        m = DisturbanceMoments(mu=np.zeros(1), sigma=np.eye(1))
+        cost = CostWeights(Q=np.eye(sys.n_x), R=np.eye(1))
+        assert self._assert_same(sys, m, cost) is None
 
 
 def _cell_inflated(M: int, realization: int, moments) -> DisturbanceMoments:

@@ -382,3 +382,31 @@ class TestTensorAlgebraProperty:
         close(pencil, 0.5 * (Xv @ Cq + (Xv @ Cq).T))
         close(prob.c @ y, gv[0, 0] - 2.0 * np.trace(Pv))
 
+
+
+class TestReadOuts:
+    """value and min_eigenvalue form y . Fi by one matrix product, the one
+    np.tensordot makes, so the bits are tensordot's."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.integers(0, 12), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_is_tensordots(self, k, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        coef, y = rng.standard_normal((k + 1, rows, cols)), rng.standard_normal(k + 2)
+        ours = AffineExpr(coef).value(y)
+        reference = np.tensordot(np.concatenate(([1.0], y[:k])), coef, axes=1)
+        assert ours.shape == reference.shape and ours.tobytes() == reference.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 12), dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_min_eigenvalue_is_tensordots(self, k, dims, seed):
+        rng = np.random.default_rng(seed)
+        sym = lambda a: a + np.swapaxes(a, -1, -2)
+        blocks = [LmiBlock(F0=sym(rng.standard_normal((d, d))),
+                           Fi=sym(rng.standard_normal((k, d, d)))) for d in dims]
+        y = rng.standard_normal(k)
+        reference = min(np.linalg.eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0]
+                        for b in blocks)
+        assert LmiProblem(c=np.zeros(k), blocks=blocks).min_eigenvalue(y) == reference

@@ -218,10 +218,15 @@ def _radius_cases(case, sys6, moments6, cost6):
     return [(ClosedLoop(sys=sys, K=G), m) for G in gains]
 
 
+# dgeev's SMLNUM = sqrt(safe minimum) / precision and BIGNUM = 1 / SMLNUM
+DGEEV_SMALL = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+DGEEV_BIG = 1.0 / DGEEV_SMALL
+
+
 class TestSpectralRadius:
     @pytest.mark.parametrize("case", ["sys6", "paper", "chain8"])
     def test_is_mss_radius_is_the_oracles_bit_for_bit(self, case, sys6, moments6, cost6):
-        """The direct dgeev call gives the bits of np.linalg.eigvals on the same T."""
+        """The eigvals gufunc call gives the bits of np.linalg.eigvals on the same T."""
         for cl, m in _radius_cases(case, sys6, moments6, cost6):
             assert is_mss(cl, m)[1] == spectral_radius(second_moment_operator(cl, m))
 
@@ -235,13 +240,14 @@ class TestSpectralRadius:
                 assert _spectral_radius(T) == spectral_radius(T)
 
     @pytest.mark.parametrize("top", [
-        1e150, 1e-150, stability._DGEEV_BIG, np.nextafter(stability._DGEEV_BIG, np.inf),
-        stability._DGEEV_SMALL, np.nextafter(stability._DGEEV_SMALL, 0.0),
+        1e150, 1e-150, DGEEV_BIG, np.nextafter(DGEEV_BIG, np.inf),
+        DGEEV_SMALL, np.nextafter(DGEEV_SMALL, 0.0),
     ], ids=["huge", "tiny", "big", "above_big", "small", "below_small"])
     def test_scales_dgeev_would_rescale(self, top):
-        """scipy's bundled dgeev rescales a matrix whose largest entry lies outside
-        [SMLNUM, BIGNUM] and returns the rescaled eigenvalues (1.5e138 for 2e200);
-        the radius is numpy's there too, bit for bit, on both sides of each bound."""
+        """dgeev rescales a matrix whose largest entry lies outside [SMLNUM, BIGNUM],
+        and scipy's bundled build returns the rescaled eigenvalues (1.5e138 for
+        2e200); the radius is numpy's there too, bit for bit, on both sides of
+        each bound."""
         rng = np.random.default_rng(2)
         for n in (1, 2, 5):
             T = rng.standard_normal((n, n))

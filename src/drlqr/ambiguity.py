@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (NO_CONVERGENCE, ShapeError, _whole, array_field, np_eigvalsh, require_finite,
-                      sym_field, symmetrize)
+from .matcore import (ShapeError, _whole, array_field, np_eigvalsh, require_finite, sym_field,
+                      symmetrize)
 
 DEFAULT_EPS = 1.0 / 30.0
 
@@ -199,8 +199,7 @@ def build_ambiguity(s: SampleSet, config: AmbiguityConfig, lambda_reg: float = 0
         raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
     rho_mu, rho_sigma = ambiguity_radii(config, s.n_w, s.M)
     mu_hat, sigma = empirical_moments(s)
-    with np.errstate(**NO_CONVERGENCE):
-        regularized = lambda_reg > 0.0 and bool(np_eigvalsh(sigma)[0] < lambda_reg)
+    regularized = lambda_reg > 0.0 and bool(np_eigvalsh(sigma)[0] < lambda_reg)
     if regularized:
         sigma = sigma + lambda_reg * np.eye(s.n_w)
     return MomentAmbiguity(mu_hat=mu_hat, sigma_hat=sigma, rho_mu=rho_mu,

@@ -51,8 +51,12 @@ def _load_json(path):
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _ambiguity_config(args) -> AmbiguityConfig:
+    return AmbiguityConfig(beta=args.beta, eps=args.eps, sigma2=args.sigma2)
+
+
 def _cmd_bounds(args) -> int:
-    cfg = AmbiguityConfig(beta=args.beta, eps=args.eps, sigma2=args.sigma2)
+    cfg = _ambiguity_config(args)
     M_min = min_sample_size(cfg, args.dim)
     tm, ts = _concentration(cfg, args.dim, args.m)
     out = {
@@ -91,7 +95,7 @@ def _cmd_synth(args) -> int:
     Q = _parse_matrix_arg(q_spec) if isinstance(q_spec, str) else q_spec
     R = _parse_matrix_arg(r_spec) if isinstance(r_spec, str) else r_spec
     cost = CostWeights(Q=Q, R=R)
-    cfg = AmbiguityConfig(beta=args.beta, eps=args.eps, sigma2=args.sigma2)
+    cfg = _ambiguity_config(args)
 
     extra = {}
     if args.method == "nominal":
@@ -182,21 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="drlqr",
                                 description="Distributionally robust LQR for systems with multiplicative noise")
     sub = p.add_subparsers(dest="command", required=True)
+    amb = argparse.ArgumentParser(add_help=False)
+    amb.add_argument("--beta", type=float, required=True)
+    amb.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    amb.add_argument("--sigma2", type=float, default=1.0)
 
-    b = sub.add_parser("bounds", help="concentration bounds and ambiguity radii")
+    b = sub.add_parser("bounds", parents=[amb], help="concentration bounds and ambiguity radii")
     b.add_argument("--dim", type=int, required=True, help="disturbance dimension n_w")
     b.add_argument("--m", type=int, required=True, help="number of samples M")
-    b.add_argument("--beta", type=float, required=True)
-    b.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    b.add_argument("--sigma2", type=float, default=1.0)
     b.set_defaults(func=_cmd_bounds)
 
-    s = sub.add_parser("synth", help="synthesize a controller from samples")
+    s = sub.add_parser("synth", parents=[amb], help="synthesize a controller from samples")
     s.add_argument("--system", required=True, help="system JSON file")
     s.add_argument("--samples", required=True, help="sample CSV, one draw per row")
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    s.add_argument("--sigma2", type=float, default=1.0)
     s.add_argument("--method", choices=("nominal", "covariance", "full", "rhc"), required=True)
     s.add_argument("--x0", help="initial state for rhc, e.g. \"2,2\"")
     s.add_argument("--reg", type=float, default=0.0, help="covariance regularization lambda")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import SINGULAR, NumericalFailure, ShapeError, _memo_last, np_inv, psd_sqrt
+from .matcore import NumericalFailure, ShapeError, _memo_last, contract, np_inv, psd_sqrt
 from .riccati import Controller
 from .sdpcore import (AffineExpr, LmiBuilder, LmiProblem, SdpSolution, block_expr, kron_const,
                       solve, zeros)
@@ -94,7 +94,7 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
     theta[0, 1:] = amb.mu_hat
     theta[1:, 0] = 0.0
     theta[1:, 1:] = psd_sqrt(amb.sigma_hat)
-    G = (theta @ chan.reshape(1 + n_w, -1)).reshape(chan.shape)
+    G = contract(theta, chan)
     H = G[1:].transpose(1, 0, 2, 3).reshape(-1, n_w * n_x, n_x)  # [H_1; ...; H_nw]
     # arrow block [[S, c H^T], [c H, I (x) L]], c = sqrt(rho_mu / 2): a mean in the ellipsoid
     # (mu-mu_hat)^T Sigma_hat^-1 (mu-mu_hat) <= rho_mu moves the centre by D = sum_i v_i H_i,
@@ -132,8 +132,7 @@ def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,
     if not sol.min_block_eigenvalue > 0:
         raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
-    with np.errstate(**SINGULAR):
-        W_inv = np_inv(W.value(sol.y))
+    W_inv = np_inv(W.value(sol.y))
     cost_bound = np.trace(W_inv) if bound is None else bound.value(sol.y)[0, 0]
     ctrl = Controller(K=V.value(sol.y) @ W_inv, P=W_inv, method=method,
                       iterations=sol.iterations, cost_bound=float(cost_bound))

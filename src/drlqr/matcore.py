@@ -25,16 +25,16 @@ scipy.linalg.lapack instead.
 Where the package wants numpy's bits, it calls the gufuncs numpy.linalg itself
 calls, bound here once from numpy.linalg._umath_linalg as np_cholesky,
 np_eigvalsh, np_eigh, np_solve, np_inv and np_eigvals: on small matrices
-numpy's public functions spend most of a call on argument checks and
-error-state set-up, and the interior-point loop makes several calls per
-iteration, each MSS score one.  A call site enters np.errstate(**NOT_PD),
-(**NO_CONVERGENCE) or (**SINGULAR), the error state numpy.linalg enters, so a
-failure raises np.linalg.LinAlgError with numpy's message, not NaNs and a
-RuntimeWarning.  A gufunc numpy lacks is bound to the public function, which
-enters that state itself.  For the same reason c_einsum is the function
-np.einsum calls when it is not asked to optimize, or np.einsum itself where
-numpy lacks it, and all_finite reduces np.isfinite with logical_and, where
-ndarray.all goes through a Python wrapper.
+numpy's public functions spend most of a call on argument checks, and the
+interior-point loop makes several calls per iteration, each MSS score one.
+Each binding enters numpy.linalg's own error state for its gufunc on every
+call, so a failure raises np.linalg.LinAlgError with numpy's message, and
+callers enter none.  A gufunc numpy lacks is bound to the public function.
+For the same reason c_einsum is the function np.einsum calls when it is not
+asked to optimize (np.einsum where numpy lacks it), contract is np.tensordot
+without its wrapper, and all_finite reduces np.isfinite with logical_and,
+where ndarray.all goes through a Python wrapper.  No other module calls
+numpy's internals.
 """
 
 from __future__ import annotations
@@ -72,15 +72,29 @@ _lapack = _load_lapack()
 dgesv, dpotrf, dpotrs, dtrtrs = _lapack.dgesv, _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
 
 
+def _raiser(message: str):
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return handler
+
+
+# the error state numpy.linalg enters around each gufunc, with its messages
+_NOT_PD, _NO_CONVERGENCE, _SINGULAR = (
+    dict(call=_raiser(message), invalid="call", over="ignore", divide="ignore", under="ignore")
+    for message in ("Matrix is not positive definite", "Eigenvalues did not converge",
+                    "Singular matrix"))
+
+
 def _load_linalg():
     """numpy.linalg's gufuncs cholesky_lo, eigvalsh_lo, eigh_lo, solve (whose
-    right-hand side is a matrix), inv and eigvals, each replaced by its public
-    function when numpy.linalg._umath_linalg lacks it."""
+    right-hand side is a matrix), inv and eigvals, or the public function where
+    numpy.linalg._umath_linalg lacks one, each in its error state (as __wrapped__)."""
     la = np.linalg
     gufuncs = getattr(la, "_umath_linalg", None)
-    return tuple(getattr(gufuncs, name, public) for name, public in (
-        ("cholesky_lo", la.cholesky), ("eigvalsh_lo", la.eigvalsh), ("eigh_lo", la.eigh),
-        ("solve", la.solve), ("inv", la.inv), ("eigvals", la.eigvals)))
+    return tuple(np.errstate(**state)(getattr(gufuncs, name, public)) for name, public, state in (
+        ("cholesky_lo", la.cholesky, _NOT_PD), ("eigvalsh_lo", la.eigvalsh, _NO_CONVERGENCE),
+        ("eigh_lo", la.eigh, _NO_CONVERGENCE), ("solve", la.solve, _SINGULAR),
+        ("inv", la.inv, _SINGULAR), ("eigvals", la.eigvals, _NO_CONVERGENCE)))
 
 
 np_cholesky, np_eigvalsh, np_eigh, np_solve, np_inv, np_eigvals = _load_linalg()
@@ -96,17 +110,10 @@ def _load_einsum():
 c_einsum = _load_einsum()
 
 
-def _raiser(message: str):
-    def handler(err, flag):
-        raise np.linalg.LinAlgError(message)
-    return handler
-
-
-# the error state numpy.linalg enters around each gufunc, with its messages
-NOT_PD, NO_CONVERGENCE, SINGULAR = (
-    dict(call=_raiser(message), invalid="call", over="ignore", divide="ignore", under="ignore")
-    for message in ("Matrix is not positive definite", "Eigenvalues did not converge",
-                    "Singular matrix"))
+def contract(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """np.tensordot(a, t, 1), the sum over a's last axis and t's first, bit for
+    bit: the one product tensordot forms, without its argument handling."""
+    return (a @ t.reshape(len(t), math.prod(t.shape[1:]))).reshape(a.shape[:-1] + t.shape[1:])
 
 
 class NumericalFailure(RuntimeError):
@@ -213,8 +220,7 @@ def sym_field(name: str, m, definite: bool | str = False) -> np.ndarray:
     naming the field and lambda_min; a string there is the remedy the error adds."""
     m = _sealed(name, symmetrize(_floats(name, m, copy=None)))  # symmetrize made the copy
     if definite:
-        with np.errstate(**NO_CONVERGENCE):
-            w = np_eigvalsh(m)
+        w = np_eigvalsh(m)
         if not (w.size and w[0] > 0):
             found = f"lambda_min = {w[0]:.3e}" if w.size else "it is empty"
             remedy = f"; {definite}" if isinstance(definite, str) else ""
@@ -239,19 +245,21 @@ class SymMatrix:
         return np.array(self.entries, dtype=dtype, copy=copy)
 
 
+def _spectrum(solver, m):
+    """solver(symmetrize(m)), raising NumericalFailure if it does not converge."""
+    try:
+        return solver(symmetrize(m))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
+
+
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, orthogonal eigenvector matrix) with
     V @ diag(w) @ V.T reconstructing the input.
     """
-    a = symmetrize(m)
-    try:
-        with np.errstate(**NO_CONVERGENCE):
-            w, v = np_eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    return w, v
+    return _spectrum(np_eigh, m)
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -271,7 +279,7 @@ def psd_sqrt(m) -> np.ndarray:
 
 def is_psd(m) -> bool:
     """Scale-aware PSD test: lambda_min >= -PSD_TOL * max(1, lambda_max)."""
-    w, _ = sym_eig(m)
+    w = _spectrum(np_eigvalsh, m)
     return w.size == 0 or bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (NO_CONVERGENCE, SINGULAR, NumericalFailure, _memo_last, all_finite,
-                      array_field, dgesv, dpotrf, dpotrs, frobenius, np_eigvalsh, np_solve,
-                      sym_field, symmetrize)
+from .matcore import (NumericalFailure, _memo_last, all_finite, array_field, dgesv, dpotrf,
+                      dpotrs, frobenius, np_eigvalsh, np_solve, sym_field, symmetrize)
 from .stability import ClosedLoop, _svec_operator, lyapunov_value
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 from .ambiguity import MomentAmbiguity
@@ -97,8 +96,7 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     state, rhs = np.empty((3, n, n)), np.empty((n, 2 * n))
     H, G, A = state
     H[...], A[...] = cost.Q, A0
-    with np.errstate(**SINGULAR):
-        G[...] = B @ np_solve(cost.R, B.T)
+    G[...] = B @ np_solve(cost.R, B.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(18):
             rhs[:, :n], rhs[:, n:] = A, G
@@ -184,9 +182,7 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
         if P_next is None:
             P_next = symmetrize(cost.Q + F + H.T @ K)
         step = P - P_next if newton else P_next - P
-        with np.errstate(**NO_CONVERGENCE):
-            lam_min = np_eigvalsh(step)[0]
-        if lam_min < -1e-8 * (1.0 + frobenius(P)):
+        if np_eigvalsh(step)[0] < -1e-8 * (1.0 + frobenius(P)):
             raise NumericalFailure(("Newton step" if newton else "value iteration")
                                    + " lost monotonicity")
         delta = frobenius(step)

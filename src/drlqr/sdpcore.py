@@ -16,11 +16,12 @@ for strict LMIs: F(y) > 0 has no solution iff some Z >= 0, Z != 0, has
 tr(Fi Z) = 0 and tr(F0 Z) <= 0.  The loop starts at y = 0, S = Z = I,
 tau = kappa = 1, or next to the final iterate of a solved program of the
 same shape (the warm start of Skajaa, Andersen & Ye 2013); neither test
-depends on where it started.  Each iteration calls LAPACK (dtrtrs,
-dpotrf, dpotrs) and numpy's Cholesky and eigvalsh gufuncs (matcore)
-directly, not through scipy's or numpy's checking wrappers, and checks
-finiteness explicitly; SdpSolution.reason says why a solve stopped short of
-"optimal".
+depends on where it started.  Each iteration calls LAPACK (dtrtrs, dpotrf,
+dpotrs) and numpy's Cholesky and eigvalsh gufuncs directly, not through
+scipy's or numpy's checking wrappers, and checks finiteness explicitly.  The
+gufuncs enter numpy's error state themselves (matcore), so a failure raises
+LinAlgError with no set-up here; SdpSolution.reason says why a solve
+stopped short of "optimal".
 
 The LmiBuilder numbers the scalars of matrix variables and turns an objective
 and a list of affine blocks into the pencil form; AffineExpr.value maps a
@@ -34,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import (NO_CONVERGENCE, NOT_PD, all_finite, array_field, dpotrf, dpotrs, dtrtrs,
-                      frobenius, np_cholesky, np_eigvalsh, sym_field)
+from .matcore import (all_finite, array_field, contract, dpotrf, dpotrs, dtrtrs, frobenius,
+                      np_cholesky, np_eigvalsh, sym_field)
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
@@ -91,10 +92,7 @@ class LmiProblem:
 
     def min_eigenvalue(self, y) -> float:
         y = np.asarray(y, dtype=float).ravel()
-        with np.errstate(**NO_CONVERGENCE):  # y . Fi as np.tensordot forms it, without its wrapper
-            return min(float(np_eigvalsh(
-                b.F0 + (y @ b.Fi.reshape(len(b.Fi), b.F0.size)).reshape(b.F0.shape))[0])
-                for b in self.blocks)
+        return min(float(np_eigvalsh(b.F0 + contract(y, b.Fi))[0]) for b in self.blocks)
 
 
 @dataclass
@@ -252,8 +250,7 @@ def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
     k, m = c.size, S.shape[0]
     _require_finite(r_p, "primal residual")
     _require_finite(r_d, "dual residual")
-    with np.errstate(**NOT_PD):
-        Ls, Lz = np_cholesky(S), np_cholesky(Z)
+    Ls, Lz = np_cholesky(S), np_cholesky(Z)
     Ts, Tz = _inv_lower(Ls, eye), _inv_lower(Lz, eye)
     S_inv = Ts.T @ Ts
     a_s_inv = Fv @ S_inv.ravel()
@@ -296,8 +293,7 @@ def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
         # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
         D = np.empty((2, m, m))
         D[0], D[1] = Ts @ dS @ Ts.T, Tz @ dZ @ Tz.T
-        with np.errstate(**NO_CONVERGENCE):
-            lam_s, lam_z = np_eigvalsh(D)[:, 0]
+        lam_s, lam_z = np_eigvalsh(D)[:, 0]
         alpha = min(_to_boundary(1.0, lam_s), _to_boundary(1.0, lam_z),
                     _to_boundary(tau, dx[k]), _to_boundary(kappa, dk))
         return dx, dS, dZ, dk, alpha
@@ -399,7 +395,7 @@ class AffineExpr:
         y = np.asarray(y, dtype=float).ravel()
         k = self.coef.shape[0] - 1
         z = np.concatenate(([1.0], y[:k]))
-        return (z @ self.coef.reshape(k + 1, -1)).reshape(self.coef.shape[1:])
+        return contract(z, self.coef)
 
 
 def kron_const(C, expr: AffineExpr) -> AffineExpr:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (NO_CONVERGENCE, ShapeError, _memo_last, all_finite, array_field, c_einsum,
-                      dgesv, dpotrf, np_eigvals, smat, svec, sym_index, sym_pairs)
+from .matcore import (ShapeError, _memo_last, all_finite, array_field, c_einsum, dgesv, dpotrf,
+                      np_eigvals, smat, svec, sym_index, sym_pairs)
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -80,9 +80,7 @@ def _spectral_radius(T: np.ndarray) -> float:
         return 0.0
     if not all_finite(T):
         return math.inf
-    with np.errstate(**NO_CONVERGENCE):
-        w = np_eigvals(T)
-    return float(np.abs(w).max())
+    return float(np.abs(np_eigvals(T)).max())
 
 
 def _certified_mss(T: np.ndarray, n: int) -> bool:

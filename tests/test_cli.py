@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from drlqr import drsynth, experiment
-from drlqr.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main)
+from drlqr.ambiguity import DEFAULT_EPS
+from drlqr.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from drlqr.experiment import sample_gaussian
 from drlqr.matcore import SymMatrix
 from drlqr.riccati import value_iteration
@@ -79,6 +80,21 @@ class TestBounds:
         rc = main(["bounds", "--dim", dim, "--m", m, "--beta", "0.05"])
         assert rc == EXIT_INVALID
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--dim", "2", "--m", "1000"],
+                                  ["synth", "--system", "s.json", "--samples", "w.csv",
+                                   "--method", "nominal"]], ids=["bounds", "synth"])
+def test_ambiguity_flags(capsys, argv):
+    """bounds and synth each require --beta and default --eps and --sigma2 alike."""
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == EXIT_INVALID and "--beta" in capsys.readouterr().err
+    args = parser.parse_args(argv + ["--beta", "0.05"])
+    assert (args.beta, args.eps, args.sigma2) == (0.05, DEFAULT_EPS, 1.0)
+    args = parser.parse_args(argv + ["--beta", "0.1", "--eps", "0.2", "--sigma2", "3"])
+    assert (args.beta, args.eps, args.sigma2) == (0.1, 0.2, 3.0)
 
 
 class TestSynth:

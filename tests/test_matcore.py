@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from drlqr import matcore
-from drlqr.matcore import (NO_CONVERGENCE, NOT_PD, SINGULAR, DomainError, ShapeError, SymMatrix,
-                           _clear_memos, _memo_last, all_finite, array_field, frobenius, is_psd,
+from drlqr.matcore import (DomainError, NumericalFailure, ShapeError, SymMatrix, _clear_memos,
+                           _memo_last, all_finite, array_field, contract, frobenius, is_psd,
                            psd_sqrt, smat, svec, sym_eig, sym_index, sym_pairs, symmetrize)
 from conftest import bench_workloads
 from oracles import unvec, vec
@@ -289,14 +289,15 @@ def _stacks(n):
 
 class TestLinalgBinding:
     def test_bound_callables_are_numpys_gufuncs(self):
+        """Each binding wraps numpy's gufunc, which it keeps as __wrapped__."""
         gufuncs = np.linalg._umath_linalg
-        assert all(getattr(matcore, name) is getattr(gufuncs, gufunc)
+        assert all(getattr(matcore, name).__wrapped__ is getattr(gufuncs, gufunc)
                    for name, (gufunc, _) in BOUND.items())
 
     @pytest.mark.parametrize("missing", ["module", "eigh_lo", "eigvals"])
     def test_missing_gufunc_falls_back_to_the_public_function(self, monkeypatch, missing):
-        """Without numpy.linalg._umath_linalg every binding is the public function;
-        without one gufunc, that one alone."""
+        """Without numpy.linalg._umath_linalg every binding wraps the public
+        function; without one gufunc, that one alone."""
         if missing == "module":
             monkeypatch.delattr(np.linalg, "_umath_linalg")
         else:
@@ -304,7 +305,8 @@ class TestLinalgBinding:
         bound = dict(zip(BOUND, matcore._load_linalg()))
         for name, (gufunc, public) in BOUND.items():
             fallback = missing in ("module", gufunc)
-            assert bound[name] is (public if fallback else getattr(np.linalg._umath_linalg, gufunc))
+            assert bound[name].__wrapped__ is (public if fallback
+                                               else getattr(np.linalg._umath_linalg, gufunc))
 
     @pytest.mark.parametrize("n", [1, 2, 19, 36])
     def test_byte_equal_to_numpy_linalg(self, n):
@@ -324,24 +326,45 @@ class TestLinalgBinding:
                 assert ours.shape == numpys.shape and ours.tobytes() == numpys.tobytes()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("call, errors, message", [
-        (lambda: matcore.np_cholesky(-np.eye(3)), NOT_PD, "Matrix is not positive definite"),
-        (lambda: matcore.np_eigvalsh(np.full((3, 3), np.nan)), NO_CONVERGENCE,
-         "Eigenvalues did not converge"),
-        (lambda: matcore.np_eigh(np.full((3, 3), np.nan)), NO_CONVERGENCE,
-         "Eigenvalues did not converge"),
-        (lambda: matcore.np_solve(np.zeros((2, 2)), np.eye(2)), SINGULAR, "Singular matrix"),
-        (lambda: matcore.np_inv(np.zeros((2, 2))), SINGULAR, "Singular matrix"),
-        (lambda: matcore.np_eigvals(np.full((3, 3), np.nan)), NO_CONVERGENCE,
-         "Eigenvalues did not converge"),
+    @pytest.mark.parametrize("call, message", [
+        (lambda: matcore.np_cholesky(-np.eye(3)), "Matrix is not positive definite"),
+        (lambda: matcore.np_eigvalsh(np.full((3, 3), np.nan)), "Eigenvalues did not converge"),
+        (lambda: matcore.np_eigh(np.full((3, 3), np.nan)), "Eigenvalues did not converge"),
+        (lambda: matcore.np_solve(np.zeros((2, 2)), np.eye(2)), "Singular matrix"),
+        (lambda: matcore.np_inv(np.zeros((2, 2))), "Singular matrix"),
+        (lambda: matcore.np_eigvals(np.full((3, 3), np.nan)), "Eigenvalues did not converge"),
     ], ids=["cholesky", "eigvalsh", "eigh", "solve", "inv", "eigvals"])
-    def test_failure_raises_linalg_error(self, call, errors, message):
-        """Under the error state a call site enters, a failure raises numpy's
-        LinAlgError with numpy's message; bare, it gives a RuntimeWarning."""
-        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"), np.errstate(**errors):
+    def test_failure_raises_linalg_error(self, call, message):
+        """A bare call that fails raises numpy's LinAlgError with numpy's message,
+        with warnings as errors, so no RuntimeWarning came first; the caller's
+        error state is the same afterwards."""
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
             call()
-        with pytest.raises(RuntimeWarning):
-            call()
+        assert np.geterr() == before
+        with np.errstate(all="raise"), pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            call()  # the binding's own state, not the caller's, decides
+
+    @pytest.mark.filterwarnings("error")
+    def test_is_psd_that_does_not_converge_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="did not converge: Eigenvalues did not converge"):
+            is_psd(np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("a_shape, t_shape", [
+        # one sweep-paper op (n_x = 2, n_w = 2): _thm6_builder's Theta . chan,
+        # min_eigenvalue's y . Fi on each block, AffineExpr.value's z . coef
+        ((3, 3), (3, 6, 2, 2)), ((11,), (11, 6, 6)), ((11,), (11, 11, 11)),
+        ((11,), (11, 2, 2)), ((4,), (4, 2, 2)), ((6,), (6, 1, 2)),
+        # synth_full on a riccati-chain plant (n_x = 8, n_w = 2)
+        ((3, 3), (3, 53, 8, 8)), ((124,), (124, 24, 24)), ((124,), (124, 42, 42)),
+        ((124,), (124, 8, 8)), ((37,), (37, 8, 8)), ((53,), (53, 2, 8)),
+        ((0,), (0, 4, 4)),  # a block of a program with no variables
+    ])
+    def test_contract_is_tensordot_bit_for_bit(self, a_shape, t_shape):
+        rng = np.random.default_rng(sum(t_shape))
+        a, t = rng.standard_normal(a_shape), rng.standard_normal(t_shape)
+        ours, numpys = contract(a, t), np.tensordot(a, t, 1)
+        assert ours.shape == numpys.shape and ours.tobytes() == numpys.tobytes()
 
     def test_c_einsum_is_numpys(self):
         assert matcore.c_einsum is np._core.multiarray.c_einsum

@@ -1,6 +1,7 @@
 """The public surface: the names the package exports, the README example, and
 what import drlqr loads."""
 
+import ast
 import functools
 import re
 import subprocess
@@ -15,6 +16,7 @@ import drlqr
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "drlqr"
 
 
 def test_all_names_bound_once():
@@ -127,3 +129,30 @@ def test_fallback_binds_the_same_routines(failure):
     """When the extension is not found, or does not load, the routines come from
     scipy.linalg.lapack: the same objects."""
     assert _fresh(failure + "import drlqr\n" + _NOT_SCIPYS) == ["True"]
+
+
+# matcore's error states for numpy.linalg's gufuncs, by their names then and now
+ERROR_STATES = {"NOT_PD", "NO_CONVERGENCE", "SINGULAR", "_NOT_PD", "_NO_CONVERGENCE", "_SINGULAR"}
+
+
+def _error_state_uses(tree) -> list[str]:
+    """Where tree enters np.errstate(**...) or names one of matcore's error states."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "errstate" and any(k.arg is None for k in node.keywords)):
+            found.append(f"line {node.lineno}: errstate(**...)")
+        names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [node.id] if isinstance(node, ast.Name) else [])
+        found += [f"line {node.lineno}: {name}" for name in names if name in ERROR_STATES]
+    return found
+
+
+def test_only_matcore_enters_numpys_linalg_error_state():
+    """The bindings enter numpy.linalg's error state themselves: no other module
+    enters np.errstate(**state) or imports matcore's states to do so."""
+    modules = {path.name: _error_state_uses(ast.parse(path.read_text()))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "matcore.py"}
+    assert len(modules) > 5 and {name: uses for name, uses in modules.items() if uses} == {}
+    assert _error_state_uses(ast.parse((PACKAGE / "matcore.py").read_text()))  # the scan sees them

@@ -23,8 +23,8 @@ import numpy as np
 from .ambiguity import MomentAmbiguity
 from .matcore import NumericalFailure, ShapeError, _memo_last, contract, np_inv, psd_sqrt
 from .riccati import Controller
-from .sdpcore import (AffineExpr, LmiBuilder, LmiProblem, SdpSolution, block_expr, kron_const,
-                      solve, zeros)
+from .sdpcore import (AffineExpr, LmiBuilder, SdpSolution, block_expr, kron_const, solve_batch,
+                      zeros)
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost, state_vector
 
 
@@ -111,10 +111,9 @@ def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
     return b, W, V, [AffineExpr(arrow), AffineExpr(main), floor]
 
 
-def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,
-                bound: AffineExpr | None = None, start: SynthesisResult | None = None
-                ) -> SynthesisResult:
-    """Solve the synthesis SDP and read the certified controller off it.
+def _controller(sol: SdpSolution, W: AffineExpr, V: AffineExpr, method: str,
+                bound: AffineExpr | None = None) -> SynthesisResult:
+    """The certified controller read off a synthesis SDP's solution.
 
     The cost bound is tr(W^{-1}), or the scalar expression bound when the
     program minimizes its own bound.  The solution is its own certificate: at
@@ -123,7 +122,6 @@ def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,
     stability.  An "optimal" point whose smallest LMI block eigenvalue is not
     positive certifies nothing and raises NumericalFailure.
     """
-    sol = solve(prob, start=None if start is None else start.solution)
     if sol.status == "infeasible":
         raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system "
                                f"({sol.reason})")
@@ -139,6 +137,31 @@ def _synthesize(prob: LmiProblem, W: AffineExpr, V: AffineExpr, method: str,
     return SynthesisResult(controller=ctrl, solution=sol)
 
 
+def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: CostWeights,
+                     starts: list[SynthesisResult | None] | None = None) -> list:
+    """synth_full for each ambiguity set in ambs, each solve started from
+    starts[i] (None: cold), all synthesis SDPs solved as one batch
+    (sdpcore.solve_batch): per set, the SynthesisResult, or the
+    DrSynthesisError or NumericalFailure synth_full would raise for it, from
+    writing its program or from reading its solution."""
+    starts = [None] * len(ambs) if starts is None else starts
+    results, built = [None] * len(ambs), []  # built: (set, program, W, V) of each program written
+    for j, amb in enumerate(ambs):
+        try:
+            b, W, V, blocks = _thm6_builder(sys, amb, cost)
+            built.append((j, b.build(-W.trace(), blocks), W, V))
+        except (DrSynthesisError, NumericalFailure) as exc:
+            results[j] = exc
+    sols = solve_batch([prob for _, prob, _, _ in built],
+                       [None if starts[j] is None else starts[j].solution for j, _, _, _ in built])
+    for sol, (j, _, W, V) in zip(sols, built):
+        try:
+            results[j] = _controller(sol, W, V, "dr_full")
+        except (DrSynthesisError, NumericalFailure) as exc:
+            results[j] = exc
+    return results
+
+
 def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
                start: SynthesisResult | None = None) -> SynthesisResult:
     """Full-uncertainty robust controller with cost bound tr(W^{-1}).
@@ -149,10 +172,13 @@ def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
     by the strict feasibility of the synthesis LMIs; a returned point that is
     not strictly feasible raises NumericalFailure.  start, an earlier result
     for the same system and cost, warm-starts the solve (sdpcore.solve); the
-    verdict and the certificate do not depend on it.
+    verdict and the certificate do not depend on it.  The one-set case of
+    synth_full_batch.
     """
-    b, W, V, blocks = _thm6_builder(sys, amb, cost)
-    return _synthesize(b.build(-W.trace(), blocks), W, V, "dr_full", start=start)
+    result, = synth_full_batch(sys, [amb], cost, [start])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:
@@ -165,4 +191,5 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0)
     b, W, V, blocks = _thm6_builder(sys, amb, cost)
     gamma = b.rect_var(1, 1)
     blocks.append(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), W]]))
-    return _synthesize(b.build(gamma, blocks), W, V, "dr_rhc", bound=gamma)
+    sol, = solve_batch([b.build(gamma, blocks)])
+    return _controller(sol, W, V, "dr_rhc", bound=gamma)

@@ -131,40 +131,48 @@ def nominal_reference(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
     return ctrl.K, closed_loop_cost(cl, cfg.true_moments, cfg.cost, cfg.x0)
 
 
-def _run_cell(cfg: ExperimentConfig, J_nom: float, M: int, realization: int,
-              starts: dict | None = None) -> tuple[list, dict]:
-    """The cell's records, and its solved results by method: the dr_covariance
-    Controller and the dr_full SynthesisResult, None without a gain.  Each
-    method's solve starts from starts[method] when that is given."""
-    records, solved, starts = [], {}, starts or {}
-    stream = _cell_stream(cfg.seed, M, realization)
-    samples = sample_gaussian(cfg.true_moments, M, stream)
-    amb = build_ambiguity(samples, cfg.ambiguity_config(), lambda_reg=LAMBDA_REG)
+def _run_cells(cfg: ExperimentConfig, J_nom: float, cells) -> tuple[list, list]:
+    """The records of cells, a list of (M, realization, starts), and each cell's
+    solved results by method: the dr_covariance Controller and the dr_full
+    SynthesisResult, None without a gain.  Each method's solve starts from
+    starts[method] when that is given; the cells' dr_full SDPs are solved as one
+    batch (drsynth.synth_full_batch)."""
+    ambs = [build_ambiguity(sample_gaussian(cfg.true_moments, M, _cell_stream(cfg.seed, M, r)),
+                            cfg.ambiguity_config(), lambda_reg=LAMBDA_REG) for M, r, _ in cells]
+    solved, wall_ms = [{} for _ in cells], [{} for _ in cells]
     for method in cfg.methods:
-        t0 = time.perf_counter()
-        K, res, start = None, None, starts.get(method)
-        try:
-            if method == "dr_covariance":
-                res = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost, start=start)
-                K = res.K
-            else:
-                res = drsynth.synth_full(cfg.system, amb, cfg.cost, start=start)
-                K = res.controller.K
-        except (drsynth.DrSynthesisError, riccati.NotStabilizableError, NumericalFailure):
-            pass
-        solved[method] = res
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        stabilizing, J, J_rel = False, float("inf"), float("inf")
-        if K is not None:
-            try:  # raises unless two solves certify radius < 1 - TOL, is_mss's rule
-                J = closed_loop_cost(ClosedLoop(sys=cfg.system, K=K), cfg.true_moments,
-                                     cfg.cost, cfg.x0)
-                stabilizing, J_rel = True, (J - J_nom) / J_nom
-            except InstabilityError:
-                pass
-        records.append(RunRecord(M=M, realization=realization, method=method,
-                                 stabilizing=stabilizing, J=J, J_rel=J_rel,
-                                 wall_ms=wall_ms))
+        starts = [cell[2].get(method) for cell in cells]
+        if method == "dr_covariance":
+            for amb, start, got, ms in zip(ambs, starts, solved, wall_ms):
+                t0 = time.perf_counter()
+                try:
+                    got[method] = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost,
+                                                        start=start)
+                except (riccati.NotStabilizableError, NumericalFailure):
+                    got[method] = None
+                ms[method] = (time.perf_counter() - t0) * 1000.0
+        else:
+            t0 = time.perf_counter()
+            results = drsynth.synth_full_batch(cfg.system, ambs, cfg.cost, starts)
+            each = (time.perf_counter() - t0) * 1000.0 / len(cells)
+            for res, got, ms in zip(results, solved, wall_ms):
+                got[method], ms[method] = (None if isinstance(res, Exception) else res), each
+    records = []
+    for (M, realization, _), got, ms in zip(cells, solved, wall_ms):
+        for method in cfg.methods:
+            res = got[method]
+            stabilizing, J, J_rel = False, float("inf"), float("inf")
+            if res is not None:
+                K = res.K if method == "dr_covariance" else res.controller.K
+                try:  # raises unless two solves certify radius < 1 - TOL, is_mss's rule
+                    J = closed_loop_cost(ClosedLoop(sys=cfg.system, K=K), cfg.true_moments,
+                                         cfg.cost, cfg.x0)
+                    stabilizing, J_rel = True, (J - J_nom) / J_nom
+                except InstabilityError:
+                    pass
+            records.append(RunRecord(M=M, realization=realization, method=method,
+                                     stabilizing=stabilizing, J=J, J_rel=J_rel,
+                                     wall_ms=ms[method]))
     return records, solved
 
 
@@ -173,36 +181,46 @@ def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
     Records come back sorted by (M, realization, method order), so the
     output is identical for any worker count.  Realization 0 of each sample
-    size is its anchor cell, solved in this process in sample_sizes order:
-    the first cold, each later one starting both methods from the previous
-    anchor's results (a method without a result hands on its previous start).
-    Every other cell starts from its own sample size's anchor, so each record
-    depends only on its own cell and the anchor chain.  The pool starts all
-    its workers at once, so it gets at most one per remaining cell and per CPU.
+    size is its anchor cell.  The first anchor is solved cold, each later one
+    starts both methods from the previous anchor's results (a method without
+    a result hands on its previous start), and every other cell starts from
+    its own sample size's anchor, so each record depends only on its own cell
+    and the anchor chain.  The sweep runs in stages: the first anchor alone,
+    then each later anchor with the other cells of the sample size before it,
+    then the other cells of the last sample size; a stage's dr_full SDPs are
+    solved as one batch.  With jobs > 1 the anchors run alone in this process
+    and the other cells go to a pool in one batch per worker.  The pool starts
+    all its workers at once, so it gets at most one per batch and per CPU.
     With jobs > 1, set OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1: the forked
     workers inherit OpenBLAS's default thread count, which made jobs=2 several
     times slower than jobs=1 on a 2-core host.
     """
+    jobs = _whole(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _, J_nom = nominal_reference(cfg)
-    records, anchors, starts = [], {}, {}
-    for M in cfg.sample_sizes:
-        batch, solved = _run_cell(cfg, J_nom, M, 0, starts)
-        records.extend(batch)
-        starts = anchors[M] = {m: solved[m] or starts.get(m) for m in cfg.methods}
-    cells = [(cfg, J_nom, M, r, anchors[M]) for M in cfg.sample_sizes
-             for r in range(1, cfg.realizations)]
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
+    sizes, others = cfg.sample_sizes, range(1, cfg.realizations)
+    workers = min(jobs, len(sizes) * len(others), os.cpu_count() or 1)
+    records, pooled, starts = [], [], {}
+    for i in range(len(sizes) + 1):
+        stage = [(sizes[i], 0, starts)] if i < len(sizes) else []
+        after = [(sizes[i - 1], r, starts) for r in others] if i else []
+        if workers > 1:
+            pooled += after
+        else:
+            stage += after
+        if stage:
+            batch, solved = _run_cells(cfg, J_nom, stage)
+            records.extend(batch)
+            if i < len(sizes):
+                starts = {m: solved[0][m] or starts.get(m) for m in cfg.methods}
+    if pooled:
         import concurrent.futures  # only a sweep with a pool loads it, and multiprocessing
 
+        batches = [pooled[w::workers] for w in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch, _ in pool.map(_run_cell, *zip(*cells)):
+            for batch, _ in pool.map(_run_cells, [cfg] * workers, [J_nom] * workers, batches):
                 records.extend(batch)
-    else:
-        for cell in cells:
-            records.extend(_run_cell(*cell)[0])
     order = {m: i for i, m in enumerate(cfg.methods)}
     records.sort(key=lambda rec: (rec.M, rec.realization, order[rec.method]))
     return records
@@ -215,11 +233,13 @@ def write_records_csv(records, path) -> None:
     informational only.  It is the time one method took to synthesize its
     gain from the cell's ambiguity set (the Riccati or SDP solve and its
     certificate); the sampling, the ambiguity set built once per cell and
-    the scoring under the true moments are outside it.  Only the first
-    anchor cell's solves are cold (see run_sample_complexity): on a later
-    anchor's rows wall_ms times solves started from the previous anchor's
-    results, and on every other row solves started from its sample size's
-    anchor.
+    the scoring under the true moments are outside it.  The dr_full SDPs of
+    a stage (of a pool batch with jobs > 1) are solved as one batch (see
+    run_sample_complexity), so on a dr_full row wall_ms is the stage's
+    synthesis time divided by its cells.  Only the
+    first anchor cell's solves are cold: on a later anchor's rows wall_ms times
+    solves started from the previous anchor's results, and on every other row
+    solves started from its sample size's anchor.
     """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

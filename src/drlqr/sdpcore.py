@@ -16,11 +16,24 @@ for strict LMIs: F(y) > 0 has no solution iff some Z >= 0, Z != 0, has
 tr(Fi Z) = 0 and tr(F0 Z) <= 0.  The loop starts at y = 0, S = Z = I,
 tau = kappa = 1, or next to the final iterate of a solved program of the
 same shape (the warm start of Skajaa, Andersen & Ye 2013); neither test
-depends on where it started.  Each iteration calls LAPACK (dtrtrs, dpotrf,
-dpotrs) and numpy's Cholesky and eigvalsh gufuncs directly, not through
-scipy's or numpy's checking wrappers, and checks finiteness explicitly.  The
-gufuncs enter numpy's error state themselves (matcore), so a failure raises
-LinAlgError with no set-up here; SdpSolution.reason says why a solve
+depends on where it started.
+
+The loop advances a batch of programs with one variable count and one set of
+block sizes (solve_batch; solve is the batch of one).  Their pencils and
+iterates sit in stacks on a leading axis, S and Z of each program side by
+side, and each product is one stacked matmul call (a matrix-vector or dot
+product as a matmul with a unit axis, which numpy computes item by item as
+it computes the lone product), or one call of numpy's Cholesky or eigvalsh
+gufunc.  Kept per program: LAPACK's dtrtrs, dpotrf and dpotrs, called
+directly (the inverse factors stay Fortran-ordered in their stack), the
+elimination of tau, the scalars of the verdicts and the step lengths, as
+Python floats, and the verdict itself.  A program leaves the batch at its
+verdict, or when its step breaks down (a nonzero info, a failed gufunc or a
+non-finite residual, Schur complement or right-hand side), with the reason a
+solve on its own gives; the other programs go on.  So each program's
+iterates, verdict and reason are bit for bit those of a solve on its own.
+The gufuncs enter numpy's error state themselves (matcore), so a failure
+raises LinAlgError with no set-up here; SdpSolution.reason says why a solve
 stopped short of "optimal".
 
 The LmiBuilder numbers the scalars of matrix variables and turns an objective
@@ -31,6 +44,7 @@ solution back to a matrix.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,82 +138,200 @@ def _inv_lower(L: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return T
 
 
+class _Breakdown(np.linalg.LinAlgError):
+    """The step failed for some programs of the batch: reasons maps the slot of
+    each to why.  The others are stepped again without them."""
+
+    def __init__(self, reasons: dict):
+        super().__init__("; ".join(reasons.values()))
+        self.reasons = reasons
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise _Breakdown naming each program (item of the stack a) with a non-finite entry."""
     if not all_finite(a):
-        raise np.linalg.LinAlgError(f"{what} not finite")
+        bad = np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1))
+        raise _Breakdown(dict.fromkeys(bad.tolist(), f"{what} not finite"))
+
+
+def _each(gufunc, a: np.ndarray) -> np.ndarray:
+    """gufunc(a) over the stack a.  A gufunc raises for the whole stack when one
+    item fails, so the items are then redone one at a time to name those that fail."""
+    try:
+        return gufunc(a)
+    except np.linalg.LinAlgError as whole:
+        reasons = {}
+        for j, item in enumerate(a):
+            try:
+                gufunc(item)
+            except np.linalg.LinAlgError as exc:
+                reasons[j] = str(exc)
+        if not reasons:  # no item fails alone: the error ends every program of the step
+            raise
+        raise _Breakdown(reasons) from whole
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> list:
+    """a_j . b_j for each row j of the (n, d) stacks a and b, as floats: one
+    stacked matmul, which forms each as the dot product of a lone pair of
+    vectors (for one row, that product itself)."""
+    if len(a) == 1:
+        return [float(a[0].dot(b[0]))]
+    return (a[:, None] @ b[:, :, None]).reshape(-1).tolist()
+
+
+def _col(values: list, ndim: int):
+    """One float per program, shaped to scale the items of a stack with ndim
+    axes (the float itself for a batch of one: the same products, made sooner)."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _finish(prob, status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
+    """prob's solution; without y it has no point, and lam defaults to the margin at y."""
+    if y is None:
+        return SdpSolution(np.zeros(prob.num_vars), status, float("nan"), float("nan"), iters,
+                           reason=reason)
+    if lam is None:
+        lam = prob.min_eigenvalue(y)
+    return SdpSolution(y, status, float(prob.c @ y), lam, iters, gap, reason, iterate)
 
 
 def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
-    """Solve the pencil LMI program by the self-dual primal-dual method.
+    """Solve the pencil LMI program by the self-dual primal-dual method: a
+    batch of one (solve_batch).
 
     start, an "optimal" solution of a program with the same variable count
     and block sizes, puts the first iterate WARM_START of the way from the
     standard start to its final one.  A warm solve that ends in
     numerical_failure or unbounded is rerun from the standard start.
     """
-    k, m = prob.num_vars, prob.total_dim
-    c = prob.c
-    dims = tuple(b.dim for b in prob.blocks)
-    if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
-        raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
-    # one block-diagonal pencil F[a] over x = (y, tau).  The embedding asks for
+    return solve_batch([prob], [start])[0]
+
+
+def solve_batch(probs: list[LmiProblem], starts: list[SdpSolution | None] | None = None
+                ) -> list[SdpSolution]:
+    """solve for each program of probs, which share one variable count and one
+    set of block sizes, each from its own start (starts[i], None for the
+    standard start): the solutions in order, each bit for bit the one solve
+    returns for its program alone."""
+    probs = list(probs)
+    starts = [None] * len(probs) if starts is None else list(starts)
+    if len(starts) != len(probs):
+        raise ValueError(f"{len(starts)} starts for {len(probs)} programs")
+    if not probs:
+        return []
+    k, m = probs[0].num_vars, probs[0].total_dim
+    dims = tuple(b.dim for b in probs[0].blocks)
+    for prob, start in zip(probs, starts):
+        if (prob.num_vars, tuple(b.dim for b in prob.blocks)) != (k, dims):
+            raise ValueError(f"a batch shares one shape: {k} variables and blocks {dims}")
+        if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
+            raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
+    # one block-diagonal pencil F[a] over x = (y, tau) per program.  The embedding asks for
     # S = sum_a x_a F[a], tr(F_i Z) = tau c_i and kappa = -c^T y - tr(F0 Z)
     # with S, Z >= 0 and tau, kappa >= 0: tau > 0 gives the optimum y / tau,
     # tau = 0 a witness of infeasibility or unboundedness
-    F = np.zeros((k + 1, m, m))
-    at = 0
-    for b in prob.blocks:
-        F[:k, at:at + b.dim, at:at + b.dim] = b.Fi
-        F[k, at:at + b.dim, at:at + b.dim] = b.F0
-        at += b.dim
-    Fv = F.reshape(k + 1, m * m)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        # np.linalg.norm(Fv[:k], axis=1) by numpy's own formula
-        f_max = float(np.sqrt(np.add.reduce(Fv[:k] * Fv[:k], axis=1)).max(initial=0.0))
-        f0, c_norm = frobenius(Fv[k]), frobenius(c)
+    F = np.zeros((len(probs), k + 1, m, m))
+    norms, sols = [], [None] * len(probs)
+    for prob, Fj, j in zip(probs, F, range(len(probs))):
+        at = 0
+        for b in prob.blocks:
+            Fj[:k, at:at + b.dim, at:at + b.dim] = b.Fi
+            Fj[k, at:at + b.dim, at:at + b.dim] = b.F0
+            at += b.dim
+        Fv = Fj.reshape(k + 1, m * m)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            # np.linalg.norm(Fv[:k], axis=1) by numpy's own formula
+            f_max = float(np.sqrt(np.add.reduce(Fv[:k] * Fv[:k], axis=1)).max(initial=0.0))
+            norms.append((f_max, frobenius(Fv[k]), frobenius(prob.c)))
+        if not math.isfinite(sum(norms[-1])):
+            sols[j] = _finish(prob, "numerical_failure", 0, "the norm of F0, of an F_i or of c "
+                              "overflows, so no residual or witness test can be measured")
     eye = np.eye(m)
+    cold = (np.append(np.zeros(k), 1.0), eye, eye, 1.0)
 
-    def finish(status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
-        if y is None:
-            return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters, reason=reason)
-        if lam is None:
-            lam = prob.min_eigenvalue(y)
-        return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason, iterate)
+    def run(which, start_of):
+        if not which:
+            return ()
+        return zip(which, _run([probs[j] for j in which], F[which], [norms[j] for j in which],
+                               [start_of(j) for j in which], eye))
 
-    if not np.isfinite(f_max + f0 + c_norm):
-        return finish("numerical_failure", 0, "the norm of F0, of an F_i or of c overflows, "
-                      "so no residual or witness test can be measured")
+    todo = [j for j, sol in enumerate(sols) if sol is None]
+    for j, sol in run(todo, lambda j: cold if starts[j] is None else tuple(
+            WARM_START * a + (1.0 - WARM_START) * b for a, b in zip(starts[j].iterate[1:], cold))):
+        sols[j] = sol
+    again = [j for j in todo if starts[j] is not None
+             and sols[j].status in ("numerical_failure", "unbounded")]
+    for j, sol in run(again, lambda j: cold):
+        warm = sols[j]
+        sols[j] = replace(sol, iterations=warm.iterations + sol.iterations, reason=(
+            f"restarted from the standard start: the warm start ended in {warm.status} "
+            f"({warm.reason}) after {warm.iterations} iterations" + (sol.reason and f"; {sol.reason}")))
+    return sols
 
-    def run(x, S, Z, kappa):
-        centred, alpha = 0, 0.0  # centring steps in a row, and the last step length
-        for it in range(MAX_ITERS + 1):
-            y, tau = x[:k], x[k]
-            aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))
-            r_p = S - (x @ Fv).reshape(m, m)
-            cy = c @ y
-            r_d = aZ.copy()
-            r_d[:k] -= tau * c
-            r_d[k] = aZ[k] + cy + kappa
-            mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
-            gap = (m + 1) * mu / tau**2
-            z_norm, y_norm, a_norm = frobenius(Z), frobenius(y), frobenius(aZ[:k])
 
+def _run(probs, F, norms, starts, eye) -> list:
+    """The primal-dual loop over a batch of programs of one shape, from the
+    iterates starts[j] = (x, S, Z, kappa): their solutions in order.
+
+    Each iteration measures every program's residuals with one stacked call per
+    quantity, decides each program's verdict in Python floats, and takes one
+    stacked step for the programs left; a program leaves at its verdict or when
+    its step breaks down, and the others go on with their bits unchanged.
+    """
+    k, m = probs[0].num_vars, probs[0].total_dim
+    dims = tuple(b.dim for b in probs[0].blocks)
+    sols = [None] * len(probs)
+    ids = list(range(len(probs)))  # the program in each slot of the stacks
+    c = np.stack([prob.c for prob in probs])
+    x = np.stack([start[0] for start in starts])
+    SZ = np.array([start[1:3] for start in starts])  # each program's S and Z side by side
+    kappa = [start[3] for start in starts]
+    centred, alpha = [0] * len(probs), [0.0] * len(probs)  # centring steps in a row, last step length
+    n, Fv = len(probs), F.reshape(len(probs), k + 1, m * m)
+    # the Schur complement's two Gram factors, written in place at every step: made
+    # anew, a block this size is mapped afresh each time, and at n_x = 5 its page
+    # faults cost as much as the product
+    work = np.empty((2, n, k + 1, m, m))
+    for it in range(MAX_ITERS + 1):
+        S, Z = SZ[:, 0], SZ[:, 1]
+        y, tau = x[:, :k], x[:, k].tolist()
+        aZ = (Fv @ Z.reshape(n, m * m, 1)).reshape(n, k + 1)  # (tr(F_i Z), tr(F0 Z))
+        r_p = S - (x[:, None] @ Fv).reshape(n, m, m)
+        cy, aZ_k = _dots(c, y), aZ[:, k].tolist()
+        r_d = aZ.copy()
+        r_d[:, :k] -= _col(tau, 2) * c
+        r_d[:, k] = [a + b + kap for a, b, kap in zip(aZ_k, cy, kappa)]
+        Sv, Zv = S.reshape(n, m * m), Z.reshape(n, m * m)
+        mu = [(sz + t * kap) / (m + 1) for sz, t, kap in zip(_dots(Sv, Zv), tau, kappa)]
+        # tau F0 + r_p = S - A(y), whose smallness with c^T y < 0 is a recession direction
+        recede = (_col(tau, 3) * F[:, k] + r_p).reshape(n, m * m)
+        z_norm, y_norm, a_norm, rp_norm, rd_norm, rec_norm = (
+            [math.sqrt(sq) for sq in _dots(v, v)]
+            for v in (Zv, y, aZ[:, :k], r_p.reshape(n, m * m), r_d[:, :k], recede))
+        keep, hold = [], []
+        for j, i, t, cy_j, mu_j, aZ_kj in zip(range(n), ids, tau, cy, mu, aZ_k):
+            prob, (f_max, f0, c_norm) = probs[i], norms[i]
+            gap = (m + 1) * mu_j / t**2
             # every residual is measured against the size of the iterate it belongs to
-            converged = (frobenius(r_p) <= FEAS_TOL * (tau * f0 + y_norm * f_max)
-                         and frobenius(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
-                         and gap <= GAP_TOL * max(1.0, abs(float(cy)) / tau))
+            converged = (rp_norm[j] <= FEAS_TOL * (t * f0 + y_norm[j] * f_max)
+                         and rd_norm[j] <= FEAS_TOL * (t * c_norm + z_norm[j] * f_max)
+                         and gap <= GAP_TOL * max(1.0, abs(cy_j) / t))
             # the iterates approach the optimum from outside the cone, so a converged
             # point is centred at fixed tau: where a strictly feasible point exists
             # the first full centring step clears the residual, and the second
             # centres the flat directions of the optimal face; a blocked centring
             # step hands back to Mehrotra, which goes on towards the witness on its
             # own.  With c = 0 every strictly feasible point is optimal.
-            if (converged and centred >= 2) or c_norm == 0.0:
-                y_opt = y / tau
+            if (converged and centred[i] >= 2) or c_norm == 0.0:
+                y_opt = y[j] / t
                 lam = prob.min_eigenvalue(y_opt)
                 if lam > 0.0:
-                    return finish("optimal", it, "", y_opt, gap, lam, (dims, x, S, Z, kappa))
-            hold = converged and (centred == 0 or alpha == 1.0)
+                    sols[i] = _finish(prob, "optimal", it, "", y_opt, gap, lam,
+                                      (dims, x[j].copy(), S[j].copy(), Z[j].copy(), kappa[j]))
+                    continue
             # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
             # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
             # Relative to |Z|, either both traces are within FEAS_TOL of zero, or
@@ -207,108 +339,180 @@ def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
             # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
             # iterate merely large, as near the optimum of a badly scaled program,
             # meets neither test.
-            if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0:
-                return finish("infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) are both "
-                              "within FEAS_TOL |Z| of zero, so no point is strictly feasible")
-            if aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max:
-                return finish("infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs every "
-                              "tr(F_i Z) by 1 / FEAS_TOL")
+            if a_norm[j] <= FEAS_TOL * z_norm[j] * f_max and abs(aZ_kj) <= FEAS_TOL * z_norm[j] * f0:
+                sols[i] = _finish(prob, "infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) "
+                                  "are both within FEAS_TOL |Z| of zero, so no point is strictly feasible")
+            elif aZ_kj < 0.0 and a_norm[j] * f0 <= -FEAS_TOL * aZ_kj * f_max:
+                sols[i] = _finish(prob, "infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs "
+                                  "every tr(F_i Z) by 1 / FEAS_TOL")
             # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
-            if cy < 0.0 and frobenius(tau * F[k] + r_p) <= FEAS_TOL * y_norm * f_max:
-                return finish("unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
-                              "within FEAS_TOL with c^T y < 0", y / tau)
-            if it == MAX_ITERS:
-                return finish("numerical_failure", it, f"iteration budget spent ({MAX_ITERS})",
-                              y / tau)
+            elif cy_j < 0.0 and rec_norm[j] <= FEAS_TOL * y_norm[j] * f_max:
+                sols[i] = _finish(prob, "unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
+                                  "within FEAS_TOL with c^T y < 0", y[j] / t)
+            elif it == MAX_ITERS:
+                sols[i] = _finish(prob, "numerical_failure", it,
+                                  f"iteration budget spent ({MAX_ITERS})", y[j] / t)
+            else:
+                keep.append(j)
+                hold.append(converged and (centred[i] == 0 or alpha[i] == 1.0))
+        while keep:
+            if len(keep) < n:  # programs left: the stacks keep the others' slots
+                F, c, x, SZ, aZ, r_p, r_d = (a[keep] for a in (F, c, x, SZ, aZ, r_p, r_d))
+                tau, kappa, mu = ([a[j] for j in keep] for a in (tau, kappa, mu))
+                ids, n = [ids[j] for j in keep], len(keep)
+                Fv, work = F.reshape(n, k + 1, m * m), work[:, :n]
             try:
-                dx, dS, dZ, dk, alpha = _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold)
+                dx, dSZ, dk, step = _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work)
+                break
             except np.linalg.LinAlgError as exc:
-                return finish("numerical_failure", it, f"iteration {it}: {exc}", y / tau)
-            x, S = x + alpha * dx, S + alpha * dS
-            Z, kappa = Z + alpha * dZ, kappa + alpha * dk
-            centred = centred + 1 if hold else 0
+                # a breakdown names its programs; any other error ends the whole step
+                reasons = exc.reasons if isinstance(exc, _Breakdown) else dict.fromkeys(range(n), str(exc))
+            for j, why in reasons.items():
+                sols[ids[j]] = _finish(probs[ids[j]], "numerical_failure", it,
+                                       f"iteration {it}: {why}", x[j, :k] / x[j, k])
+            keep = [j for j in range(n) if j not in reasons]
+            hold = [hold[j] for j in keep]
+        if not keep:
+            return sols
+        x, SZ = x + _col(step, 2) * dx, SZ + _col(step, 4) * dSZ
+        kappa = [kap + a * e for kap, a, e in zip(kappa, step, dk)]
+        for i, h, a in zip(ids, hold, step):
+            centred[i], alpha[i] = centred[i] + 1 if h else 0, a
+    return sols
 
-    cold = (np.append(np.zeros(k), 1.0), eye.copy(), eye.copy(), 1.0)
-    if start is None:
-        return run(*cold)
-    warm = run(*(WARM_START * a + (1.0 - WARM_START) * b for a, b in zip(start.iterate[1:], cold)))
-    if warm.status not in ("numerical_failure", "unbounded"):
-        return warm
-    sol = run(*cold)
-    return replace(sol, iterations=warm.iterations + sol.iterations, reason=(
-        f"restarted from the standard start: the warm start ended in {warm.status} "
-        f"({warm.reason}) after {warm.iterations} iterations" + (sol.reason and f"; {sol.reason}")))
+
+# what a Newton direction reads, stacked over the programs of a step: T holds the
+# inverse Cholesky factors of S and Z (items Fortran-ordered, as LAPACK hands them
+# back: copied into C order, the products formed with them lose their bits), chol
+# the upper Cholesky factor of each Schur complement H_yy, h_c is h - c, u_hc is
+# H_yy^-1 (h + c) and pivot that of tau; tau and kappa are lists of floats
+_Newton = namedtuple("_Newton", "Fv SZ S_inv T a_s_inv aZ r_p r_d tau kappa chol h_c u_hc pivot")
 
 
-def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
-    """One damped step: Mehrotra's predictor-corrector, or while held a
-    centring step at fixed tau that clears the residuals.
+def _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work):
+    """One damped step for each program: Mehrotra's predictor-corrector, or
+    while the program is held (hold[j]) a centring step at fixed tau that
+    clears the residuals.  work holds two stacks of F's shape for the Schur
+    complement's Gram factors.
 
-    LAPACK is called directly; a nonzero info and a non-finite residual,
-    Schur complement or right-hand side raise LinAlgError.
+    LAPACK is called directly, once per program; a nonzero info, a gufunc
+    that fails and a non-finite residual, Schur complement or right-hand side
+    raise _Breakdown naming the programs they belong to.
     """
-    k, m = c.size, S.shape[0]
+    n, k, m = len(SZ), c.shape[1], SZ.shape[2]
     _require_finite(r_p, "primal residual")
     _require_finite(r_d, "dual residual")
-    Ls, Lz = np_cholesky(S), np_cholesky(Z)
-    Ts, Tz = _inv_lower(Ls, eye), _inv_lower(Lz, eye)
-    S_inv = Ts.T @ Ts
-    a_s_inv = Fv @ S_inv.ravel()
+    L = _each(np_cholesky, SZ)
+    T = np.empty((n, 2, m, m)).swapaxes(2, 3)
+    reasons = {}
+    for j in range(n):
+        try:
+            T[j, 0], T[j, 1] = _inv_lower(L[j, 0], eye), _inv_lower(L[j, 1], eye)
+        except np.linalg.LinAlgError as exc:
+            reasons[j] = str(exc)
+    if reasons:
+        raise _Breakdown(reasons)
+    Ts = T[:, 0]
+    S_inv = Ts.swapaxes(1, 2) @ Ts
+    a_s_inv = (Fv @ S_inv.reshape(n, m * m, 1)).reshape(n, k + 1)
     # HKM Schur complement H_ab = tr(F_a S^-1 F_b Z) as one Gram product
-    G = (Lz.T @ F @ Ts.T).reshape(k + 1, m * m)
-    H = G @ G.T
-    _require_finite(H[:k], "Schur complement")
-    chol, info = dpotrf(H[:k, :k], lower=0, clean=0)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotrf: Schur complement not positive definite at minor {info}")
+    np.matmul(L[:, 1, None].swapaxes(2, 3), F, out=work[0])
+    G = np.matmul(work[0], Ts[:, None].swapaxes(2, 3), out=work[1]).reshape(n, k + 1, m * m)
+    H = G @ G.swapaxes(1, 2)
+    _require_finite(H[:, :k], "Schur complement")
     # tau is eliminated by hand: with u = H_yy^-1 (h, c) its pivot is a sum
     # of nonnegative terms, so it never cancels to zero near the optimum
-    h = H[:k, k]
-    hc = np.empty((k, 2))
-    hc[:, 0], hc[:, 1] = h, c
-    u, _ = dpotrs(chol, hc, lower=0)
-    u_h, u_c = u[:, 0], u[:, 1]
-    pivot = max(H[k, k] - h @ u_h, 0.0) + c @ u_c + kappa / tau
+    h, hc, u = H[:, :k, k], np.empty((n, k, 2)), np.empty((n, 2, k)).swapaxes(1, 2)
+    hc[:, :, 0], hc[:, :, 1] = h, c
+    chol = []
+    for j in range(n):
+        U, info = dpotrf(H[j, :k, :k], lower=0, clean=0)
+        if info:
+            reasons[j] = f"dpotrf: Schur complement not positive definite at minor {info}"
+        else:
+            chol.append(U)
+            u[j] = dpotrs(U, hc[j], lower=0)[0]
+    if reasons:
+        raise _Breakdown(reasons)
+    u_h, u_c = u[:, :, 0], u[:, :, 1]
+    pivot = (np.maximum(H[:, k, k] - _dots(h, u_h), 0.0) + _dots(c, u_c)
+             + np.divide(kappa, tau))
+    P = _Newton(Fv, SZ, S_inv, T, a_s_inv, aZ, r_p, r_d, tau, kappa, chol, h - c, u_h + u_c, pivot)
+    free = [j for j in range(n) if not hold[j]]
+    if len(free) == n:
+        dx, dSZ, dk, alpha = _predict_correct(P, mu)
+    elif not free:
+        dx, dSZ, dk, alpha = _direction(P, [1.0] * n, mu, hold=True)
+    else:  # the held programs and the others step apart, and their steps are put together
+        held = [j for j in range(n) if hold[j]]
+        dx, dSZ, dk, alpha = np.empty((n, k + 1)), np.empty((n, 2, m, m)), [0.0] * n, [0.0] * n
+        for slots, direction in ((free, lambda A: _predict_correct(A, [mu[j] for j in free])),
+                                 (held, lambda A: _direction(A, [1.0] * len(held), [mu[j] for j in held],
+                                                             hold=True))):
+            try:
+                part = direction(_Newton._make(a[slots] if isinstance(a, np.ndarray)
+                                               else [a[j] for j in slots] for a in P))
+            except _Breakdown as exc:
+                raise _Breakdown({slots[j]: why for j, why in exc.reasons.items()}) from None
+            dx[slots], dSZ[slots] = part[:2]
+            for j, e, a in zip(slots, *part[2:]):
+                dk[j], alpha[j] = e, a
+    return dx, dSZ, dk, [min(1.0, STEP_TO_BOUNDARY * a) for a in alpha]
 
-    def direction(eta, target, corr=0.0, corr_kappa=0.0):
-        """Newton step towards S Z = target I with the residuals scaled by
-        1 - eta; corr and corr_kappa are Mehrotra's second-order terms.
 
-        S^-1 (target I - S Z) is written out as target S^-1 - Z, because
-        forming S^-1 (S Z) loses the digits of the condition number of S.
-        """
-        rhs = eta * r_d + target * a_s_inv - aZ + Fv @ (S_inv @ (eta * r_p @ Z - corr)).ravel()
-        r_kappa = target - tau * kappa - corr_kappa
-        rhs[k] += r_kappa / tau
-        _require_finite(rhs[:k], "right-hand side")
-        dx = np.zeros(k + 1)
-        dx[:k] = dpotrs(chol, rhs[:k], lower=0)[0]
-        if not hold:
-            dx[k] = (rhs[k] - (h - c) @ dx[:k]) / pivot
-            dx[:k] -= (u_h + u_c) * dx[k]
-        dS = (dx @ Fv).reshape(m, m) - eta * r_p
-        dZ = target * S_inv - Z - S_inv @ (dS @ Z + corr)
-        dZ = 0.5 * (dZ + dZ.T)
-        dk = (r_kappa - kappa * dx[k]) / tau
-        # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
-        D = np.empty((2, m, m))
-        D[0], D[1] = Ts @ dS @ Ts.T, Tz @ dZ @ Tz.T
-        lam_s, lam_z = np_eigvalsh(D)[:, 0]
-        alpha = min(_to_boundary(1.0, lam_s), _to_boundary(1.0, lam_z),
-                    _to_boundary(tau, dx[k]), _to_boundary(kappa, dk))
-        return dx, dS, dZ, dk, alpha
+def _predict_correct(P: _Newton, mu: list):
+    """Mehrotra's direction for each program: the affine step picks sigma and
+    supplies the corrector."""
+    n, m, k = len(P.SZ), P.SZ.shape[2], P.aZ.shape[1] - 1
+    dx, dSZ, dk, alpha = _direction(P, [1.0] * n, [0.0] * n)
+    alpha = [min(1.0, a) for a in alpha]
+    SZ = (P.SZ + _col(alpha, 4) * dSZ).reshape(n, 2, m * m)
+    dtau = dx[:, k].tolist()
+    mu_aff = [(sz + (t + a * d) * (kap + a * e)) / (m + 1) for sz, t, a, d, kap, e in
+              zip(_dots(SZ[:, 0], SZ[:, 1]), P.tau, alpha, dtau, P.kappa, dk)]
+    sigma = [min(1.0, a / b) ** 3 for a, b in zip(mu_aff, mu)]
+    return _direction(P, [1.0 - s for s in sigma], [s * u for s, u in zip(sigma, mu)],
+                      dSZ[:, 0] @ dSZ[:, 1], [d * e for d, e in zip(dtau, dk)])
 
-    if hold:
-        dx, dS, dZ, dk, alpha = direction(1.0, mu)
-    else:
-        # the affine step picks sigma and supplies the corrector
-        dx, dS, dZ, dk, alpha = direction(1.0, 0.0)
-        alpha = min(1.0, alpha)
-        mu_aff = (float(np.vdot(S + alpha * dS, Z + alpha * dZ))
-                  + (tau + alpha * dx[k]) * (kappa + alpha * dk)) / (m + 1)
-        sigma = min(1.0, mu_aff / mu) ** 3
-        dx, dS, dZ, dk, alpha = direction(1.0 - sigma, sigma * mu, dS @ dZ, dx[k] * dk)
-    return dx, dS, dZ, dk, min(1.0, STEP_TO_BOUNDARY * alpha)
+
+def _direction(P: _Newton, eta: list, target: list, corr=0.0, corr_kappa=None, hold=False):
+    """Newton step of each program towards S Z = target I with the residuals
+    scaled by 1 - eta; corr and corr_kappa are Mehrotra's second-order terms,
+    and hold keeps tau fixed.  eta, target and corr_kappa hold one float per
+    program.
+
+    S^-1 (target I - S Z) is written out as target S^-1 - Z, because forming
+    S^-1 (S Z) loses the digits of the condition number of S.  Returns the
+    directions (dS and dZ side by side in dSZ) and the largest step length that
+    keeps each program's S, Z, tau and kappa in their cones.
+    """
+    n, m = len(P.SZ), P.SZ.shape[2]
+    k = P.aZ.shape[1] - 1
+    Z = P.SZ[:, 1]
+    eta_m = _col(eta, 3)
+    rhs = (_col(eta, 2) * P.r_d + _col(target, 2) * P.a_s_inv - P.aZ
+           + (P.Fv @ (P.S_inv @ (eta_m * P.r_p @ Z - corr)).reshape(n, m * m, 1)).reshape(n, k + 1))
+    r_kappa = [g - t * kap - e for g, t, kap, e in
+               zip(target, P.tau, P.kappa, corr_kappa or [0.0] * n)]
+    rhs[:, k] += [r / t for r, t in zip(r_kappa, P.tau)]
+    _require_finite(rhs[:, :k], "right-hand side")
+    dx = np.zeros((n, k + 1))
+    for d, b, U in zip(dx, rhs, P.chol):
+        d[:k] = dpotrs(U, b[:k], lower=0)[0]
+    if not hold:
+        dx[:, k] = (rhs[:, k] - _dots(P.h_c, dx[:, :k])) / P.pivot
+        dx[:, :k] -= P.u_hc * dx[:, k, None]
+    dtau = dx[:, k].tolist()
+    dSZ = np.empty((n, 2, m, m))
+    np.subtract((dx[:, None] @ P.Fv).reshape(n, m, m), eta_m * P.r_p, out=dSZ[:, 0])
+    dZ = _col(target, 3) * P.S_inv - Z - P.S_inv @ (dSZ[:, 0] @ Z + corr)
+    np.multiply(0.5, dZ + dZ.swapaxes(1, 2), out=dSZ[:, 1])
+    dk = [(r - kap * d) / t for r, kap, d, t in zip(r_kappa, P.kappa, dtau, P.tau)]
+    # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
+    lam = _each(np_eigvalsh, P.T @ dSZ @ P.T.swapaxes(2, 3))[:, :, 0].tolist()
+    alpha = [min(_to_boundary(1.0, ls), _to_boundary(1.0, lz), _to_boundary(t, d), _to_boundary(kap, e))
+             for (ls, lz), t, d, kap, e in zip(lam, P.tau, dtau, P.kappa, dk)]
+    return dx, dSZ, dk, alpha
 
 
 # --------------------------------------------------------------------------

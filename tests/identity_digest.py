@@ -6,8 +6,8 @@ Run from the repository root on two checkouts and compare the lines:
 
 Each line is the sha256 of the raw bytes of
 
-- pencils: the c, F0 and Fi arrays (with their shapes) that sdpcore.solve
-  receives from synth_full and synth_rhc on 300 random plants, drawn by
+- pencils: the c, F0 and Fi arrays (with their shapes) of each program that
+  synth_full and synth_rhc solve on 300 random plants, drawn by
   test_drsynth._random_instance from default_rng(seed), seeds 0-299, with
   n_x 1-3, n_u 1-3 and n_w 1-2;
 - synthesis: those calls' K, cost bound and iterations, or the name of the
@@ -16,9 +16,9 @@ Each line is the sha256 of the raw bytes of
   from perfbench/workloads.py: the dr_covariance K, P and iterations and the
   two closed-loop scores, or the name of the exception;
 - sweep-paper: ops 0-2 of the benchmark workload at seed 0, with inputs from
-  perfbench/workloads.py: the c, F0 and Fi arrays solve receives from the
-  sweep's synth_full calls, which reuse one assembled pencil across cells,
-  and each record's M, realization, method, stabilizing and J;
+  perfbench/workloads.py: per op, the c, F0 and Fi arrays of each cell's
+  dr_full program in (M, realization) order, whatever order the sweep solves
+  them in, then each record's M, realization, method, stabilizing and J;
 - mss: is_mss's (verdict, radius) and whether closed_loop_value_matrix
   certifies the same loop, for the synth_full gains of the 300 plants at
   their set's centre moments (mean mu_hat, covariance rho_sigma Sigma_hat)
@@ -49,7 +49,7 @@ import numpy as np
 
 import drlqr
 from conftest import bench_workloads
-from drlqr import drsynth, matcore, riccati, stability
+from drlqr import drsynth, experiment, matcore, riccati, stability
 from drlqr.sysmodel import DisturbanceMoments
 from test_drsynth import _random_instance
 from test_riccati import _chain_workload_case
@@ -66,20 +66,45 @@ def _update(h, *arrays):
         h.update(np.ascontiguousarray(a).tobytes())
 
 
+def _pencil(prob) -> tuple:
+    """The c, F0 and Fi arrays of a program."""
+    return (prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))
+
+
 @contextlib.contextmanager
-def _pencils_into(h):
-    """Feed h the c, F0 and Fi of every program drsynth.solve receives."""
-    real = drsynth.solve
+def _pencils_into(feed):
+    """Call feed with every program drsynth solves, in order.  The spy sits on
+    drsynth.solve_batch, the batch entry point; in a checkout whose drsynth
+    solves one program per call with solve, on that."""
+    name = "solve_batch" if hasattr(drsynth, "solve_batch") else "solve"
+    real = getattr(drsynth, name)
 
-    def spy(prob, start=None):
-        _update(h, prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))
-        return real(prob, start=start)
+    def spy(probs, *args, **kwargs):
+        for prob in probs if name == "solve_batch" else [probs]:
+            feed(prob)
+        return real(probs, *args, **kwargs)
 
-    drsynth.solve = spy
+    setattr(drsynth, name, spy)
     try:
         yield
     finally:
-        drsynth.solve = real
+        setattr(drsynth, name, real)
+
+
+@contextlib.contextmanager
+def _cells_into(keys):
+    """Append to keys the (M, realization) of each sweep cell whose random stream is drawn."""
+    real = experiment._cell_stream
+
+    def spy(seed, M, realization):
+        keys.append((M, realization))
+        return real(seed, M, realization)
+
+    experiment._cell_stream = spy
+    try:
+        yield
+    finally:
+        experiment._cell_stream = real
 
 
 @contextlib.contextmanager
@@ -134,7 +159,7 @@ def synthesis_calls():
 def synthesis_digests(mss) -> tuple[str, str]:
     """The pencils and synthesis digests; mss is fed each synth_full gain's verdicts."""
     pencils, results = hashlib.sha256(), hashlib.sha256()
-    with _pencils_into(pencils):
+    with _pencils_into(lambda prob: _update(pencils, *_pencil(prob))):
         for _, method, sys, amb, cost, ctrl in synthesis_calls():
             if isinstance(ctrl, Exception):
                 results.update(type(ctrl).__name__.encode())
@@ -185,23 +210,34 @@ def ce_gain_digest() -> str:
     return h.hexdigest()
 
 
-def sweep_paper_ops():
-    """The outputs of the sweep-paper ops: a list of records or an exception."""
+def sweep_paper_ops(pencils=None):
+    """The outputs of the sweep-paper ops: a list of records or an exception.
+    With pencils, a dict, pencils[index] maps the (M, realization) of each
+    cell of op index to the pencil its dr_full solve receives."""
     workload = bench_workloads().WORKLOADS["sweep-paper"](0)
     for index in range(SWEEP_OPS):
-        yield workload.run(workload.make_input(index))
+        keys, solved = [], []
+        with _cells_into(keys), _pencils_into(lambda prob: solved.append(_pencil(prob))):
+            out = workload.run(workload.make_input(index))
+        if pencils is not None:
+            # each cell draws its stream, then builds its one dr_full pencil, in the same order
+            if len(keys) != len(solved):
+                raise RuntimeError(f"op {index}: {len(keys)} cells and {len(solved)} pencils")
+            pencils[index] = dict(zip(keys, solved))
+        yield out
 
 
 def sweep_paper_digest() -> str:
-    h = hashlib.sha256()
-    with _pencils_into(h):
-        for out in sweep_paper_ops():
-            if isinstance(out, Exception):
-                h.update(type(out).__name__.encode())
-                continue
-            for rec in out:
-                h.update(repr((rec.M, rec.realization, rec.method, rec.stabilizing,
-                               rec.J)).encode())
+    h, pencils = hashlib.sha256(), {}
+    for index, out in enumerate(sweep_paper_ops(pencils)):
+        for key in sorted(pencils[index]):
+            _update(h, *pencils[index][key])
+        if isinstance(out, Exception):
+            h.update(type(out).__name__.encode())
+            continue
+        for rec in out:
+            h.update(repr((rec.M, rec.realization, rec.method, rec.stabilizing,
+                           rec.J)).encode())
     return h.hexdigest()
 
 

@@ -13,20 +13,27 @@ eigvals, an independent route to its radius.  vec_value, lyapunov_P,
 riccati_residual and nominal_sdp are independent routes to the Lyapunov and
 Riccati solutions, dare_gain to the noise-free optimal gain and
 ce_gain_reference the doubling loop the library's in-place one must match
-bit for bit; read_records_csv and median_j_rel read and summarize the experiment CSV.
+bit for bit, and solve_reference the one-program interior-point loop whose
+iterates sdpcore's batch loop must match bit for bit, program by program;
+read_records_csv and median_j_rel read and summarize the experiment CSV.
 """
 
 import csv
+import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
 from scipy.linalg.lapack import dgesv
 
 from drlqr.experiment import RunRecord
-from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix, psd_sqrt, sym_index
+from drlqr.matcore import (NumericalFailure, ShapeError, SymMatrix, all_finite, dpotrf, dpotrs,
+                           frobenius, np_cholesky, np_eigvalsh, psd_sqrt, sym_index)
 from drlqr.riccati import TOL as RICCATI_TOL
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
-from drlqr.sdpcore import LmiBuilder, block_expr, kron_const, solve
+from drlqr.sdpcore import (FEAS_TOL, GAP_TOL, MAX_ITERS, STEP_TO_BOUNDARY, WARM_START, LmiBuilder,
+                           LmiProblem, SdpSolution, _inv_lower, _to_boundary, block_expr, kron_const,
+                           solve)
 from drlqr.stability import TOL, ClosedLoop, InstabilityError, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh, gh
 
@@ -208,6 +215,193 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     P_val = P.value(sol.y)
     K = _gain_from(*fgh(sys, m, P_val)[1:], cost.R)
     return Controller(K=K, P=SymMatrix(P_val), method="nominal_sdp", iterations=sol.iterations)
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not all_finite(a):
+        raise np.linalg.LinAlgError(f"{what} not finite")
+
+
+def solve_reference(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
+    """Solve the pencil LMI program by the self-dual primal-dual method.
+
+    start, an "optimal" solution of a program with the same variable count
+    and block sizes, puts the first iterate WARM_START of the way from the
+    standard start to its final one.  A warm solve that ends in
+    numerical_failure or unbounded is rerun from the standard start.
+    """
+    k, m = prob.num_vars, prob.total_dim
+    c = prob.c
+    dims = tuple(b.dim for b in prob.blocks)
+    if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
+        raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
+    # one block-diagonal pencil F[a] over x = (y, tau).  The embedding asks for
+    # S = sum_a x_a F[a], tr(F_i Z) = tau c_i and kappa = -c^T y - tr(F0 Z)
+    # with S, Z >= 0 and tau, kappa >= 0: tau > 0 gives the optimum y / tau,
+    # tau = 0 a witness of infeasibility or unboundedness
+    F = np.zeros((k + 1, m, m))
+    at = 0
+    for b in prob.blocks:
+        F[:k, at:at + b.dim, at:at + b.dim] = b.Fi
+        F[k, at:at + b.dim, at:at + b.dim] = b.F0
+        at += b.dim
+    Fv = F.reshape(k + 1, m * m)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        # np.linalg.norm(Fv[:k], axis=1) by numpy's own formula
+        f_max = float(np.sqrt(np.add.reduce(Fv[:k] * Fv[:k], axis=1)).max(initial=0.0))
+        f0, c_norm = frobenius(Fv[k]), frobenius(c)
+    eye = np.eye(m)
+
+    def finish(status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
+        if y is None:
+            return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters, reason=reason)
+        if lam is None:
+            lam = prob.min_eigenvalue(y)
+        return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason, iterate)
+
+    if not np.isfinite(f_max + f0 + c_norm):
+        return finish("numerical_failure", 0, "the norm of F0, of an F_i or of c overflows, "
+                      "so no residual or witness test can be measured")
+
+    def run(x, S, Z, kappa):
+        centred, alpha = 0, 0.0  # centring steps in a row, and the last step length
+        for it in range(MAX_ITERS + 1):
+            y, tau = x[:k], x[k]
+            aZ = Fv @ Z.ravel()  # (tr(F_i Z), tr(F0 Z))
+            r_p = S - (x @ Fv).reshape(m, m)
+            cy = c @ y
+            r_d = aZ.copy()
+            r_d[:k] -= tau * c
+            r_d[k] = aZ[k] + cy + kappa
+            mu = (float(np.vdot(S, Z)) + tau * kappa) / (m + 1)
+            gap = (m + 1) * mu / tau**2
+            z_norm, y_norm, a_norm = frobenius(Z), frobenius(y), frobenius(aZ[:k])
+
+            # every residual is measured against the size of the iterate it belongs to
+            converged = (frobenius(r_p) <= FEAS_TOL * (tau * f0 + y_norm * f_max)
+                         and frobenius(r_d[:k]) <= FEAS_TOL * (tau * c_norm + z_norm * f_max)
+                         and gap <= GAP_TOL * max(1.0, abs(float(cy)) / tau))
+            # the iterates approach the optimum from outside the cone, so a converged
+            # point is centred at fixed tau: where a strictly feasible point exists
+            # the first full centring step clears the residual, and the second
+            # centres the flat directions of the optimal face; a blocked centring
+            # step hands back to Mehrotra, which goes on towards the witness on its
+            # own.  With c = 0 every strictly feasible point is optimal.
+            if (converged and centred >= 2) or c_norm == 0.0:
+                y_opt = y / tau
+                lam = prob.min_eigenvalue(y_opt)
+                if lam > 0.0:
+                    return finish("optimal", it, "", y_opt, gap, lam, (dims, x, S, Z, kappa))
+            hold = converged and (centred == 0 or alpha == 1.0)
+            # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
+            # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
+            # Relative to |Z|, either both traces are within FEAS_TOL of zero, or
+            # tr(F0 Z) < 0 outweighs the tr(F_i Z) by 1 / FEAS_TOL, so that
+            # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
+            # iterate merely large, as near the optimum of a badly scaled program,
+            # meets neither test.
+            if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ[k]) <= FEAS_TOL * z_norm * f0:
+                return finish("infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) are both "
+                              "within FEAS_TOL |Z| of zero, so no point is strictly feasible")
+            if aZ[k] < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ[k] * f_max:
+                return finish("infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs every "
+                              "tr(F_i Z) by 1 / FEAS_TOL")
+            # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
+            if cy < 0.0 and frobenius(tau * F[k] + r_p) <= FEAS_TOL * y_norm * f_max:
+                return finish("unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
+                              "within FEAS_TOL with c^T y < 0", y / tau)
+            if it == MAX_ITERS:
+                return finish("numerical_failure", it, f"iteration budget spent ({MAX_ITERS})",
+                              y / tau)
+            try:
+                dx, dS, dZ, dk, alpha = _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold)
+            except np.linalg.LinAlgError as exc:
+                return finish("numerical_failure", it, f"iteration {it}: {exc}", y / tau)
+            x, S = x + alpha * dx, S + alpha * dS
+            Z, kappa = Z + alpha * dZ, kappa + alpha * dk
+            centred = centred + 1 if hold else 0
+
+    cold = (np.append(np.zeros(k), 1.0), eye.copy(), eye.copy(), 1.0)
+    if start is None:
+        return run(*cold)
+    warm = run(*(WARM_START * a + (1.0 - WARM_START) * b for a, b in zip(start.iterate[1:], cold)))
+    if warm.status not in ("numerical_failure", "unbounded"):
+        return warm
+    sol = run(*cold)
+    return replace(sol, iterations=warm.iterations + sol.iterations, reason=(
+        f"restarted from the standard start: the warm start ended in {warm.status} "
+        f"({warm.reason}) after {warm.iterations} iterations" + (sol.reason and f"; {sol.reason}")))
+
+
+def _step(F, Fv, eye, c, S, Z, tau, kappa, aZ, mu, r_p, r_d, hold):
+    """One damped step: Mehrotra's predictor-corrector, or while held a
+    centring step at fixed tau that clears the residuals.
+
+    LAPACK is called directly; a nonzero info and a non-finite residual,
+    Schur complement or right-hand side raise LinAlgError.
+    """
+    k, m = c.size, S.shape[0]
+    _require_finite(r_p, "primal residual")
+    _require_finite(r_d, "dual residual")
+    Ls, Lz = np_cholesky(S), np_cholesky(Z)
+    Ts, Tz = _inv_lower(Ls, eye), _inv_lower(Lz, eye)
+    S_inv = Ts.T @ Ts
+    a_s_inv = Fv @ S_inv.ravel()
+    # HKM Schur complement H_ab = tr(F_a S^-1 F_b Z) as one Gram product
+    G = (Lz.T @ F @ Ts.T).reshape(k + 1, m * m)
+    H = G @ G.T
+    _require_finite(H[:k], "Schur complement")
+    chol, info = dpotrf(H[:k, :k], lower=0, clean=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf: Schur complement not positive definite at minor {info}")
+    # tau is eliminated by hand: with u = H_yy^-1 (h, c) its pivot is a sum
+    # of nonnegative terms, so it never cancels to zero near the optimum
+    h = H[:k, k]
+    hc = np.empty((k, 2))
+    hc[:, 0], hc[:, 1] = h, c
+    u, _ = dpotrs(chol, hc, lower=0)
+    u_h, u_c = u[:, 0], u[:, 1]
+    pivot = max(H[k, k] - h @ u_h, 0.0) + c @ u_c + kappa / tau
+
+    def direction(eta, target, corr=0.0, corr_kappa=0.0):
+        """Newton step towards S Z = target I with the residuals scaled by
+        1 - eta; corr and corr_kappa are Mehrotra's second-order terms.
+
+        S^-1 (target I - S Z) is written out as target S^-1 - Z, because
+        forming S^-1 (S Z) loses the digits of the condition number of S.
+        """
+        rhs = eta * r_d + target * a_s_inv - aZ + Fv @ (S_inv @ (eta * r_p @ Z - corr)).ravel()
+        r_kappa = target - tau * kappa - corr_kappa
+        rhs[k] += r_kappa / tau
+        _require_finite(rhs[:k], "right-hand side")
+        dx = np.zeros(k + 1)
+        dx[:k] = dpotrs(chol, rhs[:k], lower=0)[0]
+        if not hold:
+            dx[k] = (rhs[k] - (h - c) @ dx[:k]) / pivot
+            dx[:k] -= (u_h + u_c) * dx[k]
+        dS = (dx @ Fv).reshape(m, m) - eta * r_p
+        dZ = target * S_inv - Z - S_inv @ (dS @ Z + corr)
+        dZ = 0.5 * (dZ + dZ.T)
+        dk = (r_kappa - kappa * dx[k]) / tau
+        # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
+        D = np.empty((2, m, m))
+        D[0], D[1] = Ts @ dS @ Ts.T, Tz @ dZ @ Tz.T
+        lam_s, lam_z = np_eigvalsh(D)[:, 0]
+        alpha = min(_to_boundary(1.0, lam_s), _to_boundary(1.0, lam_z),
+                    _to_boundary(tau, dx[k]), _to_boundary(kappa, dk))
+        return dx, dS, dZ, dk, alpha
+
+    if hold:
+        dx, dS, dZ, dk, alpha = direction(1.0, mu)
+    else:
+        # the affine step picks sigma and supplies the corrector
+        dx, dS, dZ, dk, alpha = direction(1.0, 0.0)
+        alpha = min(1.0, alpha)
+        mu_aff = (float(np.vdot(S + alpha * dS, Z + alpha * dZ))
+                  + (tau + alpha * dx[k]) * (kappa + alpha * dk)) / (m + 1)
+        sigma = min(1.0, mu_aff / mu) ** 3
+        dx, dS, dZ, dk, alpha = direction(1.0 - sigma, sigma * mu, dS @ dZ, dx[k] * dk)
+    return dx, dS, dZ, dk, min(1.0, STEP_TO_BOUNDARY * alpha)
 
 
 def read_records_csv(path) -> list:

@@ -215,12 +215,12 @@ class TestSynth:
         assert "non-finite entries in samples" in err
 
     def test_numerical_failure_exit_code(self, capsys, monkeypatch, system_json, samples_csv):
-        def failing(prob, start=None):
-            return SdpSolution(y=np.zeros(prob.num_vars), status="numerical_failure",
-                               objective_value=float("nan"), min_block_eigenvalue=float("nan"),
-                               iterations=3, reason="injected breakdown")
+        def failing(probs, starts=None):
+            return [SdpSolution(y=np.zeros(prob.num_vars), status="numerical_failure",
+                                objective_value=float("nan"), min_block_eigenvalue=float("nan"),
+                                iterations=3, reason="injected breakdown") for prob in probs]
 
-        monkeypatch.setattr(drsynth, "solve", failing)
+        monkeypatch.setattr(drsynth, "solve_batch", failing)
         rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
                    "--beta", "0.05", "--method", "full", "--reg", "1e-8"])
         err = capsys.readouterr().err

@@ -57,16 +57,17 @@ class TestSynthFull:
             synth_full(scalar_sys, amb, scalar_cost)
 
     def test_reported_margin_is_that_of_the_returned_point(self, monkeypatch, sys6, cost6, amb6):
-        """_synthesize certifies the gain by min_block_eigenvalue, so the
+        """_controller certifies the gain by min_block_eigenvalue, so the
         field must be the margin of the returned point itself."""
         solved = []
-        real = drsynth.solve
+        real = drsynth.solve_batch
 
-        def spy(prob, start=None):
-            solved.append((prob, real(prob, start=start)))
-            return solved[-1][1]
+        def spy(probs, starts=None):
+            sols = real(probs, starts)
+            solved.extend(zip(probs, sols))
+            return sols
 
-        monkeypatch.setattr(drsynth, "solve", spy)
+        monkeypatch.setattr(drsynth, "solve_batch", spy)
         synth_full(sys6, amb6, cost6)
         (prob, sol), = solved
         assert sol.status == "optimal"
@@ -229,9 +230,9 @@ class TestCertificate:
                                                         amb6_small, method, min_eig):
         """An "optimal" point whose LMI blocks are not strictly positive
         certifies no gain, however good the gain happens to be."""
-        real = drsynth.solve
-        monkeypatch.setattr(drsynth, "solve", lambda prob, start=None: dataclasses.replace(
-            real(prob, start=start), min_block_eigenvalue=min_eig))
+        real = drsynth.solve_batch
+        monkeypatch.setattr(drsynth, "solve_batch", lambda probs, starts=None: [
+            dataclasses.replace(sol, min_block_eigenvalue=min_eig) for sol in real(probs, starts)])
         with pytest.raises(NumericalFailure, match="strictly feasible"):
             _synth(method, sys6, amb6_small, cost6, np.array([2.0, 2.0]))
 
@@ -243,6 +244,26 @@ class TestCertificate:
         with pytest.raises(NumericalFailure, match="numerical_failure: iteration 0: Schur "
                                                    "complement not finite"):
             synth_full(sys6, amb6_small, cost6)
+
+    def test_failed_program_stays_in_its_set(self, monkeypatch, sys6, cost6, amb6, amb6_small):
+        """A set whose program cannot be written (the eigensolver of psd_sqrt
+        does not converge) gets its NumericalFailure in synth_full_batch's
+        result; the other sets are solved as synth_full solves them alone."""
+        real = drsynth._thm6_builder
+
+        def builder(sys, amb, cost):
+            if amb is amb6:
+                raise NumericalFailure("eigensolver did not converge")
+            return real(sys, amb, cost)
+
+        alone = synth_full(sys6, amb6_small, cost6)
+        monkeypatch.setattr(drsynth, "_thm6_builder", builder)
+        first, failed, last = drsynth.synth_full_batch(sys6, [amb6_small, amb6, amb6_small], cost6,
+                                                       [None, alone, alone])
+        assert isinstance(failed, NumericalFailure) and "did not converge" in str(failed)
+        assert np.array_equal(first.controller.K, alone.controller.K)
+        assert first.controller.iterations == alone.controller.iterations
+        assert np.array_equal(last.controller.K, synth_full(sys6, amb6_small, cost6, alone).controller.K)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
@@ -334,20 +355,21 @@ def _assert_certified(rng, res, method, sys, amb, cost, x0):
 
 
 def _memo_runs(calls):
-    """The pencils drsynth.solve receives in each call, and the call's K,
+    """The pencils drsynth.solve_batch receives in each call, and the call's K,
     bound and iterations or its exception, by conftest.memo_runs: with the
     memos kept from call to call, and cleared before each call."""
-    real = drsynth.solve
+    real = drsynth.solve_batch
 
     def run(call):
         pencils = []
 
-        def spy(prob, start=None):
-            pencils.append([(a.shape, a.tobytes()) for a in
-                            (prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))])
-            return real(prob, start=start)
+        def spy(probs, starts=None):
+            pencils.extend([(a.shape, a.tobytes()) for a in
+                            (prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))]
+                           for prob in probs)
+            return real(probs, starts)
 
-        drsynth.solve = spy
+        drsynth.solve_batch = spy
         try:
             ctrl = call().controller
         except (DrSynthesisError, NumericalFailure) as exc:
@@ -357,7 +379,7 @@ def _memo_runs(calls):
     try:
         return memo_runs([lambda call=call: run(call) for call in calls])
     finally:
-        drsynth.solve = real
+        drsynth.solve_batch = real
 
 
 class TestAssemblyMemo:

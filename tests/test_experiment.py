@@ -6,15 +6,15 @@ import pytest
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, ambiguity_radii
 from drlqr import drsynth, experiment, riccati, stability
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
-                              _run_cell, empirical_gain_scalar, example1_analytic,
+                              _run_cells, empirical_gain_scalar, example1_analytic,
                               nominal_reference, replicate_example1,
                               run_sample_complexity, sample_gaussian,
                               scalar_mss, write_records_csv)
-from drlqr.matcore import ShapeError, SymMatrix
+from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
 from conftest import bench_workloads
-from oracles import median_j_rel, read_records_csv
+from oracles import median_j_rel, read_records_csv, solve_reference
 
 
 def _cfg(sys6, moments6, cost6, **overrides):
@@ -150,7 +150,7 @@ class TestSweep:
                             counting("operator", stability.second_moment_operator))
         monkeypatch.setattr(stability, "_spectral_radius",
                             counting("radius", stability._spectral_radius))
-        records, _ = _run_cell(_cfg(sys6, moments6, cost6), 1.0, 1000, 0)
+        records, _ = _run_cells(_cfg(sys6, moments6, cost6), 1.0, [(1000, 0, {})])
         assert [r.stabilizing for r in records] == [True, True]
         assert calls == {"operator": len(records), "radius": 0}
 
@@ -171,6 +171,28 @@ class TestSweep:
         assert [row[:6] for row in rows] == [["1000", str(r), "dr_covariance", "false", "", ""]
                                              for r in (0, 1)]
 
+    def test_failed_program_marks_its_cell_alone(self, monkeypatch, sys6, moments6, cost6):
+        """A NumericalFailure while writing one cell's synthesis program leaves
+        that cell's dr_full record not stabilizing; the other cells of its
+        stage keep the records of a sweep without the failure."""
+        cfg = _cfg(sys6, moments6, cost6, realizations=3, methods=("full",))
+        clean = run_sample_complexity(cfg)
+        real, calls = drsynth._thm6_builder, []
+
+        def builder(sys, amb, cost):
+            calls.append(1)
+            if len(calls) == 2:  # realization 1, in the stage after the anchor
+                raise NumericalFailure("eigensolver did not converge")
+            return real(sys, amb, cost)
+
+        monkeypatch.setattr(drsynth, "_thm6_builder", builder)
+        records = run_sample_complexity(cfg)
+        strip = lambda r: (r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel)
+        assert [strip(r) for r in records] == [
+            strip(r) if r.realization != 1 else (r.M, 1, r.method, False, float("inf"), float("inf"))
+            for r in clean]
+        assert clean[1].stabilizing
+
     def test_records_and_scores(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6)
         records = run_sample_complexity(cfg)
@@ -180,25 +202,42 @@ class TestSweep:
         med = median_j_rel(records, 1000, "dr_covariance")
         assert 0.0 <= med < 0.5
 
-    def test_deterministic_across_workers(self, sys6, moments6, cost6, tmp_path):
+    def test_deterministic_across_workers(self, monkeypatch, sys6, moments6, cost6, tmp_path):
         """Two cells for the pool per sample size; with two sample sizes the
-        pool gets cells of different anchors."""
+        pool gets cells of different anchors.  The sweep-paper shape (three
+        sizes, four realizations) runs stages of 1, 4, 4 and 3 cells, and its
+        CSV is also that of a sweep whose SDPs are solved one at a time by the
+        reference loop."""
         def strip_wall(path):
             lines = path.read_text().strip().splitlines()
             return [",".join(line.split(",")[:-1]) for line in lines]
 
-        for sizes in ((1000,), (1000, 2000)):
-            cfg = _cfg(sys6, moments6, cost6, realizations=3, sample_sizes=sizes)
+        real, batches = drsynth.synth_full_batch, []
+
+        def counted(sys, ambs, cost, starts=None):
+            batches.append(len(ambs))
+            return real(sys, ambs, cost, starts)
+
+        monkeypatch.setattr(drsynth, "synth_full_batch", counted)
+        for sizes, realizations in (((1000,), 3), ((1000, 2000), 3), ((1000, 2000, 4000), 4)):
+            cfg = _cfg(sys6, moments6, cost6, realizations=realizations, sample_sizes=sizes)
             p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+            batches.clear()
             write_records_csv(run_sample_complexity(cfg, jobs=1), p1)
             write_records_csv(run_sample_complexity(cfg, jobs=2), p2)
             assert strip_wall(p1) == strip_wall(p2)
-            assert len(strip_wall(p1)) == 1 + 2 * 3 * len(sizes)
+            assert len(strip_wall(p1)) == 1 + 2 * realizations * len(sizes)
+        assert batches[:4] == [1, 4, 4, 3]
+        p3 = tmp_path / "c.csv"
+        monkeypatch.setattr(drsynth, "solve_batch", lambda probs, starts: [
+            solve_reference(prob, start) for prob, start in zip(probs, starts)])
+        write_records_csv(run_sample_complexity(cfg, jobs=1), p3)
+        assert strip_wall(p3) == strip_wall(p1)
 
-    def test_pool_bounded_by_cells(self, monkeypatch, sys6, moments6, cost6):
-        """A huge jobs value on a 3-cell sweep, whose first cell runs in this
-        process, asks for at most 2 workers; the fake pool runs the other
-        cells in this process too and starts none."""
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """The max_workers each pool is asked for; the fake pool runs its
+        batches in this process and starts no worker."""
         requested = []
 
         class FakePool:
@@ -216,18 +255,30 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+        return requested
+
+    def test_pool_bounded_by_cells(self, fake_pool, sys6, moments6, cost6):
+        """A huge jobs value on a 3-cell sweep, whose first cell runs in this
+        process, asks for at most 2 workers, one per batch it hands the pool."""
         cfg = _cfg(sys6, moments6, cost6, realizations=3)
         serial = run_sample_complexity(cfg, jobs=1)
         pooled = run_sample_complexity(cfg, jobs=10_000)
-        assert requested == [2]
+        assert fake_pool == [2]
         strip = [(r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel) for r in serial]
         assert strip == [(r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel)
                          for r in pooled]
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, float("nan")])
     def test_rejects_jobs_below_one(self, sys6, moments6, cost6, jobs):
+        """A count below one, and one that is not a whole number, raise ValueError naming jobs."""
         with pytest.raises(ValueError, match="jobs"):
             run_sample_complexity(_cfg(sys6, moments6, cost6), jobs=jobs)
+
+    def test_whole_float_jobs_accepted(self, fake_pool, sys6, moments6, cost6):
+        """jobs=2.0 runs as 2 workers."""
+        cfg = _cfg(sys6, moments6, cost6, realizations=3)
+        assert len(run_sample_complexity(cfg, jobs=2.0)) == 3 * 2
+        assert fake_pool == [2]
 
     def test_csv_round_trip(self, sys6, moments6, cost6, tmp_path):
         cfg = _cfg(sys6, moments6, cost6)
@@ -265,16 +316,16 @@ class TestWarmStart:
         counts are deterministic."""
         workload = bench_workloads().WORKLOADS["sweep-paper"](0)
         inp = workload.make_input(0)
-        real, iterations = drsynth.solve, []
+        real, iterations = drsynth.solve_batch, []
 
-        def counted(prob, start=None):
-            sol = real(prob, start=start)
-            iterations.append(sol.iterations)
-            return sol
+        def counted(probs, starts=None):
+            sols = real(probs, starts)
+            iterations.extend(sol.iterations for sol in sols)
+            return sols
 
         totals = []
-        for fake in (counted, lambda prob, start=None: counted(prob)):
-            monkeypatch.setattr(drsynth, "solve", fake)
+        for fake in (counted, lambda probs, starts=None: counted(probs)):
+            monkeypatch.setattr(drsynth, "solve_batch", fake)
             iterations.clear()
             assert workload.check(inp, workload.run(inp)) == []
             totals.append(sum(iterations))
@@ -289,33 +340,33 @@ class TestWarmStart:
         workload = bench_workloads().WORKLOADS["sweep-paper"](0)
         inp = workload.make_input(0)
         counts = {"ce": 0, "iterations": 0}
-        real_ce, real_solve = riccati._ce_gain, drsynth.solve
+        real_ce, real_solve = riccati._ce_gain, drsynth.solve_batch
 
         def ce(*args):
             counts["ce"] += 1
             return real_ce(*args)
 
-        def solve(prob, start=None):
-            sol = real_solve(prob, start=start)
-            counts["iterations"] += sol.iterations
-            return sol
+        def solve(probs, starts=None):
+            sols = real_solve(probs, starts)
+            counts["iterations"] += sum(sol.iterations for sol in sols)
+            return sols
 
         monkeypatch.setattr(riccati, "_ce_gain", ce)
-        monkeypatch.setattr(drsynth, "solve", solve)
+        monkeypatch.setattr(drsynth, "solve_batch", solve)
         assert workload.check(inp, workload.run(inp)) == []
         assert counts["ce"] <= 2 and counts["iterations"] <= 120, counts
 
     def test_first_cell_seeds_the_others(self, monkeypatch, sys6, moments6, cost6):
         """The first cell's dr_full solve is cold; every later one starts from
         its solution."""
-        real, starts = drsynth.synth_full, []
+        real, starts = drsynth.synth_full_batch, []
 
-        def spy(*args, start=None):
-            res = real(*args, start=start)
-            starts.append((start, res))
-            return res
+        def spy(sys, ambs, cost, cell_starts=None):
+            results = real(sys, ambs, cost, cell_starts)
+            starts.extend(zip(cell_starts, results))
+            return results
 
-        monkeypatch.setattr(drsynth, "synth_full", spy)
+        monkeypatch.setattr(drsynth, "synth_full_batch", spy)
         run_sample_complexity(_cfg(sys6, moments6, cost6, realizations=3))
         (first, seed), *rest = starts
         assert first is None and len(rest) == 2
@@ -323,70 +374,79 @@ class TestWarmStart:
 
 
 def _spy_starts(monkeypatch):
-    """Record (method, rho_sigma, start, result) of every dr_covariance and
-    synth_full call; rho_sigma depends on the sample size alone."""
+    """Record (method, rho_sigma, start, result) of every dr_covariance call and
+    of every cell of each synth_full_batch call, an exception as result None;
+    rho_sigma depends on the sample size alone."""
     calls = []
-    real_cov, real_full = riccati.dr_covariance, drsynth.synth_full
+    real_cov, real_full = riccati.dr_covariance, drsynth.synth_full_batch
 
     def cov(sys, mu, amb, cost, start=None):
         res = real_cov(sys, mu, amb, cost, start=start)
         calls.append(("dr_covariance", amb.rho_sigma, start, res))
         return res
 
-    def full(sys, amb, cost, start=None):
-        res = real_full(sys, amb, cost, start=start)
-        calls.append(("dr_full", amb.rho_sigma, start, res))
-        return res
+    def full(sys, ambs, cost, starts=None):
+        results = real_full(sys, ambs, cost, starts)
+        calls.extend(("dr_full", amb.rho_sigma, start, None if isinstance(res, Exception) else res)
+                     for amb, start, res in zip(ambs, starts, results))
+        return results
 
     monkeypatch.setattr(riccati, "dr_covariance", cov)
-    monkeypatch.setattr(drsynth, "synth_full", full)
+    monkeypatch.setattr(drsynth, "synth_full_batch", full)
     return calls
 
 
 class TestAnchors:
     SIZES = (1000, 2000, 4000)
+    # the stages' cells in order: the 1000 anchor; the 2000 anchor and the other 1000
+    # cell; the 4000 anchor and the other 2000 cell; the other 4000 cell
+    STAGED = (1000, 2000, 1000, 4000, 2000, 4000)
+    ANCHORS, CELLS = (0, 1, 3), (2, 4, 5)
 
     def _rho_sigma(self, M):
         return ambiguity_radii(AmbiguityConfig(beta=0.05), 2, M)[1]
 
     def test_anchor_chain_and_cell_starts(self, monkeypatch, sys6, moments6, cost6):
-        """Anchors (realization 0) run first in sample_sizes order, the first
-        cold and each later one from the previous anchor; every other cell
-        starts from its own sample size's anchor."""
+        """Anchors (realization 0) run in sample_sizes order, the first cold
+        and each later one from the previous anchor, each in a stage with the
+        other cells of the size before it; every other cell starts from its
+        own sample size's anchor."""
         calls = _spy_starts(monkeypatch)
         run_sample_complexity(_cfg(sys6, moments6, cost6, sample_sizes=self.SIZES))
         for method in ("dr_covariance", "dr_full"):
             mine = [c[1:] for c in calls if c[0] == method]
-            assert [rho for rho, _, _ in mine] == [self._rho_sigma(M) for M in self.SIZES * 2]
-            anchors, cells = mine[:3], mine[3:]
+            assert [rho for rho, _, _ in mine] == [self._rho_sigma(M) for M in self.STAGED]
+            anchors, cells = [mine[i] for i in self.ANCHORS], [mine[i] for i in self.CELLS]
             assert anchors[0][1] is None
             assert all(anchors[i][1] is anchors[i - 1][2] for i in (1, 2))
             assert all(cell[1] is anchor[2] for cell, anchor in zip(cells, anchors))
 
     def test_failed_anchor_hands_on_its_start(self, monkeypatch, sys6, moments6, cost6):
-        """When the M = 2000 anchor's dr_full raises, the next anchor and the
+        """When the M = 2000 anchor's dr_full fails, the next anchor and the
         M = 2000 cells start from the M = 1000 anchor's result."""
+        real, seen = drsynth.synth_full_batch, []
+
+        def failing(sys, ambs, cost, starts=None):
+            results = real(sys, ambs, cost, starts)
+            for j, amb in enumerate(ambs):
+                seen.append(amb)
+                if len(seen) == 2:  # the second dr_full solve is the M = 2000 anchor's
+                    results[j] = drsynth.DrSynthesisError("anchor fails")
+            return results
+
+        monkeypatch.setattr(drsynth, "synth_full_batch", failing)
         calls = _spy_starts(monkeypatch)
-        spied, seen = drsynth.synth_full, []
-
-        def failing(sys, amb, cost, start=None):
-            seen.append(amb)
-            if len(seen) == 2:  # the second dr_full solve is the M = 2000 anchor's
-                calls.append(("dr_full", amb.rho_sigma, start, None))
-                raise drsynth.DrSynthesisError("anchor fails")
-            return spied(sys, amb, cost, start=start)
-
-        monkeypatch.setattr(drsynth, "synth_full", failing)
         records = run_sample_complexity(_cfg(sys6, moments6, cost6, sample_sizes=self.SIZES))
         assert [r.stabilizing for r in records if r.method == "dr_full"] == \
             [True, True, False, True, True, True]
         full = [c[2:] for c in calls if c[0] == "dr_full"]
-        (_, first), (handed, failed), (after, _), *cells = full
+        (_, first), (handed, failed), (after, _) = (full[i] for i in self.ANCHORS)
+        cells = [full[i] for i in self.CELLS]
         assert failed is None and handed is first and after is first
-        expected = (first, first, full[2][1])
+        expected = (first, first, full[3][1])
         assert len(cells) == 3 and all(c[0] is e for c, e in zip(cells, expected))
         cov = [c[2:] for c in calls if c[0] == "dr_covariance"]
-        assert cov[2][0] is cov[1][1]  # the other method's chain goes on
+        assert cov[3][0] is cov[1][1]  # the other method's chain goes on
 
 
 class TestExample1:

@@ -156,3 +156,21 @@ def test_only_matcore_enters_numpys_linalg_error_state():
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "matcore.py"}
     assert len(modules) > 5 and {name: uses for name, uses in modules.items() if uses} == {}
     assert _error_state_uses(ast.parse((PACKAGE / "matcore.py").read_text()))  # the scan sees them
+
+
+# attributes that numpy 1.24, the floor pyproject.toml declares, does not have:
+# ndarray.mT and these functions came with numpy 2.0 to 2.2
+NEWER_THAN_THE_FLOOR = {"mT", "matvec", "vecmat", "vecdot", "matrix_transpose", "permute_dims",
+                        "unstack", "concat", "cumulative_sum"}
+
+
+def test_no_numpy_names_newer_than_the_declared_floor():
+    """The package runs on every numpy pyproject.toml admits: no module reads an
+    attribute that numpy 1.24 lacks."""
+    assert re.search(r'"numpy>=1\.24"', (ROOT / "pyproject.toml").read_text())
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = ast.walk(ast.parse(path.read_text()))
+        found[path.name] = [f"line {node.lineno}: {node.attr}" for node in nodes
+                            if isinstance(node, ast.Attribute) and node.attr in NEWER_THAN_THE_FLOOR]
+    assert len(found) > 5 and {name: uses for name, uses in found.items() if uses} == {}

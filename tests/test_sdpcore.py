@@ -1,12 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drlqr import sdpcore
+from drlqr import drsynth, sdpcore
 from drlqr.matcore import DomainError, ShapeError
-from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem, block_expr, kron_const,
-                           solve, zeros)
+from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem, SdpSolution, block_expr,
+                           kron_const, solve, solve_batch, zeros)
+from conftest import bench_workloads
+from oracles import solve_reference
 
 
 def _solve(prob):
@@ -410,3 +414,249 @@ class TestReadOuts:
         reference = min(np.linalg.eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0]
                         for b in blocks)
         assert LmiProblem(c=np.zeros(k), blocks=blocks).min_eigenvalue(y) == reference
+
+
+# --------------------------------------------------------------------------
+# The batch loop against the one-program reference loop, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _line(F0, F1, c=1.0):
+    """min c y s.t. F0 + y F1 >= 0, one scalar block."""
+    return LmiProblem(c=[c], blocks=(LmiBlock(F0=[[F0]], Fi=[[[F1]]]),))
+
+
+def _scaled(s):
+    """TestBadlyScaled's min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0."""
+    return LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
+        F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),))
+
+
+SMALL = [
+    # one variable, one 1 x 1 block: optimal, unbounded, the spent budget, infeasible
+    _line(-3.0, 1.0), _line(1.0, 1.0, c=-1.0), _line(1e6, 1.0), _line(-1.0, 0.0),
+    # one variable, one 2 x 2 block: the norm bound (optimal) and a weakly infeasible program
+    LmiProblem(c=[-1.0], blocks=(LmiBlock(F0=np.eye(2), Fi=[[[0.0, 1.0], [1.0, 0.0]]]),)),
+    LmiProblem(c=[0.0], blocks=(LmiBlock(F0=[[0.0, 1.0], [1.0, 0.0]], Fi=[[[1.0, 0.0], [0.0, 0.0]]]),)),
+    # two variables, one 2 x 2 block: the badly scaled programs, the last one overflowing
+    *(_scaled(s) for s in (1e4, 1e8, 1e150, 1e160)),
+]
+
+
+N5_OPS = range(3)
+
+
+def _shape(prob):
+    return prob.num_vars, tuple(b.dim for b in prob.blocks)
+
+
+@functools.cache
+def _programs() -> dict:
+    """{shape: [(program, start)]}: the synth_full and synth_rhc programs of the
+    identity digest's 300 plants, of synth-n5 ops 0-2 (seed 0: two feasible
+    5-state plants and an infeasible one) and SMALL, each without a start,
+    and the dr_full programs of sweep-paper op 0 (seed 0) with the starts the
+    sweep gives them."""
+    from identity_digest import plants  # builds the plants' inputs only when asked
+
+    n5 = bench_workloads().WORKLOADS["synth-n5"](0)
+    inputs = [data[1:] for data in plants()] + [n5.make_input(i).data for i in N5_OPS]
+    found = []
+
+    def collect(probs, starts=None):  # a verdict that raises at once: no solve is needed here
+        found.extend((prob, None) for prob in probs)
+        return [SdpSolution(np.zeros(p.num_vars), "infeasible", 0.0, 0.0, 0) for p in probs]
+
+    real = drsynth.solve_batch
+    drsynth.solve_batch = collect
+    try:
+        for sys, amb, cost, x0 in inputs:
+            for synth in (lambda: drsynth.synth_full(sys, amb, cost),
+                          lambda: drsynth.synth_rhc(sys, amb, cost, x0)):
+                with pytest.raises(drsynth.DrSynthesisError):
+                    synth()
+    finally:
+        drsynth.solve_batch = real
+
+    def sweep(probs, starts):
+        found.extend(zip(probs, starts))
+        return real(probs, starts)
+
+    workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+    drsynth.solve_batch = sweep
+    try:
+        assert isinstance(workload.run(workload.make_input(0)), list)
+    finally:
+        drsynth.solve_batch = real
+    groups = {}
+    for prob, start in found + [(prob, None) for prob in SMALL]:
+        groups.setdefault(_shape(prob), []).append((prob, start))
+    return groups
+
+
+@functools.cache
+def _warm_start(shape):
+    """The reference's optimum of the first program of the group that has one, or None."""
+    for prob, _ in _programs()[shape]:
+        sol = _reference(shape, prob, None)
+        if sol.status == "optimal":
+            return sol
+    return None
+
+
+_references = {}
+
+
+def _reference(shape, prob, start):
+    key = (shape, id(prob), id(start))
+    if key not in _references:
+        _references[key] = solve_reference(prob, start)
+    return _references[key]
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return repr((a.dtype.str, a.shape)).encode() + a.tobytes()
+
+
+def assert_same_solution(sol: SdpSolution, ref: SdpSolution):
+    """Every field of sol is the reference's, bit for bit, and sol's iterate owns its arrays."""
+    for field in ("y", "objective_value", "min_block_eigenvalue", "duality_gap"):
+        assert _bits(np.float64(getattr(sol, field))) == _bits(np.float64(getattr(ref, field))), field
+    assert (sol.status, sol.iterations, sol.reason) == (ref.status, ref.iterations, ref.reason)
+    assert (sol.iterate is None) == (ref.iterate is None)
+    if ref.iterate is not None:
+        assert sol.iterate[0] == ref.iterate[0]
+        for ours, theirs in zip(sol.iterate[1:], ref.iterate[1:]):
+            assert _bits(ours) == _bits(theirs)
+        assert all(a.flags.owndata for a in sol.iterate[1:4])
+
+
+def _solve_both(shape, entries):
+    """solve_batch on entries, a list of (program, start), and each program's reference."""
+    sols = solve_batch([prob for prob, _ in entries], [start for _, start in entries])
+    return sols, [_reference(shape, prob, start) for prob, start in entries]
+
+
+class TestBatchIsReference:
+    """solve_batch returns for each program what the one-program reference loop
+    (tests/oracles.solve_reference, the loop sdpcore ran before it stacked
+    programs) returns, bit for bit, whatever else shares its batch."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        return _programs()  # built outside the hypothesis test, which imports test modules
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_batches(self, groups, data):
+        shape = data.draw(st.sampled_from(sorted(groups)), label="shape")
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(groups[shape]) - 1), st.booleans()),
+                                   min_size=1, max_size=6), label="programs, warm")
+        entries = [groups[shape][i] for i, _ in picks]
+        entries = [(prob, _warm_start(shape) if warm and _warm_start(shape) else start)
+                   for (prob, start), (_, warm) in zip(entries, picks)]
+        for sol, ref in zip(*_solve_both(shape, entries)):
+            assert_same_solution(sol, ref)
+
+    def test_every_verdict_in_one_batch(self):
+        """The one-variable line programs give all four verdicts, and warm
+        starts from the first one's optimum make the unbounded program and the
+        spent budget rerun cold."""
+        shape = (1, (1,))
+        lines = [prob for prob, _ in _programs()[shape]]
+        start = _reference(shape, lines[0], None)
+        sols, refs = _solve_both(shape, [(prob, None) for prob in lines]
+                                 + [(prob, start) for prob in lines])
+        for sol, ref in zip(sols, refs):
+            assert_same_solution(sol, ref)
+        assert [sol.status for sol in sols[:4]] == ["optimal", "unbounded", "numerical_failure",
+                                                   "infeasible"]
+        assert sum(sol.reason.startswith("restarted") for sol in sols) == 2
+
+    def test_identity_group_with_three_verdicts(self):
+        """The synth_rhc programs of the plants with n_x = 2, n_u = 1 and n_w = 2
+        (12 variables, blocks 4, 9, 2 and 3) end optimal, infeasible and in
+        numerical failure; solved as one batch, half of them warm."""
+        shape = (12, (4, 9, 2, 3))
+        entries = _programs()[shape]
+        start = _warm_start(shape)
+        entries = [(prob, start if j % 2 else None) for j, (prob, _) in enumerate(entries)]
+        sols, refs = _solve_both(shape, entries)
+        for sol, ref in zip(sols, refs):
+            assert_same_solution(sol, ref)
+        assert {sol.status for sol in sols} == {"optimal", "infeasible", "numerical_failure"}
+
+    def test_synth_n5_group(self):
+        """The synth_full programs of synth-n5 ops 0-2 (n_x = 5: 55 variables,
+        blocks of 47 rows), two ending optimal and one infeasible, solved as one
+        batch with the last one warm."""
+        shape = next(shape for shape in _programs() if shape[0] == 55)
+        entries = [(prob, None) for prob, _ in _programs()[shape]]
+        assert len(entries) == len(N5_OPS)
+        entries[-1] = (entries[-1][0], _warm_start(shape))
+        sols, refs = _solve_both(shape, entries)
+        for sol, ref in zip(sols, refs):
+            assert_same_solution(sol, ref)
+        assert [sol.status for sol in sols] == ["optimal", "optimal", "infeasible"]
+
+    def test_batch_of_one_is_solve(self):
+        prob, start = _programs()[(11, (6, 11, 2))][-1]
+        assert start is not None
+        assert_same_solution(solve(prob, start), solve_batch([prob], [start])[0])
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="one shape"):
+            solve_batch([_line(-3.0, 1.0), _scaled(1e4)])
+
+
+def _inject(monkeypatch, call, edit):
+    """Run edit on the arguments of the call-th call of sdpcore._step, once."""
+    real, calls = sdpcore._step, []
+
+    def step(*args):
+        calls.append(1)
+        if len(calls) == call:
+            edit(*args)
+        return real(*args)
+
+    monkeypatch.setattr(sdpcore, "_step", step)
+
+
+class TestBatchFailures:
+    """A step that breaks down for one program ends that program alone, with the
+    reason a solo solve gives; the others keep their bits.  The work of a failed
+    program is not carried on, which the suite's error::RuntimeWarning checks."""
+
+    SHAPE = (11, (6, 11, 2))  # the paper system's synthesis program
+
+    def _entries(self):
+        return _programs()[self.SHAPE][-4:]  # sweep-paper cells, each with its start
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work:
+         r_p[1].__setitem__((0, 0), np.nan), "iteration 2: primal residual not finite"),
+        (lambda F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work:
+         SZ[1].__setitem__(0, -eye), "iteration 2: Matrix is not positive definite"),
+    ], ids=["non-finite residual", "failed Cholesky"])
+    def test_failure_stays_in_its_program(self, monkeypatch, edit, reason):
+        entries = [(prob, None) for prob, _ in self._entries()]
+        _inject(monkeypatch, 3, edit)
+        sols, refs = _solve_both(self.SHAPE, entries)
+        assert (sols[1].status, sols[1].iterations, sols[1].reason) == (
+            "numerical_failure", 2, reason)
+        for j in (0, 2, 3):
+            assert_same_solution(sols[j], refs[j])
+
+    def test_failed_warm_solve_reruns_cold_alone(self, monkeypatch):
+        entries = self._entries()
+        _inject(monkeypatch, 3, lambda *args: args[9][0].__setitem__((0, 0), np.inf))
+        sols, refs = _solve_both(self.SHAPE, entries)
+        cold = _reference(self.SHAPE, entries[0][0], None)
+        assert sols[0].status == cold.status == "optimal"
+        assert _bits(sols[0].y) == _bits(cold.y) and sols[0].iterations == 2 + cold.iterations
+        assert sols[0].reason == ("restarted from the standard start: the warm start ended in "
+                                  "numerical_failure (iteration 2: primal residual not finite) "
+                                  "after 2 iterations")
+        for j in (1, 2, 3):
+            assert_same_solution(sols[j], refs[j])

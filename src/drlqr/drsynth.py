@@ -16,15 +16,17 @@ for a specific initial state instead.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import NumericalFailure, ShapeError, _memo_last, contract, np_inv, psd_sqrt
+from .matcore import (NumericalFailure, ShapeError, _memo_last, all_finite, contract, np_inv,
+                      psd_sqrt)
 from .riccati import Controller
-from .sdpcore import (AffineExpr, LmiBuilder, SdpSolution, block_expr, kron_const, solve_batch,
-                      zeros)
+from .sdpcore import (AffineExpr, LmiBuilder, SdpSolution, _solve_stack, _stack, block_expr,
+                      kron_const, solve_batch, zeros)
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost, state_vector
 
 
@@ -46,11 +48,17 @@ class SynthesisResult:
         return self.controller.cost_bound
 
 
+_Template = namedtuple("_Template", "W V chan c F dims at back")
+
+
 @_memo_last(lambda sys, cost: sys.stacked + (cost.Q, cost.R))
-def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
-    """(num_vars, W, V, chan, arrow, main, floor) for _thm6_builder, all read-only; chan[i]
-    holds the channel A_i W + B_i V, i = 0..n_w.  Only the last (system, cost) is kept, by
-    matcore._memo_last on sys.stacked, Q and R: 0.02 MB on the paper's system, 34 MB at n_x = 16."""
+def _template(sys: MultNoiseSystem, cost: CostWeights) -> _Template:
+    """(W, V, chan, c, F, dims, at, back), all read-only: chan[i] holds the channel
+    A_i W + B_i V, i = 0..n_w; c, F and dims are synth_full's program with zero data
+    slots, one program as sdpcore._stack lays it out; at and back, the slot map, are the
+    flat indices in F of the entries _pencils writes, below and above the diagonal.  Only
+    the last (system, cost) is kept, by matcore._memo_last on sys.stacked, Q and R: 0.04 MB
+    on the paper's system, 89 MB at n_x = 16, n_u = 4 and n_w = 2, nearly all of it F."""
     n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
     Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
     b = LmiBuilder()
@@ -70,95 +78,148 @@ def _template(sys: MultNoiseSystem, cost: CostWeights) -> tuple:
     # certify nothing; without it a set too large for any gain can end there, not infeasible
     eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
     floor = block_expr([[L - eps * np.eye(n_x)]])
-    for a in (W.coef, V.coef, chan, arrow.coef, main.coef, floor.coef):
+    c, F, dims = _stack([b.build(-W.trace(), [arrow, main, floor])])
+    # the slots, against the columns of W: the channels' rows of the arrow block (from row
+    # n_x), those of the main block (from row dims[0] + n_x) and the main block's centre;
+    # coefficient i of a slot is pencil slice i - 1, the constant (i = 0) the last slice
+    i, r, q = np.indices((chan.shape[1], n_w * n_x, n_x)).reshape(3, -1)
+    i0, r0, q0 = np.indices((chan.shape[1], n_x, n_x)).reshape(3, -1)
+    s = (np.concatenate([i, i, i0]) - 1) % len(F[0])
+    rows = np.concatenate([n_x + r, dims[0] + n_x + r, dims[0] + (1 + n_w) * n_x + r0])
+    cols = np.concatenate([q, dims[0] + q, dims[0] + q0])
+    at, back = (np.ravel_multi_index((s, u, v), F.shape[1:]) for u, v in ((rows, cols), (cols, rows)))
+    for a in (W.coef, V.coef, chan, c, F, at, back):
         a.setflags(write=False)
-    return b.num_vars, W, V, chan, arrow.coef, main.coef, floor
+    return _Template(W, V, chan, c[0], F[0], dims, at, back)
 
 
-def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
-                  ) -> tuple[LmiBuilder, AffineExpr, AffineExpr, list[AffineExpr]]:
-    """A fresh builder, W, V and the three synthesis blocks: arrow, main and floor.
+def _pencils(template: _Template, ambs: list, roots: np.ndarray) -> np.ndarray:
+    """synth_full's pencil for each set in ambs, with roots[j] = Sigma_hat^{1/2} of
+    ambs[j]: _template's pencil, copied once per set, with the set's data at the slot map.
 
     The data enter through Theta = [[1, mu_hat^T], [0, Sigma_hat^{1/2}]] (Theta^T Theta is
     the extended moment): G = Theta . chan stacks the centre A(mu_hat) W + B(mu_hat) V and
-    the whitened channels H = [H_1; ...; H_nw], written into copies of _template's blocks.
-    The main block is congruent, by (rho_sigma Sigma_hat)^{1/2} (x) I, to the one on the raw
-    channels against (rho_sigma Sigma_hat)^-1 (x) W, so Sigma_hat is never inverted."""
-    if amb.n_w != sys.n_w:
-        raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
-    check_cost(sys, cost)
-    num_vars, W, V, chan, arrow, main, floor = _template(sys, cost)
-    n_x, n_w = sys.n_x, sys.n_w
-    theta = np.empty((1 + n_w, 1 + n_w))
-    theta[0, 0] = 1.0
-    theta[0, 1:] = amb.mu_hat
-    theta[1:, 0] = 0.0
-    theta[1:, 1:] = psd_sqrt(amb.sigma_hat)
-    G = contract(theta, chan)
-    H = G[1:].transpose(1, 0, 2, 3).reshape(-1, n_w * n_x, n_x)  # [H_1; ...; H_nw]
+    the whitened channels H = [H_1; ...; H_nw].  The main block is congruent, by
+    (rho_sigma Sigma_hat)^{1/2} (x) I, to the one on the raw channels against
+    (rho_sigma Sigma_hat)^-1 (x) W, so Sigma_hat is never inverted."""
+    n, n_w = len(ambs), len(template.chan) - 1
+    theta = np.zeros((n, 1 + n_w, 1 + n_w))
+    theta[:, 0, 0] = 1.0
+    theta[:, 0, 1:] = [amb.mu_hat for amb in ambs]
+    theta[:, 1:, 1:] = roots
+    G = contract(theta, template.chan)
+    H = G[:, 1:].swapaxes(1, 2).reshape(n, -1)  # [H_1; ...; H_nw] of each coefficient
     # arrow block [[S, c H^T], [c H, I (x) L]], c = sqrt(rho_mu / 2): a mean in the ellipsoid
     # (mu-mu_hat)^T Sigma_hat^-1 (mu-mu_hat) <= rho_mu moves the centre by D = sum_i v_i H_i,
     # |v|^2 <= rho_mu; the main block (the cost LMI at mu_hat minus diag(sqrt2 S, sqrt2 L) around
     # the centre) absorbs D if D^T L^-1 D <= 2 S, and D^T L^-1 D <= rho_mu sum_i H_i^T L^-1 H_i <= 2 S.
-    # Rows and columns of W, of the channels' stack and of the main block's centre:
-    w, ch, ce = slice(n_x), slice(n_x, (1 + n_w) * n_x), slice((1 + n_w) * n_x, (2 + n_w) * n_x)
-    arrow, main = arrow.copy(), main.copy()
-    for coef, rows, e in ((arrow, ch, math.sqrt(amb.rho_mu / 2.0) * H),
-                          (main, ch, math.sqrt(amb.rho_sigma) * H), (main, ce, G[0])):
-        coef[:len(e), rows, w], coef[:len(e), w, rows] = e, e.transpose(0, 2, 1)
+    scale = np.sqrt([[amb.rho_mu / 2.0, amb.rho_sigma] for amb in ambs])
+    F = np.empty((n,) + template.F.shape)
+    F[:] = template.F
+    F.reshape(n, -1)[:, template.at] = F.reshape(n, -1)[:, template.back] = np.concatenate(
+        [scale[:, :1] * H, scale[:, 1:] * H, G[:, 0].reshape(n, -1)], axis=1)
+    return F
+
+
+def _checked(sys: MultNoiseSystem, ambs: list, cost: CostWeights) -> _Template:
+    """_template(sys, cost), once sys, each set in ambs and cost are checked to fit."""
+    for amb in ambs:
+        if amb.n_w != sys.n_w:
+            raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
+    check_cost(sys, cost)
+    return _template(sys, cost)
+
+
+def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
+                  ) -> tuple[LmiBuilder, AffineExpr, AffineExpr, list[AffineExpr]]:
+    """A builder holding synth_full's variables, W, V and the program's three blocks,
+    arrow, main and floor, read off the set's pencil (_pencils)."""
+    template = _checked(sys, [amb], cost)
+    F, = _pencils(template, [amb], psd_sqrt(amb.sigma_hat)[None])
+    F = np.roll(F, 1, axis=0)  # the constant first, as AffineExpr keeps it
     b = LmiBuilder()
-    b.num_vars = num_vars
-    return b, W, V, [AffineExpr(arrow), AffineExpr(main), floor]
+    b.num_vars = len(F) - 1
+    ends = np.cumsum(template.dims).tolist()
+    return b, template.W, template.V, [AffineExpr(F[:, e - d:e, e - d:e])
+                                       for d, e in zip(template.dims, ends)]
 
 
-def _controller(sol: SdpSolution, W: AffineExpr, V: AffineExpr, method: str,
-                bound: AffineExpr | None = None) -> SynthesisResult:
-    """The certified controller read off a synthesis SDP's solution.
+def _controllers(sols: list, W: AffineExpr, V: AffineExpr, method: str,
+                 bound: AffineExpr | None = None) -> list:
+    """For each synthesis SDP's solution, the certified controller read off it,
+    or the DrSynthesisError or NumericalFailure that says why there is none.
 
     The cost bound is tr(W^{-1}), or the scalar expression bound when the
     program minimizes its own bound.  The solution is its own certificate: at
     a strictly feasible point P = W^{-1} satisfies P > E[A_cl(w)^T P A_cl(w)]
     at every moment pair in the ambiguity set, which is robust mean-square
     stability.  An "optimal" point whose smallest LMI block eigenvalue is not
-    positive certifies nothing and raises NumericalFailure.
+    positive certifies nothing.  W, V, W^{-1} and K are read off with one
+    stacked product or inverse each.
     """
-    if sol.status == "infeasible":
-        raise DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system "
-                               f"({sol.reason})")
-    if sol.status != "optimal":
-        raise NumericalFailure(f"synthesis SDP returned status {sol.status}: {sol.reason}")
-    if not sol.min_block_eigenvalue > 0:
-        raise NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
-                               f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
-    W_inv = np_inv(W.value(sol.y))
-    cost_bound = np.trace(W_inv) if bound is None else bound.value(sol.y)[0, 0]
-    ctrl = Controller(K=V.value(sol.y) @ W_inv, P=W_inv, method=method,
-                      iterations=sol.iterations, cost_bound=float(cost_bound))
-    return SynthesisResult(controller=ctrl, solution=sol)
+    results = [DrSynthesisError("synthesis SDP infeasible: ambiguity set too large for this system "
+                                f"({sol.reason})") if sol.status == "infeasible" else
+               NumericalFailure(f"synthesis SDP returned status {sol.status}: {sol.reason}")
+               if sol.status != "optimal" else
+               NumericalFailure("synthesis LMIs not strictly feasible at the returned point "
+                                f"(min block eigenvalue {sol.min_block_eigenvalue:.3e})")
+               if not sol.min_block_eigenvalue > 0 else sol for sol in sols]
+    good = [j for j, res in enumerate(results) if res is sols[j]]
+    if good:
+        z = np.ones((len(good), 1, 1 + len(sols[0].y)))  # (1, y) of each point, as AffineExpr.value
+        z[:, 0, 1:] = [sols[j].y for j in good]
+        W_val, V_val = (contract(z[..., :len(e.coef)], e.coef)[:, 0] for e in (W, V))
+        W_inv = np_inv(W_val)
+        for j, P, K in zip(good, W_inv, V_val @ W_inv):
+            cost_bound = P.trace() if bound is None else bound.value(sols[j].y)[0, 0]
+            results[j] = SynthesisResult(Controller(K=K, P=P, method=method, iterations=sols[j].iterations,
+                                                    cost_bound=float(cost_bound)), sols[j])
+    return results
+
+
+def _one(results: list) -> SynthesisResult:
+    """The result of a one-set call, raised if it is an exception."""
+    result, = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: CostWeights,
                      starts: list[SynthesisResult | None] | None = None) -> list:
     """synth_full for each ambiguity set in ambs, each solve started from
-    starts[i] (None: cold), all synthesis SDPs solved as one batch
-    (sdpcore.solve_batch): per set, the SynthesisResult, or the
+    starts[i] (None: cold): per set, the SynthesisResult, or the
     DrSynthesisError or NumericalFailure synth_full would raise for it, from
-    writing its program or from reading its solution."""
+    writing its program or from reading its solution.
+
+    The programs are one pencil stack (_pencils), byte for byte the programs
+    _thm6_builder and LmiBuilder.build write set by set, and sdpcore's loop
+    solves them as one batch (sdpcore._solve_stack)."""
     starts = [None] * len(ambs) if starts is None else starts
-    results, built = [None] * len(ambs), []  # built: (set, program, W, V) of each program written
-    for j, amb in enumerate(ambs):
-        try:
-            b, W, V, blocks = _thm6_builder(sys, amb, cost)
-            built.append((j, b.build(-W.trace(), blocks), W, V))
-        except (DrSynthesisError, NumericalFailure) as exc:
-            results[j] = exc
-    sols = solve_batch([prob for _, prob, _, _ in built],
-                       [None if starts[j] is None else starts[j].solution for j, _, _, _ in built])
-    for sol, (j, _, W, V) in zip(sols, built):
-        try:
-            results[j] = _controller(sol, W, V, "dr_full")
-        except (DrSynthesisError, NumericalFailure) as exc:
-            results[j] = exc
+    if not ambs:
+        return []
+    template = _checked(sys, ambs, cost)
+    try:  # each Sigma_hat^{1/2} from one stacked eigensolve, or its own where that fails
+        results = list(psd_sqrt(np.stack([amb.sigma_hat for amb in ambs])))
+    except NumericalFailure:
+        results = []
+        for amb in ambs:
+            try:
+                results.append(psd_sqrt(amb.sigma_hat))
+            except NumericalFailure as exc:
+                results.append(exc)
+    ok = [j for j, root in enumerate(results) if not isinstance(root, Exception)]
+    if ok:
+        F = _pencils(template, [ambs[j] for j in ok], np.array([results[j] for j in ok]))
+        slots = F.reshape(len(ok), -1)[:, template.at]
+        if not all_finite(slots + slots):  # LmiBlock keeps (a + a^T) / 2, which overflows there
+            for j in ok:
+                b, W, V, blocks = _thm6_builder(sys, ambs[j], cost)
+                b.build(-W.trace(), blocks)  # raises the DomainError that names the field
+        sols = _solve_stack(np.broadcast_to(template.c, (len(ok), len(template.c))), F, template.dims,
+                            [None if starts[j] is None else starts[j].solution for j in ok])
+        for j, res in zip(ok, _controllers(sols, template.W, template.V, "dr_full")):
+            results[j] = res
     return results
 
 
@@ -175,10 +236,7 @@ def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
     verdict and the certificate do not depend on it.  The one-set case of
     synth_full_batch.
     """
-    result, = synth_full_batch(sys, [amb], cost, [start])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _one(synth_full_batch(sys, [amb], cost, [start]))
 
 
 def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:
@@ -191,5 +249,4 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0)
     b, W, V, blocks = _thm6_builder(sys, amb, cost)
     gamma = b.rect_var(1, 1)
     blocks.append(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), W]]))
-    sol, = solve_batch([b.build(gamma, blocks)])
-    return _controller(sol, W, V, "dr_rhc", bound=gamma)
+    return _one(_controllers(solve_batch([b.build(gamma, blocks)]), W, V, "dr_rhc", bound=gamma))

@@ -14,9 +14,11 @@ import csv
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import drsynth, riccati
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
@@ -176,6 +178,47 @@ def _run_cells(cfg: ExperimentConfig, J_nom: float, cells) -> tuple[list, list]:
     return records, solved
 
 
+# numpy and scipy each bundle an OpenBLAS build: the package, the library's file in the
+# package's .libs folder, and the suffix of its scipy_openblas_{set,get}_num_threads symbols
+_OPENBLAS = ((np, "libscipy_openblas64_*", "64_"), (scipy, "libscipy_openblas-*", ""))
+
+
+def _blas_threads(count: int | None = None) -> list | None:
+    """The thread count of numpy's and of scipy's bundled OpenBLAS, each set to
+    count first when count is given, or None where a library or symbol is not found."""
+    import ctypes  # only a sweep with a pool loads these
+    import glob
+
+    found = []
+    for package, pattern, suffix in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(glob.glob(os.path.join(os.path.dirname(package.__file__) + ".libs", pattern))[0])
+            put, get = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}") for verb in ("set", "get"))
+        except (IndexError, OSError, AttributeError):
+            return None
+        put.argtypes, put.restype, get.argtypes, get.restype = [ctypes.c_int], None, [], ctypes.c_int
+        if count is not None:
+            put(count)
+        found.append(get())
+    return found
+
+
+def _pool(workers: int):
+    """A process pool whose workers each run one BLAS thread (_blas_threads(1)):
+    forked workers inherit OpenBLAS's default thread count, one per core, and on
+    a 2-core host two such workers made jobs=2 several times slower than jobs=1.
+    Where a bundled OpenBLAS lacks the symbols, the pool runs as it is, with a warning."""
+    import concurrent.futures  # only a sweep with a pool loads it, and multiprocessing
+
+    pinned = _blas_threads() is not None
+    if not pinned:
+        warnings.warn("cannot set the thread count of numpy's and scipy's OpenBLAS: with jobs > 1 "
+                      "set OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1 before starting Python",
+                      stacklevel=3)
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_blas_threads if pinned else None, initargs=(1,))
+
+
 def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Full sweep over (M, realization) cells; write_records_csv writes its CSV.
 
@@ -190,10 +233,8 @@ def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
     then the other cells of the last sample size; a stage's dr_full SDPs are
     solved as one batch.  With jobs > 1 the anchors run alone in this process
     and the other cells go to a pool in one batch per worker.  The pool starts
-    all its workers at once, so it gets at most one per batch and per CPU.
-    With jobs > 1, set OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1: the forked
-    workers inherit OpenBLAS's default thread count, which made jobs=2 several
-    times slower than jobs=1 on a 2-core host.
+    all its workers at once, so it gets at most one per batch and per CPU, and
+    each worker runs numpy's and scipy's OpenBLAS on one thread (_pool).
     """
     jobs = _whole(jobs, "jobs")
     if jobs < 1:
@@ -215,10 +256,8 @@ def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
             if i < len(sizes):
                 starts = {m: solved[0][m] or starts.get(m) for m in cfg.methods}
     if pooled:
-        import concurrent.futures  # only a sweep with a pool loads it, and multiprocessing
-
         batches = [pooled[w::workers] for w in range(workers)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             for batch, _ in pool.map(_run_cells, [cfg] * workers, [J_nom] * workers, batches):
                 records.extend(batch)
     order = {m: i for i, m in enumerate(cfg.methods)}

@@ -263,17 +263,18 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Symmetric PSD square root.
+    """Symmetric PSD square root of a matrix, or of each matrix in a stack.
 
     Eigenvalues within -PSD_TOL * max(1, lambda_max) of zero, the slack
     is_psd accepts, are clipped to zero; anything more negative is rejected
     as indefinite.
     """
     w, v = sym_eig(m)
-    lam_max = max(1.0, float(w[-1]) if w.size else 1.0)
-    if w.size and w[0] < -PSD_TOL * lam_max:
-        raise DomainError(f"matrix is indefinite (lambda_min = {w[0]:.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    low = w[..., :1]
+    low = low[low < -PSD_TOL * np.maximum(1.0, w[..., -1:])]
+    if low.size:
+        raise DomainError(f"matrix is indefinite (lambda_min = {low[0]:.3e})")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.swapaxes(-1, -2)
     return symmetrize(root)  # (v sqrt(w)) v^T is not bitwise symmetric
 
 

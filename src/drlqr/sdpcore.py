@@ -19,15 +19,16 @@ same shape (the warm start of Skajaa, Andersen & Ye 2013); neither test
 depends on where it started.
 
 The loop advances a batch of programs with one variable count and one set of
-block sizes (solve_batch; solve is the batch of one).  Their pencils and
-iterates sit in stacks on a leading axis, S and Z of each program side by
-side, and each product is one stacked matmul call (a matrix-vector or dot
-product as a matmul with a unit axis, which numpy computes item by item as
-it computes the lone product), or one call of numpy's Cholesky or eigvalsh
-gufunc.  Kept per program: LAPACK's dtrtrs, dpotrf and dpotrs, called
-directly (the inverse factors stay Fortran-ordered in their stack), the
-elimination of tau, the scalars of the verdicts and the step lengths, as
-Python floats, and the verdict itself.  A program leaves the batch at its
+block sizes, laid out as a stack of pencils (_stack; drsynth writes its own)
+and solved by _solve_stack; solve is the batch of one.  Pencils and iterates
+sit in stacks on a leading axis, S and Z of each program side by side, and
+each product is one stacked matmul call (a matrix-vector product as a matmul
+with a unit axis, which numpy computes item by item as it computes the lone
+product), or one call of numpy's Cholesky or eigvalsh gufunc.  Kept per
+program: LAPACK's dtrtrs, dpotrf and dpotrs, called directly (the inverse
+factors stay Fortran-ordered in their stack), the dot products of the
+verdicts and of tau's elimination, on the program's own rows, their scalars
+as Python floats, and the verdict itself.  A program leaves the batch at its
 verdict, or when its step breaks down (a nonzero info, a failed gufunc or a
 non-finite residual, Schur complement or right-hand side), with the reason a
 solve on its own gives; the other programs go on.  So each program's
@@ -49,8 +50,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import (all_finite, array_field, contract, dpotrf, dpotrs, dtrtrs, frobenius,
-                      np_cholesky, np_eigvalsh, sym_field)
+from .matcore import (all_finite, array_field, contract, dpotrf, dpotrs, dtrtrs, np_cholesky,
+                      np_eigvalsh, sym_field)
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
@@ -171,15 +172,6 @@ def _each(gufunc, a: np.ndarray) -> np.ndarray:
         raise _Breakdown(reasons) from whole
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> list:
-    """a_j . b_j for each row j of the (n, d) stacks a and b, as floats: one
-    stacked matmul, which forms each as the dot product of a lone pair of
-    vectors (for one row, that product itself)."""
-    if len(a) == 1:
-        return [float(a[0].dot(b[0]))]
-    return (a[:, None] @ b[:, :, None]).reshape(-1).tolist()
-
-
 def _col(values: list, ndim: int):
     """One float per program, shaped to scale the items of a stack with ndim
     axes (the float itself for a batch of one: the same products, made sooner)."""
@@ -188,14 +180,22 @@ def _col(values: list, ndim: int):
     return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _finish(prob, status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
-    """prob's solution; without y it has no point, and lam defaults to the margin at y."""
+def _margin(F: np.ndarray, y: np.ndarray, blocks: tuple) -> float:
+    """LmiProblem.min_eigenvalue(y) of the program whose pencil is F, read off
+    the pencil's diagonal blocks (slices in blocks), bit for bit."""
+    k = len(y)
+    return min(float(np_eigvalsh(F[k, b, b] + contract(y, F[:k, b, b]))[0]) for b in blocks)
+
+
+def _finish(c, F, blocks, status, iters, reason, y=None, gap=float("nan"), lam=None, iterate=None):
+    """The solution of the program with objective c and pencil F; without y it
+    has no point, and lam defaults to the margin at y."""
     if y is None:
-        return SdpSolution(np.zeros(prob.num_vars), status, float("nan"), float("nan"), iters,
+        return SdpSolution(np.zeros(len(c)), status, float("nan"), float("nan"), iters,
                            reason=reason)
     if lam is None:
-        lam = prob.min_eigenvalue(y)
-    return SdpSolution(y, status, float(prob.c @ y), lam, iters, gap, reason, iterate)
+        lam = _margin(F, y, blocks)
+    return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason, iterate)
 
 
 def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
@@ -210,6 +210,25 @@ def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
     return solve_batch([prob], [start])[0]
 
 
+def _stack(probs: list[LmiProblem]) -> tuple:
+    """(c, F, dims) of programs that share one variable count k and one set of
+    block sizes dims: c stacks their objectives, and F[j] is program j's
+    block-diagonal pencil over x = (y, tau), F[j, i] = F_i for i < k and
+    F[j, k] = F0."""
+    k, m = probs[0].num_vars, probs[0].total_dim
+    dims = tuple(b.dim for b in probs[0].blocks)
+    F = np.zeros((len(probs), k + 1, m, m))
+    for prob, Fj in zip(probs, F):
+        if (prob.num_vars, tuple(b.dim for b in prob.blocks)) != (k, dims):
+            raise ValueError(f"a batch shares one shape: {k} variables and blocks {dims}")
+        at = 0
+        for b in prob.blocks:
+            Fj[:k, at:at + b.dim, at:at + b.dim] = b.Fi
+            Fj[k, at:at + b.dim, at:at + b.dim] = b.F0
+            at += b.dim
+    return np.stack([prob.c for prob in probs]), F, dims
+
+
 def solve_batch(probs: list[LmiProblem], starts: list[SdpSolution | None] | None = None
                 ) -> list[SdpSolution]:
     """solve for each program of probs, which share one variable count and one
@@ -222,40 +241,40 @@ def solve_batch(probs: list[LmiProblem], starts: list[SdpSolution | None] | None
         raise ValueError(f"{len(starts)} starts for {len(probs)} programs")
     if not probs:
         return []
-    k, m = probs[0].num_vars, probs[0].total_dim
-    dims = tuple(b.dim for b in probs[0].blocks)
-    for prob, start in zip(probs, starts):
-        if (prob.num_vars, tuple(b.dim for b in prob.blocks)) != (k, dims):
-            raise ValueError(f"a batch shares one shape: {k} variables and blocks {dims}")
+    return _solve_stack(*_stack(probs), starts)
+
+
+def _solve_stack(c: np.ndarray, F: np.ndarray, dims: tuple, starts: list) -> list[SdpSolution]:
+    """solve_batch on the programs whose objectives and pencils are stacked in c
+    and F, with blocks of sizes dims, as _stack lays them out."""
+    n, k = c.shape
+    for start in starts:
         if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
             raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
-    # one block-diagonal pencil F[a] over x = (y, tau) per program.  The embedding asks for
-    # S = sum_a x_a F[a], tr(F_i Z) = tau c_i and kappa = -c^T y - tr(F0 Z)
-    # with S, Z >= 0 and tau, kappa >= 0: tau > 0 gives the optimum y / tau,
-    # tau = 0 a witness of infeasibility or unboundedness
-    F = np.zeros((len(probs), k + 1, m, m))
-    norms, sols = [], [None] * len(probs)
-    for prob, Fj, j in zip(probs, F, range(len(probs))):
-        at = 0
-        for b in prob.blocks:
-            Fj[:k, at:at + b.dim, at:at + b.dim] = b.Fi
-            Fj[k, at:at + b.dim, at:at + b.dim] = b.F0
-            at += b.dim
-        Fv = Fj.reshape(k + 1, m * m)
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            # np.linalg.norm(Fv[:k], axis=1) by numpy's own formula
-            f_max = float(np.sqrt(np.add.reduce(Fv[:k] * Fv[:k], axis=1)).max(initial=0.0))
-            norms.append((f_max, frobenius(Fv[k]), frobenius(prob.c)))
-        if not math.isfinite(sum(norms[-1])):
-            sols[j] = _finish(prob, "numerical_failure", 0, "the norm of F0, of an F_i or of c "
-                              "overflows, so no residual or witness test can be measured")
+    # the embedding asks for S = sum_a x_a F[a], tr(F_i Z) = tau c_i and
+    # kappa = -c^T y - tr(F0 Z) with S, Z >= 0 and tau, kappa >= 0: tau > 0
+    # gives the optimum y / tau, tau = 0 a witness of infeasibility or unboundedness
+    ends = np.cumsum(dims).tolist()
+    blocks = tuple(slice(end - d, end) for end, d in zip(ends, dims))
+    m = ends[-1]
+    Fv = F.reshape(n, k + 1, m * m)
+    norms = np.empty((n, 3))  # max_i |F_i|, |F0| and |c| of each program, by numpy.linalg.norm's formula
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        np.add.reduce(Fv[:, :k] * Fv[:, :k], axis=2).max(axis=1, initial=0.0, out=norms[:, 0])
+        for col, v in ((1, Fv[:, k]), (2, c)):  # lone dot products, stacked
+            norms[:, col] = (v[:, None] @ v[:, :, None]).ravel()
+        np.sqrt(norms, out=norms)
+    overflow = "the norm of F0, of an F_i or of c overflows, so no residual or witness test can be measured"
+    sols = [None if finite else _finish(c[j], F[j], blocks, "numerical_failure", 0, overflow)
+            for j, finite in enumerate(np.isfinite(norms.sum(axis=1)))]
+    norms = norms.tolist()
     eye = np.eye(m)
     cold = (np.append(np.zeros(k), 1.0), eye, eye, 1.0)
 
     def run(which, start_of):
         if not which:
             return ()
-        return zip(which, _run([probs[j] for j in which], F[which], [norms[j] for j in which],
+        return zip(which, _run(c[which], F[which], blocks, [norms[j] for j in which],
                                [start_of(j) for j in which], eye))
 
     todo = [j for j, sol in enumerate(sols) if sol is None]
@@ -272,53 +291,50 @@ def solve_batch(probs: list[LmiProblem], starts: list[SdpSolution | None] | None
     return sols
 
 
-def _run(probs, F, norms, starts, eye) -> list:
+def _run(c, F, blocks, norms, starts, eye) -> list:
     """The primal-dual loop over a batch of programs of one shape, from the
     iterates starts[j] = (x, S, Z, kappa): their solutions in order.
 
-    Each iteration measures every program's residuals with one stacked call per
+    Each iteration forms every program's residuals with one stacked call per
     quantity, decides each program's verdict in Python floats, and takes one
     stacked step for the programs left; a program leaves at its verdict or when
     its step breaks down, and the others go on with their bits unchanged.
     """
-    k, m = probs[0].num_vars, probs[0].total_dim
-    dims = tuple(b.dim for b in probs[0].blocks)
-    sols = [None] * len(probs)
-    ids = list(range(len(probs)))  # the program in each slot of the stacks
-    c = np.stack([prob.c for prob in probs])
+    n, k, m = len(F), F.shape[1] - 1, F.shape[2]
+    dims = tuple(b.stop - b.start for b in blocks)
+    cs, Fs = c, F  # each program's objective and pencil, by its place in the batch
+    sols, ids = [None] * n, list(range(n))  # ids: the program in each slot of the stacks
     x = np.stack([start[0] for start in starts])
     SZ = np.array([start[1:3] for start in starts])  # each program's S and Z side by side
     kappa = [start[3] for start in starts]
-    centred, alpha = [0] * len(probs), [0.0] * len(probs)  # centring steps in a row, last step length
-    n, Fv = len(probs), F.reshape(len(probs), k + 1, m * m)
+    centred, alpha = [0] * n, [0.0] * n  # centring steps in a row, last step length
+    Fv = F.reshape(n, k + 1, m * m)
     # the Schur complement's two Gram factors, written in place at every step: made
     # anew, a block this size is mapped afresh each time, and at n_x = 5 its page
     # faults cost as much as the product
     work = np.empty((2, n, k + 1, m, m))
     for it in range(MAX_ITERS + 1):
-        S, Z = SZ[:, 0], SZ[:, 1]
-        y, tau = x[:, :k], x[:, k].tolist()
-        aZ = (Fv @ Z.reshape(n, m * m, 1)).reshape(n, k + 1)  # (tr(F_i Z), tr(F0 Z))
-        r_p = S - (x[:, None] @ Fv).reshape(n, m, m)
-        cy, aZ_k = _dots(c, y), aZ[:, k].tolist()
+        SZv, y = SZ.reshape(n, 2, m * m), x[:, :k]
+        aZ = (Fv @ SZv[:, 1, :, None]).reshape(n, k + 1)  # (tr(F_i Z), tr(F0 Z))
+        r_p = SZ[:, 0] - (x[:, None] @ Fv).reshape(n, m, m)
         r_d = aZ.copy()
-        r_d[:, :k] -= _col(tau, 2) * c
-        r_d[:, k] = [a + b + kap for a, b, kap in zip(aZ_k, cy, kappa)]
-        Sv, Zv = S.reshape(n, m * m), Z.reshape(n, m * m)
-        mu = [(sz + t * kap) / (m + 1) for sz, t, kap in zip(_dots(Sv, Zv), tau, kappa)]
+        r_d[:, :k] -= x[:, k:] * c
+        r_pv = r_p.reshape(n, m * m)
         # tau F0 + r_p = S - A(y), whose smallness with c^T y < 0 is a recession direction
-        recede = (_col(tau, 3) * F[:, k] + r_p).reshape(n, m * m)
-        z_norm, y_norm, a_norm, rp_norm, rd_norm, rec_norm = (
-            [math.sqrt(sq) for sq in _dots(v, v)]
-            for v in (Zv, y, aZ[:, :k], r_p.reshape(n, m * m), r_d[:, :k], recede))
-        keep, hold = [], []
-        for j, i, t, cy_j, mu_j, aZ_kj in zip(range(n), ids, tau, cy, mu, aZ_k):
-            prob, (f_max, f0, c_norm) = probs[i], norms[i]
+        recede = x[:, k:] * Fv[:, k] + r_pv
+        keep, hold, mu = [], [], []
+        for j, i, t, kap, aZ_k in zip(range(n), ids, x[:, k].tolist(), kappa, aZ[:, k].tolist()):
+            # each dot product a lone one, on the program's own rows
+            S, Z, y_j, a, d = SZv[j, 0], SZv[j, 1], y[j], aZ[j, :k], r_d[j, :k]
+            cy = float(c[j].dot(y_j))
+            z_norm, y_norm, a_norm = math.sqrt(Z.dot(Z)), math.sqrt(y_j.dot(y_j)), math.sqrt(a.dot(a))
+            mu_j = (float(S.dot(Z)) + t * kap) / (m + 1)
+            f_max, f0, c_norm = norms[i]
             gap = (m + 1) * mu_j / t**2
             # every residual is measured against the size of the iterate it belongs to
-            converged = (rp_norm[j] <= FEAS_TOL * (t * f0 + y_norm[j] * f_max)
-                         and rd_norm[j] <= FEAS_TOL * (t * c_norm + z_norm[j] * f_max)
-                         and gap <= GAP_TOL * max(1.0, abs(cy_j) / t))
+            converged = (math.sqrt(r_pv[j].dot(r_pv[j])) <= FEAS_TOL * (t * f0 + y_norm * f_max)
+                         and math.sqrt(d.dot(d)) <= FEAS_TOL * (t * c_norm + z_norm * f_max)
+                         and gap <= GAP_TOL * max(1.0, abs(cy) / t))
             # the iterates approach the optimum from outside the cone, so a converged
             # point is centred at fixed tau: where a strictly feasible point exists
             # the first full centring step clears the residual, and the second
@@ -327,10 +343,10 @@ def _run(probs, F, norms, starts, eye) -> list:
             # own.  With c = 0 every strictly feasible point is optimal.
             if (converged and centred[i] >= 2) or c_norm == 0.0:
                 y_opt = y[j] / t
-                lam = prob.min_eigenvalue(y_opt)
+                lam = _margin(Fs[i], y_opt, blocks)
                 if lam > 0.0:
-                    sols[i] = _finish(prob, "optimal", it, "", y_opt, gap, lam,
-                                      (dims, x[j].copy(), S[j].copy(), Z[j].copy(), kappa[j]))
+                    sols[i] = _finish(cs[i], Fs[i], blocks, "optimal", it, "", y_opt, gap, lam,
+                                      (dims, x[j].copy(), SZ[j, 0].copy(), SZ[j, 1].copy(), kap))
                     continue
             # Z >= 0, Z != 0 with tr(F_i Z) = 0 and tr(F0 Z) <= 0 proves that no y
             # has F(y) > 0 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6).
@@ -339,45 +355,48 @@ def _run(probs, F, norms, starts, eye) -> list:
             # tr(F(y) Z) < 0 for every |y| < |F0| / (FEAS_TOL max|F_i|).  A dual
             # iterate merely large, as near the optimum of a badly scaled program,
             # meets neither test.
-            if a_norm[j] <= FEAS_TOL * z_norm[j] * f_max and abs(aZ_kj) <= FEAS_TOL * z_norm[j] * f0:
-                sols[i] = _finish(prob, "infeasible", it, "dual witness: tr(F_i Z) and tr(F0 Z) "
-                                  "are both within FEAS_TOL |Z| of zero, so no point is strictly feasible")
-            elif aZ_kj < 0.0 and a_norm[j] * f0 <= -FEAS_TOL * aZ_kj * f_max:
-                sols[i] = _finish(prob, "infeasible", it, "dual witness: tr(F0 Z) < 0 outweighs "
-                                  "every tr(F_i Z) by 1 / FEAS_TOL")
+            if a_norm <= FEAS_TOL * z_norm * f_max and abs(aZ_k) <= FEAS_TOL * z_norm * f0:
+                sols[i] = _finish(cs[i], Fs[i], blocks, "infeasible", it, "dual witness: tr(F_i Z) "
+                                  "and tr(F0 Z) are both within FEAS_TOL |Z| of zero, so no point is "
+                                  "strictly feasible")
+            elif aZ_k < 0.0 and a_norm * f0 <= -FEAS_TOL * aZ_k * f_max:
+                sols[i] = _finish(cs[i], Fs[i], blocks, "infeasible", it, "dual witness: tr(F0 Z) < 0 "
+                                  "outweighs every tr(F_i Z) by 1 / FEAS_TOL")
             # a recession direction: A(y) = S - tau F0 - r_p >= 0 with c^T y < 0
-            elif cy_j < 0.0 and rec_norm[j] <= FEAS_TOL * y_norm[j] * f_max:
-                sols[i] = _finish(prob, "unbounded", it, "recession direction: sum_i y_i F_i >= 0 "
-                                  "within FEAS_TOL with c^T y < 0", y[j] / t)
+            elif cy < 0.0 and math.sqrt(recede[j].dot(recede[j])) <= FEAS_TOL * y_norm * f_max:
+                sols[i] = _finish(cs[i], Fs[i], blocks, "unbounded", it, "recession direction: sum_i y_i "
+                                  "F_i >= 0 within FEAS_TOL with c^T y < 0", y[j] / t)
             elif it == MAX_ITERS:
-                sols[i] = _finish(prob, "numerical_failure", it,
+                sols[i] = _finish(cs[i], Fs[i], blocks, "numerical_failure", it,
                                   f"iteration budget spent ({MAX_ITERS})", y[j] / t)
             else:
                 keep.append(j)
                 hold.append(converged and (centred[i] == 0 or alpha[i] == 1.0))
+                r_d[j, k] = aZ_k + cy + kap
+                mu.append(mu_j)
+        kappa = [kappa[j] for j in keep]
         while keep:
             if len(keep) < n:  # programs left: the stacks keep the others' slots
                 F, c, x, SZ, aZ, r_p, r_d = (a[keep] for a in (F, c, x, SZ, aZ, r_p, r_d))
-                tau, kappa, mu = ([a[j] for j in keep] for a in (tau, kappa, mu))
                 ids, n = [ids[j] for j in keep], len(keep)
                 Fv, work = F.reshape(n, k + 1, m * m), work[:, :n]
             try:
-                dx, dSZ, dk, step = _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work)
+                dx, dSZ, dk, step = _step(F, Fv, eye, c, SZ, x[:, k].tolist(), kappa, aZ, mu, r_p, r_d,
+                                          hold, work)
                 break
             except np.linalg.LinAlgError as exc:
                 # a breakdown names its programs; any other error ends the whole step
                 reasons = exc.reasons if isinstance(exc, _Breakdown) else dict.fromkeys(range(n), str(exc))
             for j, why in reasons.items():
-                sols[ids[j]] = _finish(probs[ids[j]], "numerical_failure", it,
+                sols[ids[j]] = _finish(cs[ids[j]], Fs[ids[j]], blocks, "numerical_failure", it,
                                        f"iteration {it}: {why}", x[j, :k] / x[j, k])
             keep = [j for j in range(n) if j not in reasons]
-            hold = [hold[j] for j in keep]
+            hold, kappa, mu = ([a[j] for j in keep] for a in (hold, kappa, mu))
         if not keep:
             return sols
         x, SZ = x + _col(step, 2) * dx, SZ + _col(step, 4) * dSZ
-        kappa = [kap + a * e for kap, a, e in zip(kappa, step, dk)]
-        for i, h, a in zip(ids, hold, step):
-            centred[i], alpha[i] = centred[i] + 1 if h else 0, a
+        for j, i, h, a, e in zip(range(n), ids, hold, step, dk):
+            centred[i], alpha[i], kappa[j] = centred[i] + 1 if h else 0, a, kappa[j] + a * e
     return sols
 
 
@@ -385,7 +404,7 @@ def _run(probs, F, norms, starts, eye) -> list:
 # inverse Cholesky factors of S and Z (items Fortran-ordered, as LAPACK hands them
 # back: copied into C order, the products formed with them lose their bits), chol
 # the upper Cholesky factor of each Schur complement H_yy, h_c is h - c, u_hc is
-# H_yy^-1 (h + c) and pivot that of tau; tau and kappa are lists of floats
+# H_yy^-1 (h + c) and pivot that of tau; tau, kappa and pivot are lists of floats
 _Newton = namedtuple("_Newton", "Fv SZ S_inv T a_s_inv aZ r_p r_d tau kappa chol h_c u_hc pivot")
 
 
@@ -424,19 +443,19 @@ def _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work):
     # of nonnegative terms, so it never cancels to zero near the optimum
     h, hc, u = H[:, :k, k], np.empty((n, k, 2)), np.empty((n, 2, k)).swapaxes(1, 2)
     hc[:, :, 0], hc[:, :, 1] = h, c
-    chol = []
-    for j in range(n):
+    chol, pivot = [], []
+    for j, kap, t in zip(range(n), kappa, tau):
         U, info = dpotrf(H[j, :k, :k], lower=0, clean=0)
         if info:
             reasons[j] = f"dpotrf: Schur complement not positive definite at minor {info}"
-        else:
-            chol.append(U)
-            u[j] = dpotrs(U, hc[j], lower=0)[0]
+            continue
+        chol.append(U)
+        u_j = u[j]
+        u_j[:] = dpotrs(U, hc[j], lower=0)[0]
+        pivot.append(float(max(H[j, k, k] - h[j] @ u_j[:, 0], 0.0) + c[j] @ u_j[:, 1]) + kap / t)
     if reasons:
         raise _Breakdown(reasons)
     u_h, u_c = u[:, :, 0], u[:, :, 1]
-    pivot = (np.maximum(H[:, k, k] - _dots(h, u_h), 0.0) + _dots(c, u_c)
-             + np.divide(kappa, tau))
     P = _Newton(Fv, SZ, S_inv, T, a_s_inv, aZ, r_p, r_d, tau, kappa, chol, h - c, u_h + u_c, pivot)
     free = [j for j in range(n) if not hold[j]]
     if len(free) == n:
@@ -467,12 +486,14 @@ def _predict_correct(P: _Newton, mu: list):
     dx, dSZ, dk, alpha = _direction(P, [1.0] * n, [0.0] * n)
     alpha = [min(1.0, a) for a in alpha]
     SZ = (P.SZ + _col(alpha, 4) * dSZ).reshape(n, 2, m * m)
-    dtau = dx[:, k].tolist()
-    mu_aff = [(sz + (t + a * d) * (kap + a * e)) / (m + 1) for sz, t, a, d, kap, e in
-              zip(_dots(SZ[:, 0], SZ[:, 1]), P.tau, alpha, dtau, P.kappa, dk)]
-    sigma = [min(1.0, a / b) ** 3 for a, b in zip(mu_aff, mu)]
-    return _direction(P, [1.0 - s for s in sigma], [s * u for s, u in zip(sigma, mu)],
-                      dSZ[:, 0] @ dSZ[:, 1], [d * e for d, e in zip(dtau, dk)])
+    eta, target, corr_kappa = [], [], []
+    for j, t, a, d, kap, e, u in zip(range(n), P.tau, alpha, dx[:, k].tolist(), P.kappa, dk, mu):
+        mu_aff = (float(SZ[j, 0].dot(SZ[j, 1])) + (t + a * d) * (kap + a * e)) / (m + 1)
+        sigma = min(1.0, mu_aff / u) ** 3
+        eta.append(1.0 - sigma)
+        target.append(sigma * u)
+        corr_kappa.append(d * e)
+    return _direction(P, eta, target, dSZ[:, 0] @ dSZ[:, 1], corr_kappa)
 
 
 def _direction(P: _Newton, eta: list, target: list, corr=0.0, corr_kappa=None, hold=False):
@@ -492,26 +513,29 @@ def _direction(P: _Newton, eta: list, target: list, corr=0.0, corr_kappa=None, h
     eta_m = _col(eta, 3)
     rhs = (_col(eta, 2) * P.r_d + _col(target, 2) * P.a_s_inv - P.aZ
            + (P.Fv @ (P.S_inv @ (eta_m * P.r_p @ Z - corr)).reshape(n, m * m, 1)).reshape(n, k + 1))
-    r_kappa = [g - t * kap - e for g, t, kap, e in
-               zip(target, P.tau, P.kappa, corr_kappa or [0.0] * n)]
-    rhs[:, k] += [r / t for r, t in zip(r_kappa, P.tau)]
+    r_kappa = []
+    for j, g, t, kap, e in zip(range(n), target, P.tau, P.kappa, corr_kappa or [0.0] * n):
+        r_kappa.append(g - t * kap - e)
+        rhs[j, k] += r_kappa[-1] / t
     _require_finite(rhs[:, :k], "right-hand side")
     dx = np.zeros((n, k + 1))
-    for d, b, U in zip(dx, rhs, P.chol):
+    for j, d, b, U in zip(range(n), dx, rhs, P.chol):
         d[:k] = dpotrs(U, b[:k], lower=0)[0]
+        if not hold:
+            d[k] = (b[k] - P.h_c[j] @ d[:k]) / P.pivot[j]
     if not hold:
-        dx[:, k] = (rhs[:, k] - _dots(P.h_c, dx[:, :k])) / P.pivot
         dx[:, :k] -= P.u_hc * dx[:, k, None]
-    dtau = dx[:, k].tolist()
     dSZ = np.empty((n, 2, m, m))
     np.subtract((dx[:, None] @ P.Fv).reshape(n, m, m), eta_m * P.r_p, out=dSZ[:, 0])
     dZ = _col(target, 3) * P.S_inv - Z - P.S_inv @ (dSZ[:, 0] @ Z + corr)
     np.multiply(0.5, dZ + dZ.swapaxes(1, 2), out=dSZ[:, 1])
-    dk = [(r - kap * d) / t for r, kap, d, t in zip(r_kappa, P.kappa, dtau, P.tau)]
     # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
     lam = _each(np_eigvalsh, P.T @ dSZ @ P.T.swapaxes(2, 3))[:, :, 0].tolist()
-    alpha = [min(_to_boundary(1.0, ls), _to_boundary(1.0, lz), _to_boundary(t, d), _to_boundary(kap, e))
-             for (ls, lz), t, d, kap, e in zip(lam, P.tau, dtau, P.kappa, dk)]
+    dk, alpha = [], []
+    for (ls, lz), r, t, d, kap in zip(lam, r_kappa, P.tau, dx[:, k].tolist(), P.kappa):
+        dk.append((r - kap * d) / t)
+        alpha.append(min(_to_boundary(1.0, ls), _to_boundary(1.0, lz), _to_boundary(t, d),
+                         _to_boundary(kap, dk[-1])))
     return dx, dSZ, dk, alpha
 
 

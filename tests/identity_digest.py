@@ -49,6 +49,7 @@ import numpy as np
 
 import drlqr
 from conftest import bench_workloads
+from oracles import unstack
 from drlqr import drsynth, experiment, matcore, riccati, stability
 from drlqr.sysmodel import DisturbanceMoments
 from test_drsynth import _random_instance
@@ -73,22 +74,32 @@ def _pencil(prob) -> tuple:
 
 @contextlib.contextmanager
 def _pencils_into(feed):
-    """Call feed with every program drsynth solves, in order.  The spy sits on
-    drsynth.solve_batch, the batch entry point; in a checkout whose drsynth
-    solves one program per call with solve, on that."""
-    name = "solve_batch" if hasattr(drsynth, "solve_batch") else "solve"
-    real = getattr(drsynth, name)
+    """Call feed with every program drsynth solves, in order.  The spies sit on
+    drsynth.solve_batch, the batch entry point, and on drsynth._solve_stack,
+    which solves a stack of programs that feed gets one by one as LmiProblems
+    (c, F0 and Fi with the shapes and bytes solve_batch would get); in a
+    checkout whose drsynth solves one program per call with solve, on that."""
+    names = [name for name in ("solve_batch", "_solve_stack") if hasattr(drsynth, name)] or ["solve"]
+    reals = {name: getattr(drsynth, name) for name in names}
 
-    def spy(probs, *args, **kwargs):
-        for prob in probs if name == "solve_batch" else [probs]:
-            feed(prob)
-        return real(probs, *args, **kwargs)
+    def spy(name):
+        def call(probs, *args, **kwargs):
+            if name == "_solve_stack":
+                programs = unstack(probs, *args[:2])
+            else:
+                programs = probs if name == "solve_batch" else [probs]
+            for prob in programs:
+                feed(prob)
+            return reals[name](probs, *args, **kwargs)
+        return call
 
-    setattr(drsynth, name, spy)
+    for name in names:
+        setattr(drsynth, name, spy(name))
     try:
         yield
     finally:
-        setattr(drsynth, name, real)
+        for name, real in reals.items():
+            setattr(drsynth, name, real)
 
 
 @contextlib.contextmanager

@@ -15,7 +15,11 @@ Riccati solutions, dare_gain to the noise-free optimal gain and
 ce_gain_reference the doubling loop the library's in-place one must match
 bit for bit, and solve_reference the one-program interior-point loop whose
 iterates sdpcore's batch loop must match bit for bit, program by program;
-read_records_csv and median_j_rel read and summarize the experiment CSV.
+unstack reads the programs of a pencil stack back as LmiProblems, so that
+stacked stands in for sdpcore._solve_stack with a stand-in for solve_batch,
+and root_failing_on for psd_sqrt with an eigensolver that fails on one
+matrix; read_records_csv and median_j_rel read and summarize the experiment
+CSV.
 """
 
 import csv
@@ -31,9 +35,9 @@ from drlqr.matcore import (NumericalFailure, ShapeError, SymMatrix, all_finite, 
                            frobenius, np_cholesky, np_eigvalsh, psd_sqrt, sym_index)
 from drlqr.riccati import TOL as RICCATI_TOL
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
-from drlqr.sdpcore import (FEAS_TOL, GAP_TOL, MAX_ITERS, STEP_TO_BOUNDARY, WARM_START, LmiBuilder,
-                           LmiProblem, SdpSolution, _inv_lower, _to_boundary, block_expr, kron_const,
-                           solve)
+from drlqr.sdpcore import (FEAS_TOL, GAP_TOL, MAX_ITERS, STEP_TO_BOUNDARY, WARM_START, LmiBlock,
+                           LmiBuilder, LmiProblem, SdpSolution, _inv_lower, block_expr,
+                           kron_const, solve)
 from drlqr.stability import TOL, ClosedLoop, InstabilityError, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh, gh
 
@@ -220,6 +224,35 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not all_finite(a):
         raise np.linalg.LinAlgError(f"{what} not finite")
+
+
+def _to_boundary(size: float, rate: float) -> float:
+    """Largest alpha with size + alpha rate >= 0."""
+    return -size / rate if rate < 0.0 else math.inf
+
+
+def unstack(c: np.ndarray, F: np.ndarray, dims: tuple) -> list[LmiProblem]:
+    """The programs whose objectives and pencils sdpcore stacks as c and F
+    (sdpcore._stack's layout), with blocks of sizes dims."""
+    k, ends = c.shape[1], np.cumsum(dims)
+    return [LmiProblem(c=cj, blocks=tuple(LmiBlock(F0=Fj[k, e - d:e, e - d:e], Fi=Fj[:k, e - d:e, e - d:e])
+                                          for d, e in zip(dims, ends))) for cj, Fj in zip(c, F)]
+
+
+def stacked(fake):
+    """A stand-in for sdpcore._solve_stack that hands fake, a stand-in for
+    sdpcore.solve_batch, the programs of the stack as LmiProblems."""
+    return lambda c, F, dims, starts: fake(unstack(c, F, dims), starts)
+
+
+def root_failing_on(sigma: np.ndarray, real):
+    """A stand-in for real, psd_sqrt, whose eigensolver fails on the matrix
+    sigma, alone or in a stack."""
+    def root(m):
+        if any(np.array_equal(a, sigma) for a in np.reshape(m, (-1,) + np.shape(m)[-2:])):
+            raise NumericalFailure("eigensolver did not converge")
+        return real(m)
+    return root
 
 
 def solve_reference(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:

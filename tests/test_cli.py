@@ -17,6 +17,7 @@ from drlqr.ambiguity import SampleSet
 from drlqr.sysmodel import DisturbanceMoments, MultNoiseSystem
 
 from conftest import write_fixture
+from oracles import stacked
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -220,7 +221,7 @@ class TestSynth:
                                 objective_value=float("nan"), min_block_eigenvalue=float("nan"),
                                 iterations=3, reason="injected breakdown") for prob in probs]
 
-        monkeypatch.setattr(drsynth, "solve_batch", failing)
+        monkeypatch.setattr(drsynth, "_solve_stack", stacked(failing))
         rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
                    "--beta", "0.05", "--method", "full", "--reg", "1e-8"])
         err = capsys.readouterr().err

@@ -12,8 +12,9 @@ from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, psd_sqrt
 from drlqr.riccati import NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
-from conftest import memo_runs
-from oracles import dr_certify_mss
+from conftest import bench_workloads, memo_runs
+from oracles import dr_certify_mss, root_failing_on, stacked
+from test_sdpcore import assert_same_solution
 
 
 def _amb(mu_hat, sigma_hat, rho_mu, rho_sigma):
@@ -67,7 +68,7 @@ class TestSynthFull:
             solved.extend(zip(probs, sols))
             return sols
 
-        monkeypatch.setattr(drsynth, "solve_batch", spy)
+        monkeypatch.setattr(drsynth, "_solve_stack", stacked(spy))
         synth_full(sys6, amb6, cost6)
         (prob, sol), = solved
         assert sol.status == "optimal"
@@ -231,8 +232,10 @@ class TestCertificate:
         """An "optimal" point whose LMI blocks are not strictly positive
         certifies no gain, however good the gain happens to be."""
         real = drsynth.solve_batch
-        monkeypatch.setattr(drsynth, "solve_batch", lambda probs, starts=None: [
-            dataclasses.replace(sol, min_block_eigenvalue=min_eig) for sol in real(probs, starts)])
+        fake = lambda probs, starts=None: [
+            dataclasses.replace(sol, min_block_eigenvalue=min_eig) for sol in real(probs, starts)]
+        monkeypatch.setattr(drsynth, "solve_batch", fake)
+        monkeypatch.setattr(drsynth, "_solve_stack", stacked(fake))
         with pytest.raises(NumericalFailure, match="strictly feasible"):
             _synth(method, sys6, amb6_small, cost6, np.array([2.0, 2.0]))
 
@@ -245,20 +248,15 @@ class TestCertificate:
                                                    "complement not finite"):
             synth_full(sys6, amb6_small, cost6)
 
-    def test_failed_program_stays_in_its_set(self, monkeypatch, sys6, cost6, amb6, amb6_small):
+    def test_failed_program_stays_in_its_set(self, monkeypatch, sys6, cost6, amb6_small):
         """A set whose program cannot be written (the eigensolver of psd_sqrt
-        does not converge) gets its NumericalFailure in synth_full_batch's
-        result; the other sets are solved as synth_full solves them alone."""
-        real = drsynth._thm6_builder
-
-        def builder(sys, amb, cost):
-            if amb is amb6:
-                raise NumericalFailure("eigensolver did not converge")
-            return real(sys, amb, cost)
-
+        does not converge on its Sigma_hat) gets its NumericalFailure in
+        synth_full_batch's result; the other sets are solved as synth_full
+        solves them alone."""
+        odd = _amb(np.zeros(2), 2.0 * np.eye(2), 0.05, 1.5)
         alone = synth_full(sys6, amb6_small, cost6)
-        monkeypatch.setattr(drsynth, "_thm6_builder", builder)
-        first, failed, last = drsynth.synth_full_batch(sys6, [amb6_small, amb6, amb6_small], cost6,
+        monkeypatch.setattr(drsynth, "psd_sqrt", root_failing_on(odd.sigma_hat, drsynth.psd_sqrt))
+        first, failed, last = drsynth.synth_full_batch(sys6, [amb6_small, odd, amb6_small], cost6,
                                                        [None, alone, alone])
         assert isinstance(failed, NumericalFailure) and "did not converge" in str(failed)
         assert np.array_equal(first.controller.K, alone.controller.K)
@@ -369,17 +367,18 @@ def _memo_runs(calls):
                            for prob in probs)
             return real(probs, starts)
 
-        drsynth.solve_batch = spy
+        drsynth.solve_batch, drsynth._solve_stack = spy, stacked(spy)
         try:
             ctrl = call().controller
         except (DrSynthesisError, NumericalFailure) as exc:
             return pencils, (type(exc).__name__, str(exc))
         return pencils, (ctrl.K.tobytes(), ctrl.cost_bound, ctrl.iterations)
 
+    real_stack = drsynth._solve_stack
     try:
         return memo_runs([lambda call=call: run(call) for call in calls])
     finally:
-        drsynth.solve_batch = real
+        drsynth.solve_batch, drsynth._solve_stack = real, real_stack
 
 
 class TestAssemblyMemo:
@@ -436,10 +435,13 @@ class TestAssemblyMemo:
         assert kept[0][0] != kept[1][0]
 
     def test_template_arrays_are_read_only(self, sys6, cost6):
-        num_vars, W, V, chan, arrow, main, floor = drsynth._template(sys6, cost6)
-        for a in [W.coef, V.coef, chan, arrow, main, floor.coef]:
+        W, V, chan, c, F, dims, at, back = drsynth._template(sys6, cost6)
+        for a in [W.coef, V.coef, chan, F]:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0] = 1.0
+        for a in [c, at, back]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
@@ -530,3 +532,88 @@ class TestChannelPermutation:
         if not isinstance(cov, Exception):
             P, swapped_P = np.asarray(cov.P), np.asarray(swapped_cov.P)
             assert np.linalg.norm(P - swapped_P) <= 1e-10 * np.linalg.norm(P)
+
+
+def _stage_calls(run) -> list:
+    """(sys, ambs, cost, starts, results, stack) of each synth_full_batch call
+    run() makes, stack being a copy of the (c, F, dims) it solves."""
+    calls, stacks = [], []
+    real_batch, real_stack = drsynth.synth_full_batch, drsynth._solve_stack
+
+    def batch(sys, ambs, cost, starts=None):
+        results = real_batch(sys, ambs, cost, starts)
+        calls.append((sys, ambs, cost, starts or [None] * len(ambs), results))
+        return results
+
+    def stack(c, F, dims, starts):
+        stacks.append((np.array(c), F.copy(), dims))
+        return real_stack(c, F, dims, starts)
+
+    drsynth.synth_full_batch, drsynth._solve_stack = batch, stack
+    try:
+        run()
+    finally:
+        drsynth.synth_full_batch, drsynth._solve_stack = real_batch, real_stack
+    assert len(calls) == len(stacks)
+    return [call + (st,) for call, st in zip(calls, stacks)]
+
+
+def _programs_of(sys, ambs, cost) -> list:
+    """Each set's synthesis program as _thm6_builder and LmiBuilder.build write it."""
+    programs = []
+    for amb in ambs:
+        b, W, V, blocks = drsynth._thm6_builder(sys, amb, cost)
+        programs.append(b.build(-W.trace(), blocks))
+    return programs
+
+
+class TestStageStack:
+    """synth_full_batch writes each stage's programs as one stack from the
+    template; the stack is, byte for byte, the programs _thm6_builder and
+    LmiBuilder.build write set by set, and the results are those solve_batch
+    returns on them."""
+
+    def _check(self, calls):
+        for sys, ambs, cost, starts, results, (c, F, dims) in calls:
+            programs = _programs_of(sys, ambs, cost)
+            want_c, want_F, want_dims = sdpcore._stack(programs)
+            assert (dims, c.tobytes(), F.tobytes()) == (want_dims, want_c.tobytes(), want_F.tobytes())
+            sols = sdpcore.solve_batch(programs, [None if s is None else s.solution for s in starts])
+            W, V = drsynth._template(sys, cost)[:2]
+            for res, want in zip(results, drsynth._controllers(sols, W, V, "dr_full")):
+                if isinstance(want, Exception):
+                    assert (type(res), str(res)) == (type(want), str(want))
+                else:
+                    assert_same_solution(res.solution, want.solution)
+                    assert res.controller.K.tobytes() == want.controller.K.tobytes()
+
+    def test_identity_plants(self):
+        from identity_digest import plants  # builds the plants' inputs only when asked
+
+        calls = _stage_calls(lambda: [drsynth.synth_full_batch(sys, [amb], cost)
+                                      for _, sys, amb, cost, _ in plants()])
+        assert len(calls) == 300
+        self._check(calls)
+
+    def test_sweep_paper_ops(self):
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        calls = _stage_calls(lambda: [workload.run(workload.make_input(index)) for index in range(4)])
+        assert [len(call[1]) for call in calls] == [1, 4, 4, 3] * 4
+        self._check(calls)
+
+    @pytest.mark.parametrize("failing", [0, 2, 3])
+    def test_set_that_fails_to_write_gets_its_own_error(self, monkeypatch, failing):
+        """In sweep-paper op 0's second stage, one set whose eigensolver fails
+        gets its NumericalFailure; the others get what solve_batch returns on
+        their programs alone."""
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        sys, ambs, cost, starts, _, _ = _stage_calls(lambda: workload.run(workload.make_input(0)))[1]
+        monkeypatch.setattr(drsynth, "psd_sqrt", root_failing_on(ambs[failing].sigma_hat, drsynth.psd_sqrt))
+        results = drsynth.synth_full_batch(sys, ambs, cost, starts)
+        assert isinstance(results[failing], NumericalFailure)
+        others = [j for j in range(len(ambs)) if j != failing]
+        monkeypatch.undo()
+        sols = sdpcore.solve_batch(_programs_of(sys, [ambs[j] for j in others], cost),
+                                   [starts[j].solution for j in others])
+        for j, sol in zip(others, sols):
+            assert_same_solution(results[j].solution, sol)

@@ -3,18 +3,18 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, ambiguity_radii
+from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, ambiguity_radii, build_ambiguity
 from drlqr import drsynth, experiment, riccati, stability
 from drlqr.experiment import (EX1_SIGMA2, EX1_THRESHOLD, ExperimentConfig,
                               _run_cells, empirical_gain_scalar, example1_analytic,
                               nominal_reference, replicate_example1,
                               run_sample_complexity, sample_gaussian,
                               scalar_mss, write_records_csv)
-from drlqr.matcore import NumericalFailure, ShapeError, SymMatrix
+from drlqr.matcore import ShapeError, SymMatrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
 from conftest import bench_workloads
-from oracles import median_j_rel, read_records_csv, solve_reference
+from oracles import median_j_rel, read_records_csv, root_failing_on, solve_reference, stacked
 
 
 def _cfg(sys6, moments6, cost6, **overrides):
@@ -177,15 +177,10 @@ class TestSweep:
         stage keep the records of a sweep without the failure."""
         cfg = _cfg(sys6, moments6, cost6, realizations=3, methods=("full",))
         clean = run_sample_complexity(cfg)
-        real, calls = drsynth._thm6_builder, []
-
-        def builder(sys, amb, cost):
-            calls.append(1)
-            if len(calls) == 2:  # realization 1, in the stage after the anchor
-                raise NumericalFailure("eigensolver did not converge")
-            return real(sys, amb, cost)
-
-        monkeypatch.setattr(drsynth, "_thm6_builder", builder)
+        M = cfg.sample_sizes[0]  # realization 1, in the stage after the anchor
+        failing = build_ambiguity(sample_gaussian(cfg.true_moments, M, experiment._cell_stream(cfg.seed, M, 1)),
+                                  cfg.ambiguity_config(), lambda_reg=experiment.LAMBDA_REG).sigma_hat
+        monkeypatch.setattr(drsynth, "psd_sqrt", root_failing_on(failing, drsynth.psd_sqrt))
         records = run_sample_complexity(cfg)
         strip = lambda r: (r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel)
         assert [strip(r) for r in records] == [
@@ -229,8 +224,8 @@ class TestSweep:
             assert len(strip_wall(p1)) == 1 + 2 * realizations * len(sizes)
         assert batches[:4] == [1, 4, 4, 3]
         p3 = tmp_path / "c.csv"
-        monkeypatch.setattr(drsynth, "solve_batch", lambda probs, starts: [
-            solve_reference(prob, start) for prob, start in zip(probs, starts)])
+        monkeypatch.setattr(drsynth, "_solve_stack", stacked(lambda probs, starts: [
+            solve_reference(prob, start) for prob, start in zip(probs, starts)]))
         write_records_csv(run_sample_complexity(cfg, jobs=1), p3)
         assert strip_wall(p3) == strip_wall(p1)
 
@@ -241,7 +236,7 @@ class TestSweep:
         requested = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 requested.append(max_workers)
 
             def __enter__(self):
@@ -280,6 +275,33 @@ class TestSweep:
         assert len(run_sample_complexity(cfg, jobs=2.0)) == 3 * 2
         assert fake_pool == [2]
 
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        """A pool worker reports one thread from both bundled OpenBLAS builds,
+        though the process that forks it runs two."""
+        before = experiment._blas_threads()
+        if before is None:
+            pytest.skip("numpy or scipy bundles no OpenBLAS with the scipy_openblas symbols")
+        try:
+            assert experiment._blas_threads(2) == [2, 2]
+            with experiment._pool(1) as pool:
+                assert pool.submit(experiment._blas_threads).result() == [1, 1]
+        finally:
+            for entry, count in zip(experiment._OPENBLAS, before):
+                monkeypatch.setattr(experiment, "_OPENBLAS", (entry,))
+                experiment._blas_threads(count)
+        monkeypatch.undo()
+        assert experiment._blas_threads() == before
+
+    def test_pool_without_the_symbols_warns(self, monkeypatch):
+        """Where a bundled OpenBLAS lacks the symbol, the pool runs as it is
+        and the warning names the variables to set."""
+        monkeypatch.setattr(experiment, "_OPENBLAS", experiment._OPENBLAS[:1] + (
+            (np, "libscipy_openblas64_*", "_not_a_suffix"),))
+        with pytest.warns(UserWarning, match="OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1"):
+            pool = experiment._pool(1)
+        with pool:
+            assert pool.submit(sum, [1, 2]).result() == 3
+
     def test_csv_round_trip(self, sys6, moments6, cost6, tmp_path):
         cfg = _cfg(sys6, moments6, cost6)
         records = run_sample_complexity(cfg)
@@ -309,6 +331,7 @@ class TestSweep:
         assert np.allclose(dr.K, vi.K, atol=1e-8)
 
 
+
 class TestWarmStart:
     def test_warm_starts_save_a_quarter_of_the_iterations(self, monkeypatch):
         """The benchmark's sweep-paper op 0 (seed 0) takes at most 0.75 of the
@@ -325,7 +348,7 @@ class TestWarmStart:
 
         totals = []
         for fake in (counted, lambda probs, starts=None: counted(probs)):
-            monkeypatch.setattr(drsynth, "solve_batch", fake)
+            monkeypatch.setattr(drsynth, "_solve_stack", stacked(fake))
             iterations.clear()
             assert workload.check(inp, workload.run(inp)) == []
             totals.append(sum(iterations))
@@ -352,7 +375,7 @@ class TestWarmStart:
             return sols
 
         monkeypatch.setattr(riccati, "_ce_gain", ce)
-        monkeypatch.setattr(drsynth, "solve_batch", solve)
+        monkeypatch.setattr(drsynth, "_solve_stack", stacked(solve))
         assert workload.check(inp, workload.run(inp)) == []
         assert counts["ce"] <= 2 and counts["iterations"] <= 120, counts
 

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import (NumericalFailure, ShapeError, _memo_last, all_finite, contract, np_inv,
-                      psd_sqrt)
+from .matcore import DomainError, NumericalFailure, ShapeError, _memo_last, contract, np_inv, psd_sqrt
 from .riccati import Controller
-from .sdpcore import (AffineExpr, LmiBuilder, SdpSolution, _solve_stack, _stack, block_expr,
-                      kron_const, solve_batch, zeros)
+from .sdpcore import AffineExpr, LmiBuilder, SdpSolution, block_expr, kron_const, solve_batch, zeros
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost, state_vector
 
 
@@ -55,7 +53,7 @@ _Template = namedtuple("_Template", "W V chan c F dims at back")
 def _template(sys: MultNoiseSystem, cost: CostWeights) -> _Template:
     """(W, V, chan, c, F, dims, at, back), all read-only: chan[i] holds the channel
     A_i W + B_i V, i = 0..n_w; c, F and dims are synth_full's program with zero data
-    slots, one program as sdpcore._stack lays it out; at and back, the slot map, are the
+    slots, the stack of one LmiBuilder.build writes; at and back, the slot map, are the
     flat indices in F of the entries _pencils writes, below and above the diagonal.  Only
     the last (system, cost) is kept, by matcore._memo_last on sys.stacked, Q and R: 0.04 MB
     on the paper's system, 89 MB at n_x = 16, n_u = 4 and n_w = 2, nearly all of it F."""
@@ -78,7 +76,7 @@ def _template(sys: MultNoiseSystem, cost: CostWeights) -> _Template:
     # certify nothing; without it a set too large for any gain can end there, not infeasible
     eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
     floor = block_expr([[L - eps * np.eye(n_x)]])
-    c, F, dims = _stack([b.build(-W.trace(), [arrow, main, floor])])
+    c, F, dims = b.build(-W.trace(), [arrow, main, floor])
     # the slots, against the columns of W: the channels' rows of the arrow block (from row
     # n_x), those of the main block (from row dims[0] + n_x) and the main block's centre;
     # coefficient i of a slot is pencil slice i - 1, the constant (i = 0) the last slice
@@ -90,7 +88,7 @@ def _template(sys: MultNoiseSystem, cost: CostWeights) -> _Template:
     at, back = (np.ravel_multi_index((s, u, v), F.shape[1:]) for u, v in ((rows, cols), (cols, rows)))
     for a in (W.coef, V.coef, chan, c, F, at, back):
         a.setflags(write=False)
-    return _Template(W, V, chan, c[0], F[0], dims, at, back)
+    return _Template(W, V, chan, c, F, dims, at, back)
 
 
 def _pencils(template: _Template, ambs: list, roots: np.ndarray) -> np.ndarray:
@@ -114,10 +112,15 @@ def _pencils(template: _Template, ambs: list, roots: np.ndarray) -> np.ndarray:
     # |v|^2 <= rho_mu; the main block (the cost LMI at mu_hat minus diag(sqrt2 S, sqrt2 L) around
     # the centre) absorbs D if D^T L^-1 D <= 2 S, and D^T L^-1 D <= rho_mu sum_i H_i^T L^-1 H_i <= 2 S.
     scale = np.sqrt([[amb.rho_mu / 2.0, amb.rho_sigma] for amb in ambs])
-    F = np.empty((n,) + template.F.shape)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        data = np.concatenate([scale[:, :1] * H, scale[:, 1:] * H, G[:, 0].reshape(n, -1)], axis=1)
+    # each entry a stands for the symmetric part (a + a) / 2 that LmiBuilder.build would write
+    if not (np.abs(data) <= np.finfo(float).max / 2.0).all():
+        raise DomainError("non-finite entries in the system's noise channels scaled by the ambiguity "
+                          "set: Theta . (A_i W + B_i V) times sqrt(rho_mu / 2) or sqrt(rho_sigma)")
+    F = np.empty((n,) + template.F.shape[1:])
     F[:] = template.F
-    F.reshape(n, -1)[:, template.at] = F.reshape(n, -1)[:, template.back] = np.concatenate(
-        [scale[:, :1] * H, scale[:, 1:] * H, G[:, 0].reshape(n, -1)], axis=1)
+    F.reshape(n, -1)[:, template.at] = F.reshape(n, -1)[:, template.back] = data
     return F
 
 
@@ -128,20 +131,6 @@ def _checked(sys: MultNoiseSystem, ambs: list, cost: CostWeights) -> _Template:
             raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
     check_cost(sys, cost)
     return _template(sys, cost)
-
-
-def _thm6_builder(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights
-                  ) -> tuple[LmiBuilder, AffineExpr, AffineExpr, list[AffineExpr]]:
-    """A builder holding synth_full's variables, W, V and the program's three blocks,
-    arrow, main and floor, read off the set's pencil (_pencils)."""
-    template = _checked(sys, [amb], cost)
-    F, = _pencils(template, [amb], psd_sqrt(amb.sigma_hat)[None])
-    F = np.roll(F, 1, axis=0)  # the constant first, as AffineExpr keeps it
-    b = LmiBuilder()
-    b.num_vars = len(F) - 1
-    ends = np.cumsum(template.dims).tolist()
-    return b, template.W, template.V, [AffineExpr(F[:, e - d:e, e - d:e])
-                                       for d, e in zip(template.dims, ends)]
 
 
 def _controllers(sols: list, W: AffineExpr, V: AffineExpr, method: str,
@@ -192,10 +181,11 @@ def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: Co
     DrSynthesisError or NumericalFailure synth_full would raise for it, from
     writing its program or from reading its solution.
 
-    The programs are one pencil stack (_pencils), byte for byte the programs
-    _thm6_builder and LmiBuilder.build write set by set, and sdpcore's loop
-    solves them as one batch (sdpcore._solve_stack)."""
-    starts = [None] * len(ambs) if starts is None else starts
+    The programs are one pencil stack (_pencils), which sdpcore.solve_batch
+    solves as one batch."""
+    starts = [None] * len(ambs) if starts is None else list(starts)
+    if len(starts) != len(ambs):
+        raise ValueError(f"{len(starts)} starts for {len(ambs)} ambiguity sets")
     if not ambs:
         return []
     template = _checked(sys, ambs, cost)
@@ -211,13 +201,8 @@ def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: Co
     ok = [j for j, root in enumerate(results) if not isinstance(root, Exception)]
     if ok:
         F = _pencils(template, [ambs[j] for j in ok], np.array([results[j] for j in ok]))
-        slots = F.reshape(len(ok), -1)[:, template.at]
-        if not all_finite(slots + slots):  # LmiBlock keeps (a + a^T) / 2, which overflows there
-            for j in ok:
-                b, W, V, blocks = _thm6_builder(sys, ambs[j], cost)
-                b.build(-W.trace(), blocks)  # raises the DomainError that names the field
-        sols = _solve_stack(np.broadcast_to(template.c, (len(ok), len(template.c))), F, template.dims,
-                            [None if starts[j] is None else starts[j].solution for j in ok])
+        sols = solve_batch(np.broadcast_to(template.c, (len(ok), template.c.shape[1])), F, template.dims,
+                           [None if starts[j] is None else starts[j].solution for j in ok])
         for j, res in zip(ok, _controllers(sols, template.W, template.V, "dr_full")):
             results[j] = res
     return results
@@ -232,7 +217,7 @@ def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
     ambiguity set.  The gain is certified robustly mean-square stabilizing
     by the strict feasibility of the synthesis LMIs; a returned point that is
     not strictly feasible raises NumericalFailure.  start, an earlier result
-    for the same system and cost, warm-starts the solve (sdpcore.solve); the
+    for the same system and cost, warm-starts the solve (sdpcore.solve_batch); the
     verdict and the certificate do not depend on it.  The one-set case of
     synth_full_batch.
     """
@@ -246,7 +231,15 @@ def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0)
     [[gamma, x0^T], [x0, W]] >= 0 alongside the synthesis LMIs.
     """
     x0 = state_vector(sys, x0)
-    b, W, V, blocks = _thm6_builder(sys, amb, cost)
+    template = _checked(sys, [amb], cost)
+    F, = _pencils(template, [amb], psd_sqrt(amb.sigma_hat)[None])
+    k, m = len(F) - 1, F.shape[-1]
+    b = LmiBuilder()
+    b.num_vars = k
     gamma = b.rect_var(1, 1)
-    blocks.append(block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), W]]))
-    return _one(_controllers(solve_batch([b.build(gamma, blocks)]), W, V, "dr_rhc", bound=gamma))
+    c, G, dims = b.build(gamma, [block_expr([[gamma, x0.reshape(1, -1)], [x0.reshape(-1, 1), template.W]])])
+    # synth_full's blocks, gamma's coefficient zero in them, then gamma's block
+    P = np.zeros((1, k + 2) + (m + dims[0],) * 2)
+    P[0, :k, :m, :m], P[0, k + 1, :m, :m], P[0, :, m:, m:] = F[:k], F[k], G[0]
+    return _one(_controllers(solve_batch(c, P, template.dims + dims), template.W, template.V, "dr_rhc",
+                             bound=gamma))

@@ -5,22 +5,24 @@ Problems have the pencil (inequality) form
     minimize    c^T y
     subject to  F0^(b) + sum_i y_i Fi^(b)  >= 0   for every block b,
 
-which is the native shape of every LMI in this package.  The solver stacks
-the blocks into one block-diagonal pencil and runs a single infeasible-start
-primal-dual loop on the homogeneous self-dual embedding (Ye, Todd & Mizuno
-1994) of this program and its dual, max -tr(F0 Z) s.t. tr(Fi Z) = c_i,
-Z >= 0, with the HKM direction and Mehrotra's predictor-corrector.  There
-is no phase I.  "optimal" is returned only at a strictly feasible point, and
-"infeasible" only when the dual iterate meets the theorem of alternatives
-for strict LMIs: F(y) > 0 has no solution iff some Z >= 0, Z != 0, has
-tr(Fi Z) = 0 and tr(F0 Z) <= 0.  The loop starts at y = 0, S = Z = I,
-tau = kappa = 1, or next to the final iterate of a solved program of the
-same shape (the warm start of Skajaa, Andersen & Ye 2013); neither test
-depends on where it started.
+which is the native shape of every LMI in this package.  A program has one
+form, a stack of pencils (c, F, dims) that programs of one variable count k
+and one set of block sizes dims share: c[j] is program j's objective and F[j]
+its block-diagonal pencil over x = (y, tau), F[j, i] = F_i for i < k and
+F[j, k] = F0.  LmiBuilder.build writes a stack of one; drsynth writes its own.
 
-The loop advances a batch of programs with one variable count and one set of
-block sizes, laid out as a stack of pencils (_stack; drsynth writes its own)
-and solved by _solve_stack; solve is the batch of one.  Pencils and iterates
+solve_batch runs a single infeasible-start primal-dual loop on the
+homogeneous self-dual embedding (Ye, Todd & Mizuno 1994) of each program and
+its dual, max -tr(F0 Z) s.t. tr(Fi Z) = c_i, Z >= 0, with the HKM direction
+and Mehrotra's predictor-corrector.  There is no phase I.  "optimal" is
+returned only at a strictly feasible point, and "infeasible" only when the
+dual iterate meets the theorem of alternatives for strict LMIs: F(y) > 0 has
+no solution iff some Z >= 0, Z != 0, has tr(Fi Z) = 0 and tr(F0 Z) <= 0.  The
+loop starts at y = 0, S = Z = I, tau = kappa = 1, or next to the final
+iterate of a solved program of the same shape (the warm start of Skajaa,
+Andersen & Ye 2013); neither test depends on where it started.
+
+The loop advances the programs of a stack together.  Pencils and iterates
 sit in stacks on a leading axis, S and Z of each program side by side, and
 each product is one stacked matmul call (a matrix-vector product as a matmul
 with a unit axis, which numpy computes item by item as it computes the lone
@@ -31,15 +33,15 @@ verdicts and of tau's elimination, on the program's own rows, their scalars
 as Python floats, and the verdict itself.  A program leaves the batch at its
 verdict, or when its step breaks down (a nonzero info, a failed gufunc or a
 non-finite residual, Schur complement or right-hand side), with the reason a
-solve on its own gives; the other programs go on.  So each program's
-iterates, verdict and reason are bit for bit those of a solve on its own.
-The gufuncs enter numpy's error state themselves (matcore), so a failure
-raises LinAlgError with no set-up here; SdpSolution.reason says why a solve
-stopped short of "optimal".
+stack of that program alone gives; the other programs go on.  So each
+program's iterates, verdict and reason are bit for bit those of a stack of
+its own.  The gufuncs enter numpy's error state themselves (matcore), so a
+failure raises LinAlgError with no set-up here; SdpSolution.reason says why a
+solve stopped short of "optimal".
 
 The LmiBuilder numbers the scalars of matrix variables and turns an objective
-and a list of affine blocks into the pencil form; AffineExpr.value maps a
-solution back to a matrix.
+and a list of affine blocks into a stack of one program; AffineExpr.value
+maps a solution back to a matrix.
 """
 
 from __future__ import annotations
@@ -50,64 +52,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import (all_finite, array_field, contract, dpotrf, dpotrs, dtrtrs, np_cholesky,
-                      np_eigvalsh, sym_field)
+from .matcore import (all_finite, contract, dpotrf, dpotrs, dtrtrs, np_cholesky, np_eigvalsh,
+                      require_finite, symmetrize)
 
 FEAS_TOL = 1e-8  # residuals and witnesses, relative to the iterate they belong to
 GAP_TOL = 1e-7  # complementarity gap, relative to max(1, |c^T y|)
 MAX_ITERS = 100
 STEP_TO_BOUNDARY = 0.98
 WARM_START = 0.99  # weight of a solved neighbour's final iterate in a warm start
-
-
-@dataclass(frozen=True)
-class LmiBlock:
-    """One PSD constraint F0 + sum_i y_i Fi >= 0 (all matrices symmetric)."""
-
-    F0: np.ndarray
-    Fi: np.ndarray  # shape (num_vars, dim, dim)
-
-    def __post_init__(self):
-        F0, Fi = sym_field("F0", self.F0), sym_field("Fi", self.Fi)
-        if Fi.ndim != 3 or Fi.shape[1:] != F0.shape:
-            raise ValueError(f"pencil coefficients have shape {Fi.shape}, expected (*, {F0.shape[0]}, {F0.shape[1]})")
-        object.__setattr__(self, "F0", F0)
-        object.__setattr__(self, "Fi", Fi)
-
-    @property
-    def dim(self) -> int:
-        return self.F0.shape[0]
-
-
-@dataclass(frozen=True)
-class LmiProblem:
-    """min c^T y over the intersection of PSD pencil blocks."""
-
-    c: np.ndarray
-    blocks: tuple[LmiBlock, ...]
-
-    def __post_init__(self):
-        c = array_field("c", self.c, ndmin=1).ravel()
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValueError("problem has no constraint blocks")
-        for b in blocks:
-            if b.Fi.shape[0] != c.size:
-                raise ValueError(f"block expects {b.Fi.shape[0]} variables, objective has {c.size}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def num_vars(self) -> int:
-        return self.c.size
-
-    @property
-    def total_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
-    def min_eigenvalue(self, y) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        return min(float(np_eigvalsh(b.F0 + contract(y, b.Fi))[0]) for b in self.blocks)
 
 
 @dataclass
@@ -181,8 +133,8 @@ def _col(values: list, ndim: int):
 
 
 def _margin(F: np.ndarray, y: np.ndarray, blocks: tuple) -> float:
-    """LmiProblem.min_eigenvalue(y) of the program whose pencil is F, read off
-    the pencil's diagonal blocks (slices in blocks), bit for bit."""
+    """The least eigenvalue at y of the diagonal blocks (slices in blocks) of
+    one program's pencil F: the margin of strict feasibility."""
     k = len(y)
     return min(float(np_eigvalsh(F[k, b, b] + contract(y, F[:k, b, b]))[0]) for b in blocks)
 
@@ -198,56 +150,26 @@ def _finish(c, F, blocks, status, iters, reason, y=None, gap=float("nan"), lam=N
     return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason, iterate)
 
 
-def solve(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
-    """Solve the pencil LMI program by the self-dual primal-dual method: a
-    batch of one (solve_batch).
-
-    start, an "optimal" solution of a program with the same variable count
-    and block sizes, puts the first iterate WARM_START of the way from the
-    standard start to its final one.  A warm solve that ends in
-    numerical_failure or unbounded is rerun from the standard start.
-    """
-    return solve_batch([prob], [start])[0]
-
-
-def _stack(probs: list[LmiProblem]) -> tuple:
-    """(c, F, dims) of programs that share one variable count k and one set of
-    block sizes dims: c stacks their objectives, and F[j] is program j's
-    block-diagonal pencil over x = (y, tau), F[j, i] = F_i for i < k and
-    F[j, k] = F0."""
-    k, m = probs[0].num_vars, probs[0].total_dim
-    dims = tuple(b.dim for b in probs[0].blocks)
-    F = np.zeros((len(probs), k + 1, m, m))
-    for prob, Fj in zip(probs, F):
-        if (prob.num_vars, tuple(b.dim for b in prob.blocks)) != (k, dims):
-            raise ValueError(f"a batch shares one shape: {k} variables and blocks {dims}")
-        at = 0
-        for b in prob.blocks:
-            Fj[:k, at:at + b.dim, at:at + b.dim] = b.Fi
-            Fj[k, at:at + b.dim, at:at + b.dim] = b.F0
-            at += b.dim
-    return np.stack([prob.c for prob in probs]), F, dims
-
-
-def solve_batch(probs: list[LmiProblem], starts: list[SdpSolution | None] | None = None
+def solve_batch(c: np.ndarray, F: np.ndarray, dims: tuple, starts: list | None = None
                 ) -> list[SdpSolution]:
-    """solve for each program of probs, which share one variable count and one
-    set of block sizes, each from its own start (starts[i], None for the
-    standard start): the solutions in order, each bit for bit the one solve
-    returns for its program alone."""
-    probs = list(probs)
-    starts = [None] * len(probs) if starts is None else list(starts)
-    if len(starts) != len(probs):
-        raise ValueError(f"{len(starts)} starts for {len(probs)} programs")
-    if not probs:
-        return []
-    return _solve_stack(*_stack(probs), starts)
+    """Solve each program of the stack (c, F, dims) by the self-dual primal-dual
+    method: the solutions in order, each bit for bit the one a stack of that
+    program alone gets.
 
-
-def _solve_stack(c: np.ndarray, F: np.ndarray, dims: tuple, starts: list) -> list[SdpSolution]:
-    """solve_batch on the programs whose objectives and pencils are stacked in c
-    and F, with blocks of sizes dims, as _stack lays them out."""
-    n, k = c.shape
+    starts[j], an "optimal" solution of a program with the same variable count
+    and block sizes, puts program j's first iterate WARM_START of the way from
+    the standard start to its final one (None: the standard start).  A warm
+    solve that ends in numerical_failure or unbounded is rerun from the
+    standard start.
+    """
+    (n, k), dims = c.shape, tuple(dims)
+    starts = [None] * n if starts is None else list(starts)
+    if len(starts) != n:
+        raise ValueError(f"{len(starts)} starts for {n} programs")
+    shape = (n, k + 1) + (sum(dims),) * 2
+    if F.shape != shape:
+        raise ValueError(f"pencil stack has shape {F.shape}, expected {shape} for {n} programs "
+                         f"with {k} variables and blocks {dims}")
     for start in starts:
         if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
             raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
@@ -677,12 +599,24 @@ class LmiBuilder:
         expr.coef[k, i, j] = 1.0
         return expr
 
-    def build(self, objective: AffineExpr, blocks: list[AffineExpr]) -> LmiProblem:
-        """Minimize the scalar objective with every block PSD (LmiBlock takes
-        each block's symmetric part)."""
+    def build(self, objective: AffineExpr, blocks: list[AffineExpr]) -> tuple:
+        """The stack of one program (c, F, dims) that minimizes the scalar
+        objective with every block PSD; F holds each block's symmetric part,
+        and a non-finite entry raises DomainError naming c, F0 or Fi."""
         if objective.shape != (1, 1):
             raise ValueError("objective must be scalar")
-        k = 1 + self.num_vars
-        coefs = [_pad(expr.coef, k) for expr in blocks]
-        return LmiProblem(c=_pad(objective.coef, k)[1:, 0, 0],
-                          blocks=tuple(LmiBlock(F0=coef[0], Fi=coef[1:]) for coef in coefs))
+        if not blocks:
+            raise ValueError("problem has no constraint blocks")
+        k = self.num_vars
+        c = _pad(objective.coef, 1 + k)[None, 1:, 0, 0].copy()
+        require_finite("c", c)
+        dims = tuple(expr.shape[0] for expr in blocks)
+        F, at = np.zeros((1, k + 1) + (sum(dims),) * 2), 0
+        for expr, d in zip(blocks, dims):
+            with np.errstate(over="ignore", invalid="ignore"):  # named below as non-finite
+                coef = symmetrize(_pad(expr.coef, 1 + k))
+            require_finite("F0", coef[0])
+            require_finite("Fi", coef[1:])
+            F[0, :k, at:at + d, at:at + d], F[0, k, at:at + d, at:at + d] = coef[1:], coef[0]
+            at += d
+        return c, F, dims

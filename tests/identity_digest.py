@@ -49,7 +49,6 @@ import numpy as np
 
 import drlqr
 from conftest import bench_workloads
-from oracles import unstack
 from drlqr import drsynth, experiment, matcore, riccati, stability
 from drlqr.sysmodel import DisturbanceMoments
 from test_drsynth import _random_instance
@@ -67,39 +66,30 @@ def _update(h, *arrays):
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def _pencil(prob) -> tuple:
-    """The c, F0 and Fi arrays of a program."""
-    return (prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))
+def _pencils_of(c, F, dims) -> list:
+    """The c, F0 and Fi arrays of each program of the stack (c, F, dims), block by
+    block, with the shapes and bytes a program held block by block carries."""
+    k, ends = c.shape[1], np.cumsum(dims).tolist()
+    blocks = [slice(e - d, e) for d, e in zip(dims, ends)]
+    return [(cj, *(m for b in blocks for m in (Fj[k, b, b], Fj[:k, b, b]))) for cj, Fj in zip(c, F)]
 
 
 @contextlib.contextmanager
 def _pencils_into(feed):
-    """Call feed with every program drsynth solves, in order.  The spies sit on
-    drsynth.solve_batch, the batch entry point, and on drsynth._solve_stack,
-    which solves a stack of programs that feed gets one by one as LmiProblems
-    (c, F0 and Fi with the shapes and bytes solve_batch would get); in a
-    checkout whose drsynth solves one program per call with solve, on that."""
-    names = [name for name in ("solve_batch", "_solve_stack") if hasattr(drsynth, name)] or ["solve"]
-    reals = {name: getattr(drsynth, name) for name in names}
+    """Call feed with the arrays (_pencils_of) of every program drsynth solves,
+    in order, by a spy on drsynth.solve_batch."""
+    real = drsynth.solve_batch
 
-    def spy(name):
-        def call(probs, *args, **kwargs):
-            if name == "_solve_stack":
-                programs = unstack(probs, *args[:2])
-            else:
-                programs = probs if name == "solve_batch" else [probs]
-            for prob in programs:
-                feed(prob)
-            return reals[name](probs, *args, **kwargs)
-        return call
+    def spy(c, F, dims, *args, **kwargs):
+        for pencil in _pencils_of(c, F, dims):
+            feed(pencil)
+        return real(c, F, dims, *args, **kwargs)
 
-    for name in names:
-        setattr(drsynth, name, spy(name))
+    drsynth.solve_batch = spy
     try:
         yield
     finally:
-        for name, real in reals.items():
-            setattr(drsynth, name, real)
+        drsynth.solve_batch = real
 
 
 @contextlib.contextmanager
@@ -170,7 +160,7 @@ def synthesis_calls():
 def synthesis_digests(mss) -> tuple[str, str]:
     """The pencils and synthesis digests; mss is fed each synth_full gain's verdicts."""
     pencils, results = hashlib.sha256(), hashlib.sha256()
-    with _pencils_into(lambda prob: _update(pencils, *_pencil(prob))):
+    with _pencils_into(lambda pencil: _update(pencils, *pencil)):
         for _, method, sys, amb, cost, ctrl in synthesis_calls():
             if isinstance(ctrl, Exception):
                 results.update(type(ctrl).__name__.encode())
@@ -228,7 +218,7 @@ def sweep_paper_ops(pencils=None):
     workload = bench_workloads().WORKLOADS["sweep-paper"](0)
     for index in range(SWEEP_OPS):
         keys, solved = [], []
-        with _cells_into(keys), _pencils_into(lambda prob: solved.append(_pencil(prob))):
+        with _cells_into(keys), _pencils_into(solved.append):
             out = workload.run(workload.make_input(index))
         if pencils is not None:
             # each cell draws its stream, then builds its one dr_full pencil, in the same order

@@ -14,32 +14,35 @@ riccati_residual and nominal_sdp are independent routes to the Lyapunov and
 Riccati solutions, dare_gain to the noise-free optimal gain and
 ce_gain_reference the doubling loop the library's in-place one must match
 bit for bit, and solve_reference the one-program interior-point loop whose
-iterates sdpcore's batch loop must match bit for bit, program by program;
-unstack reads the programs of a pencil stack back as LmiProblems, so that
-stacked stands in for sdpcore._solve_stack with a stand-in for solve_batch,
-and root_failing_on for psd_sqrt with an eigensolver that fails on one
-matrix; read_records_csv and median_j_rel read and summarize the experiment
-CSV.
+iterates sdpcore's batch loop must match bit for bit, program by program,
+with block_margin its margin of strict feasibility.  thm6_builder writes the
+synthesis program of one ambiguity set without drsynth's template: the
+set's data written into copies of the arrow and main block expressions,
+which LmiBuilder.build turns into a stack of one that drsynth's stage stack
+must match byte for byte.  root_failing_on stands in for psd_sqrt with an eigensolver
+that fails on one matrix; read_records_csv and median_j_rel read and
+summarize the experiment CSV.
 """
 
 import csv
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
 from scipy.linalg.lapack import dgesv
 
 from drlqr.experiment import RunRecord
-from drlqr.matcore import (NumericalFailure, ShapeError, SymMatrix, all_finite, dpotrf, dpotrs,
-                           frobenius, np_cholesky, np_eigvalsh, psd_sqrt, sym_index)
+from drlqr.matcore import (NumericalFailure, ShapeError, SymMatrix, all_finite, contract, dpotrf,
+                           dpotrs, frobenius, np_cholesky, np_eigvalsh, psd_sqrt, sym_index)
 from drlqr.riccati import TOL as RICCATI_TOL
 from drlqr.riccati import Controller, NotStabilizableError, _gain_from
-from drlqr.sdpcore import (FEAS_TOL, GAP_TOL, MAX_ITERS, STEP_TO_BOUNDARY, WARM_START, LmiBlock,
-                           LmiBuilder, LmiProblem, SdpSolution, _inv_lower, block_expr,
-                           kron_const, solve)
+from drlqr.sdpcore import (FEAS_TOL, GAP_TOL, MAX_ITERS, STEP_TO_BOUNDARY, WARM_START, AffineExpr,
+                           LmiBuilder, SdpSolution, _inv_lower, block_expr, kron_const, solve_batch,
+                           zeros)
 from drlqr.stability import TOL, ClosedLoop, InstabilityError, is_mss
-from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, fgh, gh
+from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 
 
 def _mean_directions(n_w: int, count: int) -> np.ndarray:
@@ -211,7 +214,7 @@ def nominal_sdp(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) 
     G = Bbar0.T @ mid @ Bbar0
     H = Bbar0.T @ mid @ Abar0
     Q, R = np.asarray(cost.Q), np.asarray(cost.R)
-    sol = solve(b.build(-P.trace(), [block_expr([[Q - P + F, H.T], [H, R + G]]), P]))
+    sol, = solve_batch(*b.build(-P.trace(), [block_expr([[Q - P + F, H.T], [H, R + G]]), P]))
     if sol.status == "infeasible":
         raise NotStabilizableError("Riccati SDP infeasible: system is not mean-square stabilizable")
     if sol.status != "optimal":
@@ -231,18 +234,54 @@ def _to_boundary(size: float, rate: float) -> float:
     return -size / rate if rate < 0.0 else math.inf
 
 
-def unstack(c: np.ndarray, F: np.ndarray, dims: tuple) -> list[LmiProblem]:
-    """The programs whose objectives and pencils sdpcore stacks as c and F
-    (sdpcore._stack's layout), with blocks of sizes dims."""
-    k, ends = c.shape[1], np.cumsum(dims)
-    return [LmiProblem(c=cj, blocks=tuple(LmiBlock(F0=Fj[k, e - d:e, e - d:e], Fi=Fj[:k, e - d:e, e - d:e])
-                                          for d, e in zip(dims, ends))) for cj, Fj in zip(c, F)]
+def thm6_builder(sys: MultNoiseSystem, amb, cost: CostWeights) -> tuple:
+    """(builder, W, V, [arrow, main, floor]): synth_full's variables and blocks for
+    one ambiguity set, the set's data written into copies of the arrow and main
+    coefficient tensors; b.build(-W.trace(), blocks) is the set's program.
+
+    The data enter through Theta = [[1, mu_hat^T], [0, Sigma_hat^{1/2}]]: G = Theta . chan
+    stacks the centre A(mu_hat) W + B(mu_hat) V and the whitened channels
+    H = [H_1; ...; H_nw], c H in the arrow block (c = sqrt(rho_mu / 2)) and
+    sqrt(rho_sigma) H and the centre in the main block."""
+    if amb.n_w != sys.n_w:
+        raise ShapeError(f"ambiguity has n_w={amb.n_w}, system has n_w={sys.n_w}")
+    check_cost(sys, cost)
+    n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
+    Q_half, R_half = psd_sqrt(cost.Q), psd_sqrt(cost.R)
+    b = LmiBuilder()
+    W, V, S, L = b.sym_var(n_x), b.rect_var(n_u, n_x), b.sym_var(n_x), b.sym_var(n_x)
+    chan = np.stack([(A @ W + B @ V).coef for A, B in zip((sys.A0,) + sys.A, (sys.B0,) + sys.B)])
+    zx, zxu, zc = zeros((n_w * n_x, n_x)), zeros((n_w * n_x, n_u)), zeros((n_x, n_x))
+    arrow = block_expr([[S, zx.T], [zx, kron_const(np.eye(n_w), L)]])
+    main = block_expr([
+        [W - math.sqrt(2.0) * S, zx.T, zc, W @ Q_half, V.T @ R_half],
+        [zx, kron_const(np.eye(n_w), W), zx, zx, zxu],
+        [zc, zx.T, W - math.sqrt(2.0) * L, zc, zeros((n_x, n_u))],
+        [Q_half @ W, zx.T, zc, np.eye(n_x), zeros((n_x, n_u))],
+        [R_half @ V, zxu.T, zeros((n_u, n_x)), zeros((n_u, n_x)), np.eye(n_u)],
+    ])
+    eps = 1e-9 * (1.0 + max(np.linalg.norm(cost.Q, 2), np.linalg.norm(cost.R, 2)))
+    floor = block_expr([[L - eps * np.eye(n_x)]])
+    theta = np.zeros((1 + n_w, 1 + n_w))
+    theta[0, 0], theta[0, 1:], theta[1:, 1:] = 1.0, amb.mu_hat, psd_sqrt(amb.sigma_hat)
+    G = np.tensordot(theta, chan, 1)
+    H = G[1:].transpose(1, 0, 2, 3).reshape(-1, n_w * n_x, n_x)
+    # rows and columns of W, of the channels' stack and of the main block's centre
+    w, ch, ce = slice(n_x), slice(n_x, (1 + n_w) * n_x), slice((1 + n_w) * n_x, (2 + n_w) * n_x)
+    arrow, main = arrow.coef.copy(), main.coef.copy()
+    for coef, rows, e in ((arrow, ch, math.sqrt(amb.rho_mu / 2.0) * H),
+                          (main, ch, math.sqrt(amb.rho_sigma) * H), (main, ce, G[0])):
+        coef[:len(e), rows, w], coef[:len(e), w, rows] = e, e.transpose(0, 2, 1)
+    return b, W, V, [AffineExpr(arrow), AffineExpr(main), floor]
 
 
-def stacked(fake):
-    """A stand-in for sdpcore._solve_stack that hands fake, a stand-in for
-    sdpcore.solve_batch, the programs of the stack as LmiProblems."""
-    return lambda c, F, dims, starts: fake(unstack(c, F, dims), starts)
+def block_margin(prob: tuple, y) -> float:
+    """The least eigenvalue at y over the blocks of the program prob = (c, F, dims),
+    a stack of one: its margin of strict feasibility."""
+    _, (F,), dims = prob
+    k = len(y)
+    return min(float(np_eigvalsh(F[k, e - d:e, e - d:e] + contract(y, F[:k, e - d:e, e - d:e]))[0])
+               for d, e in zip(dims, accumulate(dims)))
 
 
 def root_failing_on(sigma: np.ndarray, real):
@@ -255,29 +294,23 @@ def root_failing_on(sigma: np.ndarray, real):
     return root
 
 
-def solve_reference(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSolution:
-    """Solve the pencil LMI program by the self-dual primal-dual method.
+def solve_reference(prob: tuple, start: SdpSolution | None = None) -> SdpSolution:
+    """Solve the program prob = (c, F, dims), a stack of one, by the self-dual
+    primal-dual method.
 
     start, an "optimal" solution of a program with the same variable count
     and block sizes, puts the first iterate WARM_START of the way from the
     standard start to its final one.  A warm solve that ends in
     numerical_failure or unbounded is rerun from the standard start.
     """
-    k, m = prob.num_vars, prob.total_dim
-    c = prob.c
-    dims = tuple(b.dim for b in prob.blocks)
+    (c,), (F,), dims = prob
+    k, m = len(c), F.shape[-1]
     if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
         raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
-    # one block-diagonal pencil F[a] over x = (y, tau).  The embedding asks for
+    # F[a] is the block-diagonal pencil over x = (y, tau).  The embedding asks for
     # S = sum_a x_a F[a], tr(F_i Z) = tau c_i and kappa = -c^T y - tr(F0 Z)
     # with S, Z >= 0 and tau, kappa >= 0: tau > 0 gives the optimum y / tau,
     # tau = 0 a witness of infeasibility or unboundedness
-    F = np.zeros((k + 1, m, m))
-    at = 0
-    for b in prob.blocks:
-        F[:k, at:at + b.dim, at:at + b.dim] = b.Fi
-        F[k, at:at + b.dim, at:at + b.dim] = b.F0
-        at += b.dim
     Fv = F.reshape(k + 1, m * m)
     with np.errstate(over="ignore"):  # an overflow is reported below
         # np.linalg.norm(Fv[:k], axis=1) by numpy's own formula
@@ -289,7 +322,7 @@ def solve_reference(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSo
         if y is None:
             return SdpSolution(np.zeros(k), status, float("nan"), float("nan"), iters, reason=reason)
         if lam is None:
-            lam = prob.min_eigenvalue(y)
+            lam = block_margin(prob, y)
         return SdpSolution(y, status, float(c @ y), lam, iters, gap, reason, iterate)
 
     if not np.isfinite(f_max + f0 + c_norm):
@@ -322,7 +355,7 @@ def solve_reference(prob: LmiProblem, start: SdpSolution | None = None) -> SdpSo
             # own.  With c = 0 every strictly feasible point is optimal.
             if (converged and centred >= 2) or c_norm == 0.0:
                 y_opt = y / tau
-                lam = prob.min_eigenvalue(y_opt)
+                lam = block_margin(prob, y_opt)
                 if lam > 0.0:
                     return finish("optimal", it, "", y_opt, gap, lam, (dims, x, S, Z, kappa))
             hold = converged and (centred == 0 or alpha == 1.0)

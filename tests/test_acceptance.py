@@ -19,7 +19,7 @@ from drlqr.experiment import (ExperimentConfig, example1_analytic,
                               sample_gaussian)
 from drlqr.matcore import NumericalFailure, SymMatrix, psd_sqrt
 from drlqr.riccati import dr_covariance, value_iteration
-from drlqr.sdpcore import LmiBuilder, kron_const, solve
+from drlqr.sdpcore import LmiBuilder, kron_const, solve_batch
 from drlqr.stability import (ClosedLoop, InstabilityError,
                              closed_loop_value_matrix, is_mss)
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -175,7 +175,7 @@ def test_criterion_8_sdp_solver_against_bisection():
         b = LmiBuilder()
         t = b.rect_var(1, 1)
         prob = b.build(t, [kron_const(np.eye(n), t) - S])
-        sol = solve(prob)
+        sol, = solve_batch(*prob)
         assert sol.status == "optimal"
 
         lo, hi = float(np.linalg.eigvalsh(S)[-1]) - 2.0, float(np.linalg.eigvalsh(S)[-1]) + 2.0

@@ -17,7 +17,6 @@ from drlqr.ambiguity import SampleSet
 from drlqr.sysmodel import DisturbanceMoments, MultNoiseSystem
 
 from conftest import write_fixture
-from oracles import stacked
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -216,12 +215,12 @@ class TestSynth:
         assert "non-finite entries in samples" in err
 
     def test_numerical_failure_exit_code(self, capsys, monkeypatch, system_json, samples_csv):
-        def failing(probs, starts=None):
-            return [SdpSolution(y=np.zeros(prob.num_vars), status="numerical_failure",
+        def failing(c, F, dims, starts=None):
+            return [SdpSolution(y=np.zeros(c.shape[1]), status="numerical_failure",
                                 objective_value=float("nan"), min_block_eigenvalue=float("nan"),
-                                iterations=3, reason="injected breakdown") for prob in probs]
+                                iterations=3, reason="injected breakdown") for _ in c]
 
-        monkeypatch.setattr(drsynth, "_solve_stack", stacked(failing))
+        monkeypatch.setattr(drsynth, "solve_batch", failing)
         rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
                    "--beta", "0.05", "--method", "full", "--reg", "1e-8"])
         err = capsys.readouterr().err

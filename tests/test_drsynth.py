@@ -13,7 +13,7 @@ from drlqr.riccati import NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 from conftest import bench_workloads, memo_runs
-from oracles import dr_certify_mss, root_failing_on, stacked
+from oracles import block_margin, dr_certify_mss, root_failing_on, thm6_builder
 from test_sdpcore import assert_same_solution
 
 
@@ -34,8 +34,8 @@ class TestSynthFull:
         """K = V W^-1 and P = W^-1 at the synthesis SDP's solution, which is
         solved again here to read W and V."""
         res = synth_full(sys6, amb6_small, cost6)
-        b, W, V, blocks = drsynth._thm6_builder(sys6, amb6_small, cost6)
-        y = sdpcore.solve(b.build(-W.trace(), blocks)).y
+        b, W, V, blocks = thm6_builder(sys6, amb6_small, cost6)
+        y = sdpcore.solve_batch(*b.build(-W.trace(), blocks))[0].y
         W, V = W.value(y), V.value(y)
         assert np.linalg.norm(res.controller.K @ W - V) <= 1e-10 * (1 + np.linalg.norm(V))
         assert np.allclose(np.asarray(res.controller.P) @ W, np.eye(2), atol=1e-8)
@@ -63,16 +63,16 @@ class TestSynthFull:
         solved = []
         real = drsynth.solve_batch
 
-        def spy(probs, starts=None):
-            sols = real(probs, starts)
-            solved.extend(zip(probs, sols))
+        def spy(c, F, dims, starts=None):
+            sols = real(c, F, dims, starts)
+            solved.extend(((c[j:j + 1], F[j:j + 1], dims), sol) for j, sol in enumerate(sols))
             return sols
 
-        monkeypatch.setattr(drsynth, "_solve_stack", stacked(spy))
+        monkeypatch.setattr(drsynth, "solve_batch", spy)
         synth_full(sys6, amb6, cost6)
         (prob, sol), = solved
         assert sol.status == "optimal"
-        assert sol.min_block_eigenvalue == prob.min_eigenvalue(sol.y)
+        assert sol.min_block_eigenvalue == block_margin(prob, sol.y)
 
     def test_passes_own_certificate_densely(self, sys6, cost6, amb6_small):
         res = synth_full(sys6, amb6_small, cost6)
@@ -154,20 +154,23 @@ class TestSynthFull:
         A_i W + B_i V against (rho_sigma Sigma_hat)^-1 (x) W, and the centre
         A(mu_hat) W + B(mu_hat) V; the arrow block holds c T [channels]."""
         amb = _amb([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]], 0.05, 1.5)
-        b, W, V, (arrow, main, _) = drsynth._thm6_builder(sys6, amb, cost6)
-        y = np.random.default_rng(0).standard_normal(b.num_vars)
-        Wy, Vy = W.value(y), V.value(y)
+        template = drsynth._template(sys6, cost6)
+        F, = drsynth._pencils(template, [amb], psd_sqrt(amb.sigma_hat)[None])
+        y = np.random.default_rng(0).standard_normal(len(F) - 1)
+        arrow, main = (F[-1, b, b] + np.tensordot(y, F[:-1, b, b], 1)
+                       for b in (slice(0, template.dims[0]), slice(template.dims[0], sum(template.dims[:2]))))
+        Wy, Vy = template.W.value(y), template.V.value(y)
         channels = np.vstack([A @ Wy + B @ Vy for A, B in zip(sys6.A, sys6.B)])
         A_mu, B_mu = sys6.eval_AB(amb.mu_hat)
         T = np.kron(psd_sqrt(amb.rho_sigma * np.asarray(amb.sigma_hat)), np.eye(2))
         T_inv = np.eye(11)
         T_inv[2:6, 2:6] = np.linalg.inv(T)
-        raw = T_inv @ main.value(y) @ T_inv
+        raw = T_inv @ main @ T_inv
         close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
         close(raw[2:6, 2:6], np.kron(np.linalg.inv(amb.rho_sigma * np.asarray(amb.sigma_hat)), Wy))
         close(raw[2:6, :2], channels)
         close(raw[6:8, :2], A_mu @ Wy + B_mu @ Vy)
-        close(arrow.value(y)[2:6, :2], np.sqrt(amb.rho_mu / 2.0 / amb.rho_sigma) * T @ channels)
+        close(arrow[2:6, :2], np.sqrt(amb.rho_mu / 2.0 / amb.rho_sigma) * T @ channels)
 
     def test_dimension_mismatch(self, sys6, cost6):
         amb = _amb(np.zeros(1), np.eye(1), 0.0, 1.5)
@@ -220,6 +223,27 @@ class TestSynthRhc:
             synth_rhc(sys6, amb6_small, cost6, np.array([1.0, bad]))
 
 
+class TestInputs:
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_one_start_per_set(self, sys6, cost6, amb6_small, count):
+        with pytest.raises(ValueError, match=f"^{count} starts for 3 ambiguity sets$"):
+            drsynth.synth_full_batch(sys6, [amb6_small] * 3, cost6, [None] * count)
+
+    @pytest.mark.parametrize("call", ["full", "rhc", "batch"])
+    def test_overflowing_scaled_channels(self, call):
+        """Sigma_hat^{1/2} A_1 W reaches 1e308, which a symmetric part doubles
+        past the largest float: DomainError naming the scaled channels, with no
+        overflow warning first (error::RuntimeWarning would raise it)."""
+        sys = MultNoiseSystem(A0=np.eye(2), A=(1e300 * np.eye(2),), B0=np.ones((2, 1)),
+                              B=(np.zeros((2, 1)),))
+        amb, cost = _amb(np.zeros(1), [[1e16]], 0.1, 2.0), CostWeights(Q=np.eye(2), R=np.eye(1))
+        run = {"full": lambda: synth_full(sys, amb, cost),
+               "rhc": lambda: synth_rhc(sys, amb, cost, np.ones(2)),
+               "batch": lambda: drsynth.synth_full_batch(sys, [amb, amb], cost)}[call]
+        with pytest.raises(DomainError, match="noise channels scaled by the ambiguity set"):
+            run()
+
+
 def _synth(method, sys, amb, cost, x0):
     return synth_full(sys, amb, cost) if method == "full" else synth_rhc(sys, amb, cost, x0)
 
@@ -232,10 +256,9 @@ class TestCertificate:
         """An "optimal" point whose LMI blocks are not strictly positive
         certifies no gain, however good the gain happens to be."""
         real = drsynth.solve_batch
-        fake = lambda probs, starts=None: [
-            dataclasses.replace(sol, min_block_eigenvalue=min_eig) for sol in real(probs, starts)]
+        fake = lambda c, F, dims, starts=None: [
+            dataclasses.replace(sol, min_block_eigenvalue=min_eig) for sol in real(c, F, dims, starts)]
         monkeypatch.setattr(drsynth, "solve_batch", fake)
-        monkeypatch.setattr(drsynth, "_solve_stack", stacked(fake))
         with pytest.raises(NumericalFailure, match="strictly feasible"):
             _synth(method, sys6, amb6_small, cost6, np.array([2.0, 2.0]))
 
@@ -353,32 +376,29 @@ def _assert_certified(rng, res, method, sys, amb, cost, x0):
 
 
 def _memo_runs(calls):
-    """The pencils drsynth.solve_batch receives in each call, and the call's K,
-    bound and iterations or its exception, by conftest.memo_runs: with the
-    memos kept from call to call, and cleared before each call."""
+    """The pencil stacks drsynth.solve_batch receives in each call, and the
+    call's K, bound and iterations or its exception, by conftest.memo_runs:
+    with the memos kept from call to call, and cleared before each call."""
     real = drsynth.solve_batch
 
     def run(call):
         pencils = []
 
-        def spy(probs, starts=None):
-            pencils.extend([(a.shape, a.tobytes()) for a in
-                            (prob.c, *(m for b in prob.blocks for m in (b.F0, b.Fi)))]
-                           for prob in probs)
-            return real(probs, starts)
+        def spy(c, F, dims, starts=None):
+            pencils.append((dims, c.shape, c.tobytes(), F.shape, F.tobytes()))
+            return real(c, F, dims, starts)
 
-        drsynth.solve_batch, drsynth._solve_stack = spy, stacked(spy)
+        drsynth.solve_batch = spy
         try:
             ctrl = call().controller
         except (DrSynthesisError, NumericalFailure) as exc:
             return pencils, (type(exc).__name__, str(exc))
         return pencils, (ctrl.K.tobytes(), ctrl.cost_bound, ctrl.iterations)
 
-    real_stack = drsynth._solve_stack
     try:
         return memo_runs([lambda call=call: run(call) for call in calls])
     finally:
-        drsynth.solve_batch, drsynth._solve_stack = real, real_stack
+        drsynth.solve_batch = real
 
 
 class TestAssemblyMemo:
@@ -538,7 +558,7 @@ def _stage_calls(run) -> list:
     """(sys, ambs, cost, starts, results, stack) of each synth_full_batch call
     run() makes, stack being a copy of the (c, F, dims) it solves."""
     calls, stacks = [], []
-    real_batch, real_stack = drsynth.synth_full_batch, drsynth._solve_stack
+    real_batch, real_stack = drsynth.synth_full_batch, drsynth.solve_batch
 
     def batch(sys, ambs, cost, starts=None):
         results = real_batch(sys, ambs, cost, starts)
@@ -549,36 +569,38 @@ def _stage_calls(run) -> list:
         stacks.append((np.array(c), F.copy(), dims))
         return real_stack(c, F, dims, starts)
 
-    drsynth.synth_full_batch, drsynth._solve_stack = batch, stack
+    drsynth.synth_full_batch, drsynth.solve_batch = batch, stack
     try:
         run()
     finally:
-        drsynth.synth_full_batch, drsynth._solve_stack = real_batch, real_stack
+        drsynth.synth_full_batch, drsynth.solve_batch = real_batch, real_stack
     assert len(calls) == len(stacks)
     return [call + (st,) for call, st in zip(calls, stacks)]
 
 
-def _programs_of(sys, ambs, cost) -> list:
-    """Each set's synthesis program as _thm6_builder and LmiBuilder.build write it."""
+def _programs_of(sys, ambs, cost) -> tuple:
+    """The stack (c, F, dims) of the sets' synthesis programs, each as
+    oracles.thm6_builder and LmiBuilder.build write it, set by set."""
     programs = []
     for amb in ambs:
-        b, W, V, blocks = drsynth._thm6_builder(sys, amb, cost)
+        b, W, V, blocks = thm6_builder(sys, amb, cost)
         programs.append(b.build(-W.trace(), blocks))
-    return programs
+    return (*(np.concatenate([prog[i] for prog in programs]) for i in (0, 1)), programs[0][2])
 
 
 class TestStageStack:
     """synth_full_batch writes each stage's programs as one stack from the
-    template; the stack is, byte for byte, the programs _thm6_builder and
-    LmiBuilder.build write set by set, and the results are those solve_batch
-    returns on them."""
+    template; the stack is, byte for byte, the programs oracles.thm6_builder
+    and LmiBuilder.build write set by set, and the results are those
+    solve_batch returns on them."""
 
     def _check(self, calls):
         for sys, ambs, cost, starts, results, (c, F, dims) in calls:
-            programs = _programs_of(sys, ambs, cost)
-            want_c, want_F, want_dims = sdpcore._stack(programs)
-            assert (dims, c.tobytes(), F.tobytes()) == (want_dims, want_c.tobytes(), want_F.tobytes())
-            sols = sdpcore.solve_batch(programs, [None if s is None else s.solution for s in starts])
+            want_c, want_F, want_dims = _programs_of(sys, ambs, cost)
+            assert (dims, c.shape, F.shape) == (want_dims, want_c.shape, want_F.shape)
+            assert (c.tobytes(), F.tobytes()) == (want_c.tobytes(), want_F.tobytes())
+            sols = sdpcore.solve_batch(want_c, want_F, want_dims,
+                                       [None if s is None else s.solution for s in starts])
             W, V = drsynth._template(sys, cost)[:2]
             for res, want in zip(results, drsynth._controllers(sols, W, V, "dr_full")):
                 if isinstance(want, Exception):
@@ -613,7 +635,7 @@ class TestStageStack:
         assert isinstance(results[failing], NumericalFailure)
         others = [j for j in range(len(ambs)) if j != failing]
         monkeypatch.undo()
-        sols = sdpcore.solve_batch(_programs_of(sys, [ambs[j] for j in others], cost),
+        sols = sdpcore.solve_batch(*_programs_of(sys, [ambs[j] for j in others], cost),
                                    [starts[j].solution for j in others])
         for j, sol in zip(others, sols):
             assert_same_solution(results[j].solution, sol)

@@ -14,7 +14,7 @@ from drlqr.matcore import ShapeError, SymMatrix
 from drlqr.riccati import dr_covariance, value_iteration
 from drlqr.sysmodel import DisturbanceMoments
 from conftest import bench_workloads
-from oracles import median_j_rel, read_records_csv, root_failing_on, solve_reference, stacked
+from oracles import median_j_rel, read_records_csv, root_failing_on, solve_reference
 
 
 def _cfg(sys6, moments6, cost6, **overrides):
@@ -224,8 +224,8 @@ class TestSweep:
             assert len(strip_wall(p1)) == 1 + 2 * realizations * len(sizes)
         assert batches[:4] == [1, 4, 4, 3]
         p3 = tmp_path / "c.csv"
-        monkeypatch.setattr(drsynth, "_solve_stack", stacked(lambda probs, starts: [
-            solve_reference(prob, start) for prob, start in zip(probs, starts)]))
+        monkeypatch.setattr(drsynth, "solve_batch", lambda c, F, dims, starts: [
+            solve_reference((c[j:j + 1], F[j:j + 1], dims), start) for j, start in enumerate(starts)])
         write_records_csv(run_sample_complexity(cfg, jobs=1), p3)
         assert strip_wall(p3) == strip_wall(p1)
 
@@ -341,14 +341,14 @@ class TestWarmStart:
         inp = workload.make_input(0)
         real, iterations = drsynth.solve_batch, []
 
-        def counted(probs, starts=None):
-            sols = real(probs, starts)
+        def counted(c, F, dims, starts=None):
+            sols = real(c, F, dims, starts)
             iterations.extend(sol.iterations for sol in sols)
             return sols
 
         totals = []
-        for fake in (counted, lambda probs, starts=None: counted(probs)):
-            monkeypatch.setattr(drsynth, "_solve_stack", stacked(fake))
+        for fake in (counted, lambda c, F, dims, starts=None: counted(c, F, dims)):
+            monkeypatch.setattr(drsynth, "solve_batch", fake)
             iterations.clear()
             assert workload.check(inp, workload.run(inp)) == []
             totals.append(sum(iterations))
@@ -369,13 +369,13 @@ class TestWarmStart:
             counts["ce"] += 1
             return real_ce(*args)
 
-        def solve(probs, starts=None):
-            sols = real_solve(probs, starts)
+        def solve(c, F, dims, starts=None):
+            sols = real_solve(c, F, dims, starts)
             counts["iterations"] += sum(sol.iterations for sol in sols)
             return sols
 
         monkeypatch.setattr(riccati, "_ce_gain", ce)
-        monkeypatch.setattr(drsynth, "_solve_stack", stacked(solve))
+        monkeypatch.setattr(drsynth, "solve_batch", solve)
         assert workload.check(inp, workload.run(inp)) == []
         assert counts["ce"] <= 2 and counts["iterations"] <= 120, counts
 

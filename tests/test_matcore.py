@@ -351,8 +351,8 @@ class TestLinalgBinding:
             is_psd(np.full((3, 3), np.nan))
 
     @pytest.mark.parametrize("a_shape, t_shape", [
-        # one sweep-paper op (n_x = 2, n_w = 2): _thm6_builder's Theta . chan,
-        # min_eigenvalue's y . Fi on each block, AffineExpr.value's z . coef
+        # one sweep-paper op (n_x = 2, n_w = 2): one set's Theta . chan,
+        # _margin's y . Fi on each block, AffineExpr.value's z . coef
         ((3, 3), (3, 6, 2, 2)), ((11,), (11, 6, 6)), ((11,), (11, 11, 11)),
         ((11,), (11, 2, 2)), ((4,), (4, 2, 2)), ((6,), (6, 1, 2)),
         # synth_full on a riccati-chain plant (n_x = 8, n_w = 2)

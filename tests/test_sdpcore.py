@@ -11,20 +11,41 @@ from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import build_ambiguity
 from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
 from drlqr.matcore import DomainError, ShapeError
-from drlqr.sdpcore import (AffineExpr, LmiBlock, LmiBuilder, LmiProblem, SdpSolution, block_expr,
-                           kron_const, solve, solve_batch, zeros)
+from drlqr.sdpcore import (AffineExpr, LmiBuilder, SdpSolution, block_expr, kron_const, solve_batch,
+                           zeros)
 from conftest import bench_workloads
-from oracles import solve_reference, stacked
+from oracles import block_margin, solve_reference, thm6_builder
+
+
+def _alone(prob, start=None):
+    """solve_batch on the stack of one prob, from start."""
+    return solve_batch(*prob, [start])[0]
 
 
 def _solve(prob):
     """Solve; an "optimal" return must carry the margin of its own point,
     which the strict certificate in drsynth reads, and no reason."""
-    sol = solve(prob)
+    sol = _alone(prob)
     if sol.status == "optimal":
-        assert sol.min_block_eigenvalue == prob.min_eigenvalue(sol.y)
+        assert sol.min_block_eigenvalue == block_margin(prob, sol.y)
         assert sol.reason == ""
     return prob, sol
+
+
+def _program(c, F0, *Fi):
+    """min c^T y s.t. F0 + sum_i y_i Fi >= 0, one block, as a stack of one."""
+    F = np.array([[*Fi, F0]], dtype=float)
+    return np.array([c], dtype=float), F, (F.shape[-1],)
+
+
+def _line(F0, F1, c=1.0):
+    """min c y s.t. F0 + y F1 >= 0, one scalar block."""
+    return _program([c], [[F0]], [[F1]])
+
+
+def _scaled(s):
+    """TestBadlyScaled's min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0."""
+    return _program([1.0, 1.0], np.diag([s, 1.0]), np.diag([1.0, 0.0]), np.diag([0.0, s]))
 
 
 BADLY_SCALED = "false verdict on a badly scaled program (ROADMAP item 2)"
@@ -53,7 +74,7 @@ class TestSmallPrograms:
         y = b.rect_var(1, 1)
         prob, sol = _solve(b.build(zeros((1, 1)), [y - np.ones((1, 1)), 2.0 * np.ones((1, 1)) - y]))
         assert sol.status == "optimal"
-        assert prob.min_eigenvalue(sol.y) > 0.0
+        assert block_margin(prob, sol.y) > 0.0
 
     def test_infeasible(self):
         b = LmiBuilder()
@@ -100,21 +121,21 @@ class TestSmallPrograms:
 
 class TestFailureReason:
     def _half_line(self):
-        return LmiProblem(c=[1.0], blocks=(LmiBlock(F0=[[-3.0]], Fi=[[[1.0]]]),))
+        return _line(-3.0, 1.0)
 
     def test_caught_exception_is_reported(self, monkeypatch):
         def broken(*args):
             raise np.linalg.LinAlgError("Schur complement not finite")
 
         monkeypatch.setattr(sdpcore, "_step", broken)
-        sol = solve(self._half_line())
+        sol = _alone(self._half_line())
         assert sol.status == "numerical_failure"
         assert sol.iterations == 0
         assert sol.reason == "iteration 0: Schur complement not finite"
 
     def test_spent_budget_is_reported(self, monkeypatch):
         monkeypatch.setattr(sdpcore, "MAX_ITERS", 2)
-        sol = solve(self._half_line())
+        sol = _alone(self._half_line())
         assert sol.status == "numerical_failure"
         assert sol.iterations == 2
         assert sol.reason == "iteration budget spent (2)"
@@ -135,10 +156,10 @@ class TestWarmStart:
         """Started from a nearby program's solution, the solve reaches the cold
         optimum in fewer iterations, and returns its own iterate."""
         prob = _trace_program(C3)
-        start = solve(_trace_program(C3 + 0.1 * np.eye(3)))
-        cold, warm = solve(prob), solve(prob, start=start)
+        start = _alone(_trace_program(C3 + 0.1 * np.eye(3)))
+        cold, warm = _alone(prob), _alone(prob, start)
         assert warm.status == cold.status == "optimal"
-        assert warm.min_block_eigenvalue == prob.min_eigenvalue(warm.y) > 0.0
+        assert warm.min_block_eigenvalue == block_margin(prob, warm.y) > 0.0
         assert abs(warm.objective_value - cold.objective_value) <= 1e-6 * abs(cold.objective_value)
         assert warm.iterations < cold.iterations
         dims, x, S, Z, kappa = warm.iterate
@@ -146,33 +167,33 @@ class TestWarmStart:
         assert np.array_equal(x[:6] / x[6], warm.y)
 
     def test_other_variable_count_rejected(self):
-        start = solve(_trace_program(np.eye(2)))
+        start = _alone(_trace_program(np.eye(2)))
         with pytest.raises(ValueError, match="6 variables"):
-            solve(_trace_program(C3), start=start)
+            _alone(_trace_program(C3), start)
 
     def test_other_block_sizes_rejected(self):
         # one variable each: the half line y >= 3 and the 2 x 2 norm bound
-        start = solve(LmiProblem(c=[1.0], blocks=(LmiBlock(F0=[[-3.0]], Fi=[[[1.0]]]),)))
-        norm_bound = LmiProblem(c=[-1.0], blocks=(LmiBlock(
-            F0=np.eye(2), Fi=[[[0.0, 1.0], [1.0, 0.0]]]),))
+        start = _alone(_line(-3.0, 1.0))
+        norm_bound = _program([-1.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
         assert start.status == "optimal"
         with pytest.raises(ValueError, match=r"blocks \(2,\)"):
-            solve(norm_bound, start=start)
+            _alone(norm_bound, start)
 
     def test_start_that_is_not_optimal_rejected(self):
-        infeasible = LmiProblem(c=[0.0], blocks=(LmiBlock(F0=[[-1.0]], Fi=[[[1.0]]]),
-                                                 LmiBlock(F0=[[0.0]], Fi=[[[-1.0]]])))
-        start = solve(infeasible)
+        b = LmiBuilder()
+        y = b.rect_var(1, 1)
+        infeasible = b.build(zeros((1, 1)), [y - np.ones((1, 1)), -1.0 * y])
+        start = _alone(infeasible)
         assert start.status == "infeasible" and start.iterate is None
         with pytest.raises(ValueError, match="optimal"):
-            solve(infeasible, start=start)
+            _alone(infeasible, start)
 
     def test_failed_warm_solve_reruns_cold(self, monkeypatch):
         """A warm solve that ends in numerical_failure returns the cold
         result, with the iterations of both attempts and the restart named."""
         prob = _trace_program(C3)
-        start = solve(_trace_program(C3 + 0.1 * np.eye(3)))
-        cold = solve(prob)
+        start = _alone(_trace_program(C3 + 0.1 * np.eye(3)))
+        cold = _alone(prob)
         real, calls = sdpcore._step, []
 
         def fails_third(*args):
@@ -182,7 +203,7 @@ class TestWarmStart:
             return real(*args)
 
         monkeypatch.setattr(sdpcore, "_step", fails_third)
-        sol = solve(prob, start=start)
+        sol = _alone(prob, start)
         assert sol.status == "optimal"
         assert np.array_equal(sol.y, cold.y)
         assert sol.iterations == 2 + cold.iterations
@@ -194,10 +215,21 @@ class TestNonFinitePencil:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["F0", "Fi", "c"])
     def test_rejected(self, where, bad):
+        """build names the field of the non-finite entry, and warns of nothing."""
         F0, Fi, c = np.eye(2), np.stack([np.eye(2), np.ones((2, 2))]), np.ones(2)
         {"F0": F0, "Fi": Fi, "c": c}[where].flat[1] = bad
-        with pytest.raises(DomainError):
-            LmiProblem(c=c, blocks=(LmiBlock(F0=F0, Fi=Fi),))
+        b = LmiBuilder()
+        b.rect_var(1, 2)
+        with pytest.raises(DomainError, match=f"in {where}$"):
+            b.build(AffineExpr(np.append(0.0, c)[:, None, None]), [AffineExpr(np.concatenate([F0[None], Fi]))])
+
+    def test_overflowing_symmetric_part_rejected(self):
+        """(a + a^T) / 2 overflows for an entry beyond half the largest float:
+        DomainError, and no overflow warning first (error::RuntimeWarning)."""
+        b = LmiBuilder()
+        y = b.rect_var(1, 1)
+        with pytest.raises(DomainError, match="in Fi$"):
+            b.build(y, [block_expr([[np.ones((1, 1)), 1e308 * y], [1e308 * y, np.ones((1, 1))]])])
 
 
 class TestBadlyScaled:
@@ -217,24 +249,21 @@ class TestBadlyScaled:
     def test_large_finite_optimum(self, s):
         # min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0: strictly feasible at
         # y = 0, optimum -s - 1/s at y = (-s, -1/s)
-        sol = solve(LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
-            F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),)))
+        sol = _alone(_scaled(s))
         assert sol.status == "optimal"
         assert abs(sol.objective_value + s + 1.0 / s) <= 1e-6 * s
 
     def test_overflowing_norms_are_not_infeasible(self):
         # the strictly feasible program of test_large_finite_optimum at s = 1e160,
         # where |F0| and max|F_i| overflow to inf
-        s = 1e160
-        sol = solve(LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
-            F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),)))
+        sol = _alone(_scaled(1e160))
         assert sol.status == "numerical_failure"
         assert "overflows" in sol.reason
 
     @pytest.mark.xfail(strict=True, reason=BADLY_SCALED)
     def test_large_offset_half_line(self):
         # min y s.t. 1e6 + y >= 0 spends the iteration budget
-        sol = solve(LmiProblem(c=[1.0], blocks=(LmiBlock(F0=[[1e6]], Fi=[[[1.0]]]),)))
+        sol = _alone(_line(1e6, 1.0))
         assert sol.status == "optimal"
         assert abs(sol.y[0] + 1e6) <= 1e-6 * 1e6
 
@@ -294,6 +323,16 @@ class TestBuilderBasis:
         with pytest.raises(ValueError, match="objective must be scalar"):
             b.build(P, [P])
 
+    def test_stack_owns_its_memory(self):
+        """build writes a new stack of one: c and F share no memory with the
+        expressions, which a later edit would otherwise reach."""
+        b = LmiBuilder()
+        P = b.sym_var(2)
+        objective, block = -1.0 * P.trace(), P - np.eye(2)
+        c, F, dims = b.build(objective, [block])
+        assert (c.shape, F.shape, dims) == ((1, 3), (1, 4, 2, 2), (2,))
+        assert not any(np.shares_memory(a, e.coef) for a in (c, F) for e in (objective, block, P))
+
 
 class TestExpressionAlgebra:
     def test_pencil_matches_expression(self):
@@ -309,11 +348,12 @@ class TestExpressionAlgebra:
             [V, g, zeros((1, 2))],
             [(C @ W).T, zeros((2, 1)), kron_const(np.eye(2), g) + W],
         ])
-        prob = b.build(zeros((1, 1)), [expr])
+        (c,), (F,), dims = b.build(zeros((1, 1)), [expr])
+        assert dims == (5,) and len(c) == b.num_vars
         sym = 0.5 * (expr + expr.T)
         for _ in range(5):
-            y = rng.standard_normal(prob.num_vars)
-            pencil = prob.blocks[0].F0 + np.einsum("k,kij->ij", y, prob.blocks[0].Fi)
+            y = rng.standard_normal(len(c))
+            pencil = F[-1] + np.einsum("k,kij->ij", y, F[:-1])
             assert np.allclose(pencil, sym.value(y), atol=1e-12)
 
     def test_matmul_and_trace(self):
@@ -384,17 +424,18 @@ class TestTensorAlgebraProperty:
         blk = block_expr([[early, G], [P, late.T @ H]])
         close(blk.value(y), np.block([[ev, G], [Pv, lv.T @ H]]))
 
-        prob = b.build(g - 2.0 * P.trace(), [square])
-        assert prob.num_vars == b.num_vars
-        pencil = prob.blocks[0].F0 + np.tensordot(y, prob.blocks[0].Fi, axes=1)
+        (c,), (F,), dims = b.build(g - 2.0 * P.trace(), [square])
+        assert len(c) == b.num_vars and dims == (p,)
+        pencil = F[-1] + np.tensordot(y, F[:-1], axes=1)
         close(pencil, 0.5 * (Xv @ Cq + (Xv @ Cq).T))
-        close(prob.c @ y, gv[0, 0] - 2.0 * np.trace(Pv))
+        close(c @ y, gv[0, 0] - 2.0 * np.trace(Pv))
 
 
 
 class TestReadOuts:
-    """value and min_eigenvalue form y . Fi by one matrix product, the one
-    np.tensordot makes, so the bits are tensordot's."""
+    """value and the margin (the least block eigenvalue, sdpcore._margin) form
+    y . Fi by one matrix product, the one np.tensordot makes, so the bits are
+    tensordot's."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(k=st.integers(0, 12), rows=st.integers(1, 6), cols=st.integers(1, 6),
@@ -412,12 +453,16 @@ class TestReadOuts:
     def test_min_eigenvalue_is_tensordots(self, k, dims, seed):
         rng = np.random.default_rng(seed)
         sym = lambda a: a + np.swapaxes(a, -1, -2)
-        blocks = [LmiBlock(F0=sym(rng.standard_normal((d, d))),
-                           Fi=sym(rng.standard_normal((k, d, d)))) for d in dims]
+        ends = np.cumsum(dims).tolist()
+        blocks = tuple(slice(e - d, e) for d, e in zip(dims, ends))
+        F = np.zeros((k + 1, ends[-1], ends[-1]))  # one program's pencil: F_1..F_k, then F0
+        for b, d in zip(blocks, dims):
+            F[:, b, b] = sym(rng.standard_normal((k + 1, d, d)))
         y = rng.standard_normal(k)
-        reference = min(np.linalg.eigvalsh(b.F0 + np.tensordot(y, b.Fi, axes=([0], [0])))[0]
+        # on the pencil's own slices: a product on a contiguous copy of a block may round apart
+        reference = min(np.linalg.eigvalsh(F[k, b, b] + np.tensordot(y, F[:k, b, b], axes=([0], [0])))[0]
                         for b in blocks)
-        assert LmiProblem(c=np.zeros(k), blocks=blocks).min_eigenvalue(y) == reference
+        assert sdpcore._margin(F, y, blocks) == reference
 
 
 # --------------------------------------------------------------------------
@@ -425,23 +470,12 @@ class TestReadOuts:
 # --------------------------------------------------------------------------
 
 
-def _line(F0, F1, c=1.0):
-    """min c y s.t. F0 + y F1 >= 0, one scalar block."""
-    return LmiProblem(c=[c], blocks=(LmiBlock(F0=[[F0]], Fi=[[[F1]]]),))
-
-
-def _scaled(s):
-    """TestBadlyScaled's min y1 + y2 s.t. diag(s + y1, 1 + s y2) >= 0."""
-    return LmiProblem(c=[1.0, 1.0], blocks=(LmiBlock(
-        F0=np.diag([s, 1.0]), Fi=np.array([np.diag([1.0, 0.0]), np.diag([0.0, s])])),))
-
-
 SMALL = [
     # one variable, one 1 x 1 block: optimal, unbounded, the spent budget, infeasible
     _line(-3.0, 1.0), _line(1.0, 1.0, c=-1.0), _line(1e6, 1.0), _line(-1.0, 0.0),
     # one variable, one 2 x 2 block: the norm bound (optimal) and a weakly infeasible program
-    LmiProblem(c=[-1.0], blocks=(LmiBlock(F0=np.eye(2), Fi=[[[0.0, 1.0], [1.0, 0.0]]]),)),
-    LmiProblem(c=[0.0], blocks=(LmiBlock(F0=[[0.0, 1.0], [1.0, 0.0]], Fi=[[[1.0, 0.0], [0.0, 0.0]]]),)),
+    _program([-1.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
+    _program([0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]),
     # two variables, one 2 x 2 block: the badly scaled programs, the last one overflowing
     *(_scaled(s) for s in (1e4, 1e8, 1e150, 1e160)),
 ]
@@ -451,7 +485,7 @@ N5_OPS = range(3)
 
 
 def _shape(prob):
-    return prob.num_vars, tuple(b.dim for b in prob.blocks)
+    return prob[0].shape[1], prob[2]
 
 
 @functools.cache
@@ -467,12 +501,15 @@ def _programs() -> dict:
     inputs = [data[1:] for data in plants()] + [n5.make_input(i).data for i in N5_OPS]
     found = []
 
-    def collect(probs, starts=None):  # a verdict that raises at once: no solve is needed here
-        found.extend((prob, None) for prob in probs)
-        return [SdpSolution(np.zeros(p.num_vars), "infeasible", 0.0, 0.0, 0) for p in probs]
+    def programs(c, F, dims):  # each program of the stack as a stack of one
+        return [(np.array(c[j:j + 1]), np.array(F[j:j + 1]), dims) for j in range(len(c))]
 
-    real, real_stack = drsynth.solve_batch, drsynth._solve_stack
-    drsynth.solve_batch, drsynth._solve_stack = collect, stacked(collect)
+    def collect(c, F, dims, starts=None):  # a verdict that raises at once: no solve is needed here
+        found.extend((prob, None) for prob in programs(c, F, dims))
+        return [SdpSolution(np.zeros(c.shape[1]), "infeasible", 0.0, 0.0, 0) for _ in c]
+
+    real = drsynth.solve_batch
+    drsynth.solve_batch = collect
     try:
         for sys, amb, cost, x0 in inputs:
             for synth in (lambda: drsynth.synth_full(sys, amb, cost),
@@ -480,18 +517,18 @@ def _programs() -> dict:
                 with pytest.raises(drsynth.DrSynthesisError):
                     synth()
     finally:
-        drsynth.solve_batch, drsynth._solve_stack = real, real_stack
+        drsynth.solve_batch = real
 
-    def sweep(probs, starts):
-        found.extend(zip(probs, starts))
-        return real(probs, starts)
+    def sweep(c, F, dims, starts):
+        found.extend(zip(programs(c, F, dims), starts))
+        return real(c, F, dims, starts)
 
     workload = bench_workloads().WORKLOADS["sweep-paper"](0)
-    drsynth._solve_stack = stacked(sweep)
+    drsynth.solve_batch = sweep
     try:
         assert isinstance(workload.run(workload.make_input(0)), list)
     finally:
-        drsynth._solve_stack = real_stack
+        drsynth.solve_batch = real
     groups = {}
     for prob, start in found + [(prob, None) for prob in SMALL]:
         groups.setdefault(_shape(prob), []).append((prob, start))
@@ -537,8 +574,9 @@ def assert_same_solution(sol: SdpSolution, ref: SdpSolution):
 
 
 def _solve_both(shape, entries):
-    """solve_batch on entries, a list of (program, start), and each program's reference."""
-    sols = solve_batch([prob for prob, _ in entries], [start for _, start in entries])
+    """solve_batch on entries, a list of (program, start), stacked, and each program's reference."""
+    sols = solve_batch(*(np.concatenate([prob[i] for prob, _ in entries]) for i in (0, 1)), shape[1],
+                       [start for _, start in entries])
     return sols, [_reference(shape, prob, start) for prob, start in entries]
 
 
@@ -605,13 +643,22 @@ class TestBatchIsReference:
         assert [sol.status for sol in sols] == ["optimal", "optimal", "infeasible"]
 
     def test_batch_of_one_is_solve(self):
-        prob, start = _programs()[(11, (6, 11, 2))][-1]
+        """A warm stack of one is the reference's solve of its program."""
+        shape = (11, (6, 11, 2))
+        prob, start = _programs()[shape][-1]
         assert start is not None
-        assert_same_solution(solve(prob, start), solve_batch([prob], [start])[0])
+        assert_same_solution(_alone(prob, start), _reference(shape, prob, start))
 
     def test_shapes_must_agree(self):
-        with pytest.raises(ValueError, match="one shape"):
-            solve_batch([_line(-3.0, 1.0), _scaled(1e4)])
+        """The pencils have the shape the objectives and block sizes give, and
+        there is one start per program."""
+        c, F, dims = _scaled(1e4)
+        for bad in ((_line(-3.0, 1.0)[0], F, dims), (c, F, (2, 1)), (c, F[:, 1:], dims),
+                    (np.concatenate([c, c]), F, dims)):
+            with pytest.raises(ValueError, match=r"pencil stack has shape \("):
+                solve_batch(*bad)
+        with pytest.raises(ValueError, match="2 starts for 1 programs"):
+            solve_batch(c, F, dims, [None, None])
 
 
 def _inject(monkeypatch, call, edit):
@@ -671,21 +718,22 @@ def test_batch_of_one_bookkeeping_is_lean():
     builtins) a batch of one makes on the paper system's synthesis program:
     sweep-paper op 0's first anchor, solved cold in 19 iterations.  Taking
     each program's dot products on its own rows, and its scalars as floats,
-    brought the count from 211 calls per iteration to 157; the one-program
-    reference loop makes 92.  The count is deterministic for one numpy, so
+    brought the count from 211 calls per iteration to 157, and solving the
+    stack build writes, with no program objects to stack, to 154; the
+    one-program reference loop makes 90.  The count is deterministic for one numpy, so
     bookkeeping added to the loop shows here."""
     cfg = bench_workloads().WORKLOADS["sweep-paper"](0).make_input(0).data
     M = cfg.sample_sizes[0]
     amb = build_ambiguity(sample_gaussian(cfg.true_moments, M, _cell_stream(cfg.seed, M, 0)),
                           cfg.ambiguity_config(), lambda_reg=LAMBDA_REG)
-    b, W, V, blocks = drsynth._thm6_builder(cfg.system, amb, cfg.cost)
+    b, W, V, blocks = thm6_builder(cfg.system, amb, cfg.cost)
     prob = b.build(-W.trace(), blocks)
-    solve_batch([prob])
+    solve_batch(*prob)
     profile = cProfile.Profile()
-    sol, = profile.runcall(solve_batch, [prob])
+    sol, = profile.runcall(solve_batch, *prob)
     calls = pstats.Stats(profile).total_calls
     assert (sol.status, sol.iterations) == ("optimal", 19)
-    assert (calls, round(calls / sol.iterations)) == (2986, 157)
+    assert (calls, round(calls / sol.iterations)) == (2929, 154)
     reference = cProfile.Profile()
     reference.runcall(solve_reference, prob)
-    assert round(pstats.Stats(reference).total_calls / sol.iterations) == 92
+    assert round(pstats.Stats(reference).total_calls / sol.iterations) == 90

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drlqr.matcore import DomainError, SymMatrix, is_psd, smat, svec
-from drlqr.sdpcore import LmiBuilder, kron_const, solve, zeros
+from drlqr.sdpcore import LmiBuilder, kron_const, solve_batch, zeros
 from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
                              closed_loop_cost, closed_loop_value_matrix, is_mss,
@@ -333,7 +333,7 @@ def _lyapunov_lmi_feasible(cl, m) -> bool:
     Abar, Bbar = cl.sys.stacked
     Acl = Abar + Bbar @ cl.K
     LP = Acl.T @ kron_const(np.asarray(m.extended_moment), P) @ Acl
-    sol = solve(b.build(zeros((1, 1)), [P - np.eye(n), P - LP - 1e-6 * np.eye(n)]))
+    sol, = solve_batch(*b.build(zeros((1, 1)), [P - np.eye(n), P - LP - 1e-6 * np.eye(n)]))
     return sol.status == "optimal"
 
 

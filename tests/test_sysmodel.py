@@ -9,7 +9,6 @@ from drlqr.matcore import DomainError, ShapeError, SymMatrix, sym_field
 from drlqr.drsynth import synth_full
 from drlqr.experiment import ExperimentConfig
 from drlqr.riccati import Controller, value_iteration
-from drlqr.sdpcore import LmiBlock, LmiProblem
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
 
@@ -342,12 +341,6 @@ def _experiment(g):
     return [(cfg.x0, x0)]
 
 
-def _lmi(g):
-    c, F0, Fi = g([1.0]), g(ASYMMETRIC, sym=True), g([ASYMMETRIC])
-    prob = LmiProblem(c=c, blocks=(LmiBlock(F0=F0, Fi=Fi),))
-    return [(prob.c, c), (prob.blocks[0].F0, F0), (prob.blocks[0].Fi, Fi)]
-
-
 def _sym_matrix(g):
     m = g(ASYMMETRIC)
     return [(SymMatrix(m).entries, m)]
@@ -356,7 +349,7 @@ def _sym_matrix(g):
 VALUE_CLASSES = {"MultNoiseSystem": _system, "DisturbanceMoments": _moments, "CostWeights": _cost,
                  "MomentAmbiguity": _ambiguity, "SampleSet": _samples, "Controller": _controller,
                  "ClosedLoop": _closed_loop, "ExperimentConfig": _experiment,
-                 "LmiProblem": _lmi, "SymMatrix": _sym_matrix}
+                 "SymMatrix": _sym_matrix}
 
 
 def _read_only(value):
@@ -366,7 +359,7 @@ def _read_only(value):
 
 
 FORMS = {"list": lambda value: value, "ndarray": np.array, "read_only": _read_only}
-SYMMETRIC = ["CostWeights", "Controller", "DisturbanceMoments", "LmiProblem", "MomentAmbiguity"]
+SYMMETRIC = ["CostWeights", "Controller", "DisturbanceMoments", "MomentAmbiguity"]
 
 
 @pytest.mark.parametrize("cls, form", [(cls, form) for cls in sorted(VALUE_CLASSES) for form in FORMS]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MomentAmbiguity
-from .matcore import DomainError, NumericalFailure, ShapeError, _memo_last, contract, np_inv, psd_sqrt
+from .matcore import DomainError, NumericalFailure, ShapeError, _memo_last, _one, contract, np_inv, psd_sqrt
 from .riccati import Controller
 from .sdpcore import AffineExpr, LmiBuilder, SdpSolution, block_expr, kron_const, solve_batch, zeros
 from .sysmodel import CostWeights, MultNoiseSystem, check_cost, state_vector
@@ -164,14 +164,6 @@ def _controllers(sols: list, W: AffineExpr, V: AffineExpr, method: str,
             results[j] = SynthesisResult(Controller(K=K, P=P, method=method, iterations=sols[j].iterations,
                                                     cost_bound=float(cost_bound)), sols[j])
     return results
-
-
-def _one(results: list) -> SynthesisResult:
-    """The result of a one-set call, raised if it is an exception."""
-    result, = results
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: CostWeights,

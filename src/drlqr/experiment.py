@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from . import drsynth, riccati
+from . import drsynth, riccati, stability
 from .ambiguity import (DEFAULT_EPS, AmbiguityConfig, SampleSet, build_ambiguity,
                         min_sample_size)
-from .matcore import NumericalFailure, ShapeError, _whole, psd_sqrt
-from .stability import ClosedLoop, InstabilityError, closed_loop_cost
+from .matcore import ShapeError, _memo_last, _whole
+from .stability import ClosedLoop, closed_loop_cost
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 METHOD_ALIASES = {
@@ -118,16 +118,17 @@ def sample_gaussian(m: DisturbanceMoments, M: int, seed) -> SampleSet:
         raise ValueError(f"M must be at least 2, got {M}")
     rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence) else _seed(seed))
     z = rng.standard_normal((M, m.n_w))
-    half = psd_sqrt(m.sigma)
-    return SampleSet(samples=m.mu + z @ half)
+    return SampleSet(samples=m.mu + z @ m._sigma_root)
 
 
 def _cell_stream(seed: int, M: int, realization: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(M, realization))
 
 
+@_memo_last(lambda c: c.system.stacked + (c.true_moments.mu, c.true_moments.sigma, c.cost.Q, c.cost.R, c.x0))
 def nominal_reference(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
-    """Gain and cost of the nominal controller under the true moments."""
+    """Gain and cost of the nominal controller under the true moments, the last pair
+    kept, the gain read-only, for the last system, true moments, cost and x0."""
     ctrl = riccati.value_iteration(cfg.system, cfg.true_moments, cfg.cost)
     cl = ClosedLoop(sys=cfg.system, K=ctrl.K)
     return ctrl.K, closed_loop_cost(cl, cfg.true_moments, cfg.cost, cfg.x0)
@@ -137,44 +138,30 @@ def _run_cells(cfg: ExperimentConfig, J_nom: float, cells) -> tuple[list, list]:
     """The records of cells, a list of (M, realization, starts), and each cell's
     solved results by method: the dr_covariance Controller and the dr_full
     SynthesisResult, None without a gain.  Each method's solve starts from
-    starts[method] when that is given; the cells' dr_full SDPs are solved as one
-    batch (drsynth.synth_full_batch)."""
+    starts[method] when that is given; each method solves the cells as one batch
+    (riccati.dr_covariance_batch, drsynth.synth_full_batch), and every gain is
+    scored under the true moments in one stack (stability._closed_loop_costs)."""
     ambs = [build_ambiguity(sample_gaussian(cfg.true_moments, M, _cell_stream(cfg.seed, M, r)),
                             cfg.ambiguity_config(), lambda_reg=LAMBDA_REG) for M, r, _ in cells]
-    solved, wall_ms = [{} for _ in cells], [{} for _ in cells]
+    solved, wall_ms = [{} for _ in cells], {}
     for method in cfg.methods:
-        starts = [cell[2].get(method) for cell in cells]
-        if method == "dr_covariance":
-            for amb, start, got, ms in zip(ambs, starts, solved, wall_ms):
-                t0 = time.perf_counter()
-                try:
-                    got[method] = riccati.dr_covariance(cfg.system, amb.mu_hat, amb, cfg.cost,
-                                                        start=start)
-                except (riccati.NotStabilizableError, NumericalFailure):
-                    got[method] = None
-                ms[method] = (time.perf_counter() - t0) * 1000.0
-        else:
-            t0 = time.perf_counter()
-            results = drsynth.synth_full_batch(cfg.system, ambs, cfg.cost, starts)
-            each = (time.perf_counter() - t0) * 1000.0 / len(cells)
-            for res, got, ms in zip(results, solved, wall_ms):
-                got[method], ms[method] = (None if isinstance(res, Exception) else res), each
+        batch = riccati.dr_covariance_batch if method == "dr_covariance" else drsynth.synth_full_batch
+        t0 = time.perf_counter()
+        results = batch(cfg.system, ambs, cfg.cost, [cell[2].get(method) for cell in cells])
+        wall_ms[method] = (time.perf_counter() - t0) * 1000.0 / len(cells)
+        for res, got in zip(results, solved):
+            got[method] = None if isinstance(res, Exception) else res
+    gains = [(got[method].K if method == "dr_covariance" else got[method].controller.K)
+             for got in solved for method in cfg.methods if got[method] is not None]
+    scores = iter(stability._closed_loop_costs(cfg.system, np.array(gains), cfg.true_moments, cfg.cost,
+                                               cfg.x0) if gains else ())
     records = []
-    for (M, realization, _), got, ms in zip(cells, solved, wall_ms):
+    for (M, realization, _), got in zip(cells, solved):
         for method in cfg.methods:
-            res = got[method]
-            stabilizing, J, J_rel = False, float("inf"), float("inf")
-            if res is not None:
-                K = res.K if method == "dr_covariance" else res.controller.K
-                try:  # raises unless two solves certify radius < 1 - TOL, is_mss's rule
-                    J = closed_loop_cost(ClosedLoop(sys=cfg.system, K=K), cfg.true_moments,
-                                         cfg.cost, cfg.x0)
-                    stabilizing, J_rel = True, (J - J_nom) / J_nom
-                except InstabilityError:
-                    pass
-            records.append(RunRecord(M=M, realization=realization, method=method,
-                                     stabilizing=stabilizing, J=J, J_rel=J_rel,
-                                     wall_ms=ms[method]))
+            J = math.inf if got[method] is None else next(scores)
+            records.append(RunRecord(M=M, realization=realization, method=method, stabilizing=J < math.inf,
+                                     J=J, J_rel=(J - J_nom) / J_nom if J < math.inf else math.inf,
+                                     wall_ms=wall_ms[method]))
     return records, solved
 
 
@@ -230,8 +217,9 @@ def run_sample_complexity(cfg: ExperimentConfig, jobs: int = 1) -> list:
     its own sample size's anchor, so each record depends only on its own cell
     and the anchor chain.  The sweep runs in stages: the first anchor alone,
     then each later anchor with the other cells of the sample size before it,
-    then the other cells of the last sample size; a stage's dr_full SDPs are
-    solved as one batch.  With jobs > 1 the anchors run alone in this process
+    then the other cells of the last sample size; a stage's dr_covariance
+    solves and its dr_full SDPs are each one batch, and its gains are scored
+    as one stack.  With jobs > 1 the anchors run alone in this process
     and the other cells go to a pool in one batch per worker.  The pool starts
     all its workers at once, so it gets at most one per batch and per CPU, and
     each worker runs numpy's and scipy's OpenBLAS on one thread (_pool).
@@ -272,10 +260,11 @@ def write_records_csv(records, path) -> None:
     informational only.  It is the time one method took to synthesize its
     gain from the cell's ambiguity set (the Riccati or SDP solve and its
     certificate); the sampling, the ambiguity set built once per cell and
-    the scoring under the true moments are outside it.  The dr_full SDPs of
-    a stage (of a pool batch with jobs > 1) are solved as one batch (see
-    run_sample_complexity), so on a dr_full row wall_ms is the stage's
-    synthesis time divided by its cells.  Only the
+    the scoring under the true moments are outside it.  Each method solves
+    the cells of a stage (of a pool batch with jobs > 1) as one batch (see
+    run_sample_complexity), so wall_ms is the stage's time for that method
+    divided by its cells: its Riccati time on a dr_covariance row, its
+    synthesis time on a dr_full row.  Only the
     first anchor cell's solves are cold: on a later anchor's rows wall_ms times
     solves started from the previous anchor's results, and on every other row
     solves started from its sample size's anchor.

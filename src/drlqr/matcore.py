@@ -172,6 +172,14 @@ def _memo_last(key):
     return decorate
 
 
+def _one(results: list):
+    """The result of a one-program call to a batch routine, raised if it is an exception."""
+    result, = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _clear_memos() -> None:
     """Forget the value every _memo_last function keeps."""
     for memo in _MEMOS:

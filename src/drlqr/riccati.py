@@ -10,19 +10,22 @@ gain exactly by stability.lyapunov_value; the steps converge quadratically.
 The covariance-only robust controller is the same pipeline run with the
 covariance inflated to rho_sigma * Sigma_hat, which is worst-case exact when
 the mean is known.
+
+One loop solves a batch of such programs on one system and cost: the sets of
+a sweep stage (dr_covariance_batch), or one (value_iteration, dr_covariance).
+Each keeps its own sweeps, probes, solves and verdict, bit for bit.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (NumericalFailure, _memo_last, all_finite, array_field, dgesv, dpotrf,
-                      dpotrs, frobenius, np_eigvalsh, np_solve, sym_field, symmetrize)
+from .matcore import (NumericalFailure, ShapeError, _memo_last, _one, all_finite, array_field, dgesv,
+                      dpotrf, dpotrs, frobenius, np_eigvalsh, np_solve, sym_field, symmetrize)
 from .stability import ClosedLoop, _svec_operator, lyapunov_value
-from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, fgh, gh
+from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, _extended_moment, fgh, gh
 from .ambiguity import MomentAmbiguity
 
 TOL = 1e-10  # relative change in P at which the iteration stops
@@ -109,11 +112,109 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
                 return None
             if (np.maximum.reduce(np.abs(dH), axis=None)  # the 2-norm could overflow
                     <= TOL * np.maximum.reduce(np.abs(H), axis=None)):
-                mean = DisturbanceMoments(mu=m.mu, sigma=np.zeros_like(m.sigma))
+                mean = _extended_moment(m.mu, np.zeros_like(m.sigma))  # the noise-free moments
                 K = _gain_from(*gh(sys, mean, symmetrize(H)), cost.R)
                 K.setflags(write=False)
                 return K
     return None
+
+
+def _values(sys: MultNoiseSystem, K: np.ndarray, S: np.ndarray, cost: CostWeights, slots: list,
+            everyone: list) -> list:
+    """The certified value of the gain in each of the slots of the stack K under its extended
+    moment in S, or None: one operator build, then each gain's own solve.  All slots take the
+    stacks whole; a lone gain goes unstacked, the same bits without numpy's broadcasting."""
+    if slots != everyone:
+        K, S = K[slots], S[slots]
+    if len(K) == 1:
+        K, S = K[0], S[0]
+    T, C = _svec_operator(sys, K, S), cost.Q + K.swapaxes(-1, -2) @ cost.R @ K
+    return [lyapunov_value(T, C)] if T.ndim == 2 else list(map(lyapunov_value, T, C))
+
+
+def _newton_batch(sys: MultNoiseSystem, ms: list, cost: CostWeights, starts: list,
+                  method: str) -> list:
+    """value_iteration for each moments ms[j] from starts[j]: per program, the Controller,
+    labelled method, or the NotStabilizableError or NumericalFailure its own call raises.
+    The running programs' moments and iterates sit in stacks, compacted when one leaves; a
+    pass forms their moment operators (gh, or fgh while any sweeps) as one stack."""
+    check_cost(sys, cost)
+    p, n, Q, R = len(ms), sys.n_x, cost.Q, cost.R
+    # by slot: moments, iterate and the gains evaluated; by program: the rest
+    S, P, gains = np.array([m.extended_moment for m in ms]), np.zeros((p, n, n)), np.empty((p, R.shape[0], n))
+    if S.shape[-1] != sys.n_w + 1:
+        raise ShapeError(f"moments have n_w={S.shape[-1] - 1}, system has n_w={sys.n_w}")
+    k, probe, norm, newton, converged = [0] * p, [0] * p, [0.0] * p, [False] * p, [False] * p
+    gain, value, out, ids = [None] * p, [None] * p, [None] * p, list(range(p))
+    everyone = ids  # the list of every slot
+    # the first iterate: the value of start's gain, else of the certainty-equivalent gain, if certified
+    for first in (lambda j: None if starts[j] is None else ClosedLoop(sys=sys, K=starts[j].K).K,
+                  lambda j: _ce_gain(sys, ms[j], cost)):
+        tried = []
+        for j in ids:
+            K = None if newton[j] else first(j)
+            if K is not None:
+                gains[j] = K
+                tried.append(j)
+        for j, V in zip(tried, _values(sys, gains, S, cost, tried, everyone) if tried else ()):
+            if V is not None:
+                P[j], k[j], norm[j], newton[j] = V, 1, frobenius(V), True
+    sweeping = False in newton
+    while True:
+        F, G, H = fgh(sys, S, P) if sweeping else (None, *gh(sys, S, P))  # sweeps read F(P) too
+        probed, left = [], False
+        for i, j in enumerate(ids):  # each program's gain, then its verdict, else whether to probe
+            try:
+                gain[j] = K = _gain_from(G[i], H[i], R)
+            except NumericalFailure as exc:
+                out[j] = exc
+            else:
+                if newton[j] and converged[j]:
+                    out[j] = Controller(K=K, P=P[i], method=method, iterations=k[j])
+                elif k[j] >= MAX_ITER:
+                    out[j] = NumericalFailure(f"value iteration did not converge within {MAX_ITER} "
+                                              f"iterations (trace {np.trace(P[i]):.3e})")
+                else:
+                    if newton[j] or converged[j] or k[j] == probe[j]:
+                        probe[j], gains[i] = max(1, 2 * k[j]), K
+                        probed.append(i)
+                    continue
+            left = True
+        for i, V in zip(probed, _values(sys, gains, S, cost, probed, everyone) if probed else ()):
+            value[ids[i]] = V
+        for i, j in enumerate(ids):  # each program's step, or its verdict
+            if out[j] is not None:
+                continue
+            P_next, value[j] = value[j], None
+            if P_next is None and (newton[j] or converged[j]):
+                out[j] = NumericalFailure("Newton step lost the mean-square stability certificate"
+                                          if newton[j] else "sweeps converged to an uncertified gain")
+            elif P_next is not None and not newton[j]:  # the certifying evaluation starts Newton
+                P[i], k[j], norm[j], newton[j], converged[j] = P_next, k[j] + 1, frobenius(P_next), True, False
+                sweeping = False in [newton[j] for j in ids]
+                continue
+            else:
+                if P_next is None:
+                    P_next = symmetrize(Q + F[i] + H[i].T @ gain[j])
+                step = P[i] - P_next if newton[j] else P_next - P[i]
+                if np_eigvalsh(step)[0] < -1e-8 * (1.0 + norm[j]):
+                    out[j] = NumericalFailure(("Newton step" if newton[j] else "value iteration")
+                                              + " lost monotonicity")
+                else:
+                    delta = frobenius(step)
+                    P[i], k[j], norm[j] = P_next, k[j] + 1, frobenius(P_next)
+                    if newton[j] or np.trace(P[i]) <= DIVERGENCE_TRACE:
+                        converged[j] = delta <= TOL * (1.0 + norm[j])
+                        continue
+                    out[j] = NotStabilizableError("value iteration diverged: system is not mean-square "
+                                                  "stabilizable under these moments")
+            left = True
+        if left:
+            keep = [i for i, j in enumerate(ids) if out[j] is None]
+            if not keep:
+                return out
+            S, P, gains, ids = S[keep], P[keep], gains[keep], [ids[i] for i in keep]
+            everyone, sweeping = list(range(len(ids))), False in [newton[j] for j in ids]
 
 
 def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
@@ -145,53 +246,34 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     evaluation (of a certified start too) included, and MAX_ITER bounds that
     total.  Divergence raises NotStabilizableError; a spent budget, sweeps that
     converge to an uncertified gain, or a Newton step that loses its
-    certificate or monotonicity raise NumericalFailure.
+    certificate or monotonicity raise NumericalFailure.  The one-program case
+    of the batch loop that dr_covariance_batch runs (_newton_batch).
     """
-    check_cost(sys, cost)
-    n = sys.n_x
+    return _one(_newton_batch(sys, [m], cost, [start], "nominal_vi"))
 
-    def value(K):  # the certified value of K under m, or None
-        return lyapunov_value(_svec_operator(sys, K, m), cost.Q + K.T @ cost.R @ K)
 
-    P = None if start is None else value(ClosedLoop(sys=sys, K=start.K).K)  # checks its shape
-    if P is None:
-        K = _ce_gain(sys, m, cost)
-        P = None if K is None else value(K)
-    newton = P is not None  # a certified start needs no warm-up
-    P, k, probe, converged = P if newton else np.zeros((n, n)), int(newton), 0, False
-    while True:
-        if newton:
-            G, H = gh(sys, m, P)
-        else:  # a warm-up pass may sweep, which reads F(P) too
-            F, G, H = fgh(sys, m, P)
-        K = _gain_from(G, H, cost.R)
-        if newton and converged:
-            return Controller(K=K, P=P, method="nominal_vi", iterations=k)
-        if k >= MAX_ITER:
-            raise NumericalFailure(f"value iteration did not converge within {MAX_ITER} "
-                                   f"iterations (trace {np.trace(P):.3e})")
-        P_next = None
-        if newton or converged or k == probe:
-            probe, P_next = max(1, 2 * k), value(K)
-        if P_next is None and (newton or converged):
-            raise NumericalFailure("Newton step lost the mean-square stability certificate"
-                                   if newton else "sweeps converged to an uncertified gain")
-        if P_next is not None and not newton:  # the certifying evaluation starts Newton
-            P, k, newton, converged = P_next, k + 1, True, False
-            continue
-        if P_next is None:
-            P_next = symmetrize(cost.Q + F + H.T @ K)
-        step = P - P_next if newton else P_next - P
-        if np_eigvalsh(step)[0] < -1e-8 * (1.0 + frobenius(P)):
-            raise NumericalFailure(("Newton step" if newton else "value iteration")
-                                   + " lost monotonicity")
-        delta = frobenius(step)
-        P, k = P_next, k + 1
-        if not newton and np.trace(P) > DIVERGENCE_TRACE:
-            raise NotStabilizableError(
-                "value iteration diverged: system is not mean-square stabilizable under these moments"
-            )
-        converged = delta <= TOL * (1.0 + frobenius(P))
+def _inflated(results: list, ambs: list) -> list:
+    """results at the inflated covariances of ambs, NotStabilizableError naming rho_sigma."""
+    for j, (res, amb) in enumerate(zip(results, ambs)):
+        if isinstance(res, NotStabilizableError):
+            results[j] = NotStabilizableError("system not stabilizable under covariance inflated by "
+                                              f"rho_sigma = {amb.rho_sigma:.4f}")
+            results[j].__cause__ = res
+    return results
+
+
+def dr_covariance_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: CostWeights,
+                        starts: list[Controller | None] | None = None) -> list:
+    """dr_covariance for each ambiguity set in ambs at its own mean mu_hat, each solve
+    started from starts[i] (None: cold), in one batch loop: per set, the Controller, or
+    the NotStabilizableError or NumericalFailure dr_covariance would raise for it."""
+    starts = [None] * len(ambs) if starts is None else list(starts)
+    if len(starts) != len(ambs):
+        raise ValueError(f"{len(starts)} starts for {len(ambs)} ambiguity sets")
+    if not ambs:
+        return []
+    ms = [DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat) for amb in ambs]
+    return _inflated(_newton_batch(sys, ms, cost, starts, "dr_covariance"), ambs)
 
 
 def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
@@ -202,16 +284,8 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     support-function maximum over {Sigma <= rho_sigma Sigma_hat} is attained
     at the inflated covariance.  start, an earlier controller for the same
     system, is value_iteration's start: its gain is tried before the
-    certainty-equivalent one.
+    certainty-equivalent one.  The one-set case of dr_covariance_batch, at the
+    mean mu_known.
     """
     inflated = DisturbanceMoments(mu=mu_known, sigma=amb.rho_sigma * amb.sigma_hat)
-    try:
-        ctrl = value_iteration(sys, inflated, cost, start)
-    except NotStabilizableError as exc:
-        raise NotStabilizableError(
-            f"system not stabilizable under covariance inflated by rho_sigma = {amb.rho_sigma:.4f}"
-        ) from exc
-    # ctrl's K and P were checked when it was built: relabel a copy, do not check them again
-    ctrl = copy.copy(ctrl)
-    object.__setattr__(ctrl, "method", "dr_covariance")
-    return ctrl
+    return _one(_inflated(_newton_batch(sys, [inflated], cost, [start], "dr_covariance"), [amb]))

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,16 +171,19 @@ def solve_batch(c: np.ndarray, F: np.ndarray, dims: tuple, starts: list | None =
     if F.shape != shape:
         raise ValueError(f"pencil stack has shape {F.shape}, expected {shape} for {n} programs "
                          f"with {k} variables and blocks {dims}")
+    blocks, block, off = _layout(dims)
+    m = shape[-1]
+    Fv = F.reshape(n, k + 1, m * m)
+    if np.logical_or.reduce(Fv[:, :, off], axis=None):  # a NaN counts as nonzero
+        a, b = np.argwhere(F.reshape(-1, m, m).any(axis=0) & (block[:, None] != block))[0]
+        raise ValueError(f"pencil stack has a nonzero entry ({a}, {b}) outside its diagonal blocks "
+                         f"{dims}: it couples block {block[a]} with block {block[b]}")
     for start in starts:
         if start is not None and (start.status != "optimal" or (start.y.size, start.iterate[0]) != (k, dims)):
             raise ValueError(f"a warm start must be an optimal solution with {k} variables and blocks {dims}")
     # the embedding asks for S = sum_a x_a F[a], tr(F_i Z) = tau c_i and
     # kappa = -c^T y - tr(F0 Z) with S, Z >= 0 and tau, kappa >= 0: tau > 0
     # gives the optimum y / tau, tau = 0 a witness of infeasibility or unboundedness
-    ends = np.cumsum(dims).tolist()
-    blocks = tuple(slice(end - d, end) for end, d in zip(ends, dims))
-    m = ends[-1]
-    Fv = F.reshape(n, k + 1, m * m)
     norms = np.empty((n, 3))  # max_i |F_i|, |F0| and |c| of each program, by numpy.linalg.norm's formula
     with np.errstate(over="ignore"):  # an overflow is reported below
         np.add.reduce(Fv[:, :k] * Fv[:, :k], axis=2).max(axis=1, initial=0.0, out=norms[:, 0])
@@ -211,6 +215,17 @@ def solve_batch(c: np.ndarray, F: np.ndarray, dims: tuple, starts: list | None =
             f"restarted from the standard start: the warm start ended in {warm.status} "
             f"({warm.reason}) after {warm.iterations} iterations" + (sol.reason and f"; {sol.reason}")))
     return sols
+
+
+@lru_cache(maxsize=None)
+def _layout(dims: tuple) -> tuple:
+    """(blocks, block, off), built once per dims: the slice of each diagonal block, and,
+    read-only, the block of each row and the flat indices of the entries off the blocks."""
+    block = np.repeat(np.arange(len(dims)), dims)
+    off = np.flatnonzero(block[:, None] != block)
+    for a in (block, off):
+        a.setflags(write=False)
+    return tuple(slice(end - d, end) for end, d in zip(np.cumsum(dims).tolist(), dims)), block, off
 
 
 def _run(c, F, blocks, norms, starts, eye) -> list:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .matcore import (ShapeError, _memo_last, all_finite, array_field, c_einsum, dgesv, dpotrf,
-                      np_eigvals, smat, svec, sym_index, sym_pairs)
+                      np_eigvals, sym_index, sym_pairs)
 from .sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem, check_cost, state_vector
 
 TOL = 1e-9  # spectral radii within TOL of 1 count as unstable
@@ -52,23 +53,43 @@ def second_moment_operator(cl: ClosedLoop, m: DisturbanceMoments) -> np.ndarray:
     the eigenvalues of T on symmetric P, and L is a positive map, so rho(T) has
     a PSD eigenvector (Evans & Hoegh-Krohn 1978).
     """
-    return _svec_operator(cl.sys, cl.K, m)
+    if m.n_w != cl.sys.n_w:
+        raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={cl.sys.n_w}")
+    return _svec_operator(cl.sys, cl.K, m.extended_moment)
 
 
-def _svec_operator(sys: MultNoiseSystem, K: np.ndarray, m: DisturbanceMoments) -> np.ndarray:
-    """second_moment_operator of the loop (sys, K), for a gain K of the right shape
-    that the package made itself, so no ClosedLoop checks and copies it again."""
-    if m.n_w != sys.n_w:
-        raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
-    n = sys.n_x
+def _svec_operator(sys: MultNoiseSystem, K: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """second_moment_operator of the loop (sys, K) under the extended moment S, for a
+    gain K the package made itself, so no ClosedLoop checks and copies it again.  For
+    a stack of gains K, and S one extended moment or one per gain, one stacked product
+    and one c_einsum pair build each operator with the bits of its own build."""
+    n, stack = sys.n_x, K.shape[:-2]
     Abar0, Bbar0 = sys.stacked
-    mats = (Abar0 + Bbar0 @ K).reshape(-1, n, n)  # A_i + B_i K
+    mats = (Abar0 + Bbar0 @ K).reshape(stack + (-1, n, n))  # A_i + B_i K
     cd, dc = sym_pairs(n)
-    weighted = c_einsum("ij,jca->ica", m.extended_moment, mats)
-    full = c_einsum("ica,idb->cadb", weighted, mats)  # full[c, a, d, b] = T[a n + b, c n + d]
-    T = full.take(cd) + full.take(dc)
-    T[:, sym_index(n)[1].diagonal()] *= 0.5  # columns c = d were added to themselves: exact
+    weighted = c_einsum("...ij,...jca->...ica", S, mats)
+    # full[c, a, d, b] = T[a n + b, c n + d], flat
+    full = c_einsum("...ica,...idb->...cadb", weighted, mats).reshape(stack + (-1,))
+    T = full.take(cd, axis=-1) + full.take(dc, axis=-1)
+    T *= _halves(n)  # columns c = d were added to themselves: halved, exactly, the others times 1
     return T
+
+
+@lru_cache(maxsize=None)
+def _halves(n: int) -> np.ndarray:
+    """The read-only row that scales the svec columns c = d by 0.5 and the others by 1."""
+    w = np.ones(n * (n + 1) // 2)
+    w[sym_index(n)[1].diagonal()] = 0.5
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def _spectral_radius(T: np.ndarray) -> float:
@@ -80,12 +101,12 @@ def _spectral_radius(T: np.ndarray) -> float:
         return 0.0
     if not all_finite(T):
         return math.inf
-    return float(np.abs(np_eigvals(T)).max())
+    return float(np.maximum.reduce(np.abs(np_eigvals(T))))
 
 
 def _certified_mss(T: np.ndarray, n: int) -> bool:
     """The MSS rule rho(T) < 1 - TOL, decided by lyapunov_value(T / (1 - TOL), I)."""
-    return lyapunov_value(T / (1.0 - TOL), np.eye(n)) is not None
+    return lyapunov_value(T / (1.0 - TOL), _eye(n)) is not None
 
 
 @_memo_last(lambda cl, m: cl.sys.stacked + (cl.K, m.extended_moment))
@@ -118,6 +139,15 @@ def closed_loop_cost(cl: ClosedLoop, m: DisturbanceMoments, cost: CostWeights, x
     return float(x0 @ closed_loop_value_matrix(cl, m, cost) @ x0)
 
 
+def _closed_loop_costs(sys: MultNoiseSystem, K: np.ndarray, m: DisturbanceMoments,
+                       cost: CostWeights, x0: np.ndarray) -> list:
+    """closed_loop_cost of (sys, K[i]) for each of the package's gains in the stack K, x0 as
+    state_vector gives it, or inf where it raises InstabilityError: one operator build."""
+    T, C = _svec_operator(sys, K, m.extended_moment), cost.Q + K.swapaxes(-1, -2) @ cost.R @ K
+    P = [lyapunov_value(t, c) if _certified_mss(t, sys.n_x) else None for t, c in zip(T, C)]
+    return [math.inf if p is None else float(x0 @ p @ x0) for p in P]
+
+
 def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     """V with (I - T) svec V = svec C, T from second_moment_operator, or None.
 
@@ -129,12 +159,12 @@ def lyapunov_value(T: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     """
     if not all_finite(T):
         return None
-    A = 0.0 - T  # I - T, bit for bit: -T would give -0.0 where I - T has +0.0
-    A.reshape(-1)[::A.shape[0] + 1] += 1.0
-    v, info = dgesv(A, svec(C))[2:]
+    A = _eye(len(T)) - T
+    upper, position = sym_index(C.shape[0])
+    v, info = dgesv(A, C.take(upper))[2:]  # svec(C), and smat(v) below, without their checks
     if info != 0 or not all_finite(v):
         return None
-    V = smat(v, C.shape[0])
+    V = v[position]
     return V if dpotrf(V, lower=0, clean=0)[1] == 0 else None
 
 

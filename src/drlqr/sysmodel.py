@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import DomainError, ShapeError, array_field, is_psd, sym_field, symmetrize
+from .matcore import DomainError, ShapeError, array_field, is_psd, psd_sqrt, sym_field, symmetrize
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,14 @@ class DisturbanceMoments:
     @cached_property
     def extended_moment(self) -> np.ndarray:
         """Extended second moment [[1, mu^T], [mu, Sigma + mu mu^T]], built once, read-only."""
-        mu = self.mu.reshape(-1, 1)
-        S = np.empty((1 + mu.size, 1 + mu.size))
-        S[0, 0] = 1.0
-        S[0, 1:] = self.mu
-        S[1:, :1] = mu
-        S[1:, 1:] = self.sigma + mu @ mu.T
-        return sym_field("extended_moment", S)
+        return _extended_moment(self.mu, self.sigma)
+
+    @cached_property
+    def _sigma_root(self) -> np.ndarray:
+        """Sigma^{1/2} (matcore.psd_sqrt), built once, read-only: sample_gaussian's factor."""
+        root = psd_sqrt(self.sigma)
+        root.setflags(write=False)
+        return root
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,15 @@ class CostWeights:
     def __post_init__(self):
         for name in ("Q", "R"):
             object.__setattr__(self, name, sym_field(name, getattr(self, name), definite=True))
+
+
+def _extended_moment(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """[[1, mu^T], [mu, sigma + mu mu^T]], read-only, for a checked mean and covariance."""
+    col = mu.reshape(-1, 1)
+    S = np.empty((1 + mu.size, 1 + mu.size))
+    S[0, 0], S[0, 1:], S[1:, :1] = 1.0, mu, col
+    S[1:, 1:] = sigma + col @ col.T
+    return sym_field("extended_moment", S)
 
 
 def check_cost(sys: MultNoiseSystem, cost: CostWeights) -> None:
@@ -165,37 +175,39 @@ def state_vector(sys: MultNoiseSystem, x0) -> np.ndarray:
     return x0
 
 
-def _kron_middle(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> np.ndarray:
-    """kron(Sigma_ext, P), the middle factor of F, G and H, after the checks of P and m."""
-    P = np.asarray(P, dtype=float)
-    if P.shape != (sys.n_x, sys.n_x):
-        raise ShapeError(f"P has shape {P.shape}, expected ({sys.n_x}, {sys.n_x})")
-    if m.n_w != sys.n_w:
-        raise ShapeError(f"moments have n_w={m.n_w}, system has n_w={sys.n_w}")
-    S, P = m.extended_moment, symmetrize(P)
-    n = S.shape[0] * sys.n_x
+def _kron_middle(sys: MultNoiseSystem, m, P) -> np.ndarray:
+    """kron(Sigma_ext, P), the middle factor of F, G and H, after the checks of P and m:
+    m is a DisturbanceMoments, or, for a stack P, the stack of their extended moments."""
+    P, n = np.asarray(P, dtype=float), sys.n_x
+    if P.shape[-2:] != (n, n):
+        raise ShapeError(f"P has shape {P.shape}, expected ({n}, {n})")
+    S = getattr(m, "extended_moment", m)
+    if S.shape[-1] != sys.n_w + 1:
+        raise ShapeError(f"moments have n_w={S.shape[-1] - 1}, system has n_w={sys.n_w}")
+    P, n = symmetrize(P), S.shape[-1] * n
     # the same products as np.kron, without its per-call overhead
-    return (S[:, None, :, None] * P[None, :, None, :]).reshape(n, n)
+    return (S[..., :, None, :, None] * P[..., None, :, None, :]).reshape(P.shape[:-2] + (n, n))
 
 
 def _gh_of(sys: MultNoiseSystem, middle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(G, H) from the Kronecker middle, for gh and fgh alike."""
     Abar0, Bbar0 = sys.stacked
-    return symmetrize(Bbar0.T @ middle @ Bbar0), Bbar0.T @ middle @ Abar0
+    left = Bbar0.T @ middle  # the first product of both, as B^T M B and B^T M A evaluate it
+    return symmetrize(left @ Bbar0), left @ Abar0
 
 
-def gh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray]:
+def gh(sys: MultNoiseSystem, m, P) -> tuple[np.ndarray, np.ndarray]:
     """(G(P), H(P)) of fgh, the same bits, without F(P): all a greedy gain reads."""
     return _gh_of(sys, _kron_middle(sys, m, P))
 
 
-def fgh(sys: MultNoiseSystem, m: DisturbanceMoments, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fgh(sys: MultNoiseSystem, m, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment operators (F(P), G(P), H(P)) of the stochastic Riccati recursion.
 
     F(P) = Abar0^T (Sigma_ext x P) Abar0 and analogously for G (input stack)
     and H (mixed).  Computed through the Kronecker form, whose middle factor
     is built once for all three; the double-sum expansion is kept as a test
-    oracle only.
+    oracle only.  For a stack P (see _kron_middle) each is a stack, bit for bit.
     """
     middle = _kron_middle(sys, m, P)
     Abar0 = sys.stacked[0]

@@ -25,11 +25,16 @@ Each line is the sha256 of the raw bytes of
   and for every loop that riccati-chain ops 0-29 pass to is_mss;
 - ce-gain: the certainty-equivalent gain riccati._ce_gain computes, every
   memo cleared first, or None, at the 300 plants' centre moments and at the
-  moments of each riccati-chain op 0-29's dr_covariance solve.
+  moments of each riccati-chain op 0-29's dr_covariance solve;
+- riccati-stage: per sweep-paper op 0-2 at seed 0, the dr_covariance K, P and
+  iterations, or the name of the exception, of each cell in (M, realization)
+  order, whether the sweep solves a stage's cells one by one or as one batch.
 
 With --outcomes it prints, in place of the digests, one line per synthesis
 call, "<seed> <method>" and then the exception's name or "ok <bound>
-<iterations>", and one line per sweep-paper record of ops 0-2.  A change
+<iterations>", one line per sweep-paper record of ops 0-2, and one line per
+sweep-paper cell of ops 0-2, "riccati-stage <op> <M> <realization>" and then
+the exception's name or "ok <iterations> <trace P> <K>".  A change
 meant to move the pencil compares these lines on two checkouts with diff.
 
 With --cold every function that matcore._memo_last memoizes runs without its
@@ -106,6 +111,35 @@ def _cells_into(keys):
         yield
     finally:
         experiment._cell_stream = real
+
+
+@contextlib.contextmanager
+def _covariance_into(results):
+    """Append to results each sweep cell's dr_covariance Controller or exception, in the
+    order the sweep solves them: by a spy on riccati.dr_covariance_batch, or on
+    riccati.dr_covariance where the sweep solves its cells one by one."""
+    name = "dr_covariance_batch" if hasattr(riccati, "dr_covariance_batch") else "dr_covariance"
+    real = getattr(riccati, name)
+
+    def batch(*args, **kwargs):
+        outcomes = real(*args, **kwargs)
+        results.extend(outcomes)
+        return outcomes
+
+    def one(*args, **kwargs):
+        try:
+            ctrl = real(*args, **kwargs)
+        except Exception as exc:  # the outcome being recorded
+            results.append(exc)
+            raise
+        results.append(ctrl)
+        return ctrl
+
+    setattr(riccati, name, batch if name == "dr_covariance_batch" else one)
+    try:
+        yield
+    finally:
+        setattr(riccati, name, real)
 
 
 @contextlib.contextmanager
@@ -211,21 +245,38 @@ def ce_gain_digest() -> str:
     return h.hexdigest()
 
 
-def sweep_paper_ops(pencils=None):
+def sweep_paper_ops(pencils=None, covariance=None):
     """The outputs of the sweep-paper ops: a list of records or an exception.
     With pencils, a dict, pencils[index] maps the (M, realization) of each
-    cell of op index to the pencil its dr_full solve receives."""
+    cell of op index to the pencil its dr_full solve receives; with covariance,
+    a dict, covariance[index] maps it to the cell's dr_covariance outcome."""
     workload = bench_workloads().WORKLOADS["sweep-paper"](0)
     for index in range(SWEEP_OPS):
-        keys, solved = [], []
-        with _cells_into(keys), _pencils_into(solved.append):
+        keys, solved, cov = [], [], []
+        with _cells_into(keys), _pencils_into(solved.append), _covariance_into(cov):
             out = workload.run(workload.make_input(index))
-        if pencils is not None:
-            # each cell draws its stream, then builds its one dr_full pencil, in the same order
-            if len(keys) != len(solved):
-                raise RuntimeError(f"op {index}: {len(keys)} cells and {len(solved)} pencils")
-            pencils[index] = dict(zip(keys, solved))
+        # each cell draws its stream, then gets its one dr_full pencil and its one
+        # dr_covariance outcome, in the same order
+        for name, maps, got in (("pencils", pencils, solved), ("dr_covariance outcomes", covariance, cov)):
+            if maps is not None:
+                if len(keys) != len(got):
+                    raise RuntimeError(f"op {index}: {len(keys)} cells and {len(got)} {name}")
+                maps[index] = dict(zip(keys, got))
         yield out
+
+
+def riccati_stage_digest() -> str:
+    h, covariance = hashlib.sha256(), {}
+    for _ in sweep_paper_ops(covariance=covariance):
+        pass
+    for index in range(SWEEP_OPS):
+        for key in sorted(covariance[index]):
+            ctrl = covariance[index][key]
+            if isinstance(ctrl, Exception):
+                h.update(type(ctrl).__name__.encode())
+            else:
+                _update(h, ctrl.K, ctrl.P, ctrl.iterations)
+    return h.hexdigest()
 
 
 def sweep_paper_digest() -> str:
@@ -255,6 +306,16 @@ def print_outcomes() -> None:
         for rec in out:
             print("sweep-paper", index, rec.M, rec.realization, rec.method, rec.stabilizing,
                   f"{rec.J:.9g}")
+    covariance = {}
+    for _ in sweep_paper_ops(covariance=covariance):
+        pass
+    for index in range(SWEEP_OPS):
+        for (M, realization), ctrl in sorted(covariance[index].items()):
+            if isinstance(ctrl, Exception):
+                print("riccati-stage", index, M, realization, type(ctrl).__name__)
+            else:
+                print("riccati-stage", index, M, realization, "ok", ctrl.iterations,
+                      f"{np.trace(ctrl.P):.9g}", " ".join(f"{v:.9g}" for v in ctrl.K.ravel()))
 
 
 if __name__ == "__main__":
@@ -276,3 +337,4 @@ if __name__ == "__main__":
             print(f"sweep-paper    {sweep_paper_digest()}")
             print(f"mss            {mss.hexdigest()}")
             print(f"ce-gain        {ce_gain_digest()}")
+            print(f"riccati-stage  {riccati_stage_digest()}")

@@ -136,18 +136,19 @@ class TestConfigValidation:
 
 class TestSweep:
     def test_one_closed_loop_evaluation_per_record(self, monkeypatch, sys6, moments6, cost6):
-        """Each record with a gain is scored by one closed-loop evaluation, and a
-        stabilizing record's cost is certified without an eigensolver."""
+        """Each record with a gain is scored by one closed-loop evaluation, its
+        operator one of a stack, and a stabilizing record's cost is certified
+        without an eigensolver."""
         calls = {"operator": 0, "radius": 0}
 
         def counting(name, real):
-            def wrapper(*args):
-                calls[name] += 1
+            def wrapper(*args):  # a stack of gains K (args[1]) builds one operator each
+                calls[name] += len(args[1]) if name == "operator" and args[1].ndim == 3 else 1
                 return real(*args)
             return wrapper
 
-        monkeypatch.setattr(stability, "second_moment_operator",
-                            counting("operator", stability.second_moment_operator))
+        monkeypatch.setattr(stability, "_svec_operator",
+                            counting("operator", stability._svec_operator))
         monkeypatch.setattr(stability, "_spectral_radius",
                             counting("radius", stability._spectral_radius))
         records, _ = _run_cells(_cfg(sys6, moments6, cost6), 1.0, [(1000, 0, {})])
@@ -158,10 +159,11 @@ class TestSweep:
         """A gain whose cost is not certified finite gives stabilizing False and
         J = J_rel = inf, written as empty CSV cells.  The zero gain leaves sys6's
         open-loop eigenvalue 1, so closed_loop_cost raises InstabilityError."""
-        def zero_gain(sys, mu_known, amb, cost, start=None):
-            return riccati.Controller(K=np.zeros((1, 2)), P=np.eye(2), method="dr_covariance")
+        def zero_gain(sys, ambs, cost, starts=None):
+            return [riccati.Controller(K=np.zeros((1, 2)), P=np.eye(2), method="dr_covariance")
+                    for _ in ambs]
 
-        monkeypatch.setattr(riccati, "dr_covariance", zero_gain)
+        monkeypatch.setattr(riccati, "dr_covariance_batch", zero_gain)
         records = run_sample_complexity(_cfg(sys6, moments6, cost6, methods=("covariance",)))
         inf = float("inf")
         assert [(r.stabilizing, r.J, r.J_rel) for r in records] == [(False, inf, inf)] * 2
@@ -314,6 +316,26 @@ class TestSweep:
                 (b.M, b.realization, b.method, b.stabilizing)
             assert a.J == b.J and a.J_rel == b.J_rel
 
+    def test_nominal_reference_is_kept_read_only(self, monkeypatch, sys6, moments6, cost6):
+        """The reference is kept for the last system, true moments, cost and x0: a
+        sweep at another seed reuses it, another x0 computes it afresh, and under
+        identity_digest's --cold every call computes it."""
+        from identity_digest import _cold  # the digest's memo bypass
+
+        real, solves = riccati.value_iteration, []
+        monkeypatch.setattr(riccati, "value_iteration", lambda *args: solves.append(1) or real(*args))
+        cfg = _cfg(sys6, moments6, cost6)
+        K, J = nominal_reference(cfg)
+        assert not K.flags.writeable
+        assert nominal_reference(_cfg(sys6, moments6, cost6, seed=5)) == (K, J) and len(solves) == 1
+        assert nominal_reference(_cfg(sys6, moments6, cost6, x0=np.array([1.0, 0.0])))[1] != J
+        assert len(solves) == 2
+        with _cold():
+            again = experiment.nominal_reference(cfg)
+            experiment.nominal_reference(cfg)
+        assert len(solves) == 4 and again[1] == J and again[0].tobytes() == K.tobytes()
+        assert experiment.nominal_reference is nominal_reference
+
     def test_nominal_reference_cost(self, sys6, moments6, cost6):
         cfg = _cfg(sys6, moments6, cost6)
         K, J = nominal_reference(cfg)
@@ -397,25 +419,21 @@ class TestWarmStart:
 
 
 def _spy_starts(monkeypatch):
-    """Record (method, rho_sigma, start, result) of every dr_covariance call and
-    of every cell of each synth_full_batch call, an exception as result None;
+    """Record (method, rho_sigma, start, result) of every cell of each
+    dr_covariance_batch and synth_full_batch call, an exception as result None;
     rho_sigma depends on the sample size alone."""
     calls = []
-    real_cov, real_full = riccati.dr_covariance, drsynth.synth_full_batch
 
-    def cov(sys, mu, amb, cost, start=None):
-        res = real_cov(sys, mu, amb, cost, start=start)
-        calls.append(("dr_covariance", amb.rho_sigma, start, res))
-        return res
+    def spy(method, real):
+        def batch(sys, ambs, cost, starts=None):
+            results = real(sys, ambs, cost, starts)
+            calls.extend((method, amb.rho_sigma, start, None if isinstance(res, Exception) else res)
+                         for amb, start, res in zip(ambs, starts, results))
+            return results
+        return batch
 
-    def full(sys, ambs, cost, starts=None):
-        results = real_full(sys, ambs, cost, starts)
-        calls.extend(("dr_full", amb.rho_sigma, start, None if isinstance(res, Exception) else res)
-                     for amb, start, res in zip(ambs, starts, results))
-        return results
-
-    monkeypatch.setattr(riccati, "dr_covariance", cov)
-    monkeypatch.setattr(drsynth, "synth_full_batch", full)
+    monkeypatch.setattr(riccati, "dr_covariance_batch", spy("dr_covariance", riccati.dr_covariance_batch))
+    monkeypatch.setattr(drsynth, "synth_full_batch", spy("dr_full", drsynth.synth_full_batch))
     return calls
 
 

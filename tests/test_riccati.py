@@ -191,8 +191,8 @@ class TestNewtonFinish:
             calls.append(K)
             if len(calls) == 1:
                 return real(sys, K, m)
-            T = np.full((3, 3), 0.1)
-            T[1, 1] = np.inf
+            T = np.full((len(K), 3, 3), 0.1)  # one operator per gain of the stack
+            T[:, 1, 1] = np.inf
             return T
 
         monkeypatch.setattr(riccati, "_svec_operator", overflowing)
@@ -450,8 +450,8 @@ class TestStart:
         assert len(loops) == 1 and loops[0] is cold.K
 
     def test_dr_covariance_checks_its_controller_once(self, monkeypatch, sys6, cost6, amb6):
-        """dr_covariance relabels value_iteration's Controller, whose K and P were
-        checked when it was built, instead of building and checking a second one."""
+        """dr_covariance builds and checks one Controller, labelled with its own
+        method, not value_iteration's Controller and then a second one."""
         real, built = riccati.Controller.__post_init__, []
 
         def counting(ctrl):
@@ -460,7 +460,7 @@ class TestStart:
 
         monkeypatch.setattr(riccati.Controller, "__post_init__", counting)
         ctrl = dr_covariance(sys6, amb6.mu_hat, amb6, cost6)
-        assert built == ["nominal_vi"] and ctrl.method == "dr_covariance"
+        assert built == ["dr_covariance"] and ctrl.method == "dr_covariance"
         inflated = DisturbanceMoments(mu=amb6.mu_hat, sigma=amb6.rho_sigma * amb6.sigma_hat)
         vi = value_iteration(sys6, inflated, cost6)
         assert vi.method == "nominal_vi" and vi.iterations == ctrl.iterations
@@ -661,3 +661,133 @@ class TestControllerIo:
         assert Controller(K=K, P=P, method="nominal_vi").to_json_dict()["cost_kind"] == "exact"
         bounded = Controller(K=K, P=P, method="dr_full", cost_bound=1.0)
         assert bounded.to_json_dict()["cost_kind"] == "upper_bound"
+
+
+def _stages(monkeypatch, run) -> list:
+    """(sys, ambs, cost, starts, results) of each dr_covariance_batch call run() makes."""
+    calls, real = [], riccati.dr_covariance_batch
+
+    def spy(sys, ambs, cost, starts=None):
+        results = real(sys, ambs, cost, starts)
+        calls.append((sys, list(ambs), cost, list(starts), results))
+        return results
+
+    monkeypatch.setattr(riccati, "dr_covariance_batch", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_solo(sys, ambs, cost, starts, results):
+    """Each result is, bit for bit, what dr_covariance returns or raises for its set alone."""
+    assert len(results) == len(ambs)
+    for amb, start, res in zip(ambs, starts, results):
+        want = _solve_bytes(lambda: dr_covariance(sys, amb.mu_hat, amb, cost, start=start))
+        got = (type(res).__name__, str(res)) if isinstance(res, Exception) else \
+            (res.K.tobytes(), res.P.tobytes(), res.iterations)
+        assert got == want
+        if not isinstance(res, Exception):
+            assert res.method == "dr_covariance" and not (res.K.flags.writeable or res.P.flags.writeable)
+
+
+class TestCovarianceBatch:
+    """dr_covariance_batch runs a stage's covariance-only solves in one Newton loop;
+    each set's Controller, or its exception's type and text, is that of its own
+    dr_covariance call."""
+
+    def test_identity_plants(self):
+        """Each of the 300 plants with up to three more covariance-only sets of plants
+        of its shape, on its own system and cost, every other set warm-started from
+        the plant's own solution: verdicts, warm-ups and failures mix in a batch."""
+        from identity_digest import plants  # builds the plants' inputs only when asked
+
+        cases = list(plants())
+        shapes = {}
+        for _, sys, amb, _, _ in cases:
+            shapes.setdefault((sys.n_x, sys.n_u, sys.n_w), []).append(amb)
+        outcomes = set()
+        for _, sys, amb, cost, _ in cases:
+            group = shapes[(sys.n_x, sys.n_u, sys.n_w)]
+            at = next(i for i, other in enumerate(group) if other is amb)
+            ambs = (group[at:] + group[:at])[:4]
+            try:
+                own = dr_covariance(sys, amb.mu_hat, amb, cost)
+            except (NotStabilizableError, NumericalFailure):
+                own = None
+            starts = [None, own] * 2
+            results = riccati.dr_covariance_batch(sys, ambs, cost, starts[:len(ambs)])
+            _assert_solo(sys, ambs, cost, starts, results)
+            outcomes.update(type(res).__name__ for res in results)
+        assert outcomes == {"Controller", "NotStabilizableError"}
+
+    def test_sweep_paper_ops(self, monkeypatch):
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        calls = _stages(monkeypatch, lambda: [workload.run(workload.make_input(index))
+                                              for index in range(4)])
+        assert [len(call[1]) for call in calls] == [1, 4, 4, 3] * 4
+        for call in calls:
+            _assert_solo(*call)
+
+    def test_failing_cells_leave_the_others_alone(self, monkeypatch):
+        """In sweep-paper op 0's second stage one set is not stabilizable (rho_sigma
+        = 100), so its warm-up sweeps run beside the others' Newton steps, and
+        another meets a NaN in G(P), injected into its rows of the stacked moment
+        operators: each gets the error of its own call, and the other two cells
+        their solo solutions."""
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        sys, ambs, cost, starts, _ = _stages(monkeypatch, lambda: workload.run(workload.make_input(0)))[1]
+        ambs[1] = MomentAmbiguity(mu_hat=ambs[1].mu_hat, sigma_hat=ambs[1].sigma_hat, rho_mu=0.0,
+                                  rho_sigma=100.0)
+        target = DisturbanceMoments(mu=ambs[2].mu_hat,
+                                    sigma=ambs[2].rho_sigma * ambs[2].sigma_hat).extended_moment
+
+        def nan_G(real):
+            def operators(sys, m, P):
+                out = real(sys, m, P)
+                S = getattr(m, "extended_moment", m)
+                for i in range(len(S) if S.ndim == 3 else 0):
+                    if S[i].tobytes() == target.tobytes():
+                        out[-2][i] = np.nan  # G, the last but one of (F,) G, H
+                return out
+            return operators
+
+        for name in ("gh", "fgh"):
+            monkeypatch.setattr(riccati, name, nan_G(getattr(riccati, name)))
+        results = riccati.dr_covariance_batch(sys, ambs, cost, starts)
+        assert [type(res).__name__ for res in results] == [
+            "Controller", "NotStabilizableError", "NumericalFailure", "Controller"]
+        assert str(results[2]) == "greedy gain is not finite"
+        _assert_solo(sys, ambs, cost, starts, results)
+        monkeypatch.undo()
+        _assert_solo(sys, [ambs[j] for j in (0, 1, 3)], cost, [starts[j] for j in (0, 1, 3)],
+                     [results[j] for j in (0, 1, 3)])
+
+    def test_empty_and_start_count(self, sys6, cost6, amb6):
+        assert riccati.dr_covariance_batch(sys6, [], cost6) == []
+        with pytest.raises(ValueError, match="2 starts for 1 ambiguity sets"):
+            riccati.dr_covariance_batch(sys6, [amb6], cost6, [None, None])
+
+
+@pytest.mark.parametrize("case, calls, iterations", [
+    ("ce_start", 200, 3),  # 212 before the batch loop
+    ("from_zero", 611, 11),  # 713 before
+])
+def test_batch_of_one_bookkeeping_is_lean(monkeypatch, case, calls, iterations):
+    """cProfile's count of the Python-level calls (functions, methods and builtins)
+    value_iteration, the batch loop's batch of one, makes on riccati-chain op 0
+    (seed 0): from the certainty-equivalent gain, and from P = 0 with that gain
+    taken away.  Keeping each iterate's Frobenius norm and solving the value on
+    svec coordinates without svec's and smat's checks pay for the loop's own
+    bookkeeping: the counts sit below those of the one-program loop it replaced
+    (212 in 3 iterations and 713 in 11).  The count is deterministic for one
+    numpy, so bookkeeping added to the loop shows here."""
+    import cProfile
+    import pstats
+
+    sys, m, cost = _chain_workload_case(0)
+    if case == "from_zero":
+        monkeypatch.setattr(riccati, "_ce_gain", lambda *args: None)
+    value_iteration(sys, m, cost)
+    profile = cProfile.Profile()
+    ctrl = profile.runcall(value_iteration, sys, m, cost)
+    assert (pstats.Stats(profile).total_calls, ctrl.iterations) == (calls, iterations)

@@ -661,6 +661,29 @@ class TestBatchIsReference:
             solve_batch(c, F, dims, [None, None])
 
 
+class TestDeclaredBlocks:
+    """solve_batch solves only pencils that are zero off their declared diagonal blocks."""
+
+    @pytest.mark.parametrize("entry", [1.0, np.nan], ids=["coupling", "nan"])
+    def test_entry_outside_the_blocks_rejected(self, entry):
+        """The norm bound min -y s.t. [[1, y], [y, 1]] >= 0 declared as two 1 x 1
+        blocks: its coupling entry lies outside them.  Solved whole, the program
+        came back "optimal" at y = 1 with margin 1.0, the margin of the diagonal
+        pieces alone; declared as one block it is optimal at y = 1 with margin
+        about 6e-10.  A NaN there is refused the same way."""
+        F = np.zeros((1, 2, 2, 2))
+        F[0, 0] = [[0.0, entry], [entry, 0.0]]
+        F[0, 1] = np.eye(2)
+        c = np.array([[-1.0]])
+        with pytest.raises(ValueError, match=r"nonzero entry \(0, 1\) outside its diagonal blocks "
+                                             r"\(1, 1\): it couples block 0 with block 1"):
+            solve_batch(c, F, (1, 1))
+        if entry == 1.0:
+            sol, = solve_batch(c, F, (2,))
+            assert sol.status == "optimal" and abs(sol.y[0] - 1.0) < 1e-6
+            assert 0.0 < sol.min_block_eigenvalue < 1e-6
+
+
 def _inject(monkeypatch, call, edit):
     """Run edit on the arguments of the call-th call of sdpcore._step, once."""
     real, calls = sdpcore._step, []
@@ -719,9 +742,11 @@ def test_batch_of_one_bookkeeping_is_lean():
     sweep-paper op 0's first anchor, solved cold in 19 iterations.  Taking
     each program's dot products on its own rows, and its scalars as floats,
     brought the count from 211 calls per iteration to 157, and solving the
-    stack build writes, with no program objects to stack, to 154; the
-    one-program reference loop makes 90.  The count is deterministic for one numpy, so
-    bookkeeping added to the loop shows here."""
+    stack build writes, with no program objects to stack, to 154; keeping each
+    block layout's slices, with the test that the pencil is zero off its blocks,
+    took 13 calls off the set-up (2,929 to 2,916).  The one-program reference loop
+    makes 90.  The count is deterministic for one numpy, so bookkeeping added to
+    the loop shows here."""
     cfg = bench_workloads().WORKLOADS["sweep-paper"](0).make_input(0).data
     M = cfg.sample_sizes[0]
     amb = build_ambiguity(sample_gaussian(cfg.true_moments, M, _cell_stream(cfg.seed, M, 0)),
@@ -733,7 +758,7 @@ def test_batch_of_one_bookkeeping_is_lean():
     sol, = profile.runcall(solve_batch, *prob)
     calls = pstats.Stats(profile).total_calls
     assert (sol.status, sol.iterations) == ("optimal", 19)
-    assert (calls, round(calls / sol.iterations)) == (2929, 154)
+    assert (calls, round(calls / sol.iterations)) == (2916, 153)
     reference = cProfile.Profile()
     reference.runcall(solve_reference, prob)
     assert round(pstats.Stats(reference).total_calls / sol.iterations) == 90

@@ -583,3 +583,49 @@ class TestDrCertify:
     def test_grid_validation(self, sys6, amb6):
         with pytest.raises(ValueError):
             dr_certify_mss(ClosedLoop(sys=sys6, K=np.zeros((1, 2))), amb6, mean_grid=0)
+
+
+class TestStackedCosts:
+    """_closed_loop_costs scores a stack of gains with one operator build; each J
+    is closed_loop_cost's bit for bit, and inf where it raises InstabilityError."""
+
+    @staticmethod
+    def _assert_each(sys, Ks, m, cost, x0):
+        got = stability._closed_loop_costs(sys, np.array(Ks), m, cost, x0)
+        for K, J in zip(Ks, got):
+            try:
+                want = closed_loop_cost(ClosedLoop(sys=sys, K=K), m, cost, x0)
+            except InstabilityError:
+                want = np.inf
+            assert repr(J) == repr(want)
+        return got
+
+    def test_sweep_paper_gains_and_an_unstable_one(self, monkeypatch):
+        """The 24 gains sweep-paper op 0 scores, with the zero gain, whose loop
+        keeps the open-loop eigenvalue 1, in the middle."""
+        workload = bench_workloads().WORKLOADS["sweep-paper"](0)
+        cfg = workload.make_input(0).data
+        real, stacks = stability._closed_loop_costs, []
+
+        def spy(sys, K, m, cost, x0):
+            stacks.append(K)
+            return real(sys, K, m, cost, x0)
+
+        monkeypatch.setattr(stability, "_closed_loop_costs", spy)
+        workload.run(workload.make_input(0))
+        monkeypatch.undo()
+        assert [len(K) for K in stacks] == [2, 8, 8, 6]
+        Ks = [K for stack in stacks for K in stack]
+        Ks.insert(12, np.zeros_like(Ks[0]))
+        got = self._assert_each(cfg.system, Ks, cfg.true_moments, cfg.cost, cfg.x0)
+        assert got[12] == np.inf and np.isfinite(np.delete(got, 12)).all()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))
+    def test_random_loops(self, seed, count):
+        """Random gains on one plant, scaled up to three times a random gain."""
+        rng = np.random.default_rng(seed)
+        cl, m = _random_loop(rng)
+        Ks = [cl.K * rng.uniform(0.0, 3.0) for _ in range(count)]
+        cost = CostWeights(Q=np.eye(2), R=np.eye(1))
+        self._assert_each(cl.sys, Ks, m, cost, np.array([1.0, -0.5]))

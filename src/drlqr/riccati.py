@@ -18,6 +18,7 @@ Each keeps its own sweeps, probes, solves and verdict, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,27 +92,32 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
     Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages.  The
     gain does not depend on m.sigma, so the last one is kept, read-only, for
     the last system, mean and cost (matcore._memo_last): dr_covariance and
-    value_iteration at one mean solve once.  The iterates H, G and A live in
-    one state array, updated in place, and dgesv's right-hand side [A | G] in
-    one buffer, so a step checks the state's finiteness once."""
+    value_iteration at one mean solve once.  A step runs in buffers made once:
+    H, A, G and the step dH in one state array, updated in place, and dgesv's
+    operands I + G H and [A | G], Fortran-ordered, solved in place.  One
+    max-abs reduction over the four slots gives the step's finiteness test
+    and its stopping rule."""
     A0, B = sys.eval_AB(m.mu)
     n, I = sys.n_x, np.eye(sys.n_x)
-    state, rhs = np.empty((3, n, n)), np.empty((n, 2 * n))
-    H, G, A = state
+    state, size, T = np.empty((4, n, n)), np.empty((4, n, n)), np.empty((2, n, n))
+    H, A, G, dH = state
+    M, X = np.empty((n, n), order="F"), np.empty((n, 2 * n), order="F")
+    XA, XG = AG = X.T.reshape(2, n, n).swapaxes(1, 2)  # X's two halves, a view
     H[...], A[...] = cost.Q, A0
     G[...] = B @ np_solve(cost.R, B.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(18):
-            rhs[:, :n], rhs[:, n:] = A, G
-            X, info = dgesv(I + G @ H, rhs)[2:]
-            dH = A.T @ H @ X[:, :n]
-            G += A @ X[:, n:] @ A.T  # G and H from the old A, then A
+            np.add(I, np.matmul(G, H, out=T[0]), out=M)
+            AG[...] = state[1:3]
+            info = dgesv(M, X, 1, 1)[3]  # X <- (I + G H)^-1 [A | G], in M and X (overwrite_a, _b)
+            np.matmul(np.matmul(A.T, H, out=T[0]), XA, out=dH)
+            G += np.matmul(np.matmul(A, XG, out=T[0]), A.T, out=T[1])  # G and H from the old A, then A
             H += dH
-            A[...] = A @ X[:, :n]
-            if info != 0 or not all_finite(state):
+            A[...] = np.matmul(A, XA, out=T[0])
+            h, a, g, d = np.maximum.reduce(np.abs(state, out=size), axis=(1, 2)).tolist()
+            if info != 0 or not (math.isfinite(h) and math.isfinite(a) and math.isfinite(g)):
                 return None
-            if (np.maximum.reduce(np.abs(dH), axis=None)  # the 2-norm could overflow
-                    <= TOL * np.maximum.reduce(np.abs(H), axis=None)):
+            if d <= TOL * h:  # max-abs, since the 2-norm could overflow
                 mean = _extended_moment(m.mu, np.zeros_like(m.sigma))  # the noise-free moments
                 K = _gain_from(*gh(sys, mean, symmetrize(H)), cost.R)
                 K.setflags(write=False)

@@ -30,14 +30,16 @@ product), or one call of numpy's Cholesky or eigvalsh gufunc.  Kept per
 program: LAPACK's dtrtrs, dpotrf and dpotrs, called directly (the inverse
 factors stay Fortran-ordered in their stack), the dot products of the
 verdicts and of tau's elimination, on the program's own rows, their scalars
-as Python floats, and the verdict itself.  A program leaves the batch at its
-verdict, or when its step breaks down (a nonzero info, a failed gufunc or a
-non-finite residual, Schur complement or right-hand side), with the reason a
-stack of that program alone gives; the other programs go on.  So each
-program's iterates, verdict and reason are bit for bit those of a stack of
-its own.  The gufuncs enter numpy's error state themselves (matcore), so a
-failure raises LinAlgError with no set-up here; SdpSolution.reason says why a
-solve stopped short of "optimal".
+as Python floats, and the verdict itself.  Held and free programs take one
+predictor-corrector pass together.  A program leaves the batch at its verdict,
+or when its step breaks down (a nonzero info, a failed gufunc or a non-finite
+residual, Schur complement or right-hand side): a step raises at its first
+failure and is then taken again for each program alone, and each program that
+fails alone leaves with the reason a stack of that program alone gives; the
+other programs go on.  So each program's iterates, verdict and reason are bit
+for bit those of a stack of its own.  The gufuncs enter numpy's error state
+themselves (matcore), so a failure raises LinAlgError with no set-up here;
+SdpSolution.reason says why a solve stopped short of "optimal".
 
 The LmiBuilder numbers the scalars of matrix variables and turns an objective
 and a list of affine blocks into a stack of one program; AffineExpr.value
@@ -92,37 +94,10 @@ def _inv_lower(L: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return T
 
 
-class _Breakdown(np.linalg.LinAlgError):
-    """The step failed for some programs of the batch: reasons maps the slot of
-    each to why.  The others are stepped again without them."""
-
-    def __init__(self, reasons: dict):
-        super().__init__("; ".join(reasons.values()))
-        self.reasons = reasons
-
-
 def _require_finite(a: np.ndarray, what: str) -> None:
-    """Raise _Breakdown naming each program (item of the stack a) with a non-finite entry."""
+    """Raise LinAlgError when the stack a has a non-finite entry."""
     if not all_finite(a):
-        bad = np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1))
-        raise _Breakdown(dict.fromkeys(bad.tolist(), f"{what} not finite"))
-
-
-def _each(gufunc, a: np.ndarray) -> np.ndarray:
-    """gufunc(a) over the stack a.  A gufunc raises for the whole stack when one
-    item fails, so the items are then redone one at a time to name those that fail."""
-    try:
-        return gufunc(a)
-    except np.linalg.LinAlgError as whole:
-        reasons = {}
-        for j, item in enumerate(a):
-            try:
-                gufunc(item)
-            except np.linalg.LinAlgError as exc:
-                reasons[j] = str(exc)
-        if not reasons:  # no item fails alone: the error ends every program of the step
-            raise
-        raise _Breakdown(reasons) from whole
+        raise np.linalg.LinAlgError(f"{what} not finite")
 
 
 def _col(values: list, ndim: int):
@@ -317,13 +292,21 @@ def _run(c, F, blocks, norms, starts, eye) -> list:
                 F, c, x, SZ, aZ, r_p, r_d = (a[keep] for a in (F, c, x, SZ, aZ, r_p, r_d))
                 ids, n = [ids[j] for j in keep], len(keep)
                 Fv, work = F.reshape(n, k + 1, m * m), work[:, :n]
+            tau = x[:, k].tolist()
             try:
-                dx, dSZ, dk, step = _step(F, Fv, eye, c, SZ, x[:, k].tolist(), kappa, aZ, mu, r_p, r_d,
-                                          hold, work)
+                dx, dSZ, dk, step = _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work)
                 break
             except np.linalg.LinAlgError as exc:
-                # a breakdown names its programs; any other error ends the whole step
-                reasons = exc.reasons if isinstance(exc, _Breakdown) else dict.fromkeys(range(n), str(exc))
+                # the step again for each program alone: those it fails for leave with its reason
+                reasons = {}
+                for j in range(n):
+                    s = slice(j, j + 1)
+                    try:
+                        _step(F[s], Fv[s], eye, c[s], SZ[s], tau[s], kappa[s], aZ[s], mu[s], r_p[s],
+                              r_d[s], hold[s], work[:, s])
+                    except np.linalg.LinAlgError as alone:
+                        reasons[j] = str(alone)
+                reasons = reasons or dict.fromkeys(range(n), str(exc))  # none fails alone: it ends them all
             for j, why in reasons.items():
                 sols[ids[j]] = _finish(cs[ids[j]], Fs[ids[j]], blocks, "numerical_failure", it,
                                        f"iteration {it}: {why}", x[j, :k] / x[j, k])
@@ -346,28 +329,22 @@ _Newton = namedtuple("_Newton", "Fv SZ S_inv T a_s_inv aZ r_p r_d tau kappa chol
 
 
 def _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work):
-    """One damped step for each program: Mehrotra's predictor-corrector, or
-    while the program is held (hold[j]) a centring step at fixed tau that
-    clears the residuals.  work holds two stacks of F's shape for the Schur
-    complement's Gram factors.
+    """One damped step for each program by _predict_correct: Mehrotra's
+    predictor-corrector, or while the program is held (hold[j]) a centring
+    step at fixed tau that clears the residuals.  work holds two stacks of F's
+    shape for the Schur complement's Gram factors.
 
-    LAPACK is called directly, once per program; a nonzero info, a gufunc
-    that fails and a non-finite residual, Schur complement or right-hand side
-    raise _Breakdown naming the programs they belong to.
+    LAPACK is called directly, once per program.  The first nonzero info,
+    failed gufunc or non-finite residual, Schur complement or right-hand side
+    raises LinAlgError, whichever program it belongs to.
     """
     n, k, m = len(SZ), c.shape[1], SZ.shape[2]
     _require_finite(r_p, "primal residual")
     _require_finite(r_d, "dual residual")
-    L = _each(np_cholesky, SZ)
+    L = np_cholesky(SZ)
     T = np.empty((n, 2, m, m)).swapaxes(2, 3)
-    reasons = {}
     for j in range(n):
-        try:
-            T[j, 0], T[j, 1] = _inv_lower(L[j, 0], eye), _inv_lower(L[j, 1], eye)
-        except np.linalg.LinAlgError as exc:
-            reasons[j] = str(exc)
-    if reasons:
-        raise _Breakdown(reasons)
+        T[j, 0], T[j, 1] = _inv_lower(L[j, 0], eye), _inv_lower(L[j, 1], eye)
     Ts = T[:, 0]
     S_inv = Ts.swapaxes(1, 2) @ Ts
     a_s_inv = (Fv @ S_inv.reshape(n, m * m, 1)).reshape(n, k + 1)
@@ -384,60 +361,51 @@ def _step(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work):
     for j, kap, t in zip(range(n), kappa, tau):
         U, info = dpotrf(H[j, :k, :k], lower=0, clean=0)
         if info:
-            reasons[j] = f"dpotrf: Schur complement not positive definite at minor {info}"
-            continue
+            raise np.linalg.LinAlgError(f"dpotrf: Schur complement not positive definite at minor {info}")
         chol.append(U)
         u_j = u[j]
         u_j[:] = dpotrs(U, hc[j], lower=0)[0]
         pivot.append(float(max(H[j, k, k] - h[j] @ u_j[:, 0], 0.0) + c[j] @ u_j[:, 1]) + kap / t)
-    if reasons:
-        raise _Breakdown(reasons)
     u_h, u_c = u[:, :, 0], u[:, :, 1]
     P = _Newton(Fv, SZ, S_inv, T, a_s_inv, aZ, r_p, r_d, tau, kappa, chol, h - c, u_h + u_c, pivot)
-    free = [j for j in range(n) if not hold[j]]
-    if len(free) == n:
-        dx, dSZ, dk, alpha = _predict_correct(P, mu)
-    elif not free:
-        dx, dSZ, dk, alpha = _direction(P, [1.0] * n, mu, hold=True)
-    else:  # the held programs and the others step apart, and their steps are put together
-        held = [j for j in range(n) if hold[j]]
-        dx, dSZ, dk, alpha = np.empty((n, k + 1)), np.empty((n, 2, m, m)), [0.0] * n, [0.0] * n
-        for slots, direction in ((free, lambda A: _predict_correct(A, [mu[j] for j in free])),
-                                 (held, lambda A: _direction(A, [1.0] * len(held), [mu[j] for j in held],
-                                                             hold=True))):
-            try:
-                part = direction(_Newton._make(a[slots] if isinstance(a, np.ndarray)
-                                               else [a[j] for j in slots] for a in P))
-            except _Breakdown as exc:
-                raise _Breakdown({slots[j]: why for j, why in exc.reasons.items()}) from None
-            dx[slots], dSZ[slots] = part[:2]
-            for j, e, a in zip(slots, *part[2:]):
-                dk[j], alpha[j] = e, a
+    dx, dSZ, dk, alpha = _predict_correct(P, mu, hold)
     return dx, dSZ, dk, [min(1.0, STEP_TO_BOUNDARY * a) for a in alpha]
 
 
-def _predict_correct(P: _Newton, mu: list):
-    """Mehrotra's direction for each program: the affine step picks sigma and
-    supplies the corrector."""
+def _predict_correct(P: _Newton, mu: list, hold: list):
+    """Mehrotra's direction for each free program: the affine step picks sigma
+    and supplies the corrector.  A held program (hold[j]) takes its centring
+    direction at fixed tau (eta 1, target mu) in the affine pass, and again in
+    the corrector pass, which runs only when some program is free, with its
+    corrector rows and kappa term exactly 0."""
     n, m, k = len(P.SZ), P.SZ.shape[2], P.aZ.shape[1] - 1
-    dx, dSZ, dk, alpha = _direction(P, [1.0] * n, [0.0] * n)
+    dx, dSZ, dk, alpha = _direction(P, hold, [1.0] * n, [u if h else 0.0 for u, h in zip(mu, hold)])
+    if all(hold):
+        return dx, dSZ, dk, alpha
     alpha = [min(1.0, a) for a in alpha]
     SZ = (P.SZ + _col(alpha, 4) * dSZ).reshape(n, 2, m * m)
+    corr = dSZ[:, 0] @ dSZ[:, 1]
     eta, target, corr_kappa = [], [], []
-    for j, t, a, d, kap, e, u in zip(range(n), P.tau, alpha, dx[:, k].tolist(), P.kappa, dk, mu):
+    for j, t, a, d, kap, e, u, h in zip(range(n), P.tau, alpha, dx[:, k].tolist(), P.kappa, dk, mu, hold):
+        if h:
+            corr[j] = 0.0
+            eta.append(1.0)
+            target.append(u)
+            corr_kappa.append(0.0)
+            continue
         mu_aff = (float(SZ[j, 0].dot(SZ[j, 1])) + (t + a * d) * (kap + a * e)) / (m + 1)
         sigma = min(1.0, mu_aff / u) ** 3
         eta.append(1.0 - sigma)
         target.append(sigma * u)
         corr_kappa.append(d * e)
-    return _direction(P, eta, target, dSZ[:, 0] @ dSZ[:, 1], corr_kappa)
+    return _direction(P, hold, eta, target, corr, corr_kappa)
 
 
-def _direction(P: _Newton, eta: list, target: list, corr=0.0, corr_kappa=None, hold=False):
+def _direction(P: _Newton, hold: list, eta: list, target: list, corr=0.0, corr_kappa=None):
     """Newton step of each program towards S Z = target I with the residuals
     scaled by 1 - eta; corr and corr_kappa are Mehrotra's second-order terms,
-    and hold keeps tau fixed.  eta, target and corr_kappa hold one float per
-    program.
+    and hold[j] keeps program j's tau fixed.  eta, target, corr_kappa and hold
+    hold one value per program.
 
     S^-1 (target I - S Z) is written out as target S^-1 - Z, because forming
     S^-1 (S Z) loses the digits of the condition number of S.  Returns the
@@ -456,18 +424,17 @@ def _direction(P: _Newton, eta: list, target: list, corr=0.0, corr_kappa=None, h
         rhs[j, k] += r_kappa[-1] / t
     _require_finite(rhs[:, :k], "right-hand side")
     dx = np.zeros((n, k + 1))
-    for j, d, b, U in zip(range(n), dx, rhs, P.chol):
+    for j, d, b, U, held in zip(range(n), dx, rhs, P.chol, hold):
         d[:k] = dpotrs(U, b[:k], lower=0)[0]
-        if not hold:
+        if not held:
             d[k] = (b[k] - P.h_c[j] @ d[:k]) / P.pivot[j]
-    if not hold:
-        dx[:, :k] -= P.u_hc * dx[:, k, None]
+            d[:k] -= P.u_hc[j] * d[k]
     dSZ = np.empty((n, 2, m, m))
     np.subtract((dx[:, None] @ P.Fv).reshape(n, m, m), eta_m * P.r_p, out=dSZ[:, 0])
     dZ = _col(target, 3) * P.S_inv - Z - P.S_inv @ (dSZ[:, 0] @ Z + corr)
     np.multiply(0.5, dZ + dZ.swapaxes(1, 2), out=dSZ[:, 1])
     # X + alpha D >= 0 up to alpha = -1 / lambda_min(T D T^T), T = L^-1, X = L L^T
-    lam = _each(np_eigvalsh, P.T @ dSZ @ P.T.swapaxes(2, 3))[:, :, 0].tolist()
+    lam = np_eigvalsh(P.T @ dSZ @ P.T.swapaxes(2, 3))[:, :, 0].tolist()
     dk, alpha = [], []
     for (ls, lz), r, t, d, kap in zip(lam, r_kappa, P.tau, dx[:, k].tolist(), P.kappa):
         dk.append((r - kap * d) / t)

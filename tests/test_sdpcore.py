@@ -661,6 +661,26 @@ class TestBatchIsReference:
             solve_batch(c, F, dims, [None, None])
 
 
+
+def test_reference_pool_takes_mixed_steps(monkeypatch):
+    """TestBatchIsReference's identity group takes steps in which some programs
+    are held (centring at fixed tau) and others free (Mehrotra's direction), so
+    its bit-for-bit check covers held and free programs in one pass."""
+    shape = (12, (4, 9, 2, 3))
+    start = _warm_start(shape)
+    entries = [(prob, start if j % 2 else None) for j, (prob, _) in enumerate(_programs()[shape])]
+    real, holds = sdpcore._step, []
+
+    def spy(*args):
+        holds.append(list(args[11]))
+        return real(*args)
+
+    monkeypatch.setattr(sdpcore, "_step", spy)
+    sols, refs = _solve_both(shape, entries)
+    assert any(True in hold and False in hold for hold in holds)
+    for sol, ref in zip(sols, refs):
+        assert_same_solution(sol, ref)
+
 class TestDeclaredBlocks:
     """solve_batch solves only pencils that are zero off their declared diagonal blocks."""
 
@@ -722,6 +742,24 @@ class TestBatchFailures:
         for j in (0, 2, 3):
             assert_same_solution(sols[j], refs[j])
 
+    def test_two_failures_in_one_step(self, monkeypatch):
+        """Programs 1 and 2 break down in the same step at different checks:
+        program 1's primal residual is not finite, program 2's S is not
+        positive definite.  The step stops at its first failure; each ends at
+        that iteration with the reason its step alone gives."""
+        def edit(F, Fv, eye, c, SZ, tau, kappa, aZ, mu, r_p, r_d, hold, work):
+            r_p[1, 0, 0] = np.nan
+            SZ[2, 0] = -eye
+
+        entries = [(prob, None) for prob, _ in self._entries()]
+        _inject(monkeypatch, 3, edit)
+        sols, refs = _solve_both(self.SHAPE, entries)
+        assert [(sol.status, sol.iterations, sol.reason) for sol in sols[1:3]] == [
+            ("numerical_failure", 2, "iteration 2: primal residual not finite"),
+            ("numerical_failure", 2, "iteration 2: Matrix is not positive definite")]
+        for j in (0, 3):
+            assert_same_solution(sols[j], refs[j])
+
     def test_failed_warm_solve_reruns_cold_alone(self, monkeypatch):
         entries = self._entries()
         _inject(monkeypatch, 3, lambda *args: args[9][0].__setitem__((0, 0), np.inf))
@@ -744,8 +782,10 @@ def test_batch_of_one_bookkeeping_is_lean():
     brought the count from 211 calls per iteration to 157, and solving the
     stack build writes, with no program objects to stack, to 154; keeping each
     block layout's slices, with the test that the pencil is zero off its blocks,
-    took 13 calls off the set-up (2,929 to 2,916).  The one-program reference loop
-    makes 90.  The count is deterministic for one numpy, so bookkeeping added to
+    took 13 calls off the set-up (2,929 to 2,916); one step path, with held and
+    free programs in one predictor-corrector pass and numpy's Cholesky and
+    eigvalsh gufuncs called without a wrapper that names failed programs, took
+    it to 2,865 (151 per iteration).  The one-program reference loop makes 90.  The count is deterministic for one numpy, so bookkeeping added to
     the loop shows here."""
     cfg = bench_workloads().WORKLOADS["sweep-paper"](0).make_input(0).data
     M = cfg.sample_sizes[0]
@@ -758,7 +798,7 @@ def test_batch_of_one_bookkeeping_is_lean():
     sol, = profile.runcall(solve_batch, *prob)
     calls = pstats.Stats(profile).total_calls
     assert (sol.status, sol.iterations) == ("optimal", 19)
-    assert (calls, round(calls / sol.iterations)) == (2916, 153)
+    assert (calls, round(calls / sol.iterations)) == (2865, 151)
     reference = cProfile.Profile()
     reference.runcall(solve_reference, prob)
     assert round(pstats.Stats(reference).total_calls / sol.iterations) == 90

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (ShapeError, _whole, array_field, np_eigvalsh, require_finite, sym_field,
+from .matcore import (ShapeError, _whole, array_field, is_psd, np_eigvalsh, require_finite, sym_field,
                       symmetrize)
 
 DEFAULT_EPS = 1.0 / 30.0
@@ -81,14 +81,15 @@ class MomentAmbiguity:
 
     The distribution set is: mean in the ellipsoid
     (mu - mu_hat)^T Sigma_hat^{-1} (mu - mu_hat) <= rho_mu and centered
-    second moment dominated by rho_sigma * Sigma_hat.
+    second moment dominated by rho_sigma * Sigma_hat.  Sigma_hat need only be
+    PSD (matcore.is_psd): a singular one gives the closure of the ellipsoid, in
+    which the mean moves only within the range of Sigma_hat.
     """
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray  # read-only, symmetric
     rho_mu: float
     rho_sigma: float
-    regularized: bool = False
 
     def __post_init__(self):
         mu = array_field("mu_hat", self.mu_hat, ndmin=1).ravel()
@@ -96,9 +97,11 @@ class MomentAmbiguity:
             require_finite(name, value)
         if mu.size == 0:
             raise ValueError("mu_hat is empty: the set needs at least one disturbance channel")
-        sigma = sym_field("sigma_hat", self.sigma_hat, definite="apply regularization")
+        sigma = sym_field("sigma_hat", self.sigma_hat)
         if sigma.shape[0] != mu.size:
             raise ShapeError(f"mu_hat has length {mu.size} but Sigma_hat is {sigma.shape[0]}x{sigma.shape[0]}")
+        if not is_psd(sigma):
+            raise ValueError("sigma_hat must be positive semidefinite")
         if self.rho_mu < 0:
             raise ValueError("rho_mu must be nonnegative")
         if self.rho_sigma < 1:
@@ -191,19 +194,17 @@ def build_ambiguity(s: SampleSet, config: AmbiguityConfig, lambda_reg: float = 0
     """Combine empirical moments and radii into an ambiguity record.
 
     When the smallest eigenvalue of Sigma_hat falls below lambda_reg, the
-    covariance is shifted by lambda_reg * I and the record is flagged as
-    regularized (the set grows, adding conservatism but never losing
-    coverage).  A negative or non-finite lambda_reg raises ValueError.
+    covariance is shifted by lambda_reg * I, which only grows the set: a singular
+    Sigma_hat is valid, and lambda_reg is kept for the benchmark's two calls.  A
+    negative or non-finite lambda_reg raises ValueError.
     """
     if not 0.0 <= lambda_reg < math.inf:
         raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
     rho_mu, rho_sigma = ambiguity_radii(config, s.n_w, s.M)
     mu_hat, sigma = empirical_moments(s)
-    regularized = lambda_reg > 0.0 and bool(np_eigvalsh(sigma)[0] < lambda_reg)
-    if regularized:
+    if lambda_reg > 0.0 and np_eigvalsh(sigma)[0] < lambda_reg:
         sigma = sigma + lambda_reg * np.eye(s.n_w)
-    return MomentAmbiguity(mu_hat=mu_hat, sigma_hat=sigma, rho_mu=rho_mu,
-                           rho_sigma=rho_sigma, regularized=regularized)
+    return MomentAmbiguity(mu_hat=mu_hat, sigma_hat=sigma, rho_mu=rho_mu, rho_sigma=rho_sigma)
 
 
 def _number(cell: str) -> float | None:

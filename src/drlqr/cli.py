@@ -103,7 +103,7 @@ def _cmd_synth(args) -> int:
         m = DisturbanceMoments(mu=mu_hat, sigma=sigma_hat)
         ctrl = riccati.value_iteration(system, m, cost)
     else:
-        amb = build_ambiguity(samples, cfg, lambda_reg=args.reg)
+        amb = build_ambiguity(samples, cfg)
         extra = {"rho_mu": amb.rho_mu, "rho_sigma": amb.rho_sigma}
         if args.method == "covariance":
             ctrl = riccati.dr_covariance(system, amb.mu_hat, amb, cost)
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", required=True, help="sample CSV, one draw per row")
     s.add_argument("--method", choices=("nominal", "covariance", "full", "rhc"), required=True)
     s.add_argument("--x0", help="initial state for rhc, e.g. \"2,2\"")
-    s.add_argument("--reg", type=float, default=0.0, help="covariance regularization lambda")
     s.add_argument("--Q", help="state cost matrix, JSON literal or file (default: Q field of system JSON)")
     s.add_argument("--R", help="input cost matrix, JSON literal or file (default: R field of system JSON)")
     s.set_defaults(func=_cmd_synth)

@@ -36,8 +36,6 @@ METHOD_ALIASES = {
 
 CSV_COLUMNS = ("M", "realization", "method", "stabilizing", "J", "J_rel", "wall_ms")
 
-LAMBDA_REG = 1e-8
-
 
 def _seed(value) -> int:
     """value as a whole, nonnegative seed; anything else raises ValueError naming seed."""
@@ -137,12 +135,13 @@ def nominal_reference(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
 def _run_cells(cfg: ExperimentConfig, J_nom: float, cells) -> tuple[list, list]:
     """The records of cells, a list of (M, realization, starts), and each cell's
     solved results by method: the dr_covariance Controller and the dr_full
-    SynthesisResult, None without a gain.  Each method's solve starts from
+    SynthesisResult, None without a gain.  Each cell's set is built from its
+    samples unshifted and checked there, once.  Each method's solve starts from
     starts[method] when that is given; each method solves the cells as one batch
     (riccati.dr_covariance_batch, drsynth.synth_full_batch), and every gain is
     scored under the true moments in one stack (stability._closed_loop_costs)."""
     ambs = [build_ambiguity(sample_gaussian(cfg.true_moments, M, _cell_stream(cfg.seed, M, r)),
-                            cfg.ambiguity_config(), lambda_reg=LAMBDA_REG) for M, r, _ in cells]
+                            cfg.ambiguity_config()) for M, r, _ in cells]
     solved, wall_ms = [{} for _ in cells], {}
     for method in cfg.methods:
         batch = riccati.dr_covariance_batch if method == "dr_covariance" else drsynth.synth_full_batch

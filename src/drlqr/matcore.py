@@ -221,18 +221,17 @@ def array_field(name: str, a, ndmin: int = 2) -> np.ndarray:
     return _sealed(name, _floats(name, a, copy=True, ndmin=ndmin))
 
 
-def sym_field(name: str, m, definite: bool | str = False) -> np.ndarray:
+def sym_field(name: str, m, definite: bool = False) -> np.ndarray:
     """The symmetric part of m (a matrix or a stack of them, array-like or
     SymMatrix) as a new array, checked and read-only as array_field does.
     With definite, anything not strictly positive definite raises ValueError
-    naming the field and lambda_min; a string there is the remedy the error adds."""
+    naming the field and lambda_min."""
     m = _sealed(name, symmetrize(_floats(name, m, copy=None)))  # symmetrize made the copy
     if definite:
         w = np_eigvalsh(m)
         if not (w.size and w[0] > 0):
             found = f"lambda_min = {w[0]:.3e}" if w.size else "it is empty"
-            remedy = f"; {definite}" if isinstance(definite, str) else ""
-            raise ValueError(f"{name} must be strictly positive definite ({found}{remedy})")
+            raise ValueError(f"{name} must be strictly positive definite ({found})")
     return m
 
 

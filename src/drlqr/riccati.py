@@ -84,20 +84,20 @@ def _gain_from(G, H, R):
     return K
 
 
-@_memo_last(lambda sys, m, cost: sys.stacked + (m.mu, cost.Q, cost.R))
-def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
+@_memo_last(lambda sys, mu, cost: sys.stacked + (mu, cost.Q, cost.R))
+def _ce_gain(sys: MultNoiseSystem, mu: np.ndarray, cost: CostWeights):
     """Certainty-equivalent gain: the optimal gain of the noise-free Riccati
-    equation at A, B = sys.eval_AB(m.mu), by structure-preserving doubling
+    equation at A, B = sys.eval_AB(mu), by structure-preserving doubling
     (Anderson 1978; Chu, Fan, Lin & Wang 2004), or None if the doubling fails.
     Step j doubles the horizon, so 18 steps cover 2^18 > MAX_ITER stages.  The
-    gain does not depend on m.sigma, so the last one is kept, read-only, for
-    the last system, mean and cost (matcore._memo_last): dr_covariance and
-    value_iteration at one mean solve once.  A step runs in buffers made once:
-    H, A, G and the step dH in one state array, updated in place, and dgesv's
-    operands I + G H and [A | G], Fortran-ordered, solved in place.  One
-    max-abs reduction over the four slots gives the step's finiteness test
-    and its stopping rule."""
-    A0, B = sys.eval_AB(m.mu)
+    gain depends on the moments only through their mean mu, so the last one is
+    kept, read-only, for the last system, mean and cost (matcore._memo_last):
+    dr_covariance and value_iteration at one mean solve once.  A step runs in
+    buffers made once: H, A, G and the step dH in one state array, updated in
+    place, and dgesv's operands I + G H and [A | G], Fortran-ordered, solved in
+    place.  One max-abs reduction over the four slots gives the step's
+    finiteness test and its stopping rule."""
+    A0, B = sys.eval_AB(mu)
     n, I = sys.n_x, np.eye(sys.n_x)
     state, size, T = np.empty((4, n, n)), np.empty((4, n, n)), np.empty((2, n, n))
     H, A, G, dH = state
@@ -118,7 +118,7 @@ def _ce_gain(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights):
             if info != 0 or not (math.isfinite(h) and math.isfinite(a) and math.isfinite(g)):
                 return None
             if d <= TOL * h:  # max-abs, since the 2-norm could overflow
-                mean = _extended_moment(m.mu, np.zeros_like(m.sigma))  # the noise-free moments
+                mean = _extended_moment(mu, np.zeros((mu.size, mu.size)))  # the noise-free moments
                 K = _gain_from(*gh(sys, mean, symmetrize(H)), cost.R)
                 K.setflags(write=False)
                 return K
@@ -138,16 +138,17 @@ def _values(sys: MultNoiseSystem, K: np.ndarray, S: np.ndarray, cost: CostWeight
     return [lyapunov_value(T, C)] if T.ndim == 2 else list(map(lyapunov_value, T, C))
 
 
-def _newton_batch(sys: MultNoiseSystem, ms: list, cost: CostWeights, starts: list,
+def _newton_batch(sys: MultNoiseSystem, S: np.ndarray, cost: CostWeights, starts: list,
                   method: str) -> list:
-    """value_iteration for each moments ms[j] from starts[j]: per program, the Controller,
-    labelled method, or the NotStabilizableError or NumericalFailure its own call raises.
-    The running programs' moments and iterates sit in stacks, compacted when one leaves; a
-    pass forms their moment operators (gh, or fgh while any sweeps) as one stack."""
+    """value_iteration from starts[j] for each checked extended moment S[j] (_extended_moment):
+    per program, the Controller, labelled method, or the NotStabilizableError or
+    NumericalFailure its own call raises.  The running programs' moments and iterates sit
+    in stacks, compacted when one leaves; a pass forms their moment operators (gh, or fgh
+    while any sweeps) as one stack."""
     check_cost(sys, cost)
-    p, n, Q, R = len(ms), sys.n_x, cost.Q, cost.R
+    p, n, Q, R = len(S), sys.n_x, cost.Q, cost.R
     # by slot: moments, iterate and the gains evaluated; by program: the rest
-    S, P, gains = np.array([m.extended_moment for m in ms]), np.zeros((p, n, n)), np.empty((p, R.shape[0], n))
+    P, gains = np.zeros((p, n, n)), np.empty((p, R.shape[0], n))
     if S.shape[-1] != sys.n_w + 1:
         raise ShapeError(f"moments have n_w={S.shape[-1] - 1}, system has n_w={sys.n_w}")
     k, probe, norm, newton, converged = [0] * p, [0] * p, [0.0] * p, [False] * p, [False] * p
@@ -155,7 +156,7 @@ def _newton_batch(sys: MultNoiseSystem, ms: list, cost: CostWeights, starts: lis
     everyone = ids  # the list of every slot
     # the first iterate: the value of start's gain, else of the certainty-equivalent gain, if certified
     for first in (lambda j: None if starts[j] is None else ClosedLoop(sys=sys, K=starts[j].K).K,
-                  lambda j: _ce_gain(sys, ms[j], cost)):
+                  lambda j: _ce_gain(sys, S[j, 0, 1:], cost)):
         tried = []
         for j in ids:
             K = None if newton[j] else first(j)
@@ -255,7 +256,7 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     certificate or monotonicity raise NumericalFailure.  The one-program case
     of the batch loop that dr_covariance_batch runs (_newton_batch).
     """
-    return _one(_newton_batch(sys, [m], cost, [start], "nominal_vi"))
+    return _one(_newton_batch(sys, m.extended_moment[None], cost, [start], "nominal_vi"))
 
 
 def _inflated(results: list, ambs: list) -> list:
@@ -272,14 +273,15 @@ def dr_covariance_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost:
                         starts: list[Controller | None] | None = None) -> list:
     """dr_covariance for each ambiguity set in ambs at its own mean mu_hat, each solve
     started from starts[i] (None: cold), in one batch loop: per set, the Controller, or
-    the NotStabilizableError or NumericalFailure dr_covariance would raise for it."""
+    the NotStabilizableError or NumericalFailure dr_covariance would raise for it, each
+    inflated extended moment written from the fields MomentAmbiguity checked."""
     starts = [None] * len(ambs) if starts is None else list(starts)
     if len(starts) != len(ambs):
         raise ValueError(f"{len(starts)} starts for {len(ambs)} ambiguity sets")
     if not ambs:
         return []
-    ms = [DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat) for amb in ambs]
-    return _inflated(_newton_batch(sys, ms, cost, starts, "dr_covariance"), ambs)
+    S = np.array([_extended_moment(amb.mu_hat, amb.rho_sigma * amb.sigma_hat) for amb in ambs])
+    return _inflated(_newton_batch(sys, S, cost, starts, "dr_covariance"), ambs)
 
 
 def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
@@ -291,7 +293,7 @@ def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
     at the inflated covariance.  start, an earlier controller for the same
     system, is value_iteration's start: its gain is tried before the
     certainty-equivalent one.  The one-set case of dr_covariance_batch, at the
-    mean mu_known.
+    mean mu_known, which DisturbanceMoments checks.
     """
-    inflated = DisturbanceMoments(mu=mu_known, sigma=amb.rho_sigma * amb.sigma_hat)
-    return _one(_inflated(_newton_batch(sys, [inflated], cost, [start], "dr_covariance"), [amb]))
+    S = DisturbanceMoments(mu=mu_known, sigma=amb.rho_sigma * amb.sigma_hat).extended_moment[None]
+    return _one(_inflated(_newton_batch(sys, S, cost, [start], "dr_covariance"), [amb]))

@@ -317,7 +317,6 @@ def _run(c, F, blocks, norms, starts, eye) -> list:
         x, SZ = x + _col(step, 2) * dx, SZ + _col(step, 4) * dSZ
         for j, i, h, a, e in zip(range(n), ids, hold, step, dk):
             centred[i], alpha[i], kappa[j] = centred[i] + 1 if h else 0, a, kappa[j] + a * e
-    return sols
 
 
 # what a Newton direction reads, stacked over the programs of a step: T holds the

@@ -237,7 +237,7 @@ def ce_gain_digest() -> str:
     cases += [_chain_workload_case(index) for index in range(CHAIN_OPS)]
     for sys, m, cost in cases:
         matcore._clear_memos()
-        K = riccati._ce_gain(sys, m, cost)
+        K = riccati._ce_gain(sys, m.mu, cost)
         if K is None:
             h.update(b"None")
         else:

@@ -8,6 +8,7 @@ from drlqr.ambiguity import (AmbiguityConfig, InsufficientDataError, MomentAmbig
                              build_ambiguity, empirical_moments,
                              load_samples_csv, min_sample_size, t_mu, t_sigma)
 from drlqr.matcore import DomainError, ShapeError, SymMatrix
+from drlqr.sysmodel import DisturbanceMoments
 
 from conftest import write_fixture
 
@@ -234,13 +235,41 @@ class TestMomentAmbiguity:
             MomentAmbiguity(mu_hat=np.zeros(0), sigma_hat=SymMatrix(np.zeros((0, 0))),
                             rho_mu=0.1, rho_sigma=1.5)
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(mu_hat=np.zeros(3)), ShapeError, "mu_hat has length 3 but Sigma_hat is 2x2"),
+        (dict(rho_mu=-0.01), ValueError, "rho_mu must be nonnegative"),
+        (dict(rho_sigma=0.99), ValueError, "rho_sigma must be at least 1"),
+    ], ids=["length", "rho_mu", "rho_sigma"])
+    def test_fields_are_checked(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            MomentAmbiguity(**{"mu_hat": np.zeros(2), "sigma_hat": np.eye(2), "rho_mu": 0.05,
+                               "rho_sigma": 2.0, **kwargs})
+
+    # is_psd's slack is PSD_TOL = 1e-9 relative to max(1, lambda_max)
+    @pytest.mark.parametrize("sigma, valid", [
+        (np.diag([1.0, 0.0]), True),
+        (np.diag([1.0, -1e-12]), True),
+        (np.ones((2, 2)), True),
+        (np.diag([1.0, -1e-6]), False),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
+    ], ids=["rank_one", "within_slack", "all_ones", "indefinite", "off_diagonal"])
+    def test_psd_rule_of_disturbance_moments(self, sigma, valid):
+        """Sigma_hat passes exactly when DisturbanceMoments takes it as a covariance."""
+        sets = (lambda: MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=sigma, rho_mu=0.05, rho_sigma=2.0),
+                lambda: DisturbanceMoments(mu=np.zeros(2), sigma=sigma))
+        for build, name in zip(sets, ("sigma_hat", "covariance")):
+            if valid:
+                build()
+            else:
+                with pytest.raises(ValueError, match=f"{name} must be positive semidefinite"):
+                    build()
+
 
 class TestBuildAmbiguity:
     def test_plain_path(self):
         rng = np.random.default_rng(2)
         s = SampleSet(rng.standard_normal((1000, 2)))
         amb = build_ambiguity(s, AmbiguityConfig(beta=BETA))
-        assert not amb.regularized
         assert np.isclose(amb.rho_sigma, 3.1424256, atol=1e-6)
         mu, sigma = empirical_moments(s)
         assert np.allclose(amb.mu_hat, mu)
@@ -252,13 +281,15 @@ class TestBuildAmbiguity:
         draws = np.column_stack([rng.standard_normal(1000), np.zeros(1000)])
         s = SampleSet(draws)
         amb = build_ambiguity(s, AmbiguityConfig(beta=BETA), lambda_reg=1e-8)
-        assert amb.regularized
         assert np.linalg.eigvalsh(np.asarray(amb.sigma_hat))[0] >= 1e-8 * 0.99
 
-    def test_singular_without_reg_rejected(self):
-        draws = np.column_stack([np.arange(1000.0), np.zeros(1000)])
-        with pytest.raises(ValueError):
-            build_ambiguity(SampleSet(draws), AmbiguityConfig(beta=BETA))
+    def test_singular_sigma_hat_accepted(self):
+        """A constant channel gives an exactly singular Sigma_hat, which is the set
+        as estimated, unshifted."""
+        s = SampleSet(np.column_stack([np.arange(1000.0), np.zeros(1000)]))
+        amb = build_ambiguity(s, AmbiguityConfig(beta=BETA))
+        assert np.array_equal(amb.sigma_hat, empirical_moments(s)[1])
+        assert np.linalg.eigvalsh(amb.sigma_hat)[0] == 0.0
 
     @pytest.mark.parametrize("lambda_reg", [-1.0, -1e-12, np.nan, np.inf],
                              ids=["negative", "tiny_negative", "nan", "inf"])
@@ -306,6 +337,13 @@ class TestCsvRoundTrip:
         p = tmp_path / "w.csv"
         p.write_text("1.0,2.0\nfoo,4.0\n")
         with pytest.raises(ValueError):
+            load_samples_csv(p)
+
+    @pytest.mark.parametrize("text", ["", "w1,w2\n", "\n\n"], ids=["empty", "header", "blank"])
+    def test_no_data_rows(self, tmp_path, text):
+        p = tmp_path / "w.csv"
+        p.write_text(text)
+        with pytest.raises(InsufficientDataError, match="no data rows in samples file"):
             load_samples_csv(p)
 
     def test_column_count_check(self, tmp_path):

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from drlqr import drsynth, experiment
-from drlqr.ambiguity import DEFAULT_EPS
+from drlqr.ambiguity import DEFAULT_EPS, AmbiguityConfig, build_ambiguity
 from drlqr.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from drlqr.experiment import sample_gaussian
 from drlqr.matcore import SymMatrix
 from drlqr.riccati import value_iteration
 from drlqr.sdpcore import SdpSolution
 from drlqr.ambiguity import SampleSet
+from drlqr.stability import ClosedLoop
 from drlqr.sysmodel import DisturbanceMoments, MultNoiseSystem
 
 from conftest import write_fixture
+from oracles import dr_certify_mss
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,8 +121,7 @@ class TestSynth:
     def test_full(self, capsys, system_json, samples_csv):
         rc, out = _run(capsys, ["synth", "--system", str(system_json),
                                 "--samples", str(samples_csv),
-                                "--beta", "0.05", "--method", "full",
-                                "--reg", "1e-8"])
+                                "--beta", "0.05", "--method", "full"])
         assert rc == EXIT_OK
         assert out["method"] == "dr_full"
         assert out["cost_kind"] == "upper_bound"
@@ -131,7 +132,7 @@ class TestSynth:
         interpreter, never imports the scipy.linalg package, and prints what it
         prints in process."""
         argv = ["synth", "--system", str(system_json), "--samples", str(samples_csv),
-                "--beta", "0.05", "--method", "full", "--reg", "1e-8"]
+                "--beta", "0.05", "--method", "full"]
         code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); from drlqr.cli import main; "
                 "rc = main(sys.argv[1:]); print('scipy.linalg' in sys.modules, file=sys.stderr); "
                 "sys.exit(rc)")
@@ -152,7 +153,7 @@ class TestSynth:
         rc, out = _run(capsys, ["synth", "--system", str(system_json),
                                 "--samples", str(samples_csv),
                                 "--beta", "0.05", "--method", "rhc",
-                                "--x0", "2,2", "--reg", "1e-8"])
+                                "--x0", "2,2"])
         assert rc == EXIT_OK
         assert out["method"] == "dr_rhc"
         assert 0.0 < out["cost_bound"] < 1e5
@@ -222,7 +223,7 @@ class TestSynth:
 
         monkeypatch.setattr(drsynth, "solve_batch", failing)
         rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
-                   "--beta", "0.05", "--method", "full", "--reg", "1e-8"])
+                   "--beta", "0.05", "--method", "full"])
         err = capsys.readouterr().err
         assert rc == EXIT_NUMERICAL
         assert err.startswith("numerical failure:")
@@ -240,42 +241,54 @@ class TestSynth:
         assert "non-finite" in err
 
 
-    @pytest.mark.parametrize("reg", ["-1", "nan"])
-    def test_negative_or_nan_reg_exit_code(self, capsys, system_json, samples_csv, reg):
-        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
-                   "--beta", "0.05", "--method", "full", f"--reg={reg}"])
-        err = capsys.readouterr().err
-        assert rc == EXIT_INVALID
-        assert "lambda_reg" in err
-
-    # the robust terms C^T (Sigma_hat (x) X) C of the synthesis LMI are monotone
-    # in Sigma_hat, so a gain certified on the set regularized by 1e-8 is
-    # feasible on the smaller unregularized one too; the pencil carries the
-    # whitened channels sqrt(rho_sigma) Sigma_hat^{1/2} (x) I, with no inverse
-    @pytest.mark.parametrize("reg", ["1e-8", "0"])
-    def test_near_singular_samples_certified(self, capsys, system_json, tmp_path, reg):
-        """Samples whose second channel is scaled by 1e-5: the set at --reg 0
-        lies inside the set at --reg 1e-8, so both must certify a gain."""
+    # the pencil carries the whitened channels sqrt(rho_sigma) Sigma_hat^{1/2} (x) I,
+    # with no inverse, so they stay bounded as Sigma_hat tends to singular
+    def test_near_singular_samples_certified(self, capsys, system_json, tmp_path):
+        """Samples whose second channel is scaled by 1e-5."""
         w = np.random.default_rng(0).standard_normal((1000, 2))
         w[:, 1] *= 1e-5
         sp = write_fixture(tmp_path / "w.csv", SampleSet(w))
         rc, out = _run(capsys, ["synth", "--system", str(system_json), "--samples", str(sp),
-                                "--beta", "0.05", "--method", "full", "--reg", reg])
+                                "--beta", "0.05", "--method", "full"])
         assert rc == EXIT_OK
         assert np.allclose(out["K"], [[-28.25, -11.75]], atol=0.01)
 
-    def test_singular_samples_name_regularization(self, capsys, system_json, tmp_path):
-        """A constant channel gives a singular Sigma_hat: at --reg 0 the error
-        names Sigma_hat and regularization, the remedy the --reg flag applies."""
+    def test_singular_samples_certified(self, capsys, sys6, system_json, tmp_path):
+        """A channel held at 1.0 gives an exactly singular Sigma_hat, a valid set:
+        the gain synth prints passes the sampled robust check on it."""
         w = np.random.default_rng(0).standard_normal((1000, 2))
         w[:, 1] = 1.0
-        sp = write_fixture(tmp_path / "w.csv", SampleSet(w))
-        rc = main(["synth", "--system", str(system_json), "--samples", str(sp),
-                   "--beta", "0.05", "--method", "full", "--reg", "0"])
-        err = capsys.readouterr().err
+        samples = SampleSet(w)
+        sp = write_fixture(tmp_path / "w.csv", samples)
+        rc, out = _run(capsys, ["synth", "--system", str(system_json), "--samples", str(sp),
+                                "--beta", "0.05", "--method", "full"])
+        assert rc == EXIT_OK
+        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05))
+        assert np.linalg.eigvalsh(amb.sigma_hat)[0] == 0.0
+        assert out["cost_bound"] > 0.0
+        assert dr_certify_mss(ClosedLoop(sys=sys6, K=out["K"]), amb)
+
+    def test_unparsable_x0(self, capsys, system_json, samples_csv):
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "rhc", "--x0", "2,two"])
         assert rc == EXIT_INVALID
-        assert "sigma_hat must be strictly positive definite" in err.lower()
-        assert "regularization" in err
+        assert "cannot parse vector '2,two'" in capsys.readouterr().err
+
+    def test_cost_weight_from_a_json_file(self, capsys, system_json, samples_csv, tmp_path):
+        """--Q names a JSON file: the run is the one with the literal."""
+        q_file = tmp_path / "Q.json"
+        q_file.write_text("[[10, 0], [0, 1]]")
+        argv = ["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                "--beta", "0.05", "--method", "nominal", "--Q"]
+        rc, from_file = _run(capsys, argv + [str(q_file)])
+        assert rc == EXIT_OK
+        assert _run(capsys, argv + ["[[10, 0], [0, 1]]"]) == (EXIT_OK, from_file)
+
+    def test_unparsable_matrix(self, capsys, system_json, samples_csv):
+        rc = main(["synth", "--system", str(system_json), "--samples", str(samples_csv),
+                   "--beta", "0.05", "--method", "nominal", "--R", "[[0.01]"])
+        assert rc == EXIT_INVALID
+        assert "cannot parse matrix '[[0.01]'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["nominal", "covariance", "full", "rhc"])
     def test_wrong_size_Q_exit_code(self, capsys, system_json, samples_csv, method):

@@ -9,7 +9,7 @@ from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
 from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, psd_sqrt
-from drlqr.riccati import NotStabilizableError, dr_covariance, value_iteration
+from drlqr.riccati import Controller, NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 from conftest import bench_workloads, memo_runs
@@ -224,6 +224,9 @@ class TestSynthRhc:
 
 
 class TestInputs:
+    def test_no_sets(self, sys6, cost6):
+        assert drsynth.synth_full_batch(sys6, [], cost6) == []
+
     @pytest.mark.parametrize("count", [1, 4])
     def test_one_start_per_set(self, sys6, cost6, amb6_small, count):
         with pytest.raises(ValueError, match=f"^{count} starts for 3 ambiguity sets$"):
@@ -639,3 +642,41 @@ class TestStageStack:
                                    [starts[j].solution for j in others])
         for j, sol in zip(others, sols):
             assert_same_solution(results[j].solution, sol)
+
+
+class TestSingularSigmaHat:
+    """An exactly singular Sigma_hat is a valid set: the closure of the ellipsoid,
+    in which the mean moves only within the range of Sigma_hat."""
+
+    @pytest.mark.parametrize("n_w", [2, 3])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 3), noise=st.floats(0.0, 0.3), rho_mu=st.floats(0.0, 0.3),
+           rho_sigma=st.floats(1.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_every_method_answers(self, n_w, n_x, noise, rho_mu, rho_sigma, seed):
+        """Sigma_hat = G G^T / 4 for a small-integer G of rank below n_w, so its
+        entries, and so the stored matrix's rank, are exact.  dr_covariance,
+        synth_full and synth_rhc each return a gain or a typed verdict, and every
+        synth_full gain passes the sampled robust check on the set."""
+        rng = np.random.default_rng(seed)
+        sys, _, cost, x0 = _random_instance(rng, n_x, 1, n_w, noise, rho_mu, rho_sigma)
+        G = rng.integers(-3, 4, size=(n_w, rng.integers(1, n_w)))
+        amb = _amb(0.1 * rng.standard_normal(n_w), G @ G.T / 4.0, rho_mu, rho_sigma)
+        assert np.linalg.matrix_rank(amb.sigma_hat) < n_w
+        covariance = _outcome(dr_covariance, sys, amb.mu_hat, amb, cost)
+        full = _outcome(synth_full, sys, amb, cost)
+        rhc = _outcome(synth_rhc, sys, amb, cost, x0)
+        gains = [res for res in (covariance,) if not isinstance(res, Exception)]
+        gains += [res.controller for res in (full, rhc) if isinstance(res, SynthesisResult)]
+        for ctrl in gains:
+            assert isinstance(ctrl, Controller) and ctrl.K.shape == (1, n_x)
+        if isinstance(full, SynthesisResult):
+            assert dr_certify_mss(ClosedLoop(sys=sys, K=full.controller.K), amb)
+
+    def test_rank_one_set_certified_by_every_method(self, sys6, cost6):
+        """Sigma_hat of rank one on the paper's system: each method gives a gain."""
+        amb = _amb(np.zeros(2), [[1.0, 0.0], [0.0, 0.0]], 0.05, 3.0)
+        ctrl = dr_covariance(sys6, amb.mu_hat, amb, cost6)
+        full, rhc = synth_full(sys6, amb, cost6), synth_rhc(sys6, amb, cost6, np.ones(2))
+        assert full.cost_bound >= np.trace(ctrl.P) * (1.0 - 1e-6)
+        assert rhc.cost_bound > 0.0
+        assert dr_certify_mss(ClosedLoop(sys=sys6, K=full.controller.K), amb)

@@ -181,7 +181,7 @@ class TestSweep:
         clean = run_sample_complexity(cfg)
         M = cfg.sample_sizes[0]  # realization 1, in the stage after the anchor
         failing = build_ambiguity(sample_gaussian(cfg.true_moments, M, experiment._cell_stream(cfg.seed, M, 1)),
-                                  cfg.ambiguity_config(), lambda_reg=experiment.LAMBDA_REG).sigma_hat
+                                  cfg.ambiguity_config()).sigma_hat
         monkeypatch.setattr(drsynth, "psd_sqrt", root_failing_on(failing, drsynth.psd_sqrt))
         records = run_sample_complexity(cfg)
         strip = lambda r: (r.M, r.realization, r.method, r.stabilizing, r.J, r.J_rel)
@@ -549,3 +549,46 @@ class TestExample1:
 def test_threshold_constants():
     assert EX1_SIGMA2 == 0.5
     assert EX1_THRESHOLD == 0.4697
+
+
+def test_each_set_is_checked_once(monkeypatch):
+    """From its estimate to its root in the synthesis pencil, each Sigma_hat of
+    sweep-paper op 1 (seed 0), or a multiple of it, meets np_eigvalsh once: in
+    MomentAmbiguity's PSD check.  With the sweep's 1e-8 shift test and a
+    DisturbanceMoments check per inflated covariance it met it three times."""
+    from drlqr import ambiguity, matcore, sdpcore
+
+    cfg = bench_workloads().WORKLOADS["sweep-paper"](0).make_input(1).data
+    events, built = [], []  # ("eig" | "root", matrices); (first event, set)
+
+    def spy(kind, real):
+        def call(m):
+            events.append((kind, np.array(m)))
+            return real(m)
+        return call
+
+    for module in (matcore, ambiguity, riccati, sdpcore, stability):
+        if hasattr(module, "np_eigvalsh"):
+            monkeypatch.setattr(module, "np_eigvalsh", spy("eig", module.np_eigvalsh))
+    monkeypatch.setattr(drsynth, "psd_sqrt", spy("root", drsynth.psd_sqrt))
+    real_build = experiment.build_ambiguity
+
+    def build(*args):
+        first = len(events)
+        built.append((first, real_build(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(experiment, "build_ambiguity", build)
+    experiment.run_sample_complexity(cfg)
+    assert len(built) == 12
+    for first, amb in built:
+        s = amb.sigma_hat
+        rooted = [i for i, (kind, m) in enumerate(events)
+                  if kind == "root" and m.shape[-2:] == s.shape
+                  and any(np.array_equal(r, s) for r in m.reshape(-1, *s.shape))]
+        met = 0
+        for kind, m in events[first:rooted[0]]:
+            if kind == "eig" and m.shape[-2:] == s.shape:
+                met += sum(1 for a in m.reshape(-1, *s.shape)
+                           if a.any() and np.allclose(a / abs(a).max(), s / abs(s).max(), rtol=1e-12, atol=0))
+        assert met == 1

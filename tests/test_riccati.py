@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
-from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
+from drlqr.experiment import _cell_stream, sample_gaussian
 from drlqr import riccati
 from drlqr.cli import EXIT_OK, main
 from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix
-from drlqr.riccati import NotStabilizableError, _ce_gain, dr_covariance, value_iteration
+from drlqr.riccati import Controller, NotStabilizableError, _ce_gain, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
@@ -127,7 +128,7 @@ class TestNewtonFinish:
         stabilizability (optimal radius about 0.99996); value iteration alone
         spent its sweep budget here and called the cell not stabilizable."""
         samples = sample_gaussian(moments6, 500, _cell_stream(0, 500, 3))
-        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05))
         ctrl = dr_covariance(sys6, amb.mu_hat, amb, cost6)
         inflated = DisturbanceMoments(mu=amb.mu_hat,
                                       sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
@@ -236,9 +237,10 @@ def _roadmap_chain(n: int) -> MultNoiseSystem:
 
 def _chain_workload_case(index: int = 0):
     """The riccati-chain benchmark's dr_covariance solve of op index at seed 0."""
-    w = bench_workloads().RiccatiChain(0)
+    module = bench_workloads()
+    w = module.RiccatiChain(0)
     sys, samples = w.make_input(index).data
-    amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+    amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=module.LAMBDA_REG)
     inflated = DisturbanceMoments(mu=amb.mu_hat,
                                   sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
     return sys, inflated, w.cost
@@ -272,8 +274,7 @@ class TestCertaintyEquivalentStart:
         sys = MultNoiseSystem(A0=A - mu[0] * A1, A=(A1,), B0=B - mu[0] * B1, B=(B1,))
         L, N = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_u, n_u))
         Q, R = L @ L.T + 0.1 * np.eye(n_x), N @ N.T + 0.1 * np.eye(n_u)
-        m = DisturbanceMoments(mu=mu, sigma=np.zeros((1, 1)))
-        K, K_ref = _ce_gain(sys, m, CostWeights(Q=Q, R=R)), dare_gain(*sys.eval_AB(mu), Q, R)
+        K, K_ref = _ce_gain(sys, mu, CostWeights(Q=Q, R=R)), dare_gain(*sys.eval_AB(mu), Q, R)
         assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
 
     @pytest.mark.parametrize("case", CE_CASES)
@@ -326,10 +327,9 @@ class TestCertaintyEquivalentStart:
         """A = 2, B = 0: the doubling overflows, which gives None and no warning."""
         sys = MultNoiseSystem(A0=np.array([[2.0]]), A=(np.zeros((1, 1)),),
                               B0=np.zeros((1, 1)), B=(np.zeros((1, 1)),))
-        m = DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _ce_gain(sys, m, CostWeights(Q=np.eye(1), R=np.eye(1))) is None
+            assert _ce_gain(sys, np.zeros(1), CostWeights(Q=np.eye(1), R=np.eye(1))) is None
 
 
 def _gain_bytes(K):
@@ -342,7 +342,7 @@ class TestCertaintyEquivalentInPlace:
 
     @staticmethod
     def _assert_same(sys, m, cost):
-        ours = _ce_gain.__wrapped__(sys, m, cost)
+        ours = _ce_gain.__wrapped__(sys, m.mu, cost)
         assert _gain_bytes(ours) == _gain_bytes(ce_gain_reference(sys, m, cost))
         return ours
 
@@ -395,7 +395,7 @@ class TestCertaintyEquivalentInPlace:
 def _cell_inflated(M: int, realization: int, moments) -> DisturbanceMoments:
     """The inflated moments dr_covariance solves at a criterion-7 sweep cell (seed 0)."""
     samples = sample_gaussian(moments, M, _cell_stream(0, M, realization))
-    amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+    amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05))
     return DisturbanceMoments(mu=amb.mu_hat,
                               sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
 
@@ -485,11 +485,12 @@ class TestCertaintyEquivalentMemo:
     def test_robust_then_nominal_share_one_doubling_solve(self, monkeypatch):
         """The riccati-chain op: dr_covariance at rho_sigma Sigma_hat, then
         value_iteration at Sigma_hat, on three ops."""
-        w = bench_workloads().RiccatiChain(0)
+        module = bench_workloads()
+        w = module.RiccatiChain(0)
         calls = []
         for index in range(3):
             sys, samples = w.make_input(index).data
-            amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+            amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=module.LAMBDA_REG)
             empirical = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.sigma_hat)
             calls += [lambda sys=sys, amb=amb: dr_covariance(sys, amb.mu_hat, amb, w.cost),
                       lambda sys=sys, m=empirical: value_iteration(sys, m, w.cost)]
@@ -519,25 +520,25 @@ class TestCertaintyEquivalentMemo:
                                   B=(sys6.B[0], one_ulp_up(sys6.B[1], (1, 0))))
         else:
             cost = CostWeights(Q=cost6.Q, R=one_ulp_up(cost6.R, (0, 0)))
-        first = _ce_gain(sys6, m, cost6)
-        assert _ce_gain(sys, other, cost) is not first
+        first = _ce_gain(sys6, m.mu, cost6)
+        assert _ce_gain(sys, other.mu, cost) is not first
         kept, cleared = memo_runs([lambda: _solve_bytes(lambda: value_iteration(sys6, m, cost6)),
                                    lambda: _solve_bytes(lambda: value_iteration(sys, other, cost)),
                                    lambda: _solve_bytes(lambda: value_iteration(sys6, m, cost6))])
         assert kept == cleared
 
     def test_covariance_alone_hits(self, sys6, moments6, cost6):
-        """The gain is noise-free: moments that differ only in sigma share it."""
+        """The gain is noise-free: solves at moments that differ only in sigma share it."""
         m = _cell_inflated(1000, 0, moments6)
         other = DisturbanceMoments(mu=m.mu, sigma=0.5 * m.sigma)
-        first = _ce_gain(sys6, m, cost6)
-        assert _ce_gain(sys6, other, cost6) is first
+        first = _ce_gain(sys6, m.mu, cost6)
+        assert _ce_gain(sys6, other.mu, cost6) is first
         kept, cleared = memo_runs([lambda: _solve_bytes(lambda: value_iteration(sys6, m, cost6)),
                                    lambda: _solve_bytes(lambda: value_iteration(sys6, other, cost6))])
         assert kept == cleared
 
     def test_kept_gain_is_read_only(self, sys6, moments6, cost6):
-        K = _ce_gain(sys6, moments6, cost6)
+        K = _ce_gain(sys6, moments6.mu, cost6)
         with pytest.raises(ValueError, match="read-only"):
             K[0, 0] = 1.0
 
@@ -630,6 +631,10 @@ class TestControllerIo:
         assert main(["mss", "--system", str(system), "--gain", str(gain)]) == EXIT_OK
         radius = is_mss(ClosedLoop(sys=sys6, K=ctrl.K), moments6)[1]
         assert json.loads(capsys.readouterr().out) == {"stable": True, "spectral_radius": radius}
+
+    def test_gain_must_fit_P(self):
+        with pytest.raises(ValueError, match=re.escape("gain shape (1, 3) inconsistent with P dimension 2")):
+            Controller(K=np.zeros((1, 3)), P=np.eye(2), method="dr_full")
 
     def test_json_fields(self, scalar_sys, scalar_cost, scalar_moments):
         ctrl = value_iteration(scalar_sys, scalar_moments, scalar_cost)
@@ -762,6 +767,17 @@ class TestCovarianceBatch:
         _assert_solo(sys, [ambs[j] for j in (0, 1, 3)], cost, [starts[j] for j in (0, 1, 3)],
                      [results[j] for j in (0, 1, 3)])
 
+    @pytest.mark.parametrize("call", ["value_iteration", "dr_covariance", "batch"])
+    def test_moments_of_another_channel_count(self, sys6, cost6, call):
+        """The moment stack the Newton loop receives is checked against the system."""
+        m = DisturbanceMoments(mu=np.zeros(3), sigma=np.eye(3))
+        amb = MomentAmbiguity(mu_hat=np.zeros(3), sigma_hat=np.eye(3), rho_mu=0.05, rho_sigma=2.0)
+        run = {"value_iteration": lambda: value_iteration(sys6, m, cost6),
+               "dr_covariance": lambda: dr_covariance(sys6, amb.mu_hat, amb, cost6),
+               "batch": lambda: riccati.dr_covariance_batch(sys6, [amb, amb], cost6)}[call]
+        with pytest.raises(ShapeError, match="moments have n_w=3, system has n_w=2"):
+            run()
+
     def test_empty_and_start_count(self, sys6, cost6, amb6):
         assert riccati.dr_covariance_batch(sys6, [], cost6) == []
         with pytest.raises(ValueError, match="2 starts for 1 ambiguity sets"):
@@ -769,8 +785,8 @@ class TestCovarianceBatch:
 
 
 @pytest.mark.parametrize("case, calls, iterations", [
-    ("ce_start", 200, 3),  # 212 before the batch loop
-    ("from_zero", 611, 11),  # 713 before
+    ("ce_start", 198, 3),  # 212 before the batch loop, 200 while it built each program's moments
+    ("from_zero", 609, 11),  # 713 before, 611
 ])
 def test_batch_of_one_bookkeeping_is_lean(monkeypatch, case, calls, iterations):
     """cProfile's count of the Python-level calls (functions, methods and builtins)

@@ -1,6 +1,7 @@
 import cProfile
 import functools
 import pstats
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import build_ambiguity
-from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
+from drlqr.experiment import _cell_stream, sample_gaussian
 from drlqr.matcore import DomainError, ShapeError
 from drlqr.sdpcore import (AffineExpr, LmiBuilder, SdpSolution, block_expr, kron_const, solve_batch,
                            zeros)
@@ -366,6 +367,31 @@ class TestExpressionAlgebra:
         assert np.allclose((W @ C).value(y), Wv @ C)
         assert np.isclose(W.trace().value(y)[0, 0], np.trace(Wv))
         assert np.allclose((W - W.T).value(y), 0.0)
+
+    def test_sum_of_mismatched_shapes(self):
+        b = LmiBuilder()
+        W, V = b.sym_var(2), b.rect_var(1, 2)
+        with pytest.raises(ValueError, match=re.escape("shape mismatch (2, 2) vs (1, 2)")):
+            W + V
+
+    def test_product_of_variables_is_not_affine(self):
+        W = LmiBuilder().sym_var(2)
+        with pytest.raises(TypeError, match="product of two variable expressions is not affine"):
+            W @ W
+
+    def test_block_structure_is_checked(self):
+        b = LmiBuilder()
+        W, V = b.sym_var(2), b.rect_var(1, 2)
+        with pytest.raises(ValueError, match="ragged block structure"):
+            block_expr([[W, V.T], [V]])
+        with pytest.raises(ValueError, match=re.escape("block (1,1) has shape (2, 2), expected (1, 1)")):
+            block_expr([[W, V.T], [V, W]])
+
+    def test_build_without_blocks(self):
+        b = LmiBuilder()
+        W = b.sym_var(2)
+        with pytest.raises(ValueError, match="problem has no constraint blocks"):
+            b.build(W.trace(), [])
 
     def test_kron_const(self):
         b = LmiBuilder()
@@ -790,7 +816,7 @@ def test_batch_of_one_bookkeeping_is_lean():
     cfg = bench_workloads().WORKLOADS["sweep-paper"](0).make_input(0).data
     M = cfg.sample_sizes[0]
     amb = build_ambiguity(sample_gaussian(cfg.true_moments, M, _cell_stream(cfg.seed, M, 0)),
-                          cfg.ambiguity_config(), lambda_reg=LAMBDA_REG)
+                          cfg.ambiguity_config())
     b, W, V, blocks = thm6_builder(cfg.system, amb, cfg.cost)
     prob = b.build(-W.trace(), blocks)
     solve_batch(*prob)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drlqr.matcore import DomainError, SymMatrix, is_psd, smat, svec
+from drlqr.matcore import DomainError, ShapeError, SymMatrix, is_psd, smat, svec
 from drlqr.sdpcore import LmiBuilder, kron_const, solve_batch, zeros
 from drlqr import stability
 from drlqr.stability import (TOL, ClosedLoop, InstabilityError, _spectral_radius,
                              closed_loop_cost, closed_loop_value_matrix, is_mss,
                              lyapunov_value, second_moment_operator)
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
-from drlqr.experiment import LAMBDA_REG, _cell_stream, sample_gaussian
+from drlqr.experiment import _cell_stream, sample_gaussian
 from drlqr.riccati import value_iteration
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 from conftest import bench_workloads, memo_runs, one_ulp_up
@@ -58,6 +58,11 @@ class TestSecondMomentOperator:
         T = second_moment_operator(ClosedLoop(sys=sys, K=np.zeros((1, 2))),
                                    DisturbanceMoments(mu=np.zeros(1), sigma=SymMatrix(np.eye(1))))
         assert not T.any()
+
+    def test_moments_of_another_channel_count(self, sys6):
+        with pytest.raises(ShapeError, match="moments have n_w=3, system has n_w=2"):
+            second_moment_operator(ClosedLoop(sys=sys6, K=np.zeros((1, 2))),
+                                   DisturbanceMoments(mu=np.zeros(3), sigma=np.eye(3)))
 
     def test_scalar_formula(self):
         K = -0.3
@@ -206,7 +211,7 @@ def _radius_cases(case, sys6, moments6, cost6):
     elif case == "paper":  # the criterion-7 sweep's M = 500 cell, near the edge of MSS
         sys = bench_workloads().paper_system()
         samples = sample_gaussian(moments6, 500, _cell_stream(0, 500, 3))
-        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05), lambda_reg=LAMBDA_REG)
+        amb = build_ambiguity(samples, AmbiguityConfig(beta=0.05))
         m = DisturbanceMoments(mu=amb.mu_hat, sigma=amb.rho_sigma * amb.sigma_hat)
         cost = cost6
     else:

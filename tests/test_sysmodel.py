@@ -448,3 +448,34 @@ class TestJsonRoundTrip:
         with pytest.raises(ShapeError):
             MultNoiseSystem(A0=np.eye(2), A=(np.zeros((2, 2)),),
                             B0=np.zeros((2, 1)), B=())
+
+
+class TestShapeChecks:
+    """Each shape check names what is wrong."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(A0=np.zeros((2, 3)), B0=np.zeros((2, 1))), "A0 must be square, got (2, 3)"),
+        (dict(A0=np.eye(2), B0=np.zeros((3, 1))), "B0 has 3 rows, expected 2"),
+        (dict(A0=np.eye(2), B0=np.zeros((2, 1)), A=(np.eye(3),), B=(np.zeros((2, 1)),)),
+         "A[0] has shape (3, 3), expected (2, 2)"),
+        (dict(A0=np.eye(2), B0=np.zeros((2, 1)), A=(np.eye(2),), B=(np.zeros((2, 2)),)),
+         "B[0] has shape (2, 2), expected (2, 1)"),
+    ], ids=["A0_not_square", "B0_rows", "A_i_shape", "B_i_shape"])
+    def test_system(self, kwargs, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            MultNoiseSystem(**{"A": (), "B": (), **kwargs})
+
+    @pytest.mark.parametrize("drop", ["n_x", "A0"])
+    def test_malformed_json(self, sys6, drop):
+        d = sys6.to_json_dict()
+        del d[drop]
+        with pytest.raises(ShapeError, match=f"malformed system description: '{drop}'"):
+            MultNoiseSystem.from_json_dict(d)
+
+    def test_moments_length(self):
+        with pytest.raises(ShapeError, match="mean has length 3 but covariance is 2x2"):
+            DisturbanceMoments(mu=np.zeros(3), sigma=np.eye(2))
+
+    def test_moments_indefinite(self):
+        with pytest.raises(ValueError, match="covariance must be positive semidefinite"):
+            DisturbanceMoments(mu=np.zeros(2), sigma=np.diag([1.0, -1e-3]))

@@ -36,7 +36,7 @@ class DrSynthesisError(RuntimeError):
 @dataclass(frozen=True)
 class SynthesisResult:
     """Synthesized robust controller; its cost bound is controller.cost_bound.
-    solution is the synthesis SDP's, from which synth_full can warm-start."""
+    solution is the synthesis SDP's, from which synth_full_batch can warm-start."""
 
     controller: Controller
     solution: SdpSolution
@@ -168,10 +168,11 @@ def _controllers(sols: list, W: AffineExpr, V: AffineExpr, method: str,
 
 def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: CostWeights,
                      starts: list[SynthesisResult | None] | None = None) -> list:
-    """synth_full for each ambiguity set in ambs, each solve started from
-    starts[i] (None: cold): per set, the SynthesisResult, or the
-    DrSynthesisError or NumericalFailure synth_full would raise for it, from
-    writing its program or from reading its solution.
+    """synth_full for each ambiguity set in ambs, each solve warm-started from
+    starts[i], an earlier result for the same system and cost (None: cold): per
+    set, the SynthesisResult, or the DrSynthesisError or NumericalFailure
+    synth_full would raise for it, from writing its program or from reading its
+    solution.  The verdict and the certificate do not depend on the start.
 
     The programs are one pencil stack (_pencils), which sdpcore.solve_batch
     solves as one batch."""
@@ -200,20 +201,17 @@ def synth_full_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost: Co
     return results
 
 
-def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights,
-               start: SynthesisResult | None = None) -> SynthesisResult:
+def synth_full(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights) -> SynthesisResult:
     """Full-uncertainty robust controller with cost bound tr(W^{-1}).
 
     The bound is the expected closed-loop cost for a random initial state
     with identity second moment, valid for every distribution in the
     ambiguity set.  The gain is certified robustly mean-square stabilizing
     by the strict feasibility of the synthesis LMIs; a returned point that is
-    not strictly feasible raises NumericalFailure.  start, an earlier result
-    for the same system and cost, warm-starts the solve (sdpcore.solve_batch); the
-    verdict and the certificate do not depend on it.  The one-set case of
-    synth_full_batch.
+    not strictly feasible raises NumericalFailure.  The cold one-set case of
+    synth_full_batch, which takes warm starts.
     """
-    return _one(synth_full_batch(sys, [amb], cost, [start]))
+    return _one(synth_full_batch(sys, [amb], cost))
 
 
 def synth_rhc(sys: MultNoiseSystem, amb: MomentAmbiguity, cost: CostWeights, x0) -> SynthesisResult:

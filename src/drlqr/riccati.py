@@ -140,11 +140,12 @@ def _values(sys: MultNoiseSystem, K: np.ndarray, S: np.ndarray, cost: CostWeight
 
 def _newton_batch(sys: MultNoiseSystem, S: np.ndarray, cost: CostWeights, starts: list,
                   method: str) -> list:
-    """value_iteration from starts[j] for each checked extended moment S[j] (_extended_moment):
-    per program, the Controller, labelled method, or the NotStabilizableError or
-    NumericalFailure its own call raises.  The running programs' moments and iterates sit
-    in stacks, compacted when one leaves; a pass forms their moment operators (gh, or fgh
-    while any sweeps) as one stack."""
+    """value_iteration for each checked extended moment S[j] (_extended_moment) from starts[j]:
+    None, or an earlier Controller of the same shape (else ShapeError), whose gain is tried before
+    the certainty-equivalent one.  Per program, the Controller, labelled method, or the
+    NotStabilizableError or NumericalFailure its own call raises.  The running programs' moments
+    and iterates sit in stacks, compacted when one leaves; a pass forms their moment operators
+    (gh, or fgh while any sweeps) as one stack."""
     check_cost(sys, cost)
     p, n, Q, R = len(S), sys.n_x, cost.Q, cost.R
     # by slot: moments, iterate and the gains evaluated; by program: the rest
@@ -224,8 +225,7 @@ def _newton_batch(sys: MultNoiseSystem, S: np.ndarray, cost: CostWeights, starts
             everyone, sweeping = list(range(len(ids))), False in [newton[j] for j in ids]
 
 
-def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights,
-                    start: Controller | None = None) -> Controller:
+def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeights) -> Controller:
     """Solve the stochastic LQR Riccati equation by Newton steps from a certified gain.
 
     Each pass forms the moment operators of the current iterate P from one
@@ -235,28 +235,26 @@ def value_iteration(sys: MultNoiseSystem, m: DisturbanceMoments, cost: CostWeigh
     either evaluates the value of K exactly, by the certified solve
     stability.lyapunov_value on the operator of (sys, K), which K, the
     package's own gain, reaches without a new ClosedLoop, or sweeps
-    P <- Q + F(P) + H(P)^T K.  The gain of start, an earlier Controller of the
-    same shape (else ShapeError), and then the certainty-equivalent gain
-    (_ce_gain) are tried in turn: the first whose value lyapunov_value
-    certifies under m is the first iterate, and the Newton steps, which
-    converge from any certified gain (Damm & Hinrichsen 2001), start at once.
-    Otherwise the sweeps run from P_0 = 0; they are monotone (P_{k+1} >= P_k),
-    and a diverging trace signals that no mean-square stabilizing gain exists.
-    Before sweeps k = 0, 1, 2, 4, 8, ... and once the sweeps meet the stopping
-    rule, K is evaluated instead.  The
-    first evaluation that certifies K as mean-square stabilizing starts the
+    P <- Q + F(P) + H(P)^T K.  When lyapunov_value certifies the value of the
+    certainty-equivalent gain (_ce_gain) under m, that value is the first
+    iterate, and the Newton steps, which converge from any certified gain
+    (Damm & Hinrichsen 2001), start at once.  Otherwise the sweeps run from
+    P_0 = 0; they are monotone (P_{k+1} >= P_k), and a diverging trace signals
+    that no mean-square stabilizing gain exists.  Before sweeps k = 0, 1, 2, 4,
+    8, ... and once the sweeps meet the stopping rule, K is evaluated instead.
+    The first evaluation that certifies K as mean-square stabilizing starts the
     Newton steps P_{j+1} = value(gain(P_j)), which decrease monotonically to
     the stabilizing solution; they stop when |P_{j+1} - P_j| <= TOL (1 + |P_{j+1}|),
     and the gain of the final P is returned.
 
     Controller.iterations counts sweeps plus Newton steps, the certifying
-    evaluation (of a certified start too) included, and MAX_ITER bounds that
-    total.  Divergence raises NotStabilizableError; a spent budget, sweeps that
-    converge to an uncertified gain, or a Newton step that loses its
-    certificate or monotonicity raise NumericalFailure.  The one-program case
-    of the batch loop that dr_covariance_batch runs (_newton_batch).
+    evaluation included, and MAX_ITER bounds that total.  Divergence raises
+    NotStabilizableError; a spent budget, sweeps that converge to an
+    uncertified gain, or a Newton step that loses its certificate or
+    monotonicity raise NumericalFailure.  The cold one-program case of the
+    batch loop that dr_covariance_batch runs (_newton_batch), which takes starts.
     """
-    return _one(_newton_batch(sys, m.extended_moment[None], cost, [start], "nominal_vi"))
+    return _one(_newton_batch(sys, m.extended_moment[None], cost, [None], "nominal_vi"))
 
 
 def _inflated(results: list, ambs: list) -> list:
@@ -284,16 +282,17 @@ def dr_covariance_batch(sys: MultNoiseSystem, ambs: list[MomentAmbiguity], cost:
     return _inflated(_newton_batch(sys, S, cost, starts, "dr_covariance"), ambs)
 
 
-def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity,
-                  cost: CostWeights, start: Controller | None = None) -> Controller:
+def dr_covariance(sys: MultNoiseSystem, mu_known, amb: MomentAmbiguity, cost: CostWeights) -> Controller:
     """Covariance-only robust controller: nominal pipeline at rho_sigma * Sigma_hat.
 
     The mean is treated as known (rho_mu is ignored).  Worst-case exact: the
     support-function maximum over {Sigma <= rho_sigma Sigma_hat} is attained
-    at the inflated covariance.  start, an earlier controller for the same
-    system, is value_iteration's start: its gain is tried before the
-    certainty-equivalent one.  The one-set case of dr_covariance_batch, at the
-    mean mu_known, which DisturbanceMoments checks.
+    at the inflated covariance.  The cold one-set case of dr_covariance_batch,
+    at the mean mu_known (DomainError or ShapeError naming it unless finite of
+    length amb.n_w); the inflated moment is written from amb's checked fields.
     """
-    S = DisturbanceMoments(mu=mu_known, sigma=amb.rho_sigma * amb.sigma_hat).extended_moment[None]
-    return _one(_inflated(_newton_batch(sys, S, cost, [start], "dr_covariance"), [amb]))
+    mu = array_field("mu_known", mu_known, ndmin=1).ravel()
+    if mu.size != amb.n_w:
+        raise ShapeError(f"mu_known has length {mu.size}, expected {amb.n_w}")
+    S = _extended_moment(mu, amb.rho_sigma * amb.sigma_hat)[None]
+    return _one(_inflated(_newton_batch(sys, S, cost, [None], "dr_covariance"), [amb]))

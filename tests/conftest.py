@@ -8,10 +8,19 @@ import numpy as np
 import pytest
 
 from drlqr.ambiguity import MomentAmbiguity, SampleSet
+from drlqr.experiment import _blas_threads
 from drlqr.matcore import SymMatrix, _clear_memos
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
 
 TS = 0.02
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _one_blas_thread():
+    """numpy's and scipy's bundled OpenBLAS run one thread for the session, as the
+    sweep's pool workers do: at one thread per core, a busy host made
+    tests/test_identity_digest.py take 87.7 s against 4.9 s on a quiet one."""
+    _blas_threads(1)
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,14 @@ def _run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, (json.loads(out) if out.strip() else None)
+
+
+def test_module_entry_point():
+    """python -m drlqr.cli runs main through the module's __main__ guard."""
+    run = subprocess.run([sys.executable, "-m", "drlqr.cli", "--help"], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+    assert run.returncode == EXIT_OK and run.stdout.startswith("usage:"), run.stderr
 
 
 class TestBounds:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drlqr import drsynth, sdpcore
 from drlqr.ambiguity import MomentAmbiguity
 from drlqr.drsynth import DrSynthesisError, SynthesisResult, synth_full, synth_rhc
-from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, psd_sqrt
+from drlqr.matcore import DomainError, NumericalFailure, SymMatrix, _one, psd_sqrt
 from drlqr.riccati import Controller, NotStabilizableError, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -287,7 +287,8 @@ class TestCertificate:
         assert isinstance(failed, NumericalFailure) and "did not converge" in str(failed)
         assert np.array_equal(first.controller.K, alone.controller.K)
         assert first.controller.iterations == alone.controller.iterations
-        assert np.array_equal(last.controller.K, synth_full(sys6, amb6_small, cost6, alone).controller.K)
+        warm, = drsynth.synth_full_batch(sys6, [amb6_small], cost6, [alone])
+        assert np.array_equal(last.controller.K, warm.controller.K)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_x=st.integers(1, 3), n_u=st.integers(1, 3), n_w=st.integers(1, 2),
@@ -314,9 +315,9 @@ class TestCertificate:
            rho_sigma=st.floats(1.0, 2.0), seed=st.integers(0, 2**32 - 1))
     def test_warm_start_keeps_verdict_and_certificate(self, n_x, n_u, n_w, noise, rho_mu,
                                                       rho_sigma, seed):
-        """synth_full warm-started from its solution on a second plant of the
-        same shapes gives the cold verdict, and its gain passes the oracles
-        of test_returned_gain_passes_oracles."""
+        """synth_full_batch warm-started from synth_full's solution on a second
+        plant of the same shapes gives the cold verdict, and its gain passes the
+        oracles of test_returned_gain_passes_oracles."""
         rng = np.random.default_rng(seed)
         sys, amb, cost, x0 = _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma)
         other = _random_instance(rng, n_x, n_u, n_w, noise, rho_mu, rho_sigma)
@@ -324,13 +325,7 @@ class TestCertificate:
             start = synth_full(*other[:3])
         except (DrSynthesisError, NumericalFailure):
             return  # no solution to start from
-        outcomes = []
-        for kwargs in ({}, {"start": start}):
-            try:
-                outcomes.append(synth_full(sys, amb, cost, **kwargs))
-            except (DrSynthesisError, NumericalFailure) as exc:
-                outcomes.append(exc)
-        cold, warm = outcomes
+        cold, warm = (drsynth.synth_full_batch(sys, [amb], cost, [s])[0] for s in (None, start))
         assert type(warm) is type(cold), (cold, warm)
         if isinstance(warm, SynthesisResult):
             _assert_certified(rng, warm, "full", sys, amb, cost, x0)
@@ -491,7 +486,7 @@ class TestMonotoneInRadii:
         """The feasible sets shrink as either radius grows, so tr(W), which
         synth_full maximizes, does not increase and gamma, which synth_rhc
         minimizes, does not decrease, up to the GAP_TOL of the previous
-        solve.  synth_full is warm-started from the previous radius and
+        solve.  synth_full_batch is warm-started from the previous radius and
         matches its cold solve to 1e-6, relative to max(1, |tr(W)|) as
         GAP_TOL is."""
         rng = np.random.default_rng(seed)
@@ -505,7 +500,7 @@ class TestMonotoneInRadii:
                 cold = synth_full(sys, amb, cost)
             except (DrSynthesisError, NumericalFailure):
                 break  # every larger set has no certified gain either
-            start = synth_full(sys, amb, cost, start=start)
+            start = _one(drsynth.synth_full_batch(sys, [amb], cost, [start]))
             assert abs(start.solution.objective_value - cold.solution.objective_value) <= \
                 1e-6 * max(1.0, abs(cold.solution.objective_value))
             assert -start.solution.objective_value <= tr_W + slack(tr_W)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import warnings
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from drlqr.ambiguity import AmbiguityConfig, MomentAmbiguity, build_ambiguity
 from drlqr.experiment import _cell_stream, sample_gaussian
-from drlqr import riccati
+from drlqr import drsynth, riccati
 from drlqr.cli import EXIT_OK, main
-from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix
+from drlqr.matcore import DomainError, NumericalFailure, ShapeError, SymMatrix, _one
 from drlqr.riccati import Controller, NotStabilizableError, _ce_gain, dr_covariance, value_iteration
 from drlqr.stability import ClosedLoop, closed_loop_value_matrix, is_mss
 from drlqr.sysmodel import CostWeights, DisturbanceMoments, MultNoiseSystem
@@ -400,6 +401,11 @@ def _cell_inflated(M: int, realization: int, moments) -> DisturbanceMoments:
                               sigma=SymMatrix(amb.rho_sigma * np.asarray(amb.sigma_hat)))
 
 
+def _started(sys, m, cost, start):
+    """value_iteration on m started from start's gain: the batch loop's one program."""
+    return _one(riccati._newton_batch(sys, m.extended_moment[None], cost, [start], "nominal_vi"))
+
+
 class TestStart:
     def test_neighbours_gain_gives_the_cold_solution(self, monkeypatch, sys6, moments6, cost6):
         """The solution at a neighbouring cell of the sweep is certified here, so
@@ -408,7 +414,7 @@ class TestStart:
         neighbour = value_iteration(sys6, _cell_inflated(1000, 0, moments6), cost6)
         cold = value_iteration(sys6, m, cost6)
         monkeypatch.setattr(riccati, "_ce_gain", None)  # calling it fails the test
-        warm = value_iteration(sys6, m, cost6, start=neighbour)
+        warm = _started(sys6, m, cost6, neighbour)
         assert warm.iterations < cold.iterations
         assert np.linalg.norm(warm.K - cold.K) <= 1e-12 * np.linalg.norm(cold.K)
         P, P_cold = np.asarray(warm.P), np.asarray(cold.P)
@@ -416,11 +422,11 @@ class TestStart:
 
     def test_uncertified_start_gives_the_cold_solution(self, sys6, moments6, cost6):
         """A gain that is not MSS under the moments is passed over for the
-        certainty-equivalent one, with the arithmetic of a call without start."""
+        certainty-equivalent one, with the arithmetic of a cold call."""
         bad = riccati.Controller(K=np.array([[50.0, 50.0]]), P=np.eye(2), method="nominal_vi")
         assert not is_mss(ClosedLoop(sys=sys6, K=bad.K), moments6)[0]
         cold = value_iteration(sys6, moments6, cost6)
-        warm = value_iteration(sys6, moments6, cost6, start=bad)
+        warm = _started(sys6, moments6, cost6, bad)
         assert np.array_equal(warm.K, cold.K) and warm.iterations == cold.iterations
         assert np.array_equal(np.asarray(warm.P), np.asarray(cold.P))
 
@@ -428,11 +434,11 @@ class TestStart:
     def test_start_of_another_shape(self, sys6, moments6, cost6, shape):
         start = riccati.Controller(K=np.zeros(shape), P=np.eye(shape[1]), method="nominal_vi")
         with pytest.raises(ShapeError, match="gain"):
-            value_iteration(sys6, moments6, cost6, start=start)
+            _started(sys6, moments6, cost6, start)
         amb = MomentAmbiguity(mu_hat=np.zeros(2), sigma_hat=SymMatrix(np.eye(2)),
                               rho_mu=0.0, rho_sigma=1.5)
         with pytest.raises(ShapeError, match="gain"):
-            dr_covariance(sys6, np.zeros(2), amb, cost6, start=start)
+            riccati.dr_covariance_batch(sys6, [amb], cost6, [start])
 
     def test_only_the_start_gain_is_checked_as_a_loop(self, monkeypatch, sys6, moments6, cost6):
         """The passes build each operator from (sys, K), K the package's own gain;
@@ -446,7 +452,7 @@ class TestStart:
         monkeypatch.setattr(riccati, "ClosedLoop", counting)
         cold = value_iteration(sys6, moments6, cost6)
         assert loops == [] and cold.iterations > 1
-        value_iteration(sys6, moments6, cost6, start=cold)
+        _started(sys6, moments6, cost6, cold)
         assert len(loops) == 1 and loops[0] is cold.K
 
     def test_dr_covariance_checks_its_controller_once(self, monkeypatch, sys6, cost6, amb6):
@@ -620,6 +626,40 @@ class TestDrCovariance:
         gap = np.asarray(dr.P) - np.asarray(vi.P)
         assert np.linalg.eigvalsh(gap)[0] >= -1e-6 * np.linalg.norm(np.asarray(vi.P))
 
+    def test_mean_is_the_only_input_checked(self, monkeypatch, sys6, cost6, amb6):
+        """dr_covariance writes its inflated moment from amb's checked fields, as
+        dr_covariance_batch does, without building a DisturbanceMoments, bit for
+        bit the batch's own solve of the set."""
+        built = []
+        monkeypatch.setattr(DisturbanceMoments, "__post_init__", lambda m: built.append(m))
+        ctrl = dr_covariance(sys6, amb6.mu_hat, amb6, cost6)
+        batch, = riccati.dr_covariance_batch(sys6, [amb6], cost6)
+        assert built == []
+        assert (ctrl.K.tobytes(), ctrl.P.tobytes(), ctrl.iterations) == \
+            (batch.K.tobytes(), batch.P.tobytes(), batch.iterations)
+
+    @pytest.mark.parametrize("mu_known, error", [
+        (np.zeros(3), ShapeError), ([0.0], ShapeError), ([0.0, "a"], ShapeError),
+        ([0.0, np.nan], DomainError), ([np.inf, 0.0], DomainError),
+    ], ids=["long", "short", "not a number", "nan", "inf"])
+    def test_bad_mean_named(self, sys6, cost6, amb6, mu_known, error):
+        with pytest.raises(error, match="mu_known"):
+            dr_covariance(sys6, mu_known, amb6, cost6)
+
+
+def test_one_program_entry_points_take_no_start():
+    """Warm starts reach the solvers only through the batch entry points."""
+    for call in (value_iteration, dr_covariance, drsynth.synth_full):
+        assert "start" not in inspect.signature(call).parameters, call.__name__
+    for call in (riccati.dr_covariance_batch, drsynth.synth_full_batch):
+        assert "starts" in inspect.signature(call).parameters, call.__name__
+
+
+def test_gain_of_an_indefinite_R_plus_G():
+    """R + G(P) not positive definite has no greedy gain: LAPACK's Cholesky fails."""
+    with pytest.raises(NumericalFailure, match="R \\+ G\\(P\\) not positive definite: dpotrf info 1"):
+        riccati._gain_from(-2.0 * np.eye(1), np.ones((1, 2)), np.eye(1))
+
 
 class TestControllerIo:
     def test_save_load_gain(self, sys6, moments6, cost6, tmp_path, capsys):
@@ -684,10 +724,12 @@ def _stages(monkeypatch, run) -> list:
 
 
 def _assert_solo(sys, ambs, cost, starts, results):
-    """Each result is, bit for bit, what dr_covariance returns or raises for its set alone."""
+    """Each result is, bit for bit, what dr_covariance returns or raises for its set alone,
+    or, for a set with a start, its batch of one from that start."""
     assert len(results) == len(ambs)
     for amb, start, res in zip(ambs, starts, results):
-        want = _solve_bytes(lambda: dr_covariance(sys, amb.mu_hat, amb, cost, start=start))
+        want = _solve_bytes(lambda: dr_covariance(sys, amb.mu_hat, amb, cost) if start is None else
+                            _one(riccati.dr_covariance_batch(sys, [amb], cost, [start])))
         got = (type(res).__name__, str(res)) if isinstance(res, Exception) else \
             (res.K.tobytes(), res.P.tobytes(), res.iterations)
         assert got == want

@@ -743,6 +743,13 @@ def _inject(monkeypatch, call, edit):
     monkeypatch.setattr(sdpcore, "_step", step)
 
 
+def test_inverse_of_a_singular_factor():
+    """A Cholesky factor with a zero on its diagonal has no inverse: dtrtrs names it."""
+    L = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="dtrtrs: singular factor at diagonal 2"):
+        sdpcore._inv_lower(L, np.eye(2))
+
+
 class TestBatchFailures:
     """A step that breaks down for one program ends that program alone, with the
     reason a solo solve gives; the others keep their bits.  The work of a failed
